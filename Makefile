@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench bench-compare fuzz-smoke smoke-examples sweep metrics-smoke fleet-smoke
+.PHONY: all build test vet race cover bench bench-compare bench-e2e fuzz-smoke smoke-examples sweep metrics-smoke fleet-smoke
 
 all: build test
 
@@ -89,8 +89,11 @@ fleet-smoke: build
 # BenchmarkSPFRepair (incremental repair vs cold all-destination
 # Dijkstras) — plus the sparse-LP core trio: BenchmarkExactOPT,
 # BenchmarkSlaveLP, BenchmarkDualRestart (pivots/op metrics backing the
-# <0.6× warm-iteration target), and BenchmarkOptimizerStep (the gpopt
-# inner loop, whose allocs/op column must read 0). Everything runs with
+# <0.6× warm-iteration target), BenchmarkOptimizerStep (the gpopt
+# inner loop, whose allocs/op column must read 0), and
+# BenchmarkMinMLUApprox (one FPTAS normalization at n=42, one-shot vs
+# shared index; the shared-index allocs/op column must read 0 and the
+# phases/op and sptrees/op columns are deterministic). Everything runs with
 # -benchmem so bytes/op / allocs/op land in the JSON next to ns/op,
 # parsed by internal/tools/benchjson (which also records the host CPU
 # count — the key to reading per-worker numbers on small runners). CI
@@ -106,6 +109,7 @@ bench:
 	  $(GO) test -run '^$$' -bench 'Benchmark(ExactOPT|SlaveLP)' -benchtime 2x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDualRestart' -benchtime 20x -benchmem . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizerStep' -benchtime 100x -benchmem ./internal/gpopt && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkMinMLUApprox' -benchtime 20x -benchmem ./internal/mcf && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkStrategyBuild' -benchtime 2x -benchmem ./internal/strategy && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkSemiObliviousAdapt' -benchtime 20x -benchmem ./internal/strategy ) \
 		| tee /dev/stderr \
@@ -121,6 +125,15 @@ bench-compare:
 	$(MAKE) bench BENCH_OUT=bench-fresh.json
 	$(GO) run ./internal/tools/benchjson compare $(BENCH_COMPARE_FLAGS) $(BENCH_BASELINE) bench-fresh.json
 	$(GO) run ./internal/tools/benchjson trajectory $(wildcard BENCH_PR*.json) bench-fresh.json
+
+# bench-e2e runs one workload of the repository's benchmark (bench/,
+# BENCHMARK.json): `make bench-e2e W=scale-ba42`. Beyond the timings it
+# checks its own output — same-seed ops bit-identical, Perf ≤ ECMPPerf,
+# FPTAS/exact within [1, 1+ε], every lie set verified — and exits non-zero
+# on a failed check, which is what CI gates on; the timings stay advisory.
+W ?= scale-ba42
+bench-e2e:
+	$(GO) run ./bench -workload $(W)
 
 # fuzz-smoke runs each native fuzz target briefly — the CI gate that
 # malformed real-world topology and MPS files error instead of panicking

@@ -29,6 +29,7 @@ import (
 	coyote "github.com/coyote-te/coyote"
 	"github.com/coyote-te/coyote/internal/exp"
 	"github.com/coyote-te/coyote/internal/lp"
+	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/strategy"
@@ -44,7 +45,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "use the reduced (smoke-test) configuration")
 		strats   = flag.String("strategy", "", "comma-separated strategy subset for the portfolio experiments (default: all; see -list)")
 		workers  = flag.Int("workers", 0, "worker-pool size for the evaluation engine (0 = one per CPU; results are identical for any value)")
-		lpStats  = flag.Bool("lp-stats", false, "print sparse-LP solver statistics (iterations, refactorizations, warm-start and dual-restart hit rates, presolve reductions) after each run")
+		lpStats  = flag.Bool("lp-stats", false, "print solver statistics after each run: the sparse LP core (iterations, refactorizations, warm-start and dual-restart hit rates, presolve reductions) and the FPTAS work counts")
 		metrics  = flag.Bool("metrics", false, "dump the metrics registry (Prometheus text) to stderr before exiting")
 		traceOut = flag.String("trace", "", "write a per-experiment span trace here (.jsonl = span records, else Chrome trace-event JSON)")
 	)
@@ -104,7 +105,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		lp.ResetGlobalStats()
+		resetSolverStats()
 		ctx, span := obs.StartSpan(traceCtx, "sweep:"+*topoFile)
 		cfg.Ctx = ctx
 		tab, err := exp.SweepGraph(fmt.Sprintf("Sweep — %s", *topoFile), g, *model, cfg)
@@ -159,7 +160,7 @@ var traceCtx = context.Background()
 
 func runOne(id string, cfg exp.Config) error {
 	start := time.Now()
-	lp.ResetGlobalStats()
+	resetSolverStats()
 	ctx, span := obs.StartSpan(traceCtx, "exp:"+id)
 	cfg.Ctx = ctx
 	tab, err := exp.Run(id, cfg)
@@ -178,20 +179,31 @@ func runOne(id string, cfg exp.Config) error {
 // printLPStats mirrors the -lp-stats flag for reportLPStats.
 var printLPStats bool
 
+// resetSolverStats starts one run's accounting for reportLPStats.
+func resetSolverStats() {
+	lp.ResetGlobalStats()
+	mcf.ResetGlobalApproxStats()
+}
+
 // reportLPStats prints the per-run counters of the sparse LP core: how
 // many simplex solves the run triggered, the iteration/refactorization
 // totals, and how often a warm-start basis was offered and accepted
-// (PerfExact's per-link chain, the evaluator's carried OPTDAG basis).
+// (PerfExact's per-link chain, the evaluator's carried OPTDAG basis). The
+// second line is the work of the solver that normalizes past the exact
+// node limit instead, the FPTAS (deterministic counts, DESIGN.md §12).
 func reportLPStats(run string) {
 	if !printLPStats {
 		return
 	}
 	st := lp.GlobalStats()
-	fmt.Printf("[lp-stats %s] solves=%d iterations=%d phase1=%d dual=%d refactorizations=%d warm=%d/%d (hit rate %.0f%%) dual-restarts=%d/%d (hit rate %.0f%%) presolve=%d solves (-%d rows, -%d cols) dense-fallbacks=%d\n\n",
+	fmt.Printf("[lp-stats %s] solves=%d iterations=%d phase1=%d dual=%d refactorizations=%d warm=%d/%d (hit rate %.0f%%) dual-restarts=%d/%d (hit rate %.0f%%) presolve=%d solves (-%d rows, -%d cols) dense-fallbacks=%d\n",
 		run, st.Solves, st.Iterations, st.Phase1Iterations, st.DualIterations, st.Refactorizations,
 		st.WarmHits, st.WarmAttempts, 100*st.WarmHitRate(),
 		st.DualHits, st.DualAttempts, 100*st.DualHitRate(),
 		st.PresolveSolves, st.PresolveRows, st.PresolveCols, st.DenseFallbacks)
+	ap := mcf.GlobalApproxStats()
+	fmt.Printf("[fptas-stats %s] solves=%d phases=%d sptrees=%d retries=%d\n\n",
+		run, ap.Solves, ap.Phases, ap.Trees, ap.Retries)
 }
 
 func fatal(err error) {

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
@@ -40,6 +41,7 @@ import (
 	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/localsearch"
+	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/wcmp"
@@ -143,8 +145,9 @@ type Options struct {
 	// Samples is the number of random corner adversaries per evaluation
 	// (default 8).
 	Samples int
-	// Eps is the FPTAS accuracy for normalization on larger networks
-	// (default 0.1).
+	// Eps is the FPTAS accuracy for normalization on larger networks: 0
+	// for the default 0.1, otherwise inside (0, 0.5). Compute and
+	// NewSession reject anything else with an *EpsError.
 	Eps float64
 	// LocalSearchWeights, when true, first optimizes OSPF link weights
 	// with the Fortz–Thorup-style local search (§V-B) instead of using
@@ -164,6 +167,10 @@ type Options struct {
 	// re-optimizing the survivor from scratch.
 	PrecomputeFailover bool
 }
+
+// EpsError is the error Compute and NewSession return for an Options.Eps
+// outside the range the FPTAS supports (test with errors.As).
+type EpsError = mcf.EpsError
 
 // Engine computes COYOTE configurations for one topology and uncertainty
 // set.
@@ -208,6 +215,9 @@ func (e *Engine) Compute() (*Config, error) {
 	if e.bounds == nil {
 		return nil, errors.New("coyote: nil uncertainty bounds")
 	}
+	if err := mcf.CheckEps(e.opts.Eps); err != nil {
+		return nil, fmt.Errorf("coyote: Options.Eps: %w", err)
+	}
 	g := e.topo.g
 	if e.opts.LocalSearchWeights {
 		ls, err := localsearch.Optimize(g, e.bounds, localsearch.Config{
@@ -235,6 +245,11 @@ func (e *Engine) Compute() (*Config, error) {
 		AdvIters:  e.opts.AdversarialIters,
 		Workers:   e.opts.Workers,
 	})
+	if math.IsInf(rep.Perf.Ratio, 0) || math.IsNaN(rep.Perf.Ratio) {
+		// The adversary normalized no demand matrix at all (all-zero or
+		// unroutable bounds): there is no ratio to report.
+		return nil, fmt.Errorf("coyote: no demand matrix within the bounds could be normalized (PERF %v)", rep.Perf.Ratio)
+	}
 	return &Config{
 		Routing: routing,
 		Perf:    rep.Perf.Ratio,

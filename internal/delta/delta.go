@@ -49,6 +49,7 @@ import (
 	"github.com/coyote-te/coyote/internal/fibbing"
 	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
@@ -272,6 +273,9 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 	if box.Min.N != g.NumNodes() {
 		return nil, fmt.Errorf("delta: bounds are %d×%d but topology has %d nodes",
 			box.Min.N, box.Min.N, g.NumNodes())
+	}
+	if err := mcf.CheckEps(cfg.Eps); err != nil {
+		return nil, fmt.Errorf("delta: Config.Eps: %w", err)
 	}
 	s := &Session{
 		cfg:    cfg,

@@ -167,7 +167,9 @@ type GroupScenario struct {
 	DAGs []*dagx.DAG
 	Ev   *oblivious.Evaluator
 }
-// the multi-link generalization of Precompute that internal/scen's SRLG
+
+// PrecomputeGroups computes one scenario per group of failed links — the
+// multi-link generalization of Precompute that internal/scen's SRLG
 // and k-link failure suites feed. Groups are computed in parallel; an
 // empty group yields the normal-topology configuration.
 func PrecomputeGroups(g *graph.Graph, box *demand.Box, groups [][]graph.EdgeID, cfg Config) ([]GroupScenario, error) {

@@ -125,7 +125,7 @@ type spx struct {
 }
 
 type eta struct {
-	r   int32 // basis position replaced
+	r   int32   // basis position replaced
 	idx []int32 // off-diagonal rows of the pivot column (excludes r)
 	val []float64
 	pv  float64 // alpha[r], the diagonal

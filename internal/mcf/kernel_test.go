@@ -1,0 +1,357 @@
+package mcf
+
+import (
+	"container/heap"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"github.com/coyote-te/coyote/internal/dagx"
+	"github.com/coyote-te/coyote/internal/demand"
+	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/scen"
+	"github.com/coyote-te/coyote/internal/topo"
+)
+
+// kernelGraphs are the topologies the kernel is pinned on: three corpus
+// networks, the two generated sizes around the exact/FPTAS crossover, and a
+// uniform-capacity grid — every initial length δ/c equal, the worst case
+// for heap ties.
+func kernelGraphs(t testing.TB) map[string]*graph.Graph {
+	t.Helper()
+	out := make(map[string]*graph.Graph)
+	for _, name := range []string{"Abilene", "NSF", "Geant"} {
+		g, err := topo.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = g
+	}
+	for name, p := range map[string]struct {
+		gen string
+		p   scen.Params
+	}{
+		"waxman48": {"waxman", scen.Params{N: 48, Seed: 7}},
+		"grid5x6":  {"grid", scen.Params{Rows: 5, Cols: 6, CapClasses: []float64{1}}},
+	} {
+		g, err := scen.Generate(p.gen, p.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = g
+	}
+	out["ba42"], _ = ba42(t)
+	return out
+}
+
+func ba42(t testing.TB) (*graph.Graph, []*dagx.DAG) {
+	t.Helper()
+	g, err := scen.Generate("ba", scen.Params{N: 42, M: 2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, dagx.BuildAll(g, dagx.Augmented)
+}
+
+// randomCorner picks each entry of base's margin-2 box at its lower or
+// upper end — the shape of the matrices the adversary normalizes.
+func randomCorner(base *demand.Matrix, rng *rand.Rand) *demand.Matrix {
+	D := base.Clone()
+	for i := range D.D {
+		if rng.Intn(2) == 0 {
+			D.D[i] *= 2
+		} else {
+			D.D[i] /= 2
+		}
+	}
+	return D
+}
+
+func sameBits(t *testing.T, label string, wantMLU float64, wantFlows [][]float64, gotMLU float64, gotFlows [][]float64) {
+	t.Helper()
+	if math.Float64bits(wantMLU) != math.Float64bits(gotMLU) {
+		t.Fatalf("%s: MLU %v (%#x), reference %v (%#x)", label,
+			gotMLU, math.Float64bits(gotMLU), wantMLU, math.Float64bits(wantMLU))
+	}
+	if len(wantFlows) != len(gotFlows) {
+		t.Fatalf("%s: %d flow rows, reference %d", label, len(gotFlows), len(wantFlows))
+	}
+	for d := range wantFlows {
+		if (wantFlows[d] == nil) != (gotFlows[d] == nil) || len(wantFlows[d]) != len(gotFlows[d]) {
+			t.Fatalf("%s: destination %d: row shape differs from the reference", label, d)
+		}
+		for e := range wantFlows[d] {
+			if math.Float64bits(wantFlows[d][e]) != math.Float64bits(gotFlows[d][e]) {
+				t.Fatalf("%s: flow[%d][%d] = %v, reference %v", label, d, e, gotFlows[d][e], wantFlows[d][e])
+			}
+		}
+	}
+}
+
+// TestKernelMatchesReference: MLU and every flow of the kernel equal the
+// pre-kernel implementation (reference_test.go) bit for bit, with and
+// without DAGs, across the accuracy range, through Solve, MLU and the
+// one-shot wrapper.
+func TestKernelMatchesReference(t *testing.T) {
+	for name, g := range kernelGraphs(t) {
+		name, g := name, g
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(11))
+			base := demand.Gravity(g, 1)
+			for _, dags := range [][]*dagx.DAG{nil, dagx.BuildAll(g, dagx.Augmented)} {
+				a := NewApprox(g, dags)
+				for _, eps := range []float64{0.05, 0.1, 0.4} {
+					D := randomCorner(base, rng)
+					if n := g.NumNodes(); eps < 0.1 && n > 30 {
+						// Phases grow like 1/eps²: keep the tight accuracy
+						// affordable on the big graphs.
+						D = restrictDestinations(D, 0, graph.NodeID(n/3), graph.NodeID(n-1))
+					}
+					label := fmt.Sprintf("dags=%v eps=%g", dags != nil, eps)
+					wantMLU, wantFlows, err := refMinMLUApprox(g, dags, D, eps)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", label, err)
+					}
+					gotMLU, gotFlows, err := a.Solve(D, eps)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameBits(t, label, wantMLU, wantFlows, gotMLU, gotFlows)
+					valueOnly, err := a.MLU(D, eps)
+					if err != nil || math.Float64bits(valueOnly) != math.Float64bits(wantMLU) {
+						t.Fatalf("%s: MLU() = %v, %v; reference %v", label, valueOnly, err, wantMLU)
+					}
+					oneMLU, oneFlows, err := MinMLUApprox(g, dags, D, eps)
+					if err != nil {
+						t.Fatalf("%s: one-shot: %v", label, err)
+					}
+					sameBits(t, label+" one-shot", wantMLU, wantFlows, oneMLU, oneFlows)
+				}
+			}
+		})
+	}
+}
+
+// TestKernelSparseDemand covers destinations without demand (nil flow
+// rows) and sources without demand inside an active column.
+func TestKernelSparseDemand(t *testing.T) {
+	g, dags := ba42(t)
+	D := restrictDestinations(demand.Gravity(g, 1), 3, 17, 41)
+	D.D[5*D.N+17] = 0
+	wantMLU, wantFlows, err := refMinMLUApprox(g, dags, D, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotMLU, gotFlows, err := MinMLUApprox(g, dags, D, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "sparse", wantMLU, wantFlows, gotMLU, gotFlows)
+}
+
+// TestApproxIndexReuse: one index solving many different matrices in a row
+// — dirty workspace, varying destination sets — gives the bits of fresh
+// one-shot calls.
+func TestApproxIndexReuse(t *testing.T) {
+	g, dags := ba42(t)
+	a := NewApprox(g, dags)
+	rng := rand.New(rand.NewSource(3))
+	base := demand.Gravity(g, 1)
+	for i := 0; i < 60; i++ {
+		D := randomCorner(base, rng)
+		if i%3 == 1 {
+			D = restrictDestinations(D, graph.NodeID(rng.Intn(g.NumNodes())), graph.NodeID(rng.Intn(g.NumNodes())))
+		}
+		wantMLU, wantFlows, err := MinMLUApprox(g, dags, D, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMLU, gotFlows, err := a.Solve(D, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, fmt.Sprintf("matrix %d", i), wantMLU, wantFlows, gotMLU, gotFlows)
+		if v, err := a.MLU(D, 0.4); err != nil || math.Float64bits(v) != math.Float64bits(wantMLU) {
+			t.Fatalf("matrix %d: MLU() = %v, %v; fresh %v", i, v, err, wantMLU)
+		}
+	}
+}
+
+// TestPathHeapMirrorsContainerHeap: under random pushes and pops of keys
+// with many duplicates, the typed heap holds the same array as
+// container/heap after every operation, so it pops equal keys in the same
+// order.
+func TestPathHeapMirrorsContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		var typed pathHeap
+		ref := &distHeap{}
+		distinct := 1 + rng.Intn(6)
+		for op, next := 0, int32(0); op < 400; op++ {
+			if len(typed) == 0 || rng.Intn(5) < 3 {
+				key := float64(rng.Intn(distinct))
+				typed.push(pathItem{dist: key, node: next})
+				heap.Push(ref, distItem{node: graph.NodeID(next), dist: key})
+				next++
+			} else {
+				got := typed.pop()
+				want := heap.Pop(ref).(distItem)
+				if got.dist != want.dist || graph.NodeID(got.node) != want.node {
+					t.Fatalf("round %d op %d: popped (%v, node %d), container/heap (%v, node %d)",
+						round, op, got.dist, got.node, want.dist, want.node)
+				}
+			}
+			if len(typed) != ref.Len() {
+				t.Fatalf("round %d op %d: %d items, container/heap %d", round, op, len(typed), ref.Len())
+			}
+			for i, it := range typed {
+				if it.dist != (*ref)[i].dist || graph.NodeID(it.node) != (*ref)[i].node {
+					t.Fatalf("round %d op %d: slot %d differs from container/heap", round, op, i)
+				}
+			}
+		}
+	}
+}
+
+// TestApproxLengthOverflowIsUnroutable: a demand the OSPF-weight scaling
+// pass can route but whose only path has length δ/c = +Inf is reported as
+// ErrUnroutable, not as a failure to complete a phase after eight retries.
+func TestApproxLengthOverflowIsUnroutable(t *testing.T) {
+	g := graph.New()
+	a, b := g.AddNode("a"), g.AddNode("b")
+	g.AddEdge(a, b, 1e-310, 1)
+	g.AddEdge(b, a, 1, 1)
+	D := demand.NewMatrix(2)
+	D.Set(a, b, 1e-300)
+	before := GlobalApproxStats()
+	mlu, _, err := MinMLUApprox(g, nil, D, 0.4)
+	if !errors.Is(err, ErrUnroutable) || !math.IsInf(mlu, 1) {
+		t.Fatalf("got mlu=%v err=%v, want +Inf and ErrUnroutable", mlu, err)
+	}
+	if after := GlobalApproxStats(); after != before {
+		t.Fatalf("a failed solve moved the work counters: %+v → %+v", before, after)
+	}
+}
+
+func TestApproxRejectsWrongSize(t *testing.T) {
+	g, _ := paperExample()
+	if _, err := NewApprox(g, nil).MLU(demand.NewMatrix(g.NumNodes()+1), 0.1); err == nil {
+		t.Fatal("want an error for a matrix of the wrong dimension")
+	}
+}
+
+func TestCheckEps(t *testing.T) {
+	for _, eps := range []float64{0, 0.05, 0.1, 0.49} {
+		if err := CheckEps(eps); err != nil {
+			t.Errorf("CheckEps(%v) = %v, want nil", eps, err)
+		}
+	}
+	for _, eps := range []float64{-0.1, 0.5, 0.9, math.NaN(), math.Inf(1)} {
+		var ee *EpsError
+		if err := CheckEps(eps); !errors.As(err, &ee) {
+			t.Errorf("CheckEps(%v) = %v, want *EpsError", eps, err)
+		}
+	}
+	g, ids := paperExample()
+	D := demand.NewMatrix(g.NumNodes())
+	D.Set(ids["s1"], ids["t"], 1)
+	var ee *EpsError
+	if _, _, err := MinMLUApprox(g, nil, D, 0.5); !errors.As(err, &ee) || ee.Eps != 0.5 {
+		t.Fatalf("MinMLUApprox(eps=0.5) error = %v, want *EpsError", err)
+	}
+}
+
+// TestApproxWarmSolveAllocs: a value-only solve on a warm index allocates
+// nothing beyond the pool round trip.
+func TestApproxWarmSolveAllocs(t *testing.T) {
+	g, dags := ba42(t)
+	a := NewApprox(g, dags)
+	D := demand.Gravity(g, 1)
+	var sink float64
+	allocs := testing.AllocsPerRun(5, func() {
+		v, err := a.MLU(D, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink += v
+	})
+	if allocs > 2 {
+		t.Fatalf("warm Approx.MLU allocates %.0f objects per solve, want ≤ 2", allocs)
+	}
+}
+
+// TestApproxConcurrentSolves: concurrent solves on one index never share a
+// workspace (run under -race) and each returns the serial bits.
+func TestApproxConcurrentSolves(t *testing.T) {
+	g, dags := ba42(t)
+	a := NewApprox(g, dags)
+	rng := rand.New(rand.NewSource(5))
+	base := demand.Gravity(g, 1)
+	const k = 8
+	Ds := make([]*demand.Matrix, k)
+	want := make([]float64, k)
+	for i := range Ds {
+		Ds[i] = randomCorner(base, rng)
+		v, err := a.MLU(Ds[i], 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = v
+	}
+	got := make([]float64, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = a.MLU(Ds[i], 0.4)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("matrix %d: concurrent %v (%v), serial %v", i, got[i], errs[i], want[i])
+		}
+	}
+}
+
+// BenchmarkMinMLUApprox is one OPTDAG normalization at the scale-ba42
+// shape (n=42, augmented DAGs, eps 0.4): the one-shot call, which builds
+// the index per solve, against a value-only solve on a shared index. The
+// work counts are deterministic.
+func BenchmarkMinMLUApprox(b *testing.B) {
+	g, dags := ba42(b)
+	D := randomCorner(demand.Gravity(g, 1), rand.New(rand.NewSource(9)))
+	shared := NewApprox(g, dags)
+	for _, bc := range []struct {
+		name  string
+		solve func() (float64, error)
+	}{
+		{"one-shot", func() (float64, error) { v, _, err := MinMLUApprox(g, dags, D, 0.4); return v, err }},
+		{"shared-index", func() (float64, error) { return shared.MLU(D, 0.4) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink float64
+			before := GlobalApproxStats()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := bc.solve()
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += v
+			}
+			b.StopTimer()
+			after := GlobalApproxStats()
+			b.ReportMetric(float64(after.Phases-before.Phases)/float64(b.N), "phases/op")
+			b.ReportMetric(float64(after.Trees-before.Trees)/float64(b.N), "sptrees/op")
+			_ = sink
+		})
+	}
+}

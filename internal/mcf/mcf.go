@@ -10,13 +10,13 @@
 // loads, leaving an in-DAG flow realizable by splitting ratios.
 //
 // Two solvers are provided: an exact LP formulation (package lp) and a
-// Garg–Könemann/Fleischer-style fully polynomial approximation scheme. The
+// Garg–Könemann/Fleischer-style fully polynomial approximation scheme
+// (approx.go: an allocation-free kernel over a per-(graph, DAGs) index). The
 // FPTAS replaces the paper's external LP solver on the hot evaluation path;
 // tests cross-validate the two on small instances.
 package mcf
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"io"
@@ -301,244 +301,4 @@ func MinMLUExactDense(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float
 		}
 	}
 	return sol.Objective, flows, nil
-}
-
-// MinMLUApprox approximates min-MLU with a Garg–Könemann/Fleischer
-// multiplicative-weights scheme, aggregating commodities per destination
-// (one shortest-path tree per destination per phase). The returned flow
-// routes D exactly; its utilization lies in [OPT, (1+O(eps))·OPT].
-//
-// When dags is non-nil the flow is restricted to the DAGs and is therefore
-// acyclic per destination (convertible to splitting ratios).
-func MinMLUApprox(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (float64, [][]float64, error) {
-	if eps <= 0 || eps >= 0.5 {
-		return 0, nil, fmt.Errorf("mcf: eps %g out of range (0, 0.5)", eps)
-	}
-	n := g.NumNodes()
-	if D.Total() == 0 {
-		return 0, make([][]float64, n), nil
-	}
-	// Scale demands so a single-shortest-path routing has MLU 1; this keeps
-	// the concurrency β = 1/OPT within a small constant and bounds the
-	// number of phases.
-	refMLU, err := singlePathMLU(g, dags, D)
-	if err != nil {
-		return math.Inf(1), nil, err
-	}
-	for attempt := 0; attempt < 8; attempt++ {
-		scale := 1 / refMLU
-		scaled := D.Clone().Scale(scale)
-		mlu, flows, ok := gkRun(g, dags, scaled, eps)
-		if !ok {
-			// Zero full phases completed: demands too large relative to the
-			// length budget; shrink and retry.
-			refMLU *= 2
-			continue
-		}
-		// Undo scaling: flow/scale routes D with utilization mlu/scale.
-		for t := range flows {
-			if flows[t] == nil {
-				continue
-			}
-			for e := range flows[t] {
-				flows[t][e] /= scale
-			}
-		}
-		return mlu / scale, flows, nil
-	}
-	return 0, nil, errors.New("mcf: approximation failed to complete a phase")
-}
-
-// gkRun executes the core multiplicative-weights loop. It reports ok=false
-// if no full phase completed.
-func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (float64, [][]float64, bool) {
-	n := g.NumNodes()
-	m := g.NumEdges()
-	delta := (1 + eps) * math.Pow((1+eps)*float64(m), -1/eps)
-	length := make([]float64, m)
-	sumLC := 0.0 // Σ l(e)·c(e)
-	for _, e := range g.Edges() {
-		length[e.ID] = delta / e.Capacity
-		sumLC += delta
-	}
-	done := make([][]float64, n)  // flows from completed phases
-	phase := make([][]float64, n) // flows from the in-progress phase
-	var dests []int
-	for t := 0; t < n; t++ {
-		col := D.ToDestination(graph.NodeID(t))
-		for _, d := range col {
-			if d > 0 {
-				dests = append(dests, t)
-				done[t] = make([]float64, m)
-				phase[t] = make([]float64, m)
-				break
-			}
-		}
-	}
-	phases := 0
-	maxPhases := 200000
-	for sumLC < 1 && phases < maxPhases {
-		for _, t := range dests {
-			allowed := allowedEdges(g, dags, graph.NodeID(t))
-			parent := spTree(g, graph.NodeID(t), length, allowed)
-			col := D.ToDestination(graph.NodeID(t))
-			for s := 0; s < n; s++ {
-				if col[s] <= 0 || s == t {
-					continue
-				}
-				if parent[s] < 0 {
-					return 0, nil, false // unreachable (caller validated, so defensive)
-				}
-				rem := col[s]
-				for rem > 1e-15 {
-					// Walk the tree path, find the bottleneck capacity.
-					bottleneck := math.Inf(1)
-					for u := graph.NodeID(s); u != graph.NodeID(t); {
-						e := g.Edge(parent[u])
-						if e.Capacity < bottleneck {
-							bottleneck = e.Capacity
-						}
-						u = e.To
-					}
-					f := math.Min(rem, bottleneck)
-					for u := graph.NodeID(s); u != graph.NodeID(t); {
-						e := g.Edge(parent[u])
-						phase[t][e.ID] += f
-						dl := length[e.ID] * eps * f / e.Capacity
-						length[e.ID] += dl
-						sumLC += dl * e.Capacity
-						u = e.To
-					}
-					rem -= f
-				}
-			}
-		}
-		phases++
-		for _, t := range dests {
-			for e := 0; e < m; e++ {
-				done[t][e] += phase[t][e]
-				phase[t][e] = 0
-			}
-		}
-	}
-	if phases == 0 {
-		return 0, nil, false
-	}
-	inv := 1 / float64(phases)
-	mlu := 0.0
-	for _, t := range dests {
-		for e := 0; e < m; e++ {
-			done[t][e] *= inv
-		}
-	}
-	for _, ed := range g.Edges() {
-		load := 0.0
-		for _, t := range dests {
-			load += done[t][ed.ID]
-		}
-		if u := load / ed.Capacity; u > mlu {
-			mlu = u
-		}
-	}
-	return mlu, done, true
-}
-
-// spTree computes a shortest-path tree toward t under the given edge
-// lengths, restricted to allowed edges. parent[u] is the first edge of u's
-// shortest path (or -1 if unreachable / u == t).
-func spTree(g *graph.Graph, t graph.NodeID, length []float64, allowed []bool) []graph.EdgeID {
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	parent := make([]graph.EdgeID, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[t] = 0
-	pq := &distHeap{{node: t, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.dist > dist[it.node] {
-			continue
-		}
-		for _, id := range g.In(it.node) {
-			if !allowed[id] {
-				continue
-			}
-			e := g.Edge(id)
-			nd := it.dist + length[id]
-			if nd < dist[e.From] {
-				dist[e.From] = nd
-				parent[e.From] = id
-				heap.Push(pq, distItem{node: e.From, dist: nd})
-			}
-		}
-	}
-	return parent
-}
-
-// singlePathMLU routes every demand along one shortest path (by OSPF
-// weight) and returns the resulting utilization — a cheap upper bound on
-// OPT used only for demand scaling.
-func singlePathMLU(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, error) {
-	n := g.NumNodes()
-	loads := make([]float64, g.NumEdges())
-	weights := make([]float64, g.NumEdges())
-	for _, e := range g.Edges() {
-		weights[e.ID] = e.Weight
-	}
-	for t := 0; t < n; t++ {
-		col := D.ToDestination(graph.NodeID(t))
-		any := false
-		for _, d := range col {
-			if d > 0 {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		allowed := allowedEdges(g, dags, graph.NodeID(t))
-		parent := spTree(g, graph.NodeID(t), weights, allowed)
-		for s := 0; s < n; s++ {
-			if col[s] <= 0 || s == t {
-				continue
-			}
-			if parent[s] < 0 {
-				return 0, ErrUnroutable
-			}
-			for u := graph.NodeID(s); u != graph.NodeID(t); {
-				e := g.Edge(parent[u])
-				loads[e.ID] += col[s]
-				u = e.To
-			}
-		}
-	}
-	mlu := 0.0
-	for _, e := range g.Edges() {
-		if u := loads[e.ID] / e.Capacity; u > mlu {
-			mlu = u
-		}
-	}
-	return mlu, nil
-}
-
-type distItem struct {
-	node graph.NodeID
-	dist float64
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

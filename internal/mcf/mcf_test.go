@@ -261,17 +261,6 @@ func TestPropertyDAGRestrictionMonotone(t *testing.T) {
 	}
 }
 
-func BenchmarkApproxMedium(b *testing.B) {
-	g, D := randomInstance(42, 16)
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := MinMLUApprox(g, dags, D, 0.1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkExactMedium(b *testing.B) {
 	g, D := randomInstance(42, 16)
 	dags := dagx.BuildAll(g, dagx.Augmented)

@@ -270,12 +270,16 @@ func ECMPOnDAGs(g *graph.Graph, dags []*dagx.DAG) *pdrouting.Routing {
 // BaseRouting computes the paper's "Base" baseline: the demands-aware
 // optimal routing for a single base matrix (no uncertainty), realized as
 // splitting ratios within the given DAGs. Figures 6–8 show how quickly it
-// degrades as actual demands drift from the base.
+// degrades as actual demands drift from the base. eps is the FPTAS accuracy
+// past exactNodeLimit nodes (0 = default 0.1, otherwise inside (0, 0.5)).
 func BaseRouting(g *graph.Graph, dags []*dagx.DAG, base *demand.Matrix, exactNodeLimit int, eps float64) (*pdrouting.Routing, error) {
 	if exactNodeLimit <= 0 {
 		exactNodeLimit = DefaultExactNodeLimit
 	}
-	if eps <= 0 {
+	if err := mcf.CheckEps(eps); err != nil {
+		return nil, err
+	}
+	if eps == 0 {
 		eps = 0.1
 	}
 	var flows [][]float64

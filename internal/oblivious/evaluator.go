@@ -97,18 +97,28 @@ type Evaluator struct {
 }
 
 // evalCache holds the values that depend only on (graph, DAGs) — OPTDAG
-// normalizations, per-pair DAG max-flows, and the latest exact-LP optimal
-// basis — so evaluators over the same topology but different uncertainty
-// boxes (the online controller's demand updates) can share them. The basis
-// rides the same carry-through as the gpopt warm state: delta.Session's
-// UpdateBounds and Recover derive their evaluator via WithBox, which keeps
-// this cache, so exact normalizations after a demand drift warm-start from
-// the vertex of the previous epoch.
+// normalizations, per-pair DAG max-flows, the latest exact-LP optimal
+// basis, and the FPTAS index (DESIGN.md §12) — so evaluators over the same
+// topology but different uncertainty boxes (the online controller's demand
+// updates) can share them. The basis rides the same carry-through as the
+// gpopt warm state: delta.Session's UpdateBounds and Recover derive their
+// evaluator via WithBox, which keeps this cache, so exact normalizations
+// after a demand drift warm-start from the vertex of the previous epoch.
 type evalCache struct {
 	mu    sync.Mutex
 	opt   map[uint64]float64
 	mf    map[[2]graph.NodeID]float64
 	basis *lp.Basis
+
+	approxOnce sync.Once
+	approx     *mcf.Approx // built on the first FPTAS normalization
+}
+
+// fptas returns the shared FPTAS index for (g, dags), building it on first
+// use: evaluators at or below the exact node limit never pay for it.
+func (c *evalCache) fptas(g *graph.Graph, dags []*dagx.DAG) *mcf.Approx {
+	c.approxOnce.Do(func() { c.approx = mcf.NewApprox(g, dags) })
+	return c.approx
 }
 
 // warmBasis snapshots the shared warm-start basis.
@@ -194,7 +204,7 @@ func (ev *Evaluator) optDAGWarm(D *demand.Matrix, warm *lp.Basis) (float64, *lp.
 	if ev.G.NumNodes() <= ev.cfg.ExactNodeLimit {
 		v, _, basis, err = mcf.MinMLUExactBasis(ev.G, ev.DAGs, D, warm)
 	} else {
-		v, _, err = mcf.MinMLUApprox(ev.G, ev.DAGs, D, ev.cfg.Eps)
+		v, err = c.fptas(ev.G, ev.DAGs).MLU(D, ev.cfg.Eps)
 	}
 	if err != nil {
 		v = math.Inf(1)

@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/maxflow"
+	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
@@ -252,6 +254,10 @@ func TestBaseRoutingOptimalAtBase(t *testing.T) {
 	res := ev.Perf(r)
 	if math.Abs(res.Ratio-1) > 0.02 {
 		t.Fatalf("Base routing at margin 1: PERF = %g, want 1", res.Ratio)
+	}
+	var ee *mcf.EpsError
+	if _, err := BaseRouting(g, dags, base, 18, 0.5); !errors.As(err, &ee) {
+		t.Fatalf("BaseRouting with eps 0.5: error %v, want an *mcf.EpsError", err)
 	}
 }
 

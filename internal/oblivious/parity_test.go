@@ -1,12 +1,14 @@
 package oblivious
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/gpopt"
+	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -108,4 +110,43 @@ func TestEvaluatorConcurrentSmoke(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestPerfTopFPTASWorkerParity drives PerfTop past the exact/FPTAS
+// crossover (ExactNodeLimit 1 on a 42-node graph), where the parallel
+// corner normalizations all solve on the evaluator's one shared mcf.Approx
+// index. Under -race it proves no two par.For candidates share a solve
+// workspace; in any mode the results are bit-identical at Workers 1 and 4.
+func TestPerfTopFPTASWorkerParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("parity sweep in -short mode")
+	}
+	g, err := scen.Generate("ba", scen.Params{N: 42, M: 2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := demand.MarginBox(demand.Gravity(g, 1), 2)
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	ecmp := ECMPOnDAGs(g, dags)
+	perfTop := func(workers int) []Result {
+		ev := NewEvaluator(g, dags, box, EvalConfig{Samples: 3, Seed: 7, Eps: 0.4, ExactNodeLimit: 1, Workers: workers})
+		return ev.PerfTop(ecmp, 4)
+	}
+	serial := perfTop(1)
+	if len(serial) == 0 || math.IsInf(serial[0].Ratio, 0) {
+		t.Fatalf("serial PerfTop found no normalizable matrix: %+v", serial)
+	}
+	parallel := perfTop(4)
+	if len(parallel) != len(serial) {
+		t.Fatalf("workers=4: %d results, serial %d", len(parallel), len(serial))
+	}
+	for i := range serial {
+		s, p := serial[i], parallel[i]
+		if math.Float64bits(s.Ratio) != math.Float64bits(p.Ratio) ||
+			math.Float64bits(s.MxLU) != math.Float64bits(p.MxLU) ||
+			math.Float64bits(s.Norm) != math.Float64bits(p.Norm) {
+			t.Fatalf("result %d: workers=4 (%v, %v, %v), serial (%v, %v, %v): must be bit-identical",
+				i, p.Ratio, p.MxLU, p.Norm, s.Ratio, s.MxLU, s.Norm)
+		}
+	}
 }

@@ -23,6 +23,7 @@ import (
 
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
@@ -74,7 +75,7 @@ type Config struct {
 	OptIters int     // gpopt gradient steps per inner optimization
 	AdvIters int     // adversarial refinement rounds (COYOTE strategies)
 	Samples  int     // random corner adversaries per evaluation
-	Eps      float64 // FPTAS accuracy for large-instance normalization
+	Eps      float64 // FPTAS accuracy for large-instance normalization (0 = default, else in (0, 0.5))
 	// ExactNodeLimit overrides the exact/FPTAS OPTDAG crossover
 	// (oblivious.DefaultExactNodeLimit when 0; 1 forces the FPTAS).
 	ExactNodeLimit int
@@ -142,6 +143,9 @@ func New(name string, cfg Config) (Strategy, error) {
 	b, ok := builders[name]
 	if !ok {
 		return nil, fmt.Errorf("strategy: unknown strategy %q (have %v)", name, Names())
+	}
+	if err := mcf.CheckEps(cfg.Eps); err != nil {
+		return nil, fmt.Errorf("strategy: Config.Eps: %w", err)
 	}
 	return b(cfg), nil
 }

@@ -6,11 +6,13 @@
 package strategy
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
+	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -59,6 +61,10 @@ func TestNames(t *testing.T) {
 	}
 	if _, err := New("no-such-strategy", Config{}); err == nil {
 		t.Fatal("New accepted an unknown strategy name")
+	}
+	var ee *mcf.EpsError
+	if _, err := New("coyote", Config{Eps: 0.5}); !errors.As(err, &ee) {
+		t.Fatalf("New with Eps 0.5: error %v, want an *mcf.EpsError", err)
 	}
 }
 
