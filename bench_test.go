@@ -18,7 +18,6 @@ import (
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/mcf"
-	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/spf"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -384,34 +383,6 @@ func BenchmarkSPFRepair(b *testing.B) {
 	})
 }
 
-// BenchmarkExactOPT is the sparse-core acceptance benchmark: exact OPTDAG
-// (min-MLU within the augmented DAGs, gravity demands) on the largest
-// corpus topology, BICS (33 nodes, 96 directed edges), solved by the
-// sparse revised simplex versus the dense full-tableau reference. The
-// sparse core is what lets ExactNodeLimit cover the entire corpus.
-func BenchmarkExactOPT(b *testing.B) {
-	g, err := topo.Load("BICS")
-	if err != nil {
-		b.Fatal(err)
-	}
-	D := demand.Gravity(g, 1)
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	b.Run("sparse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, _, err := mcf.MinMLUExactBasis(g, dags, D, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := mcf.MinMLUExactDense(g, dags, D); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkDualRestart measures the PR-6 headline: re-solving the exact
 // OPTDAG LP after demand (RHS) edits from the carried basis, where the
 // dual simplex repairs primal infeasibility in place, versus rebuilding
@@ -493,35 +464,6 @@ func BenchmarkDualRestart(b *testing.B) {
 		b.StopTimer()
 		st := lp.GlobalStats()
 		b.ReportMetric(float64(st.Iterations)/float64(b.N), "pivots/op")
-	})
-}
-
-// BenchmarkSlaveLP measures the Appendix-C exact adversary (one slave LP
-// per link, shared rows) on Abilene with and without the per-link
-// basis-chain warm start — the warm/cold contrast isolates what carrying
-// the previous link's vertex saves.
-func BenchmarkSlaveLP(b *testing.B) {
-	g, err := topo.Load("Abilene")
-	if err != nil {
-		b.Fatal(err)
-	}
-	box := demand.MarginBox(demand.Gravity(g, 1), 2)
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	ev := oblivious.NewEvaluator(g, dags, box, oblivious.EvalConfig{Samples: 2, Seed: 1})
-	r := oblivious.ECMPOnDAGs(g, dags)
-	b.Run("warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ev.PerfExact(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ev.PerfExactNoWarm(r); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }
 

@@ -30,21 +30,19 @@
 package coyote
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/fibbing"
-	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/localsearch"
 	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/pdrouting"
-	"github.com/coyote-te/coyote/internal/wcmp"
 )
 
 // NodeID identifies a router in a Topology.
@@ -155,11 +153,11 @@ type Options struct {
 	LocalSearchWeights bool
 	// Seed makes runs reproducible.
 	Seed int64
-	// Workers bounds the evaluation engine's worker pool (the concurrent
-	// per-destination flow propagation, corner-adversary sampling, and
-	// optimizer passes; see DESIGN.md §4). Zero or negative means one
-	// worker per available CPU. For a fixed Seed the computed
-	// configuration is bit-identical for every Workers value.
+	// Workers is the one worker-pool size of a solve: the evaluator is built
+	// with it and the adversarial loop — flow propagation, corner-adversary
+	// sampling, optimizer passes (DESIGN.md §4) — takes it from there. Zero
+	// or negative means one worker per available CPU. For a fixed Seed the
+	// computed configuration is bit-identical for every Workers value.
 	Workers int
 	// PrecomputeFailover (sessions only, ignored by Compute) precomputes
 	// a configuration for every single-link failure at session start, so
@@ -167,6 +165,25 @@ type Options struct {
 	// re-optimizing the survivor from scratch.
 	PrecomputeFailover bool
 }
+
+// params is the one conversion from the public knobs to the solve's
+// parameter set.
+func (o Options) params() oblivious.Params {
+	return oblivious.Params{
+		OptIters: o.OptimizerIters,
+		AdvIters: o.AdversarialIters,
+		Samples:  o.Samples,
+		Eps:      o.Eps,
+		Seed:     o.Seed,
+		Workers:  o.Workers,
+	}
+}
+
+// BoundsError is the error Compute, NewSession and Session.UpdateBounds
+// return for bounds no solve can use: nil, of the wrong dimension for the
+// topology, with a non-finite, negative or crossed entry, or all zero
+// (test with errors.As).
+type BoundsError = demand.BoxError
 
 // EpsError is the error Compute and NewSession return for an Options.Eps
 // outside the range the FPTAS supports (test with errors.As).
@@ -212,8 +229,8 @@ func (e *Engine) Compute() (*Config, error) {
 	if err := e.topo.Validate(); err != nil {
 		return nil, err
 	}
-	if e.bounds == nil {
-		return nil, errors.New("coyote: nil uncertainty bounds")
+	if err := e.bounds.Check(e.topo.NumNodes()); err != nil {
+		return nil, fmt.Errorf("coyote: %w", err)
 	}
 	if err := mcf.CheckEps(e.opts.Eps); err != nil {
 		return nil, fmt.Errorf("coyote: Options.Eps: %w", err)
@@ -231,24 +248,11 @@ func (e *Engine) Compute() (*Config, error) {
 		g = g.Clone()
 		g.SetWeights(ls.Weights)
 	}
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	evalCfg := oblivious.EvalConfig{
-		Eps:     e.opts.Eps,
-		Samples: e.opts.Samples,
-		Seed:    e.opts.Seed,
-		Workers: e.opts.Workers,
-	}
-	ev := oblivious.NewEvaluator(g, dags, e.bounds, evalCfg)
-	routing, rep := oblivious.OptimizeWithEvaluator(g, dags, ev, oblivious.Options{
-		Optimizer: gpopt.Config{Iters: e.opts.OptimizerIters},
-		Eval:      evalCfg,
-		AdvIters:  e.opts.AdversarialIters,
-		Workers:   e.opts.Workers,
-	})
-	if math.IsInf(rep.Perf.Ratio, 0) || math.IsNaN(rep.Perf.Ratio) {
-		// The adversary normalized no demand matrix at all (all-zero or
-		// unroutable bounds): there is no ratio to report.
-		return nil, fmt.Errorf("coyote: no demand matrix within the bounds could be normalized (PERF %v)", rep.Perf.Ratio)
+	p := e.opts.params()
+	ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), e.bounds, p.EvalConfig())
+	routing, rep := ev.Optimize(p.Options())
+	if err := rep.Err(); err != nil {
+		return nil, err
 	}
 	return &Config{
 		Routing: routing,
@@ -268,25 +272,24 @@ func (e *Engine) Compute() (*Config, error) {
 // (per Fibbing [8,9]); the synthesized LSDB is verified to reproduce the
 // quantized forwarding exactly before being returned.
 func (c *Config) Lies(extraPerInterface int) (*LieSet, error) {
-	q, err := wcmp.Apply(c.Routing, extraPerInterface)
+	q, syn, err := fibbing.Realize(context.TODO(), c.topo.g, c.Routing, extraPerInterface)
 	if err != nil {
 		return nil, err
 	}
-	syn, err := fibbing.Synthesize(c.topo.g, q)
-	if err != nil {
-		return nil, err
-	}
-	if err := fibbing.Verify(c.topo.g, q, syn); err != nil {
-		return nil, fmt.Errorf("coyote: lie verification failed: %w", err)
-	}
-	return &LieSet{
-		Quantized:        q.Routing,
-		VirtualLinks:     q.VirtualLinks,
+	lies := newLieSet(c.topo.g, q.Routing, q.VirtualLinks, syn)
+	return &lies, nil
+}
+
+// newLieSet wraps one verified realization (fibbing.Realize) over g.
+func newLieSet(g *graph.Graph, quantized *pdrouting.Routing, virtualLinks int, syn *fibbing.Synthesis) LieSet {
+	return LieSet{
+		Quantized:        quantized,
+		VirtualLinks:     virtualLinks,
 		FakeNodes:        syn.FakeNodes,
 		LiedDestinations: len(syn.LiedDestinations),
 		synthesis:        syn,
-		topo:             c.topo,
-	}, nil
+		topo:             &Topology{g: g},
+	}
 }
 
 // LieSet is a verified OSPF lie configuration.

@@ -54,7 +54,6 @@ import (
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/spf"
-	"github.com/coyote-te/coyote/internal/wcmp"
 )
 
 // Session activity metrics (obs.Default, DESIGN.md §10). All updates happen
@@ -112,11 +111,6 @@ type Config struct {
 	// for failure scenarios can be precomputed"), so Fail swaps it in and
 	// merely refines.
 	PrecomputeFailover bool
-	// coldSPF disables the session's incremental shortest-path maintenance
-	// and rebuilds every epoch's DAGs with cold per-destination Dijkstras
-	// instead. Results are bit-identical either way (the parity tests pin
-	// this); the toggle exists for those tests and as a kill switch.
-	coldSPF bool
 	// Tracer, when non-nil, records one span tree per session transition
 	// (session.init/update/fail/recover/lies) with the nested adversarial
 	// loop, gpopt, and LP spans beneath it. Purely observational — results
@@ -141,6 +135,19 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	return c
+}
+
+// params is the one conversion from a session Config to the solve's
+// parameter set (cold effort; warm recomputes override the iteration counts).
+func (c Config) params() oblivious.Params {
+	return oblivious.Params{
+		OptIters: c.OptIters,
+		AdvIters: c.AdvIters,
+		Samples:  c.Samples,
+		Eps:      c.Eps,
+		Seed:     c.Seed,
+		Workers:  c.Workers,
+	}
 }
 
 // EventKind labels a Session state transition.
@@ -204,30 +211,18 @@ type Session struct {
 	mu  sync.Mutex
 	cfg Config
 
-	base     *graph.Graph // the intact topology
-	baseDags []*dagx.DAG
-	box      *demand.Box
-	failed   map[graph.EdgeID]bool // failed links, by base representative edge ID
+	base   *graph.Graph          // the intact topology
+	failed map[graph.EdgeID]bool // failed links, by base representative edge ID
 
 	// incs holds one dynamic SPF structure per destination over the base
 	// topology, kept in lockstep with the failed-link set. Fail/Recover
 	// repair only the affected vertices (near-O(affected) instead of n
 	// Dijkstras) and every epoch's augmented DAGs are rebuilt from the
 	// repaired distance fields — bit-identical to the cold construction,
-	// since spf.Incremental maintains the exact Dijkstra fixpoint. nil when
-	// Config.coldSPF is set.
+	// since spf.Incremental maintains the exact Dijkstra fixpoint.
 	incs []*spf.Incremental
 
-	// Current epoch (base or survivor topology).
-	cur       *graph.Graph
-	dags      []*dagx.DAG
-	ev        *oblivious.Evaluator
-	opt       *gpopt.Optimizer
-	critical  []*demand.Matrix
-	routing   *pdrouting.Routing
-	perf      float64
-	ecmpPerf  float64
-	lastOuter int // outer iterations of the most recent reoptimize
+	cur epoch // the live configuration
 
 	// normalState snapshots the optimizer parameters of the latest
 	// base-topology recompute, so a recovery back to the intact network
@@ -249,6 +244,19 @@ type Session struct {
 	dropped uint64 // lifetime count of events dropped on full subscriber channels
 }
 
+// epoch is one solved configuration: everything that is replaced as a unit
+// when the box, the failed-link set, or both change. The evaluator names
+// the epoch's topology (ev.G: base or a survivor), DAGs and uncertainty box.
+type epoch struct {
+	ev       *oblivious.Evaluator
+	opt      *gpopt.Optimizer // final optimizer state, the next warm start
+	critical []*demand.Matrix // carried critical matrices (≤ maxCarriedCritical)
+	routing  *pdrouting.Routing
+	perf     float64
+	ecmpPerf float64
+	outer    int // outer iterations of the solve
+}
+
 // subscriber is one Subscribe registration: its delivery channel plus the
 // count of events it missed because the channel was full when the
 // controller tried to notify it.
@@ -267,12 +275,8 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("delta: topology is not strongly connected")
 	}
-	if box == nil {
-		return nil, fmt.Errorf("delta: nil uncertainty bounds")
-	}
-	if box.Min.N != g.NumNodes() {
-		return nil, fmt.Errorf("delta: bounds are %d×%d but topology has %d nodes",
-			box.Min.N, box.Min.N, g.NumNodes())
+	if err := box.Check(g.NumNodes()); err != nil {
+		return nil, fmt.Errorf("delta: %w", err)
 	}
 	if err := mcf.CheckEps(cfg.Eps); err != nil {
 		return nil, fmt.Errorf("delta: Config.Eps: %w", err)
@@ -280,66 +284,41 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 	s := &Session{
 		cfg:    cfg,
 		base:   g,
-		box:    box,
 		failed: make(map[graph.EdgeID]bool),
 		subs:   make(map[int]*subscriber),
 	}
 	ctx, span := obs.StartSpan(s.traceCtx(), "session.init")
 	defer span.End()
 	start := time.Now()
-	if cfg.coldSPF {
-		s.baseDags = dagx.BuildAll(g, dagx.Augmented)
-	} else {
-		// One cold Dijkstra per destination seeds the dynamic SPF
-		// structures, and the base DAGs are derived from the same distance
-		// fields — the session never pays for a destination's shortest
-		// paths twice.
-		n := g.NumNodes()
-		s.incs = make([]*spf.Incremental, n)
-		s.baseDags = make([]*dagx.DAG, n)
-		for t := 0; t < n; t++ {
-			s.incs[t] = spf.NewIncremental(g, graph.NodeID(t))
-			s.baseDags[t] = dagx.AugmentedFromTree(g, s.incs[t].TreeCopy())
-		}
+	// One cold Dijkstra per destination seeds the dynamic SPF structures,
+	// and the base DAGs are derived from the same distance fields — the
+	// session never pays for a destination's shortest paths twice.
+	s.incs = make([]*spf.Incremental, g.NumNodes())
+	dags := make([]*dagx.DAG, len(s.incs))
+	for t := range s.incs {
+		s.incs[t] = spf.NewIncremental(g, graph.NodeID(t))
+		dags[t] = dagx.AugmentedFromTree(g, s.incs[t].TreeCopy())
 	}
-	s.cur = g
-	s.dags = s.baseDags
-	s.ev = oblivious.NewEvaluator(g, s.dags, box, s.evalConfig())
-	s.baseEv = s.ev
-	s.reoptimize(ctx, false, nil)
-	s.record(Event{
-		Kind:       EventInit,
-		Perf:       s.perf,
-		ECMPPerf:   s.ecmpPerf,
-		OuterIters: s.lastOuter,
-		Scenarios:  len(s.critical),
-		Elapsed:    time.Since(start),
-	})
+	ep, err := s.solve(ctx, oblivious.NewEvaluator(g, dags, box, cfg.params().EvalConfig()), nil)
+	if err != nil {
+		return nil, err
+	}
+	s.commit(ep, Event{Kind: EventInit}, start)
 
 	if cfg.PrecomputeFailover {
 		_, planSpan := obs.StartSpan(ctx, "session.failover_plan")
-		links := g.Links()
-		groups := make([][]graph.EdgeID, len(links))
-		for i, id := range links {
-			groups[i] = []graph.EdgeID{id}
-		}
-		scens, err := failover.PrecomputeGroups(g, box, groups, failover.Config{
-			OptIters: cfg.WarmOptIters,
-			AdvIters: cfg.WarmAdvIters,
-			Samples:  cfg.Samples,
-			Eps:      cfg.Eps,
-			Seed:     cfg.Seed,
-			Workers:  cfg.Workers,
-		})
+		p := cfg.params()
+		p.OptIters, p.AdvIters = cfg.WarmOptIters, cfg.WarmAdvIters
+		scens, err := failover.PrecomputeLinks(g, box, p)
 		if err != nil {
 			planSpan.End()
 			return nil, err
 		}
-		s.plan = make(map[graph.EdgeID]*failover.GroupScenario, len(links))
+		s.plan = make(map[graph.EdgeID]*failover.GroupScenario, len(scens))
 		for i := range scens {
-			s.plan[links[i]] = &scens[i]
+			s.plan[scens[i].Failed[0]] = &scens[i]
 		}
-		planSpan.Attr("links", len(links)).End()
+		planSpan.Attr("links", len(scens)).End()
 	}
 	return s, nil
 }
@@ -353,52 +332,58 @@ func (s *Session) traceCtx() context.Context {
 	return obs.WithTracer(context.Background(), s.cfg.Tracer)
 }
 
-func (s *Session) evalConfig() oblivious.EvalConfig {
-	return oblivious.EvalConfig{
-		Eps:     s.cfg.Eps,
-		Samples: s.cfg.Samples,
-		Seed:    s.cfg.Seed,
-		Workers: s.cfg.Workers,
+// solve runs the adversarial loop over ev and returns the resulting epoch
+// without installing it, so a failed solve leaves the session as it was.
+// A non-nil warm optimizer selects the reduced warm effort; the live
+// epoch's critical matrices carry over either way.
+func (s *Session) solve(ctx context.Context, ev *oblivious.Evaluator, warm *gpopt.Optimizer) (epoch, error) {
+	recomputeStart := time.Now()
+	opts := oblivious.Options{
+		OptIters: s.cfg.OptIters,
+		AdvIters: s.cfg.AdvIters,
+		Warm:     warm,
+		Carry:    projectOntoBox(s.cur.critical, ev.Box),
+		Ctx:      ctx,
 	}
+	if warm != nil {
+		opts.OptIters, opts.AdvIters = s.cfg.WarmOptIters, s.cfg.WarmAdvIters
+	}
+	routing, rep := ev.Optimize(opts)
+	if err := rep.Err(); err != nil {
+		return epoch{}, err
+	}
+	critical := rep.Critical
+	if len(critical) > maxCarriedCritical {
+		critical = append([]*demand.Matrix(nil), critical[len(critical)-maxCarriedCritical:]...)
+	}
+	mRecomputes.With(strconv.FormatBool(warm != nil)).Inc()
+	mRecomputeSeconds.ObserveSince(recomputeStart)
+	return epoch{
+		ev:       ev,
+		opt:      rep.Warm,
+		critical: critical,
+		routing:  routing,
+		perf:     rep.Perf.Ratio,
+		ecmpPerf: rep.ECMPPerf,
+		outer:    rep.OuterIters,
+	}, nil
 }
 
-// reoptimize runs the adversarial loop on the current epoch. warm selects
-// the reduced warm effort; seed, when non-nil, replaces the optimizer (the
-// failover swap path). It updates routing/perf/critical/opt and, on the
-// base topology, snapshots normalState.
-func (s *Session) reoptimize(ctx context.Context, warm bool, seed *gpopt.Optimizer) {
-	recomputeStart := time.Now()
-	iters, adv := s.cfg.OptIters, s.cfg.AdvIters
-	if warm {
-		iters, adv = s.cfg.WarmOptIters, s.cfg.WarmAdvIters
+// commit installs a solved epoch and records the transition (e carries
+// kind, detail and warm flag; the numbers are the epoch's). An epoch on the
+// intact topology also becomes the recovery target: its evaluator's caches
+// depend only on (graph, DAGs) and its optimizer parameters are
+// snapshotted, so recovering the last failed link resumes from both.
+func (s *Session) commit(ep epoch, e Event, start time.Time) Event {
+	s.cur = ep
+	if ep.ev.G == s.base {
+		s.baseEv = ep.ev
+		s.normalState = ep.opt.ExportState()
 	}
-	opts := oblivious.Options{
-		Optimizer: gpopt.Config{Iters: iters},
-		AdvIters:  adv,
-		Workers:   s.cfg.Workers,
-		Carry:     projectOntoBox(s.critical, s.box),
-		Ctx:       ctx,
-	}
-	if seed != nil {
-		opts.Warm = seed
-	} else if s.opt != nil {
-		opts.Warm = s.opt
-	}
-	routing, rep := oblivious.OptimizeWithEvaluator(s.cur, s.dags, s.ev, opts)
-	s.routing = routing
-	s.perf = rep.Perf.Ratio
-	s.ecmpPerf = rep.ECMPPerf
-	s.opt = rep.Warm
-	s.critical = rep.Critical
-	if len(s.critical) > maxCarriedCritical {
-		s.critical = append([]*demand.Matrix(nil), s.critical[len(s.critical)-maxCarriedCritical:]...)
-	}
-	s.lastOuter = rep.OuterIters
-	if s.cur == s.base {
-		s.normalState = s.opt.ExportState()
-	}
-	mRecomputes.With(strconv.FormatBool(warm)).Inc()
-	mRecomputeSeconds.ObserveSince(recomputeStart)
+	e.Perf, e.ECMPPerf = ep.perf, ep.ecmpPerf
+	e.OuterIters, e.Scenarios = ep.outer, len(ep.critical)
+	e.Elapsed = time.Since(start)
+	return s.record(e)
 }
 
 // projectOntoBox clamps each carried critical matrix onto the current
@@ -475,31 +460,17 @@ func (s *Session) record(e Event) Event {
 func (s *Session) UpdateBounds(box *demand.Box) (Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if box == nil {
-		return Event{}, fmt.Errorf("delta: nil uncertainty bounds")
-	}
-	if box.Min.N != s.base.NumNodes() {
-		return Event{}, fmt.Errorf("delta: bounds are %d×%d but topology has %d nodes",
-			box.Min.N, box.Min.N, s.base.NumNodes())
+	if err := box.Check(s.base.NumNodes()); err != nil {
+		return Event{}, fmt.Errorf("delta: %w", err)
 	}
 	ctx, span := obs.StartSpan(s.traceCtx(), "session.update")
 	defer span.End()
 	start := time.Now()
-	s.box = box
-	s.ev = s.ev.WithBox(box)
-	if s.cur == s.base {
-		s.baseEv = s.ev
+	ep, err := s.solve(ctx, s.cur.ev.WithBox(box), s.cur.opt)
+	if err != nil {
+		return Event{}, err
 	}
-	s.reoptimize(ctx, true, nil)
-	return s.record(Event{
-		Kind:       EventUpdate,
-		Warm:       true,
-		Perf:       s.perf,
-		ECMPPerf:   s.ecmpPerf,
-		OuterIters: s.lastOuter,
-		Scenarios:  len(s.critical),
-		Elapsed:    time.Since(start),
-	}), nil
+	return s.commit(ep, Event{Kind: EventUpdate, Warm: true}, start), nil
 }
 
 // representative normalizes a directed edge ID of the base topology to its
@@ -571,8 +542,24 @@ func (s *Session) failedList() []graph.EdgeID {
 	return out
 }
 
+// repairSPF applies one link event (fail, else restore) to the dynamic SPF
+// structures — an O(affected) repair per destination tree.
+func (s *Session) repairSPF(link graph.EdgeID, fail bool) {
+	for _, inc := range s.incs {
+		touched := 0
+		if fail {
+			touched = inc.FailLink(link)
+		} else {
+			touched = inc.RecoverLink(link)
+		}
+		mSPFAffected.Observe(float64(touched))
+	}
+}
+
 // rebuildEpoch recomputes after the failed-link set changed. The link
-// argument is the edge that changed state (for the event detail).
+// argument is the edge that changed state. Only the choice of evaluator and
+// warm optimizer depends on where the new epoch comes from; the solve and
+// the bookkeeping after it are shared.
 func (s *Session) rebuildEpoch(kind EventKind, link graph.EdgeID) (Event, error) {
 	ctx, span := obs.StartSpan(s.traceCtx(), "session."+string(kind))
 	defer span.End()
@@ -581,109 +568,61 @@ func (s *Session) rebuildEpoch(kind EventKind, link graph.EdgeID) (Event, error)
 	detail := fmt.Sprintf("%s–%s", s.base.Name(e.From), s.base.Name(e.To))
 	span.Attr("link", detail)
 
-	if len(s.failed) == 0 {
-		// Back to the intact topology: reuse the base DAGs and warm-start
-		// from the snapshot of the last base-epoch parameters. The dynamic
-		// SPF structures still repair (cheaply) so they track the topology.
-		if s.incs != nil {
-			for _, inc := range s.incs {
-				mSPFAffected.Observe(float64(inc.RecoverLink(link)))
-			}
+	survivor := s.base
+	if len(s.failed) > 0 {
+		survivor = s.base.WithoutLinks(s.failedList())
+		if !survivor.Connected() {
+			// Session state (including the dynamic SPF structures, untouched so
+			// far) is unchanged; the caller rolls back the failed-set entry.
+			return Event{}, fmt.Errorf("delta: failing %s would partition the network", detail)
 		}
-		s.cur = s.base
-		s.dags = s.baseDags
-		// Derive the evaluator from the last base-epoch one: the OPTDAG
-		// and max-flow caches depend only on (graph, DAGs), so everything
-		// paid for before the failure is still valid.
-		s.ev = s.baseEv.WithBox(s.box)
-		s.baseEv = s.ev
-		var seed *gpopt.Optimizer
-		if s.normalState != nil {
-			seed = gpopt.New(s.base, s.dags, gpopt.Config{Iters: s.cfg.WarmOptIters})
-			if err := seed.ImportState(s.normalState); err != nil {
-				seed = nil
-			}
-		}
-		s.opt = nil // epoch changed: the failure-epoch optimizer cannot carry
-		s.reoptimize(ctx, seed != nil, seed)
-		return s.record(Event{
-			Kind: kind, Detail: detail, Warm: seed != nil,
-			Perf: s.perf, ECMPPerf: s.ecmpPerf,
-			OuterIters: s.lastOuter, Scenarios: len(s.critical),
-			Elapsed: time.Since(start),
-		}), nil
-	}
-
-	survivor := s.base.WithoutLinks(s.failedList())
-	if !survivor.Connected() {
-		// Session state (including the dynamic SPF structures, untouched so
-		// far) is unchanged; the caller rolls back the failed-set entry.
-		return Event{}, fmt.Errorf("delta: failing %s would partition the network", detail)
 	}
 	// Keep the dynamic SPF fields in lockstep with the failed set no
 	// matter where this epoch's DAGs come from — each event is an
 	// O(affected) repair, and later multi-failure epochs depend on the
 	// fields being current.
-	if s.incs != nil {
-		for _, inc := range s.incs {
-			var touched int
-			if kind == EventFail {
-				touched = inc.FailLink(link)
-			} else {
-				touched = inc.RecoverLink(link)
-			}
-			mSPFAffected.Observe(float64(touched))
-		}
-	}
+	s.repairSPF(link, kind == EventFail)
 
-	// Failover swap: a precomputed single-link scenario provides the
-	// post-failure configuration to refine from, together with the DAGs it
-	// was optimized over and the evaluator whose OPTDAG/max-flow caches
-	// were filled while precomputing it. Reusing all three makes the
-	// reaction warm end to end — no Dijkstra, no DAG rebuild, and no
-	// exact-LP re-normalization on the critical path. The scenario's
-	// survivor graph is the deterministic WithoutLinks reconstruction, so
-	// edge IDs align with this epoch's.
-	if kind == EventFail && len(s.failed) == 1 {
-		if sc, ok := s.plan[link]; ok && !sc.Disconnected && sc.Routing != nil && sc.Ev != nil {
-			seed := gpopt.NewFromRouting(sc.Survivor, sc.DAGs, gpopt.Config{Iters: s.cfg.WarmOptIters}, sc.Routing)
-			s.cur = sc.Survivor
-			s.dags = sc.DAGs
-			s.ev = sc.Ev.WithBox(s.box)
-			s.opt = nil // fresh epoch: previous optimizer indexes the old edge IDs
-			s.reoptimize(ctx, true, seed)
-			return s.record(Event{
-				Kind: kind, Detail: detail, Warm: true,
-				Perf: s.perf, ECMPPerf: s.ecmpPerf,
-				OuterIters: s.lastOuter, Scenarios: len(s.critical),
-				Elapsed: time.Since(start),
-			}), nil
+	box := s.cur.ev.Box
+	var ev *oblivious.Evaluator
+	var warm *gpopt.Optimizer // never the live optimizer: it indexes the old epoch's edge IDs
+	sc := s.plan[link]
+	switch {
+	case len(s.failed) == 0:
+		// Back to the intact topology: the base DAGs, the last base-epoch
+		// evaluator's caches, and a warm start from the snapshot of the last
+		// base-epoch parameters.
+		ev = s.baseEv.WithBox(box)
+		warm = gpopt.New(s.base, ev.DAGs, gpopt.Config{})
+		if warm.ImportState(s.normalState) != nil {
+			warm = nil
 		}
-	}
-
-	var dags []*dagx.DAG
-	if s.incs != nil {
+	case kind == EventFail && len(s.failed) == 1 && sc != nil && !sc.Disconnected:
+		// Failover swap: a precomputed single-link scenario provides the
+		// post-failure configuration to refine from, together with the DAGs it
+		// was optimized over and the evaluator whose OPTDAG/max-flow caches
+		// were filled while precomputing it. Reusing all three makes the
+		// reaction warm end to end — no DAG rebuild and no exact-LP
+		// re-normalization on the critical path. The scenario's survivor
+		// graph is the deterministic WithoutLinks reconstruction, so edge IDs
+		// align with this epoch's.
+		ev = sc.Ev.WithBox(box)
+		warm = gpopt.NewFromRouting(sc.Survivor, sc.DAGs, gpopt.Config{}, sc.Routing)
+	default:
 		// Rebuild the survivor DAGs from the repaired distance fields — no
 		// cold Dijkstra anywhere, and bit-identical to one (parity tests).
-		dags = make([]*dagx.DAG, len(s.incs))
+		dags := make([]*dagx.DAG, len(s.incs))
 		for t, inc := range s.incs {
 			dags[t] = dagx.AugmentedFromTree(survivor, inc.TreeCopy())
 		}
-	} else {
-		dags = dagx.BuildAll(survivor, dagx.Augmented)
+		ev = oblivious.NewEvaluator(survivor, dags, box, s.cfg.params().EvalConfig())
 	}
-
-	s.cur = survivor
-	s.dags = dags
-	s.ev = oblivious.NewEvaluator(survivor, dags, s.box, s.evalConfig())
-	s.opt = nil // fresh epoch: previous optimizer indexes the old edge IDs
-	s.reoptimize(ctx, false, nil)
-	return s.record(Event{
-		Kind: kind, Detail: detail, Warm: false,
-		Perf: s.perf, ECMPPerf: s.ecmpPerf,
-		OuterIters: s.lastOuter, Scenarios: len(s.critical),
-		Elapsed: time.Since(start),
-	}), nil
+	ep, err := s.solve(ctx, ev, warm)
+	if err != nil {
+		s.repairSPF(link, kind != EventFail) // undo; the caller restores the failed set
+		return Event{}, err
+	}
+	return s.commit(ep, Event{Kind: kind, Detail: detail, Warm: warm != nil}, start), nil
 }
 
 // Lies synthesizes the fake-node LSAs realizing the current configuration
@@ -698,28 +637,16 @@ func (s *Session) Lies(extraPerInterface int) (*LieResult, error) {
 	ctx, span := obs.StartSpan(s.traceCtx(), "session.lies")
 	defer span.End()
 	start := time.Now()
-	_, wspan := obs.StartSpan(ctx, "session.wcmp")
-	q, err := wcmp.Apply(s.routing, extraPerInterface)
-	wspan.End()
+	g := s.cur.ev.G
+	q, syn, err := fibbing.Realize(ctx, g, s.cur.routing, extraPerInterface)
 	if err != nil {
 		return nil, err
-	}
-	_, fspan := obs.StartSpan(ctx, "session.fibbing")
-	syn, err := fibbing.Synthesize(s.cur, q)
-	if err != nil {
-		fspan.End()
-		return nil, err
-	}
-	if err := fibbing.Verify(s.cur, q, syn); err != nil {
-		fspan.End()
-		return nil, fmt.Errorf("delta: lie verification failed: %w", err)
 	}
 	diff := fibbing.Diff(s.prevSyn, syn)
-	if err := fibbing.VerifyDiff(s.cur, s.prevSyn, diff, syn); err != nil {
-		fspan.End()
+	if err := fibbing.VerifyDiff(g, s.prevSyn, diff, syn); err != nil {
 		return nil, fmt.Errorf("delta: diff verification failed: %w", err)
 	}
-	fspan.Attr("fake_nodes", syn.FakeNodes).Attr("churn", diff.Churn()).End()
+	span.Attr("fake_nodes", syn.FakeNodes).Attr("churn", diff.Churn())
 	s.prevSyn = syn
 	s.record(Event{
 		Kind:      EventLies,
@@ -742,14 +669,14 @@ func (s *Session) Lies(extraPerInterface int) (*LieResult, error) {
 func (s *Session) Routing() *pdrouting.Routing {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.routing
+	return s.cur.routing
 }
 
 // Perf returns the current worst-case normalized utilization.
 func (s *Session) Perf() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.perf
+	return s.cur.perf
 }
 
 // ECMPPerf returns traditional ECMP's worst-case normalized utilization on
@@ -757,14 +684,14 @@ func (s *Session) Perf() float64 {
 func (s *Session) ECMPPerf() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ecmpPerf
+	return s.cur.ecmpPerf
 }
 
 // Graph returns the current (possibly degraded) topology.
 func (s *Session) Graph() *graph.Graph {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cur
+	return s.cur.ev.G
 }
 
 // Base returns the intact topology the session was created with.
@@ -774,7 +701,7 @@ func (s *Session) Base() *graph.Graph { return s.base }
 func (s *Session) Bounds() *demand.Box {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.box
+	return s.cur.ev.Box
 }
 
 // FailedLinks lists the currently failed links (base representative edge

@@ -1,11 +1,13 @@
 package delta
 
 import (
+	"encoding/json"
+	"errors"
+	"math"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/oblivious"
@@ -77,9 +79,9 @@ func TestWarmUpdateWithinOnePercentOfCold(t *testing.T) {
 	coldEv := oblivious.NewEvaluator(g, dags, perturbed, oblivious.EvalConfig{
 		Samples: cfg.Samples, Seed: cfg.Seed,
 	})
-	_, coldRep := oblivious.OptimizeWithEvaluator(g, dags, coldEv, oblivious.Options{
-		Optimizer: gpopt.Config{Iters: cfg.OptIters},
-		AdvIters:  cfg.AdvIters,
+	_, coldRep := coldEv.Optimize(oblivious.Options{
+		OptIters: cfg.OptIters,
+		AdvIters: cfg.AdvIters,
 	})
 
 	cold := coldRep.Perf.Ratio
@@ -294,6 +296,42 @@ func TestBadInputs(t *testing.T) {
 	}
 	if _, err := s.Fail(10_000); err == nil {
 		t.Fatal("out-of-range link accepted")
+	}
+}
+
+// TestRejectedBoundsLeaveSessionIntact: a box no solve can use is refused by
+// the input gate before any state is touched — an all-zero box used to be
+// accepted and leave Perf = -Inf behind, after which the event log no longer
+// marshalled.
+func TestRejectedBoundsLeaveSessionIntact(t *testing.T) {
+	s, base := newNSFSession(t, testCfg())
+	if _, err := NewSession(s.Base(), demand.ObliviousBox(base.N, 0), testCfg()); err == nil {
+		t.Fatal("NewSession accepted an all-zero box")
+	}
+	edited := func(edit func(b *demand.Box)) *demand.Box {
+		b := demand.MarginBox(base, 2)
+		edit(b)
+		return b
+	}
+	bad := map[string]*demand.Box{
+		"all-zero": demand.ObliviousBox(base.N, 0),
+		"NaN":      edited(func(b *demand.Box) { b.Max.D[1] = math.NaN() }),
+		"infinite": edited(func(b *demand.Box) { b.Max.D[1] = math.Inf(1) }),
+		"negative": edited(func(b *demand.Box) { b.Min.D[1] = -1 }),
+		"crossed":  edited(func(b *demand.Box) { b.Min.D[1] = 2 * b.Max.D[1] }),
+	}
+	perf, box, routing, events := s.Perf(), s.Bounds(), s.Routing(), len(s.Events())
+	for name, b := range bad {
+		var be *demand.BoxError
+		if _, err := s.UpdateBounds(b); !errors.As(err, &be) {
+			t.Errorf("%s box: err = %v, want a *demand.BoxError", name, err)
+		}
+		if s.Perf() != perf || s.Bounds() != box || s.Routing() != routing || len(s.Events()) != events {
+			t.Fatalf("%s box: rejected update changed the session", name)
+		}
+	}
+	if _, err := json.Marshal(s.Events()); err != nil {
+		t.Fatalf("event log no longer marshals: %v", err)
 	}
 }
 

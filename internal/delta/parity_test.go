@@ -1,96 +1,77 @@
 package delta
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
-// sessionTrace runs a fixed fail/recover/update mutation sequence and
-// returns the Perf/ECMPPerf observed after every transition plus the final
-// routing, so two configurations can be compared bit-for-bit.
-func sessionTrace(t *testing.T, cfg Config) ([]float64, [][]float64) {
+// assertColdDAGs checks that the session's live DAGs are exactly what a
+// cold construction over the live topology yields: the same member bits
+// and bit-equal distance fields, destination by destination.
+func assertColdDAGs(t *testing.T, s *Session, when string) {
 	t.Helper()
+	g, dags := s.cur.ev.G, s.cur.ev.DAGs
+	cold := dagx.BuildAll(g, dagx.Augmented)
+	if len(dags) != len(cold) {
+		t.Fatalf("%s: %d DAGs, cold construction has %d", when, len(dags), len(cold))
+	}
+	for dst := range cold {
+		for e, want := range cold[dst].Member {
+			if dags[dst].Member[e] != want {
+				t.Fatalf("%s: DAG %d member[%d] = %v, cold %v", when, dst, e, dags[dst].Member[e], want)
+			}
+		}
+		got, want := dags[dst].Tree().Dist, cold[dst].Tree().Dist
+		for u := range want {
+			if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
+				t.Fatalf("%s: DAG %d dist[%d] = %v, cold %v", when, dst, u, got[u], want[u])
+			}
+		}
+	}
+}
+
+// TestSessionIncrementalSPFParity pins the dynamic-SPF safety property
+// where it lives: after every step of a mutation sequence — two overlapping
+// failures, a demand drift mid-outage, recovery back to the intact
+// topology, one more fail/recover — the DAGs the session derived from
+// incrementally repaired distance fields equal the cold per-destination
+// Dijkstra construction on the live topology, at one worker and at four.
+// Everything downstream is a deterministic function of (graph, DAGs, box,
+// config), so equal DAGs mean equal results.
+func TestSessionIncrementalSPFParity(t *testing.T) {
 	g, err := topo.Load("NSF")
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := demand.Gravity(g, 1)
-	s, err := NewSession(g, demand.MarginBox(base, 2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var perfs []float64
-	push := func() { perfs = append(perfs, s.Perf(), s.ECMPPerf()) }
-	push()
-
 	links := g.Links()
-	// Two overlapping failures, a demand drift mid-outage, then recovery
-	// back to the intact topology — exercising the survivor-epoch rebuild,
-	// the warm UpdateBounds path, and the recover-to-base path.
-	steps := []func() error{
-		func() error { _, err := s.Fail(links[1]); return err },
-		func() error { _, err := s.Fail(links[4]); return err },
-		func() error {
-			_, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(1.2), 2.2))
-			return err
-		},
-		func() error { _, err := s.Recover(links[1]); return err },
-		func() error { _, err := s.Recover(links[4]); return err },
-		func() error { _, err := s.Fail(links[0]); return err },
-		func() error { _, err := s.Recover(links[0]); return err },
-	}
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		push()
-	}
-	r := s.Routing()
-	phi := make([][]float64, len(r.Phi))
-	for t := range r.Phi {
-		phi[t] = append([]float64(nil), r.Phi[t]...)
-	}
-	return perfs, phi
-}
-
-// TestSessionIncrementalSPFParity pins the dynamic-SPF tentpole's safety
-// property end to end: a session driving its epoch rebuilds from
-// incrementally repaired distance fields must produce bit-identical results
-// — every Perf/ECMPPerf along a mutation sequence and the final routing —
-// to one rebuilding with cold per-destination Dijkstras, at one worker and
-// at four.
-func TestSessionIncrementalSPFParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-session parity sweep is slow")
-	}
-	cfg := Config{OptIters: 40, AdvIters: 2, Samples: 4, Seed: 11}
 	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		cold := cfg
-		cold.coldSPF = true
-
-		incPerfs, incPhi := sessionTrace(t, cfg)
-		coldPerfs, coldPhi := sessionTrace(t, cold)
-
-		if len(incPerfs) != len(coldPerfs) {
-			t.Fatalf("workers=%d: trace lengths differ: %d vs %d", workers, len(incPerfs), len(coldPerfs))
+		s, err := NewSession(g, demand.MarginBox(base, 2),
+			Config{OptIters: 40, AdvIters: 2, Samples: 4, Seed: 11, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range incPerfs {
-			if incPerfs[i] != coldPerfs[i] {
-				t.Fatalf("workers=%d: perf trace diverges at %d: incremental %v, cold %v",
-					workers, i, incPerfs[i], coldPerfs[i])
-			}
+		assertColdDAGs(t, s, fmt.Sprintf("workers=%d init", workers))
+		steps := []func() (Event, error){
+			func() (Event, error) { return s.Fail(links[1]) },
+			func() (Event, error) { return s.Fail(links[4]) },
+			func() (Event, error) { return s.UpdateBounds(demand.MarginBox(base.Clone().Scale(1.2), 2.2)) },
+			func() (Event, error) { return s.Recover(links[1]) },
+			func() (Event, error) { return s.Recover(links[4]) },
+			func() (Event, error) { return s.Fail(links[0]) },
+			func() (Event, error) { return s.Recover(links[0]) },
 		}
-		for dst := range incPhi {
-			for e := range incPhi[dst] {
-				if incPhi[dst][e] != coldPhi[dst][e] {
-					t.Fatalf("workers=%d: Phi[%d][%d] = %v incremental, %v cold",
-						workers, dst, e, incPhi[dst][e], coldPhi[dst][e])
-				}
+		for i, step := range steps {
+			if _, err := step(); err != nil {
+				t.Fatalf("workers=%d step %d: %v", workers, i, err)
 			}
+			assertColdDAGs(t, s, fmt.Sprintf("workers=%d step %d", workers, i))
 		}
 	}
 }

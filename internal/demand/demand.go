@@ -102,17 +102,56 @@ type Box struct {
 	Min, Max *Matrix
 }
 
+// crossTol is how far a lower bound may exceed its upper bound before the
+// box counts as crossed (rounding slack of scaled bounds).
+const crossTol = 1e-15
+
 // NewBox builds a box from explicit bounds. It panics if the bounds cross.
 func NewBox(min, max *Matrix) *Box {
 	if min.N != max.N {
 		panic("demand: box dimension mismatch")
 	}
 	for i := range min.D {
-		if min.D[i] > max.D[i]+1e-15 {
+		if min.D[i] > max.D[i]+crossTol {
 			panic("demand: box lower bound exceeds upper bound")
 		}
 	}
 	return &Box{Min: min, Max: max}
+}
+
+// BoxError is the error Check returns for an uncertainty set no COYOTE
+// solve can work with (test with errors.As).
+type BoxError struct{ Reason string }
+
+func (e *BoxError) Error() string { return "demand: invalid uncertainty bounds: " + e.Reason }
+
+// Check is the one input gate of the COYOTE solve (DESIGN.md §1): it
+// reports whether the box is usable over a topology of n nodes — both
+// bounds n×n, every entry finite and non-negative, no lower bound above its
+// upper bound, and some demand to normalize against (an all-zero box has no
+// performance ratio). A nil box fails.
+func (b *Box) Check(n int) error {
+	if b == nil || b.Min == nil || b.Max == nil {
+		return &BoxError{"nil bounds"}
+	}
+	for _, m := range []*Matrix{b.Min, b.Max} {
+		if m.N != n || len(m.D) != n*n {
+			return &BoxError{fmt.Sprintf("bounds are %d×%d but the topology has %d nodes", m.N, m.N, n)}
+		}
+	}
+	for i, lo := range b.Min.D {
+		hi := b.Max.D[i]
+		if !(lo >= 0 && hi >= 0) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+			return &BoxError{fmt.Sprintf("entry (%d,%d) = [%v, %v] is not finite and non-negative", i/n, i%n, lo, hi)}
+		}
+		if lo > hi+crossTol {
+			return &BoxError{fmt.Sprintf("entry (%d,%d): lower bound %v exceeds upper bound %v", i/n, i%n, lo, hi)}
+		}
+	}
+	if b.Max.Total() <= 0 {
+		return &BoxError{"every upper bound is zero"}
+	}
+	return nil
 }
 
 // MarginBox builds the paper's uncertainty set around a base matrix: each

@@ -1,6 +1,7 @@
 package demand
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,5 +215,37 @@ func TestPropertyBoxCorners(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBoxCheck(t *testing.T) {
+	good := func() *Box { return MarginBox(SinglePair(3, 0, 1, 1), 2) }
+	if err := good().Check(3); err != nil {
+		t.Fatalf("valid box rejected: %v", err)
+	}
+	if err := ObliviousBox(3, 1).Check(3); err != nil {
+		t.Fatalf("oblivious box rejected: %v", err)
+	}
+	edit := func(f func(b *Box)) *Box { b := good(); f(b); return b }
+	bad := map[string]*Box{
+		"nil":         nil,
+		"nil max":     {Min: NewMatrix(3)},
+		"all zero":    ObliviousBox(3, 0),
+		"NaN":         edit(func(b *Box) { b.Max.D[1] = math.NaN() }),
+		"infinite":    edit(func(b *Box) { b.Max.D[1] = math.Inf(1) }),
+		"negative":    edit(func(b *Box) { b.Min.D[1] = -0.5 }),
+		"crossed":     edit(func(b *Box) { b.Min.D[1] = 3 }),
+		"short data":  edit(func(b *Box) { b.Max.D = b.Max.D[:4] }),
+		"min/max dim": {Min: NewMatrix(3), Max: SinglePair(4, 0, 1, 1)},
+	}
+	for name, b := range bad {
+		var be *BoxError
+		if err := b.Check(3); !errors.As(err, &be) {
+			t.Errorf("%s: err = %v, want a *BoxError", name, err)
+		}
+	}
+	var be *BoxError
+	if err := good().Check(4); !errors.As(err, &be) {
+		t.Errorf("3-node box on 4 nodes: err = %v, want a *BoxError", err)
 	}
 }

@@ -34,7 +34,7 @@ func AblationAdversary(cfg Config) (*Table, error) {
 	// itself still uses the configured worker pool.
 	for _, margin := range cfg.Margins {
 		box := demand.MarginBox(base, margin)
-		ev := oblivious.NewEvaluator(g, dags, box, cfg.evalConfig())
+		ev := cfg.evaluator(g, dags, box)
 		t0 := time.Now()
 		sampled := ev.Perf(ecmp)
 		tSample := time.Since(t0)

@@ -13,8 +13,11 @@ import (
 	"math"
 	"strings"
 
-	"github.com/coyote-te/coyote/internal/gpopt"
+	"github.com/coyote-te/coyote/internal/dagx"
+	"github.com/coyote-te/coyote/internal/demand"
+	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/oblivious"
+	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
 // Table is the uniform output shape of every experiment: a titled grid.
@@ -169,22 +172,30 @@ type Config struct {
 	Ctx context.Context `json:"-"`
 }
 
-// evalConfig is the oblivious.EvalConfig every experiment derives from its
-// Config, so the Workers and Seed knobs reach the evaluation engine.
-func (c Config) evalConfig() oblivious.EvalConfig {
-	return oblivious.EvalConfig{Eps: c.Eps, Samples: c.Samples, Seed: c.Seed, Workers: c.Workers}
+// params is the one conversion from an experiment Config to the solve's
+// parameter set, so the Workers and Seed knobs reach the evaluation engine.
+func (c Config) params() oblivious.Params {
+	return oblivious.Params{
+		OptIters: c.OptIters,
+		AdvIters: c.AdvIters,
+		Samples:  c.Samples,
+		Eps:      c.Eps,
+		Seed:     c.Seed,
+		Workers:  c.Workers,
+	}
 }
 
-// options is the oblivious.Options every experiment derives from its
-// Config.
-func (c Config) options() oblivious.Options {
-	return oblivious.Options{
-		Optimizer: gpopt.Config{Iters: c.OptIters},
-		Eval:      c.evalConfig(),
-		AdvIters:  c.AdvIters,
-		Workers:   c.Workers,
-		Ctx:       c.Ctx,
-	}
+// evaluator builds the evaluator every experiment derives from its Config.
+func (c Config) evaluator(g *graph.Graph, dags []*dagx.DAG, box *demand.Box) *oblivious.Evaluator {
+	return oblivious.NewEvaluator(g, dags, box, c.params().EvalConfig())
+}
+
+// optimize runs the COYOTE solve on ev at the Config's effort, traced
+// under Ctx.
+func (c Config) optimize(ev *oblivious.Evaluator) (*pdrouting.Routing, *oblivious.Report) {
+	opts := c.params().Options()
+	opts.Ctx = c.Ctx
+	return ev.Optimize(opts)
 }
 
 // Default is the configuration used for the recorded results in

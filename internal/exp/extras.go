@@ -43,9 +43,9 @@ func Fig9(cfg Config) (*Table, error) {
 		tuned := g.Clone()
 		tuned.SetWeights(ls.Weights)
 		dags := dagx.BuildAll(tuned, dagx.Augmented)
-		ev := oblivious.NewEvaluator(tuned, dags, box, cfg.evalConfig())
+		ev := cfg.evaluator(tuned, dags, box)
 		ecmp := ev.Perf(oblivious.ECMPOnDAGs(tuned, dags))
-		_, rep := oblivious.OptimizeWithEvaluator(tuned, dags, ev, cfg.options())
+		_, rep := cfg.optimize(ev)
 		rows[i] = []string{f1(margin), f2(ecmp.Ratio), f2(rep.Perf.Ratio)}
 	})
 	for _, err := range errs {
@@ -82,8 +82,8 @@ func Fig10(cfg Config, budgets []int) (*Table, error) {
 	par.For(cfg.Workers, len(cfg.Margins), func(i int) {
 		margin := cfg.Margins[i]
 		box := demand.MarginBox(base, margin)
-		ev := oblivious.NewEvaluator(g, dags, box, cfg.evalConfig())
-		ideal, rep := oblivious.OptimizeWithEvaluator(g, dags, ev, cfg.options())
+		ev := cfg.evaluator(g, dags, box)
+		ideal, rep := cfg.optimize(ev)
 		row := []string{f1(margin), f2(ev.Perf(oblivious.ECMPOnDAGs(g, dags)).Ratio), f2(rep.Perf.Ratio)}
 		for _, k := range budgets {
 			q, err := wcmp.Apply(ideal, k)
@@ -131,11 +131,11 @@ func Fig11(cfg Config, names []string) (*Table, error) {
 		}
 		dags := dagx.BuildAll(g, dagx.Augmented)
 		box := demand.MarginBox(base, margin)
-		ev := oblivious.NewEvaluator(g, dags, box, cfg.evalConfig())
-		pk, _ := oblivious.OptimizeWithEvaluator(g, dags, ev, cfg.options())
+		ev := cfg.evaluator(g, dags, box)
+		pk, _ := cfg.optimize(ev)
 		oblBox := demand.ObliviousBox(g.NumNodes(), 1)
-		oblEv := oblivious.NewEvaluator(g, dags, oblBox, cfg.evalConfig())
-		obl, _ := oblivious.OptimizeWithEvaluator(g, dags, oblEv, cfg.options())
+		oblEv := cfg.evaluator(g, dags, oblBox)
+		obl, _ := cfg.optimize(oblEv)
 		ecmp := oblivious.ECMPOnDAGs(g, dags)
 		rows[i] = []string{name, f2(stretch(obl, ecmp)), f2(stretch(pk, ecmp))}
 	})
@@ -196,9 +196,9 @@ func AblationDAG(topoName string, cfg Config) (*Table, error) {
 		box := demand.MarginBox(base, margin)
 		// Both variants are normalized within the augmented DAGs so the
 		// numbers are comparable.
-		ev := oblivious.NewEvaluator(g, augment, box, cfg.evalConfig())
-		_, repAug := oblivious.OptimizeWithEvaluator(g, augment, ev, cfg.options())
-		spRouting, _ := oblivious.OptimizeWithEvaluator(g, spOnly, oblivious.NewEvaluator(g, spOnly, box, cfg.evalConfig()), cfg.options())
+		ev := cfg.evaluator(g, augment, box)
+		_, repAug := cfg.optimize(ev)
+		spRouting, _ := cfg.optimize(cfg.evaluator(g, spOnly, box))
 		// Re-express the SP-only routing over the augmented DAG membership
 		// for apples-to-apples evaluation (zero ratios on extra edges; the
 		// augmented DAGs contain the shortest-path DAGs, so the ratio

@@ -22,14 +22,7 @@ func Failover(topoName string, cfg Config) (*Table, error) {
 		return nil, err
 	}
 	box := demand.MarginBox(base, 2)
-	plan, err := failover.Precompute(g, box, failover.Config{
-		OptIters: cfg.OptIters,
-		AdvIters: cfg.AdvIters,
-		Samples:  cfg.Samples,
-		Eps:      cfg.Eps,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-	})
+	plan, err := failover.Precompute(g, box, cfg.params())
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +32,7 @@ func Failover(topoName string, cfg Config) (*Table, error) {
 	}
 	out.AddRow("(none)", f2(plan.NormalPerf), "", "normal")
 	for _, sc := range plan.Scenarios {
-		e := g.Edge(sc.Failed)
+		e := g.Edge(sc.Failed[0])
 		label := g.Name(e.From) + "–" + g.Name(e.To)
 		if sc.Disconnected {
 			out.AddRow(label, "", "", "partitions network")
@@ -48,7 +41,7 @@ func Failover(topoName string, cfg Config) (*Table, error) {
 		out.AddRow(label, f2(sc.Perf), f2(sc.ECMPPerf), "ok")
 	}
 	if w := plan.WorstScenario(); w != nil {
-		e := g.Edge(w.Failed)
+		e := g.Edge(w.Failed[0])
 		out.AddRow("worst: "+g.Name(e.From)+"–"+g.Name(e.To), f2(w.Perf), f2(w.ECMPPerf), "")
 	}
 	return out, nil

@@ -68,8 +68,8 @@ func marginSweep(g *graph.Graph, dags []*dagx.DAG, base *demand.Matrix, cfg Conf
 	var coyoteObl *pdrouting.Routing
 	if cfg.Oblivious {
 		oblBox := demand.ObliviousBox(g.NumNodes(), math.Max(base.MaxEntry(), 1))
-		oblEv := oblivious.NewEvaluator(g, dags, oblBox, cfg.evalConfig())
-		coyoteObl, _ = oblivious.OptimizeWithEvaluator(g, dags, oblEv, cfg.options())
+		oblEv := cfg.evaluator(g, dags, oblBox)
+		coyoteObl, _ = cfg.optimize(oblEv)
 	}
 
 	// Margins are independent data points: fan them across the worker
@@ -79,14 +79,14 @@ func marginSweep(g *graph.Graph, dags []*dagx.DAG, base *demand.Matrix, cfg Conf
 	par.For(cfg.Workers, len(cfg.Margins), func(i int) {
 		margin := cfg.Margins[i]
 		box := demand.MarginBox(base, margin)
-		ev := oblivious.NewEvaluator(g, dags, box, cfg.evalConfig())
+		ev := cfg.evaluator(g, dags, box)
 		row := SweepRow{Margin: margin}
 		row.ECMP = ev.Perf(ecmp).Ratio
 		row.Base = ev.Perf(baseRouting).Ratio
 		if coyoteObl != nil {
 			row.CoyoteOblivious = ev.Perf(coyoteObl).Ratio
 		}
-		_, rep := oblivious.OptimizeWithEvaluator(g, dags, ev, cfg.options())
+		_, rep := cfg.optimize(ev)
 		row.CoyotePartial = rep.Perf.Ratio
 		rows[i] = row
 	})

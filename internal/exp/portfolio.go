@@ -56,17 +56,6 @@ func portfolioStrategies(cfg Config) []string {
 	return strategy.Names()
 }
 
-func (c Config) strategyConfig() strategy.Config {
-	return strategy.Config{
-		Seed:     c.Seed,
-		Workers:  c.Workers,
-		OptIters: c.OptIters,
-		AdvIters: c.AdvIters,
-		Samples:  c.Samples,
-		Eps:      c.Eps,
-	}
-}
-
 // portfolioTable evaluates every strategy on every cell: rows are cells,
 // columns are strategies, values are worst-over-sequence MLU ratios vs the
 // OPT oracle.
@@ -76,7 +65,7 @@ func portfolioTable(title string, cells []portfolioCell, cfg Config) (*Table, er
 	optMLU := make([][]float64, len(cells))
 	errs := make([]error, len(cells))
 	par.For(cfg.Workers, len(cells), func(i int) {
-		oracle, err := strategy.New("opt", cfg.strategyConfig())
+		oracle, err := strategy.New("opt", cfg.params())
 		if err != nil {
 			errs[i] = err
 			return
@@ -117,7 +106,7 @@ func portfolioTable(title string, cells []portfolioCell, cfg Config) (*Table, er
 	par.For(cfg.Workers, len(units), func(u int) {
 		ci, si := units[u].cell, units[u].strat
 		cell := cells[ci]
-		s, err := strategy.New(names[si], cfg.strategyConfig())
+		s, err := strategy.New(names[si], cfg.params())
 		if err != nil {
 			uerrs[u] = err
 			return

@@ -5,7 +5,6 @@ import (
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/pdrouting"
@@ -44,7 +43,7 @@ func RunningExample(cfg Config) (*Table, error) {
 	max.Set(s1, t, 2)
 	max.Set(s2, t, 2)
 	box := demand.NewBox(min, max)
-	ev := oblivious.NewEvaluator(g, dags, box, cfg.evalConfig())
+	ev := cfg.evaluator(g, dags, box)
 
 	out := &Table{
 		Title:   "Running example (Fig. 1) — oblivious performance over demands [0,2]²",
@@ -85,11 +84,7 @@ func RunningExample(cfg Config) (*Table, error) {
 	out.AddRow("golden ratio (App. B)", f2(ev.Perf(goldenRouting).Ratio), "1.24")
 
 	// What COYOTE's optimizer finds on the same DAGs.
-	_, rep := oblivious.OptimizeWithEvaluator(g, dags, ev, oblivious.Options{
-		Optimizer: gpopt.Config{Iters: cfg.OptIters * 4},
-		AdvIters:  cfg.AdvIters + 2,
-		Workers:   cfg.Workers,
-	})
+	_, rep := ev.Optimize(oblivious.Options{OptIters: cfg.OptIters * 4, AdvIters: cfg.AdvIters + 2})
 	out.AddRow("COYOTE optimizer", f2(rep.Perf.Ratio), "≤1.24")
 	return out, nil
 }

@@ -68,8 +68,8 @@ func ScenTimeOfDay(p scen.Params, steps int, cfg Config) (*Table, error) {
 	}
 	box := demand.MarginBox(base, 2)
 	dags := dagx.BuildAll(g, dagx.Augmented)
-	ev := oblivious.NewEvaluator(g, dags, box, cfg.evalConfig())
-	routing, _ := oblivious.OptimizeWithEvaluator(g, dags, ev, cfg.options())
+	ev := cfg.evaluator(g, dags, box)
+	routing, _ := cfg.optimize(ev)
 	ecmp := oblivious.ECMPOnDAGs(g, dags)
 
 	out := &Table{
@@ -102,14 +102,7 @@ func ScenSRLG(p scen.Params, groups int, cfg Config) (*Table, error) {
 	}
 	box := demand.MarginBox(base, 2)
 	suite := scen.SRLGPartition(g, groups, cfg.Seed)
-	scenarios, err := failover.PrecomputeGroups(g, box, scen.LinkSets(suite), failover.Config{
-		OptIters: cfg.OptIters,
-		AdvIters: cfg.AdvIters,
-		Samples:  cfg.Samples,
-		Eps:      cfg.Eps,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-	})
+	scenarios, err := failover.PrecomputeGroups(g, box, scen.LinkSets(suite), cfg.params())
 	if err != nil {
 		return nil, err
 	}

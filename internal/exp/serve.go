@@ -7,7 +7,6 @@ import (
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/delta"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/scen"
 )
 
@@ -70,8 +69,8 @@ func ServeDrift(p scen.Params, steps int, cfg Config) (*Table, error) {
 		warmMs := time.Since(warmStart)
 
 		coldStart := time.Now()
-		coldEv := oblivious.NewEvaluator(g, dags, stepBox, cfg.evalConfig())
-		_, coldRep := oblivious.OptimizeWithEvaluator(g, dags, coldEv, cfg.options())
+		coldEv := cfg.evaluator(g, dags, stepBox)
+		_, coldRep := cfg.optimize(coldEv)
 		coldMs := time.Since(coldStart)
 
 		lies, err := ses.Lies(3)

@@ -11,25 +11,19 @@ package failover
 import (
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/par"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
-// Config tunes the per-scenario optimization (kept lighter than the
-// primary configuration since there is one run per link).
-type Config struct {
-	OptIters int // optimizer gradient steps per scenario (default 250)
-	AdvIters int // adversarial rounds per scenario (default 3)
-	Samples  int // adversary corner samples (default 4)
-	Eps      float64
-	Seed     int64
-	Workers  int // worker-pool size for scenarios and evaluation (≤ 0 = GOMAXPROCS); never changes results
-}
+// Config tunes the per-scenario optimization: the solve's one parameter
+// set, with lighter defaults than the primary configuration since there is
+// one run per failure (OptIters 250, AdvIters 3, Samples 4). Workers also
+// sizes the pool scenarios are spread across.
+type Config = oblivious.Params
 
-func (c Config) withDefaults() Config {
+func withDefaults(c Config) Config {
 	if c.OptIters <= 0 {
 		c.OptIters = 250
 	}
@@ -42,105 +36,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Scenario is one precomputed single-link-failure configuration.
-type Scenario struct {
-	// Failed is the representative edge ID of the failed link in the
-	// original graph.
-	Failed graph.EdgeID
-	// Disconnected reports that the failure partitions the network; no
-	// routing is computed in that case.
-	Disconnected bool
-	// Survivor is the topology with the link removed (its own edge IDs).
-	Survivor *graph.Graph
-	// Routing is the re-optimized COYOTE configuration on Survivor.
-	Routing *pdrouting.Routing
-	// Perf and ECMPPerf are worst-case normalized utilizations on the
-	// surviving topology.
-	Perf     float64
-	ECMPPerf float64
-}
-
-// Plan holds the normal-case routing plus one scenario per physical link.
-type Plan struct {
-	Normal     *pdrouting.Routing
-	NormalPerf float64
-	Scenarios  []Scenario
-}
-
-// Precompute builds the failure plan: the normal-case COYOTE configuration
-// plus a re-optimized configuration for every single-link failure.
-// Scenarios are computed in parallel.
-func Precompute(g *graph.Graph, box *demand.Box, cfg Config) (*Plan, error) {
-	cfg = cfg.withDefaults()
-	evalCfg := oblivious.EvalConfig{Eps: cfg.Eps, Samples: cfg.Samples, Seed: cfg.Seed, Workers: cfg.Workers}
-	opts := oblivious.Options{
-		Optimizer: gpopt.Config{Iters: cfg.OptIters},
-		Eval:      evalCfg,
-		AdvIters:  cfg.AdvIters,
-		Workers:   cfg.Workers,
-	}
-
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	ev := oblivious.NewEvaluator(g, dags, box, evalCfg)
-	normal, rep := oblivious.OptimizeWithEvaluator(g, dags, ev, opts)
-	plan := &Plan{Normal: normal, NormalPerf: rep.Perf.Ratio}
-
-	links := g.Links()
-	plan.Scenarios = make([]Scenario, len(links))
-	par.For(cfg.Workers, len(links), func(i int) {
-		plan.Scenarios[i] = computeScenario(g, box, links[i], opts, evalCfg)
-	})
-	return plan, nil
-}
-
-func computeScenario(g *graph.Graph, box *demand.Box, link graph.EdgeID, opts oblivious.Options, evalCfg oblivious.EvalConfig) Scenario {
-	sc := Scenario{Failed: link}
-	survivor := g.WithoutLink(link)
-	sc.Survivor = survivor
-	if !survivor.Connected() {
-		sc.Disconnected = true
-		return sc
-	}
-	dags := dagx.BuildAll(survivor, dagx.Augmented)
-	ev := oblivious.NewEvaluator(survivor, dags, box, evalCfg)
-	routing, rep := oblivious.OptimizeWithEvaluator(survivor, dags, ev, opts)
-	sc.Routing = routing
-	sc.Perf = rep.Perf.Ratio
-	sc.ECMPPerf = ev.Perf(oblivious.ECMPOnDAGs(survivor, dags)).Ratio
-	return sc
-}
-
-// WorstScenario returns the scenario with the highest post-failure PERF
-// (ignoring disconnecting failures), or nil if none exists.
-func (p *Plan) WorstScenario() *Scenario {
-	var worst *Scenario
-	for i := range p.Scenarios {
-		sc := &p.Scenarios[i]
-		if sc.Disconnected {
-			continue
-		}
-		if worst == nil || sc.Perf > worst.Perf {
-			worst = sc
-		}
-	}
-	return worst
-}
-
-// NumDisconnecting counts failures that partition the network (bridges).
-func (p *Plan) NumDisconnecting() int {
-	n := 0
-	for i := range p.Scenarios {
-		if p.Scenarios[i].Disconnected {
-			n++
-		}
-	}
-	return n
-}
-
-// GroupScenario is one precomputed multi-link-failure configuration: a
-// whole group of links (a shared-risk link group, or a sampled k-link
-// combination from the scenario engine) fails at once and the survivors
-// are re-optimized.
+// GroupScenario is one precomputed failure configuration: a group of links
+// (a single link, a shared-risk link group, or a sampled k-link combination
+// from the scenario engine) fails at once and the survivors are
+// re-optimized.
 type GroupScenario struct {
 	// Failed lists the representative edge IDs (in the original graph) of
 	// the links that fail together.
@@ -168,43 +67,96 @@ type GroupScenario struct {
 	Ev   *oblivious.Evaluator
 }
 
+// solve is the one solve of this package: augmented DAGs on the (connected)
+// intact or surviving topology and the COYOTE solve against box. ECMPPerf
+// is left to callers that report it.
+func solve(survivor *graph.Graph, box *demand.Box, cfg Config) GroupScenario {
+	dags := dagx.BuildAll(survivor, dagx.Augmented)
+	ev := oblivious.NewEvaluator(survivor, dags, box, cfg.EvalConfig())
+	routing, rep := ev.Optimize(cfg.Options())
+	return GroupScenario{Survivor: survivor, Routing: routing, Perf: rep.Perf.Ratio, DAGs: dags, Ev: ev}
+}
+
+// Plan holds the normal-case routing plus one scenario per physical link.
+type Plan struct {
+	Normal     *pdrouting.Routing
+	NormalPerf float64
+	Scenarios  []GroupScenario // one single-link group per g.Links() entry
+}
+
+// Precompute builds the failure plan: the normal-case COYOTE configuration
+// plus a re-optimized configuration for every single-link failure.
+// Scenarios are computed in parallel.
+func Precompute(g *graph.Graph, box *demand.Box, cfg Config) (*Plan, error) {
+	cfg = withDefaults(cfg)
+	normal := solve(g, box, cfg)
+	scenarios, err := PrecomputeLinks(g, box, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Normal: normal.Routing, NormalPerf: normal.Perf, Scenarios: scenarios}, nil
+}
+
+// PrecomputeLinks computes one single-link scenario per physical link, in
+// g.Links() order (each scenario's Failed[0] is its link).
+func PrecomputeLinks(g *graph.Graph, box *demand.Box, cfg Config) ([]GroupScenario, error) {
+	links := g.Links()
+	groups := make([][]graph.EdgeID, len(links))
+	for i, id := range links {
+		groups[i] = []graph.EdgeID{id}
+	}
+	return PrecomputeGroups(g, box, groups, cfg)
+}
+
+// WorstScenario returns the scenario with the highest post-failure PERF
+// (ignoring disconnecting failures), or nil if none exists.
+func (p *Plan) WorstScenario() *GroupScenario {
+	var worst *GroupScenario
+	for i := range p.Scenarios {
+		sc := &p.Scenarios[i]
+		if sc.Disconnected {
+			continue
+		}
+		if worst == nil || sc.Perf > worst.Perf {
+			worst = sc
+		}
+	}
+	return worst
+}
+
+// NumDisconnecting counts failures that partition the network (bridges).
+func (p *Plan) NumDisconnecting() int {
+	n := 0
+	for i := range p.Scenarios {
+		if p.Scenarios[i].Disconnected {
+			n++
+		}
+	}
+	return n
+}
+
 // PrecomputeGroups computes one scenario per group of failed links — the
 // multi-link generalization of Precompute that internal/scen's SRLG
 // and k-link failure suites feed. Groups are computed in parallel; an
 // empty group yields the normal-topology configuration.
 func PrecomputeGroups(g *graph.Graph, box *demand.Box, groups [][]graph.EdgeID, cfg Config) ([]GroupScenario, error) {
-	cfg = cfg.withDefaults()
-	evalCfg := oblivious.EvalConfig{Eps: cfg.Eps, Samples: cfg.Samples, Seed: cfg.Seed, Workers: cfg.Workers}
-	opts := oblivious.Options{
-		Optimizer: gpopt.Config{Iters: cfg.OptIters},
-		Eval:      evalCfg,
-		AdvIters:  cfg.AdvIters,
-		Workers:   cfg.Workers,
-	}
+	cfg = withDefaults(cfg)
 	out := make([]GroupScenario, len(groups))
 	par.For(cfg.Workers, len(groups), func(i int) {
-		out[i] = computeGroupScenario(g, box, groups[i], opts, evalCfg)
+		failed := append([]graph.EdgeID(nil), groups[i]...)
+		sc := GroupScenario{Survivor: g.WithoutLinks(failed), Disconnected: true}
+		if sc.Survivor.Connected() {
+			sc = solve(sc.Survivor, box, cfg)
+			// ECMP's verdict after the loop is part of the scenario's state,
+			// not only of its report: it advances the evaluator's sampling
+			// sequence and fills the normalization caches a session later
+			// inherits through Ev.WithBox.
+			sc.ECMPPerf = sc.Ev.Perf(oblivious.ECMPOnDAGs(sc.Survivor, sc.DAGs)).Ratio
+		}
+		sc.Failed = failed
+		out[i] = sc
 	})
 	return out, nil
-}
-
-func computeGroupScenario(g *graph.Graph, box *demand.Box, group []graph.EdgeID, opts oblivious.Options, evalCfg oblivious.EvalConfig) GroupScenario {
-	sc := GroupScenario{Failed: append([]graph.EdgeID(nil), group...)}
-	survivor := g.WithoutLinks(group)
-	sc.Survivor = survivor
-	if !survivor.Connected() {
-		sc.Disconnected = true
-		return sc
-	}
-	dags := dagx.BuildAll(survivor, dagx.Augmented)
-	ev := oblivious.NewEvaluator(survivor, dags, box, evalCfg)
-	routing, rep := oblivious.OptimizeWithEvaluator(survivor, dags, ev, opts)
-	sc.Routing = routing
-	sc.Perf = rep.Perf.Ratio
-	sc.ECMPPerf = ev.Perf(oblivious.ECMPOnDAGs(survivor, dags)).Ratio
-	sc.DAGs = dags
-	sc.Ev = ev
-	return sc
 }
 
 // NodeScenario is one precomputed single-node-failure configuration: the
@@ -222,103 +174,46 @@ type NodeScenario struct {
 // demands are zeroed; scenarios whose survivors are partitioned are marked
 // Disconnected.
 func PrecomputeNodes(g *graph.Graph, box *demand.Box, cfg Config) ([]NodeScenario, error) {
-	cfg = cfg.withDefaults()
-	evalCfg := oblivious.EvalConfig{Eps: cfg.Eps, Samples: cfg.Samples, Seed: cfg.Seed, Workers: cfg.Workers}
-	opts := oblivious.Options{
-		Optimizer: gpopt.Config{Iters: cfg.OptIters},
-		Eval:      evalCfg,
-		AdvIters:  cfg.AdvIters,
-		Workers:   cfg.Workers,
-	}
+	cfg = withDefaults(cfg)
 	out := make([]NodeScenario, g.NumNodes())
 	par.For(cfg.Workers, g.NumNodes(), func(v int) {
-		out[v] = computeNodeScenario(g, box, graph.NodeID(v), opts, evalCfg)
+		failed := graph.NodeID(v)
+		out[v].Failed = failed
+		// Every link incident to the failed node goes (WithoutLinks takes
+		// each listed edge's reverse with it).
+		incident := append(append([]graph.EdgeID(nil), g.Out(failed)...), g.In(failed)...)
+		survivor := g.WithoutLinks(incident)
+		if !survivorsConnected(survivor, failed) {
+			out[v].Disconnected = true
+			return
+		}
+		// Zero the failed node's demands in the box.
+		min, max := box.Min.Clone(), box.Max.Clone()
+		n := min.N
+		for u := 0; u < n; u++ {
+			for _, i := range [2]int{v*n + u, u*n + v} {
+				min.D[i], max.D[i] = 0, 0
+			}
+		}
+		sc := solve(survivor, demand.NewBox(min, max), cfg)
+		out[v].Routing, out[v].Perf = sc.Routing, sc.Perf
 	})
 	return out, nil
 }
 
-func computeNodeScenario(g *graph.Graph, box *demand.Box, failed graph.NodeID, opts oblivious.Options, evalCfg oblivious.EvalConfig) NodeScenario {
-	sc := NodeScenario{Failed: failed}
-	// Remove every link incident to the failed node.
-	survivor := g
-	for {
-		removed := false
-		for _, id := range survivor.Links() {
-			e := survivor.Edge(id)
-			if e.From == failed || e.To == failed {
-				survivor = survivor.WithoutLink(id)
-				removed = true
-				break
-			}
-		}
-		if !removed {
-			break
-		}
-	}
-	if !survivorsConnected(survivor, failed) {
-		sc.Disconnected = true
-		return sc
-	}
-	// Zero the failed node's demands in the box.
-	min := box.Min.Clone()
-	max := box.Max.Clone()
-	n := min.N
-	for u := 0; u < n; u++ {
-		min.D[int(failed)*n+u] = 0
-		min.D[u*n+int(failed)] = 0
-		max.D[int(failed)*n+u] = 0
-		max.D[u*n+int(failed)] = 0
-	}
-	sbox := demand.NewBox(min, max)
-	dags := dagx.BuildAll(survivor, dagx.Augmented)
-	ev := oblivious.NewEvaluator(survivor, dags, sbox, evalCfg)
-	routing, rep := oblivious.OptimizeWithEvaluator(survivor, dags, ev, opts)
-	sc.Routing = routing
-	sc.Perf = rep.Perf.Ratio
-	return sc
-}
-
-// survivorsConnected reports whether all nodes other than failed remain
-// mutually reachable.
-func survivorsConnected(g *graph.Graph, failed graph.NodeID) bool {
-	n := g.NumNodes()
-	if n <= 2 {
+// survivorsConnected reports whether all nodes other than failed — which
+// the survivor graph leaves isolated — remain mutually reachable: hanging
+// the isolated node off one survivor as a leaf makes that exactly strong
+// connectivity of the whole graph.
+func survivorsConnected(survivor *graph.Graph, failed graph.NodeID) bool {
+	if survivor.NumNodes() <= 2 {
 		return true
 	}
-	start := graph.NodeID(0)
-	if start == failed {
-		start = 1
+	anchor := graph.NodeID(0)
+	if anchor == failed {
+		anchor = 1
 	}
-	reach := func(forward bool) int {
-		seen := make([]bool, n)
-		seen[start] = true
-		stack := []graph.NodeID{start}
-		count := 1
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			var ids []graph.EdgeID
-			if forward {
-				ids = g.Out(u)
-			} else {
-				ids = g.In(u)
-			}
-			for _, id := range ids {
-				var v graph.NodeID
-				if forward {
-					v = g.Edge(id).To
-				} else {
-					v = g.Edge(id).From
-				}
-				if v != failed && !seen[v] {
-					seen[v] = true
-					count++
-					stack = append(stack, v)
-				}
-			}
-		}
-		return count
-	}
-	want := n - 1
-	return reach(true) == want && reach(false) == want
+	probe := survivor.Clone()
+	probe.AddLink(failed, anchor, 1, 1)
+	return probe.Connected()
 }

@@ -1,0 +1,115 @@
+package failover
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"github.com/coyote-te/coyote/internal/demand"
+	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/topo"
+)
+
+// edgeList spells a graph's directed edges in ID order.
+func edgeList(g *graph.Graph) string {
+	var sb strings.Builder
+	for _, e := range g.Edges() {
+		fmt.Fprintf(&sb, "%d>%d ", e.From, e.To)
+	}
+	return sb.String()
+}
+
+// TestPrecomputeBitPins pins Precompute and PrecomputeNodes on Abilene
+// (gravity, margin 2) to the float64 bits — and, for node failures, the
+// survivor edge lists — recorded before the three per-scenario solves were
+// merged into one. The failover experiment is not in the golden corpus, so
+// nothing else holds these numbers still.
+func TestPrecomputeBitPins(t *testing.T) {
+	g, err := topo.Load("Abilene")
+	if err != nil {
+		t.Fatal(err)
+	}
+	box := demand.MarginBox(demand.Gravity(g, 1), 2)
+	cfg := Config{OptIters: 40, AdvIters: 2, Samples: 3, Seed: 1}
+
+	plan, err := Precompute(g, box, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := math.Float64bits(plan.NormalPerf), uint64(0x3fff366f35453ca7); got != want {
+		t.Errorf("NormalPerf bits %#x, want %#x", got, want)
+	}
+	links := []struct{ perf, ecmp uint64 }{
+		{0x3ff93235b3a58cc6, 0x3ffedd80e865ac7b},
+		{0x3fff2fb88a56fb30, 0x3fff94bd619fa226},
+		{0x3ffba1007f7c5c48, 0x4000000000000000},
+		{0x3ffb12c932ec48ed, 0x3ffe75bb8d015e75},
+		{0x3ff9dfd3afb71f58, 0x400028282828282a},
+		{0x400019b5055b0bc9, 0x400019b5055b0bc9},
+		{0x3ffcdccb599ca775, 0x3ffefe63d2eb11b5},
+		{0x3ff21527d7b7f991, 0x3ff5e50d79435e52},
+		{0x3ff5cfb5d52755b9, 0x3ffe955555555556},
+		{0x3ff6d78208feb3bb, 0x400037f4cf09cad7},
+		{0x3ff3094f8c2bed63, 0x3ff8af8af8af8af8},
+		{0x3ff901390d5ccfe1, 0x40003c69b903c69b},
+		{0x3ffb049a5eb2d62b, 0x3ffeaaaaaaaaaaac},
+		{0x3ffdcb6804f48fcd, 0x4000147ae147ae15},
+		{0x3ff8275ba1c43078, 0x3ffe45306eb3e453},
+		{0x3ffe6d4d1bcf9860, 0x4000e028c1978feb},
+	}
+	if len(plan.Scenarios) != len(links) {
+		t.Fatalf("%d link scenarios, want %d", len(plan.Scenarios), len(links))
+	}
+	for i, want := range links {
+		sc := plan.Scenarios[i]
+		if sc.Disconnected {
+			t.Errorf("link %d: unexpectedly disconnected", i)
+			continue
+		}
+		if got := math.Float64bits(sc.Perf); got != want.perf {
+			t.Errorf("link %d: Perf bits %#x, want %#x", i, got, want.perf)
+		}
+		if got := math.Float64bits(sc.ECMPPerf); got != want.ecmp {
+			t.Errorf("link %d: ECMPPerf bits %#x, want %#x", i, got, want.ecmp)
+		}
+	}
+
+	nodes := []struct {
+		perf  uint64
+		edges string
+	}{
+		{0x3ffb87c10ec34e7e, "1>2 2>1 2>3 3>2 3>4 4>3 4>5 5>4 5>6 6>5 6>7 7>6 7>8 8>7 8>9 9>8 9>10 10>9 10>11 11>10 1>5 5>1 6>3 3>6 11>3 3>11 7>5 5>7 "},
+		{0x3ff7a9e03ec547d7, "2>3 3>2 3>4 4>3 4>5 5>4 5>6 6>5 6>7 7>6 7>8 8>7 8>9 9>8 9>10 10>9 10>11 11>10 11>0 0>11 6>3 3>6 11>3 3>11 7>5 5>7 "},
+		{0x3ffdf83b9c8e77ab, "0>1 1>0 3>4 4>3 4>5 5>4 5>6 6>5 6>7 7>6 7>8 8>7 8>9 9>8 9>10 10>9 10>11 11>10 11>0 0>11 1>5 5>1 6>3 3>6 11>3 3>11 7>5 5>7 "},
+		{0x3ff59ff8d050e7a7, "0>1 1>0 1>2 2>1 4>5 5>4 5>6 6>5 6>7 7>6 7>8 8>7 8>9 9>8 9>10 10>9 10>11 11>10 11>0 0>11 1>5 5>1 7>5 5>7 "},
+		{0x3ffac97ef5c6448c, "0>1 1>0 1>2 2>1 2>3 3>2 5>6 6>5 6>7 7>6 7>8 8>7 8>9 9>8 9>10 10>9 10>11 11>10 11>0 0>11 1>5 5>1 6>3 3>6 11>3 3>11 7>5 5>7 "},
+		{0x3ff7ce08acbbe093, "0>1 1>0 1>2 2>1 2>3 3>2 3>4 4>3 6>7 7>6 7>8 8>7 8>9 9>8 9>10 10>9 10>11 11>10 11>0 0>11 6>3 3>6 11>3 3>11 "},
+		{0x3ffce89807853895, "0>1 1>0 1>2 2>1 2>3 3>2 3>4 4>3 4>5 5>4 7>8 8>7 8>9 9>8 9>10 10>9 10>11 11>10 11>0 0>11 1>5 5>1 11>3 3>11 7>5 5>7 "},
+		{0x3ff2babe13be131b, "0>1 1>0 1>2 2>1 2>3 3>2 3>4 4>3 4>5 5>4 5>6 6>5 8>9 9>8 9>10 10>9 10>11 11>10 11>0 0>11 1>5 5>1 6>3 3>6 11>3 3>11 "},
+		{0x3ff82db3be51324a, "0>1 1>0 1>2 2>1 2>3 3>2 3>4 4>3 4>5 5>4 5>6 6>5 6>7 7>6 9>10 10>9 10>11 11>10 11>0 0>11 1>5 5>1 6>3 3>6 11>3 3>11 7>5 5>7 "},
+		{0x3ff73b688634b9c1, "0>1 1>0 1>2 2>1 2>3 3>2 3>4 4>3 4>5 5>4 5>6 6>5 6>7 7>6 7>8 8>7 10>11 11>10 11>0 0>11 1>5 5>1 6>3 3>6 11>3 3>11 7>5 5>7 "},
+		{0x3ff73d8fd85f4909, "0>1 1>0 1>2 2>1 2>3 3>2 3>4 4>3 4>5 5>4 5>6 6>5 6>7 7>6 7>8 8>7 8>9 9>8 11>0 0>11 1>5 5>1 6>3 3>6 11>3 3>11 7>5 5>7 "},
+		{0x3ff31f2fb0c5e8f0, "0>1 1>0 1>2 2>1 2>3 3>2 3>4 4>3 4>5 5>4 5>6 6>5 6>7 7>6 7>8 8>7 8>9 9>8 9>10 10>9 1>5 5>1 6>3 3>6 7>5 5>7 "},
+	}
+	got, err := PrecomputeNodes(g, box, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(nodes) {
+		t.Fatalf("%d node scenarios, want %d", len(got), len(nodes))
+	}
+	for v, want := range nodes {
+		sc := got[v]
+		if sc.Disconnected || sc.Routing == nil {
+			t.Errorf("node %d: unexpectedly disconnected", v)
+			continue
+		}
+		if b := math.Float64bits(sc.Perf); b != want.perf {
+			t.Errorf("node %d: Perf bits %#x, want %#x", v, b, want.perf)
+		}
+		if e := edgeList(sc.Routing.G); e != want.edges {
+			t.Errorf("node %d: survivor edges\n got %s\nwant %s", v, e, want.edges)
+		}
+	}
+}

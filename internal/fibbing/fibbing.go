@@ -15,12 +15,15 @@
 package fibbing
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/ospf"
+	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/spf"
 	"github.com/coyote-te/coyote/internal/wcmp"
 )
@@ -175,6 +178,32 @@ func needsLies(g *graph.Graph, dest graph.NodeID, targets []ospf.FIB, tree *spf.
 		}
 	}
 	return false
+}
+
+// Realize is the one way a routing becomes lies: it quantizes r to at most
+// extraPerInterface virtual next-hops per interface (wcmp.Apply, per [18]),
+// synthesizes the fake-node LSAs over g, and verifies that SPF over the
+// synthesized LSDB reproduces the quantized forwarding exactly. When ctx
+// carries an obs.Tracer the quantization and the synthesis+verification each
+// record a span; otherwise no tracing work is done.
+func Realize(ctx context.Context, g *graph.Graph, r *pdrouting.Routing, extraPerInterface int) (*wcmp.QuantizedRouting, *Synthesis, error) {
+	_, span := obs.StartSpan(ctx, "fibbing.quantize")
+	q, err := wcmp.Apply(r, extraPerInterface)
+	span.End()
+	if err != nil {
+		return nil, nil, err
+	}
+	_, span = obs.StartSpan(ctx, "fibbing.synthesize")
+	defer span.End()
+	syn, err := Synthesize(g, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := Verify(g, q, syn); err != nil {
+		return nil, nil, fmt.Errorf("fibbing: lie verification failed: %w", err)
+	}
+	span.Attr("fake_nodes", syn.FakeNodes)
+	return q, syn, nil
 }
 
 // Verify checks that running SPF over the synthesized LSDB reproduces the

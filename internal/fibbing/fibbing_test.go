@@ -2,6 +2,7 @@ package fibbing
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/topo"
 	"github.com/coyote-te/coyote/internal/wcmp"
@@ -67,6 +69,42 @@ func TestSynthesizeAndVerifyFig1(t *testing.T) {
 	ratios := fibs[ids["s1"]].Ratios()
 	if math.Abs(ratios[ids["s2"]]-2.0/3) > 1e-9 {
 		t.Fatalf("realized ratio toward s2 = %g, want 2/3", ratios[ids["s2"]])
+	}
+}
+
+// TestRealizeIsTheThreeCalls: Realize must return exactly what the spelled
+// out wcmp.Apply → Synthesize → Verify sequence returns, span only under a
+// tracer, and pass quantization errors through.
+func TestRealizeIsTheThreeCalls(t *testing.T) {
+	g, ids := fig1(t)
+	r := skewedRouting(t, g, ids)
+	wantQ, err := wcmp.Apply(r, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSyn, err := Synthesize(g, wantQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	for _, ctx := range []context.Context{context.Background(), obs.WithTracer(context.Background(), tr)} {
+		q, syn, err := Realize(ctx, g, r, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.VirtualLinks != wantQ.VirtualLinks || syn.FakeNodes != wantSyn.FakeNodes {
+			t.Fatalf("Realize: %d virtual links, %d fake nodes; want %d, %d",
+				q.VirtualLinks, syn.FakeNodes, wantQ.VirtualLinks, wantSyn.FakeNodes)
+		}
+		if d := Diff(wantSyn, syn); !d.Empty() {
+			t.Fatalf("Realize synthesized a different lie set: churn %d", d.Churn())
+		}
+	}
+	if n := tr.Len(); n != 2 {
+		t.Fatalf("%d spans under a tracer, want 2 (quantize, synthesize)", n)
+	}
+	if _, _, err := Realize(context.Background(), g, r, -1); err == nil {
+		t.Fatal("negative virtual-link budget accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package oblivious
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -14,29 +15,54 @@ import (
 	"github.com/coyote-te/coyote/internal/spf"
 )
 
-// Options configures COYOTE's splitting-ratio computation.
+// Params is the one parameter set of a COYOTE solve: loop effort plus
+// evaluator tuning. coyote.Options, delta.Config and exp.Config convert to
+// it once; strategy.Config and failover.Config are this type. Zero fields
+// take the defaults of the half they reach (EvalConfig, Options).
+type Params struct {
+	OptIters int     // optimizer gradient steps per adversarial round (default 400)
+	AdvIters int     // adversarial rounds (default 6)
+	Samples  int     // random corner adversaries per evaluation (default 8)
+	Eps      float64 // FPTAS accuracy for large-instance normalization (0 = default 0.1, else in (0, 0.5))
+	Seed     int64
+	Workers  int // worker-pool size (≤ 0 = GOMAXPROCS); never changes results
+	// ExactNodeLimit overrides the exact/FPTAS OPTDAG crossover
+	// (DefaultExactNodeLimit when 0; 1 forces the FPTAS).
+	ExactNodeLimit int
+}
+
+// EvalConfig is the evaluator half of the parameter set.
+func (p Params) EvalConfig() EvalConfig {
+	return EvalConfig{
+		Eps:            p.Eps,
+		Samples:        p.Samples,
+		Seed:           p.Seed,
+		ExactNodeLimit: p.ExactNodeLimit,
+		Workers:        p.Workers,
+	}
+}
+
+// Options is the loop-effort half of the parameter set.
+func (p Params) Options() Options {
+	return Options{OptIters: p.OptIters, AdvIters: p.AdvIters}
+}
+
+// Options is what varies per Optimize call: effort, warm state, tracing.
+// Graph, DAGs, box, seed and worker count are the evaluator's.
 type Options struct {
-	Optimizer gpopt.Config // inner GP-style optimizer settings
-	Eval      EvalConfig   // adversary settings
-	AdvIters  int          // outer adversarial iterations (default 6)
+	OptIters int // gradient steps per inner optimization (default 400)
+	AdvIters int // outer adversarial iterations (default 6)
 	// Ctx, when it carries an obs.Tracer (obs.WithTracer), records one span
 	// per pipeline stage of the adversarial loop — scenario seeding, each
 	// optimize/adversary round, the final ECMP guarantee — plus the nested
 	// gpopt and evaluator spans. Purely observational: results are
 	// bit-identical with or without it. nil means no tracing.
 	Ctx context.Context
-	// Workers seeds Optimizer.Workers and Eval.Workers when they are
-	// unset (≤ 0 = GOMAXPROCS; never changes results). Note that
-	// OptimizeWithEvaluator's adversary is the caller-supplied evaluator,
-	// which keeps its own EvalConfig.Workers — there the optimizer
-	// inherits the evaluator's worker count instead, so one knob (set at
-	// NewEvaluator) still governs the whole loop.
-	Workers int
-	// Warm, when non-nil and built for exactly the (graph, DAGs) being
-	// optimized, is reused as the splitting optimizer: θ and the Adam
-	// moments carry over from the previous recompute, so the loop refines
-	// the prior solution instead of restarting from the near-ECMP init.
-	// Its tuning is replaced by Optimizer. A non-matching Warm is ignored.
+	// Warm, when non-nil and built for exactly the evaluator's (graph,
+	// DAGs), is reused as the splitting optimizer: θ and the Adam moments
+	// carry over from the previous recompute, so the loop refines the prior
+	// solution instead of restarting from the near-ECMP init. Its tuning is
+	// replaced. A non-matching Warm is ignored.
 	Warm *gpopt.Optimizer
 	// Carry seeds the finite scenario set with critical demand matrices
 	// discovered by earlier recomputes (Report.Critical). Each is
@@ -47,22 +73,7 @@ type Options struct {
 	Carry []*demand.Matrix
 }
 
-func (o Options) withDefaults() Options {
-	if o.AdvIters <= 0 {
-		o.AdvIters = 6
-	}
-	if o.Workers > 0 {
-		if o.Eval.Workers == 0 {
-			o.Eval.Workers = o.Workers
-		}
-		if o.Optimizer.Workers == 0 {
-			o.Optimizer.Workers = o.Workers
-		}
-	}
-	return o
-}
-
-// Report summarizes an OptimizeSplitting run.
+// Report summarizes an Optimize run.
 type Report struct {
 	Perf          Result // final worst-case evaluation of the returned routing
 	OuterIters    int    // adversarial iterations executed
@@ -78,35 +89,37 @@ type Report struct {
 	// adversary.
 	Critical []*demand.Matrix
 	// Warm is the optimizer holding the final log-ratio/Adam state. Pass
-	// it back through Options.Warm (with the same graph and DAGs) to
-	// warm-start the next recompute.
+	// it back through Options.Warm (to an evaluator over the same graph and
+	// DAGs) to warm-start the next recompute.
 	Warm *gpopt.Optimizer
 }
 
-// OptimizeSplitting runs COYOTE's in-DAG traffic-splitting optimization
-// (§V-C): it alternates between optimizing the splitting ratios against a
-// finite set of demand scenarios (gpopt) and growing that set with the
-// current worst-case demand matrix (the Evaluator's adversary), mirroring
-// the critical-matrix accumulation of Algorithm 1 and the finite-set
-// handling of the geometric program in Appendix C.
+// Err is the backstop behind demand.Box.Check: a run whose adversary could
+// normalize no demand matrix at all (bounds that pass the input gate yet
+// are unroutable within the DAGs) has no ratio to publish.
+func (r *Report) Err() error {
+	if math.IsInf(r.Perf.Ratio, 0) || math.IsNaN(r.Perf.Ratio) {
+		return fmt.Errorf("coyote: no demand matrix within the bounds could be normalized (PERF %v)", r.Perf.Ratio)
+	}
+	return nil
+}
+
+// Optimize runs COYOTE's in-DAG traffic-splitting optimization (§V-C) over
+// the evaluator's graph, DAGs and uncertainty box — the one way to compute
+// a COYOTE routing. It alternates between optimizing the splitting ratios
+// against a finite set of demand scenarios (gpopt) and growing that set
+// with the current worst-case demand matrix (the evaluator's adversary),
+// mirroring the critical-matrix accumulation of Algorithm 1 and the
+// finite-set handling of the geometric program in Appendix C. The
+// evaluator's worker count governs the whole loop.
 //
 // The returned routing is never worse (under the same evaluator) than
 // traditional ECMP on the embedded shortest-path DAGs, fulfilling the
 // paper's "no worse than standard OSPF/ECMP" guarantee.
-func OptimizeSplitting(g *graph.Graph, dags []*dagx.DAG, box *demand.Box, opts Options) (*pdrouting.Routing, *Report) {
-	opts = opts.withDefaults()
-	ev := NewEvaluator(g, dags, box, opts.Eval)
-	return optimizeWithEvaluator(g, dags, ev, opts)
-}
-
-// OptimizeWithEvaluator is OptimizeSplitting with a caller-supplied
-// evaluator, letting experiment sweeps share OPTDAG caches.
-func OptimizeWithEvaluator(g *graph.Graph, dags []*dagx.DAG, ev *Evaluator, opts Options) (*pdrouting.Routing, *Report) {
-	opts = opts.withDefaults()
-	return optimizeWithEvaluator(g, dags, ev, opts)
-}
-
-func optimizeWithEvaluator(g *graph.Graph, dags []*dagx.DAG, ev *Evaluator, opts Options) (*pdrouting.Routing, *Report) {
+func (ev *Evaluator) Optimize(opts Options) (*pdrouting.Routing, *Report) {
+	if opts.AdvIters <= 0 {
+		opts.AdvIters = 6
+	}
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -114,14 +127,10 @@ func optimizeWithEvaluator(g *graph.Graph, dags []*dagx.DAG, ev *Evaluator, opts
 	ctx, span := obs.StartSpan(ctx, "oblivious.optimize")
 	defer span.End()
 
+	g, dags := ev.G, ev.DAGs
 	n := g.NumNodes()
 	report := &Report{}
-	// The optimizer inherits the evaluator's worker pool size unless the
-	// caller configured one explicitly, so a single Workers knob controls
-	// the whole adversarial loop.
-	if opts.Optimizer.Workers == 0 {
-		opts.Optimizer.Workers = ev.cfg.Workers
-	}
+	optCfg := gpopt.Config{Iters: opts.OptIters, Workers: ev.cfg.Workers}
 
 	var scenarios []gpopt.Scenario
 	seen := make(map[uint64]bool)
@@ -161,9 +170,9 @@ func optimizeWithEvaluator(g *graph.Graph, dags []*dagx.DAG, ev *Evaluator, opts
 
 	opt := opts.Warm
 	if opt != nil && opt.Matches(g, dags) {
-		opt.SetConfig(opts.Optimizer)
+		opt.SetConfig(optCfg)
 	} else {
-		opt = gpopt.New(g, dags, opts.Optimizer)
+		opt = gpopt.New(g, dags, optCfg)
 	}
 	report.Warm = opt
 

@@ -9,7 +9,6 @@ import (
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/maxflow"
 	"github.com/coyote-te/coyote/internal/mcf"
@@ -172,9 +171,9 @@ func TestCoyoteBeatsECMPRunningExample(t *testing.T) {
 		t.Fatalf("ECMP PERF = %g, expected ≥ 1.5 on this instance", ecmpPerf.Ratio)
 	}
 
-	r, rep := OptimizeWithEvaluator(g, dags, ev, Options{
-		Optimizer: gpopt.Config{Iters: 600},
-		AdvIters:  4,
+	r, rep := ev.Optimize(Options{
+		OptIters: 600,
+		AdvIters: 4,
 	})
 	if err := r.Validate(); err != nil {
 		t.Fatalf("COYOTE routing invalid: %v", err)

@@ -7,7 +7,6 @@ import (
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -33,9 +32,9 @@ func evalAt(t *testing.T, name string, workers int) []float64 {
 	for _, res := range ev.PerfTop(ecmp, 3) {
 		out = append(out, res.Ratio, res.MxLU, res.Norm)
 	}
-	routing, rep := OptimizeWithEvaluator(g, dags, ev, Options{
-		Optimizer: gpopt.Config{Iters: 40},
-		AdvIters:  2,
+	routing, rep := ev.Optimize(Options{
+		OptIters: 40,
+		AdvIters: 2,
 	})
 	out = append(out, rep.Perf.Ratio)
 	for t := range routing.Phi {

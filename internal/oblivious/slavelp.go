@@ -158,14 +158,6 @@ func (ev *Evaluator) PerfExactCtx(ctx context.Context, r *pdrouting.Routing) (Re
 	return ev.perfExact(ctx, r, true)
 }
 
-// PerfExactNoWarm is PerfExact with the per-link warm-start chain
-// disabled: every slave LP is solved from a cold basis. It exists for the
-// adversary ablation and BenchmarkSlaveLP; results are identical to
-// PerfExact up to round-off.
-func (ev *Evaluator) PerfExactNoWarm(r *pdrouting.Routing) (Result, error) {
-	return ev.perfExact(context.Background(), r, false)
-}
-
 func (ev *Evaluator) perfExact(ctx context.Context, r *pdrouting.Routing, warmChain bool) (Result, error) {
 	ctx, span := obs.StartSpan(ctx, "oblivious.perf_exact")
 	defer span.End()

@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
+	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -136,4 +138,41 @@ func TestPerfExactWarmChainHits(t *testing.T) {
 	if st.DenseFallbacks != 0 {
 		t.Fatalf("%d dense fallbacks on the slave LP", st.DenseFallbacks)
 	}
+}
+
+// PerfExactNoWarm is PerfExact with the per-link warm-start chain
+// disabled: every slave LP is solved from a cold basis. It is the oracle
+// of the parity test above and the cold side of BenchmarkSlaveLP; results
+// are identical to PerfExact up to round-off.
+func (ev *Evaluator) PerfExactNoWarm(r *pdrouting.Routing) (Result, error) {
+	return ev.perfExact(context.Background(), r, false)
+}
+
+// BenchmarkSlaveLP measures the Appendix-C exact adversary (one slave LP
+// per link, shared rows) on Abilene with and without the per-link
+// basis-chain warm start — the warm/cold contrast isolates what carrying
+// the previous link's vertex saves.
+func BenchmarkSlaveLP(b *testing.B) {
+	g, err := topo.Load("Abilene")
+	if err != nil {
+		b.Fatal(err)
+	}
+	box := demand.MarginBox(demand.Gravity(g, 1), 2)
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	ev := NewEvaluator(g, dags, box, EvalConfig{Samples: 2, Seed: 1})
+	r := ECMPOnDAGs(g, dags)
+	b.Run("warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.PerfExact(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ev.PerfExactNoWarm(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -57,13 +57,13 @@ func TestWarmCarryRecompute(t *testing.T) {
 	base := demand.Gravity(g, 1)
 	evalCfg := EvalConfig{Samples: 4, Seed: 7}
 	coldOpts := Options{
-		Optimizer: gpopt.Config{Iters: 250},
-		AdvIters:  4,
+		OptIters: 250,
+		AdvIters: 4,
 	}
 
 	// Initial cold optimization.
 	ev := NewEvaluator(g, dags, demand.MarginBox(base, 2), evalCfg)
-	_, rep := OptimizeWithEvaluator(g, dags, ev, coldOpts)
+	_, rep := ev.Optimize(coldOpts)
 	if rep.Warm == nil {
 		t.Fatal("Report.Warm is nil")
 	}
@@ -76,15 +76,15 @@ func TestWarmCarryRecompute(t *testing.T) {
 	perturbed := demand.MarginBox(base.Clone().Scale(1.2), 2.2)
 	warmEv := ev.WithBox(perturbed)
 	warmOpts := Options{
-		Optimizer: gpopt.Config{Iters: 80},
-		AdvIters:  2,
-		Warm:      rep.Warm,
-		Carry:     rep.Critical,
+		OptIters: 80,
+		AdvIters: 2,
+		Warm:     rep.Warm,
+		Carry:    rep.Critical,
 	}
-	_, warmRep := OptimizeWithEvaluator(g, dags, warmEv, warmOpts)
+	_, warmRep := warmEv.Optimize(warmOpts)
 
 	coldEv := NewEvaluator(g, dags, perturbed, evalCfg)
-	_, coldRep := OptimizeWithEvaluator(g, dags, coldEv, coldOpts)
+	_, coldRep := coldEv.Optimize(coldOpts)
 
 	if warmRep.Perf.Ratio > coldRep.Perf.Ratio*1.01 {
 		t.Fatalf("warm recompute PERF %v worse than 1%% over cold %v",
@@ -105,10 +105,10 @@ func TestWarmMismatchedOptimizerIgnored(t *testing.T) {
 
 	box := demand.MarginBox(demand.Gravity(g, 1), 2)
 	ev := NewEvaluator(g, dags, box, EvalConfig{Samples: 2, Seed: 1})
-	_, rep := OptimizeWithEvaluator(g, dags, ev, Options{
-		Optimizer: gpopt.Config{Iters: 40},
-		AdvIters:  1,
-		Warm:      stale,
+	_, rep := ev.Optimize(Options{
+		OptIters: 40,
+		AdvIters: 1,
+		Warm:     stale,
 	})
 	if rep.Warm == stale {
 		t.Fatal("mismatched warm optimizer should have been replaced")

@@ -203,22 +203,51 @@ func TestUpdateRejectsBadBodies(t *testing.T) {
 	}
 }
 
-func TestSSEStream(t *testing.T) {
+// TestZeroRateUpdateDoesNotWedgeTheLog: one POST /update whose entries sum
+// to nothing used to build an all-zero box and install Perf = -Inf, which
+// encoding/json refuses — the event log (/stats), /state and every later
+// /events frame stopped being JSON.
+func TestZeroRateUpdateDoesNotWedgeTheLog(t *testing.T) {
 	ts, ses := newTestServer(t)
+	lines := openSSE(t, ts.URL)
+	g := ses.Base()
+	resp, body := postJSON(t, ts.URL+"/update", map[string]any{
+		"entries": []map[string]any{{"from": g.Name(0), "to": g.Name(1), "rate": 0}},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("zero-rate update: status %d (%v), want 400", resp.StatusCode, body)
+	}
+	var stats struct{ Events []delta.Event }
+	getJSON(t, ts.URL+"/stats", &stats)
+	if len(stats.Events) != 1 || stats.Events[0].Kind != delta.EventInit {
+		t.Fatalf("event log after rejected update: %+v", stats.Events)
+	}
+	var state struct{ Perf float64 }
+	getJSON(t, ts.URL+"/state", &state)
+	if !(state.Perf >= 1-1e-9) {
+		t.Fatalf("state perf after rejected update: %v", state.Perf)
+	}
+	// The stream saw nothing of the rejected update and still delivers the
+	// next real one as JSON.
+	if resp, body := postJSON(t, ts.URL+"/update", map[string]any{"scale": 1.1}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid update after rejected one: status %d (%v)", resp.StatusCode, body)
+	}
+	if event, ev := nextSSE(t, lines); event != "update" || !(ev.Perf >= 1-1e-9) {
+		t.Fatalf("SSE frame after rejected update: %q %+v", event, ev)
+	}
+}
 
-	req, err := http.NewRequest("GET", ts.URL+"/events", nil)
+// openSSE subscribes to GET /events and returns the stream's lines.
+func openSSE(t *testing.T, url string) <-chan string {
+	t.Helper()
+	resp, err := http.Get(url + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	t.Cleanup(func() { resp.Body.Close() })
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-
 	lines := make(chan string, 16)
 	go func() {
 		sc := bufio.NewScanner(resp.Body)
@@ -227,15 +256,13 @@ func TestSSEStream(t *testing.T) {
 		}
 		close(lines)
 	}()
+	return lines
+}
 
-	// Trigger an event after the subscription is live. UpdateBounds is
-	// synchronous, so the event is already queued when it returns; the
-	// deadline only covers stream delivery.
-	if _, err := ses.UpdateBounds(demand.MarginBox(demand.Gravity(ses.Base(), 1.1), 2)); err != nil {
-		t.Fatal(err)
-	}
+// nextSSE reads one frame off an SSE line stream and decodes its payload.
+func nextSSE(t *testing.T, lines <-chan string) (string, delta.Event) {
+	t.Helper()
 	deadline := time.After(30 * time.Second)
-
 	var event, data string
 	for event == "" || data == "" {
 		select {
@@ -253,12 +280,26 @@ func TestSSEStream(t *testing.T) {
 			t.Fatal("timed out waiting for SSE event")
 		}
 	}
-	if event != "update" {
-		t.Fatalf("SSE event %q, want update", event)
-	}
 	var ev delta.Event
 	if err := json.Unmarshal([]byte(data), &ev); err != nil {
 		t.Fatalf("SSE data %q: %v", data, err)
+	}
+	return event, ev
+}
+
+func TestSSEStream(t *testing.T) {
+	ts, ses := newTestServer(t)
+	lines := openSSE(t, ts.URL)
+
+	// Trigger an event after the subscription is live. UpdateBounds is
+	// synchronous, so the event is already queued when it returns; the
+	// deadline only covers stream delivery.
+	if _, err := ses.UpdateBounds(demand.MarginBox(demand.Gravity(ses.Base(), 1.1), 2)); err != nil {
+		t.Fatal(err)
+	}
+	event, ev := nextSSE(t, lines)
+	if event != "update" {
+		t.Fatalf("SSE event %q, want update", event)
 	}
 	if ev.Kind != delta.EventUpdate {
 		t.Fatalf("SSE payload kind %q", ev.Kind)

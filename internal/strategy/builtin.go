@@ -75,7 +75,7 @@ func (s *gpoptStrategy) Name() string { return "gpopt" }
 
 func (s *gpoptStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
 	dags := dagx.BuildAll(g, dagx.Augmented)
-	ev := oblivious.NewEvaluator(g, dags, box, s.cfg.evalConfig())
+	ev := oblivious.NewEvaluator(g, dags, box, s.cfg.EvalConfig())
 	var scenarios []gpopt.Scenario
 	add := func(D *demand.Matrix) {
 		if D.Total() <= 0 {
@@ -115,12 +115,12 @@ func (s *coyoteStrategy) Name() string {
 }
 
 func (s *coyoteStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
-	opts := s.cfg.options()
+	p := s.cfg
 	if s.forceFPTAS {
-		opts.Eval.ExactNodeLimit = 1
+		p.ExactNodeLimit = 1
 	}
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	r, rep := oblivious.OptimizeSplitting(g, dags, box, opts)
+	ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), box, p.EvalConfig())
+	r, rep := ev.Optimize(p.Options())
 	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r), Scenarios: rep.ScenarioCount}}, nil
 }
 

@@ -31,7 +31,7 @@ func (s *semiObliviousStrategy) Name() string { return "semi-oblivious" }
 
 func (s *semiObliviousStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
 	dags := dagx.BuildAll(g, dagx.Augmented)
-	static, rep := oblivious.OptimizeSplitting(g, dags, box, s.cfg.options())
+	static, rep := oblivious.NewEvaluator(g, dags, box, s.cfg.EvalConfig()).Optimize(s.cfg.Options())
 
 	// The support DAGs: edges the oblivious routing actually uses, plus the
 	// full shortest-path DAG so every pair stays routable after pruning.

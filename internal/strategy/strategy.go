@@ -67,39 +67,11 @@ type Strategy interface {
 	Build(g *graph.Graph, box *demand.Box) (Plan, error)
 }
 
-// Config tunes strategy construction. The zero value uses each underlying
-// algorithm's defaults.
-type Config struct {
-	Seed     int64
-	Workers  int     // worker-pool size (≤ 0 = GOMAXPROCS); never changes results
-	OptIters int     // gpopt gradient steps per inner optimization
-	AdvIters int     // adversarial refinement rounds (COYOTE strategies)
-	Samples  int     // random corner adversaries per evaluation
-	Eps      float64 // FPTAS accuracy for large-instance normalization (0 = default, else in (0, 0.5))
-	// ExactNodeLimit overrides the exact/FPTAS OPTDAG crossover
-	// (oblivious.DefaultExactNodeLimit when 0; 1 forces the FPTAS).
-	ExactNodeLimit int
-}
-
-func (c Config) evalConfig() oblivious.EvalConfig {
-	return oblivious.EvalConfig{
-		Eps:            c.Eps,
-		Samples:        c.Samples,
-		Seed:           c.Seed,
-		ExactNodeLimit: c.ExactNodeLimit,
-		Workers:        c.Workers,
-	}
-}
-
-func (c Config) options() oblivious.Options {
-	opts := oblivious.Options{
-		Eval:     c.evalConfig(),
-		AdvIters: c.AdvIters,
-		Workers:  c.Workers,
-	}
-	opts.Optimizer.Iters = c.OptIters
-	return opts
-}
+// Config tunes strategy construction: the COYOTE solve's one parameter set.
+// The zero value uses each underlying algorithm's defaults; strategies that
+// run no adversarial loop read only the fields they need (Seed, Workers,
+// the iteration counts).
+type Config = oblivious.Params
 
 // Per-strategy build latency and online adaptation counters, exported on
 // /metrics. Purely observational: results never depend on them.
@@ -150,10 +122,14 @@ func New(name string, cfg Config) (Strategy, error) {
 	return b(cfg), nil
 }
 
-// Build runs s.Build and records its latency under the strategy's name.
+// Build checks the box against the topology (demand.Box.Check), runs
+// s.Build and records its latency under the strategy's name.
 // Callers that loop over a portfolio should prefer this over calling
 // s.Build directly so the build histogram stays populated.
 func Build(s Strategy, g *graph.Graph, box *demand.Box) (Plan, error) {
+	if err := box.Check(g.NumNodes()); err != nil {
+		return nil, fmt.Errorf("strategy: %w", err)
+	}
 	t0 := time.Now()
 	p, err := s.Build(g, box)
 	buildSeconds.With(s.Name()).ObserveSince(t0)

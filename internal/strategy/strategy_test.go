@@ -253,3 +253,26 @@ func BenchmarkSemiObliviousAdapt(b *testing.B) {
 		}
 	}
 }
+
+// TestBuildChecksTheBox: Build is a caller of the solve, so it runs the
+// solve's input gate — a box of the wrong dimension or with nothing to
+// normalize is a typed error for every strategy, not a panic in one of them.
+func TestBuildChecksTheBox(t *testing.T) {
+	g, _, _ := fixture(t)
+	for _, name := range Names() {
+		s, err := New(name, testConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, box := range map[string]*demand.Box{
+			"nil":             nil,
+			"wrong dimension": demand.ObliviousBox(g.NumNodes()-1, 1),
+			"all zero":        demand.ObliviousBox(g.NumNodes(), 0),
+		} {
+			var be *demand.BoxError
+			if _, err := Build(s, g, box); !errors.As(err, &be) {
+				t.Errorf("%s, %s box: err = %v, want a *demand.BoxError", name, what, err)
+			}
+		}
+	}
+}

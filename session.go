@@ -124,14 +124,7 @@ func (s *Session) Lies(extraPerInterface int) (*LieUpdate, error) {
 		return nil, err
 	}
 	return &LieUpdate{
-		LieSet: LieSet{
-			Quantized:        res.Quantized,
-			VirtualLinks:     res.VirtualLinks,
-			FakeNodes:        res.FakeNodes,
-			LiedDestinations: res.LiedDestinations,
-			synthesis:        res.Synthesis,
-			topo:             &Topology{g: s.s.Graph()},
-		},
+		LieSet:  newLieSet(s.s.Graph(), res.Quantized, res.VirtualLinks, res.Synthesis),
 		Added:   len(res.Diff.Add),
 		Removed: len(res.Diff.Remove),
 		Updated: len(res.Diff.Update),
