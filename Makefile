@@ -135,10 +135,13 @@ bench-compare:
 # same-seed ops bit-identical, Perf ≤ ECMPPerf, FPTAS/exact within [1, 1+ε],
 # every lie set and LSA diff verified, warm flags and failover swap hits on
 # online-nsf — and exits non-zero on a failed check, which is what CI gates
-# on; the timings stay advisory.
+# on; the timings stay advisory. `T=1` adds the traced run and its per-layer
+# ledger; on cold-geant that includes the stage-by-stage replay of Compute
+# through the exported layer functions, which must equal Compute bit for bit.
 W ?= scale-ba42
+T ?= 0
 bench-e2e:
-	$(GO) run ./bench -workload $(W)
+	$(GO) run ./bench -workload $(W) -trace $(T)
 
 # fuzz-smoke runs each native fuzz target briefly — the CI gate that
 # malformed real-world topology and MPS files error instead of panicking

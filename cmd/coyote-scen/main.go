@@ -1,14 +1,15 @@
 // Command coyote-scen drives the scenario engine: it generates parametric
 // topologies (Waxman, Barabási–Albert, fat-tree, grid, ring), converts
-// real topology files (Topology Zoo GraphML, SNDlib native) to the repo's
-// text format, and sweeps generated scenarios through the evaluation
-// engine.
+// real topology files (Topology Zoo GraphML, SNDlib native) and the
+// built-in corpus to the repo's text format, and sweeps generated
+// scenarios through the evaluation engine.
 //
 // Usage:
 //
 //	coyote-scen list
 //	coyote-scen generate -gen waxman -n 50 -seed 7 [-dot]
 //	coyote-scen convert -in Geant.graphml [-dot]
+//	coyote-scen convert -name Geant [-dot]          # a built-in corpus topology
 //	coyote-scen sweep -gen fattree -k 4 -demand hotspot -margins 1,2,3
 //	coyote-scen sweep -in abilene.snd -demand gravity -quick
 //	coyote-scen sweep -gen ring -n 8 -quick -json   # machine-readable table
@@ -65,7 +66,8 @@ func usage() {
 Subcommands:
   list       registered generators, demand models, and corpus topologies
   generate   build a parametric topology and print it (text or -dot)
-  convert    read GraphML / SNDlib / text (-in file or stdin) and print text
+  convert    read GraphML / SNDlib / text (-in file or stdin), or a corpus
+             topology (-name), and print text
   sweep      margin-sweep a generated or loaded topology through the evaluator
 
 Run 'coyote-scen <subcommand> -h' for flags.
@@ -103,7 +105,11 @@ func runList() error {
 	fmt.Printf("  %s\n", strings.Join(coyote.DemandModels(), ", "))
 	fmt.Println("\ncorpus topologies (cmd/coyote -topo ...):")
 	for _, name := range coyote.TopologyNames() {
-		fmt.Printf("  %s\n", name)
+		t, err := coyote.LoadTopology(name)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  %-14s %3d nodes  %3d links\n", name, t.NumNodes(), t.NumLinks()/2)
 	}
 	return nil
 }
@@ -129,16 +135,22 @@ func runGenerate(args []string) error {
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	in := fs.String("in", "", "input file (GraphML, SNDlib native, or text; default stdin)")
+	name := fs.String("name", "", "dump a built-in corpus topology instead (see 'coyote-scen list')")
 	dot := fs.Bool("dot", false, "emit Graphviz DOT instead of text format")
 	fs.Parse(args)
 	var (
 		t   *coyote.Topology
 		err error
 	)
-	if *in == "" {
-		t, err = coyote.ReadTopologyAuto(os.Stdin)
-	} else {
+	switch {
+	case *name != "" && *in != "":
+		return fmt.Errorf("convert: use either -name or -in, not both")
+	case *name != "":
+		t, err = coyote.LoadTopology(*name)
+	case *in != "":
 		t, err = coyote.ReadTopologyFile(*in)
+	default:
+		t, err = coyote.ReadTopologyAuto(os.Stdin)
 	}
 	if err != nil {
 		return err

@@ -59,6 +59,10 @@ import (
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle half-open connections cannot pile up on either listener.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	topoName := flag.String("topo", "", "corpus topology name (see 'coyote-scen list')")
 	topoFile := flag.String("topo-file", "", "topology file (GraphML, SNDlib native, or text)")
@@ -173,9 +177,10 @@ func main() {
 	var debugSrv *http.Server
 	if *debugAddr != "" {
 		debugSrv = &http.Server{
-			Addr:        *debugAddr,
-			Handler:     obs.DebugMux(obs.Default),
-			BaseContext: func(net.Listener) context.Context { return ctx },
+			Addr:              *debugAddr,
+			Handler:           obs.DebugMux(obs.Default),
+			ReadHeaderTimeout: readHeaderTimeout,
+			BaseContext:       func(net.Listener) context.Context { return ctx },
 		}
 		go func() {
 			log.Printf("coyote-serve: debug plane on %s (/debug/pprof /debug/vars /metrics /dashboard)", *debugAddr)
@@ -186,9 +191,10 @@ func main() {
 	}
 
 	httpSrv := &http.Server{
-		Addr:        *addr,
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return ctx },
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
 	log.Printf("coyote-serve: listening on %s (GET /state /routing /lies /stats /events /metrics /fleet /dashboard; POST /update /fail /recover)", *addr)
 	errCh := make(chan error, 1)

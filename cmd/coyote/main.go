@@ -10,7 +10,7 @@
 //	coyote -file net.txt -margin 2.5
 //	coyote -topo-file Geant.graphml -demand hotspot -margin 2
 //
-// With -file, the topology is read in the text format of cmd/coyote-topo
+// With -file, the topology is read in the text format coyote-scen writes
 // (node/link/edge directives); -topo-file additionally accepts Topology
 // Zoo GraphML and SNDlib native files (format detected from extension or
 // content). The base demand matrix defaults to the gravity model (§VI-B

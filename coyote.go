@@ -32,10 +32,8 @@ package coyote
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 
-	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/fibbing"
 	"github.com/coyote-te/coyote/internal/graph"
@@ -43,6 +41,7 @@ import (
 	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/pdrouting"
+	"github.com/coyote-te/coyote/internal/strategy"
 )
 
 // NodeID identifies a router in a Topology.
@@ -224,21 +223,19 @@ type Config struct {
 }
 
 // Compute runs the full COYOTE pipeline (Fig. 5 of the paper): DAG
-// construction, in-DAG splitting optimization, and evaluation.
+// construction, in-DAG splitting optimization, and evaluation — the
+// portfolio's "coyote" strategy, behind the same input gate.
 func (e *Engine) Compute() (*Config, error) {
-	if err := e.topo.Validate(); err != nil {
-		return nil, err
-	}
-	if err := e.bounds.Check(e.topo.NumNodes()); err != nil {
-		return nil, fmt.Errorf("coyote: %w", err)
-	}
-	if err := mcf.CheckEps(e.opts.Eps); err != nil {
-		return nil, fmt.Errorf("coyote: Options.Eps: %w", err)
-	}
 	g := e.topo.g
 	if e.opts.LocalSearchWeights {
+		// The weight search reads the topology and bounds before Build's
+		// gate would see them, so this path passes the gate twice — O(n²)
+		// next to a weight search.
+		if err := strategy.Check(g, e.bounds, e.opts.Eps); err != nil {
+			return nil, err
+		}
 		ls, err := localsearch.Optimize(g, e.bounds, localsearch.Config{
-			OuterIters: maxInt(e.opts.AdversarialIters, 3),
+			OuterIters: max(e.opts.AdversarialIters, 3),
 			InnerMoves: 10 * g.NumEdges(),
 			Seed:       e.opts.Seed,
 		})
@@ -248,22 +245,29 @@ func (e *Engine) Compute() (*Config, error) {
 		g = g.Clone()
 		g.SetWeights(ls.Weights)
 	}
-	p := e.opts.params()
-	ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), e.bounds, p.EvalConfig())
-	routing, rep := ev.Optimize(p.Options())
-	if err := rep.Err(); err != nil {
+	s, err := strategy.New("coyote", e.opts.params())
+	if err != nil {
 		return nil, err
 	}
+	plan, err := strategy.Build(s, g, e.bounds)
+	if err != nil {
+		return nil, err
+	}
+	return newConfig(plan.(*strategy.Solved)), nil
+}
+
+// newConfig is the public view of a solved configuration.
+func newConfig(p *strategy.Solved) *Config {
 	return &Config{
-		Routing: routing,
-		Perf:    rep.Perf.Ratio,
+		Routing: p.Routing,
+		Perf:    p.Perf.Ratio,
 		// The no-worse-than-ECMP guarantee already evaluated ECMP with the
 		// same adversary; reusing that value keeps Perf ≤ ECMPPerf exact
 		// even when the ECMP fallback was taken.
-		ECMPPerf: rep.ECMPPerf,
-		Weights:  g.Weights(),
-		topo:     &Topology{g: g},
-	}, nil
+		ECMPPerf: p.ECMPPerf,
+		Weights:  p.Ev.G.Weights(),
+		topo:     &Topology{g: p.Ev.G},
+	}
 }
 
 // Lies realizes the configuration on legacy OSPF/ECMP routers:
@@ -312,11 +316,4 @@ type LieSet struct {
 // of the paper's Fig. 5 pipeline) as JSON.
 func (l *LieSet) WriteMessages(w io.Writer) error {
 	return l.synthesis.WriteJSON(w, l.topo.g)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

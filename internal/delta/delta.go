@@ -17,7 +17,7 @@
 //     so is the exact solver's warm-start state: the evaluator cache
 //     carries the last optimal simplex basis (lp.Basis), so the sparse
 //     LP behind every fresh normalization after UpdateBounds or Recover
-//     resumes from the previous epoch's vertex instead of re-running
+//     resumes from the previous solve's vertex instead of re-running
 //     phase 1, exactly as the gpopt log-ratio/Adam state carries through
 //     Options.Warm.
 //   - Failover swap-then-refine: single-link failures swap in the
@@ -49,11 +49,11 @@ import (
 	"github.com/coyote-te/coyote/internal/fibbing"
 	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/spf"
+	"github.com/coyote-te/coyote/internal/strategy"
 )
 
 // Session activity metrics (obs.Default, DESIGN.md §10). All updates happen
@@ -88,21 +88,18 @@ var sessionLog = obs.Scope("session")
 const maxCarriedCritical = 32
 
 // Config tunes a Session. The zero value uses the cold defaults of the
-// batch pipeline and derives reduced warm settings from them.
+// batch pipeline.
 type Config struct {
 	// OptIters / AdvIters / Samples / Eps / Seed mirror the batch
 	// pipeline's knobs (coyote.Options) and govern the initial cold
-	// computation and any cold restarts.
+	// computation and any cold restarts. Warm recomputes (demand updates,
+	// post-failover refinement) and the precomputed failover plan run at
+	// OptIters/2 and max(2, AdvIters/3).
 	OptIters int     // optimizer gradient steps, cold (default 400)
 	AdvIters int     // adversarial rounds, cold (default 6)
 	Samples  int     // adversary corner samples (default 8)
 	Eps      float64 // FPTAS accuracy (default 0.1)
 	Seed     int64
-	// WarmOptIters / WarmAdvIters govern warm recomputes (demand updates,
-	// post-failover refinement). Defaults: OptIters/2 and max(2,
-	// AdvIters/3).
-	WarmOptIters int
-	WarmAdvIters int
 	// Workers bounds the evaluation engine's worker pool (≤ 0 =
 	// GOMAXPROCS); never changes results.
 	Workers int
@@ -125,22 +122,14 @@ func (c Config) withDefaults() Config {
 	if c.AdvIters <= 0 {
 		c.AdvIters = 6
 	}
-	if c.WarmOptIters <= 0 {
-		c.WarmOptIters = c.OptIters / 2
-	}
-	if c.WarmAdvIters <= 0 {
-		c.WarmAdvIters = c.AdvIters / 3
-		if c.WarmAdvIters < 2 {
-			c.WarmAdvIters = 2
-		}
-	}
 	return c
 }
 
 // params is the one conversion from a session Config to the solve's
-// parameter set (cold effort; warm recomputes override the iteration counts).
-func (c Config) params() oblivious.Params {
-	return oblivious.Params{
+// parameter set: cold effort, or — warm — the reduced effort of a recompute
+// that starts from a previous solution.
+func (c Config) params(warm bool) oblivious.Params {
+	p := oblivious.Params{
 		OptIters: c.OptIters,
 		AdvIters: c.AdvIters,
 		Samples:  c.Samples,
@@ -148,6 +137,10 @@ func (c Config) params() oblivious.Params {
 		Seed:     c.Seed,
 		Workers:  c.Workers,
 	}
+	if warm {
+		p.OptIters, p.AdvIters = c.OptIters/2, max(2, c.AdvIters/3)
+	}
+	return p
 }
 
 // EventKind labels a Session state transition.
@@ -217,21 +210,23 @@ type Session struct {
 	// incs holds one dynamic SPF structure per destination over the base
 	// topology, kept in lockstep with the failed-link set. Fail/Recover
 	// repair only the affected vertices (near-O(affected) instead of n
-	// Dijkstras) and every epoch's augmented DAGs are rebuilt from the
+	// Dijkstras) and every survivor's augmented DAGs are rebuilt from the
 	// repaired distance fields — bit-identical to the cold construction,
 	// since spf.Incremental maintains the exact Dijkstra fixpoint.
 	incs []*spf.Incremental
 
-	cur epoch // the live configuration
+	// cur is the live configuration: everything that is replaced as a unit
+	// when the box, the failed-link set, or both change. Its evaluator names
+	// the current topology (base or a survivor), DAGs and uncertainty box.
+	cur *strategy.Solved
 
-	// normalState snapshots the optimizer parameters of the latest
-	// base-topology recompute, so a recovery back to the intact network
-	// warm-starts from them (gpopt's exported state handoff).
+	// normal is the most recent configuration on the intact topology;
+	// recovering to it rebinds it to the live box, so the OPTDAG/max-flow
+	// caches paid for before the failure are kept. normalState snapshots its
+	// optimizer parameters at commit time, the warm start of that recovery
+	// (gpopt's exported state handoff).
+	normal      *strategy.Solved
 	normalState *gpopt.State
-	// baseEv is the most recent base-epoch evaluator; recovering to the
-	// intact topology derives the new evaluator from it (WithBox), so the
-	// OPTDAG/max-flow caches paid for before the failure are kept.
-	baseEv *oblivious.Evaluator
 
 	// plan holds precomputed single-link failover configurations keyed by
 	// the failed base link.
@@ -242,19 +237,6 @@ type Session struct {
 	subs    map[int]*subscriber
 	nextSub int
 	dropped uint64 // lifetime count of events dropped on full subscriber channels
-}
-
-// epoch is one solved configuration: everything that is replaced as a unit
-// when the box, the failed-link set, or both change. The evaluator names
-// the epoch's topology (ev.G: base or a survivor), DAGs and uncertainty box.
-type epoch struct {
-	ev       *oblivious.Evaluator
-	opt      *gpopt.Optimizer // final optimizer state, the next warm start
-	critical []*demand.Matrix // carried critical matrices (≤ maxCarriedCritical)
-	routing  *pdrouting.Routing
-	perf     float64
-	ecmpPerf float64
-	outer    int // outer iterations of the solve
 }
 
 // subscriber is one Subscribe registration: its delivery channel plus the
@@ -269,17 +251,8 @@ type subscriber struct {
 // computation, and (optionally) precomputes the single-link failover plan.
 func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
-	if err := g.Validate(); err != nil {
+	if err := strategy.Check(g, box, cfg.Eps); err != nil {
 		return nil, err
-	}
-	if !g.Connected() {
-		return nil, fmt.Errorf("delta: topology is not strongly connected")
-	}
-	if err := box.Check(g.NumNodes()); err != nil {
-		return nil, fmt.Errorf("delta: %w", err)
-	}
-	if err := mcf.CheckEps(cfg.Eps); err != nil {
-		return nil, fmt.Errorf("delta: Config.Eps: %w", err)
 	}
 	s := &Session{
 		cfg:    cfg,
@@ -299,17 +272,15 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 		s.incs[t] = spf.NewIncremental(g, graph.NodeID(t))
 		dags[t] = dagx.AugmentedFromTree(g, s.incs[t].TreeCopy())
 	}
-	ep, err := s.solve(ctx, oblivious.NewEvaluator(g, dags, box, cfg.params().EvalConfig()), nil)
+	next, err := s.solve(ctx, oblivious.NewEvaluator(g, dags, box, cfg.params(false).EvalConfig()), nil)
 	if err != nil {
 		return nil, err
 	}
-	s.commit(ep, Event{Kind: EventInit}, start)
+	s.commit(next, Event{Kind: EventInit}, start)
 
 	if cfg.PrecomputeFailover {
 		_, planSpan := obs.StartSpan(ctx, "session.failover_plan")
-		p := cfg.params()
-		p.OptIters, p.AdvIters = cfg.WarmOptIters, cfg.WarmAdvIters
-		scens, err := failover.PrecomputeLinks(g, box, p)
+		scens, err := failover.PrecomputeLinks(g, box, cfg.params(true))
 		if err != nil {
 			planSpan.End()
 			return nil, err
@@ -332,56 +303,49 @@ func (s *Session) traceCtx() context.Context {
 	return obs.WithTracer(context.Background(), s.cfg.Tracer)
 }
 
-// solve runs the adversarial loop over ev and returns the resulting epoch
-// without installing it, so a failed solve leaves the session as it was.
-// A non-nil warm optimizer selects the reduced warm effort; the live
-// epoch's critical matrices carry over either way.
-func (s *Session) solve(ctx context.Context, ev *oblivious.Evaluator, warm *gpopt.Optimizer) (epoch, error) {
+// solve computes the next configuration over ev without installing it, so a
+// failed solve leaves the session as it was. A held configuration is re-solved
+// by passing its evaluator (rebound with WithBox when the box moved), which
+// keeps its caches. A non-nil warm optimizer selects the reduced warm effort;
+// the live configuration's critical matrices carry over either way.
+func (s *Session) solve(ctx context.Context, ev *oblivious.Evaluator, warm *gpopt.Optimizer) (*strategy.Solved, error) {
 	recomputeStart := time.Now()
-	opts := oblivious.Options{
-		OptIters: s.cfg.OptIters,
-		AdvIters: s.cfg.AdvIters,
-		Warm:     warm,
-		Carry:    projectOntoBox(s.cur.critical, ev.Box),
-		Ctx:      ctx,
+	opts := s.cfg.params(warm != nil).Options()
+	opts.Warm, opts.Ctx = warm, ctx
+	if s.cur != nil {
+		opts.Carry = projectOntoBox(carried(s.cur.Critical), ev.Box)
 	}
-	if warm != nil {
-		opts.OptIters, opts.AdvIters = s.cfg.WarmOptIters, s.cfg.WarmAdvIters
-	}
-	routing, rep := ev.Optimize(opts)
-	if err := rep.Err(); err != nil {
-		return epoch{}, err
-	}
-	critical := rep.Critical
-	if len(critical) > maxCarriedCritical {
-		critical = append([]*demand.Matrix(nil), critical[len(critical)-maxCarriedCritical:]...)
+	next, err := strategy.Solve(ev, opts)
+	if err != nil {
+		return nil, err
 	}
 	mRecomputes.With(strconv.FormatBool(warm != nil)).Inc()
 	mRecomputeSeconds.ObserveSince(recomputeStart)
-	return epoch{
-		ev:       ev,
-		opt:      rep.Warm,
-		critical: critical,
-		routing:  routing,
-		perf:     rep.Perf.Ratio,
-		ecmpPerf: rep.ECMPPerf,
-		outer:    rep.OuterIters,
-	}, nil
+	return next, nil
 }
 
-// commit installs a solved epoch and records the transition (e carries
-// kind, detail and warm flag; the numbers are the epoch's). An epoch on the
-// intact topology also becomes the recovery target: its evaluator's caches
-// depend only on (graph, DAGs) and its optimizer parameters are
-// snapshotted, so recovering the last failed link resumes from both.
-func (s *Session) commit(ep epoch, e Event, start time.Time) Event {
-	s.cur = ep
-	if ep.ev.G == s.base {
-		s.baseEv = ep.ev
-		s.normalState = ep.opt.ExportState()
+// carried is the tail of a solve's critical matrices the next solve starts
+// from (at most maxCarriedCritical, oldest dropped first).
+func carried(critical []*demand.Matrix) []*demand.Matrix {
+	if len(critical) > maxCarriedCritical {
+		return critical[len(critical)-maxCarriedCritical:]
 	}
-	e.Perf, e.ECMPPerf = ep.perf, ep.ecmpPerf
-	e.OuterIters, e.Scenarios = ep.outer, len(ep.critical)
+	return critical
+}
+
+// commit installs a solved configuration and records the transition (e
+// carries kind, detail and warm flag; the numbers are the configuration's).
+// One on the intact topology also becomes the recovery target, with its
+// optimizer parameters snapshotted, so recovering the last failed link
+// resumes from both.
+func (s *Session) commit(next *strategy.Solved, e Event, start time.Time) Event {
+	s.cur = next
+	if next.Ev.G == s.base {
+		s.normal = next
+		s.normalState = next.Warm.ExportState()
+	}
+	e.Perf, e.ECMPPerf = next.Perf.Ratio, next.ECMPPerf
+	e.OuterIters, e.Scenarios = next.OuterIters, len(carried(next.Critical))
 	e.Elapsed = time.Since(start)
 	return s.record(e)
 }
@@ -466,11 +430,11 @@ func (s *Session) UpdateBounds(box *demand.Box) (Event, error) {
 	ctx, span := obs.StartSpan(s.traceCtx(), "session.update")
 	defer span.End()
 	start := time.Now()
-	ep, err := s.solve(ctx, s.cur.ev.WithBox(box), s.cur.opt)
+	next, err := s.solve(ctx, s.cur.Ev.WithBox(box), s.cur.Warm)
 	if err != nil {
 		return Event{}, err
 	}
-	return s.commit(ep, Event{Kind: EventUpdate, Warm: true}, start), nil
+	return s.commit(next, Event{Kind: EventUpdate, Warm: true}, start), nil
 }
 
 // representative normalizes a directed edge ID of the base topology to its
@@ -503,7 +467,7 @@ func (s *Session) Fail(link graph.EdgeID) (Event, error) {
 		return Event{}, fmt.Errorf("delta: link %d already failed", rep)
 	}
 	s.failed[rep] = true
-	ev, err := s.rebuildEpoch(EventFail, rep)
+	ev, err := s.resolve(EventFail, rep)
 	if err != nil {
 		delete(s.failed, rep)
 		return Event{}, err
@@ -512,7 +476,7 @@ func (s *Session) Fail(link graph.EdgeID) (Event, error) {
 }
 
 // Recover clears a failed link and recomputes. Recovering back to the
-// intact topology warm-starts from the last base-epoch optimizer state.
+// intact topology warm-starts from the last intact-topology optimizer state.
 func (s *Session) Recover(link graph.EdgeID) (Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -524,7 +488,7 @@ func (s *Session) Recover(link graph.EdgeID) (Event, error) {
 		return Event{}, fmt.Errorf("delta: link %d is not failed", rep)
 	}
 	delete(s.failed, rep)
-	ev, err := s.rebuildEpoch(EventRecover, rep)
+	ev, err := s.resolve(EventRecover, rep)
 	if err != nil {
 		s.failed[rep] = true
 		return Event{}, err
@@ -556,11 +520,12 @@ func (s *Session) repairSPF(link graph.EdgeID, fail bool) {
 	}
 }
 
-// rebuildEpoch recomputes after the failed-link set changed. The link
-// argument is the edge that changed state. Only the choice of evaluator and
-// warm optimizer depends on where the new epoch comes from; the solve and
+// resolve recomputes after the failed-link set changed. The link argument is
+// the edge that changed state. Only the choice of evaluator — a held
+// configuration's, rebound to the live box, or a fresh one — and of the warm
+// optimizer depends on where the new configuration comes from; the solve and
 // the bookkeeping after it are shared.
-func (s *Session) rebuildEpoch(kind EventKind, link graph.EdgeID) (Event, error) {
+func (s *Session) resolve(kind EventKind, link graph.EdgeID) (Event, error) {
 	ctx, span := obs.StartSpan(s.traceCtx(), "session."+string(kind))
 	defer span.End()
 	start := time.Now()
@@ -578,36 +543,36 @@ func (s *Session) rebuildEpoch(kind EventKind, link graph.EdgeID) (Event, error)
 		}
 	}
 	// Keep the dynamic SPF fields in lockstep with the failed set no
-	// matter where this epoch's DAGs come from — each event is an
-	// O(affected) repair, and later multi-failure epochs depend on the
+	// matter where this configuration's DAGs come from — each event is an
+	// O(affected) repair, and later multi-failure solves depend on the
 	// fields being current.
 	s.repairSPF(link, kind == EventFail)
 
-	box := s.cur.ev.Box
+	box := s.cur.Ev.Box
 	var ev *oblivious.Evaluator
-	var warm *gpopt.Optimizer // never the live optimizer: it indexes the old epoch's edge IDs
+	var warm *gpopt.Optimizer // never the live optimizer: it indexes the old topology's edge IDs
 	sc := s.plan[link]
 	switch {
 	case len(s.failed) == 0:
-		// Back to the intact topology: the base DAGs, the last base-epoch
-		// evaluator's caches, and a warm start from the snapshot of the last
-		// base-epoch parameters.
-		ev = s.baseEv.WithBox(box)
+		// Back to the intact topology: the last configuration there, with its
+		// DAGs and evaluator caches, and a warm start from the snapshot of its
+		// optimizer parameters.
+		ev = s.normal.Ev.WithBox(box)
 		warm = gpopt.New(s.base, ev.DAGs, gpopt.Config{})
 		if warm.ImportState(s.normalState) != nil {
 			warm = nil
 		}
 	case kind == EventFail && len(s.failed) == 1 && sc != nil && !sc.Disconnected:
 		// Failover swap: a precomputed single-link scenario provides the
-		// post-failure configuration to refine from, together with the DAGs it
+		// post-failure configuration to refine from — its routing, the DAGs it
 		// was optimized over and the evaluator whose OPTDAG/max-flow caches
 		// were filled while precomputing it. Reusing all three makes the
 		// reaction warm end to end — no DAG rebuild and no exact-LP
 		// re-normalization on the critical path. The scenario's survivor
 		// graph is the deterministic WithoutLinks reconstruction, so edge IDs
-		// align with this epoch's.
-		ev = sc.Ev.WithBox(box)
-		warm = gpopt.NewFromRouting(sc.Survivor, sc.DAGs, gpopt.Config{}, sc.Routing)
+		// align with this configuration's.
+		ev = sc.Solved.Ev.WithBox(box)
+		warm = gpopt.NewFromRouting(ev.G, ev.DAGs, gpopt.Config{}, sc.Solved.Routing)
 	default:
 		// Rebuild the survivor DAGs from the repaired distance fields — no
 		// cold Dijkstra anywhere, and bit-identical to one (parity tests).
@@ -615,14 +580,14 @@ func (s *Session) rebuildEpoch(kind EventKind, link graph.EdgeID) (Event, error)
 		for t, inc := range s.incs {
 			dags[t] = dagx.AugmentedFromTree(survivor, inc.TreeCopy())
 		}
-		ev = oblivious.NewEvaluator(survivor, dags, box, s.cfg.params().EvalConfig())
+		ev = oblivious.NewEvaluator(survivor, dags, box, s.cfg.params(false).EvalConfig())
 	}
-	ep, err := s.solve(ctx, ev, warm)
+	next, err := s.solve(ctx, ev, warm)
 	if err != nil {
 		s.repairSPF(link, kind != EventFail) // undo; the caller restores the failed set
 		return Event{}, err
 	}
-	return s.commit(ep, Event{Kind: kind, Detail: detail, Warm: warm != nil}, start), nil
+	return s.commit(next, Event{Kind: kind, Detail: detail, Warm: warm != nil}, start), nil
 }
 
 // Lies synthesizes the fake-node LSAs realizing the current configuration
@@ -637,8 +602,8 @@ func (s *Session) Lies(extraPerInterface int) (*LieResult, error) {
 	ctx, span := obs.StartSpan(s.traceCtx(), "session.lies")
 	defer span.End()
 	start := time.Now()
-	g := s.cur.ev.G
-	q, syn, err := fibbing.Realize(ctx, g, s.cur.routing, extraPerInterface)
+	g := s.cur.Ev.G
+	q, syn, err := fibbing.Realize(ctx, g, s.cur.Routing, extraPerInterface)
 	if err != nil {
 		return nil, err
 	}
@@ -664,45 +629,33 @@ func (s *Session) Lies(extraPerInterface int) (*LieResult, error) {
 	}, nil
 }
 
-// Routing returns the current per-destination routing. The returned value
-// must be treated as read-only.
-func (s *Session) Routing() *pdrouting.Routing {
+// Solved returns the live configuration: one consistent snapshot of the
+// current (possibly degraded) topology, uncertainty set, routing and report.
+// It must be treated as read-only.
+func (s *Session) Solved() *strategy.Solved {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.cur.routing
+	return s.cur
 }
+
+// Routing returns the current per-destination routing (read-only).
+func (s *Session) Routing() *pdrouting.Routing { return s.Solved().Routing }
 
 // Perf returns the current worst-case normalized utilization.
-func (s *Session) Perf() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.perf
-}
+func (s *Session) Perf() float64 { return s.Solved().Perf.Ratio }
 
 // ECMPPerf returns traditional ECMP's worst-case normalized utilization on
-// the current epoch (same DAGs and uncertainty set).
-func (s *Session) ECMPPerf() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.ecmpPerf
-}
+// the current topology (same DAGs and uncertainty set).
+func (s *Session) ECMPPerf() float64 { return s.Solved().ECMPPerf }
 
 // Graph returns the current (possibly degraded) topology.
-func (s *Session) Graph() *graph.Graph {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.ev.G
-}
+func (s *Session) Graph() *graph.Graph { return s.Solved().Ev.G }
 
 // Base returns the intact topology the session was created with.
 func (s *Session) Base() *graph.Graph { return s.base }
 
 // Bounds returns the current uncertainty set.
-func (s *Session) Bounds() *demand.Box {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.ev.Box
-}
+func (s *Session) Bounds() *demand.Box { return s.Solved().Ev.Box }
 
 // FailedLinks lists the currently failed links (base representative edge
 // IDs, ascending).

@@ -16,7 +16,7 @@ import (
 // and bit-equal distance fields, destination by destination.
 func assertColdDAGs(t *testing.T, s *Session, when string) {
 	t.Helper()
-	g, dags := s.cur.ev.G, s.cur.ev.DAGs
+	g, dags := s.cur.Ev.G, s.cur.Ev.DAGs
 	cold := dagx.BuildAll(g, dagx.Augmented)
 	if len(dags) != len(cold) {
 		t.Fatalf("%s: %d DAGs, cold construction has %d", when, len(dags), len(cold))

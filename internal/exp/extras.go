@@ -29,16 +29,14 @@ func Fig9(cfg Config) (*Table, error) {
 		Columns: []string{"margin", "ECMP", "COYOTE-pk"},
 	}
 	rows := make([][]string, len(cfg.Margins))
-	errs := make([]error, len(cfg.Margins))
-	par.For(cfg.Workers, len(cfg.Margins), func(i int) {
+	if err := par.ForErr(cfg.Workers, len(cfg.Margins), func(i int) error {
 		margin := cfg.Margins[i]
 		box := demand.MarginBox(base, margin)
 		ls, err := localsearch.Optimize(g, box, localsearch.Config{
 			OuterIters: cfg.AdvIters, InnerMoves: 10 * g.NumEdges(), Seed: cfg.Seed,
 		})
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		tuned := g.Clone()
 		tuned.SetWeights(ls.Weights)
@@ -47,11 +45,9 @@ func Fig9(cfg Config) (*Table, error) {
 		ecmp := ev.Perf(oblivious.ECMPOnDAGs(tuned, dags))
 		_, rep := cfg.optimize(ev)
 		rows[i] = []string{f1(margin), f2(ecmp.Ratio), f2(rep.Perf.Ratio)}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	out.Rows = rows
 	return out, nil
@@ -78,8 +74,7 @@ func Fig10(cfg Config, budgets []int) (*Table, error) {
 		Columns: []string{"margin", "ECMP", "COYOTE-ideal", "3 NHs", "5 NHs", "10 NHs"},
 	}
 	rows := make([][]string, len(cfg.Margins))
-	errs := make([]error, len(cfg.Margins))
-	par.For(cfg.Workers, len(cfg.Margins), func(i int) {
+	if err := par.ForErr(cfg.Workers, len(cfg.Margins), func(i int) error {
 		margin := cfg.Margins[i]
 		box := demand.MarginBox(base, margin)
 		ev := cfg.evaluator(g, dags, box)
@@ -88,17 +83,14 @@ func Fig10(cfg Config, budgets []int) (*Table, error) {
 		for _, k := range budgets {
 			q, err := wcmp.Apply(ideal, k)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 			row = append(row, f2(ev.Perf(q.Routing).Ratio))
 		}
 		rows[i] = row
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	out.Rows = rows
 	return out, nil
@@ -116,18 +108,15 @@ func Fig11(cfg Config, names []string) (*Table, error) {
 	}
 	const margin = 2.5
 	rows := make([][]string, len(names))
-	errs := make([]error, len(names))
-	par.For(cfg.Workers, len(names), func(i int) {
+	if err := par.ForErr(cfg.Workers, len(names), func(i int) error {
 		name := names[i]
 		g, err := topo.Load(name)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		base, err := baseMatrix(g, "gravity", cfg.Seed)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		dags := dagx.BuildAll(g, dagx.Augmented)
 		box := demand.MarginBox(base, margin)
@@ -138,11 +127,9 @@ func Fig11(cfg Config, names []string) (*Table, error) {
 		obl, _ := cfg.optimize(oblEv)
 		ecmp := oblivious.ECMPOnDAGs(g, dags)
 		rows[i] = []string{name, f2(stretch(obl, ecmp)), f2(stretch(pk, ecmp))}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	out.Rows = rows
 	return out, nil

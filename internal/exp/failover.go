@@ -30,7 +30,7 @@ func Failover(topoName string, cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Failure scenarios — %s, gravity, margin 2 (precomputed per-link configs)", topoName),
 		Columns: []string{"failed link", "COYOTE", "ECMP", "status"},
 	}
-	out.AddRow("(none)", f2(plan.NormalPerf), "", "normal")
+	out.AddRow("(none)", f2(plan.Normal.Perf.Ratio), "", "normal")
 	for _, sc := range plan.Scenarios {
 		e := g.Edge(sc.Failed[0])
 		label := g.Name(e.From) + "–" + g.Name(e.To)
@@ -38,11 +38,11 @@ func Failover(topoName string, cfg Config) (*Table, error) {
 			out.AddRow(label, "", "", "partitions network")
 			continue
 		}
-		out.AddRow(label, f2(sc.Perf), f2(sc.ECMPPerf), "ok")
+		out.AddRow(label, f2(sc.Solved.Perf.Ratio), f2(sc.ECMPPerf), "ok")
 	}
 	if w := plan.WorstScenario(); w != nil {
 		e := g.Edge(w.Failed[0])
-		out.AddRow("worst: "+g.Name(e.From)+"–"+g.Name(e.To), f2(w.Perf), f2(w.ECMPPerf), "")
+		out.AddRow("worst: "+g.Name(e.From)+"–"+g.Name(e.To), f2(w.Solved.Perf.Ratio), f2(w.ECMPPerf), "")
 	}
 	return out, nil
 }

@@ -149,22 +149,18 @@ func Table1(cfg Config, names []string) (*Table, error) {
 		Title:   "Table I — PERF vs margin, gravity base model",
 		Columns: []string{"network", "margin", "ECMP", "Base", "COYOTE-obl", "COYOTE-pk"},
 	}
-	type result struct {
-		name string
-		rows []SweepRow
-		err  error
-	}
-	results := make([]result, len(names))
-	par.For(cfg.Workers, len(names), func(i int) {
-		rows, err := MarginSweep(names[i], "gravity", cfg)
-		results[i] = result{name: names[i], rows: rows, err: err}
-	})
-	for _, res := range results {
-		if res.err != nil {
-			return nil, fmt.Errorf("exp: %s: %w", res.name, res.err)
+	sweeps := make([][]SweepRow, len(names))
+	if err := par.ForErr(cfg.Workers, len(names), func(i int) (err error) {
+		if sweeps[i], err = MarginSweep(names[i], "gravity", cfg); err != nil {
+			return fmt.Errorf("exp: %s: %w", names[i], err)
 		}
-		for _, r := range res.rows {
-			out.AddRow(res.name, f1(r.Margin), f2(r.ECMP), f2(r.Base), f2(r.CoyoteOblivious), f2(r.CoyotePartial))
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for i, rows := range sweeps {
+		for _, r := range rows {
+			out.AddRow(names[i], f1(r.Margin), f2(r.ECMP), f2(r.Base), f2(r.CoyoteOblivious), f2(r.CoyotePartial))
 		}
 	}
 	return out, nil

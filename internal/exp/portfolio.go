@@ -63,33 +63,27 @@ func portfolioTable(title string, cells []portfolioCell, cfg Config) (*Table, er
 	names := portfolioStrategies(cfg)
 	// Stage 1: the per-step OPT oracle MLUs, one unit per cell.
 	optMLU := make([][]float64, len(cells))
-	errs := make([]error, len(cells))
-	par.For(cfg.Workers, len(cells), func(i int) {
+	if err := par.ForErr(cfg.Workers, len(cells), func(i int) error {
 		oracle, err := strategy.New("opt", cfg.params())
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		plan, err := strategy.Build(oracle, cells[i].g, cells[i].box)
 		if err != nil {
-			errs[i] = fmt.Errorf("cell %s: opt oracle: %w", cells[i].name, err)
-			return
+			return fmt.Errorf("cell %s: opt oracle: %w", cells[i].name, err)
 		}
 		mlus := make([]float64, len(cells[i].dms))
 		for k, dm := range cells[i].dms {
 			r, err := plan.Route(dm)
 			if err != nil {
-				errs[i] = fmt.Errorf("cell %s step %d: opt oracle: %w", cells[i].name, k, err)
-				return
+				return fmt.Errorf("cell %s step %d: opt oracle: %w", cells[i].name, k, err)
 			}
 			mlus[k] = r.MaxUtilization(dm)
 		}
 		optMLU[i] = mlus
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	// Stage 2: one unit per (cell, strategy); each builds its plan and
@@ -102,37 +96,31 @@ func portfolioTable(title string, cells []portfolioCell, cfg Config) (*Table, er
 		}
 	}
 	vals := make([]float64, len(units))
-	uerrs := make([]error, len(units))
-	par.For(cfg.Workers, len(units), func(u int) {
+	if err := par.ForErr(cfg.Workers, len(units), func(u int) error {
 		ci, si := units[u].cell, units[u].strat
 		cell := cells[ci]
 		s, err := strategy.New(names[si], cfg.params())
 		if err != nil {
-			uerrs[u] = err
-			return
+			return err
 		}
 		plan, err := strategy.Build(s, cell.g, cell.box)
 		if err != nil {
-			uerrs[u] = fmt.Errorf("cell %s: %s: %w", cell.name, names[si], err)
-			return
+			return fmt.Errorf("cell %s: %s: %w", cell.name, names[si], err)
 		}
 		worst := 0.0
 		for k, dm := range cell.dms {
 			r, err := strategy.Apply(names[si], plan, dm)
 			if err != nil {
-				uerrs[u] = fmt.Errorf("cell %s step %d: %s: %w", cell.name, k, names[si], err)
-				return
+				return fmt.Errorf("cell %s step %d: %s: %w", cell.name, k, names[si], err)
 			}
 			if ratio := r.MaxUtilization(dm) / optMLU[ci][k]; ratio > worst {
 				worst = ratio
 			}
 		}
 		vals[u] = worst
-	})
-	for _, err := range uerrs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	out := &Table{

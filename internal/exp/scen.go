@@ -116,7 +116,7 @@ func ScenSRLG(p scen.Params, groups int, cfg Config) (*Table, error) {
 			out.AddRow(suite[i].Name, links, "", "", "partitions network")
 			continue
 		}
-		out.AddRow(suite[i].Name, links, f2(sc.Perf), f2(sc.ECMPPerf), "ok")
+		out.AddRow(suite[i].Name, links, f2(sc.Solved.Perf.Ratio), f2(sc.ECMPPerf), "ok")
 	}
 	return out, nil
 }

@@ -9,12 +9,11 @@
 package failover
 
 import (
-	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/par"
-	"github.com/coyote-te/coyote/internal/pdrouting"
+	"github.com/coyote-te/coyote/internal/strategy"
 )
 
 // Config tunes the per-scenario optimization: the solve's one parameter
@@ -45,43 +44,34 @@ type GroupScenario struct {
 	// the links that fail together.
 	Failed []graph.EdgeID
 	// Disconnected reports that the group's failure partitions the
-	// network; no routing is computed in that case.
+	// network; no configuration is computed in that case (Solved is nil).
 	Disconnected bool
-	// Survivor is the topology with the group removed (its own edge IDs).
-	Survivor *graph.Graph
-	// Routing is the re-optimized COYOTE configuration on Survivor.
-	Routing *pdrouting.Routing
-	// Perf and ECMPPerf are worst-case normalized utilizations on the
-	// surviving topology.
-	Perf     float64
+	// Solved is the re-optimized configuration on the surviving topology
+	// (Solved.Ev.G, with its own edge IDs). Its evaluator holds the OPTDAG
+	// and max-flow normalizations (exact-LP solves) paid for while
+	// precomputing; they depend only on the survivor and its DAGs, never on
+	// the uncertainty box, so a session swapping the scenario in
+	// (delta.Session.Fail) rebinds it to the live box and the failure
+	// reaction re-pays no normalization — that reuse is what makes the warm
+	// reaction latency near-O(affected) end to end (DESIGN.md §12).
+	Solved *strategy.Solved
+	// ECMPPerf is traditional ECMP's worst-case normalized utilization on
+	// the surviving topology, evaluated once more after the solve. It is
+	// not Solved.ECMPPerf: that one is the loop's own estimate, drawn
+	// earlier in the evaluator's sampling sequence, so the two can differ.
+	// This field is the scenario's published number (tables, pin_test) and
+	// the value it always was; read Solved.ECMPPerf only when treating the
+	// configuration like any other Solved. Both stay because the second
+	// evaluation is also what leaves the evaluator's sequence and caches
+	// where Session.Fail expects them.
 	ECMPPerf float64
-	// DAGs are the survivor's augmented shortest-path DAGs the scenario
-	// was optimized over, and Ev the evaluator holding the OPTDAG and
-	// max-flow normalizations (exact-LP solves) paid for while
-	// precomputing it. Both depend only on (Survivor, DAGs), never on the
-	// uncertainty box, so a session swapping the scenario in
-	// (delta.Session.Fail) reuses them via Ev.WithBox and the failure
-	// reaction re-pays no normalization — that reuse is what makes the
-	// warm reaction latency near-O(affected) end to end (DESIGN.md §12).
-	DAGs []*dagx.DAG
-	Ev   *oblivious.Evaluator
 }
 
-// solve is the one solve of this package: augmented DAGs on the (connected)
-// intact or surviving topology and the COYOTE solve against box. ECMPPerf
-// is left to callers that report it.
-func solve(survivor *graph.Graph, box *demand.Box, cfg Config) GroupScenario {
-	dags := dagx.BuildAll(survivor, dagx.Augmented)
-	ev := oblivious.NewEvaluator(survivor, dags, box, cfg.EvalConfig())
-	routing, rep := ev.Optimize(cfg.Options())
-	return GroupScenario{Survivor: survivor, Routing: routing, Perf: rep.Perf.Ratio, DAGs: dags, Ev: ev}
-}
-
-// Plan holds the normal-case routing plus one scenario per physical link.
+// Plan holds the normal-case configuration plus one scenario per physical
+// link.
 type Plan struct {
-	Normal     *pdrouting.Routing
-	NormalPerf float64
-	Scenarios  []GroupScenario // one single-link group per g.Links() entry
+	Normal    *strategy.Solved
+	Scenarios []GroupScenario // one single-link group per g.Links() entry
 }
 
 // Precompute builds the failure plan: the normal-case COYOTE configuration
@@ -89,12 +79,15 @@ type Plan struct {
 // Scenarios are computed in parallel.
 func Precompute(g *graph.Graph, box *demand.Box, cfg Config) (*Plan, error) {
 	cfg = withDefaults(cfg)
-	normal := solve(g, box, cfg)
+	normal, err := strategy.Coyote(g, box, cfg)
+	if err != nil {
+		return nil, err
+	}
 	scenarios, err := PrecomputeLinks(g, box, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Normal: normal.Routing, NormalPerf: normal.Perf, Scenarios: scenarios}, nil
+	return &Plan{Normal: normal, Scenarios: scenarios}, nil
 }
 
 // PrecomputeLinks computes one single-link scenario per physical link, in
@@ -117,7 +110,7 @@ func (p *Plan) WorstScenario() *GroupScenario {
 		if sc.Disconnected {
 			continue
 		}
-		if worst == nil || sc.Perf > worst.Perf {
+		if worst == nil || sc.Solved.Perf.Ratio > worst.Solved.Perf.Ratio {
 			worst = sc
 		}
 	}
@@ -142,21 +135,26 @@ func (p *Plan) NumDisconnecting() int {
 func PrecomputeGroups(g *graph.Graph, box *demand.Box, groups [][]graph.EdgeID, cfg Config) ([]GroupScenario, error) {
 	cfg = withDefaults(cfg)
 	out := make([]GroupScenario, len(groups))
-	par.For(cfg.Workers, len(groups), func(i int) {
-		failed := append([]graph.EdgeID(nil), groups[i]...)
-		sc := GroupScenario{Survivor: g.WithoutLinks(failed), Disconnected: true}
-		if sc.Survivor.Connected() {
-			sc = solve(sc.Survivor, box, cfg)
-			// ECMP's verdict after the loop is part of the scenario's state,
-			// not only of its report: it advances the evaluator's sampling
-			// sequence and fills the normalization caches a session later
-			// inherits through Ev.WithBox.
-			sc.ECMPPerf = sc.Ev.Perf(oblivious.ECMPOnDAGs(sc.Survivor, sc.DAGs)).Ratio
+	err := par.ForErr(cfg.Workers, len(groups), func(i int) error {
+		out[i].Failed = append([]graph.EdgeID(nil), groups[i]...)
+		survivor := g.WithoutLinks(out[i].Failed)
+		if !survivor.Connected() {
+			out[i].Disconnected = true
+			return nil
 		}
-		sc.Failed = failed
-		out[i] = sc
+		sv, err := strategy.Coyote(survivor, box, cfg)
+		if err != nil {
+			return err
+		}
+		out[i].Solved = sv
+		// ECMP's verdict after the loop is part of the scenario's state,
+		// not only of its report: it advances the evaluator's sampling
+		// sequence and fills the normalization caches a session later
+		// inherits when it rebinds the scenario.
+		out[i].ECMPPerf = sv.Ev.Perf(oblivious.ECMPOnDAGs(survivor, sv.Ev.DAGs)).Ratio
+		return nil
 	})
-	return out, nil
+	return out, err
 }
 
 // NodeScenario is one precomputed single-node-failure configuration: the
@@ -164,9 +162,8 @@ func PrecomputeGroups(g *graph.Graph, box *demand.Box, groups [][]graph.EdgeID, 
 // of the uncertainty set; the rest of the network is re-optimized.
 type NodeScenario struct {
 	Failed       graph.NodeID
-	Disconnected bool // the survivors are no longer mutually reachable
-	Routing      *pdrouting.Routing
-	Perf         float64
+	Disconnected bool             // the survivors are no longer mutually reachable (Solved is nil)
+	Solved       *strategy.Solved // the re-optimized configuration
 }
 
 // PrecomputeNodes builds per-node failure configurations ("every single
@@ -176,7 +173,7 @@ type NodeScenario struct {
 func PrecomputeNodes(g *graph.Graph, box *demand.Box, cfg Config) ([]NodeScenario, error) {
 	cfg = withDefaults(cfg)
 	out := make([]NodeScenario, g.NumNodes())
-	par.For(cfg.Workers, g.NumNodes(), func(v int) {
+	err := par.ForErr(cfg.Workers, g.NumNodes(), func(v int) (err error) {
 		failed := graph.NodeID(v)
 		out[v].Failed = failed
 		// Every link incident to the failed node goes (WithoutLinks takes
@@ -185,7 +182,7 @@ func PrecomputeNodes(g *graph.Graph, box *demand.Box, cfg Config) ([]NodeScenari
 		survivor := g.WithoutLinks(incident)
 		if !survivorsConnected(survivor, failed) {
 			out[v].Disconnected = true
-			return
+			return nil
 		}
 		// Zero the failed node's demands in the box.
 		min, max := box.Min.Clone(), box.Max.Clone()
@@ -195,10 +192,10 @@ func PrecomputeNodes(g *graph.Graph, box *demand.Box, cfg Config) ([]NodeScenari
 				min.D[i], max.D[i] = 0, 0
 			}
 		}
-		sc := solve(survivor, demand.NewBox(min, max), cfg)
-		out[v].Routing, out[v].Perf = sc.Routing, sc.Perf
+		out[v].Solved, err = strategy.Coyote(survivor, demand.NewBox(min, max), cfg)
+		return err
 	})
-	return out, nil
+	return out, err
 }
 
 // survivorsConnected reports whether all nodes other than failed — which

@@ -38,7 +38,7 @@ func TestPrecomputePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Normal == nil || plan.NormalPerf <= 0 {
+	if plan.Normal == nil || plan.Normal.Perf.Ratio <= 0 {
 		t.Fatal("missing normal-case routing")
 	}
 	if len(plan.Scenarios) != len(g.Links()) {
@@ -50,22 +50,22 @@ func TestPrecomputePlan(t *testing.T) {
 	}
 	for _, sc := range plan.Scenarios {
 		if sc.Disconnected {
-			if sc.Routing != nil {
+			if sc.Solved != nil {
 				t.Fatal("disconnected scenario must not carry a routing")
 			}
 			continue
 		}
-		if sc.Routing == nil {
+		if sc.Solved == nil {
 			t.Fatalf("scenario %d missing routing", sc.Failed)
 		}
-		if err := sc.Routing.Validate(); err != nil {
+		if err := sc.Solved.Routing.Validate(); err != nil {
 			t.Fatalf("scenario %d routing invalid: %v", sc.Failed, err)
 		}
-		if sc.Perf > sc.ECMPPerf+1e-9 {
-			t.Fatalf("scenario %d: COYOTE %g worse than ECMP %g", sc.Failed, sc.Perf, sc.ECMPPerf)
+		if sc.Solved.Perf.Ratio > sc.ECMPPerf+1e-9 {
+			t.Fatalf("scenario %d: COYOTE %g worse than ECMP %g", sc.Failed, sc.Solved.Perf.Ratio, sc.ECMPPerf)
 		}
-		if sc.Survivor.NumEdges() != g.NumEdges()-2 {
-			t.Fatalf("scenario %d survivor has %d edges", sc.Failed, sc.Survivor.NumEdges())
+		if sc.Solved.Ev.G.NumEdges() != g.NumEdges()-2 {
+			t.Fatalf("scenario %d survivor has %d edges", sc.Failed, sc.Solved.Ev.G.NumEdges())
 		}
 	}
 	if plan.WorstScenario() == nil {
@@ -104,10 +104,10 @@ func TestPrecomputeNodes(t *testing.T) {
 	if sc.Disconnected {
 		t.Fatal("failing the spur leaves the ring connected")
 	}
-	if sc.Routing == nil || sc.Perf <= 0 {
+	if sc.Solved == nil || sc.Solved.Perf.Ratio <= 0 {
 		t.Fatal("spur-failure scenario missing routing")
 	}
-	if err := sc.Routing.Validate(); err != nil {
+	if err := sc.Solved.Routing.Validate(); err != nil {
 		t.Fatalf("node scenario routing invalid: %v", err)
 	}
 }
@@ -128,11 +128,11 @@ func TestPrecomputeGroups(t *testing.T) {
 	if len(scenarios) != len(groups) {
 		t.Fatalf("%d scenarios, want %d", len(scenarios), len(groups))
 	}
-	if scenarios[0].Disconnected || scenarios[0].Routing == nil {
+	if scenarios[0].Disconnected || scenarios[0].Solved == nil {
 		t.Fatal("single ring-link group must be survivable")
 	}
-	if scenarios[0].Survivor.NumEdges() != g.NumEdges()-2 {
-		t.Fatalf("survivor has %d edges", scenarios[0].Survivor.NumEdges())
+	if scenarios[0].Solved.Ev.G.NumEdges() != g.NumEdges()-2 {
+		t.Fatalf("survivor has %d edges", scenarios[0].Solved.Ev.G.NumEdges())
 	}
 	if !scenarios[1].Disconnected {
 		t.Fatal("opposite ring links must partition the network")
@@ -140,21 +140,21 @@ func TestPrecomputeGroups(t *testing.T) {
 	if !scenarios[2].Disconnected {
 		t.Fatal("spur bridge group must disconnect")
 	}
-	if scenarios[3].Disconnected || scenarios[3].Routing == nil {
+	if scenarios[3].Disconnected || scenarios[3].Solved == nil {
 		t.Fatal("empty group is the normal topology")
 	}
-	if scenarios[3].Survivor.NumEdges() != g.NumEdges() {
+	if scenarios[3].Solved.Ev.G.NumEdges() != g.NumEdges() {
 		t.Fatal("empty group must keep every edge")
 	}
 	for i, sc := range scenarios {
 		if sc.Disconnected {
 			continue
 		}
-		if err := sc.Routing.Validate(); err != nil {
+		if err := sc.Solved.Routing.Validate(); err != nil {
 			t.Fatalf("group %d routing invalid: %v", i, err)
 		}
-		if sc.Perf > sc.ECMPPerf+1e-9 {
-			t.Fatalf("group %d: COYOTE %g worse than ECMP %g", i, sc.Perf, sc.ECMPPerf)
+		if sc.Solved.Perf.Ratio > sc.ECMPPerf+1e-9 {
+			t.Fatalf("group %d: COYOTE %g worse than ECMP %g", i, sc.Solved.Perf.Ratio, sc.ECMPPerf)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func TestPrecomputeBitPins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := math.Float64bits(plan.NormalPerf), uint64(0x3fff366f35453ca7); got != want {
+	if got, want := math.Float64bits(plan.Normal.Perf.Ratio), uint64(0x3fff366f35453ca7); got != want {
 		t.Errorf("NormalPerf bits %#x, want %#x", got, want)
 	}
 	links := []struct{ perf, ecmp uint64 }{
@@ -67,7 +67,7 @@ func TestPrecomputeBitPins(t *testing.T) {
 			t.Errorf("link %d: unexpectedly disconnected", i)
 			continue
 		}
-		if got := math.Float64bits(sc.Perf); got != want.perf {
+		if got := math.Float64bits(sc.Solved.Perf.Ratio); got != want.perf {
 			t.Errorf("link %d: Perf bits %#x, want %#x", i, got, want.perf)
 		}
 		if got := math.Float64bits(sc.ECMPPerf); got != want.ecmp {
@@ -101,14 +101,14 @@ func TestPrecomputeBitPins(t *testing.T) {
 	}
 	for v, want := range nodes {
 		sc := got[v]
-		if sc.Disconnected || sc.Routing == nil {
+		if sc.Disconnected || sc.Solved == nil {
 			t.Errorf("node %d: unexpectedly disconnected", v)
 			continue
 		}
-		if b := math.Float64bits(sc.Perf); b != want.perf {
+		if b := math.Float64bits(sc.Solved.Perf.Ratio); b != want.perf {
 			t.Errorf("node %d: Perf bits %#x, want %#x", v, b, want.perf)
 		}
-		if e := edgeList(sc.Routing.G); e != want.edges {
+		if e := edgeList(sc.Solved.Routing.G); e != want.edges {
 			t.Errorf("node %d: survivor edges\n got %s\nwant %s", v, e, want.edges)
 		}
 	}

@@ -1,122 +1,14 @@
-// Package geom provides the geometric-programming toolkit of Appendix C of
-// the paper: posynomials, monomials, the condensation (monomial
-// approximation) step used to turn signomial splitting-ratio constraints
-// into GP-compatible ones, and numerically stable log-sum-exp utilities.
+// Package geom holds the numerically stable log-space primitives behind the
+// geometric program of Appendix C of the paper.
 //
 // The in-DAG optimizer (package gpopt) works in log space, where a
 // posynomial constraint becomes a log-sum-exp of affine functions — "a
 // logarithm of a sum of exponentials of linear functions and so is convex"
-// (§V-C). geom keeps the symbolic side: it is used by tests that reproduce
-// the paper's closed-form derivations (the golden-ratio solution of
-// Appendix B) and by the condensation identities of Appendix C.
+// (§V-C) — and the splitting-ratio constraint Σφ = 1 is kept exact by the
+// softmax reparameterization.
 package geom
 
-import (
-	"fmt"
-	"math"
-)
-
-// Monomial is c·Π x_j^{a_j} with c > 0.
-type Monomial struct {
-	Coeff float64
-	Exp   map[int]float64 // variable index → exponent
-}
-
-// NewMonomial builds a monomial; the coefficient must be positive.
-func NewMonomial(coeff float64, exp map[int]float64) Monomial {
-	if coeff <= 0 {
-		panic(fmt.Sprintf("geom: non-positive monomial coefficient %v", coeff))
-	}
-	cp := make(map[int]float64, len(exp))
-	for k, v := range exp {
-		if v != 0 {
-			cp[k] = v
-		}
-	}
-	return Monomial{Coeff: coeff, Exp: cp}
-}
-
-// Eval evaluates the monomial at a positive point x.
-func (m Monomial) Eval(x []float64) float64 {
-	v := m.Coeff
-	for j, a := range m.Exp {
-		v *= math.Pow(x[j], a)
-	}
-	return v
-}
-
-// Mul returns the product of two monomials.
-func (m Monomial) Mul(o Monomial) Monomial {
-	exp := make(map[int]float64, len(m.Exp)+len(o.Exp))
-	for k, v := range m.Exp {
-		exp[k] = v
-	}
-	for k, v := range o.Exp {
-		exp[k] += v
-	}
-	return NewMonomial(m.Coeff*o.Coeff, exp)
-}
-
-// Posynomial is a sum of monomials.
-type Posynomial struct {
-	Terms []Monomial
-}
-
-// NewPosynomial builds a posynomial from monomials.
-func NewPosynomial(terms ...Monomial) Posynomial {
-	return Posynomial{Terms: append([]Monomial(nil), terms...)}
-}
-
-// Eval evaluates the posynomial at a positive point x.
-func (p Posynomial) Eval(x []float64) float64 {
-	s := 0.0
-	for _, t := range p.Terms {
-		s += t.Eval(x)
-	}
-	return s
-}
-
-// Add returns the posynomial sum.
-func (p Posynomial) Add(o Posynomial) Posynomial {
-	return Posynomial{Terms: append(append([]Monomial(nil), p.Terms...), o.Terms...)}
-}
-
-// MulMonomial multiplies every term by m.
-func (p Posynomial) MulMonomial(m Monomial) Posynomial {
-	out := Posynomial{Terms: make([]Monomial, len(p.Terms))}
-	for i, t := range p.Terms {
-		out.Terms[i] = t.Mul(m)
-	}
-	return out
-}
-
-// Condense computes the monomial approximation ("condensation") of the
-// posynomial at the positive point x0, the key step of the paper's
-// iterative MLGP (Appendix C): with weights θ_i = u_i(x0)/f(x0), the
-// best local monomial approximation is f̂(x) = Π (u_i(x)/θ_i)^{θ_i}. The
-// approximation is exact at x0 and underestimates f everywhere (AM–GM), so
-// constraints 1 ≤ f condense into valid monomial constraints.
-func (p Posynomial) Condense(x0 []float64) Monomial {
-	f0 := p.Eval(x0)
-	if f0 <= 0 {
-		panic("geom: condensation at a point where the posynomial vanishes")
-	}
-	exp := make(map[int]float64)
-	logCoeff := 0.0
-	for _, t := range p.Terms {
-		u := t.Eval(x0)
-		theta := u / f0
-		if theta == 0 {
-			continue
-		}
-		// (u_i(x)/θ_i)^θ_i = (c_i/θ_i)^θ_i · Π x^{a_ij·θ_i}.
-		logCoeff += theta * math.Log(t.Coeff/theta)
-		for j, a := range t.Exp {
-			exp[j] += a * theta
-		}
-	}
-	return NewMonomial(math.Exp(logCoeff), exp)
-}
+import "math"
 
 // LogSumExp computes log(Σ exp(v_i)) stably.
 func LogSumExp(v []float64) float64 {
@@ -137,19 +29,6 @@ func LogSumExp(v []float64) float64 {
 		s += math.Exp(x - mx)
 	}
 	return mx + math.Log(s)
-}
-
-// SmoothMax computes the temperature-τ soft maximum τ·log Σ exp(v_i/τ),
-// which upper-bounds max(v) and converges to it as τ → 0.
-func SmoothMax(v []float64, tau float64) float64 {
-	if tau <= 0 {
-		panic("geom: non-positive temperature")
-	}
-	scaled := make([]float64, len(v))
-	for i, x := range v {
-		scaled[i] = x / tau
-	}
-	return tau * LogSumExp(scaled)
 }
 
 // Softmax writes exp(v_i − max)/Σ into out (allocating if nil) and returns

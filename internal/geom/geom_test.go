@@ -7,116 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestMonomialEval(t *testing.T) {
-	m := NewMonomial(2, map[int]float64{0: 1, 1: -1})
-	x := []float64{3, 4}
-	if got := m.Eval(x); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("Eval = %g, want 1.5", got)
-	}
-}
-
-func TestMonomialMul(t *testing.T) {
-	a := NewMonomial(2, map[int]float64{0: 1})
-	b := NewMonomial(3, map[int]float64{0: 2, 1: 1})
-	c := a.Mul(b)
-	x := []float64{2, 5}
-	want := a.Eval(x) * b.Eval(x)
-	if got := c.Eval(x); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Mul eval = %g, want %g", got, want)
-	}
-}
-
-func TestPosynomialEvalAdd(t *testing.T) {
-	p := NewPosynomial(
-		NewMonomial(1, map[int]float64{0: 1}),
-		NewMonomial(2, map[int]float64{1: 1}),
-	)
-	x := []float64{3, 4}
-	if got := p.Eval(x); math.Abs(got-11) > 1e-12 {
-		t.Fatalf("Eval = %g, want 11", got)
-	}
-	q := p.Add(NewPosynomial(NewMonomial(5, nil)))
-	if got := q.Eval(x); math.Abs(got-16) > 1e-12 {
-		t.Fatalf("Add eval = %g, want 16", got)
-	}
-}
-
-func TestCondenseExactAtPoint(t *testing.T) {
-	p := NewPosynomial(
-		NewMonomial(1, map[int]float64{0: 1}),
-		NewMonomial(1, map[int]float64{1: 1}),
-		NewMonomial(0.5, map[int]float64{0: 1, 1: 1}),
-	)
-	x0 := []float64{0.6, 0.4}
-	m := p.Condense(x0)
-	if math.Abs(m.Eval(x0)-p.Eval(x0)) > 1e-9 {
-		t.Fatalf("condensation not exact at x0: %g vs %g", m.Eval(x0), p.Eval(x0))
-	}
-}
-
-// The paper's Appendix C formula: condensing S(φ) = Σφ_i at φ0 gives
-// exponents a_i = φ0_i/Σφ0 and coefficient k = Σφ0 / Π φ0^{a_i}.
-func TestCondenseMatchesPaperFormula(t *testing.T) {
-	phi0 := []float64{0.3, 0.7}
-	sum := NewPosynomial(
-		NewMonomial(1, map[int]float64{0: 1}),
-		NewMonomial(1, map[int]float64{1: 1}),
-	)
-	m := sum.Condense(phi0)
-	total := phi0[0] + phi0[1]
-	wantA0 := phi0[0] / total
-	wantA1 := phi0[1] / total
-	if math.Abs(m.Exp[0]-wantA0) > 1e-12 || math.Abs(m.Exp[1]-wantA1) > 1e-12 {
-		t.Fatalf("exponents (%g, %g), want (%g, %g)", m.Exp[0], m.Exp[1], wantA0, wantA1)
-	}
-	wantK := total / (math.Pow(phi0[0], wantA0) * math.Pow(phi0[1], wantA1))
-	if math.Abs(m.Coeff-wantK) > 1e-9 {
-		t.Fatalf("coefficient %g, want %g", m.Coeff, wantK)
-	}
-}
-
-// Property: condensation underestimates the posynomial everywhere (AM–GM),
-// and is exact at the expansion point.
-func TestPropertyCondenseUnderestimates(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nvars := 1 + rng.Intn(4)
-		nterms := 1 + rng.Intn(4)
-		terms := make([]Monomial, nterms)
-		for i := range terms {
-			exp := map[int]float64{}
-			for j := 0; j < nvars; j++ {
-				if rng.Intn(2) == 0 {
-					exp[j] = float64(rng.Intn(5)) - 2
-				}
-			}
-			terms[i] = NewMonomial(0.1+rng.Float64()*3, exp)
-		}
-		p := NewPosynomial(terms...)
-		x0 := make([]float64, nvars)
-		for j := range x0 {
-			x0[j] = 0.1 + rng.Float64()*3
-		}
-		m := p.Condense(x0)
-		if math.Abs(m.Eval(x0)-p.Eval(x0)) > 1e-6*p.Eval(x0) {
-			return false
-		}
-		for trial := 0; trial < 20; trial++ {
-			x := make([]float64, nvars)
-			for j := range x {
-				x[j] = 0.1 + rng.Float64()*3
-			}
-			if m.Eval(x) > p.Eval(x)*(1+1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLogSumExpStable(t *testing.T) {
 	// Large values must not overflow.
 	v := []float64{1000, 1000}
@@ -125,19 +15,6 @@ func TestLogSumExpStable(t *testing.T) {
 	}
 	if got := LogSumExp(nil); !math.IsInf(got, -1) {
 		t.Fatalf("LogSumExp(nil) = %g, want -Inf", got)
-	}
-}
-
-func TestSmoothMaxBounds(t *testing.T) {
-	v := []float64{1, 2, 3}
-	for _, tau := range []float64{1, 0.1, 0.01} {
-		sm := SmoothMax(v, tau)
-		if sm < 3 {
-			t.Fatalf("SmoothMax(τ=%g) = %g < max", tau, sm)
-		}
-		if sm > 3+tau*math.Log(3)+1e-12 {
-			t.Fatalf("SmoothMax(τ=%g) = %g exceeds max + τ·log n", tau, sm)
-		}
 	}
 }
 

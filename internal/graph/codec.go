@@ -17,7 +17,7 @@ import (
 //	edge <from> <to> <capacity> <weight>     # directed
 //
 // Blank lines and lines starting with '#' are ignored. The format exists so
-// that topologies can be stored as testdata and exported by cmd/coyote-topo.
+// that topologies can be stored as testdata and exported by cmd/coyote-scen.
 
 // WriteText serializes g to w in the text format.
 func (g *Graph) WriteText(w io.Writer) error {

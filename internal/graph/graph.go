@@ -271,6 +271,9 @@ func (g *Graph) Validate() error {
 		if int(e.From) >= len(g.names) || int(e.To) >= len(g.names) {
 			return fmt.Errorf("graph: edge %d references unknown node", i)
 		}
+		if !(e.Capacity > 0) || math.IsInf(e.Capacity, 1) {
+			return fmt.Errorf("graph: edge %d has capacity %v, want positive and finite", i, e.Capacity)
+		}
 		if e.Reverse >= 0 {
 			r := g.edges[e.Reverse]
 			if r.From != e.To || r.To != e.From {

@@ -107,7 +107,7 @@ func (f *fleetState) publish(ev fleetEvent) {
 
 func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb sweep.Heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
+	if err := decodeBody(w, r, &hb); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad heartbeat: %w", err))
 		return
 	}
@@ -133,7 +133,7 @@ func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFleetResults(w http.ResponseWriter, r *http.Request) {
 	var batch sweep.ResultBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
+	if err := decodeBody(w, r, &batch); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad result batch: %w", err))
 		return
 	}

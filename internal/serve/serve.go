@@ -103,6 +103,16 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds every request body the controller decodes; the
+// largest legitimate ones (an all-pairs /update, a fleet result batch) are
+// a few megabytes.
+const maxBodyBytes = 16 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+}
+
 // linkJSON is one physical link of the state report.
 type linkJSON struct {
 	From     string  `json:"from"`
@@ -254,7 +264,7 @@ type updateRequest struct {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -340,7 +350,7 @@ func (s *Server) resolveLink(req linkRequest) (graph.EdgeID, error) {
 func (s *Server) handleLinkMutation(w http.ResponseWriter, r *http.Request,
 	apply func(graph.EdgeID) (delta.Event, error)) {
 	var req linkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}

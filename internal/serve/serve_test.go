@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -234,6 +235,31 @@ func TestZeroRateUpdateDoesNotWedgeTheLog(t *testing.T) {
 	}
 	if event, ev := nextSSE(t, lines); event != "update" || !(ev.Perf >= 1-1e-9) {
 		t.Fatalf("SSE frame after rejected update: %q %+v", event, ev)
+	}
+}
+
+// TestOversizedUpdateIsRejected: request bodies are capped (maxBodyBytes),
+// so a well-formed update padded past the cap is refused before it reaches
+// the session — /state and the event log stay as they were.
+func TestOversizedUpdateIsRejected(t *testing.T) {
+	ts, _ := newTestServer(t)
+	var before, after map[string]any
+	getJSON(t, ts.URL+"/state", &before)
+	resp, body := postJSON(t, ts.URL+"/update", map[string]any{
+		"scale": 1.1,
+		"pad":   strings.Repeat("a", maxBodyBytes),
+	})
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("oversized update: status %d (%v), want a 4xx", resp.StatusCode, body)
+	}
+	getJSON(t, ts.URL+"/state", &after)
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("/state changed across a rejected update:\n before %v\n after  %v", before, after)
+	}
+	var stats struct{ Events []delta.Event }
+	getJSON(t, ts.URL+"/stats", &stats)
+	if len(stats.Events) != 1 || stats.Events[0].Kind != delta.EventInit {
+		t.Fatalf("event log after rejected update: %+v", stats.Events)
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -103,7 +102,7 @@ type sweepRunRequest struct {
 func (st *sweepState) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req sweepRunRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}

@@ -28,13 +28,9 @@ func inverseCapacityWeights(g *graph.Graph) []float64 {
 	return w
 }
 
-// ecmpStrategy is traditional OSPF/ECMP under INVERSECAPACITY weights:
-// equal splitting over shortest-path DAGs, oblivious to the box.
-type ecmpStrategy struct{ cfg Config }
-
-func (s *ecmpStrategy) Name() string { return "ecmp" }
-
-func (s *ecmpStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
+// buildECMP is traditional OSPF/ECMP under INVERSECAPACITY weights: equal
+// splitting over shortest-path DAGs, oblivious to the box.
+func buildECMP(_ Config, g *graph.Graph, _ *demand.Box) (Plan, error) {
 	work := g.Clone()
 	work.SetWeights(inverseCapacityWeights(g))
 	dags := dagx.BuildAll(work, dagx.ShortestPath)
@@ -42,18 +38,14 @@ func (s *ecmpStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
 	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r)}}, nil
 }
 
-// localsearchStrategy runs the §V-B/Appendix A weight search against the
-// box and deploys plain ECMP on the tuned weights — the strongest routing
+// buildLocalSearch runs the §V-B/Appendix A weight search against the box
+// and deploys plain ECMP on the tuned weights — the strongest routing
 // reachable without any lies.
-type localsearchStrategy struct{ cfg Config }
-
-func (s *localsearchStrategy) Name() string { return "localsearch" }
-
-func (s *localsearchStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
+func buildLocalSearch(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 	ls, err := localsearch.Optimize(g, box, localsearch.Config{
-		OuterIters: s.cfg.AdvIters,
+		OuterIters: cfg.AdvIters,
 		InnerMoves: 10 * g.NumEdges(),
-		Seed:       s.cfg.Seed,
+		Seed:       cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -65,17 +57,13 @@ func (s *localsearchStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, erro
 	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r), Scenarios: len(ls.CriticalDMs)}}, nil
 }
 
-// gpoptStrategy runs the GP-style splitting optimizer alone — no
-// adversarial loop — against the two seed scenarios every COYOTE run starts
-// from (the box maximum and its geometric midpoint). It isolates how much
-// of COYOTE's win comes from the optimizer versus the adversary.
-type gpoptStrategy struct{ cfg Config }
-
-func (s *gpoptStrategy) Name() string { return "gpopt" }
-
-func (s *gpoptStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
+// buildGPOpt runs the GP-style splitting optimizer alone — no adversarial
+// loop — against the two seed scenarios every COYOTE run starts from (the
+// box maximum and its geometric midpoint). It isolates how much of COYOTE's
+// win comes from the optimizer versus the adversary.
+func buildGPOpt(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 	dags := dagx.BuildAll(g, dagx.Augmented)
-	ev := oblivious.NewEvaluator(g, dags, box, s.cfg.EvalConfig())
+	ev := oblivious.NewEvaluator(g, dags, box, cfg.EvalConfig())
 	var scenarios []gpopt.Scenario
 	add := func(D *demand.Matrix) {
 		if D.Total() <= 0 {
@@ -91,53 +79,32 @@ func (s *gpoptStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
 		mid.D[i] = math.Sqrt(box.Min.D[i] * box.Max.D[i])
 	}
 	add(mid)
-	opt := gpopt.New(g, dags, gpopt.Config{Iters: s.cfg.OptIters, Workers: s.cfg.Workers})
+	opt := gpopt.New(g, dags, gpopt.Config{Iters: cfg.OptIters, Workers: cfg.Workers})
 	opt.Run(scenarios)
 	r := opt.Routing()
 	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r), Scenarios: len(scenarios)}}, nil
 }
 
-// coyoteStrategy is the full COYOTE pipeline: augmented DAGs plus the
-// adversarial splitting optimization of §V-C. forceFPTAS pins the OPTDAG
-// normalizer to the Garg–Könemann FPTAS regardless of instance size (the
-// "coyote-fptas" registry entry), exercising the approximation path the
-// paper relies on beyond the exact-LP crossover.
-type coyoteStrategy struct {
-	cfg        Config
-	forceFPTAS bool
-}
-
-func (s *coyoteStrategy) Name() string {
-	if s.forceFPTAS {
-		return "coyote-fptas"
+// buildCoyote is the full COYOTE pipeline; the plan is the Solved value
+// Engine.Compute, failover scenarios and sessions hold.
+func buildCoyote(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
+	p, err := Coyote(g, box, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return "coyote"
+	return p, nil
 }
 
-func (s *coyoteStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
-	p := s.cfg
-	if s.forceFPTAS {
-		p.ExactNodeLimit = 1
-	}
-	ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), box, p.EvalConfig())
-	r, rep := ev.Optimize(p.Options())
-	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r), Scenarios: rep.ScenarioCount}}, nil
-}
-
-// optStrategy is the OPT oracle: per-matrix exact min-MLU multicommodity
-// flow within the augmented DAGs — the demands-aware optimum OPTDAG that
+// buildOPT is the OPT oracle: per-matrix exact min-MLU multicommodity flow
+// within the augmented DAGs — the demands-aware optimum OPTDAG that
 // normalizes every figure in the paper (§VI). It is the denominator of the
 // portfolio table, and by construction the best any DAG-respecting
 // strategy can do on each individual matrix.
-type optStrategy struct{ cfg Config }
-
-func (s *optStrategy) Name() string { return "opt" }
-
-func (s *optStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
+func buildOPT(cfg Config, g *graph.Graph, _ *demand.Box) (Plan, error) {
 	return &optPlan{
 		g:    g,
 		dags: dagx.BuildAll(g, dagx.Augmented),
-		cfg:  s.cfg,
+		cfg:  cfg,
 	}, nil
 }
 

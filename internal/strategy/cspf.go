@@ -10,18 +10,14 @@ import (
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
-// cspfStrategy is the MPLS-TE comparison baseline: per destination, every
+// buildCSPF is the MPLS-TE comparison baseline: per destination, every
 // source pins a single explicit widest-shortest path — among the paths of
 // minimum OSPF cost, the one maximizing the bottleneck capacity (the
 // classic CSPF tie-break), with node IDs breaking residual ties so the
 // result is deterministic. No splitting, no adaptation: the strategy shows
 // what explicit single-path tunnels buy (and lose) against ratio-based
 // splitting under the same uncertainty.
-type cspfStrategy struct{ cfg Config }
-
-func (s *cspfStrategy) Name() string { return "cspf" }
-
-func (s *cspfStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
+func buildCSPF(_ Config, g *graph.Graph, _ *demand.Box) (Plan, error) {
 	n := g.NumNodes()
 	dags := make([]*dagx.DAG, n)
 	phi := make([][]float64, n)

@@ -11,7 +11,7 @@ import (
 	"github.com/coyote-te/coyote/internal/spf"
 )
 
-// omwStrategy is "one more weight is enough" (Xu et al.): routers keep two
+// buildOMW is "one more weight is enough" (Xu et al.): routers keep two
 // weight sets — the INVERSECAPACITY default and one extra set tuned against
 // the box by the local search — and ECMP-hash across the union of the two
 // shortest-path graphs. Here the union is expressed as one per-destination
@@ -21,17 +21,13 @@ import (
 // at the cost of dropping plane-2 edges that would climb back uphill.
 // Splitting is proportional to plane multiplicity: an edge on both planes'
 // shortest paths carries twice the share of a single-plane edge.
-type omwStrategy struct{ cfg Config }
-
-func (s *omwStrategy) Name() string { return "omw" }
-
-func (s *omwStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
+func buildOMW(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 	plane1 := g.Clone()
 	plane1.SetWeights(inverseCapacityWeights(g))
 	ls, err := localsearch.Optimize(g, box, localsearch.Config{
-		OuterIters: s.cfg.AdvIters,
+		OuterIters: cfg.AdvIters,
 		InnerMoves: 10 * g.NumEdges(),
-		Seed:       s.cfg.Seed,
+		Seed:       cfg.Seed,
 	})
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/mcf"
-	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/spf"
 )
@@ -18,20 +17,18 @@ import (
 // path set: edges COYOTE barely uses are dropped, edges it leans on stay.
 const supportTol = 1e-3
 
-// semiObliviousStrategy is the Kulfi-style middle ground: path sets come
-// from the COYOTE oblivious solution (robust to anything in the box), but
-// the *rates* on those paths are re-solved per observed matrix through the
-// warm MinMLUModel SetDemand/dual-restart path (~0.02× cold pivots, zero
-// phase-1 iterations on RHS-edit re-solves). Adapt is never worse than the
-// static oblivious routing on the same matrix: the adapted solution is
-// kept only when it evaluates at least as well.
-type semiObliviousStrategy struct{ cfg Config }
-
-func (s *semiObliviousStrategy) Name() string { return "semi-oblivious" }
-
-func (s *semiObliviousStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, error) {
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	static, rep := oblivious.NewEvaluator(g, dags, box, s.cfg.EvalConfig()).Optimize(s.cfg.Options())
+// buildSemiOblivious is the Kulfi-style middle ground: path sets come from
+// the COYOTE oblivious solution (robust to anything in the box), but the
+// *rates* on those paths are re-solved per observed matrix through the warm
+// MinMLUModel SetDemand/dual-restart path (~0.02× cold pivots, zero phase-1
+// iterations on RHS-edit re-solves). Adapt is never worse than the static
+// oblivious routing on the same matrix: the adapted solution is kept only
+// when it evaluates at least as well.
+func buildSemiOblivious(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
+	static, err := Coyote(g, box, cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	// The support DAGs: edges the oblivious routing actually uses, plus the
 	// full shortest-path DAG so every pair stays routable after pruning.
@@ -39,8 +36,8 @@ func (s *semiObliviousStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, er
 	support := make([]*dagx.DAG, g.NumNodes())
 	for t := range support {
 		member := spf.ToDestination(g, graph.NodeID(t)).ShortestPathEdges(g)
-		for e, phi := range static.Phi[t] {
-			if phi >= supportTol && dags[t].Member[e] {
+		for e, phi := range static.Routing.Phi[t] {
+			if phi >= supportTol && static.Ev.DAGs[t].Member[e] {
 				member[e] = true
 			}
 		}
@@ -64,13 +61,13 @@ func (s *semiObliviousStrategy) Build(g *graph.Graph, box *demand.Box) (Plan, er
 	p := &semiObliviousPlan{
 		g:       g,
 		support: support,
-		static:  static,
+		static:  static.Routing,
 		model:   model,
 		basis:   basis,
 		cost: Cost{
 			DAGEdges:  0,
 			Adaptive:  true,
-			Scenarios: rep.ScenarioCount,
+			Scenarios: static.ScenarioCount,
 		},
 	}
 	for _, d := range support {

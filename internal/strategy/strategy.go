@@ -17,6 +17,7 @@
 package strategy
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -61,11 +62,16 @@ type Adapter interface {
 	Adapt(dm *demand.Matrix) (*pdrouting.Routing, error)
 }
 
-// Strategy builds Plans.
-type Strategy interface {
-	Name() string
-	Build(g *graph.Graph, box *demand.Box) (Plan, error)
+// Strategy is one registered algorithm bound to its Config: New makes it,
+// Build runs it.
+type Strategy struct {
+	name  string
+	cfg   Config
+	build buildFunc
 }
+
+// buildFunc is what a registry entry supplies: inputs already through Check.
+type buildFunc func(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error)
 
 // Config tunes strategy construction: the COYOTE solve's one parameter set.
 // The zero value uses each underlying algorithm's defaults; strategies that
@@ -86,18 +92,24 @@ var (
 		"strategy")
 )
 
-// builders is the registry: name → constructor. Names double as the
+// builders is the registry: name → build function. Names double as the
 // `-strategy` flag values and the portfolio table's column headers.
-var builders = map[string]func(Config) Strategy{
-	"ecmp":           func(c Config) Strategy { return &ecmpStrategy{cfg: c} },
-	"localsearch":    func(c Config) Strategy { return &localsearchStrategy{cfg: c} },
-	"gpopt":          func(c Config) Strategy { return &gpoptStrategy{cfg: c} },
-	"coyote":         func(c Config) Strategy { return &coyoteStrategy{cfg: c} },
-	"coyote-fptas":   func(c Config) Strategy { return &coyoteStrategy{cfg: c, forceFPTAS: true} },
-	"opt":            func(c Config) Strategy { return &optStrategy{cfg: c} },
-	"semi-oblivious": func(c Config) Strategy { return &semiObliviousStrategy{cfg: c} },
-	"cspf":           func(c Config) Strategy { return &cspfStrategy{cfg: c} },
-	"omw":            func(c Config) Strategy { return &omwStrategy{cfg: c} },
+var builders = map[string]buildFunc{
+	"ecmp":        buildECMP,
+	"localsearch": buildLocalSearch,
+	"gpopt":       buildGPOpt,
+	"coyote":      buildCoyote,
+	// coyote-fptas pins the OPTDAG normalizer to the Garg–Könemann FPTAS
+	// regardless of instance size, exercising the approximation path the
+	// paper relies on beyond the exact-LP crossover.
+	"coyote-fptas": func(c Config, g *graph.Graph, box *demand.Box) (Plan, error) {
+		c.ExactNodeLimit = 1
+		return buildCoyote(c, g, box)
+	},
+	"opt":            buildOPT,
+	"semi-oblivious": buildSemiOblivious,
+	"cspf":           buildCSPF,
+	"omw":            buildOMW,
 }
 
 // Names lists every registered strategy, sorted.
@@ -110,29 +122,47 @@ func Names() []string {
 	return out
 }
 
-// New constructs a strategy by registry name.
+// New constructs a strategy by registry name, rejecting an unknown name or
+// a Config no build could use.
 func New(name string, cfg Config) (Strategy, error) {
 	b, ok := builders[name]
 	if !ok {
-		return nil, fmt.Errorf("strategy: unknown strategy %q (have %v)", name, Names())
+		return Strategy{}, fmt.Errorf("strategy: unknown strategy %q (have %v)", name, Names())
 	}
 	if err := mcf.CheckEps(cfg.Eps); err != nil {
-		return nil, fmt.Errorf("strategy: Config.Eps: %w", err)
+		return Strategy{}, err
 	}
-	return b(cfg), nil
+	return Strategy{name: name, cfg: cfg, build: b}, nil
 }
 
-// Build checks the box against the topology (demand.Box.Check), runs
-// s.Build and records its latency under the strategy's name.
-// Callers that loop over a portfolio should prefer this over calling
-// s.Build directly so the build histogram stays populated.
-func Build(s Strategy, g *graph.Graph, box *demand.Box) (Plan, error) {
+// Check is the one input gate of a solve: a structurally valid, strongly
+// connected topology, a box the adversary can normalize (demand.Box.Check)
+// and an FPTAS accuracy in range. Build runs it for every strategy; a
+// session, whose DAGs come from its own SPF state, calls it directly. The
+// errors surface unchanged from coyote.Compute and coyote.NewSession, so
+// they name what is wrong (graph:, demand:, mcf: eps) and not this package.
+func Check(g *graph.Graph, box *demand.Box, eps float64) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if !g.Connected() {
+		return errors.New("graph: topology is not strongly connected")
+	}
 	if err := box.Check(g.NumNodes()); err != nil {
-		return nil, fmt.Errorf("strategy: %w", err)
+		return err
+	}
+	return mcf.CheckEps(eps)
+}
+
+// Build passes the inputs through Check, builds the strategy's plan and
+// records the build latency under the strategy's name.
+func Build(s Strategy, g *graph.Graph, box *demand.Box) (Plan, error) {
+	if err := Check(g, box, s.cfg.Eps); err != nil {
+		return nil, err
 	}
 	t0 := time.Now()
-	p, err := s.Build(g, box)
-	buildSeconds.With(s.Name()).ObserveSince(t0)
+	p, err := s.build(s.cfg, g, box)
+	buildSeconds.With(s.name).ObserveSince(t0)
 	return p, err
 }
 

@@ -7,6 +7,7 @@ package strategy
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/demand"
@@ -256,9 +257,18 @@ func BenchmarkSemiObliviousAdapt(b *testing.B) {
 
 // TestBuildChecksTheBox: Build is a caller of the solve, so it runs the
 // solve's input gate — a box of the wrong dimension or with nothing to
-// normalize is a typed error for every strategy, not a panic in one of them.
+// normalize, a topology that is not strongly connected or carries an
+// unusable capacity is an error for every strategy, not a panic in one of
+// them or a plan that silently drops the demands it cannot route.
 func TestBuildChecksTheBox(t *testing.T) {
 	g, _, _ := fixture(t)
+	islands := graph.New()
+	a, b, c, d := islands.AddNode("a"), islands.AddNode("b"), islands.AddNode("c"), islands.AddNode("d")
+	islands.AddLink(a, b, 1, 1)
+	islands.AddLink(c, d, 1, 1)
+	infCap := graph.New()
+	x, y := infCap.AddNode("x"), infCap.AddNode("y")
+	infCap.AddLink(x, y, math.Inf(1), 1)
 	for _, name := range Names() {
 		s, err := New(name, testConfig(1))
 		if err != nil {
@@ -272,6 +282,14 @@ func TestBuildChecksTheBox(t *testing.T) {
 			var be *demand.BoxError
 			if _, err := Build(s, g, box); !errors.As(err, &be) {
 				t.Errorf("%s, %s box: err = %v, want a *demand.BoxError", name, what, err)
+			}
+		}
+		for what, bad := range map[string]*graph.Graph{
+			"two islands":       islands,
+			"infinite capacity": infCap,
+		} {
+			if plan, err := Build(s, bad, demand.ObliviousBox(bad.NumNodes(), 1)); err == nil {
+				t.Errorf("%s, %s: Build returned plan %T and no error", name, what, plan)
 			}
 		}
 	}

@@ -60,16 +60,7 @@ func NewSession(t *Topology, bounds *Bounds, opts ...Options) (*Session, error) 
 
 // Config snapshots the session's current configuration in the same shape
 // Compute returns.
-func (s *Session) Config() *Config {
-	g := s.s.Graph()
-	return &Config{
-		Routing:  s.s.Routing(),
-		Perf:     s.s.Perf(),
-		ECMPPerf: s.s.ECMPPerf(),
-		Weights:  g.Weights(),
-		topo:     &Topology{g: g},
-	}
-}
+func (s *Session) Config() *Config { return newConfig(s.s.Solved()) }
 
 // UpdateBounds replaces the demand uncertainty set and recomputes with a
 // warm start: the splitting optimizer resumes from its previous state, the
