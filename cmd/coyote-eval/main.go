@@ -45,7 +45,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "use the reduced (smoke-test) configuration")
 		strats   = flag.String("strategy", "", "comma-separated strategy subset for the portfolio experiments (default: all; see -list)")
 		workers  = flag.Int("workers", 0, "worker-pool size for the evaluation engine (0 = one per CPU; results are identical for any value)")
-		lpStats  = flag.Bool("lp-stats", false, "print solver statistics after each run: the sparse LP core (iterations, refactorizations, warm-start and dual-restart hit rates, presolve reductions) and the FPTAS work counts")
+		lpStats  = flag.Bool("lp-stats", false, "print solver statistics after each run: the sparse LP core (iterations, refactorizations, warm-start and dual-restart hit rates, dense fallbacks) and the FPTAS work counts")
 		metrics  = flag.Bool("metrics", false, "dump the metrics registry (Prometheus text) to stderr before exiting")
 		traceOut = flag.String("trace", "", "write a per-experiment span trace here (.jsonl = span records, else Chrome trace-event JSON)")
 	)
@@ -196,11 +196,11 @@ func reportLPStats(run string) {
 		return
 	}
 	st := lp.GlobalStats()
-	fmt.Printf("[lp-stats %s] solves=%d iterations=%d phase1=%d dual=%d refactorizations=%d warm=%d/%d (hit rate %.0f%%) dual-restarts=%d/%d (hit rate %.0f%%) presolve=%d solves (-%d rows, -%d cols) dense-fallbacks=%d\n",
+	fmt.Printf("[lp-stats %s] solves=%d iterations=%d phase1=%d dual=%d refactorizations=%d warm=%d/%d (hit rate %.0f%%) dual-restarts=%d/%d (hit rate %.0f%%) dense-fallbacks=%d\n",
 		run, st.Solves, st.Iterations, st.Phase1Iterations, st.DualIterations, st.Refactorizations,
 		st.WarmHits, st.WarmAttempts, 100*st.WarmHitRate(),
 		st.DualHits, st.DualAttempts, 100*st.DualHitRate(),
-		st.PresolveSolves, st.PresolveRows, st.PresolveCols, st.DenseFallbacks)
+		st.DenseFallbacks)
 	ap := mcf.GlobalApproxStats()
 	fmt.Printf("[fptas-stats %s] solves=%d phases=%d sptrees=%d retries=%d\n\n",
 		run, ap.Solves, ap.Phases, ap.Trees, ap.Retries)

@@ -403,6 +403,6 @@ func TestDualRepairsScaledBoxUpdate(t *testing.T) {
 			st.DualIterations, st.Phase1Iterations)
 	}
 	if totalDualHits == 0 {
-		t.Fatal("dual simplex never repaired a scaled-box update; the MethodAuto trigger is dead in sessions")
+		t.Fatal("dual simplex never repaired a scaled-box update; the warm-edit dual trigger is dead in sessions")
 	}
 }

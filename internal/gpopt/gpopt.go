@@ -53,31 +53,24 @@ func NewScenario(g *graph.Graph, D *demand.Matrix, norm float64) Scenario {
 	return s
 }
 
-// Config tunes the optimizer.
+// Config is what a caller chooses per optimizer: how long to run and on how
+// many workers.
 type Config struct {
-	Iters     int     // gradient steps per Run (default 400)
-	LR        float64 // Adam learning rate (default 0.05)
-	TauStart  float64 // initial smooth-max temperature (default 0.25)
-	TauEnd    float64 // final temperature (default 0.02)
-	InitSPLog float64 // log-ratio head start of shortest-path edges over augmented ones (default 2)
-	Workers   int     // worker-pool size for the per-(scenario, destination) passes (≤ 0 = GOMAXPROCS); never changes results
+	Iters   int // gradient steps per Run (default 400)
+	Workers int // worker-pool size for the per-(scenario, destination) passes (≤ 0 = GOMAXPROCS); never changes results
 }
+
+// The optimizer's tuning; fixed, not configuration.
+const (
+	lr        = 0.05 // Adam learning rate
+	tauStart  = 0.25 // initial smooth-max temperature
+	tauEnd    = 0.02 // final temperature
+	initSPLog = 2    // log-ratio head start of shortest-path edges over augmented ones
+)
 
 func (c Config) withDefaults() Config {
 	if c.Iters <= 0 {
 		c.Iters = 400
-	}
-	if c.LR <= 0 {
-		c.LR = 0.05
-	}
-	if c.TauStart <= 0 {
-		c.TauStart = 0.25
-	}
-	if c.TauEnd <= 0 {
-		c.TauEnd = 0.02
-	}
-	if c.InitSPLog == 0 {
-		c.InitSPLog = 2
 	}
 	return c
 }
@@ -161,7 +154,7 @@ type runScratch struct {
 }
 
 // New creates an optimizer over the given DAGs. Initial ratios approximate
-// ECMP: shortest-path edges get a log-ratio head start of cfg.InitSPLog
+// ECMP: shortest-path edges get a log-ratio head start of initSPLog
 // over augmentation-only edges, so optimization starts near the traditional
 // configuration (the solution-space point the paper guarantees COYOTE never
 // falls below).
@@ -197,7 +190,7 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 				if dags[t].Member[id] {
 					o.outsArena = append(o.outsArena, id)
 					if spMember[id] {
-						o.theta[t][id] = cfg.InitSPLog
+						o.theta[t][id] = initSPLog
 					}
 				}
 			}
@@ -267,7 +260,7 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 				o.v[t][id] = beta2*o.v[t][id] + (1-beta2)*gth*gth
 				mhat := o.m[t][id] / sc.bc1
 				vhat := o.v[t][id] / sc.bc2
-				o.theta[t][id] -= o.cfg.LR * mhat / (math.Sqrt(vhat) + 1e-12)
+				o.theta[t][id] -= lr * mhat / (math.Sqrt(vhat) + 1e-12)
 			}
 		}
 	}
@@ -407,7 +400,7 @@ func (o *Optimizer) RunCtx(ctx context.Context, scenarios []Scenario) float64 {
 	}
 	for it := 0; it < cfg.Iters; it++ {
 		frac := float64(it) / float64(max(cfg.Iters-1, 1))
-		tau := cfg.TauStart * math.Pow(cfg.TauEnd/cfg.TauStart, frac)
+		tau := tauStart * math.Pow(tauEnd/tauStart, frac)
 		o.stepOnce(scenarios, tau, span, &fwdTime, &bwdTime)
 	}
 	return objective(o.Routing(), scenarios, cfg.Workers)

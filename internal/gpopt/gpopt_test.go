@@ -56,7 +56,7 @@ func fig1cSetup(t *testing.T) (*graph.Graph, map[string]graph.NodeID, []*dagx.DA
 // φ(s1,s2) = φ(s2,t) = (√5−1)/2 and the worst-case utilization is √5−1.
 func TestGoldenRatio(t *testing.T) {
 	g, ids, dags, scenarios := fig1cSetup(t)
-	o := New(g, dags, Config{Iters: 2500, LR: 0.03})
+	o := New(g, dags, Config{Iters: 2500})
 	obj := o.Run(scenarios)
 	golden := (math.Sqrt(5) - 1) / 2
 	if math.Abs(obj-2*golden) > 0.01 {

@@ -88,9 +88,9 @@ func (o *Optimizer) Matches(g *graph.Graph, dags []*dagx.DAG) bool {
 	return true
 }
 
-// SetConfig replaces the optimizer's tuning (iteration count, learning
-// rate, temperatures) without touching θ or the Adam state — the warm
-// re-optimization typically runs far fewer iterations than the cold one.
+// SetConfig replaces the optimizer's iteration count and worker-pool size
+// without touching θ or the Adam state — the warm re-optimization typically
+// runs far fewer iterations than the cold one.
 func (o *Optimizer) SetConfig(cfg Config) {
 	o.cfg = cfg.withDefaults()
 }

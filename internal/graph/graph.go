@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // NodeID identifies a vertex. IDs are dense, starting at 0, and double as
@@ -181,15 +180,6 @@ func (g *Graph) SetWeights(w []float64) {
 	}
 }
 
-// Capacities returns a copy of all edge capacities indexed by EdgeID.
-func (g *Graph) Capacities() []float64 {
-	c := make([]float64, len(g.edges))
-	for i := range g.edges {
-		c[i] = g.edges[i].Capacity
-	}
-	return c
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
@@ -287,13 +277,6 @@ func (g *Graph) Validate() error {
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph(%d nodes, %d directed edges)", g.NumNodes(), g.NumEdges())
-}
-
-// SortedNodeNames returns node names in lexicographic order (for stable output).
-func (g *Graph) SortedNodeNames() []string {
-	out := append([]string(nil), g.names...)
-	sort.Strings(out)
-	return out
 }
 
 // WithoutLink returns a copy of g with the given directed edge and its

@@ -32,12 +32,13 @@ var ErrInvalidInput = errors.New("localsearch: invalid input")
 
 // Config tunes the search.
 type Config struct {
-	OuterIters int     // worst-case-DM accumulation rounds (default 4)
-	InnerMoves int     // weight moves examined per round (default 40)
-	TabuTenure int     // rounds a changed link stays tabu (default 5)
-	TargetUtil float64 // stop early when worst utilization ≤ this (0: never)
+	OuterIters int // worst-case-DM accumulation rounds (default 4)
+	InnerMoves int // weight moves examined per round (default 40)
 	Seed       int64
 }
+
+// tabuTenure is the number of rounds a changed link stays tabu.
+const tabuTenure = 5
 
 func (c Config) withDefaults() Config {
 	if c.OuterIters <= 0 {
@@ -45,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InnerMoves <= 0 {
 		c.InnerMoves = 40
-	}
-	if c.TabuTenure <= 0 {
-		c.TabuTenure = 5
 	}
 	return c
 }
@@ -93,17 +91,13 @@ func Optimize(g *graph.Graph, box *demand.Box, cfg Config) (*Result, error) {
 		res.Rounds++
 		// Line 6: shortest-path DAGs for current weights; line 7: add the
 		// worst-case DM for ECMP on those DAGs.
-		dm, util := worstCaseDM(work, box)
+		dm, _ := worstCaseDM(work, box)
 		if dm != nil {
 			var err error
 			critical, err = appendIfNew(critical, dm)
 			if err != nil {
 				return nil, err
 			}
-		}
-		res.WorstUtil = util
-		if cfg.TargetUtil > 0 && util <= cfg.TargetUtil {
-			break
 		}
 		// Line 10: FORTZTHORUP — tabu-restricted single-weight moves that
 		// reduce the max utilization over the critical set.
@@ -125,7 +119,7 @@ func Optimize(g *graph.Graph, box *demand.Box, cfg Config) (*Result, error) {
 			cand := evalWeights(work, critical)
 			if cand < cur-1e-12 {
 				cur = cand
-				tabu[eid] = round + cfg.TabuTenure
+				tabu[eid] = round + tabuTenure
 				improved = true
 			} else {
 				work.SetLinkWeight(eid, old)

@@ -13,47 +13,36 @@
 // strictly reducing primal infeasibility, and typically needs a handful of
 // pivots where primal phase 1 needs a fresh pass over the whole basis.
 //
-// Two leaving-row pricing rules are provided: dual Devex (reference-weight
-// steepest-edge approximation, the default) and Dantzig (largest bound
-// violation). Both fall back to Bland's rule — lowest basic variable index
+// The leaving row is priced by dual Devex (reference-weight steepest-edge
+// approximation), falling back to Bland's rule — lowest basic variable index
 // among the violated, lowest entering index among ratio ties — after a
 // stall, which guarantees termination on dual-degenerate instances. A
 // basis that is not dual feasible (more precisely: cannot be made dual
 // feasible by flipping nonbasic bounded variables onto their sign-correct
 // bounds) causes a phase switch: the engine falls back to the primal
-// two-phase path, so MethodDual is always safe to request.
+// two-phase path, so forcing the dual phase is always safe.
 package lp
 
 import "math"
 
-// Method selects the simplex algorithm for a Model solve.
-type Method int8
+// method selects the simplex algorithm for one engine run. Callers of
+// Model.Solve always get methodAuto; the other two exist for the in-package
+// tests, which force the dual phase from cold starts and solve the same
+// model on the primal path as its reference.
+type method int8
 
-// Solve methods.
 const (
-	// MethodAuto picks the algorithm from the warm-start state: an accepted
+	// methodAuto picks the algorithm from the warm-start state: an accepted
 	// warm basis that is primal infeasible but dual feasible (the
 	// bound/RHS-edit signature) is repaired by the dual simplex; everything
 	// else runs the primal two-phase path.
-	MethodAuto Method = iota
-	// MethodPrimal forces the primal two-phase simplex.
-	MethodPrimal
-	// MethodDual requests the dual simplex. If the starting basis cannot be
+	methodAuto method = iota
+	// methodPrimal forces the primal two-phase simplex.
+	methodPrimal
+	// methodDual requests the dual simplex. If the starting basis cannot be
 	// made dual feasible the engine switches to the primal phases (the
 	// solve never fails on account of the method choice).
-	MethodDual
-)
-
-// DualPricing selects the dual simplex leaving-row rule.
-type DualPricing int8
-
-// Dual pricing rules.
-const (
-	// DualDevex scores rows by violation²/weight with Devex reference
-	// weights — an inexpensive steepest-edge approximation.
-	DualDevex DualPricing = iota
-	// DualDantzig scores rows by raw bound violation.
-	DualDantzig
+	methodDual
 )
 
 const (
@@ -207,7 +196,7 @@ func dualCandSift(h []dualCand, i int) {
 // pushed each entering variable past its own opposite bound, manufacturing
 // a fresh violation per pivot and cascading ~50 pivots per repaired basic;
 // bound flipping retires whole groups of box constraints per iteration.
-func (s *spx) dualIterate(pricing DualPricing) (Status, bool) {
+func (s *spx) dualIterate() (Status, bool) {
 	maxIter := iterMul * (s.m + s.ncol)
 	if maxIter < minIter {
 		maxIter = minIter
@@ -257,11 +246,7 @@ func (s *spx) dualIterate(pricing DualPricing) (Status, bool) {
 				}
 				continue
 			}
-			score := viol
-			if pricing == DualDevex {
-				score = viol * viol / w[k]
-			}
-			if score > best {
+			if score := viol * viol / w[k]; score > best {
 				best, r, above = score, int32(k), up
 			}
 		}
@@ -446,30 +431,28 @@ func (s *spx) dualIterate(pricing DualPricing) (Status, bool) {
 		// Devex weight update before the pivot overwrites alpha's meaning:
 		// w_k ← max(w_k, (α_k/α_r)²·w_r); the entering position inherits
 		// max(w_r/α_r², 1).
-		if pricing == DualDevex {
-			wr := w[r]
-			reset := false
-			for k := range s.alpha {
-				if int32(k) == r || s.alpha[k] == 0 {
-					continue
-				}
-				g := s.alpha[k] / arq
-				if cand := g * g * wr; cand > w[k] {
-					w[k] = cand
-					if cand > devexReset {
-						reset = true
-					}
+		wr := w[r]
+		reset := false
+		for k := range s.alpha {
+			if int32(k) == r || s.alpha[k] == 0 {
+				continue
+			}
+			g := s.alpha[k] / arq
+			if cand := g * g * wr; cand > w[k] {
+				w[k] = cand
+				if cand > devexReset {
+					reset = true
 				}
 			}
-			if nw := wr / (arq * arq); nw > 1 {
-				w[r] = nw
-			} else {
-				w[r] = 1
-			}
-			if reset {
-				for i := range w {
-					w[i] = 1
-				}
+		}
+		if nw := wr / (arq * arq); nw > 1 {
+			w[r] = nw
+		} else {
+			w[r] = 1
+		}
+		if reset {
+			for i := range w {
+				w[i] = 1
 			}
 		}
 

@@ -7,8 +7,8 @@ import (
 )
 
 // dualCase is one instance of the pathological dual-simplex matrix — the
-// dual counterpart of matrixCases. Each model is solved with MethodDual
-// under both pricing rules and checked against the dense oracle; cases
+// dual counterpart of matrixCases. Each model is solved with the dual phase
+// forced from a cold start and checked against the dense oracle; cases
 // tagged warmEdit additionally solve once, apply the edit, and require the
 // dual phase to repair the carried basis.
 type dualCase struct {
@@ -65,7 +65,7 @@ func dualCases() []dualCase {
 		{
 			// Dual-infeasible cold start: a free variable carries nonzero
 			// reduced cost at the crash basis and no bound flip can repair
-			// it, so MethodDual must phase-switch to primal and still win.
+			// it, so a forced dual phase must switch to primal and still win.
 			name: "dual-infeasible-phase-switch",
 			build: func() *Model {
 				m := NewModel(Minimize)
@@ -153,32 +153,33 @@ func dualCases() []dualCase {
 	}
 }
 
-// TestDualMatrix runs every pathological dual instance cold under
-// MethodDual with both pricing rules, cross-checked against the dense
-// oracle.
+// TestDualMatrix runs every pathological dual instance cold through the
+// engine matrix — auto-routed, forced primal, forced dual — cross-checked
+// against the dense oracle. The forced-dual leaf is named after the rule
+// that prices it, Devex.
 func TestDualMatrix(t *testing.T) {
-	pricings := map[string]DualPricing{"devex": DualDevex, "dantzig": DualDantzig}
+	methods := map[string]method{"auto": methodAuto, "primal": methodPrimal, "devex": methodDual}
 	for _, tc := range dualCases() {
-		for pname, pricing := range pricings {
-			t.Run(tc.name+"/"+pname, func(t *testing.T) {
+		for mname, meth := range methods {
+			t.Run(tc.name+"/"+mname, func(t *testing.T) {
 				mdl := tc.build()
 				ref, err := mdl.SolveDense()
 				if err != nil {
 					t.Fatalf("dense: %v", err)
 				}
-				sol, err := mdl.Solve(&SolveOptions{Method: MethodDual, DualPricing: pricing})
+				sol, err := mdl.solve(nil, nil, meth)
 				if err != nil {
-					t.Fatalf("dual: %v", err)
+					t.Fatalf("%s: %v", mname, err)
 				}
 				if sol.Status != ref.Status {
-					t.Fatalf("dual status %v, dense %v", sol.Status, ref.Status)
+					t.Fatalf("%s status %v, dense %v", mname, sol.Status, ref.Status)
 				}
 				if sol.Status != Optimal {
 					return
 				}
 				tol := 1e-6 * (1 + math.Abs(ref.Objective))
 				if math.Abs(sol.Objective-ref.Objective) > tol {
-					t.Fatalf("dual objective %.12g, dense %.12g", sol.Objective, ref.Objective)
+					t.Fatalf("%s objective %.12g, dense %.12g", mname, sol.Objective, ref.Objective)
 				}
 				checkFeasible(t, mdl, sol.X, 0)
 			})
@@ -187,49 +188,47 @@ func TestDualMatrix(t *testing.T) {
 }
 
 // TestDualMatrixWarmEdit replays each case with an edit: solve, apply the
-// bound/RHS change, warm re-solve under MethodAuto. The dual phase must
-// engage where the case demands it, and the result must match a cold solve.
+// bound/RHS change, warm re-solve the way every caller does. The dual phase
+// (Devex-priced, hence the leaf name) must engage where the case demands it,
+// and the result must match a cold solve on the primal path.
 func TestDualMatrixWarmEdit(t *testing.T) {
-	pricings := map[string]DualPricing{"devex": DualDevex, "dantzig": DualDantzig}
 	for _, tc := range dualCases() {
 		if tc.edit == nil {
 			continue
 		}
-		for pname, pricing := range pricings {
-			t.Run(tc.name+"/"+pname, func(t *testing.T) {
-				mdl := tc.build()
-				base, err := mdl.Solve(nil)
-				if err != nil {
-					t.Fatalf("base: %v", err)
-				}
-				if base.Status != Optimal {
-					t.Fatalf("base status %v", base.Status)
-				}
-				tc.edit(mdl, base)
-				warm, err := mdl.Solve(&SolveOptions{Basis: base.Basis, DualPricing: pricing})
-				if err != nil {
-					t.Fatalf("warm: %v", err)
-				}
-				cold, err := tcRebuildWithEdit(tc).Solve(&SolveOptions{Method: MethodPrimal})
-				if err != nil {
-					t.Fatalf("cold: %v", err)
-				}
-				if warm.Status != cold.Status {
-					t.Fatalf("warm status %v, cold %v", warm.Status, cold.Status)
-				}
-				if tc.wantDual && !warm.Stats.DualUsed {
-					t.Fatalf("dual phase did not run (attempted=%v, iterations=%d)",
-						warm.Stats.DualAttempted, warm.Stats.Iterations)
-				}
-				if warm.Status != Optimal {
-					return
-				}
-				tol := 1e-6 * (1 + math.Abs(cold.Objective))
-				if math.Abs(warm.Objective-cold.Objective) > tol {
-					t.Fatalf("warm objective %.12g, cold %.12g", warm.Objective, cold.Objective)
-				}
-			})
-		}
+		t.Run(tc.name+"/devex", func(t *testing.T) {
+			mdl := tc.build()
+			base, err := mdl.Solve(nil)
+			if err != nil {
+				t.Fatalf("base: %v", err)
+			}
+			if base.Status != Optimal {
+				t.Fatalf("base status %v", base.Status)
+			}
+			tc.edit(mdl, base)
+			warm, err := mdl.Solve(&SolveOptions{Basis: base.Basis})
+			if err != nil {
+				t.Fatalf("warm: %v", err)
+			}
+			cold, err := tcRebuildWithEdit(tc).solve(nil, nil, methodPrimal)
+			if err != nil {
+				t.Fatalf("cold: %v", err)
+			}
+			if warm.Status != cold.Status {
+				t.Fatalf("warm status %v, cold %v", warm.Status, cold.Status)
+			}
+			if tc.wantDual && !warm.Stats.DualUsed {
+				t.Fatalf("dual phase did not run (attempted=%v, iterations=%d)",
+					warm.Stats.DualAttempted, warm.Stats.Iterations)
+			}
+			if warm.Status != Optimal {
+				return
+			}
+			tol := 1e-6 * (1 + math.Abs(cold.Objective))
+			if math.Abs(warm.Objective-cold.Objective) > tol {
+				t.Fatalf("warm objective %.12g, cold %.12g", warm.Objective, cold.Objective)
+			}
+		})
 	}
 }
 
@@ -256,7 +255,7 @@ func TestDualStallRouting(t *testing.T) {
 		t.Fatalf("base: status=%v err=%v", base.Status, err)
 	}
 	tc.edit(mdl, base)
-	cold, err := tcRebuildWithEdit(tc).Solve(&SolveOptions{Method: MethodPrimal})
+	cold, err := tcRebuildWithEdit(tc).solve(nil, nil, methodPrimal)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -309,7 +308,7 @@ func tcRebuildWithEdit(tc dualCase) *Model {
 	return m
 }
 
-// TestDualForcedRandom hammers MethodDual from cold starts on random
+// TestDualForcedRandom hammers the forced dual phase from cold starts on random
 // models: whatever path the engine takes (dual, flip-repair, or phase
 // switch), the verdict must match the dense oracle.
 func TestDualForcedRandom(t *testing.T) {
@@ -321,11 +320,7 @@ func TestDualForcedRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		pricing := DualDevex
-		if trial%2 == 1 {
-			pricing = DualDantzig
-		}
-		sol, err := mdl.Solve(&SolveOptions{Method: MethodDual, DualPricing: pricing})
+		sol, err := mdl.solve(nil, nil, methodDual)
 		if err != nil {
 			t.Fatalf("trial %d: dual: %v", trial, err)
 		}

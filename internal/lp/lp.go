@@ -113,18 +113,6 @@ func (p *Problem) AddVariable() int {
 	return p.nvars - 1
 }
 
-// AddVariables adds n non-negative variables and returns the first index.
-func (p *Problem) AddVariables(n int) int {
-	first := p.nvars
-	for i := 0; i < n; i++ {
-		p.AddVariable()
-	}
-	return first
-}
-
-// NumVariables reports the number of variables added so far.
-func (p *Problem) NumVariables() int { return p.nvars }
-
 // SetObjective sets the objective coefficient of variable v.
 func (p *Problem) SetObjective(v int, coeff float64) {
 	p.obj[v] = coeff
@@ -140,9 +128,6 @@ func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) {
 	}
 	p.rows = append(p.rows, row{terms: append([]Term(nil), terms...), rel: rel, rhs: rhs})
 }
-
-// NumConstraints reports the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
 
 // Solution is the result of a solve — the dense Problem.Solve fills the
 // first three fields; the sparse Model.Solve additionally reports duals,

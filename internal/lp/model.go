@@ -83,9 +83,6 @@ func (m *Model) SetObjective(v int, c float64) { m.obj[v] = c }
 // affect the optimizer's choices, only the reported Objective.
 func (m *Model) SetObjectiveOffset(c float64) { m.objOffset = c }
 
-// ObjectiveOffset returns the constant objective term.
-func (m *Model) ObjectiveOffset() float64 { return m.objOffset }
-
 // SetVarBounds replaces the bounds of variable v.
 func (m *Model) SetVarBounds(v int, lo, up float64) {
 	m.vlo[v] = lo
@@ -129,32 +126,16 @@ func (m *Model) SetRowBounds(r int, rlo, rup float64) {
 	}
 }
 
-// SolveOptions tunes a Model solve.
+// SolveOptions is what a caller can hand a Model solve: where to start and
+// where to report.
 type SolveOptions struct {
 	// Basis warm-starts the solve from a previously returned Basis. A basis
 	// whose shape no longer matches the model (or that has become singular)
 	// is ignored and the solve starts cold; Solution.Stats reports which
-	// happened.
+	// happened. An accepted basis that bound/RHS edits have made primal
+	// infeasible while leaving it dual feasible is repaired by the dual
+	// simplex; everything else runs the primal two-phase path.
 	Basis *Basis
-	// Method selects the simplex algorithm. The default, MethodAuto, runs
-	// the dual simplex exactly when it dominates: an accepted warm basis
-	// that bound/RHS edits have made primal infeasible while leaving it
-	// dual feasible. MethodDual forces a dual attempt (with an automatic
-	// switch to the primal phases when dual feasibility is unreachable);
-	// MethodPrimal forces the primal two-phase path.
-	Method Method
-	// DualPricing selects the dual simplex leaving-row rule (Devex by
-	// default, Dantzig as the simple alternative). Both share the Bland
-	// anti-cycling fallback.
-	DualPricing DualPricing
-	// Presolve runs the reduction pass (singleton rows/columns, fixed and
-	// empty removal, bound tightening) before the simplex and maps the
-	// solution — including row duals — back through postsolve. It is
-	// skipped when a warm Basis is supplied: a basis indexes the unreduced
-	// model. A postsolve whose recovered solution fails the KKT check
-	// triggers a transparent re-solve without presolve, so enabling it
-	// never changes results beyond round-off.
-	Presolve bool
 	// Ctx, when it carries an obs.Tracer, records one lp.solve span per
 	// call with the phase breakdown (iterations, warm/dual verdicts) as
 	// attributes. Purely observational: it never affects the solve and is
@@ -173,8 +154,6 @@ type SolveStats struct {
 	DualAttempted    bool // the dual simplex phase was entered
 	DualUsed         bool // ... and it ran to a verdict (no budget bailout)
 	DenseFallback    bool // the sparse engine failed and the dense oracle answered
-	PresolveRows     int  // rows removed by presolve
-	PresolveCols     int  // columns removed by presolve
 }
 
 // build materializes the engine form (CSC structural matrix, bound arrays,
@@ -274,29 +253,17 @@ func (m *Model) mergeDuplicates(p *spxProb) {
 // numerical failure (which is counted in the global stats and the returned
 // Stats — it should never happen on the formulations in this repository).
 func (m *Model) Solve(opts *SolveOptions) (*Solution, error) {
-	var warm *Basis
-	var sopts spxOpts
-	var span *obs.Span
-	if opts != nil && opts.Ctx != nil {
-		_, span = obs.StartSpan(opts.Ctx, "lp.solve")
+	if opts == nil {
+		return m.solve(nil, nil, methodAuto)
 	}
-	if opts != nil {
-		warm = opts.Basis
-		sopts = spxOpts{method: opts.Method, pricing: opts.DualPricing}
-		if opts.Presolve && warm == nil {
-			sol, err := m.solvePresolved(sopts)
-			if span != nil {
-				span.Attr("presolve", true)
-				if sol != nil {
-					span.Attr("status", sol.Status.String()).
-						Attr("iterations", sol.Stats.Iterations).
-						Attr("rows_removed", sol.Stats.PresolveRows).
-						Attr("cols_removed", sol.Stats.PresolveCols)
-				}
-				span.End()
-			}
-			return sol, err
-		}
+	return m.solve(opts.Basis, opts.Ctx, methodAuto)
+}
+
+// solve is Solve with the simplex method chosen by the caller (see method).
+func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution, error) {
+	var span *obs.Span
+	if ctx != nil {
+		_, span = obs.StartSpan(ctx, "lp.solve")
 	}
 	defer span.End()
 	// A variable with crossed bounds makes the model trivially infeasible;
@@ -312,7 +279,7 @@ func (m *Model) Solve(opts *SolveOptions) (*Solution, error) {
 		}
 	}
 	p := m.build()
-	res, stats, err := spxSolve(p, warm, sopts)
+	res, stats, err := spxSolve(p, warm, meth)
 	recordGlobalStats(stats)
 	if span != nil {
 		span.Attr("iterations", stats.Iterations).

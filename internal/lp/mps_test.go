@@ -97,8 +97,8 @@ func TestMPSReadErrors(t *testing.T) {
 }
 
 // TestMPSCorpus solves every checked-in stress instance to its known
-// optimum under the full engine matrix: cold primal, forced dual, presolve,
-// and the dense oracle — plus a Write→Read round trip of each instance.
+// optimum under the full engine matrix: auto-routed, forced primal, forced
+// dual and the dense oracle — plus a Write→Read round trip of each instance.
 func TestMPSCorpus(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "mps")
 	raw, err := os.ReadFile(filepath.Join(dir, "golden.json"))
@@ -133,21 +133,13 @@ func TestMPSCorpus(t *testing.T) {
 					t.Fatalf("%s: objective %.12g, want %.12g", label, obj, want)
 				}
 			}
-			sol, err := m.Solve(nil)
-			if err != nil {
-				t.Fatal(err)
+			for _, v := range engineMatrix {
+				sol, err := m.solve(nil, nil, v.meth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(v.name, sol.Objective, sol.Status)
 			}
-			check("primal", sol.Objective, sol.Status)
-			dsol, err := m.Solve(&SolveOptions{Method: MethodDual})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("dual", dsol.Objective, dsol.Status)
-			psol, err := m.Solve(&SolveOptions{Presolve: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check("presolve", psol.Objective, psol.Status)
 			osol, err := m.SolveDense()
 			if err != nil {
 				t.Fatal(err)

@@ -6,12 +6,23 @@ import (
 	"testing"
 )
 
+// engineMatrix is every way into the sparse engine: the route callers get,
+// and the two forced ones only this package can ask for.
+var engineMatrix = []struct {
+	name string
+	meth method
+}{
+	{"auto", methodAuto},
+	{"primal", methodPrimal},
+	{"dual", methodDual},
+}
+
 // TestCrossEngineParityRandom is the randomized cross-engine parity matrix:
-// for seeded random models, primal-sparse, dual-sparse, dense, and
-// presolve-on solves must agree on status and objective, every optimal
-// point must be feasible, and every engine's duals must satisfy the
-// original model's KKT conditions (duals themselves may differ between
-// engines at degenerate optima, so KKT membership is the meaningful
+// for seeded random models the sparse engine — auto-routed, forced primal,
+// forced dual — and the dense oracle must agree on status and objective,
+// every optimal point must be feasible, and every engine's duals must
+// satisfy the original model's KKT conditions (duals themselves may differ
+// between engines at degenerate optima, so KKT membership is the meaningful
 // equality).
 func TestCrossEngineParityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -23,19 +34,8 @@ func TestCrossEngineParityRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		type variant struct {
-			name string
-			opts *SolveOptions
-		}
-		variants := []variant{
-			{"primal", &SolveOptions{Method: MethodPrimal}},
-			{"dual-devex", &SolveOptions{Method: MethodDual}},
-			{"dual-dantzig", &SolveOptions{Method: MethodDual, DualPricing: DualDantzig}},
-			{"presolve", &SolveOptions{Presolve: true}},
-			{"presolve-dual", &SolveOptions{Presolve: true, Method: MethodDual}},
-		}
-		for _, v := range variants {
-			sol, err := mdl.Solve(v.opts)
+		for _, v := range engineMatrix {
+			sol, err := mdl.solve(nil, nil, v.meth)
 			if err != nil {
 				t.Fatalf("trial %d: %s: %v", trial, v.name, err)
 			}
@@ -67,79 +67,9 @@ func TestCrossEngineParityRandom(t *testing.T) {
 	}
 }
 
-// TestPresolveMatchesPlain pins the presolve-on ≡ presolve-off contract on
-// the deterministic pathological matrix (which includes infeasible,
-// unbounded, degenerate, and ranged-row cases) — status, objective, and
-// KKT-valid duals after postsolve.
-func TestPresolveMatchesPlain(t *testing.T) {
-	for _, tc := range matrixCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			plain, err := tc.build().Solve(nil)
-			if err != nil {
-				t.Fatalf("plain: %v", err)
-			}
-			mdl := tc.build()
-			ps, err := mdl.Solve(&SolveOptions{Presolve: true})
-			if err != nil {
-				t.Fatalf("presolve: %v", err)
-			}
-			if ps.Status != plain.Status {
-				t.Fatalf("presolve status %v, plain %v", ps.Status, plain.Status)
-			}
-			if ps.Status != Optimal {
-				return
-			}
-			tol := 1e-6 * (1 + math.Abs(plain.Objective))
-			if math.Abs(ps.Objective-plain.Objective) > tol {
-				t.Fatalf("presolve objective %.12g, plain %.12g", ps.Objective, plain.Objective)
-			}
-			if !mdl.kktValid(ps.X, ps.Duals) {
-				t.Fatalf("presolved solution fails KKT validation")
-			}
-			if ps.Basis != nil {
-				t.Fatalf("presolved solve returned a basis (indexes the reduced model)")
-			}
-		})
-	}
-}
-
-// TestPresolveReduces asserts the pass actually removes structure on a
-// model built to contain every reduction: fixed variables, singleton and
-// empty and redundant rows, empty columns, and a free column singleton.
-func TestPresolveReduces(t *testing.T) {
-	m := NewModel(Minimize)
-	x := m.AddVar(0, 10, 1)
-	f := m.AddVar(3, 3, 2)                // fixed
-	e := m.AddVar(0, 5, 4)                // empty column: no rows
-	free := m.AddVar(-Inf, Inf, 1)        // free column singleton
-	m.AddGE([]Term{{x, 1}}, 2)            // singleton row → bound
-	m.AddLE([]Term{{x, 1}, {f, 1}}, 100)  // redundant: max activity 13
-	m.AddRow(nil, -1, 1)                  // empty row, satisfiable
-	m.AddEQ([]Term{{free, 2}, {x, 1}}, 8) // free col singleton row
-	sol, err := m.Solve(&SolveOptions{Presolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status %v", sol.Status)
-	}
-	if sol.Stats.PresolveRows == 0 || sol.Stats.PresolveCols == 0 {
-		t.Fatalf("presolve removed nothing: rows=%d cols=%d",
-			sol.Stats.PresolveRows, sol.Stats.PresolveCols)
-	}
-	// min x + 2f + 4e + free: x=2 (singleton bound), f=3, e=0,
-	// free=(8−x)/2=3 → 2 + 6 + 0 + 3 = 11.
-	if math.Abs(sol.Objective-11) > 1e-9 {
-		t.Fatalf("objective %.12g, want 11", sol.Objective)
-	}
-	if math.Abs(sol.X[free]-3) > 1e-9 || math.Abs(sol.X[f]-3) > 1e-9 || sol.X[e] != 0 {
-		t.Fatalf("postsolved X = %v", sol.X)
-	}
-}
-
 // TestDualAutoAfterBoundEdit is the dual-restart smoke test: a warm basis
 // made primal infeasible by a bound edit must be repaired by the dual
-// simplex under MethodAuto, matching the cold optimum.
+// simplex on the auto route, matching the cold optimum.
 func TestDualAutoAfterBoundEdit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	activations := 0
@@ -183,7 +113,7 @@ func TestDualAutoAfterBoundEdit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: warm: %v", trial, err)
 		}
-		cold, err := mdl.Solve(&SolveOptions{Method: MethodPrimal})
+		cold, err := mdl.solve(nil, nil, methodPrimal)
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
@@ -206,4 +136,111 @@ func TestDualAutoAfterBoundEdit(t *testing.T) {
 		t.Fatalf("dual simplex never activated across 200 bound-edit trials")
 	}
 	t.Logf("dual simplex repaired %d/200 bound-edited warm starts", activations)
+}
+
+// kktTol is the KKT validation tolerance (scaled by the data).
+const kktTol = 1e-6
+
+// kktValid checks a primal/dual pair (x, y) against the model's
+// optimality conditions: primal feasibility, stationarity with
+// bound-respecting reduced-cost signs, and complementary slackness on
+// inactive rows. Tolerances scale with the data so large-coefficient models
+// are not spuriously rejected.
+func (m *Model) kktValid(x, duals []float64) bool {
+	n := len(m.obj)
+	// Primal: variable bounds.
+	for j := 0; j < n; j++ {
+		scale := 1 + math.Abs(x[j])
+		if m.vlo[j] > -spxInf && x[j] < m.vlo[j]-kktTol*scale {
+			return false
+		}
+		if m.vup[j] < spxInf && x[j] > m.vup[j]+kktTol*scale {
+			return false
+		}
+	}
+	// Primal: row activities; dual sign + slackness per row.
+	sgn := 1.0
+	if m.sense == Maximize {
+		sgn = -1
+	}
+	for i, r := range m.rows {
+		act := 0.0
+		maxTerm := 0.0
+		for _, t := range r.terms {
+			act += t.Coeff * x[t.Var]
+			if a := math.Abs(t.Coeff * x[t.Var]); a > maxTerm {
+				maxTerm = a
+			}
+		}
+		scale := 1 + maxTerm
+		if r.lo > -spxInf && act < r.lo-kktTol*scale {
+			return false
+		}
+		if r.up < spxInf && act > r.up+kktTol*scale {
+			return false
+		}
+		loActive := r.lo > -spxInf && act <= r.lo+kktTol*scale
+		upActive := r.up < spxInf && act >= r.up-kktTol*scale
+		y := sgn * duals[i] // internal minimization convention
+		switch {
+		case !loActive && !upActive:
+			if math.Abs(y) > kktTol*scale {
+				return false
+			}
+		case loActive && !upActive:
+			if y < -kktTol*scale {
+				return false
+			}
+		case upActive && !loActive:
+			if y > kktTol*scale {
+				return false
+			}
+		}
+	}
+	// Stationarity: reduced costs respect the active bounds.
+	d := make([]float64, n)
+	maxC := 1.0
+	for j := 0; j < n; j++ {
+		c := m.obj[j]
+		if m.sense == Maximize {
+			c = -c
+		}
+		d[j] = c
+		if a := math.Abs(c); a > maxC {
+			maxC = a
+		}
+	}
+	for i, r := range m.rows {
+		y := sgn * duals[i]
+		if y == 0 {
+			continue
+		}
+		for _, t := range r.terms {
+			d[t.Var] -= t.Coeff * y
+			if a := math.Abs(t.Coeff * y); a > maxC {
+				maxC = a
+			}
+		}
+	}
+	tol := kktTol * maxC
+	for j := 0; j < n; j++ {
+		atLo := m.vlo[j] > -spxInf && x[j] <= m.vlo[j]+kktTol*(1+math.Abs(x[j]))
+		atUp := m.vup[j] < spxInf && x[j] >= m.vup[j]-kktTol*(1+math.Abs(x[j]))
+		switch {
+		case atLo && atUp: // fixed: unconstrained
+		case atLo:
+			if d[j] < -tol {
+				return false
+			}
+		case atUp:
+			if d[j] > tol {
+				return false
+			}
+		default:
+			if math.Abs(d[j]) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

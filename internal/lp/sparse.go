@@ -40,14 +40,14 @@ type Basis struct {
 	Status  []int8 // len NumVars+NumRows
 
 	// DualStall is the auto router's memory of the dual phase giving up
-	// on this warm chain: set when a MethodAuto dual attempt hits the
+	// on this warm chain: set when an auto-routed dual attempt hits the
 	// degenerate-plateau bail-out, and cleared by an attempt that runs
 	// to completion. While set, the router stops attempting the dual
 	// phase for this chain — on models where warm restarts plateau
 	// (many zero-reduced-cost nonbasics at scale), every attempt pays
 	// the full bail budget before the primal phases finish the solve
 	// anyway, and chains where the dual phase wins never bail at all.
-	// Explicit MethodDual ignores it. Zero value = keep trying.
+	// A forced dual phase (methodDual) ignores it. Zero value = keep trying.
 	DualStall uint8
 }
 
@@ -170,18 +170,12 @@ func (s *spx) dotColumn(j int32, y []float64) float64 {
 	return -y[int(j)-s.n]
 }
 
-// spxOpts selects the algorithm and its pricing for one engine run.
-type spxOpts struct {
-	method  Method
-	pricing DualPricing
-}
-
 // spxSolve runs the bounded-variable revised simplex: a dual phase when
-// the method (or MethodAuto's warm-edit detection) calls for it, then the
+// the method (or methodAuto's warm-edit detection) calls for it, then the
 // primal two-phase loop, which doubles as the dual phase's cleanup and
 // verification pass (it terminates immediately on an already-optimal
 // basis).
-func spxSolve(p *spxProb, warm *Basis, opts spxOpts) (*spxResult, SolveStats, error) {
+func spxSolve(p *spxProb, warm *Basis, meth method) (*spxResult, SolveStats, error) {
 	m, n := p.a.m, p.a.n
 	s := &spx{
 		p: p, m: m, n: n, ncol: n + m,
@@ -210,13 +204,13 @@ func spxSolve(p *spxProb, warm *Basis, opts spxOpts) (*spxResult, SolveStats, er
 
 	useDual := false
 	if m > 0 {
-		switch opts.method {
-		case MethodDual:
+		switch meth {
+		case methodDual:
 			// Explicit request: flip nonbasic bounded columns onto their
 			// sign-correct bounds first; switch to the primal phases when
 			// that cannot reach dual feasibility.
 			useDual = s.flipToDualFeasible()
-		case MethodAuto:
+		case methodAuto:
 			// The bound/RHS-edit signature: an accepted warm basis whose
 			// basic values violate the edited bounds but whose reduced
 			// costs still price optimal — unless this chain's dual
@@ -227,7 +221,7 @@ func spxSolve(p *spxProb, warm *Basis, opts spxOpts) (*spxResult, SolveStats, er
 	}
 	if useDual {
 		s.stats.DualAttempted = true
-		if _, ok := s.dualIterate(opts.pricing); ok {
+		if _, ok := s.dualIterate(); ok {
 			s.stats.DualUsed = true
 			// An Infeasible verdict (dual unbounded) is NOT returned
 			// directly: the primal phase-1 pass below re-derives it from

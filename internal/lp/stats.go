@@ -17,9 +17,6 @@ type StatsSnapshot struct {
 	WarmHits         uint64 // ... that accepted it
 	DualAttempts     uint64 // solves that entered the dual simplex phase
 	DualHits         uint64 // ... where it ran to a verdict
-	PresolveSolves   uint64 // solves routed through presolve
-	PresolveRows     uint64 // rows removed by presolve, summed over solves
-	PresolveCols     uint64 // columns removed by presolve, summed over solves
 	DenseFallbacks   uint64 // sparse failures answered by the dense oracle
 }
 
@@ -62,12 +59,6 @@ var (
 		"Solves that entered the dual simplex phase.")
 	mDualHits = obs.Default.NewCounter("coyote_lp_dual_hits_total",
 		"Dual simplex attempts that ran to a verdict.")
-	mPresolveSolves = obs.Default.NewCounter("coyote_lp_presolve_solves_total",
-		"Solves routed through the presolve/postsolve pass.")
-	mPresolveRows = obs.Default.NewCounter("coyote_lp_presolve_rows_removed_total",
-		"Rows removed by presolve, summed over solves.")
-	mPresolveCols = obs.Default.NewCounter("coyote_lp_presolve_cols_removed_total",
-		"Columns removed by presolve, summed over solves.")
 	mDenseFallbacks = obs.Default.NewCounter("coyote_lp_dense_fallbacks_total",
 		"Sparse-engine failures answered by the dense oracle.")
 )
@@ -95,10 +86,6 @@ func recordGlobalStats(s SolveStats) {
 	if s.DualUsed {
 		mDualHits.Inc()
 	}
-	if s.PresolveRows > 0 || s.PresolveCols > 0 {
-		mPresolveRows.Add(uint64(s.PresolveRows))
-		mPresolveCols.Add(uint64(s.PresolveCols))
-	}
 }
 
 // GlobalStats returns a snapshot of the process-wide solver counters.
@@ -113,9 +100,6 @@ func GlobalStats() StatsSnapshot {
 		WarmHits:         mWarmHits.Value(),
 		DualAttempts:     mDualAttempts.Value(),
 		DualHits:         mDualHits.Value(),
-		PresolveSolves:   mPresolveSolves.Value(),
-		PresolveRows:     mPresolveRows.Value(),
-		PresolveCols:     mPresolveCols.Value(),
 		DenseFallbacks:   mDenseFallbacks.Value(),
 	}
 }
@@ -126,8 +110,7 @@ func GlobalStats() StatsSnapshot {
 func ResetGlobalStats() {
 	for _, c := range []*obs.Counter{
 		mSolves, mIterations, mPhase1, mDualIterations, mRefactorizations,
-		mWarmAttempts, mWarmHits, mDualAttempts, mDualHits,
-		mPresolveSolves, mPresolveRows, mPresolveCols, mDenseFallbacks,
+		mWarmAttempts, mWarmHits, mDualAttempts, mDualHits, mDenseFallbacks,
 	} {
 		c.Reset()
 	}

@@ -19,7 +19,6 @@ package mcf
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -60,7 +59,7 @@ func MinMLUExact(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, [
 // is the optimal one of this solve; carrying it across the online
 // controller's repeated normalizations (demand matrices drifting inside a
 // box) typically skips phase 1 entirely, and a bound/RHS-only drift is
-// repaired by the dual simplex (lp.MethodAuto). A basis that no longer
+// repaired by the dual simplex. A basis that no longer
 // fits is ignored. The optimum itself never depends on the warm basis;
 // only the pivot path does.
 func MinMLUExactBasis(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *lp.Basis) (float64, [][]float64, *lp.Basis, error) {
@@ -209,10 +208,4 @@ func (mm *MinMLUModel) Solve(opts *lp.SolveOptions) (float64, [][]float64, *lp.B
 		}
 	}
 	return sol.Objective, flows, sol.Basis, nil
-}
-
-// DumpMPS writes the instance in canonical MPS form, so any min-MLU LP can
-// be handed to an external solver or added to the stress corpus.
-func (mm *MinMLUModel) DumpMPS(w io.Writer) error {
-	return lp.WriteMPS(w, mm.Model)
 }

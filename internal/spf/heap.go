@@ -45,20 +45,6 @@ func (h *Heap) Reset() {
 	h.nodes = h.nodes[:0]
 }
 
-// Grow re-sizes the heap's node universe to n (for graphs that changed node
-// count); the heap must be empty.
-func (h *Heap) Grow(n int) {
-	if n <= len(h.pos) {
-		return
-	}
-	old := len(h.pos)
-	h.pos = append(h.pos, make([]int32, n-old)...)
-	h.key = append(h.key, make([]float64, n-old)...)
-	for i := old; i < n; i++ {
-		h.pos[i] = -1
-	}
-}
-
 // DecreaseTo inserts v with key k, or lowers its key to k if it is already
 // queued with a larger one. It reports whether the heap changed.
 func (h *Heap) DecreaseTo(v graph.NodeID, k float64) bool {

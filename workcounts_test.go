@@ -1,0 +1,52 @@
+// ROADMAP's "a regression in any counter fails CI": one cold Compute at
+// explicit effort must do an exact, known amount of LP work. The counts are
+// deterministic for a fixed seed and independent of the worker count, so an
+// extra Model.Solve, a lost warm start or a changed pivot rule anywhere
+// beneath Compute turns this red without waiting for a benchmark run.
+package coyote_test
+
+import (
+	"testing"
+
+	coyote "github.com/coyote-te/coyote"
+	"github.com/coyote-te/coyote/internal/lp"
+)
+
+func TestComputeWorkCounts(t *testing.T) {
+	// These move only when the algorithm does; a change that means to move
+	// them re-reads them from this test's failure output.
+	want := lp.StatsSnapshot{
+		Solves:           107,
+		Iterations:       9039,
+		Phase1Iterations: 426,
+		DualIterations:   8602,
+		Refactorizations: 201,
+		WarmAttempts:     106,
+		WarmHits:         106,
+		DualAttempts:     105,
+		DualHits:         102,
+		DenseFallbacks:   0,
+	}
+
+	tp, err := coyote.LoadTopology("NSF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := coyote.MarginBounds(coyote.GravityDemands(tp, 1), 2)
+	for _, workers := range []int{1, 4} {
+		lp.ResetGlobalStats()
+		_, err := coyote.New(tp, bounds, coyote.Options{
+			OptimizerIters:   60,
+			AdversarialIters: 3,
+			Samples:          4,
+			Seed:             5,
+			Workers:          workers,
+		}).Compute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lp.GlobalStats(); got != want {
+			t.Errorf("workers=%d: LP work of one Compute\n got %+v\nwant %+v", workers, got, want)
+		}
+	}
+}
