@@ -13,17 +13,26 @@ package dagx
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/spf"
 )
 
-// DAG is a per-destination forwarding DAG over a graph's directed edges.
+// DAG is a per-destination forwarding DAG over a graph's directed edges. It
+// is immutable once constructed (Member in particular is never written
+// again), and must not be copied: share the pointer.
 type DAG struct {
 	Dst    graph.NodeID
 	Member []bool         // Member[e] reports whether directed edge e belongs to the DAG
 	Order  []graph.NodeID // topological order: every DAG edge goes from an earlier to a later node; Dst is last
 	Dist   []float64      // the SPF distance field used to build the DAG (for diagnostics/stretch)
+
+	// Member out-edges in CSR form, built by the first OutEdges call: node
+	// u's are outIdx[outPtr[u]:outPtr[u+1]], in g.Out(u) order.
+	outOnce sync.Once
+	outPtr  []int32
+	outIdx  []graph.EdgeID
 }
 
 // Edges returns the IDs of the DAG's member edges.
@@ -37,15 +46,26 @@ func (d *DAG) Edges() []graph.EdgeID {
 	return out
 }
 
-// OutEdges returns u's DAG out-edges.
+// OutEdges returns u's DAG out-edges, in g.Out(u) order. g must be the
+// graph the DAG was built over (or a clone with the same edges). The result
+// is a view of storage shared by every caller: read it, do not write it
+// (appending is safe — it copies).
 func (d *DAG) OutEdges(g *graph.Graph, u graph.NodeID) []graph.EdgeID {
-	var out []graph.EdgeID
-	for _, id := range g.Out(u) {
-		if d.Member[id] {
-			out = append(out, id)
+	d.outOnce.Do(func() {
+		n := g.NumNodes()
+		d.outPtr = make([]int32, n+1)
+		d.outIdx = make([]graph.EdgeID, 0, d.NumEdges())
+		for v := 0; v < n; v++ {
+			for _, id := range g.Out(graph.NodeID(v)) {
+				if d.Member[id] {
+					d.outIdx = append(d.outIdx, id)
+				}
+			}
+			d.outPtr[v+1] = int32(len(d.outIdx))
 		}
-	}
-	return out
+	})
+	lo, hi := d.outPtr[u], d.outPtr[u+1]
+	return d.outIdx[lo:hi:hi]
 }
 
 // InEdges returns v's DAG in-edges.

@@ -100,9 +100,13 @@ type Optimizer struct {
 	step       int
 
 	// outsOf[t][u] caches DAG out-edge lists as CSR-style views into one
-	// shared arena (no per-(t,u) slice headers on the heap).
-	outsOf    [][][]graph.EdgeID
-	outsArena []graph.EdgeID
+	// shared arena (no per-(t,u) slice headers on the heap); headsOf[t][u][k]
+	// is the head node of edge outsOf[t][u][k], in a parallel arena, so the
+	// propagation loops never copy a graph.Edge.
+	outsOf     [][][]graph.EdgeID
+	outsArena  []graph.EdgeID
+	headsOf    [][][]graph.NodeID
+	headsArena []graph.NodeID
 
 	// scratch holds every buffer Run and materialize need, sized once per
 	// topology (and grown only when the scenario set does), so steady-state
@@ -128,7 +132,7 @@ type runScratch struct {
 
 	logits, probs [][]float64 // per-destination softmax scratch, n × maxOutDeg
 
-	destInflow, destGIn [][]float64 // per-destination backward buffers, n × n
+	destGIn [][]float64 // per-destination backward buffers, n × n
 
 	tasks      []task
 	byDest     [][]int     // byDest[t] = indices into tasks, scenario order
@@ -140,6 +144,7 @@ type runScratch struct {
 	utils      []float64   // len(scenarios)·nE; utilization of edge e in scenario si at index si·nE+e
 	scaled     []float64   // utils/τ, softmax input
 	w          []float64   // smooth-max weights, softmax output
+	wNorm      []float64   // w/(capacity·Norm): the upstream load gradient of edge e in scenario si at si·nE+e
 
 	// The par.For leaf closures are built once in New and reused every
 	// iteration (a closure passed to For escapes to its worker goroutines,
@@ -180,21 +185,26 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 	}
 	o.outsArena = make([]graph.EdgeID, 0, total)
 	o.outsOf = make([][][]graph.EdgeID, n)
+	o.headsArena = make([]graph.NodeID, 0, total)
+	o.headsOf = make([][][]graph.NodeID, n)
 	maxDeg := 0
 	for t := 0; t < n; t++ {
 		o.outsOf[t] = make([][]graph.EdgeID, n)
+		o.headsOf[t] = make([][]graph.NodeID, n)
 		spMember := spMembership(g, dags[t])
 		for u := 0; u < n; u++ {
 			start := len(o.outsArena)
 			for _, id := range g.Out(graph.NodeID(u)) {
 				if dags[t].Member[id] {
 					o.outsArena = append(o.outsArena, id)
+					o.headsArena = append(o.headsArena, g.Edge(id).To)
 					if spMember[id] {
 						o.theta[t][id] = initSPLog
 					}
 				}
 			}
 			o.outsOf[t][u] = o.outsArena[start:len(o.outsArena):len(o.outsArena)]
+			o.headsOf[t][u] = o.headsArena[start:len(o.headsArena):len(o.headsArena)]
 			if d := len(o.outsOf[t][u]); d > maxDeg {
 				maxDeg = d
 			}
@@ -210,9 +220,7 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 	softmaxArena := make([]float64, 2*n*maxDeg)
 	sc.logits = sliceRows(softmaxArena[0:n*maxDeg], n, maxDeg)
 	sc.probs = sliceRows(softmaxArena[n*maxDeg:], n, maxDeg)
-	backArena := make([]float64, 2*n*n)
-	sc.destInflow = sliceRows(backArena[0:n*n], n, n)
-	sc.destGIn = sliceRows(backArena[n*n:], n, n)
+	sc.destGIn = sliceRows(make([]float64, n*n), n, n)
 	sc.byDest = make([][]int, n)
 
 	sc.fnMaterialize = func(t int) {
@@ -233,11 +241,9 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 		if len(sc.byDest[t]) == 0 {
 			return
 		}
-		inflow, gIn := sc.destInflow[t], sc.destGIn[t]
 		for _, ti := range sc.byDest[t] {
 			si := sc.tasks[ti].si
-			s := sc.scenarios[si]
-			o.backward(t, s.Cols[t], sc.phi[t], inflow, gIn, sc.w[si*nE:(si+1)*nE], s.Norm, sc.grad[t])
+			o.backward(t, sc.phi[t], sc.taskInflow[ti], sc.destGIn[t], sc.wNorm[si*nE:(si+1)*nE], sc.grad[t])
 		}
 	}
 	sc.fnAdam = func(t int) {
@@ -454,11 +460,13 @@ func (o *Optimizer) prepare(scenarios []Scenario) bool {
 			sc.utils = make([]float64, need)
 			sc.scaled = make([]float64, need)
 			sc.w = make([]float64, need)
+			sc.wNorm = make([]float64, need)
 		}
 		sc.scLoads = sliceRows(sc.scArena[:nS*nE], nS, nE)
 		sc.utils = sc.utils[:cap(sc.utils)][:nS*nE]
 		sc.scaled = sc.scaled[:cap(sc.scaled)][:nS*nE]
 		sc.w = sc.w[:cap(sc.w)][:nS*nE]
+		sc.wNorm = sc.wNorm[:cap(sc.wNorm)][:nS*nE]
 	}
 	return true
 }
@@ -507,6 +515,14 @@ func (o *Optimizer) stepOnce(scenarios []Scenario, tau float64, span *obs.Span, 
 		sc.scaled[i] = x / tau
 	}
 	geom.Softmax(sc.scaled, sc.w)
+	// The backward pass's upstream load gradient, once per (scenario, edge)
+	// instead of once per (destination, edge).
+	for si, s := range scenarios {
+		base := si * nE
+		for e := 0; e < nE; e++ {
+			sc.wNorm[base+e] = sc.w[base+e] / (o.g.Edge(graph.EdgeID(e)).Capacity * s.Norm)
+		}
+	}
 
 	if span.Active() {
 		now := time.Now()
@@ -532,7 +548,6 @@ func (o *Optimizer) stepOnce(scenarios []Scenario, tau float64, span *obs.Span, 
 // the per-edge loads into loads (fully overwritten). The caller-provided
 // inflow scratch must be zeroed on entry.
 func (o *Optimizer) forwardInto(t int, col []float64, phiT, loads, inflow []float64) {
-	g := o.g
 	d := o.dags[t]
 	for i := range loads {
 		loads[i] = 0
@@ -546,48 +561,33 @@ func (o *Optimizer) forwardInto(t int, col []float64, phiT, loads, inflow []floa
 		if int(u) == t || inflow[u] == 0 {
 			continue
 		}
-		for _, id := range o.outsOf[t][u] {
+		heads := o.headsOf[t][u]
+		for k, id := range o.outsOf[t][u] {
 			f := inflow[u] * phiT[id]
 			loads[id] = f
-			inflow[g.Edge(id).To] += f
+			inflow[heads[k]] += f
 		}
 	}
 }
 
-// backward accumulates dLoss/dφ into gPhi given the scenario's smooth-max
-// weight row w (indexed by edge) and normalization norm: the upstream load
-// gradient of edge e is w[e]/(capacity(e)·norm). It re-runs the forward
-// recurrence to recover inflows, then walks the DAG in reverse topological
-// order. The caller-provided inflow and gIn scratch buffers are overwritten.
-func (o *Optimizer) backward(t int, col []float64, phiT, inflow, gIn, w []float64, norm float64, gPhi []float64) {
-	g := o.g
-	d := o.dags[t]
-	for i := range inflow {
-		inflow[i] = 0
+// backward accumulates dLoss/dφ into gPhi for one (scenario, destination)
+// task: inflow holds the node inflows its forward pass left behind
+// (forwardInto), wNorm the scenario's upstream load gradients by edge
+// (w[e]/(capacity(e)·Norm)). It walks the DAG in reverse topological order;
+// the caller-provided gIn scratch is overwritten.
+func (o *Optimizer) backward(t int, phiT, inflow, gIn, wNorm, gPhi []float64) {
+	for i := range gIn {
 		gIn[i] = 0
 	}
-	for v, dem := range col {
-		if v != t {
-			inflow[v] = dem
-		}
-	}
-	for _, u := range d.Order {
-		if int(u) == t || inflow[u] == 0 {
-			continue
-		}
-		for _, id := range o.outsOf[t][u] {
-			inflow[g.Edge(id).To] += inflow[u] * phiT[id]
-		}
-	}
-	order := d.Order
+	order := o.dags[t].Order
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
 		if int(u) == t || inflow[u] == 0 {
 			continue
 		}
-		for _, id := range o.outsOf[t][u] {
-			to := g.Edge(id).To
-			up := w[id]/(g.Edge(id).Capacity*norm) + gIn[to]
+		heads := o.headsOf[t][u]
+		for k, id := range o.outsOf[t][u] {
+			up := wNorm[id] + gIn[heads[k]]
 			gIn[u] += up * phiT[id]
 			gPhi[id] += up * inflow[u]
 		}

@@ -211,13 +211,12 @@ func TestPropertyGradientCheck(t *testing.T) {
 		for tt := 0; tt < n; tt++ {
 			copy(phi[tt], r.Phi[tt])
 		}
-		inflow := make([]float64, n)
 		gIn := make([]float64, n)
 		// Forward pass collecting utils.
 		var utils []float64
 		type dl struct {
-			t     int
-			loads []float64
+			t             int
+			loads, inflow []float64
 		}
 		var dls []dl
 		sc := scenarios[0]
@@ -227,11 +226,9 @@ func TestPropertyGradientCheck(t *testing.T) {
 				continue
 			}
 			loads := make([]float64, g.NumEdges())
-			for i := range inflow {
-				inflow[i] = 0
-			}
+			inflow := make([]float64, n)
 			o.forwardInto(tt, sc.Cols[tt], phi[tt], loads, inflow)
-			dls = append(dls, dl{tt, loads})
+			dls = append(dls, dl{tt, loads, inflow})
 			for e := range totalLoads {
 				totalLoads[e] += loads[e]
 			}
@@ -243,9 +240,12 @@ func TestPropertyGradientCheck(t *testing.T) {
 		for i, x := range utils {
 			scaled[i] = x / tau
 		}
-		w := geom.Softmax(scaled, nil)
+		wNorm := geom.Softmax(scaled, nil)
+		for e := range wNorm {
+			wNorm[e] /= g.Edge(graph.EdgeID(e)).Capacity * sc.Norm
+		}
 		for _, d := range dls {
-			o.backward(d.t, sc.Cols[d.t], phi[d.t], inflow, gIn, w, sc.Norm, grad[d.t])
+			o.backward(d.t, phi[d.t], d.inflow, gIn, wNorm, grad[d.t])
 		}
 
 		// Pick a few random (t, node) softmax blocks and compare with

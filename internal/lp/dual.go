@@ -202,14 +202,11 @@ func (s *spx) dualIterate() (Status, bool) {
 		maxIter = minIter
 	}
 	// Devex reference weights, one per basis position.
-	w := make([]float64, s.m)
+	w := s.devex
 	for i := range w {
 		w[i] = 1
 	}
-	rho := make([]float64, s.m)       // row of B⁻ᵀ, original-row space
-	unit := make([]float64, s.m)      // btran input scratch
-	flipDelta := make([]float64, s.m) // basic-value correction after flips
-	var cands []dualCand
+	rho, unit, flipDelta := s.rho, s.unit, s.flipDelta
 	stall := 0 // consecutive objective-flat iterations
 	flat := 0  // cumulative objective-flat iterations, never reset
 	rises := 0 // objective improvements seen (excluding the baseline)
@@ -298,7 +295,7 @@ func (s *spx) dualIterate() (Status, bool) {
 			sgn = -1
 		}
 		leaveVar := s.basic[r]
-		cands = cands[:0]
+		cands := s.cands[:0]
 		for j := int32(0); int(j) < s.ncol; j++ {
 			st := s.status[j]
 			if st == BasisBasic || s.p.lo[j] == s.p.up[j] {
@@ -328,6 +325,7 @@ func (s *spx) dualIterate() (Status, bool) {
 			}
 			cands = append(cands, dualCand{j: j, ratio: ratio, aj: aj})
 		}
+		s.cands = cands // keep the grown backing array for the next iteration
 		if len(cands) == 0 {
 			// Dual unbounded: no entering column can absorb the violation,
 			// so the primal problem is infeasible.

@@ -37,8 +37,9 @@ type luFactors struct {
 	lPivIdx []int32   // pinv[lRowIdx[p]] precomputed: btranLU's Lᵀ gather index
 }
 
-// luScratch holds the work arrays shared by factorization and solves, so a
-// simplex run allocates them once.
+// luScratch holds the work arrays shared by factorization and solves, and
+// the two luFactors buffers factorizations alternate between, so a Model
+// allocates them once per shape (DESIGN.md §7).
 type luScratch struct {
 	work  []float64 // dense accumulator, original-row space
 	pivs  []float64 // dense accumulator, pivot-index space
@@ -53,7 +54,14 @@ type luScratch struct {
 	gColPtr []int32
 	gRowIdx []int32
 	gVal    []float64
-	corder  []int32
+	corder  []int32 // len m: basis positions in factorization order
+	counts  []int32 // counting-sort buckets of the column ordering
+
+	// bufs are the live factorization and its spare: luFactorize writes into
+	// the one that is not live and makes it live only on success, so a
+	// singular basis leaves the factors it was meant to replace intact.
+	bufs [2]luFactors
+	live int
 }
 
 // bumpStamp advances the visit stamp, resetting the mark array on the
@@ -69,33 +77,43 @@ func (sc *luScratch) bumpStamp() {
 }
 
 func newLUScratch(m int) *luScratch {
-	return &luScratch{
-		work: make([]float64, m),
-		pivs: make([]float64, m),
-		mark: make([]int32, m),
+	sc := &luScratch{
+		work:   make([]float64, m),
+		pivs:   make([]float64, m),
+		mark:   make([]int32, m),
+		corder: make([]int32, m),
 	}
+	for i := range sc.bufs {
+		sc.bufs[i] = luFactors{
+			m:       m,
+			lColPtr: make([]int32, 1, m+1),
+			uColPtr: make([]int32, 1, m+1),
+			uDiag:   make([]float64, m),
+			prow:    make([]int32, m),
+			pinv:    make([]int32, m),
+			cperm:   make([]int32, m),
+			cwork:   make([]float64, m),
+		}
+	}
+	return sc
 }
 
-// basisColumn is a callback producing the sparse entries of the j-th basis
-// column: it must invoke emit(originalRow, value) for every nonzero.
-type basisColumn func(j int, emit func(row int32, v float64))
-
-// luFactorize computes P·(B·Q) = L·U for the m×m basis whose columns are
-// produced by col, with Q a fill-reducing column order (ascending nonzero
-// count; ties by basis position, so the order — and with it every numeric
-// result downstream — is deterministic). It returns false if the basis is
-// numerically singular.
-func luFactorize(m int, col basisColumn, sc *luScratch) (*luFactors, bool) {
-	f := &luFactors{
-		m:       m,
-		lColPtr: make([]int32, 1, m+1),
-		uColPtr: make([]int32, 1, m+1),
-		uDiag:   make([]float64, m),
-		prow:    make([]int32, m),
-		pinv:    make([]int32, m),
-		cperm:   make([]int32, m),
-		cwork:   make([]float64, m),
-	}
+// luFactorize computes P·(B·Q) = L·U for the m×m basis whose k-th column is
+// structural column basic[k] of a, or the logical −e_i for basic[k] = a.n+i,
+// with Q a fill-reducing column order (ascending nonzero count; ties by
+// basis position, so the order — and with it every numeric result
+// downstream — is deterministic). The factors land in sc's spare buffer,
+// which becomes the live one on success; on a numerically singular basis it
+// returns false and the live factors are untouched.
+func luFactorize(a *csc, basic []int32, sc *luScratch) (*luFactors, bool) {
+	m := len(basic)
+	f := &sc.bufs[1-sc.live]
+	f.lColPtr = f.lColPtr[:1]
+	f.lRowIdx = f.lRowIdx[:0]
+	f.lVal = f.lVal[:0]
+	f.uColPtr = f.uColPtr[:1]
+	f.uRowIdx = f.uRowIdx[:0]
+	f.uVal = f.uVal[:0]
 	for i := range f.pinv {
 		f.pinv[i] = -1
 	}
@@ -105,35 +123,43 @@ func luFactorize(m int, col basisColumn, sc *luScratch) (*luFactors, bool) {
 	rowIdx := sc.gRowIdx[:0]
 	val := sc.gVal[:0]
 	colPtr = append(colPtr, 0)
-	for k := 0; k < m; k++ {
-		col(k, func(row int32, v float64) {
-			rowIdx = append(rowIdx, row)
-			val = append(val, v)
-		})
+	for _, j := range basic {
+		if int(j) < a.n {
+			lo, hi := a.colPtr[j], a.colPtr[j+1]
+			rowIdx = append(rowIdx, a.rowIdx[lo:hi]...)
+			val = append(val, a.val[lo:hi]...)
+		} else {
+			rowIdx = append(rowIdx, j-int32(a.n))
+			val = append(val, -1)
+		}
 		colPtr = append(colPtr, int32(len(rowIdx)))
 	}
 	sc.gColPtr, sc.gRowIdx, sc.gVal = colPtr, rowIdx, val
-	order := sc.corder[:0]
 	maxNNZ := 0
 	for k := 0; k < m; k++ {
 		if nz := int(colPtr[k+1] - colPtr[k]); nz > maxNNZ {
 			maxNNZ = nz
 		}
 	}
-	counts := make([]int32, maxNNZ+2)
+	if cap(sc.counts) < maxNNZ+2 {
+		sc.counts = make([]int32, maxNNZ+2)
+	}
+	counts := sc.counts[:maxNNZ+2]
+	for i := range counts {
+		counts[i] = 0
+	}
 	for k := 0; k < m; k++ {
 		counts[colPtr[k+1]-colPtr[k]+1]++
 	}
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
 	}
-	order = append(order, make([]int32, m)...)
+	order := sc.corder
 	for k := 0; k < m; k++ {
 		nz := colPtr[k+1] - colPtr[k]
 		order[counts[nz]] = int32(k)
 		counts[nz]++
 	}
-	sc.corder = order[:0]
 
 	for fk := 0; fk < m; fk++ {
 		bp := order[fk] // basis position of this factorization column
@@ -214,10 +240,11 @@ func luFactorize(m int, col basisColumn, sc *luScratch) (*luFactors, bool) {
 	}
 	// Resolve L's row indices to pivot space once: every btranLU otherwise
 	// pays the pinv indirection per entry per solve.
-	f.lPivIdx = make([]int32, len(f.lRowIdx))
-	for p, r := range f.lRowIdx {
-		f.lPivIdx[p] = f.pinv[r]
+	f.lPivIdx = f.lPivIdx[:0]
+	for _, r := range f.lRowIdx {
+		f.lPivIdx = append(f.lPivIdx, f.pinv[r])
 	}
+	sc.live = 1 - sc.live
 	return f, true
 }
 

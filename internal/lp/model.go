@@ -22,6 +22,13 @@ var Inf = math.Inf(1)
 // near-identical successive LPs and the online controller's repeated
 // normalizations cheap.
 //
+// A Model owns the engine's workspace (simplex state, LU factors, eta
+// arenas) and reuses it across solves of the same shape, so a chain of
+// bound/objective edits and re-solves allocates only what Solve returns.
+// Everything a Solution carries is a fresh copy; nothing numeric is carried
+// from one solve to the next except through SolveOptions.Basis (DESIGN.md
+// §7).
+//
 // The zero value is not usable; create models with NewModel. Models are
 // not safe for concurrent use.
 type Model struct {
@@ -33,6 +40,7 @@ type Model struct {
 	rows      []mrow
 
 	built *spxProb // cached engine form; invalidated by AddRow/AddVar
+	ws    *spx     // engine workspace, reused while the built shape (rows, vars) holds
 }
 
 type mrow struct {
@@ -259,8 +267,66 @@ func (m *Model) Solve(opts *SolveOptions) (*Solution, error) {
 	return m.solve(opts.Basis, opts.Ctx, methodAuto)
 }
 
+// SolveObjective is Solve for callers that keep only the optimum and the
+// basis to continue from: the same solve, without the copies of X and Duals.
+// The objective is meaningful, and the basis non-nil, when the status is
+// Optimal (a dense-fallback answer has no basis).
+func (m *Model) SolveObjective(opts *SolveOptions) (float64, Status, *Basis, error) {
+	var warm *Basis
+	var ctx context.Context
+	if opts != nil {
+		warm, ctx = opts.Basis, opts.Ctx
+	}
+	status, _, fallback, err := m.run(warm, ctx, methodAuto)
+	switch {
+	case err != nil:
+		return 0, 0, nil, err
+	case fallback != nil:
+		return fallback.Objective, fallback.Status, nil, nil
+	case status != Optimal:
+		return 0, status, nil, nil
+	}
+	obj := m.objOffset
+	for j, c := range m.obj {
+		obj += c * m.ws.colVal(int32(j))
+	}
+	return obj, Optimal, m.ws.exportBasis(), nil
+}
+
 // solve is Solve with the simplex method chosen by the caller (see method).
 func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution, error) {
+	status, stats, fallback, err := m.run(warm, ctx, meth)
+	if err != nil || fallback != nil {
+		return fallback, err
+	}
+	sol := &Solution{Status: status, Stats: stats}
+	if status == Optimal {
+		s := m.ws
+		sol.X = s.values()[:len(m.obj):len(m.obj)]
+		obj := m.objOffset
+		for j, c := range m.obj {
+			obj += c * sol.X[j]
+		}
+		sol.Objective = obj
+		sol.Basis = s.exportBasis()
+		// Duals are reported in the model's own sense: for Maximize the
+		// internal minimization multipliers are negated so weak duality
+		// reads the standard way.
+		sol.Duals = s.duals()
+		if m.sense == Maximize {
+			for i := range sol.Duals {
+				sol.Duals[i] = -sol.Duals[i]
+			}
+		}
+	}
+	return sol, nil
+}
+
+// run drives the engine on the model's workspace. It returns the engine's
+// verdict with the final vertex left in m.ws for the caller to read, or —
+// when the sparse engine failed numerically — the dense oracle's answer as
+// fallback.
+func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Status, stats SolveStats, fallback *Solution, err error) {
 	var span *obs.Span
 	if ctx != nil {
 		_, span = obs.StartSpan(ctx, "lp.solve")
@@ -270,16 +336,20 @@ func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution,
 	// the engine's bound logic assumes lo ≤ up everywhere.
 	for j := range m.vlo {
 		if m.vlo[j] > m.vup[j] {
-			return &Solution{Status: Infeasible}, nil
+			return Infeasible, stats, nil, nil
 		}
 	}
-	for _, r := range m.rows {
-		if r.lo > r.up {
-			return &Solution{Status: Infeasible}, nil
+	for i := range m.rows {
+		if m.rows[i].lo > m.rows[i].up {
+			return Infeasible, stats, nil, nil
 		}
 	}
 	p := m.build()
-	res, stats, err := spxSolve(p, warm, meth)
+	if m.ws == nil || m.ws.m != p.a.m || m.ws.n != p.a.n {
+		m.ws = newSpx(p.a.m, p.a.n)
+	}
+	status, err = m.ws.run(p, warm, meth)
+	stats = m.ws.stats
 	recordGlobalStats(stats)
 	if span != nil {
 		span.Attr("iterations", stats.Iterations).
@@ -296,7 +366,7 @@ func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution,
 		if derr != nil {
 			lpLog.Error("sparse solve failed and dense fallback failed",
 				"sparse_err", err, "dense_err", derr)
-			return nil, err
+			return 0, stats, nil, err
 		}
 		sol.Stats = stats
 		sol.Stats.DenseFallback = true
@@ -304,7 +374,7 @@ func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution,
 		lpLog.Warn("sparse solve failed; dense fallback answered",
 			"err", err, "iterations", stats.Iterations)
 		span.Attr("dense_fallback", true)
-		return sol, nil
+		return sol.Status, stats, sol, nil
 	}
 	if stats.DualAttempted && !stats.DualUsed {
 		// The dual phase hit its budget (anti-cycling bail) and the solve
@@ -313,27 +383,8 @@ func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution,
 		lpLog.Debug("dual simplex bailed to primal",
 			"dual_iterations", stats.DualIterations, "iterations", stats.Iterations)
 	}
-	span.Attr("status", res.status.String())
-	sol := &Solution{Status: res.status, Stats: stats}
-	if res.status == Optimal {
-		sol.X = res.x[:len(m.obj):len(m.obj)]
-		obj := m.objOffset
-		for j, c := range m.obj {
-			obj += c * sol.X[j]
-		}
-		sol.Objective = obj
-		sol.Basis = res.basis
-		// Duals are reported in the model's own sense: for Maximize the
-		// internal minimization multipliers are negated so weak duality
-		// reads the standard way.
-		sol.Duals = res.y
-		if m.sense == Maximize {
-			for i := range sol.Duals {
-				sol.Duals[i] = -sol.Duals[i]
-			}
-		}
-	}
-	return sol, nil
+	span.Attr("status", status.String())
+	return status, stats, nil, nil
 }
 
 // SolveDense solves the model with the dense full-tableau reference solver

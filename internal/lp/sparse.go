@@ -76,13 +76,6 @@ type spxProb struct {
 	cost []float64 // len n (logicals cost 0)
 }
 
-type spxResult struct {
-	status Status
-	x      []float64 // len n+m: values of every column
-	y      []float64 // len m: simplex multipliers of the final basis
-	basis  *Basis
-}
-
 var errSingularBasis = errors.New("lp: basis matrix is numerically singular")
 
 const (
@@ -95,7 +88,14 @@ const (
 	spxInf        = math.MaxFloat64 / 4
 )
 
-// spx is the engine state for one solve.
+// spx is the engine state of a solve. A Model owns one and hands it to every
+// solve of the same shape (m, n): run resets it instead of reallocating, so
+// a warm chain allocates only what it returns. Nothing numeric survives
+// from one solve to the next — statuses, positions and basic values are
+// rebuilt from the warm basis or the cold start, the first successful
+// factorization empties the eta file, the dual phase restarts its Devex
+// weights at 1 — so a solve is the same function of (matrix, bounds, costs,
+// warm basis) on a fresh workspace and on a used one (DESIGN.md §7).
 type spx struct {
 	p          *spxProb
 	m, n, ncol int
@@ -105,10 +105,12 @@ type spx struct {
 	inBasisPos []int32   // column → basis position, or -1
 	xB         []float64 // basic values by position
 
-	lu    *luFactors
+	lu    *luFactors // the live buffer of luSc
 	luSc  *luScratch
 	etas  []eta
 	stats SolveStats
+	// warmDualStall is the DualStall the solve inherited from its warm basis.
+	warmDualStall uint8
 	// etaIdx/etaVal back every live eta's idx/val segments (three-index
 	// sliced so a segment can never be overwritten by later appends).
 	// Recycled wholesale at each refactorization, so steady-state pivots
@@ -121,7 +123,13 @@ type spx struct {
 	alpha []float64 // pivot column B⁻¹A_q, by basis position
 	y     []float64 // duals, original-row space
 	cB    []float64 // basic costs by position
-	d     []float64 // reduced costs per column (pricing scratch)
+
+	// dual-phase scratch (dualIterate)
+	devex     []float64  // Devex reference weights, one per basis position
+	rho       []float64  // row of B⁻ᵀ, original-row space
+	unit      []float64  // btran input scratch
+	flipDelta []float64  // basic-value correction after flips
+	cands     []dualCand // ratio-test candidates
 }
 
 type eta struct {
@@ -170,15 +178,11 @@ func (s *spx) dotColumn(j int32, y []float64) float64 {
 	return -y[int(j)-s.n]
 }
 
-// spxSolve runs the bounded-variable revised simplex: a dual phase when
-// the method (or methodAuto's warm-edit detection) calls for it, then the
-// primal two-phase loop, which doubles as the dual phase's cleanup and
-// verification pass (it terminates immediately on an already-optimal
-// basis).
-func spxSolve(p *spxProb, warm *Basis, meth method) (*spxResult, SolveStats, error) {
-	m, n := p.a.m, p.a.n
-	s := &spx{
-		p: p, m: m, n: n, ncol: n + m,
+// newSpx allocates the workspace for problems with m rows and n structural
+// columns.
+func newSpx(m, n int) *spx {
+	return &spx{
+		m: m, n: n, ncol: n + m,
 		status:     make([]int8, n+m),
 		basic:      make([]int32, m),
 		inBasisPos: make([]int32, n+m),
@@ -188,12 +192,30 @@ func spxSolve(p *spxProb, warm *Basis, meth method) (*spxResult, SolveStats, err
 		alpha:      make([]float64, m),
 		y:          make([]float64, m),
 		cB:         make([]float64, m),
-		d:          make([]float64, n+m),
+		devex:      make([]float64, m),
+		rho:        make([]float64, m),
+		unit:       make([]float64, m),
+		flipDelta:  make([]float64, m),
 	}
-	var warmDualStall uint8
+}
+
+// run solves p with the bounded-variable revised simplex: a dual phase when
+// the method (or methodAuto's warm-edit detection) calls for it, then the
+// primal two-phase loop, which doubles as the dual phase's cleanup and
+// verification pass (it terminates immediately on an already-optimal
+// basis). p must have the workspace's shape. On Optimal the final vertex
+// stays in the workspace for values, duals and exportBasis to read.
+func (s *spx) run(p *spxProb, warm *Basis, meth method) (Status, error) {
+	s.p = p
+	s.stats = SolveStats{}
+	s.etas = s.etas[:0]
+	s.etaIdx = s.etaIdx[:0]
+	s.etaVal = s.etaVal[:0]
+	m := s.m
+	s.warmDualStall = 0
 	if warm != nil {
 		s.stats.WarmAttempted = true
-		warmDualStall = warm.DualStall
+		s.warmDualStall = warm.DualStall
 	}
 	if warm != nil && s.tryWarmStart(warm) {
 		s.stats.WarmUsed = true
@@ -215,7 +237,7 @@ func spxSolve(p *spxProb, warm *Basis, meth method) (*spxResult, SolveStats, err
 			// basic values violate the edited bounds but whose reduced
 			// costs still price optimal — unless this chain's dual
 			// attempts keep hitting the plateau bail (Basis.DualStall).
-			useDual = s.stats.WarmUsed && warmDualStall == 0 &&
+			useDual = s.stats.WarmUsed && s.warmDualStall == 0 &&
 				s.infeasibility() > spxFeasTol && s.dualFeasible()
 		}
 	}
@@ -229,40 +251,43 @@ func spxSolve(p *spxProb, warm *Basis, meth method) (*spxResult, SolveStats, err
 			// test can never misreport a feasible model.
 		}
 	}
+	return s.iterate()
+}
 
-	status, err := s.iterate()
-	if err != nil {
-		return nil, s.stats, err
+// values returns a fresh copy of the final value of every column, structural
+// then logical.
+func (s *spx) values() []float64 {
+	x := make([]float64, s.ncol)
+	for j := int32(0); int(j) < s.ncol; j++ {
+		x[j] = s.colVal(j)
 	}
+	return x
+}
 
-	res := &spxResult{status: status}
-	if status == Optimal {
-		x := make([]float64, s.ncol)
-		for j := int32(0); int(j) < s.ncol; j++ {
-			x[j] = s.colVal(j)
-		}
-		res.x = x
-		// Final duals from the real costs and final basis.
-		for k := 0; k < m; k++ {
-			s.cB[k] = s.costOf(s.basic[k])
-		}
-		s.btran(s.cB, s.y)
-		res.y = append([]float64(nil), s.y...)
-		// Carry the dual-bail memory forward: an attempt that bailed
-		// bumps the counter (saturating), a completed dual phase clears
-		// it, and a solve that never attempted (cold, or already shut
-		// off) passes the inherited value through.
-		ds := warmDualStall
-		if s.stats.DualAttempted {
-			if s.stats.DualUsed {
-				ds = 0
-			} else {
-				ds = 1
-			}
-		}
-		res.basis = &Basis{NumVars: n, NumRows: m, Status: append([]int8(nil), s.status...), DualStall: ds}
+// duals returns a fresh copy of the simplex multipliers of the final basis
+// under the real costs.
+func (s *spx) duals() []float64 {
+	for k := 0; k < s.m; k++ {
+		s.cB[k] = s.costOf(s.basic[k])
 	}
-	return res, s.stats, nil
+	s.btran(s.cB, s.y)
+	return append([]float64(nil), s.y...)
+}
+
+// exportBasis snapshots the final basis as a fresh copy, carrying the
+// dual-bail memory forward: an attempt that bailed sets it, a completed dual
+// phase clears it, and a solve that never attempted (cold, or already shut
+// off) passes the inherited value through.
+func (s *spx) exportBasis() *Basis {
+	ds := s.warmDualStall
+	if s.stats.DualAttempted {
+		if s.stats.DualUsed {
+			ds = 0
+		} else {
+			ds = 1
+		}
+	}
+	return &Basis{NumVars: s.n, NumRows: s.m, Status: append([]int8(nil), s.status...), DualStall: ds}
 }
 
 func (s *spx) costOf(j int32) float64 {
@@ -367,19 +392,10 @@ func (s *spx) rebuildPositions() {
 }
 
 // factorize rebuilds the LU factors of the current basis and clears the eta
-// file. It reports false on a singular basis.
+// file. It reports false on a singular basis, leaving factors and eta file
+// as they were.
 func (s *spx) factorize() bool {
-	f, ok := luFactorize(s.m, func(k int, emit func(int32, float64)) {
-		j := s.basic[k]
-		if int(j) < s.n {
-			a := &s.p.a
-			for p := a.colPtr[j]; p < a.colPtr[j+1]; p++ {
-				emit(a.rowIdx[p], a.val[p])
-			}
-		} else {
-			emit(int32(int(j)-s.n), -1)
-		}
-	}, s.luSc)
+	f, ok := luFactorize(&s.p.a, s.basic, s.luSc)
 	if !ok {
 		return false
 	}

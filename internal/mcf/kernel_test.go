@@ -12,6 +12,7 @@ import (
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -281,6 +282,48 @@ func TestApproxWarmSolveAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("warm Approx.MLU allocates %.0f objects per solve, want ≤ 2", allocs)
+	}
+}
+
+// TestExactWarmSolveAllocs: re-targeting a warmed exact model and solving it
+// for the value allocates the returned Basis copy and nothing else — the LP,
+// the simplex workspace, the LU buffers and the eta arenas are the model's.
+func TestExactWarmSolveAllocs(t *testing.T) {
+	g, err := topo.Load("Geant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	rng := rand.New(rand.NewSource(11))
+	base := demand.Gravity(g, 1)
+	Ds := make([]*demand.Matrix, 6)
+	for i := range Ds {
+		Ds[i] = randomCorner(base, rng)
+	}
+	mm := NewMinMLUModel(g, dags, Ds[0])
+	_, basis, err := mm.SolveMLU(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(D *demand.Matrix) {
+		if err := mm.SetDemands(D); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := mm.SolveMLU(&lp.SolveOptions{Basis: basis}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One pass grows the eta arenas and LU buffers to what these solves need.
+	for _, D := range Ds {
+		solve(D)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(12, func() {
+		solve(Ds[i%len(Ds)])
+		i++
+	})
+	if allocs > 4 {
+		t.Fatalf("warm exact SetDemands+SolveMLU allocates %.0f objects per solve, want ≤ 4 (the Basis copy)", allocs)
 	}
 }
 

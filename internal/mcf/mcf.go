@@ -70,12 +70,15 @@ func MinMLUExactBasis(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *
 	return mm.Solve(&lp.SolveOptions{Basis: warm})
 }
 
-// MinMLUModel is the exact min-MLU LP kept mutable between solves: the
-// online controller edits demand RHS values in place (SetDemand) and
-// re-solves from the carried basis, which routes through the dual simplex
-// when the edit left the basis primal infeasible. The row/variable maps
-// are exported so tests and tools can address the formulation directly,
-// and DumpMPS writes the instance in MPS form for external solvers.
+// MinMLUModel is the exact min-MLU LP kept mutable between solves: callers
+// edit demand RHS values in place (SetDemand, SetDemands) and re-solve from
+// a carried basis, which routes through the dual simplex when the edit left
+// the basis primal infeasible. A model re-targeted to D solves exactly as a
+// model freshly built for D does, provided D has the active destination set
+// the model was shaped on (ShapedFor): the LP is then the same matrix, bounds
+// and costs. The row/variable maps are exported so tests and tools can
+// address the formulation directly, and DumpMPS writes the instance in MPS
+// form for external solvers.
 type MinMLUModel struct {
 	Model *lp.Model
 	// Alpha is the MLU variable (the objective).
@@ -110,16 +113,11 @@ func NewMinMLUModel(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) *MinMLUM
 		active:    make([]bool, n),
 	}
 	for t := 0; t < n; t++ {
-		col := D.ToDestination(graph.NodeID(t))
-		for _, d := range col {
-			if d > 0 {
-				mm.active[t] = true
-				break
-			}
-		}
+		mm.active[t] = destActive(D, t)
 		if !mm.active[t] {
 			continue
 		}
+		col := D.ToDestination(graph.NodeID(t))
 		allowed := allowedEdges(g, dags, graph.NodeID(t))
 		mm.VarOf[t] = make([]int, g.NumEdges())
 		for e := range mm.VarOf[t] {
@@ -168,6 +166,57 @@ func NewMinMLUModel(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) *MinMLUM
 	return mm
 }
 
+// destActive reports whether any demand of D heads for t — what makes t's
+// variables and conservation rows part of the formulation.
+func destActive(D *demand.Matrix, t int) bool {
+	for s := 0; s < D.N; s++ {
+		if D.D[s*D.N+t] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// ShapedFor reports whether the model's active destination set is exactly
+// D's, i.e. whether NewMinMLUModel on D would build this formulation.
+func (mm *MinMLUModel) ShapedFor(D *demand.Matrix) bool {
+	if D.N != len(mm.active) {
+		return false
+	}
+	for t, a := range mm.active {
+		if a != destActive(D, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// SetDemands re-targets the model to the demands D by editing every
+// conservation row's RHS in place. D may leave destinations of the model
+// without demand, but must send none toward a destination that was inactive
+// at construction time.
+func (mm *MinMLUModel) SetDemands(D *demand.Matrix) error {
+	n := len(mm.active)
+	if D.N != n {
+		return fmt.Errorf("mcf: %d-node demand matrix for a %d-node formulation", D.N, n)
+	}
+	for t := 0; t < n; t++ {
+		if !mm.active[t] {
+			if destActive(D, t) {
+				return fmt.Errorf("mcf: destination %d inactive in this formulation", t)
+			}
+			continue
+		}
+		for v := 0; v < n; v++ {
+			if v != t {
+				d := D.D[v*n+t]
+				mm.Model.SetRowBounds(mm.DemandRow[t][v], d, d)
+			}
+		}
+	}
+	return nil
+}
+
 // SetDemand moves the demand from s toward t to d by editing the
 // conservation row's RHS in place — the bound-only edit the dual simplex
 // warm restart is built for. The destination must have been active at
@@ -182,6 +231,20 @@ func (mm *MinMLUModel) SetDemand(s, t graph.NodeID, d float64) error {
 	}
 	mm.Model.SetRowBounds(r, d, d)
 	return nil
+}
+
+// SolveMLU runs the LP with the given options (typically a carried Basis)
+// for the optimal utilization and basis alone — what a normalization needs,
+// without Solve's flow unpacking.
+func (mm *MinMLUModel) SolveMLU(opts *lp.SolveOptions) (float64, *lp.Basis, error) {
+	mlu, status, basis, err := mm.Model.SolveObjective(opts)
+	if err != nil {
+		return 0, nil, fmt.Errorf("mcf: %w", err)
+	}
+	if status != lp.Optimal {
+		return math.Inf(1), nil, ErrUnroutable
+	}
+	return mlu, basis, nil
 }
 
 // Solve runs the LP with the given options (typically a carried Basis) and

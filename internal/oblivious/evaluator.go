@@ -28,8 +28,8 @@ package oblivious
 
 import (
 	"context"
-	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,9 +98,9 @@ type Evaluator struct {
 
 // evalCache holds the values that depend only on (graph, DAGs) — OPTDAG
 // normalizations, per-pair DAG max-flows, the latest exact-LP optimal
-// basis, and the FPTAS index (DESIGN.md §12) — so evaluators over the same
-// topology but different uncertainty boxes (the online controller's demand
-// updates) can share them. The basis rides the same carry-through as the
+// basis, idle exact-LP models, and the FPTAS index (DESIGN.md §12) — so
+// evaluators over the same topology but different uncertainty boxes (the
+// online controller's demand updates) can share them. The basis rides the same carry-through as the
 // gpopt warm state: delta.Session's UpdateBounds and Recover derive their
 // evaluator via WithBox, which keeps this cache, so exact normalizations
 // after a demand drift warm-start from the vertex of the previous epoch.
@@ -109,6 +109,11 @@ type evalCache struct {
 	opt   map[uint64]float64
 	mf    map[[2]graph.NodeID]float64
 	basis *lp.Basis
+	// models is the free list of idle exact min-MLU models, oldest first
+	// (DESIGN.md §4). A solve takes the one shaped for its matrix — or
+	// builds one — and puts it back, so concurrent normalizations each hold
+	// their own instance.
+	models []*mcf.MinMLUModel
 
 	approxOnce sync.Once
 	approx     *mcf.Approx // built on the first FPTAS normalization
@@ -119,6 +124,39 @@ type evalCache struct {
 func (c *evalCache) fptas(g *graph.Graph, dags []*dagx.DAG) *mcf.Approx {
 	c.approxOnce.Do(func() { c.approx = mcf.NewApprox(g, dags) })
 	return c.approx
+}
+
+// maxIdleModels bounds the free list of exact models: enough for every
+// worker of a margin box's single shape and for the handful of active sets an
+// oblivious box's corners cycle through; past it the oldest idle model goes.
+const maxIdleModels = 8
+
+// takeModel hands out an exact min-MLU model shaped for D's active
+// destination set, from the free list when an idle one fits. The match is
+// exact, never a superset: a larger formulation would reach the same optimum
+// along a different pivot path.
+func (c *evalCache) takeModel(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) *mcf.MinMLUModel {
+	c.mu.Lock()
+	for i, mm := range c.models {
+		if mm.ShapedFor(D) {
+			c.models = slices.Delete(c.models, i, i+1)
+			c.mu.Unlock()
+			return mm
+		}
+	}
+	c.mu.Unlock()
+	return mcf.NewMinMLUModel(g, dags, D)
+}
+
+// putModel returns a model to the free list, dropping the oldest idle one
+// when the list is full.
+func (c *evalCache) putModel(mm *mcf.MinMLUModel) {
+	c.mu.Lock()
+	if len(c.models) == maxIdleModels {
+		c.models = slices.Delete(c.models, 0, 1)
+	}
+	c.models = append(c.models, mm)
+	c.mu.Unlock()
 }
 
 // warmBasis snapshots the shared warm-start basis.
@@ -201,10 +239,17 @@ func (ev *Evaluator) optDAGWarm(D *demand.Matrix, warm *lp.Basis) (float64, *lp.
 	var v float64
 	var basis *lp.Basis
 	var err error
-	if ev.G.NumNodes() <= ev.cfg.ExactNodeLimit {
-		v, _, basis, err = mcf.MinMLUExactBasis(ev.G, ev.DAGs, D, warm)
-	} else {
+	switch {
+	case ev.G.NumNodes() > ev.cfg.ExactNodeLimit:
 		v, err = c.fptas(ev.G, ev.DAGs).MLU(D, ev.cfg.Eps)
+	case D.Total() == 0:
+		// No demand: utilization 0, no LP.
+	default:
+		mm := c.takeModel(ev.G, ev.DAGs, D)
+		if err = mm.SetDemands(D); err == nil {
+			v, basis, err = mm.SolveMLU(&lp.SolveOptions{Basis: warm})
+		}
+		c.putModel(mm)
 	}
 	if err != nil {
 		v = math.Inf(1)
@@ -455,16 +500,22 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hashMatrix fingerprints a demand matrix for caching.
+// hashMatrix fingerprints a demand matrix for caching and deduplication:
+// 64-bit FNV-1a over the little-endian bytes of every entry's Float64bits —
+// the value hash/fnv produces, computed inline (TestHashMatrixIsFNV1a).
 func hashMatrix(D *demand.Matrix) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, v := range D.D {
 		bits := math.Float64bits(v)
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
+			h ^= bits & 0xff
+			h *= prime64
+			bits >>= 8
 		}
-		h.Write(buf[:])
 	}
-	return h.Sum64()
+	return h
 }

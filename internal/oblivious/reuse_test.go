@@ -1,0 +1,210 @@
+package oblivious
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/coyote-te/coyote/internal/dagx"
+	"github.com/coyote-te/coyote/internal/demand"
+	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/lp"
+	"github.com/coyote-te/coyote/internal/mcf"
+	"github.com/coyote-te/coyote/internal/pdrouting"
+	"github.com/coyote-te/coyote/internal/topo"
+)
+
+// freshOptDAG is the exact normalization as it was before models were
+// reused: a model built for D alone, solved once from warm. It returns the
+// value, the optimal basis and the LP work the solve did.
+func freshOptDAG(t *testing.T, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *lp.Basis) (float64, *lp.Basis, lp.StatsSnapshot) {
+	t.Helper()
+	before := lp.GlobalStats()
+	v, _, basis, err := mcf.NewMinMLUModel(g, dags, D).Solve(&lp.SolveOptions{Basis: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, basis, statsDelta(before, lp.GlobalStats())
+}
+
+func statsDelta(a, b lp.StatsSnapshot) lp.StatsSnapshot {
+	return lp.StatsSnapshot{
+		Solves:           b.Solves - a.Solves,
+		Iterations:       b.Iterations - a.Iterations,
+		Phase1Iterations: b.Phase1Iterations - a.Phase1Iterations,
+		DualIterations:   b.DualIterations - a.DualIterations,
+		Refactorizations: b.Refactorizations - a.Refactorizations,
+		WarmAttempts:     b.WarmAttempts - a.WarmAttempts,
+		WarmHits:         b.WarmHits - a.WarmHits,
+		DualAttempts:     b.DualAttempts - a.DualAttempts,
+		DualHits:         b.DualHits - a.DualHits,
+		DenseFallbacks:   b.DenseFallbacks - a.DenseFallbacks,
+	}
+}
+
+func sameBasisStatus(a, b *lp.Basis) bool {
+	if a == nil || b == nil || len(a.Status) != len(b.Status) || a.DualStall != b.DualStall {
+		return false
+	}
+	for i := range a.Status {
+		if a.Status[i] != b.Status[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExactOptDAGReuseParity: normalizations through the evaluator — which
+// re-targets pooled models — are, matrix by matrix, the solve a freshly built
+// model does from the same warm basis: same value bits, same optimal basis,
+// same LP work. The margin box keeps one formulation shape; the oblivious
+// box (lower bounds 0) changes the active destination set from matrix to
+// matrix, so the free list is matched, missed, refilled and evicted. OptDAG
+// is the serial chain, PerfTop the parallel fan-out from one snapshot.
+func TestExactOptDAGReuseParity(t *testing.T) {
+	g, err := topo.Load("NSF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	boxes := []struct {
+		name string
+		box  *demand.Box
+	}{
+		{"margin", demand.MarginBox(demand.Gravity(g, 1), 2)},
+		{"oblivious", demand.ObliviousBox(n, 1)},
+	}
+	routings := []*pdrouting.Routing{ECMPOnDAGs(g, dags), pdrouting.Uniform(g, dags)}
+	for _, bc := range boxes {
+		for _, workers := range []int{1, 4} {
+			rng := rand.New(rand.NewSource(23))
+			// Twelve destination subsets — more shapes than the free list
+			// holds — that the oblivious corners cycle through.
+			subsets := make([][]bool, 12)
+			for i := range subsets {
+				subsets[i] = make([]bool, n)
+				subsets[i][rng.Intn(n)] = true
+				for t := range subsets[i] {
+					if rng.Intn(2) == 0 {
+						subsets[i][t] = true
+					}
+				}
+			}
+			ev := NewEvaluator(g, dags, bc.box, EvalConfig{Samples: 16, Seed: 3, Workers: workers})
+			matrices, shapes := 0, map[string]bool{}
+
+			// The serial chain: each solve starts from the basis the last left.
+			for i := 0; i < 150; i++ {
+				active := subsets[rng.Intn(len(subsets))]
+				D := bc.box.Corner(func(s, t graph.NodeID) bool { return active[t] && rng.Intn(2) == 0 })
+				if D.Total() == 0 {
+					continue
+				}
+				warm := ev.cache.warmBasis()
+				before := lp.GlobalStats()
+				got := ev.OptDAG(D)
+				work := statsDelta(before, lp.GlobalStats())
+				want, wantBasis, wantWork := freshOptDAG(t, g, dags, D, warm)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s workers=%d OptDAG #%d: %v (%#x), fresh model %v (%#x)", bc.name, workers, i,
+						got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				if !sameBasisStatus(ev.cache.warmBasis(), wantBasis) {
+					t.Fatalf("%s workers=%d OptDAG #%d: optimal basis differs from the fresh model's", bc.name, workers, i)
+				}
+				if work != wantWork {
+					t.Fatalf("%s workers=%d OptDAG #%d: LP work %+v, fresh model %+v", bc.name, workers, i, work, wantWork)
+				}
+				matrices++
+				key := make([]byte, n)
+				for tt := 0; tt < n; tt++ {
+					for s := 0; s < n; s++ {
+						if D.D[s*n+tt] > 0 {
+							key[tt] = 1
+						}
+					}
+				}
+				shapes[string(key)] = true
+			}
+
+			// The fan-out: every candidate not normalized before is solved
+			// from the snapshot taken ahead of the call.
+			for round := 0; round < 2; round++ {
+				for _, r := range routings {
+					snapshot := ev.cache.warmBasis()
+					known := map[uint64]bool{}
+					for h := range ev.cache.opt {
+						known[h] = true
+					}
+					before := lp.GlobalStats()
+					results := ev.PerfTop(r, 1<<20)
+					work := statsDelta(before, lp.GlobalStats())
+					// A result is a fresh normalization when its matrix entered
+					// the cache during the call (the closed-form single-pair
+					// candidates never do).
+					before = lp.GlobalStats()
+					fresh := 0
+					for _, res := range results {
+						h := hashMatrix(res.WorstDM)
+						got, solved := ev.cache.opt[h]
+						if known[h] || !solved {
+							continue
+						}
+						known[h] = true
+						want, _, _ := freshOptDAG(t, g, dags, res.WorstDM, snapshot)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s workers=%d PerfTop: norm %v (%#x), fresh model %v (%#x)", bc.name, workers,
+								got, math.Float64bits(got), want, math.Float64bits(want))
+						}
+						fresh++
+					}
+					if wantWork := statsDelta(before, lp.GlobalStats()); work != wantWork || int(work.Solves) != fresh {
+						t.Fatalf("%s workers=%d PerfTop: LP work %+v, %d fresh models %+v", bc.name, workers, work, fresh, wantWork)
+					}
+					matrices += fresh
+				}
+			}
+
+			if matrices < 200 {
+				t.Fatalf("%s workers=%d: only %d matrices normalized", bc.name, workers, matrices)
+			}
+			if idle := len(ev.cache.models); idle == 0 || idle > maxIdleModels {
+				t.Fatalf("%s workers=%d: %d idle models, want 1..%d", bc.name, workers, idle, maxIdleModels)
+			}
+			if bc.name == "oblivious" && len(shapes) <= maxIdleModels {
+				t.Fatalf("oblivious box produced %d active sets; the free list (%d) was never overrun", len(shapes), maxIdleModels)
+			}
+		}
+	}
+}
+
+// TestHashMatrixIsFNV1a: the inlined fingerprint is hash/fnv's 64-bit FNV-1a
+// over the little-endian Float64bits of every entry. It keys the OPTDAG cache
+// and deduplicates scenarios, so its value must never change.
+func TestHashMatrixIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		D := demand.NewMatrix(1 + rng.Intn(12))
+		for i := range D.D {
+			switch rng.Intn(4) {
+			case 0: // stays zero
+			case 1:
+				D.D[i] = math.Float64frombits(rng.Uint64())
+			default:
+				D.D[i] = rng.ExpFloat64()
+			}
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, v := range D.D {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+		if got, want := hashMatrix(D), h.Sum64(); got != want {
+			t.Fatalf("trial %d: hashMatrix = %#x, hash/fnv = %#x", trial, got, want)
+		}
+	}
+}

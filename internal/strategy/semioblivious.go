@@ -99,24 +99,10 @@ func (p *semiObliviousPlan) Cost() Cost { return p.cost }
 func (p *semiObliviousPlan) Adapt(dm *demand.Matrix) (*pdrouting.Routing, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.g.NumNodes()
-	if dm.N != n {
-		return nil, fmt.Errorf("strategy: semi-oblivious Adapt got a %d-node matrix over a %d-node graph", dm.N, n)
-	}
-	for t := 0; t < n; t++ {
-		for s := 0; s < n; s++ {
-			if s == t {
-				continue
-			}
-			d := dm.At(graph.NodeID(s), graph.NodeID(t))
-			if err := p.model.SetDemand(graph.NodeID(s), graph.NodeID(t), d); err != nil {
-				// Destination inactive at build time: only an error if the
-				// matrix actually sends traffic there (outside the box).
-				if d > 0 {
-					return nil, fmt.Errorf("strategy: semi-oblivious Adapt: %w", err)
-				}
-			}
-		}
+	if err := p.model.SetDemands(dm); err != nil {
+		// dm has the wrong size, or sends traffic toward a destination the
+		// box never does.
+		return nil, fmt.Errorf("strategy: semi-oblivious Adapt: %w", err)
 	}
 	_, flows, basis, err := p.model.Solve(&lp.SolveOptions{Basis: p.basis})
 	if err != nil {
@@ -126,7 +112,7 @@ func (p *semiObliviousPlan) Adapt(dm *demand.Matrix) (*pdrouting.Routing, error)
 
 	adapted := pdrouting.NewZero(p.g, p.support)
 	uniform := pdrouting.Uniform(p.g, p.support)
-	for t := 0; t < n; t++ {
+	for t := range flows {
 		if flows[t] == nil {
 			adapted.Phi[t] = uniform.Phi[t]
 			continue

@@ -6,6 +6,7 @@
 package coyote_test
 
 import (
+	"runtime"
 	"testing"
 
 	coyote "github.com/coyote-te/coyote"
@@ -48,5 +49,40 @@ func TestComputeWorkCounts(t *testing.T) {
 		if got := lp.GlobalStats(); got != want {
 			t.Errorf("workers=%d: LP work of one Compute\n got %+v\nwant %+v", workers, got, want)
 		}
+	}
+}
+
+// TestComputeAllocs is the byte-side twin of TestComputeWorkCounts: the same
+// NSF Compute at one worker may allocate no more than computeAllocCeiling
+// bytes, so a lost workspace (an LP model rebuilt per solve, LU factors or
+// eta arenas reallocated per factorization) fails here rather than only in
+// the benchmark's alloc_mb_per_op.
+func TestComputeAllocs(t *testing.T) {
+	// 1.25× the 3.05 MB this Compute allocated once the exact path stopped
+	// rebuilding its LPs (66 MB before).
+	const computeAllocCeiling = 1.25 * 3.05 * (1 << 20)
+
+	tp, err := coyote.LoadTopology("NSF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := coyote.MarginBounds(coyote.GravityDemands(tp, 1), 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = coyote.New(tp, bounds, coyote.Options{
+		OptimizerIters:   60,
+		AdversarialIters: 3,
+		Samples:          4,
+		Seed:             5,
+		Workers:          1,
+	}).Compute()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("one NSF Compute allocated %.2f MB", got/(1<<20))
+	if got > computeAllocCeiling {
+		t.Errorf("one NSF Compute allocated %.2f MB, ceiling %.2f MB", got/(1<<20), computeAllocCeiling/(1<<20))
 	}
 }
