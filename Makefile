@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench bench-compare bench-e2e fuzz-smoke smoke-examples sweep metrics-smoke fleet-smoke
+.PHONY: all build test vet race cover bench-e2e bench-counts fuzz-smoke smoke-examples sweep metrics-smoke
 
 all: build test
 
@@ -57,83 +57,9 @@ metrics-smoke: build
 	$(GO) run ./internal/tools/promcheck \
 		-url http://$(METRICS_ADDR)/metrics \
 		-warm http://$(METRICS_ADDR)/state \
-		-require coyote_lp_solves_total,coyote_lp_iterations_total,coyote_session_events_total,coyote_session_recomputes_total,coyote_par_loops_total,coyote_http_requests_total,coyote_http_request_seconds,coyote_fleet_heartbeats_total,coyote_fleet_shards,coyote_fleet_merged_results_total,coyote_log_records_total \
+		-require coyote_lp_solves_total,coyote_lp_iterations_total,coyote_session_events_total,coyote_session_recomputes_total,coyote_par_loops_total,coyote_http_requests_total,coyote_http_request_seconds,coyote_log_records_total \
 		-require-samples coyote_lp_solves_total,coyote_session_events_total,coyote_http_requests_total \
 		-v
-
-# fleet-smoke is the live fleet-control-room gate (DESIGN.md §11): boot
-# coyote-serve as the controller, run the golden campaign as two
-# sequential coyote-sweep shards posting heartbeats and results to it,
-# then (a) have fleetcheck assert both shards reported final with the
-# controller's incrementally merged /fleet/results byte-identical to the
-# merge-at-end `coyote-sweep merge` output, and (b) snapshot /fleet and
-# /dashboard for CI artifact upload. Shards run sequentially so the
-# target behaves on 1-CPU runners; the protocol is the same either way.
-FLEET_ADDR ?= localhost:18090
-fleet-smoke: build
-	$(GO) build -o /tmp/coyote-serve ./cmd/coyote-serve
-	$(GO) build -o /tmp/coyote-sweep ./cmd/coyote-sweep
-	$(GO) build -o /tmp/fleetcheck ./internal/tools/fleetcheck
-	/tmp/coyote-serve -addr $(FLEET_ADDR) -topo NSF -quick & \
-	SERVE_PID=$$!; \
-	trap 'kill $$SERVE_PID 2>/dev/null' EXIT; \
-	/tmp/coyote-sweep run -campaign golden -shard 0/2 -cache .sweep-cache \
-		-controller http://$(FLEET_ADDR) -hb 500ms -out fleet-shard0.jsonl -log fleet-shard0.log.jsonl && \
-	/tmp/coyote-sweep run -campaign golden -shard 1/2 -cache .sweep-cache \
-		-controller http://$(FLEET_ADDR) -hb 500ms -out fleet-shard1.jsonl -log fleet-shard1.log.jsonl && \
-	/tmp/coyote-sweep merge -out fleet-merged.jsonl fleet-shard0.jsonl fleet-shard1.jsonl && \
-	/tmp/fleetcheck -url http://$(FLEET_ADDR) -shards 2 -merged fleet-merged.jsonl \
-		-fleet-out fleet-report.json -dashboard-out fleet-dashboard.html
-
-# bench regenerates $(BENCH_OUT), the machine-readable perf trajectory
-# (the committed BENCH_PR*.json files are kept as the historical record;
-# their -cpu 4 rows were measured on 1-CPU hosts and are no longer
-# produced — `benchjson compare` tolerates the missing rows):
-# BenchmarkCompute* (the headline end-to-end pipeline benchmarks), the
-# online controller's warm-vs-cold recompute pair, the PR-9
-# reaction-latency pair — BenchmarkSessionFailRecover (warm Fail/Recover
-# session updates) and BenchmarkSPFRepair (incremental repair vs cold
-# all-destination Dijkstras) — plus the sparse-LP core trio:
-# BenchmarkExactOPT (internal/mcf, next to its dense oracle),
-# BenchmarkSlaveLP (internal/oblivious, next to its cold-chain oracle),
-# BenchmarkDualRestart (pivots/op metrics backing the <0.6×
-# warm-iteration target), BenchmarkOptimizerStep (the gpopt inner loop,
-# whose allocs/op column must read 0), and
-# BenchmarkMinMLUApprox (one FPTAS normalization at n=42, one-shot vs
-# shared index; the shared-index allocs/op column must read 0 and the
-# phases/op and sptrees/op columns are deterministic). Everything runs with
-# -benchmem so bytes/op / allocs/op land in the JSON next to ns/op,
-# parsed by internal/tools/benchjson (which also records the host CPU
-# count — the key to reading per-worker numbers on small runners). CI
-# runs this on every push; commit the refreshed file when the numbers
-# move materially.
-BENCH_OUT ?= BENCH_PR10.json
-bench:
-	( $(GO) test -run '^$$' -bench '^BenchmarkCompute(NSF)?$$' -benchtime 2x -benchmem . && \
-	  $(GO) test -run '^$$' -bench '^BenchmarkComputeEndToEnd$$' -benchtime 20x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'Benchmark(Warm|Cold)Recompute' -benchtime 4x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSessionFailRecover' -benchtime 10x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSPFRepair' -benchtime 200x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkExactOPT' -benchtime 2x -benchmem ./internal/mcf && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSlaveLP' -benchtime 2x -benchmem ./internal/oblivious && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDualRestart' -benchtime 20x -benchmem . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOptimizerStep' -benchtime 100x -benchmem ./internal/gpopt && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkMinMLUApprox' -benchtime 20x -benchmem ./internal/mcf && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkStrategyBuild' -benchtime 2x -benchmem ./internal/strategy && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSemiObliviousAdapt' -benchtime 20x -benchmem ./internal/strategy ) \
-		| tee /dev/stderr \
-		| $(GO) run ./internal/tools/benchjson -o $(BENCH_OUT)
-
-# bench-compare measures the suite fresh and diffs it against the last
-# committed trajectory point, then prints the full PR-over-PR table.
-# Advisory by default (shared runners are noisy); pass
-# BENCH_COMPARE_FLAGS=-fail to gate on it.
-BENCH_BASELINE ?= BENCH_PR9.json
-BENCH_COMPARE_FLAGS ?=
-bench-compare:
-	$(MAKE) bench BENCH_OUT=bench-fresh.json
-	$(GO) run ./internal/tools/benchjson compare $(BENCH_COMPARE_FLAGS) $(BENCH_BASELINE) bench-fresh.json
-	$(GO) run ./internal/tools/benchjson trajectory $(wildcard BENCH_PR*.json) bench-fresh.json
 
 # bench-e2e runs one workload of the repository's benchmark (bench/,
 # BENCHMARK.json): `make bench-e2e W=scale-ba42` (or cold-geant,
@@ -148,6 +74,19 @@ W ?= scale-ba42
 T ?= 0
 bench-e2e:
 	$(GO) run ./bench -workload $(W) -trace $(T)
+
+# bench-counts is the gate on the benchmark's deterministic counts: the
+# traced ledger of cold-geant and online-nsf at seed 1 (about 20 s together)
+# must agree with testdata/ledger-counts.json row for row — LP solves and
+# pivots by phase, refactorizations, adversary calls, gpopt steps, failover
+# plans, fake nodes, par tasks, and mallocs per op within 2 % (the list is in
+# internal/tools/ledgercheck). A change that moves a count edits that file
+# and says why; wall clock is not looked at.
+bench-counts:
+	@set -e; for w in cold-geant online-nsf; do \
+		$(GO) run ./bench -workload $$w -seed 1 -seconds 1 -trace 1 -json bench-counts-$$w.json; \
+		$(GO) run ./internal/tools/ledgercheck testdata/ledger-counts.json bench-counts-$$w.json; \
+	done
 
 # fuzz-smoke runs each native fuzz target briefly — the CI gate that
 # malformed real-world topology and MPS files error instead of panicking

@@ -22,15 +22,11 @@
 //	curl localhost:8080/stats
 //	curl -N localhost:8080/events        # live SSE stream
 //	curl localhost:8080/metrics          # Prometheus text exposition
-//	curl localhost:8080/fleet            # sharded-sweep campaign status
-//	open http://localhost:8080/dashboard # live HTML control room
+//	curl localhost:8080/logtail?n=20     # recent structured log records
 //
-// The fleet control room (DESIGN.md §11) is always on: coyote-sweep
-// workers launched with -controller post heartbeats and result batches
-// here, and /fleet, /fleet/results, /fleet/events, and /dashboard expose
-// the merged campaign. With -debug-addr a second listener serves the
-// debug plane (net/http/pprof profiles, expvar, /metrics, and the same
-// /dashboard). SIGINT/SIGTERM shuts down gracefully: in-flight requests
+// With -debug-addr a second listener serves the debug plane
+// (net/http/pprof profiles, expvar, /metrics, /logtail).
+// SIGINT/SIGTERM shuts down gracefully: in-flight requests
 // drain, SSE streams close, and -trace (if set) flushes the recorded
 // session span trees to disk.
 package main
@@ -183,7 +179,7 @@ func main() {
 			BaseContext:       func(net.Listener) context.Context { return ctx },
 		}
 		go func() {
-			log.Printf("coyote-serve: debug plane on %s (/debug/pprof /debug/vars /metrics /dashboard)", *debugAddr)
+			log.Printf("coyote-serve: debug plane on %s (/debug/pprof /debug/vars /metrics /logtail)", *debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Println("coyote-serve: debug listener:", err)
 			}
@@ -196,7 +192,7 @@ func main() {
 		ReadHeaderTimeout: readHeaderTimeout,
 		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
-	log.Printf("coyote-serve: listening on %s (GET /state /routing /lies /stats /events /metrics /fleet /dashboard; POST /update /fail /recover)", *addr)
+	log.Printf("coyote-serve: listening on %s (GET /state /routing /lies /stats /events /metrics /logtail; POST /update /fail /recover)", *addr)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	select {

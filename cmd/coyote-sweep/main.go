@@ -8,9 +8,6 @@
 //
 //	coyote-sweep run    -campaign golden -cache .sweep-cache -out run.jsonl -v
 //	coyote-sweep run    -campaign quick -shard 0/4 -out shard0.jsonl   # one of four shard processes
-//	coyote-sweep run    -campaign quick -shard 0/2 -controller http://localhost:8080 \
-//	                    -log shard0.log.jsonl -out shard0.jsonl        # fleet worker: heartbeats +
-//	                                                                   # streamed results to coyote-serve
 //	coyote-sweep resume -campaign quick -cache .sweep-cache -out run.jsonl
 //	coyote-sweep status -campaign quick -cache .sweep-cache
 //	coyote-sweep merge  -out merged.jsonl shard0.jsonl shard1.jsonl shard2.jsonl shard3.jsonl
@@ -30,6 +27,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -86,15 +85,13 @@ common flags (run/resume/status):
   -fingerprint S                override the code fingerprint in cache keys
 run/resume also take:
   -out FILE                     stream results as JSONL (default stdout)
-  -shard i/n                    run only units with index ≡ i (mod n)
+  -shard i/n                    run only units with index ≡ i (mod n) (default 0/1: all)
   -workers N                    unit-level worker pool (0 = one per CPU)
   -verify                       recompute cache hits, fail unless bit-identical
   -v                            per-unit progress on stderr
   -metrics                      dump Prometheus metrics to stderr after the run
-  -debug-addr ADDR              serve /debug/pprof, /debug/vars, /metrics, /dashboard while running
+  -debug-addr ADDR              serve /debug/pprof, /debug/vars, /metrics, /logtail while running
   -trace FILE                   per-unit span trace (.jsonl, or Chrome/Perfetto JSON)
-  -controller URL               POST heartbeats and streamed results to this coyote-serve
-  -hb DURATION                  heartbeat interval (default 2s)
   -log FILE                     structured event log (JSONL; "-" = stderr)
   -log-level LEVEL              debug|info|warn|error (default info)
 diff takes:
@@ -135,21 +132,23 @@ func runCmd(args []string, resume bool) error {
 	cf.register(fs)
 	var (
 		out       = fs.String("out", "", "write the JSONL result stream here (default stdout)")
-		shard     = fs.String("shard", "", "i/n — run only this shard of the campaign")
+		shard     = fs.String("shard", "0/1", "i/n — run only this shard of the campaign")
 		workers   = fs.Int("workers", 0, "unit-level worker pool size (0 = one per CPU)")
 		verify    = fs.Bool("verify", false, "recompute every cache hit and require bit-identical results")
 		verbose   = fs.Bool("v", false, "per-unit progress on stderr")
 		metrics   = fs.Bool("metrics", false, "dump the metrics registry (Prometheus text) to stderr after the run")
-		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof, /debug/vars, /metrics, /dashboard on this address for the run's duration")
+		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof, /debug/vars, /metrics, /logtail on this address for the run's duration")
 		traceOut  = fs.String("trace", "", "write a per-unit/per-stage trace here (.jsonl = span records, else Chrome trace-event JSON)")
-		ctrl      = fs.String("controller", "", "coyote-serve base URL to POST fleet heartbeats and streamed results to")
-		hbEvery   = fs.Duration("hb", 2*time.Second, "heartbeat interval for -controller")
 		logOut    = fs.String("log", "", `structured event log destination (JSONL file, or "-" for stderr)`)
 		logLevel  = fs.String("log-level", "info", "minimum level for the event log: debug, info, warn, error")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("run: unexpected arguments %v", fs.Args())
+	}
+	shardI, shardN, err := parseShard(*shard)
+	if err != nil {
+		return err
 	}
 
 	c, cache, err := cf.load()
@@ -207,6 +206,8 @@ func runCmd(args []string, resume bool) error {
 	opts := sweep.Options{
 		Cache:       cache,
 		Fingerprint: cf.fingerprint,
+		Shard:       shardI,
+		Shards:      shardN,
 		Workers:     *workers,
 		Verify:      *verify,
 	}
@@ -232,29 +233,20 @@ func runCmd(args []string, resume bool) error {
 		}()
 		defer debugSrv.Close()
 	}
-	if *shard != "" {
-		if _, err := fmt.Sscanf(*shard, "%d/%d", &opts.Shard, &opts.Shards); err != nil {
-			return fmt.Errorf("bad -shard %q (want i/n): %v", *shard, err)
-		}
-	}
-	var reporter *sweep.Reporter
-	if *ctrl != "" {
-		shards := max(opts.Shards, 1)
-		reporter = sweep.NewReporter(*ctrl, c.Name, opts.Shard, shards, *hbEvery)
-		reporter.Hook(&opts, sweep.PlannedUnits(c, opts.Shard, shards))
-	}
 	w := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if w, err = os.Create(*out); err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+		defer w.Close() // error paths; the success path checks Close below
 	}
 	opts.Stream = w
 	if *verbose {
-		total := (len(c.Units) + max(opts.Shards, 1) - 1) / max(opts.Shards, 1)
+		// This shard runs the units with index ≡ Shard (mod Shards).
+		total := len(c.Units) / shardN
+		if shardI < len(c.Units)%shardN {
+			total++
+		}
 		done := 0
 		opts.Progress = func(us sweep.UnitStatus) {
 			done++
@@ -266,14 +258,11 @@ func runCmd(args []string, resume bool) error {
 		}
 	}
 
-	if reporter != nil {
-		reporter.Start()
-	}
 	rep, err := sweep.Run(c, opts)
-	if reporter != nil {
-		if derr := reporter.Close(err == nil); derr != nil {
-			fmt.Fprintf(os.Stderr, "coyote-sweep: controller delivery (advisory): %v\n", derr)
-		}
+	if err == nil && *out != "" {
+		// A write error can surface only at close (ENOSPC, NFS); a result
+		// stream that did not land is a failed campaign.
+		err = w.Close()
 	}
 	if tracer != nil {
 		if werr := tracer.WriteFile(*traceOut); werr != nil {
@@ -298,6 +287,20 @@ func runCmd(args []string, resume bool) error {
 	fmt.Fprintf(os.Stderr, "%s campaign: %d units (%d cache hits, %d computed) in %v\n",
 		rep.Campaign, len(rep.Results), rep.Hits, rep.Misses, rep.Elapsed.Round(time.Millisecond))
 	return nil
+}
+
+// parseShard parses -shard's "i/n": n ≥ 1, 0 ≤ i < n, nothing else.
+func parseShard(s string) (i, n int, err error) {
+	is, ns, ok := strings.Cut(s, "/")
+	if ok {
+		if i, err = strconv.Atoi(is); err == nil {
+			n, err = strconv.Atoi(ns)
+		}
+	}
+	if !ok || err != nil || n < 1 || i < 0 || i >= n {
+		return 0, 0, fmt.Errorf("bad -shard %q: want i/n with n ≥ 1 and 0 ≤ i < n", s)
+	}
+	return i, n, nil
 }
 
 func statusCmd(args []string) error {
@@ -362,16 +365,18 @@ func mergeCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		return sweep.WriteJSONL(os.Stdout, merged)
 	}
-	return sweep.WriteJSONL(w, merged)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
+	}
+	if err := sweep.WriteJSONL(f, merged); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func diffCmd(args []string) error {

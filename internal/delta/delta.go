@@ -77,7 +77,7 @@ var (
 )
 
 // sessionLog records every state transition as a structured event —
-// the narrative the dashboard's event tail renders alongside the metrics.
+// the narrative GET /logtail serves alongside the metrics.
 var sessionLog = obs.Scope("session")
 
 // maxCarriedCritical bounds the critical-matrix set carried across

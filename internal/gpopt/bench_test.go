@@ -13,7 +13,7 @@ import (
 // splitting optimizer — materialize, forward, smooth-max, backward, Adam —
 // on Geant with three demand scenarios. Run with -benchmem: the headline
 // is the 0 allocs/op column (the arena refactor's contract, also pinned
-// hard by TestRunStepAllocs), recorded in BENCH_PR9.json by `make bench`.
+// hard by TestRunStepAllocs).
 func BenchmarkOptimizerStep(b *testing.B) {
 	g, err := topo.Load("Geant")
 	if err != nil {

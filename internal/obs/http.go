@@ -76,10 +76,9 @@ func InstrumentHTTP(next http.Handler) http.Handler {
 }
 
 // DebugMux returns the debug plane served behind -debug-addr: the pprof
-// profile endpoints, expvar, the registry's /metrics (text) and
-// /metrics.json, the /logtail event tail, and the embedded /dashboard.
-// Mounting it on a separate listener keeps profiling off the public API
-// surface.
+// profile endpoints, expvar, the registry's /metrics and the /logtail
+// event tail. Mounting it on a separate listener keeps profiling off the
+// public API surface.
 func DebugMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -89,8 +88,6 @@ func DebugMux(reg *Registry) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/metrics.json", reg.JSONHandler())
 	mux.Handle("/logtail", LogTailHandler())
-	mux.Handle("/dashboard", DashboardHandler())
 	return mux
 }

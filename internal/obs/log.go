@@ -10,13 +10,13 @@ import (
 	"time"
 )
 
-// The structured event log (DESIGN.md §11): a leveled, key-value JSONL
+// The structured event log (DESIGN.md §10): a leveled, key-value JSONL
 // logger with per-subsystem scopes. It obeys the same two contracts as the
 // metrics registry — instrumentation never touches the numeric path, and
 // emitting a record is cheap (one level check when filtered out, one short
 // critical section when kept). Every record also lands in a fixed-size
-// ring, so the last few hundred events are always available to the
-// dashboard and GET /logtail even when no sink is configured.
+// ring, so the last few hundred events are always available to
+// GET /logtail even when no sink is configured.
 
 // Level orders log records by severity.
 type Level int32
@@ -215,7 +215,7 @@ type Logger struct {
 }
 
 // Scope returns a logger bound to the process-wide sink under the given
-// subsystem name ("sweep", "session", "lp", "http", "fleet", ...). Create
+// subsystem name ("sweep", "session", "lp", "http", ...). Create
 // once at package level; records carry the scope in every line.
 func Scope(name string) *Logger { return &Logger{core: defaultLog, scope: name} }
 
@@ -286,13 +286,19 @@ func (l *Logger) Warn(msg string, kv ...any) { l.Log(LevelWarn, msg, kv...) }
 // Error emits an error-level record.
 func (l *Logger) Error(msg string, kv ...any) { l.Log(LevelError, msg, kv...) }
 
-// LogTailHandler serves the process-wide ring as {"records":[...]} — the
-// dashboard's event tail.
+// LogTailHandler serves the process-wide ring as {"records":[...]};
+// ?n=N keeps the N most recent.
 func LogTailHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := 0
 		if v := r.URL.Query().Get("n"); v != "" {
-			n, _ = strconv.Atoi(v)
+			var err error
+			if n, err = strconv.Atoi(v); err != nil || n < 0 {
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusBadRequest)
+				io.WriteString(w, `{"error":"n must be a non-negative integer"}`+"\n")
+				return
+			}
 		}
 		records := LogTail(n)
 		w.Header().Set("Content-Type", "application/json")

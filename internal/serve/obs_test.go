@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/obs"
@@ -39,6 +40,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	byName := make(map[string]obs.ParsedFamily, len(families))
 	for _, f := range families {
 		byName[f.Name] = f
+		if strings.HasPrefix(f.Name, "coyote_fleet_") {
+			t.Errorf("family %s: the fleet control room is gone and exports nothing", f.Name)
+		}
 	}
 	for _, want := range []string{
 		"coyote_lp_solves_total",

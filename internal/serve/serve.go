@@ -12,24 +12,12 @@
 //	GET  /events    Server-Sent Events stream of session events
 //	GET  /metrics   Prometheus text exposition of the obs.Default registry
 //	                (lp solver, session, par pool, sweep, HTTP families)
+//	GET  /logtail   recent structured log records (?n=N keeps the last N)
 //	POST /update    demand-box update: {"scale":1.2} scales the current
 //	                bounds; {"margin":2,"entries":[{"from":"a","to":"b",
 //	                "rate":1.5},...]} rebuilds them around an explicit base
 //	POST /fail      {"from":"a","to":"b"} fails the named link
 //	POST /recover   {"from":"a","to":"b"} recovers it
-//
-// The fleet control room (DESIGN.md §11) is always on:
-//
-//	GET  /dashboard        embedded zero-dependency HTML control room
-//	GET  /metrics.json     registry snapshot as JSON with histogram
-//	                       quantile estimates (the dashboard's feed)
-//	GET  /logtail          recent structured log records
-//	GET  /fleet            sharded-campaign status: per-shard progress,
-//	                       ETA, straggler flags
-//	GET  /fleet/results    the incrementally merged campaign as JSONL
-//	GET  /fleet/events     SSE stream of heartbeat/merge updates
-//	POST /fleet/heartbeat  worker progress report
-//	POST /fleet/results    completed unit results, merged as they arrive
 //
 // With EnableSweep, the server additionally exposes the corpus-scale
 // sweep harness (internal/sweep, DESIGN.md §8):
@@ -58,31 +46,23 @@ import (
 
 // Server exposes one Session over HTTP.
 type Server struct {
-	ses   *delta.Session
-	mux   *http.ServeMux
-	fleet *fleetState
+	ses *delta.Session
+	mux *http.ServeMux
 }
 
 // New wraps a session.
 func New(ses *delta.Session) *Server {
-	s := &Server{ses: ses, mux: http.NewServeMux(), fleet: newFleetState()}
+	s := &Server{ses: ses, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /state", s.handleState)
 	s.mux.HandleFunc("GET /routing", s.handleRouting)
 	s.mux.HandleFunc("GET /lies", s.handleLies)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /events", s.handleEvents)
 	s.mux.Handle("GET /metrics", obs.Default.Handler())
-	s.mux.Handle("GET /metrics.json", obs.Default.JSONHandler())
 	s.mux.Handle("GET /logtail", obs.LogTailHandler())
-	s.mux.Handle("GET /dashboard", obs.DashboardHandler())
 	s.mux.HandleFunc("POST /update", s.handleUpdate)
 	s.mux.HandleFunc("POST /fail", s.handleFail)
 	s.mux.HandleFunc("POST /recover", s.handleRecover)
-	s.mux.HandleFunc("GET /fleet", s.handleFleet)
-	s.mux.HandleFunc("GET /fleet/results", s.handleFleetDownload)
-	s.mux.HandleFunc("GET /fleet/events", s.handleFleetEvents)
-	s.mux.HandleFunc("POST /fleet/heartbeat", s.handleFleetHeartbeat)
-	s.mux.HandleFunc("POST /fleet/results", s.handleFleetResults)
 	return s
 }
 
@@ -104,8 +84,7 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 }
 
 // maxBodyBytes bounds every request body the controller decodes; the
-// largest legitimate ones (an all-pairs /update, a fleet result batch) are
-// a few megabytes.
+// largest legitimate one (an all-pairs /update) is a few megabytes.
 const maxBodyBytes = 16 << 20
 
 // decodeBody decodes a JSON request body of at most maxBodyBytes into v.

@@ -351,3 +351,44 @@ func TestMethodRouting(t *testing.T) {
 		t.Fatalf("POST /state: status %d, want 405", resp.StatusCode)
 	}
 }
+
+// TestRouteSet pins the route table: every documented route is mounted, and
+// nothing answers where the fleet control room and its dashboard used to.
+func TestRouteSet(t *testing.T) {
+	ts, _ := newTestServer(t)
+	for _, tc := range []struct {
+		method, path string
+		mounted      bool
+	}{
+		{"GET", "/state", true},
+		{"GET", "/routing", true},
+		{"GET", "/lies", true},
+		{"GET", "/stats", true},
+		{"GET", "/events", true},
+		{"GET", "/metrics", true},
+		{"GET", "/logtail", true},
+		{"POST", "/update", true},
+		{"POST", "/fail", true},
+		{"POST", "/recover", true},
+		{"GET", "/fleet", false},
+		{"GET", "/fleet/results", false},
+		{"GET", "/fleet/events", false},
+		{"GET", "/dashboard", false},
+		{"GET", "/metrics.json", false},
+		{"POST", "/fleet/heartbeat", false},
+		{"POST", "/fleet/results", false},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() // /events streams until the client goes away
+		if got := resp.StatusCode != http.StatusNotFound; got != tc.mounted {
+			t.Errorf("%s %s: status %d, mounted=%v, want %v", tc.method, tc.path, resp.StatusCode, got, tc.mounted)
+		}
+	}
+}

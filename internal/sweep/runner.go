@@ -47,7 +47,7 @@ type Options struct {
 	Fingerprint string
 	// Shard/Shards split the campaign across processes: this run executes
 	// exactly the units whose campaign index i satisfies i % Shards ==
-	// Shard. Shards ≤ 1 means the whole campaign.
+	// Shard. The zero value (0/0) means the whole campaign.
 	Shard, Shards int
 	// Workers sizes the unit-level par pool (0 = one per CPU). Every
 	// unit's table is worker-count-invariant, so this only changes wall
@@ -63,17 +63,6 @@ type Options struct {
 	// Progress, when non-nil, is called serially after each unit
 	// completes, in completion order.
 	Progress func(UnitStatus)
-	// Starting, when non-nil, is called as each unit begins executing, in
-	// scheduling order (concurrent-safe on the caller's side is not
-	// required: calls are serialized). Fleet reporters use it to label the
-	// shard's "current unit" in heartbeats.
-	Starting func(unit string)
-	// Result, when non-nil, receives each unit's Result in strict campaign
-	// order, immediately after (and under the same serialization as) the
-	// Stream write — the hook fleet reporters use to forward completed
-	// units to a controller as they finish. Like Stream, it observes
-	// exactly the bytes-determining Result; it must not mutate the table.
-	Result func(Result)
 	// Ctx, when it carries an obs.Tracer, records one sweep.unit span per
 	// unit with cache-probe/compute/cache-put/verify children (and the
 	// full adversarial-loop span tree beneath compute). Tracing never
@@ -138,8 +127,8 @@ type Report struct {
 // already in the cache, so a re-run resumes instead of recomputing.
 func Run(c Campaign, opts Options) (*Report, error) {
 	start := time.Now()
-	if opts.Shards <= 1 {
-		opts.Shard, opts.Shards = 0, 1
+	if opts.Shard == 0 && opts.Shards == 0 {
+		opts.Shards = 1
 	}
 	if opts.Shard < 0 || opts.Shard >= opts.Shards {
 		return nil, fmt.Errorf("sweep: shard %d/%d out of range", opts.Shard, opts.Shards)
@@ -172,20 +161,19 @@ func Run(c Campaign, opts Options) (*Report, error) {
 
 	results := make([]Result, len(mine))
 	statuses := make([]UnitStatus, len(mine))
-	st := &streamer{w: opts.Stream, progress: opts.Progress, result: opts.Result, starting: opts.Starting, results: results, statuses: statuses, done: make([]bool, len(mine)), shard: shardLabel}
+	st := &streamer{w: opts.Stream, progress: opts.Progress, results: results, statuses: statuses, done: make([]bool, len(mine)), shard: shardLabel}
 
 	sweepLog.Info("campaign start", "campaign", c.Name, "shard", shardLabel,
 		"units", len(mine), "workers", opts.Workers)
 
 	err := par.ForErr(opts.Workers, len(mine), func(i int) error {
 		if err := runCtx.Err(); err != nil {
-			// Canceled (signal or controller abort): stop scheduling new
-			// units; finished units are already cached and streamed, so the
-			// campaign resumes from here.
+			// Canceled (SIGINT/SIGTERM, or whatever else ends the caller's
+			// context): stop scheduling new units; finished units are already
+			// cached and streamed, so the campaign resumes from here.
 			return fmt.Errorf("sweep: unit %s not started: %w", c.Units[mine[i]].ID, err)
 		}
 		u := c.Units[mine[i]]
-		st.begin(u.ID)
 		unitCtx, unitSpan := obs.StartSpan(runCtx, "sweep.unit")
 		unitSpan.Attr("unit", u.ID)
 		defer unitSpan.End()
@@ -308,8 +296,6 @@ func verifyHit(u Unit, cfg exp.Config, entry *Entry) error {
 type streamer struct {
 	w        io.Writer
 	progress func(UnitStatus)
-	result   func(Result)
-	starting func(unit string)
 	shard    string // "shard/shards" metric label of this run
 
 	mu       sync.Mutex
@@ -317,15 +303,6 @@ type streamer struct {
 	statuses []UnitStatus
 	done     []bool
 	next     int // first index not yet flushed
-}
-
-func (s *streamer) begin(unit string) {
-	if s.starting == nil {
-		return
-	}
-	s.mu.Lock()
-	s.starting(unit)
-	s.mu.Unlock()
 }
 
 func (s *streamer) complete(i int, r Result, us UnitStatus) error {
@@ -355,9 +332,6 @@ func (s *streamer) complete(i int, r Result, us UnitStatus) error {
 			if _, err := s.w.Write(line); err != nil {
 				return err
 			}
-		}
-		if s.result != nil {
-			s.result(s.results[s.next])
 		}
 		s.next++
 	}

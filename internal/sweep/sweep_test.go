@@ -343,6 +343,12 @@ func TestRunRejectsBadShardSpec(t *testing.T) {
 	if _, err := Run(c, Options{Shard: -1, Shards: 2}); err == nil {
 		t.Fatal("shard -1/2 accepted")
 	}
+	if _, err := Run(c, Options{Shard: 3, Shards: 1}); err == nil {
+		t.Fatal("shard 3/1 accepted")
+	}
+	if _, err := Run(c, Options{Shard: 1}); err == nil {
+		t.Fatal("shard 1/0 accepted")
+	}
 }
 
 func TestDiff(t *testing.T) {
