@@ -76,14 +76,14 @@ bench-e2e:
 	$(GO) run ./bench -workload $(W) -trace $(T)
 
 # bench-counts is the gate on the benchmark's deterministic counts: the
-# traced ledger of cold-geant and online-nsf at seed 1 (about 20 s together)
-# must agree with testdata/ledger-counts.json row for row — LP solves and
-# pivots by phase, refactorizations, adversary calls, gpopt steps, failover
-# plans, fake nodes, par tasks, and mallocs per op within 2 % (the list is in
-# internal/tools/ledgercheck). A change that moves a count edits that file
+# traced ledger of cold-geant, online-nsf and scale-ba42 at seed 1 (about
+# 25 s together) must agree with testdata/ledger-counts.json row for row — LP
+# solves and pivots by phase, refactorizations, adversary calls, gpopt steps,
+# failover plans, fake nodes, par tasks, and mallocs per op within 2 % (the
+# list is in internal/tools/ledgercheck). A change that moves a count edits that file
 # and says why; wall clock is not looked at.
 bench-counts:
-	@set -e; for w in cold-geant online-nsf; do \
+	@set -e; for w in cold-geant online-nsf scale-ba42; do \
 		$(GO) run ./bench -workload $$w -seed 1 -seconds 1 -trace 1 -json bench-counts-$$w.json; \
 		$(GO) run ./internal/tools/ledgercheck testdata/ledger-counts.json bench-counts-$$w.json; \
 	done

@@ -30,6 +30,7 @@ import (
 	"github.com/coyote-te/coyote/internal/exp"
 	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/mcf"
+	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/strategy"
@@ -183,6 +184,7 @@ var printLPStats bool
 func resetSolverStats() {
 	lp.ResetGlobalStats()
 	mcf.ResetGlobalApproxStats()
+	oblivious.ResetGlobalAdversaryStats()
 }
 
 // reportLPStats prints the per-run counters of the sparse LP core: how
@@ -190,7 +192,10 @@ func resetSolverStats() {
 // totals, and how often a warm-start basis was offered and accepted
 // (PerfExact's per-link chain, the evaluator's carried OPTDAG basis). The
 // second line is the work of the solver that normalizes past the exact
-// node limit instead, the FPTAS (deterministic counts, DESIGN.md §12).
+// node limit instead, the FPTAS (deterministic counts, DESIGN.md §12); the
+// third says what the adversary did with its corner candidates — how many
+// normalizations it found cached, solved, or avoided through a dual-length
+// bound — which is where either solver's solve count comes from.
 func reportLPStats(run string) {
 	if !printLPStats {
 		return
@@ -202,8 +207,11 @@ func reportLPStats(run string) {
 		st.DualHits, st.DualAttempts, 100*st.DualHitRate(),
 		st.DenseFallbacks)
 	ap := mcf.GlobalApproxStats()
-	fmt.Printf("[fptas-stats %s] solves=%d phases=%d sptrees=%d retries=%d\n\n",
+	fmt.Printf("[fptas-stats %s] solves=%d phases=%d sptrees=%d retries=%d\n",
 		run, ap.Solves, ap.Phases, ap.Trees, ap.Retries)
+	ad := oblivious.GlobalAdversaryStats()
+	fmt.Printf("[adversary-stats %s] candidates cached=%d solved=%d pruned=%d bound-violations=%d\n\n",
+		run, ad.Cached, ad.Solved, ad.Pruned, ad.BoundViolations)
 }
 
 func fatal(err error) {

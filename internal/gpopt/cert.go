@@ -2,7 +2,8 @@
 // duals play in the paper): every finite-scenario optimization divides
 // link loads by OPTDAG(D), so a wrong normalization silently skews the
 // whole objective. CertifyNorm re-derives the min-MLU optimum on the
-// shared lp.Model builder and machine-checks it against its own LP dual —
+// one min-MLU formulation (mcf.NewMinMLUModel) and machine-checks it against
+// its own LP dual from first principles (mcf.CheckDual) —
 // a certificate that is verified independently of the solver's internals,
 // so a bug in the simplex cannot self-certify.
 package gpopt
@@ -15,6 +16,7 @@ import (
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
+	"github.com/coyote-te/coyote/internal/mcf"
 )
 
 // Certificate is a verified optimality proof for an OPTDAG value.
@@ -43,72 +45,8 @@ const certTol = 1e-6
 // means the normalization cannot be trusted.
 func CertifyNorm(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (*Certificate, error) {
 	n := g.NumNodes()
-	nE := g.NumEdges()
-	prob := lp.NewModel(lp.Minimize)
-	alpha := prob.AddVar(0, lp.Inf, 1)
-
-	// Mirror of the OPTDAG formulation (mcf.MinMLUExactBasis), built here
-	// so the certificate owns its row indexing.
-	fVar := make([][]int, n)
-	active := make([]bool, n)
-	consRow := make([][]int, n) // consRow[t][v] = row index, or -1
-	cols := make([][]float64, n)
-	for t := 0; t < n; t++ {
-		col := D.ToDestination(graph.NodeID(t))
-		cols[t] = col
-		for _, d := range col {
-			if d > 0 {
-				active[t] = true
-				break
-			}
-		}
-		if !active[t] {
-			continue
-		}
-		fVar[t] = make([]int, nE)
-		for e := 0; e < nE; e++ {
-			fVar[t][e] = -1
-			if dags == nil || dags[t].Member[e] {
-				fVar[t][e] = prob.AddVars(1)
-			}
-		}
-		consRow[t] = make([]int, n)
-		for v := 0; v < n; v++ {
-			consRow[t][v] = -1
-			if v == t {
-				continue
-			}
-			var terms []lp.Term
-			for _, id := range g.Out(graph.NodeID(v)) {
-				if fVar[t][id] >= 0 {
-					terms = append(terms, lp.Term{Var: fVar[t][id], Coeff: 1})
-				}
-			}
-			for _, id := range g.In(graph.NodeID(v)) {
-				if fVar[t][id] >= 0 {
-					terms = append(terms, lp.Term{Var: fVar[t][id], Coeff: -1})
-				}
-			}
-			consRow[t][v] = prob.AddEQ(terms, col[v])
-		}
-	}
-	capRow := make([]int, nE)
-	for e := 0; e < nE; e++ {
-		capRow[e] = -1
-	}
-	for _, e := range g.Edges() {
-		terms := []lp.Term{{Var: alpha, Coeff: -e.Capacity}}
-		for t := 0; t < n; t++ {
-			if active[t] && fVar[t][e.ID] >= 0 {
-				terms = append(terms, lp.Term{Var: fVar[t][e.ID], Coeff: 1})
-			}
-		}
-		if len(terms) > 1 {
-			capRow[e.ID] = prob.AddLE(terms, 0)
-		}
-	}
-
-	sol, err := prob.Solve(nil)
+	mm := mcf.NewMinMLUModel(g, dags, D)
+	sol, err := mm.Model.Solve(nil)
 	if err != nil {
 		return nil, fmt.Errorf("gpopt: certificate LP: %w", err)
 	}
@@ -125,49 +63,30 @@ func CertifyNorm(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (*Certifica
 	// Extract the dual point: w from the conservation rows, z = −y from
 	// the ≤-capacity rows (minimization convention: a binding upper row
 	// carries y ≤ 0).
-	z := make([]float64, nE)
-	for e := 0; e < nE; e++ {
-		if capRow[e] >= 0 {
-			z[e] = -sol.Duals[capRow[e]]
-		}
-		if z[e] < -certTol {
-			return nil, fmt.Errorf("gpopt: capacity dual z[%d] = %g < 0", e, z[e])
-		}
-		if z[e] < 0 {
-			z[e] = 0
+	z := make([]float64, g.NumEdges())
+	for e, r := range mm.CapRow {
+		if r >= 0 {
+			z[e] = -sol.Duals[r]
 		}
 	}
-	// Dual feasibility, checked from first principles.
-	sumZC := 0.0
-	for _, e := range g.Edges() {
-		sumZC += z[e.ID] * e.Capacity
+	active := make([]bool, n)
+	for t := range active {
+		active[t] = mm.DemandRow[t] != nil
 	}
-	if sumZC > 1+certTol {
-		return nil, fmt.Errorf("gpopt: dual infeasible: Σ z·c = %g > 1", sumZC)
+	w := func(v, t graph.NodeID) float64 {
+		if v == t {
+			return 0
+		}
+		return sol.Duals[mm.DemandRow[t][v]]
+	}
+	if err := mcf.CheckDual(g, dags, active, z, w, certTol); err != nil {
+		return nil, fmt.Errorf("gpopt: %w", err)
 	}
 	dualObj := 0.0
 	for t := 0; t < n; t++ {
-		if !active[t] {
-			continue
-		}
-		w := func(v int) float64 {
-			if v == t || consRow[t][v] < 0 {
-				return 0
-			}
-			return sol.Duals[consRow[t][v]]
-		}
-		for _, e := range g.Edges() {
-			if fVar[t][e.ID] < 0 {
-				continue
-			}
-			if excess := w(int(e.From)) - w(int(e.To)) - z[e.ID]; excess > certTol {
-				return nil, fmt.Errorf("gpopt: dual infeasible: destination %d edge %d violates w_from − w_to ≤ z by %g",
-					t, e.ID, excess)
-			}
-		}
-		for v := 0; v < n; v++ {
-			if d := cols[t][v]; d > 0 {
-				dualObj += d * w(v)
+		for v := 0; v < n && active[t]; v++ {
+			if d := D.D[v*n+t]; d > 0 {
+				dualObj += d * w(graph.NodeID(v), graph.NodeID(t))
 			}
 		}
 	}

@@ -41,6 +41,8 @@ type Model struct {
 
 	built *spxProb // cached engine form; invalidated by AddRow/AddVar
 	ws    *spx     // engine workspace, reused while the built shape (rows, vars) holds
+	// atOptimum: ws holds the optimal vertex of the last solve (RowDuals).
+	atOptimum bool
 }
 
 type mrow struct {
@@ -293,6 +295,23 @@ func (m *Model) SolveObjective(opts *SolveOptions) (float64, Status, *Basis, err
 	return obj, Optimal, m.ws.exportBasis(), nil
 }
 
+// RowDuals returns one multiplier per model row for the vertex the last
+// solve ended on, in the model's own sense (what Solution.Duals holds),
+// without copying: the slice is the workspace's, valid until the model is
+// solved again. It is nil unless that solve was Optimal on the sparse engine.
+func (m *Model) RowDuals() []float64 {
+	if !m.atOptimum {
+		return nil
+	}
+	y := m.ws.duals()
+	if m.sense == Maximize {
+		for i := range y {
+			y[i] = -y[i]
+		}
+	}
+	return y
+}
+
 // solve is Solve with the simplex method chosen by the caller (see method).
 func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution, error) {
 	status, stats, fallback, err := m.run(warm, ctx, meth)
@@ -312,12 +331,7 @@ func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution,
 		// Duals are reported in the model's own sense: for Maximize the
 		// internal minimization multipliers are negated so weak duality
 		// reads the standard way.
-		sol.Duals = s.duals()
-		if m.sense == Maximize {
-			for i := range sol.Duals {
-				sol.Duals[i] = -sol.Duals[i]
-			}
-		}
+		sol.Duals = append([]float64(nil), m.RowDuals()...)
 	}
 	return sol, nil
 }
@@ -332,6 +346,7 @@ func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Statu
 		_, span = obs.StartSpan(ctx, "lp.solve")
 	}
 	defer span.End()
+	m.atOptimum = false
 	// A variable with crossed bounds makes the model trivially infeasible;
 	// the engine's bound logic assumes lo ≤ up everywhere.
 	for j := range m.vlo {
@@ -384,6 +399,7 @@ func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Statu
 			"dual_iterations", stats.DualIterations, "iterations", stats.Iterations)
 	}
 	span.Attr("status", status.String())
+	m.atOptimum = status == Optimal
 	return status, stats, nil, nil
 }
 

@@ -264,14 +264,15 @@ func (s *spx) values() []float64 {
 	return x
 }
 
-// duals returns a fresh copy of the simplex multipliers of the final basis
-// under the real costs.
+// duals computes the simplex multipliers of the final basis under the real
+// costs into the workspace's y and returns that slice, not a copy: the next
+// solve overwrites it.
 func (s *spx) duals() []float64 {
 	for k := 0; k < s.m; k++ {
 		s.cB[k] = s.costOf(s.basic[k])
 	}
 	s.btran(s.cB, s.y)
-	return append([]float64(nil), s.y...)
+	return s.y
 }
 
 // exportBasis snapshots the final basis as a fresh copy, carrying the

@@ -177,9 +177,13 @@ func MinMLUApprox(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float6
 }
 
 // MLU is Solve without the flows: the utilization only, with no allocation
-// once the workspace pool is warm.
-func (a *Approx) MLU(D *demand.Matrix, eps float64) (float64, error) {
-	mlu, _, err := a.solve(D, eps, false)
+// once the workspace pool is warm. When lengths is non-nil (one entry per
+// edge) a successful solve of a non-zero D also leaves its dual certificate
+// there: the multiplicative-weights lengths at termination scaled to
+// Σ l_e·c_e = 1, under which Σ D_st·dist_l(s,t) bounds the min-MLU of any
+// matrix over the same DAGs from below (CheckDual).
+func (a *Approx) MLU(D *demand.Matrix, eps float64, lengths []float64) (float64, error) {
+	mlu, _, err := a.solve(D, eps, false, lengths)
 	return mlu, err
 }
 
@@ -187,10 +191,10 @@ func (a *Approx) MLU(D *demand.Matrix, eps float64) (float64, error) {
 // flows attaining it (flows[t][e]; nil rows for destinations without
 // demand).
 func (a *Approx) Solve(D *demand.Matrix, eps float64) (float64, [][]float64, error) {
-	return a.solve(D, eps, true)
+	return a.solve(D, eps, true, nil)
 }
 
-func (a *Approx) solve(D *demand.Matrix, eps float64, wantFlows bool) (float64, [][]float64, error) {
+func (a *Approx) solve(D *demand.Matrix, eps float64, wantFlows bool, lengths []float64) (float64, [][]float64, error) {
 	if !(eps > 0 && eps < 0.5) {
 		return 0, nil, &EpsError{Eps: eps}
 	}
@@ -252,6 +256,15 @@ func (a *Approx) solve(D *demand.Matrix, eps float64, wantFlows bool) (float64, 
 					row[e] = f * inv / scale
 				}
 				flows[t] = row
+			}
+		}
+		if lengths != nil {
+			sumLC := 0.0
+			for e, l := range ws.length {
+				sumLC += l * a.cap[e]
+			}
+			for e, l := range ws.length {
+				lengths[e] = l / sumLC
 			}
 		}
 		mApproxSolves.Inc()

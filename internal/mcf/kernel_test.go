@@ -122,7 +122,7 @@ func TestKernelMatchesReference(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					sameBits(t, label, wantMLU, wantFlows, gotMLU, gotFlows)
-					valueOnly, err := a.MLU(D, eps)
+					valueOnly, err := a.MLU(D, eps, nil)
 					if err != nil || math.Float64bits(valueOnly) != math.Float64bits(wantMLU) {
 						t.Fatalf("%s: MLU() = %v, %v; reference %v", label, valueOnly, err, wantMLU)
 					}
@@ -176,7 +176,7 @@ func TestApproxIndexReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(t, fmt.Sprintf("matrix %d", i), wantMLU, wantFlows, gotMLU, gotFlows)
-		if v, err := a.MLU(D, 0.4); err != nil || math.Float64bits(v) != math.Float64bits(wantMLU) {
+		if v, err := a.MLU(D, 0.4, nil); err != nil || math.Float64bits(v) != math.Float64bits(wantMLU) {
 			t.Fatalf("matrix %d: MLU() = %v, %v; fresh %v", i, v, err, wantMLU)
 		}
 	}
@@ -240,7 +240,7 @@ func TestApproxLengthOverflowIsUnroutable(t *testing.T) {
 
 func TestApproxRejectsWrongSize(t *testing.T) {
 	g, _ := paperExample()
-	if _, err := NewApprox(g, nil).MLU(demand.NewMatrix(g.NumNodes()+1), 0.1); err == nil {
+	if _, err := NewApprox(g, nil).MLU(demand.NewMatrix(g.NumNodes()+1), 0.1, nil); err == nil {
 		t.Fatal("want an error for a matrix of the wrong dimension")
 	}
 }
@@ -274,7 +274,7 @@ func TestApproxWarmSolveAllocs(t *testing.T) {
 	D := demand.Gravity(g, 1)
 	var sink float64
 	allocs := testing.AllocsPerRun(5, func() {
-		v, err := a.MLU(D, 0.4)
+		v, err := a.MLU(D, 0.4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +339,7 @@ func TestApproxConcurrentSolves(t *testing.T) {
 	want := make([]float64, k)
 	for i := range Ds {
 		Ds[i] = randomCorner(base, rng)
-		v, err := a.MLU(Ds[i], 0.4)
+		v, err := a.MLU(Ds[i], 0.4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestApproxConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = a.MLU(Ds[i], 0.4)
+			got[i], errs[i] = a.MLU(Ds[i], 0.4, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -376,7 +376,7 @@ func BenchmarkMinMLUApprox(b *testing.B) {
 		solve func() (float64, error)
 	}{
 		{"one-shot", func() (float64, error) { v, _, err := MinMLUApprox(g, dags, D, 0.4); return v, err }},
-		{"shared-index", func() (float64, error) { return shared.MLU(D, 0.4) }},
+		{"shared-index", func() (float64, error) { return shared.MLU(D, 0.4, nil) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

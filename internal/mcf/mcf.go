@@ -247,6 +247,76 @@ func (mm *MinMLUModel) SolveMLU(opts *lp.SolveOptions) (float64, *lp.Basis, erro
 	return mlu, basis, nil
 }
 
+// Lengths writes the dual certificate of the solve that just finished into z
+// (one entry per edge): the capacity-row multipliers z_e = −y[CapRow[e]],
+// clamped at 0 and scaled to Σ z_e·c_e = 1. With in-DAG distances under z,
+// Σ D_st·dist_z(s,t) is a lower bound on the min-MLU of any matrix D over the
+// same DAGs (CheckDual), and equals the optimum at the matrix just solved.
+// It reads the model's workspace without copying and reports false when the
+// last solve left no optimal vertex or no positive length.
+func (mm *MinMLUModel) Lengths(z []float64) bool {
+	y := mm.Model.RowDuals()
+	if y == nil {
+		return false
+	}
+	sum := 0.0
+	for _, e := range mm.g.Edges() {
+		z[e.ID] = 0
+		if r := mm.CapRow[e.ID]; r >= 0 && y[r] < 0 {
+			z[e.ID] = -y[r]
+			sum += z[e.ID] * e.Capacity
+		}
+	}
+	if !(sum > 0) {
+		return false
+	}
+	for e := range z {
+		z[e] /= sum
+	}
+	return true
+}
+
+// CheckDual verifies from first principles that (z, w) is a feasible point of
+// the min-MLU dual over the DAGs: z ≥ 0, Σ z_e·c_e ≤ 1, and
+// w(from, t) − w(to, t) ≤ z_e on every edge destination t may use, with
+// w(t, t) = 0 — the point whose objective Σ D_st·w(s, t) bounds the min-MLU
+// of D from below by weak duality. Destinations with active[t] false are
+// skipped (nil checks all); a +Inf potential marks a node that cannot reach
+// t. tol is the absolute slack allowed on each condition.
+func CheckDual(g *graph.Graph, dags []*dagx.DAG, active []bool, z []float64, w func(v, t graph.NodeID) float64, tol float64) error {
+	sumZC := 0.0
+	for _, e := range g.Edges() {
+		if z[e.ID] < -tol {
+			return fmt.Errorf("mcf: dual infeasible: z[%d] = %g < 0", e.ID, z[e.ID])
+		}
+		sumZC += z[e.ID] * e.Capacity
+	}
+	if sumZC > 1+tol {
+		return fmt.Errorf("mcf: dual infeasible: Σ z·c = %g > 1", sumZC)
+	}
+	for t := 0; t < g.NumNodes(); t++ {
+		if active != nil && !active[t] {
+			continue
+		}
+		dst := graph.NodeID(t)
+		if w0 := w(dst, dst); w0 != 0 {
+			return fmt.Errorf("mcf: dual infeasible: destination %d has potential %g at itself", t, w0)
+		}
+		allowed := allowedEdges(g, dags, dst)
+		for _, e := range g.Edges() {
+			if !allowed[e.ID] {
+				continue
+			}
+			// Both ends unreachable gives NaN, which passes: the constraint
+			// is vacuous there.
+			if excess := w(e.From, dst) - w(e.To, dst) - z[e.ID]; excess > tol {
+				return fmt.Errorf("mcf: dual infeasible: destination %d edge %d violates w_from − w_to ≤ z by %g", t, e.ID, excess)
+			}
+		}
+	}
+	return nil
+}
+
 // Solve runs the LP with the given options (typically a carried Basis) and
 // unpacks the solution into MLU and per-destination edge flows.
 func (mm *MinMLUModel) Solve(opts *lp.SolveOptions) (float64, [][]float64, *lp.Basis, error) {

@@ -11,7 +11,9 @@
 // capacities). The fast one exploits that for a fixed routing the load on a
 // link is linear in the demand matrix, so a box-constrained maximum is
 // attained at a corner readable from the coefficient signs; corners are
-// then normalized by OPTDAG via the mcf solvers. Single-pair demand
+// then normalized by OPTDAG via the mcf solvers — only those corners whose
+// dual-length bound says they can be among the k worst (DESIGN.md §2.5).
+// Single-pair demand
 // matrices (the adversaries behind Theorem 4) are additionally screened in
 // closed form through DAG-restricted max-flow.
 //
@@ -27,6 +29,7 @@
 package oblivious
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -98,10 +101,11 @@ type Evaluator struct {
 
 // evalCache holds the values that depend only on (graph, DAGs) — OPTDAG
 // normalizations, per-pair DAG max-flows, the latest exact-LP optimal
-// basis, idle exact-LP models, and the FPTAS index (DESIGN.md §12) — so
-// evaluators over the same topology but different uncertainty boxes (the
-// online controller's demand updates) can share them. The basis rides the same carry-through as the
-// gpopt warm state: delta.Session's UpdateBounds and Recover derive their
+// basis, idle exact-LP models, the ring of dual-length distance tables, and
+// the FPTAS index (DESIGN.md §12) — so evaluators over the same topology but
+// different uncertainty boxes (the online controller's demand updates) can
+// share them. The basis rides the same carry-through as the gpopt warm
+// state: delta.Session's UpdateBounds and Recover derive their
 // evaluator via WithBox, which keeps this cache, so exact normalizations
 // after a demand drift warm-start from the vertex of the previous epoch.
 type evalCache struct {
@@ -114,6 +118,14 @@ type evalCache struct {
 	// builds one — and puts it back, so concurrent normalizations each hold
 	// their own instance.
 	models []*mcf.MinMLUModel
+
+	// bounds holds the dual certificates of recent normalizations as
+	// distance tables; PerfTop bounds its candidates with them before it
+	// solves any (DESIGN.md §2.5). Every fresh solve, OptDAG's included,
+	// feeds it.
+	bounds boundRing
+	// scratch recycles PerfTop's per-call working set (*advScratch).
+	scratch sync.Pool
 
 	approxOnce sync.Once
 	approx     *mcf.Approx // built on the first FPTAS normalization
@@ -185,8 +197,9 @@ func NewEvaluator(g *graph.Graph, dags []*dagx.DAG, box *demand.Box, cfg EvalCon
 		Box:  box,
 		cfg:  cfg,
 		cache: &evalCache{
-			opt: make(map[uint64]float64),
-			mf:  make(map[[2]graph.NodeID]float64),
+			opt:     make(map[uint64]float64),
+			mf:      make(map[[2]graph.NodeID]float64),
+			scratch: sync.Pool{New: func() any { return new(advScratch) }},
 		},
 		edgeBuf: par.NewPool(g.NumEdges()),
 		nodeBuf: par.NewPool(g.NumNodes()),
@@ -216,49 +229,70 @@ func (ev *Evaluator) WithBox(box *demand.Box) *Evaluator {
 // otherwise). Exact solves warm-start from — and refresh — the shared
 // basis cache; use it from serialized contexts (the adversarial loop's
 // scenario accumulation, sessions). PerfTop's internal parallel
-// normalization goes through optDAGWarm with a fixed basis snapshot
-// instead, so its results never depend on goroutine scheduling.
+// normalization solves against a fixed basis snapshot instead, so its
+// results never depend on goroutine scheduling.
 func (ev *Evaluator) OptDAG(D *demand.Matrix) float64 {
-	v, basis, _ := ev.optDAGWarm(D, ev.cache.warmBasis())
+	h := hashMatrix(D)
+	if v, ok := ev.cache.lookup(h); ok {
+		return v
+	}
+	z := ev.edgeBuf.Get()
+	v, basis, certified := ev.solveOptDAG(D, ev.cache.warmBasis(), z)
+	ev.cache.store(h, v)
+	if certified {
+		ev.cache.bounds.add(ev.G, ev.DAGs, z, D, v, ev.exact())
+	}
+	ev.edgeBuf.Put(z)
 	ev.cache.setWarmBasis(basis)
 	return v
 }
 
-// optDAGWarm is OptDAG against an explicit warm basis. It returns the
-// (possibly cached) value, the optimal basis when a fresh exact solve
-// happened (nil otherwise), and whether a solve happened at all.
-func (ev *Evaluator) optDAGWarm(D *demand.Matrix, warm *lp.Basis) (float64, *lp.Basis, bool) {
-	h := hashMatrix(D)
-	c := ev.cache
+// exact reports whether OPTDAG runs on the exact LP (FPTAS otherwise).
+func (ev *Evaluator) exact() bool { return ev.G.NumNodes() <= ev.cfg.ExactNodeLimit }
+
+// lookup returns the cached OPTDAG value of the matrix with fingerprint h.
+func (c *evalCache) lookup(h uint64) (float64, bool) {
 	c.mu.Lock()
-	if v, ok := c.opt[h]; ok {
-		c.mu.Unlock()
-		return v, nil, false
-	}
+	v, ok := c.opt[h]
 	c.mu.Unlock()
-	var v float64
-	var basis *lp.Basis
+	return v, ok
+}
+
+// store caches an OPTDAG value under the matrix fingerprint h.
+func (c *evalCache) store(h uint64, v float64) {
+	c.mu.Lock()
+	c.opt[h] = v
+	c.mu.Unlock()
+}
+
+// solveOptDAG normalizes D afresh against an explicit warm basis: +Inf when
+// D cannot be routed within the DAGs. It returns the optimal basis of an
+// exact solve (nil otherwise) and whether z (one entry per edge) received
+// the solve's dual certificate — edge lengths ℓ ≥ 0 with Σ ℓ_e·c_e = 1, from
+// the capacity-row duals of the LP or the final Garg–Könemann lengths.
+func (ev *Evaluator) solveOptDAG(D *demand.Matrix, warm *lp.Basis, z []float64) (v float64, basis *lp.Basis, certified bool) {
+	c := ev.cache
 	var err error
 	switch {
-	case ev.G.NumNodes() > ev.cfg.ExactNodeLimit:
-		v, err = c.fptas(ev.G, ev.DAGs).MLU(D, ev.cfg.Eps)
 	case D.Total() == 0:
-		// No demand: utilization 0, no LP.
+		// No demand: utilization 0, no solve.
+		return 0, nil, false
+	case !ev.exact():
+		v, err = c.fptas(ev.G, ev.DAGs).MLU(D, ev.cfg.Eps, z)
+		certified = err == nil
 	default:
 		mm := c.takeModel(ev.G, ev.DAGs, D)
 		if err = mm.SetDemands(D); err == nil {
-			v, basis, err = mm.SolveMLU(&lp.SolveOptions{Basis: warm})
+			if v, basis, err = mm.SolveMLU(&lp.SolveOptions{Basis: warm}); err == nil {
+				certified = mm.Lengths(z)
+			}
 		}
 		c.putModel(mm)
 	}
 	if err != nil {
-		v = math.Inf(1)
-		basis = nil
+		return math.Inf(1), nil, false
 	}
-	c.mu.Lock()
-	c.opt[h] = v
-	c.mu.Unlock()
-	return v, basis, true
+	return v, basis, certified
 }
 
 // pairMaxFlow returns the maximum s→t flow within DAG_t (cached). The
@@ -319,18 +353,177 @@ func (ev *Evaluator) PerfTop(r *pdrouting.Routing, k int) []Result {
 }
 
 // PerfTopCtx is PerfTop with tracing: when ctx carries an obs.Tracer the
-// adversary records one oblivious.adversary span covering the whole
-// candidate fan-out (corner generation, parallel OPTDAG normalization,
-// utilization propagation). The candidates themselves are evaluated in
-// parallel, so the span is deliberately one per call, not one per
-// candidate; nothing observed changes the verdict.
+// adversary records one oblivious.adversary span covering the whole call
+// (corner generation, utilization propagation, bounding, the waves of OPTDAG
+// normalizations), with what became of the candidates — cached, solved,
+// pruned — and the number of waves as attributes. The candidates themselves
+// are evaluated in parallel, so the span is deliberately one per call, not
+// one per candidate; nothing observed changes the verdict.
+//
+// The adversary is bound-ordered: it returns exactly the k best of all its
+// candidates but normalizes only those whose dual-length upper bound reaches
+// the k-th best ratio established so far (DESIGN.md §2.5).
 func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int) []Result {
 	_, span := obs.StartSpan(ctx, "oblivious.adversary")
 	defer span.End()
+	workers := ev.cfg.Workers
+	singles, corners := ev.adversaryInputs(r, ev.seq.Add(1))
+
+	// Deduplicate serially in a fixed order.
+	sc := ev.cache.scratch.Get().(*advScratch)
+	defer ev.cache.scratch.Put(sc)
+	cands := sc.cands[:0]
+	seen := make(map[uint64]bool)
+	for _, D := range corners {
+		if D.Total() <= 0 {
+			continue
+		}
+		h := hashMatrix(D)
+		if !seen[h] {
+			seen[h] = true
+			cands = append(cands, candidate{D: D, hash: h})
+		}
+	}
+	sc.cands = cands
+
+	// The routing's utilization on every candidate, once: it is the
+	// numerator of the ratio and of the bound. The candidate fan-out already
+	// saturates the pool; a full-width inner fan-out here would square the
+	// goroutine count for no throughput. The serial propagation still reuses
+	// pooled buffers and is bit-identical at any width.
+	par.For(workers, len(cands), func(i int) {
+		cands[i].mxlu = r.ParallelMaxUtilization(cands[i].D, 1, ev.edgeBuf, ev.nodeBuf)
+	})
+
+	// The bar τ is the k-th best exact ratio known so far: the single-pair
+	// results and the candidates normalized by an earlier call set it before
+	// anything is solved. Every other candidate gets an upper bound on its
+	// ratio from the ring of dual certificates — weak duality bounds OPTDAG
+	// from below, hence mxlu/OPTDAG from above — and only a candidate whose
+	// bound reaches τ is ever solved (DESIGN.md §2.5).
+	if k < 1 {
+		k = 1
+	}
+	top := sc.top[:0]
+	for _, sr := range singles {
+		top = pushTop(top, k, sr.Ratio)
+	}
+	pending := sc.pending[:0]
+	for i := range cands {
+		c := &cands[i]
+		if c.norm, c.known = ev.cache.lookup(c.hash); c.known {
+			if c.valid() {
+				top = pushTop(top, k, c.mxlu/c.norm)
+			}
+			continue
+		}
+		c.lb = ev.cache.bounds.bound(c.D, 0)
+		pending = append(pending, int32(i))
+	}
+	sc.pending = pending
+	cached := len(cands) - len(pending)
+	pos := ev.cache.bounds.position() // the survivors' bounds are current to here
+
+	// Solve in descending bound order, boundWave candidates at a time, every
+	// exact solve warm-started from the one basis snapshot taken here; after
+	// each wave the fresh certificates join the ring in candidate order and
+	// tighten the survivors' bounds. Wave membership depends only on bounds
+	// and τ, never on the worker count or on scheduling.
+	warmSnapshot := ev.cache.warmBasis()
+	exact := ev.exact()
+	var wave [boundWave]waveSlot
+	var firstBasis *lp.Basis
+	waves := 0
+	for len(pending) > 0 {
+		slices.SortFunc(pending, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(cands[b].upper(), cands[a].upper()), cmp.Compare(a, b))
+		})
+		tau := math.Inf(-1)
+		if len(top) == k {
+			tau = top[k-1]
+		}
+		nw := 0
+		for nw < boundWave && nw < len(pending) && cands[pending[nw]].upper()*(1+1e-9) >= tau {
+			nw++
+		}
+		if nw == 0 {
+			break // nothing left can reach the top k
+		}
+		waves++
+		// Index order within the wave: the order results, certificates and
+		// the published basis are taken in.
+		slices.Sort(pending[:nw])
+		par.For(workers, nw, func(j int) {
+			c := &cands[pending[j]]
+			w := &wave[j]
+			w.z = ev.edgeBuf.Get()
+			c.norm, w.basis, w.certified = ev.solveOptDAG(c.D, warmSnapshot, w.z)
+		})
+		for j := 0; j < nw; j++ {
+			c := &cands[pending[j]]
+			w := &wave[j]
+			c.known = true
+			ev.cache.store(c.hash, c.norm)
+			if c.valid() {
+				top = pushTop(top, k, c.mxlu/c.norm)
+			}
+			if w.certified {
+				ev.cache.bounds.add(ev.G, ev.DAGs, w.z, c.D, c.norm, exact)
+			}
+			ev.edgeBuf.Put(w.z)
+			if firstBasis == nil {
+				firstBasis = w.basis
+			}
+			*w = waveSlot{}
+		}
+		pending = pending[nw:]
+		for _, i := range pending {
+			c := &cands[i]
+			c.lb = math.Max(c.lb, ev.cache.bounds.bound(c.D, pos))
+		}
+		pos = ev.cache.bounds.position()
+	}
+	pruned := len(pending)
+	solved := len(cands) - cached - pruned
+	sc.top = top
+	// The first fresh basis of the call becomes the shared warm start when
+	// the cache holds none yet; afterwards only the serial OptDAG chain
+	// republishes (DESIGN.md §7).
+	if warmSnapshot == nil {
+		ev.cache.setWarmBasis(firstBasis)
+	}
+
+	mCandCached.Add(uint64(cached))
+	mCandSolved.Add(uint64(solved))
+	mCandPruned.Add(uint64(pruned))
+	span.Attr("k", k).Attr("candidates", len(cands)).Attr("singles", len(singles)).
+		Attr("cached", cached).Attr("solved", solved).Attr("pruned", pruned).Attr("waves", waves)
+
+	all := make([]Result, 0, len(cands)+len(singles))
+	all = append(all, singles...)
+	for i := range cands {
+		if c := &cands[i]; c.known && c.valid() {
+			all = append(all, Result{Ratio: c.mxlu / c.norm, WorstDM: c.D, MxLU: c.mxlu, Norm: c.norm})
+		}
+	}
+	clear(cands) // drop the matrix references the pooled scratch would otherwise pin
+	if len(all) == 0 {
+		return []Result{{Ratio: math.Inf(-1)}}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Ratio > all[j].Ratio })
+	if len(all) > k {
+		all = all[:k]
+	}
+	return all
+}
+
+// adversaryInputs generates what the seq-th adversary call on r examines: the
+// strongest single-pair results (closed form, oblivious boxes only) and the
+// box corners, duplicates and empty matrices included.
+func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles []Result, corners []*demand.Matrix) {
 	n := ev.G.NumNodes()
 	nE := ev.G.NumEdges()
 	workers := ev.cfg.Workers
-	seq := ev.seq.Add(1)
 
 	// Load coefficients coeff[t][s][e], one independent propagation per
 	// destination.
@@ -344,7 +537,6 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	// ratio is maxflow(s,t)·max_e coeff/c — independent of d. Single-pair
 	// matrices belong to the box only when its lower bounds are all zero
 	// (the oblivious sets); skip them otherwise.
-	var singles []Result
 	if ev.Box.Min.Total() == 0 {
 		perSource := make([][]Result, n)
 		par.For(workers, n, func(s int) {
@@ -384,10 +576,9 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 
 	// Corner candidates: the box maximum, the geometric midpoint (≈ the
 	// base matrix of a margin box), one corner per link maximizing that
-	// link's load, and the random corners. Corners are generated into
-	// index-addressed slots in parallel, then deduplicated serially in a
-	// fixed order.
-	corners := make([]*demand.Matrix, 2+nE+ev.cfg.Samples)
+	// link's load, and the random corners, generated into index-addressed
+	// slots in parallel.
+	corners = make([]*demand.Matrix, 2+nE+ev.cfg.Samples)
 	corners[0] = ev.Box.Max.Clone()
 	mid := demand.NewMatrix(n)
 	for i := range mid.D {
@@ -402,71 +593,58 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	par.For(workers, ev.cfg.Samples, func(i int) {
 		corners[2+nE+i] = ev.randomCorner(seq, i)
 	})
-	candidates := make([]*demand.Matrix, 0, len(corners))
-	seen := make(map[uint64]bool)
-	for _, D := range corners {
-		if D.Total() <= 0 {
-			continue
-		}
-		h := hashMatrix(D)
-		if !seen[h] {
-			seen[h] = true
-			candidates = append(candidates, D)
-		}
-	}
+	return singles, corners
+}
 
-	// Normalize and evaluate candidates in parallel. Every exact OPTDAG
-	// solve warm-starts from the same basis snapshot (taken before the
-	// fan-out) and the refreshed basis is published afterwards from the
-	// highest-indexed fresh solve — never from whichever goroutine finished
-	// last — so the numbers cannot depend on scheduling or worker count.
-	type cand struct {
-		ratio, mxlu, norm float64
-		D                 *demand.Matrix
+// candidate is one deduplicated corner of an adversary call.
+type candidate struct {
+	D     *demand.Matrix
+	hash  uint64
+	mxlu  float64 // the routing's utilization on D
+	norm  float64 // OPTDAG(D), once known
+	known bool    // norm is in hand, cached or solved; a pruned candidate ends false
+	lb    float64 // best lower bound on OPTDAG(D) so far: 0 = none, +Inf = unroutable
+}
+
+// valid reports whether the known normalization yields a ratio: a matrix
+// that cannot be routed within the DAGs (norm +Inf) is dropped.
+func (c *candidate) valid() bool { return c.norm > 0 && !math.IsInf(c.norm, 1) }
+
+// upper bounds the candidate's ratio from above. Without a positive lower
+// bound on OPTDAG it is +Inf — such a candidate is never pruned — and a
+// matrix with demand on a pair no DAG path serves (lb +Inf) gets 0: solving
+// it could only report it unroutable, and it is dropped either way.
+func (c *candidate) upper() float64 {
+	if c.lb <= 0 {
+		return math.Inf(1)
 	}
-	results := make([]cand, len(candidates))
-	warmSnapshot := ev.cache.warmBasis()
-	bases := make([]*lp.Basis, len(candidates))
-	par.For(workers, len(candidates), func(i int) {
-		D := candidates[i]
-		norm, basis, _ := ev.optDAGWarm(D, warmSnapshot)
-		bases[i] = basis
-		if norm <= 0 || math.IsInf(norm, 1) {
-			results[i] = cand{ratio: math.Inf(-1)}
-			return
+	return c.mxlu / c.lb
+}
+
+// waveSlot is what one solve of a wave hands back to the serial reduction.
+type waveSlot struct {
+	z         []float64
+	basis     *lp.Basis
+	certified bool
+}
+
+// advScratch is the per-call working set of PerfTop, recycled through
+// evalCache.scratch so a steady-state call allocates none of it.
+type advScratch struct {
+	cands   []candidate
+	pending []int32   // indices of candidates not yet solved, best bound first
+	top     []float64 // the k best exact ratios so far, descending
+}
+
+// pushTop inserts ratio into the descending list of the k best.
+func pushTop(top []float64, k int, ratio float64) []float64 {
+	if len(top) == k {
+		if ratio <= top[k-1] {
+			return top
 		}
-		// The candidate fan-out already saturates the pool; a full-width
-		// inner fan-out here would square the goroutine count for no
-		// throughput. The serial propagation still reuses pooled buffers
-		// and is bit-identical at any width.
-		mxlu := r.ParallelMaxUtilization(D, 1, ev.edgeBuf, ev.nodeBuf)
-		results[i] = cand{ratio: mxlu / norm, mxlu: mxlu, norm: norm, D: D}
-	})
-	for i := len(bases) - 1; i >= 0; i-- {
-		if bases[i] != nil {
-			ev.cache.setWarmBasis(bases[i])
-			break
-		}
+		top = top[:k-1]
 	}
-	span.Attr("k", k).Attr("candidates", len(candidates)).Attr("singles", len(singles))
-	all := make([]Result, 0, len(results)+len(singles))
-	all = append(all, singles...)
-	for _, c := range results {
-		if c.D != nil && !math.IsInf(c.ratio, -1) {
-			all = append(all, Result{Ratio: c.ratio, WorstDM: c.D, MxLU: c.mxlu, Norm: c.norm})
-		}
-	}
-	if len(all) == 0 {
-		return []Result{{Ratio: math.Inf(-1)}}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Ratio > all[j].Ratio })
-	if k < 1 {
-		k = 1
-	}
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	return slices.Insert(top, sort.Search(len(top), func(i int) bool { return top[i] < ratio }), ratio)
 }
 
 // randomCorner materializes the sample-th random box corner of the seq-th

@@ -5,7 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"github.com/coyote-te/coyote/internal/dagx"
+	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/obs"
+	"github.com/coyote-te/coyote/internal/topo"
 )
 
 // TestPerfExactSpans covers the serial slave-LP chain's tracing: with a
@@ -51,5 +54,68 @@ func TestPerfExactSpans(t *testing.T) {
 	}
 	if want := g.NumEdges(); solves != want {
 		t.Fatalf("recorded %d lp.solve spans, want one per link (%d)", solves, want)
+	}
+}
+
+// TestAdversarySpanAccountsForCandidates: the oblivious.adversary span says
+// what became of every candidate — cached + solved + pruned = candidates —
+// the counter family moves by the same amounts, and the second call on the
+// same routing finds every normalization it needs cached or bounded away.
+func TestAdversarySpanAccountsForCandidates(t *testing.T) {
+	g, err := topo.Load("NSF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	ev := NewEvaluator(g, dags, demand.MarginBox(demand.Gravity(g, 1), 2), EvalConfig{Samples: 4, Seed: 1})
+	r := ECMPOnDAGs(g, dags)
+
+	tracer := obs.NewTracer()
+	ctx := obs.WithTracer(context.Background(), tracer)
+	before := GlobalAdversaryStats()
+	ev.PerfTopCtx(ctx, r, 4)
+	ev.PerfTopCtx(ctx, r, 4)
+	after := GlobalAdversaryStats()
+
+	var total [3]int // cached, solved, pruned over both calls
+	calls := 0
+	for _, rec := range tracer.Records() {
+		if rec.Name != "oblivious.adversary" {
+			continue
+		}
+		attr := map[string]int{}
+		for _, a := range rec.Attrs {
+			if v, ok := a.Val.(int); ok {
+				attr[a.Key] = v
+			}
+		}
+		for _, key := range []string{"candidates", "cached", "solved", "pruned", "waves"} {
+			if _, ok := attr[key]; !ok {
+				t.Fatalf("adversary span lacks the %q attribute: %+v", key, rec.Attrs)
+			}
+		}
+		if attr["cached"]+attr["solved"]+attr["pruned"] != attr["candidates"] {
+			t.Fatalf("cached %d + solved %d + pruned %d ≠ candidates %d", attr["cached"], attr["solved"], attr["pruned"], attr["candidates"])
+		}
+		if wantWaves := (attr["solved"] + boundWave - 1) / boundWave; attr["waves"] < wantWaves || attr["waves"] > attr["solved"] {
+			t.Fatalf("%d waves for %d solves at wave size %d", attr["waves"], attr["solved"], boundWave)
+		}
+		if calls == 0 && (attr["solved"] == 0 || attr["pruned"] == 0) {
+			t.Fatalf("first call solved %d and pruned %d candidates; want both positive", attr["solved"], attr["pruned"])
+		}
+		if calls == 1 && attr["solved"] != 0 {
+			t.Fatalf("second call on the same routing solved %d candidates", attr["solved"])
+		}
+		total[0] += attr["cached"]
+		total[1] += attr["solved"]
+		total[2] += attr["pruned"]
+		calls++
+	}
+	if calls != 2 {
+		t.Fatalf("recorded %d adversary spans, want 2", calls)
+	}
+	got := [3]int{int(after.Cached - before.Cached), int(after.Solved - before.Solved), int(after.Pruned - before.Pruned)}
+	if got != total {
+		t.Fatalf("coyote_oblivious_candidates_total moved by %v (cached, solved, pruned), spans say %v", got, total)
 	}
 }

@@ -15,17 +15,19 @@ import (
 
 func TestComputeWorkCounts(t *testing.T) {
 	// These move only when the algorithm does; a change that means to move
-	// them re-reads them from this test's failure output.
+	// them re-reads them from this test's failure output. (107 solves and
+	// 9039 pivots until the adversary began bounding its candidates by dual
+	// lengths and solving only those that can reach the top k.)
 	want := lp.StatsSnapshot{
-		Solves:           107,
-		Iterations:       9039,
-		Phase1Iterations: 426,
-		DualIterations:   8602,
-		Refactorizations: 201,
-		WarmAttempts:     106,
-		WarmHits:         106,
-		DualAttempts:     105,
-		DualHits:         102,
+		Solves:           33,
+		Iterations:       3259,
+		Phase1Iterations: 407,
+		DualIterations:   2843,
+		Refactorizations: 73,
+		WarmAttempts:     32,
+		WarmHits:         32,
+		DualAttempts:     31,
+		DualHits:         29,
 		DenseFallbacks:   0,
 	}
 
