@@ -12,14 +12,15 @@ import (
 // TestRunStepAllocs is the alloc-regression guard for the optimizer's inner
 // loop (tier-1, run in CI): once New has sized the arenas and prepare has
 // seen the scenario set, a full gradient iteration — materialize, forward,
-// smooth-max, backward, Adam — must not allocate at all.
+// smooth-max, backward, Adam — must not allocate at all, and neither must
+// prepare or a whole Run, closing objective included.
 func TestRunStepAllocs(t *testing.T) {
 	g, err := topo.Load("Geant")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dags := dagx.BuildAll(g, dagx.Augmented)
-	o := New(g, dags, Config{Iters: 1, Workers: 1})
+	o := New(g, dags, Config{Iters: 3, Workers: 1})
 
 	n := g.NumNodes()
 	scenarios := make([]Scenario, 0, 3)
@@ -36,24 +37,22 @@ func TestRunStepAllocs(t *testing.T) {
 	}
 
 	if !o.prepare(scenarios) {
-		t.Fatal("scenario set produced no tasks")
+		t.Fatal("scenario set produced no work")
 	}
 	// Warm up once so lazily-grown capacities (none expected) settle.
-	o.stepOnce(scenarios, 0.1, nil, nil, nil)
+	o.stepOnce(0.1, nil, nil, nil)
 
-	allocs := testing.AllocsPerRun(20, func() {
-		o.stepOnce(scenarios, 0.1, nil, nil, nil)
-	})
-	if allocs != 0 {
-		t.Fatalf("gpopt step allocated %v times per iteration, want 0", allocs)
-	}
-
-	// prepare itself must also be allocation-free once the arenas have been
-	// grown for this scenario set.
-	allocs = testing.AllocsPerRun(20, func() {
-		o.prepare(scenarios)
-	})
-	if allocs != 0 {
-		t.Fatalf("prepare allocated %v times per call, want 0", allocs)
+	for _, tc := range []struct {
+		what string
+		fn   func()
+	}{
+		{"a gradient step", func() { o.stepOnce(0.1, nil, nil, nil) }},
+		{"prepare", func() { o.prepare(scenarios) }},
+		{"a whole Run", func() { o.Run(scenarios) }},
+		{"a Run on a smaller set", func() { o.Run(scenarios[:2]) }},
+	} {
+		if allocs := testing.AllocsPerRun(20, tc.fn); allocs != 0 {
+			t.Errorf("%s allocated %v times, want 0", tc.what, allocs)
+		}
 	}
 }

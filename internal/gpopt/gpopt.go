@@ -57,7 +57,7 @@ func NewScenario(g *graph.Graph, D *demand.Matrix, norm float64) Scenario {
 // many workers.
 type Config struct {
 	Iters   int // gradient steps per Run (default 400)
-	Workers int // worker-pool size for the per-(scenario, destination) passes (≤ 0 = GOMAXPROCS); never changes results
+	Workers int // worker-pool size for the per-destination sweeps (≤ 0 = GOMAXPROCS); never changes results
 }
 
 // The optimizer's tuning; fixed, not configuration.
@@ -79,11 +79,11 @@ func (c Config) withDefaults() Config {
 // edge) and Adam state, allowing warm-started re-optimization as the
 // adversarial scenario set grows.
 //
-// Each gradient step fans its per-(scenario, destination) forward and
-// backward flow propagations, and its per-destination softmax/Adam
-// updates, across a worker pool of Config.Workers goroutines (DESIGN.md
-// §4). All cross-leaf floating-point reductions happen serially in a fixed
-// order, so a Run's result is bit-identical for any worker count.
+// A gradient step is two sweeps of every destination's DAG, each sweep
+// moving all scenarios together, fanned out per destination across a worker
+// pool of Config.Workers goroutines (DESIGN.md §4). All cross-destination
+// floating-point reductions happen serially in a fixed order, so a Run's
+// result is bit-identical for any worker count.
 type Optimizer struct {
 	g    *graph.Graph
 	dags []*dagx.DAG
@@ -99,14 +99,13 @@ type Optimizer struct {
 	m, v       [][]float64 // Adam moments
 	step       int
 
-	// outsOf[t][u] caches DAG out-edge lists as CSR-style views into one
-	// shared arena (no per-(t,u) slice headers on the heap); headsOf[t][u][k]
-	// is the head node of edge outsOf[t][u][k], in a parallel arena, so the
-	// propagation loops never copy a graph.Edge.
-	outsOf     [][][]graph.EdgeID
-	outsArena  []graph.EdgeID
-	headsOf    [][][]graph.NodeID
-	headsArena []graph.NodeID
+	// Every destination's DAG, flattened once: sweeps[t] lists the nodes
+	// and their ranges of edge slots; edge[q] and head[q] are slot q's
+	// global edge id and head node. Slots are numbered destination by
+	// destination, so one destination's slots are contiguous.
+	sweeps []sweep
+	edge   []graph.EdgeID
+	head   []graph.NodeID
 
 	// scratch holds every buffer Run and materialize need, sized once per
 	// topology (and grown only when the scenario set does), so steady-state
@@ -114,48 +113,52 @@ type Optimizer struct {
 	scratch runScratch
 }
 
-// task is one forward/backward work unit: a (scenario, destination) pair
-// with demand.
-type task struct{ si, t int }
+// sweep is one destination's DAG as a CSR in topological order: node holds
+// the nodes that forward traffic (the destination and dead ends dropped),
+// and node[i]'s out-edges are the slots first[i]..first[i+1], in graph.Out
+// order.
+type sweep struct {
+	node  []graph.NodeID
+	first []int
+}
+
+// outs returns the edge ids of the i-th node of t's sweep.
+func (o *Optimizer) outs(t, i int) []graph.EdgeID {
+	sw := &o.sweeps[t]
+	return o.edge[sw.first[i]:sw.first[i+1]]
+}
 
 // runScratch is the reusable workspace of Run. The parts that depend only
-// on the topology (per-destination φ/gradient rows, per-destination
-// backward buffers, softmax scratch) are allocated in New; the parts that
-// scale with the scenario set (task list, per-task load/inflow rows,
-// per-scenario totals and utilizations) are grown by prepare on the first
-// Run that sees a larger set and reused afterwards. Nothing in here ever
+// on the topology (per-destination φ/gradient rows, softmax scratch) are
+// allocated in New; the parts that scale with the scenario set are carved
+// by prepare out of one arena that grows geometrically and is reused when
+// the set shrinks. Those are rows of S contiguous lanes, one per scenario,
+// so a sweep moves every scenario per edge visit. Nothing in here ever
 // escapes the optimizer (DESIGN.md §12: scratch never escapes,
 // instrumentation never touches the numeric path).
 type runScratch struct {
-	phi, grad, gradT [][]float64 // row views, n × nE, backed by gradArena
-	gradArena        []float64
+	phi, grad [][]float64 // row views, n × nE, by global edge id
 
 	logits, probs [][]float64 // per-destination softmax scratch, n × maxOutDeg
 
-	destGIn [][]float64 // per-destination backward buffers, n × n
+	lanes []float64 // the arena every row below is carved from
+	S     int       // lanes per row: the current Run's scenario count
 
-	tasks      []task
-	byDest     [][]int     // byDest[t] = indices into tasks, scenario order
-	taskLoads  [][]float64 // row views, len(tasks) × nE
-	taskInflow [][]float64 // row views, len(tasks) × n
-	scLoads    [][]float64 // row views, len(scenarios) × nE
-	taskArena  []float64   // backs taskLoads + taskInflow
-	scArena    []float64   // backs scLoads
-	utils      []float64   // len(scenarios)·nE; utilization of edge e in scenario si at index si·nE+e
-	scaled     []float64   // utils/τ, softmax input
-	w          []float64   // smooth-max weights, softmax output
-	wNorm      []float64   // w/(capacity·Norm): the upstream load gradient of edge e in scenario si at si·nE+e
+	dem, inflow, adj []float64 // n rows per destination, by node: demand column, forward inflow, backward adjoint
+	loads            []float64 // a row per edge slot: the load its destination's sweep put on the edge
+	tot              []float64 // nE rows: an edge's load summed over destinations
+	wNorm            []float64 // nE rows: w/(capacity·Norm), the upstream load gradient
+	capNorm          []float64 // scenario-major from here on (scenario si, edge e at si·nE+e): capacity·Norm
+	scaled           []float64 // utilization/τ, softmax input
+	w                []float64 // smooth-max weights, softmax output
 
-	// The par.For leaf closures are built once in New and reused every
-	// iteration (a closure passed to For escapes to its worker goroutines,
-	// so a fresh literal per call would heap-allocate). Iteration-varying
-	// state flows through the fields below instead of captures.
-	scenarios     []Scenario // current Run's scenario set (set by prepare)
-	bc1, bc2      float64    // Adam bias corrections for the current step
-	fnMaterialize func(t int)
-	fnForward     func(i int)
-	fnBackward    func(t int)
-	fnAdam        func(t int)
+	// The par.For leaves are bound once in New and reused every iteration
+	// (a func value passed to For escapes to its worker goroutines, so a
+	// fresh one per call would heap-allocate). Iteration-varying state flows
+	// through the fields below instead of captures.
+	bc1, bc2   float64 // Adam bias corrections for the current step
+	fnForward  func(t int)
+	fnBackward func(t int)
 }
 
 // New creates an optimizer over the given DAGs. Initial ratios approximate
@@ -174,7 +177,7 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 	o.m = sliceRows(o.paramArena[n*nE:2*n*nE], n, nE)
 	o.v = sliceRows(o.paramArena[2*n*nE:], n, nE)
 
-	// DAG out-edge lists, CSR-packed: count, then carve views.
+	// Flatten the DAGs: count slots, then walk each topological order.
 	total := 0
 	for t := 0; t < n; t++ {
 		for e := 0; e < nE; e++ {
@@ -183,93 +186,48 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 			}
 		}
 	}
-	o.outsArena = make([]graph.EdgeID, 0, total)
-	o.outsOf = make([][][]graph.EdgeID, n)
-	o.headsArena = make([]graph.NodeID, 0, total)
-	o.headsOf = make([][][]graph.NodeID, n)
+	o.edge = make([]graph.EdgeID, 0, total)
+	o.head = make([]graph.NodeID, 0, total)
+	o.sweeps = make([]sweep, n)
 	maxDeg := 0
 	for t := 0; t < n; t++ {
-		o.outsOf[t] = make([][]graph.EdgeID, n)
-		o.headsOf[t] = make([][]graph.NodeID, n)
 		spMember := spMembership(g, dags[t])
-		for u := 0; u < n; u++ {
-			start := len(o.outsArena)
-			for _, id := range g.Out(graph.NodeID(u)) {
+		sw := &o.sweeps[t]
+		sw.node = make([]graph.NodeID, 0, n)
+		sw.first = append(make([]int, 0, n+1), len(o.edge))
+		for _, u := range dags[t].Order {
+			if int(u) == t {
+				continue
+			}
+			start := len(o.edge)
+			for _, id := range g.Out(u) {
 				if dags[t].Member[id] {
-					o.outsArena = append(o.outsArena, id)
-					o.headsArena = append(o.headsArena, g.Edge(id).To)
+					o.edge = append(o.edge, id)
+					o.head = append(o.head, g.Edge(id).To)
 					if spMember[id] {
 						o.theta[t][id] = initSPLog
 					}
 				}
 			}
-			o.outsOf[t][u] = o.outsArena[start:len(o.outsArena):len(o.outsArena)]
-			o.headsOf[t][u] = o.headsArena[start:len(o.headsArena):len(o.headsArena)]
-			if d := len(o.outsOf[t][u]); d > maxDeg {
-				maxDeg = d
+			if len(o.edge) == start {
+				continue // dead end: forwards nothing
 			}
+			sw.node = append(sw.node, u)
+			sw.first = append(sw.first, len(o.edge))
+			maxDeg = max(maxDeg, len(o.edge)-start)
 		}
 	}
 
-	// Topology-sized scratch (scenario-dependent parts grow in prepare).
+	// Topology-sized scratch (scenario-dependent parts are carved in prepare).
 	sc := &o.scratch
-	sc.gradArena = make([]float64, 3*n*nE)
-	sc.phi = sliceRows(sc.gradArena[0:n*nE], n, nE)
-	sc.grad = sliceRows(sc.gradArena[n*nE:2*n*nE], n, nE)
-	sc.gradT = sliceRows(sc.gradArena[2*n*nE:], n, nE)
+	gradArena := make([]float64, 2*n*nE)
+	sc.phi = sliceRows(gradArena[0:n*nE], n, nE)
+	sc.grad = sliceRows(gradArena[n*nE:], n, nE)
 	softmaxArena := make([]float64, 2*n*maxDeg)
 	sc.logits = sliceRows(softmaxArena[0:n*maxDeg], n, maxDeg)
 	sc.probs = sliceRows(softmaxArena[n*maxDeg:], n, maxDeg)
-	sc.destGIn = sliceRows(make([]float64, n*n), n, n)
-	sc.byDest = make([][]int, n)
-
-	sc.fnMaterialize = func(t int) {
-		o.materialize(t, sc.phi[t])
-		for e := range sc.grad[t] {
-			sc.grad[t][e] = 0
-			sc.gradT[t][e] = 0
-		}
-	}
-	sc.fnForward = func(i int) {
-		tk := sc.tasks[i]
-		for j := range sc.taskInflow[i] {
-			sc.taskInflow[i][j] = 0
-		}
-		o.forwardInto(tk.t, sc.scenarios[tk.si].Cols[tk.t], sc.phi[tk.t], sc.taskLoads[i], sc.taskInflow[i])
-	}
-	sc.fnBackward = func(t int) {
-		if len(sc.byDest[t]) == 0 {
-			return
-		}
-		for _, ti := range sc.byDest[t] {
-			si := sc.tasks[ti].si
-			o.backward(t, sc.phi[t], sc.taskInflow[ti], sc.destGIn[t], sc.wNorm[si*nE:(si+1)*nE], sc.grad[t])
-		}
-	}
-	sc.fnAdam = func(t int) {
-		const beta1, beta2 = 0.9, 0.999
-		for u := 0; u < n; u++ {
-			out := o.outsOf[t][u]
-			if len(out) < 2 {
-				continue // single-edge nodes have fixed φ = 1
-			}
-			dot := 0.0
-			for _, id := range out {
-				dot += sc.grad[t][id] * sc.phi[t][id]
-			}
-			for _, id := range out {
-				sc.gradT[t][id] = sc.phi[t][id] * (sc.grad[t][id] - dot)
-			}
-			for _, id := range out {
-				gth := sc.gradT[t][id]
-				o.m[t][id] = beta1*o.m[t][id] + (1-beta1)*gth
-				o.v[t][id] = beta2*o.v[t][id] + (1-beta2)*gth*gth
-				mhat := o.m[t][id] / sc.bc1
-				vhat := o.v[t][id] / sc.bc2
-				o.theta[t][id] -= lr * mhat / (math.Sqrt(vhat) + 1e-12)
-			}
-		}
-	}
+	sc.fnForward = o.forwardDest
+	sc.fnBackward = o.backwardDest
 	return o
 }
 
@@ -308,20 +266,21 @@ func (o *Optimizer) Routing() *pdrouting.Routing {
 // materialize writes φ = softmax(θ) for destination t into phiT, using t's
 // private softmax scratch rows (safe under the per-destination fan-out).
 func (o *Optimizer) materialize(t int, phiT []float64) {
-	n := o.g.NumNodes()
-	for u := 0; u < n; u++ {
-		out := o.outsOf[t][u]
-		if len(out) == 0 || u == t {
+	theta := o.theta[t]
+	for i := range o.sweeps[t].node {
+		out := o.outs(t, i)
+		if len(out) == 1 {
+			phiT[out[0]] = 1 // what Softmax returns for one logit, exactly
 			continue
 		}
 		logits := o.scratch.logits[t][:len(out)]
 		probs := o.scratch.probs[t][:len(out)]
-		for i, id := range out {
-			logits[i] = o.theta[t][id]
+		for k, id := range out {
+			logits[k] = theta[id]
 		}
 		geom.Softmax(logits, probs)
-		for i, id := range out {
-			phiT[id] = probs[i]
+		for k, id := range out {
+			phiT[id] = probs[k]
 		}
 	}
 }
@@ -332,14 +291,8 @@ func (o *Optimizer) materialize(t int, phiT []float64) {
 // destination order and the final max-reduction is exact, so the value is
 // worker-count-independent.
 func Objective(r *pdrouting.Routing, scenarios []Scenario) float64 {
-	return objective(r, scenarios, 0)
-}
-
-// objective is Objective bounded to the given worker count, so Run honors
-// Config.Workers end to end.
-func objective(r *pdrouting.Routing, scenarios []Scenario, workers int) float64 {
 	perScenario := make([]float64, len(scenarios))
-	par.For(workers, len(scenarios), func(si int) {
+	par.For(0, len(scenarios), func(si int) {
 		sc := scenarios[si]
 		loads := make([]float64, r.G.NumEdges())
 		for t, col := range sc.Cols {
@@ -370,14 +323,14 @@ func objective(r *pdrouting.Routing, scenarios []Scenario, workers int) float64 
 }
 
 // Run performs cfg.Iters Adam steps against the given scenario set and
-// returns the final true objective (worst normalized utilization). It may
-// be called repeatedly; parameters and Adam state persist across calls.
+// returns the final true objective (worst normalized utilization, equal to
+// Objective(o.Routing(), scenarios)). It may be called repeatedly;
+// parameters and Adam state persist across calls.
 //
-// Within every step the per-(scenario, destination) forward passes, the
-// per-destination backward passes, and the per-destination Adam updates
-// each fan out across the worker pool; the per-scenario load totals and the
-// smooth-max weights are reduced serially in a fixed order, so the result
-// is bit-identical for any Config.Workers.
+// Every step is two loops over destinations — a forward sweep, then a
+// reverse sweep fused with the Adam update — with the per-edge load totals
+// and the smooth-max weights reduced serially in a fixed order between
+// them, so the result is bit-identical for any Config.Workers.
 func (o *Optimizer) Run(scenarios []Scenario) float64 {
 	return o.RunCtx(context.Background(), scenarios)
 }
@@ -407,120 +360,89 @@ func (o *Optimizer) RunCtx(ctx context.Context, scenarios []Scenario) float64 {
 	for it := 0; it < cfg.Iters; it++ {
 		frac := float64(it) / float64(max(cfg.Iters-1, 1))
 		tau := tauStart * math.Pow(tauEnd/tauStart, frac)
-		o.stepOnce(scenarios, tau, span, &fwdTime, &bwdTime)
+		o.stepOnce(tau, span, &fwdTime, &bwdTime)
 	}
-	return objective(o.Routing(), scenarios, cfg.Workers)
+	// The closing objective is one more forward pass on the step's scratch.
+	o.forward()
+	sc := &o.scratch
+	S, nE := sc.S, o.g.NumEdges()
+	worst := 0.0
+	for si := 0; si < S; si++ {
+		for e := 0; e < nE; e++ {
+			if u := sc.tot[e*S+si] / sc.capNorm[si*nE+e]; u > worst {
+				worst = u
+			}
+		}
+	}
+	return worst
 }
 
-// prepare (re)builds the task list for the scenario set and grows the
-// scenario-sized scratch arenas if needed. It reports whether any work
-// exists. With an unchanged (or smaller) scenario set everything is reused
-// and nothing allocates.
+// prepare carves the lane rows for the scenario set — growing the arena if
+// the set outgrew it — and loads the demand lanes and the capacity·Norm
+// products. It reports whether any work exists. With an unchanged (or
+// smaller) scenario set nothing allocates.
 func (o *Optimizer) prepare(scenarios []Scenario) bool {
 	sc := &o.scratch
-	sc.scenarios = scenarios
-	n, nE := o.g.NumNodes(), o.g.NumEdges()
-
-	// The work units of one gradient step: every (scenario, destination)
-	// pair with demand, in a fixed order. byDest groups the task indices
-	// per destination so the backward pass can accumulate into grad[t]
-	// race-free (one goroutine per destination) yet in scenario order.
-	sc.tasks = sc.tasks[:0]
-	for t := range sc.byDest {
-		sc.byDest[t] = sc.byDest[t][:0]
+	n, nE, S := o.g.NumNodes(), o.g.NumEdges(), len(scenarios)
+	if need := S * (3*n*n + len(o.edge) + 5*nE); need > len(sc.lanes) {
+		sc.lanes = make([]float64, max(need, 2*len(sc.lanes)))
 	}
+	sc.S = S
+	rest := sc.lanes
+	carve := func(rows int) []float64 {
+		row := rest[: rows*S : rows*S]
+		rest = rest[rows*S:]
+		return row
+	}
+	sc.dem, sc.inflow, sc.adj = carve(n*n), carve(n*n), carve(n*n)
+	sc.loads = carve(len(o.edge))
+	sc.tot, sc.wNorm = carve(nE), carve(nE)
+	sc.capNorm, sc.scaled, sc.w = carve(nE), carve(nE), carve(nE)
+
+	// A scenario without demand toward t is a zero lane of t's rows.
+	work := false
+	clear(sc.dem)
 	for si, s := range scenarios {
-		for t := 0; t < n; t++ {
-			if s.Cols[t] == nil {
-				continue
+		for t, col := range s.Cols {
+			work = work || col != nil
+			for v, d := range col {
+				if v != t {
+					sc.dem[(t*n+v)*S+si] = d
+				}
 			}
-			sc.byDest[t] = append(sc.byDest[t], len(sc.tasks))
-			sc.tasks = append(sc.tasks, task{si: si, t: t})
+		}
+		for e := 0; e < nE; e++ {
+			sc.capNorm[si*nE+e] = o.g.Edge(graph.EdgeID(e)).Capacity * s.Norm
 		}
 	}
-	if len(sc.tasks) == 0 {
-		return false
-	}
-
-	// Row views depend only on the counts, so an unchanged task/scenario
-	// count reuses the previous views outright (zero allocations).
-	nT := len(sc.tasks)
-	if nT != len(sc.taskLoads) {
-		if need := nT * (nE + n); cap(sc.taskArena) < need {
-			sc.taskArena = make([]float64, need)
-		}
-		sc.taskLoads = sliceRows(sc.taskArena[0:nT*nE], nT, nE)
-		sc.taskInflow = sliceRows(sc.taskArena[nT*nE:nT*(nE+n)], nT, n)
-	}
-
-	nS := len(scenarios)
-	if nS != len(sc.scLoads) {
-		if need := nS * nE; cap(sc.scArena) < need {
-			sc.scArena = make([]float64, need)
-			sc.utils = make([]float64, need)
-			sc.scaled = make([]float64, need)
-			sc.w = make([]float64, need)
-			sc.wNorm = make([]float64, need)
-		}
-		sc.scLoads = sliceRows(sc.scArena[:nS*nE], nS, nE)
-		sc.utils = sc.utils[:cap(sc.utils)][:nS*nE]
-		sc.scaled = sc.scaled[:cap(sc.scaled)][:nS*nE]
-		sc.w = sc.w[:cap(sc.w)][:nS*nE]
-		sc.wNorm = sc.wNorm[:cap(sc.wNorm)][:nS*nE]
-	}
-	return true
+	return work
 }
 
 // stepOnce performs one Adam iteration at temperature tau. It touches only
 // the optimizer's parameter arena and prepared scratch — zero allocations
 // in steady state (TestRunStepAllocs pins this).
-func (o *Optimizer) stepOnce(scenarios []Scenario, tau float64, span *obs.Span, fwdTime, bwdTime *time.Duration) {
-	cfg := o.cfg
+func (o *Optimizer) stepOnce(tau float64, span *obs.Span, fwdTime, bwdTime *time.Duration) {
 	sc := &o.scratch
-	n, nE := o.g.NumNodes(), o.g.NumEdges()
-
-	// Materialize φ = softmax(θ) and clear gradients, per destination.
-	par.For(cfg.Workers, n, sc.fnMaterialize)
+	S, nE := sc.S, o.g.NumEdges()
 
 	var passStart time.Time
 	if span.Active() {
 		passStart = time.Now()
 	}
+	o.forward()
 
-	// Forward: per-(scenario, destination) propagations in parallel...
-	par.For(cfg.Workers, len(sc.tasks), sc.fnForward)
-	// ...then per-scenario totals and utilizations reduced serially in
-	// task order. The utilization of edge e in scenario si sits at index
-	// si·nE+e of utils, so no index indirection is needed anywhere.
-	for si := range sc.scLoads {
-		for e := range sc.scLoads[si] {
-			sc.scLoads[si][e] = 0
-		}
-	}
-	for i, tk := range sc.tasks {
-		total := sc.scLoads[tk.si]
+	// Smooth-max gradient: w_i = exp(u_i/τ)/Σ over the utilizations in
+	// scenario-major order (the order the softmax sums in), then the
+	// backward pass's upstream load gradient, once per (scenario, edge).
+	for si := 0; si < S; si++ {
 		for e := 0; e < nE; e++ {
-			total[e] += sc.taskLoads[i][e]
+			sc.scaled[si*nE+e] = sc.tot[e*S+si] / sc.capNorm[si*nE+e] / tau
 		}
-	}
-	for si, s := range scenarios {
-		base := si * nE
-		for e := 0; e < nE; e++ {
-			sc.utils[base+e] = sc.scLoads[si][e] / (o.g.Edge(graph.EdgeID(e)).Capacity * s.Norm)
-		}
-	}
-
-	// Smooth-max gradient: w_i = exp(u_i/τ)/Σ.
-	for i, x := range sc.utils {
-		sc.scaled[i] = x / tau
 	}
 	geom.Softmax(sc.scaled, sc.w)
-	// The backward pass's upstream load gradient, once per (scenario, edge)
-	// instead of once per (destination, edge).
-	for si, s := range scenarios {
-		base := si * nE
+	for si := 0; si < S; si++ {
 		for e := 0; e < nE; e++ {
-			sc.wNorm[base+e] = sc.w[base+e] / (o.g.Edge(graph.EdgeID(e)).Capacity * s.Norm)
+			sc.wNorm[e*S+si] = sc.w[si*nE+e] / sc.capNorm[si*nE+e]
 		}
 	}
 
@@ -530,73 +452,112 @@ func (o *Optimizer) stepOnce(scenarios []Scenario, tau float64, span *obs.Span, 
 		passStart = now
 	}
 
-	// Backward: one goroutine per destination, scenarios in order.
-	par.For(cfg.Workers, n, sc.fnBackward)
-
-	// φ-gradient → θ-gradient through the softmax Jacobian, then Adam;
-	// destinations own disjoint parameter rows.
 	o.step++
 	sc.bc1 = 1 - math.Pow(0.9, float64(o.step))
 	sc.bc2 = 1 - math.Pow(0.999, float64(o.step))
-	par.For(cfg.Workers, n, sc.fnAdam)
+	par.For(o.cfg.Workers, len(o.sweeps), sc.fnBackward)
 	if span.Active() {
 		*bwdTime += time.Since(passStart)
 	}
 }
 
-// forwardInto propagates col toward destination t with ratios phiT, writing
-// the per-edge loads into loads (fully overwritten). The caller-provided
-// inflow scratch must be zeroed on entry.
-func (o *Optimizer) forwardInto(t int, col []float64, phiT, loads, inflow []float64) {
-	d := o.dags[t]
-	for i := range loads {
-		loads[i] = 0
-	}
-	for v, dem := range col {
-		if v != t {
-			inflow[v] = dem
-		}
-	}
-	for _, u := range d.Order {
-		if int(u) == t || inflow[u] == 0 {
-			continue
-		}
-		heads := o.headsOf[t][u]
-		for k, id := range o.outsOf[t][u] {
-			f := inflow[u] * phiT[id]
-			loads[id] = f
-			inflow[heads[k]] += f
+// forward materializes φ and propagates every scenario's demand down every
+// destination's DAG, then totals the loads per (edge, scenario): member
+// edges only, destinations ascending (slot order), so each total adds its
+// terms in the same order at any worker count.
+func (o *Optimizer) forward() {
+	sc := &o.scratch
+	par.For(o.cfg.Workers, len(o.sweeps), sc.fnForward)
+	S := sc.S
+	clear(sc.tot)
+	for q, id := range o.edge {
+		tot := sc.tot[int(id)*S:][:S]
+		for j, f := range sc.loads[q*S:][:S] {
+			tot[j] += f
 		}
 	}
 }
 
-// backward accumulates dLoss/dφ into gPhi for one (scenario, destination)
-// task: inflow holds the node inflows its forward pass left behind
-// (forwardInto), wNorm the scenario's upstream load gradients by edge
-// (w[e]/(capacity(e)·Norm)). It walks the DAG in reverse topological order;
-// the caller-provided gIn scratch is overwritten.
-func (o *Optimizer) backward(t int, phiT, inflow, gIn, wNorm, gPhi []float64) {
-	for i := range gIn {
-		gIn[i] = 0
-	}
-	order := o.dags[t].Order
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		if int(u) == t || inflow[u] == 0 {
-			continue
-		}
-		heads := o.headsOf[t][u]
-		for k, id := range o.outsOf[t][u] {
-			up := wNorm[id] + gIn[heads[k]]
-			gIn[u] += up * phiT[id]
-			gPhi[id] += up * inflow[u]
+// forwardDest is the forward leaf of destination t: φ = softmax(θ), then one
+// sweep of t's DAG in topological order that splits each node's inflow over
+// its out-edges, all lanes per edge. The inflows stay behind for
+// backwardDest.
+func (o *Optimizer) forwardDest(t int) {
+	sc := &o.scratch
+	phi := sc.phi[t]
+	o.materialize(t, phi)
+	S, sw := sc.S, &o.sweeps[t]
+	rows := o.g.NumNodes() * S
+	in := sc.inflow[t*rows:][:rows]
+	copy(in, sc.dem[t*rows:][:rows])
+	for i, u := range sw.node {
+		inU := in[int(u)*S:][:S]
+		for q := sw.first[i]; q < sw.first[i+1]; q++ {
+			p := phi[o.edge[q]]
+			load := sc.loads[q*S:][:S]
+			inH := in[int(o.head[q])*S:][:S]
+			for j, x := range inU {
+				f := x * p
+				load[j] = f
+				inH[j] += f
+			}
 		}
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// backwardDest is the backward leaf of destination t: one sweep of t's DAG
+// in reverse topological order accumulating dLoss/dφ per edge over the
+// lanes in scenario order, then the φ-gradient → θ-gradient through the
+// softmax Jacobian and the Adam update of t's parameter rows. A lane whose
+// inflow at a node is zero skips the node, adjoint included — which differs
+// from adding zeros exactly when a φ underflowed to 0.
+func (o *Optimizer) backwardDest(t int) {
+	sc := &o.scratch
+	phi, grad := sc.phi[t], sc.grad[t]
+	S, sw := sc.S, &o.sweeps[t]
+	rows := o.g.NumNodes() * S
+	in := sc.inflow[t*rows:][:rows]
+	adj := sc.adj[t*rows:][:rows]
+	clear(adj)
+	for i := len(sw.node) - 1; i >= 0; i-- {
+		u := int(sw.node[i])
+		inU, adjU := in[u*S:][:S], adj[u*S:][:S]
+		for q := sw.first[i]; q < sw.first[i+1]; q++ {
+			id := o.edge[q]
+			p := phi[id]
+			wNorm := sc.wNorm[int(id)*S:][:S]
+			adjH := adj[int(o.head[q])*S:][:S]
+			g := 0.0
+			for j, x := range inU {
+				if x == 0 {
+					continue
+				}
+				up := wNorm[j] + adjH[j]
+				adjU[j] += up * p
+				g += up * x
+			}
+			grad[id] = g
+		}
 	}
-	return b
+
+	const beta1, beta2 = 0.9, 0.999
+	theta, m, v := o.theta[t], o.m[t], o.v[t]
+	for i := range sw.node {
+		out := o.outs(t, i)
+		if len(out) < 2 {
+			continue // single-edge nodes have fixed φ = 1
+		}
+		dot := 0.0
+		for _, id := range out {
+			dot += grad[id] * phi[id]
+		}
+		for _, id := range out {
+			gth := phi[id] * (grad[id] - dot)
+			m[id] = beta1*m[id] + (1-beta1)*gth
+			v[id] = beta2*v[id] + (1-beta2)*gth*gth
+			mhat := m[id] / sc.bc1
+			vhat := v[id] / sc.bc2
+			theta[id] -= lr * mhat / (math.Sqrt(vhat) + 1e-12)
+		}
+	}
 }

@@ -200,7 +200,9 @@ func TestPropertyGradientCheck(t *testing.T) {
 		}
 
 		// Analytic gradient: replicate one optimizer iteration's gradient
-		// computation by calling the internals.
+		// computation with the scalar reference step's passes (the
+		// production step is pinned to them bit for bit).
+		ref := newScalarStepper(o)
 		phi := make([][]float64, n)
 		grad := make([][]float64, n)
 		for tt := 0; tt < n; tt++ {
@@ -227,7 +229,7 @@ func TestPropertyGradientCheck(t *testing.T) {
 			}
 			loads := make([]float64, g.NumEdges())
 			inflow := make([]float64, n)
-			o.forwardInto(tt, sc.Cols[tt], phi[tt], loads, inflow)
+			ref.forwardInto(tt, sc.Cols[tt], phi[tt], loads, inflow)
 			dls = append(dls, dl{tt, loads, inflow})
 			for e := range totalLoads {
 				totalLoads[e] += loads[e]
@@ -245,7 +247,7 @@ func TestPropertyGradientCheck(t *testing.T) {
 			wNorm[e] /= g.Edge(graph.EdgeID(e)).Capacity * sc.Norm
 		}
 		for _, d := range dls {
-			o.backward(d.t, phi[d.t], d.inflow, gIn, wNorm, grad[d.t])
+			ref.backward(d.t, phi[d.t], d.inflow, gIn, wNorm, grad[d.t])
 		}
 
 		// Pick a few random (t, node) softmax blocks and compare with
@@ -253,7 +255,7 @@ func TestPropertyGradientCheck(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			tt := rng.Intn(n)
 			u := rng.Intn(n)
-			out := o.outsOf[tt][u]
+			out := ref.outs[tt][u]
 			if len(out) < 2 {
 				continue
 			}

@@ -109,14 +109,10 @@ const minRatioLog = -18.0
 // instead of re-optimizing from scratch.
 func NewFromRouting(g *graph.Graph, dags []*dagx.DAG, cfg Config, r *pdrouting.Routing) *Optimizer {
 	o := New(g, dags, cfg)
-	n := g.NumNodes()
-	for t := 0; t < n; t++ {
+	for t := range o.sweeps {
 		phi := r.Phi[t]
-		for u := 0; u < n; u++ {
-			out := o.outsOf[t][u]
-			if len(out) == 0 || u == t {
-				continue
-			}
+		for i := range o.sweeps[t].node {
+			out := o.outs(t, i)
 			sum := 0.0
 			for _, id := range out {
 				sum += phi[id]
