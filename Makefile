@@ -92,7 +92,8 @@ bench-counts:
 # malformed real-world topology and MPS files error instead of panicking
 # (and, for MPS, that everything parseable round-trips byte-stably; for
 # the Prometheus exposition parser, that accepted pages keep coherent
-# histograms).
+# histograms; for the controller, that every POST /update body gets a 200
+# or a 400 that leaves the event log alone).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraphML$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSNDlib$$' -fuzztime 15s ./internal/scen
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAuto$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMPS$$' -fuzztime 15s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 15s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzUpdateBody$$' -fuzztime 15s ./internal/serve
 
 # smoke-examples builds and runs every examples/* binary (CI does the same
 # so examples cannot silently rot). gravitysweep is the slow one; the

@@ -82,23 +82,11 @@ func main() {
 	logLevel := flag.String("log-level", "info", "minimum level for the event log: debug, info, warn, error")
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
+	closeLog, err := obs.SetupLog(*logOut, *logLevel)
 	if err != nil {
 		log.Fatalln("coyote-serve:", err)
 	}
-	obs.SetLogLevel(level)
-	switch *logOut {
-	case "":
-	case "-":
-		obs.SetLogOutput(os.Stderr)
-	default:
-		lf, err := os.Create(*logOut)
-		if err != nil {
-			log.Fatalln("coyote-serve:", err)
-		}
-		defer lf.Close()
-		obs.SetLogOutput(lf)
-	}
+	defer closeLog()
 
 	g, name, err := buildTopology(*topoName, *topoFile, *gen, scen.Params{
 		N: *n, K: *k, Rows: *rows, Cols: *cols, Seed: *seed,

@@ -184,24 +184,11 @@ func runCmd(args []string, resume bool) error {
 		fmt.Fprintf(os.Stderr, "resuming %s campaign: %d/%d units cached\n", c.Name, cached, len(c.Units))
 	}
 
-	level, err := obs.ParseLevel(*logLevel)
+	closeLog, err := obs.SetupLog(*logOut, *logLevel)
 	if err != nil {
 		return err
 	}
-	obs.SetLogLevel(level)
-	switch *logOut {
-	case "":
-	case "-":
-		obs.SetLogOutput(os.Stderr)
-	default:
-		lf, err := os.Create(*logOut)
-		if err != nil {
-			return err
-		}
-		defer lf.Close()
-		obs.SetLogOutput(lf)
-		defer obs.SetLogOutput(nil)
-	}
+	defer closeLog()
 
 	opts := sweep.Options{
 		Cache:       cache,

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"expvar"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -64,11 +65,11 @@ func InstrumentHTTP(next http.Handler) http.Handler {
 		httpRequests.With(path, strconv.Itoa(sw.code)).Inc()
 		httpLatency.With(path).ObserveSince(start)
 		if sw.code >= 400 {
-			level := LevelWarn
+			level := slog.LevelWarn
 			if sw.code >= 500 {
-				level = LevelError
+				level = slog.LevelError
 			}
-			httpLog.Log(level, "request failed",
+			httpLog.Log(r.Context(), level, "request failed",
 				"method", r.Method, "path", path, "url", r.URL.Path, "code", sw.code,
 				"elapsed", time.Since(start))
 		}

@@ -7,7 +7,8 @@
 //	GET  /routing   per-destination splitting ratios of the live routing
 //	GET  /lies      synthesize lies for the current configuration; reports
 //	                the LSA diff vs the previously emitted set (?extra=N
-//	                tunes virtual next-hops per interface, default 3)
+//	                tunes virtual next-hops per interface, default 3,
+//	                at most 64)
 //	GET  /stats     the full event log (recompute cost, warm/cold, churn)
 //	GET  /events    Server-Sent Events stream of session events
 //	GET  /metrics   Prometheus text exposition of the obs.Default registry
@@ -87,6 +88,11 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // largest legitimate one (an all-pairs /update) is a few megabytes.
 const maxBodyBytes = 16 << 20
 
+// maxExtra bounds GET /lies?extra=N. Lie synthesis grows linearly with N
+// under the session lock and the response carries every lie, so an
+// unbounded N exhausts memory; the paper's Fig. 10 stops at 10.
+const maxExtra = 64
+
 // decodeBody decodes a JSON request body of at most maxBodyBytes into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
@@ -164,8 +170,8 @@ func (s *Server) handleLies(w http.ResponseWriter, r *http.Request) {
 	extra := 3
 	if v := r.URL.Query().Get("extra"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad extra %q", v))
+		if err != nil || n < 0 || n > maxExtra {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad extra %q (want 0..%d)", v, maxExtra))
 			return
 		}
 		extra = n

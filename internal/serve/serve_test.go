@@ -263,6 +263,36 @@ func TestOversizedUpdateIsRejected(t *testing.T) {
 	}
 }
 
+// TestLiesExtraIsBounded: lie synthesis grows linearly with ?extra=N under
+// the session lock, so N above maxExtra is refused before any work — the
+// event log keeps its length — while a normal N still answers.
+func TestLiesExtraIsBounded(t *testing.T) {
+	ts, ses := newTestServer(t)
+	for _, tc := range []struct {
+		extra  string
+		status int
+		events int // event-log growth
+	}{
+		{"65", http.StatusBadRequest, 0},
+		{"99999999999", http.StatusBadRequest, 0},
+		{"-1", http.StatusBadRequest, 0},
+		{"3", http.StatusOK, 1},
+	} {
+		before := len(ses.Events())
+		resp, err := http.Get(ts.URL + "/lies?extra=" + tc.extra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		var stats struct{ Events []delta.Event }
+		getJSON(t, ts.URL+"/stats", &stats)
+		if resp.StatusCode != tc.status || len(stats.Events) != before+tc.events {
+			t.Errorf("extra=%s: status %d, events %d → %d; want %d, +%d",
+				tc.extra, resp.StatusCode, before, len(stats.Events), tc.status, tc.events)
+		}
+	}
+}
+
 // openSSE subscribes to GET /events and returns the stream's lines.
 func openSSE(t *testing.T, url string) <-chan string {
 	t.Helper()
