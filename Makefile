@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench-e2e bench-counts fuzz-smoke smoke-examples sweep metrics-smoke
+.PHONY: all build test vet race cover bench-e2e bench-counts fuzz-smoke smoke-examples cli-smoke sweep metrics-smoke
 
 all: build test
 
@@ -111,3 +111,18 @@ smoke-examples:
 		echo "== $$d"; \
 		timeout 900 $(GO) run "./$$d" >/dev/null; \
 	done; echo "examples OK"
+
+# cli-smoke runs each command-line door once on a small input: compute and
+# lie synthesis, topology generation, a file sweep, one registry experiment,
+# and the usage error of -messages without -virtual (which must exit
+# non-zero before computing anything). Well under a second of compute.
+cli-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/coyote -topo Abilene -iters 20 -adv-iters 1 -virtual 3 -json; \
+	$(GO) run ./cmd/coyote-scen generate -gen ring -n 6 -seed 1 > "$$tmp/ring6.txt"; \
+	$(GO) run ./cmd/coyote-scen sweep -in "$$tmp/ring6.txt" -quick -seed 1 -margins 1,2 -json; \
+	$(GO) run ./cmd/coyote-eval -run negative-path -quick; \
+	if $(GO) run ./cmd/coyote -topo Abilene -messages "$$tmp/x.json"; then \
+		echo "cli-smoke: coyote -messages without -virtual exited 0"; exit 1; \
+	fi; \
+	echo "cli-smoke OK"

@@ -8,11 +8,9 @@
 //	coyote-eval -run fig6
 //	coyote-eval -run table1 -quick
 //	coyote-eval -all
-//	coyote-eval -topo-file net.graphml -demand hotspot
 //
-// -topo-file margin-sweeps an arbitrary topology file (text, GraphML, or
-// SNDlib native) through the evaluator, outside the registered
-// experiments.
+// To margin-sweep an arbitrary topology file outside the registered
+// experiments, use coyote-scen sweep -in.
 package main
 
 import (
@@ -26,23 +24,19 @@ import (
 	"syscall"
 	"time"
 
-	coyote "github.com/coyote-te/coyote"
 	"github.com/coyote-te/coyote/internal/exp"
 	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/obs"
-	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/strategy"
 )
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list experiment IDs, corpus topologies, and scenario generators")
+		list     = flag.Bool("list", false, "list experiment IDs and TE strategies")
 		run      = flag.String("run", "", "experiment ID to run")
 		all      = flag.Bool("all", false, "run every experiment")
-		topoFile = flag.String("topo-file", "", "margin-sweep this topology file (text/GraphML/SNDlib) instead of a registered experiment")
-		model    = flag.String("demand", "gravity", "demand model for -topo-file sweeps")
 		quick    = flag.Bool("quick", false, "use the reduced (smoke-test) configuration")
 		strats   = flag.String("strategy", "", "comma-separated strategy subset for the portfolio experiments (default: all; see -list)")
 		workers  = flag.Int("workers", 0, "worker-pool size for the evaluation engine (0 = one per CPU; results are identical for any value)")
@@ -101,23 +95,6 @@ func main() {
 				fatal(err)
 			}
 		}
-	case *topoFile != "":
-		g, err := scen.ReadFile(*topoFile)
-		if err != nil {
-			fatal(err)
-		}
-		resetSolverStats()
-		ctx, span := obs.StartSpan(traceCtx, "sweep:"+*topoFile)
-		cfg.Ctx = ctx
-		tab, err := exp.SweepGraph(fmt.Sprintf("Sweep — %s", *topoFile), g, *model, cfg)
-		span.End()
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := tab.WriteTo(os.Stdout); err != nil {
-			fatal(err)
-		}
-		reportLPStats(fmt.Sprintf("sweep %s", *topoFile))
 	case *run != "":
 		if err := runOne(*run, cfg); err != nil {
 			if errors.Is(err, exp.ErrUnknownID) {
@@ -128,14 +105,13 @@ func main() {
 			fatal(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "coyote-eval: -run <id>, -all, -topo-file or -list required")
+		fmt.Fprintln(os.Stderr, "coyote-eval: -run <id>, -all or -list required")
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-// printList answers -list: the experiment registry plus everything the
-// scenario engine can feed it.
+// printList answers -list: everything the -run and -strategy flags accept.
 func printList() {
 	fmt.Println("experiments (-run):")
 	for _, id := range exp.IDs() {
@@ -144,14 +120,6 @@ func printList() {
 	fmt.Println("\nTE strategies (-strategy, portfolio experiments):")
 	for _, name := range strategy.Names() {
 		fmt.Printf("  %s\n", name)
-	}
-	fmt.Println("\ncorpus topologies (cmd/coyote -topo):")
-	for _, name := range coyote.TopologyNames() {
-		fmt.Printf("  %s\n", name)
-	}
-	fmt.Println("\nscenario generators (coyote-scen generate -gen):")
-	for _, g := range coyote.ScenarioGenerators() {
-		fmt.Printf("  %-8s %s\n", g.Name, g.Desc)
 	}
 }
 

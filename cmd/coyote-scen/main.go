@@ -64,7 +64,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `coyote-scen — scenario engine CLI
 
 Subcommands:
-  list       registered generators, demand models, and corpus topologies
+  list       what -gen, -demand and convert -name accept
   generate   build a parametric topology and print it (text or -dot)
   convert    read GraphML / SNDlib / text (-in file or stdin), or a corpus
              topology (-name), and print text
@@ -96,14 +96,15 @@ func genFlags(fs *flag.FlagSet) (gen *string, params func() coyote.GenParams) {
 	return gen, params
 }
 
+// runList answers list: everything the -gen, -demand and -name flags accept.
 func runList() error {
-	fmt.Println("topology generators (coyote-scen generate -gen ...):")
+	fmt.Println("topology generators (-gen ...):")
 	for _, g := range coyote.ScenarioGenerators() {
 		fmt.Printf("  %-8s %s\n", g.Name, g.Desc)
 	}
 	fmt.Println("\ndemand models (-demand ...):")
 	fmt.Printf("  %s\n", strings.Join(coyote.DemandModels(), ", "))
-	fmt.Println("\ncorpus topologies (cmd/coyote -topo ...):")
+	fmt.Println("\ncorpus topologies (convert -name ...):")
 	for _, name := range coyote.TopologyNames() {
 		t, err := coyote.LoadTopology(name)
 		if err != nil {

@@ -1,16 +1,17 @@
 // Command coyote-serve runs the online TE controller: a long-lived COYOTE
 // session behind an HTTP/JSON API (internal/serve). Point it at a corpus
-// topology, a real topology file (GraphML / SNDlib / text), or a generated
-// scenario, then drive it with demand updates and failure events; every
-// mutation recomputes incrementally (warm-started optimization,
-// critical-matrix carry-over, failover swap-and-refine) and the lie
-// endpoint reports reconfiguration churn as minimal LSA diffs.
+// topology or a topology file (GraphML / SNDlib / text, including what
+// coyote-scen generate prints), then drive it with demand updates and
+// failure events; every mutation recomputes incrementally (warm-started
+// optimization, critical-matrix carry-over, failover swap-and-refine) and
+// the lie endpoint reports reconfiguration churn as minimal LSA diffs.
 //
 // Usage:
 //
 //	coyote-serve -topo Geant -margin 2
 //	coyote-serve -topo-file Geant.graphml -demand hotspot -addr :8080
-//	coyote-serve -gen waxman -n 20 -seed 7 -quick -failover
+//	coyote-scen generate -gen waxman -n 20 -seed 7 > w.txt
+//	coyote-serve -topo-file w.txt -seed 7 -quick -failover
 //
 // Then, from another terminal:
 //
@@ -51,7 +52,6 @@ import (
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/serve"
-	"github.com/coyote-te/coyote/internal/sweep"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -62,20 +62,13 @@ const readHeaderTimeout = 10 * time.Second
 func main() {
 	topoName := flag.String("topo", "", "corpus topology name (see 'coyote-scen list')")
 	topoFile := flag.String("topo-file", "", "topology file (GraphML, SNDlib native, or text)")
-	gen := flag.String("gen", "", "generator name (waxman, ba, fattree, grid, ring)")
-	n := flag.Int("n", 20, "node count (waxman, ba, ring)")
-	k := flag.Int("k", 4, "fat-tree arity")
-	rows := flag.Int("rows", 4, "grid rows")
-	cols := flag.Int("cols", 5, "grid cols")
-	seed := flag.Int64("seed", 1, "generator / optimizer seed")
+	seed := flag.Int64("seed", 1, "demand / optimizer seed")
 	model := flag.String("demand", "gravity", "base demand model")
 	margin := flag.Float64("margin", 2, "uncertainty margin (≤ 0 for full demand obliviousness)")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = one per CPU; results identical for any value)")
 	quick := flag.Bool("quick", false, "reduced optimization effort (fast startup)")
 	failoverPlan := flag.Bool("failover", false, "precompute per-link failover configurations at startup")
-	sweepName := flag.String("sweep", "", "expose the /sweep endpoint for this campaign (golden, quick, full)")
-	sweepCache := flag.String("sweep-cache", "", "content-addressed result cache directory for /sweep")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for /debug/pprof, /debug/vars, /metrics (off when empty)")
 	traceOut := flag.String("trace", "", "write a trace of every session transition to this file on shutdown (.jsonl = span records, else Chrome trace-event JSON)")
 	logOut := flag.String("log", "", `structured event log destination (JSONL file, or "-" for stderr)`)
@@ -88,9 +81,7 @@ func main() {
 	}
 	defer closeLog()
 
-	g, name, err := buildTopology(*topoName, *topoFile, *gen, scen.Params{
-		N: *n, K: *k, Rows: *rows, Cols: *cols, Seed: *seed,
-	})
+	g, name, err := buildTopology(*topoName, *topoFile)
 	if err != nil {
 		log.Fatalln("coyote-serve:", err)
 	}
@@ -135,22 +126,6 @@ func main() {
 	log.Printf("coyote-serve: ready in %v — PERF %.3f (ECMP %.3f)",
 		time.Since(start).Round(time.Millisecond), ses.Perf(), ses.ECMPPerf())
 	srv := serve.New(ses)
-	if *sweepName != "" {
-		campaign, err := sweep.Named(*sweepName, "")
-		if err != nil {
-			log.Fatalln("coyote-serve:", err)
-		}
-		opts := sweep.Options{Workers: *workers}
-		if *sweepCache != "" {
-			opts.Cache, err = sweep.Open(*sweepCache)
-			if err != nil {
-				log.Fatalln("coyote-serve:", err)
-			}
-		}
-		srv.EnableSweep(campaign, opts)
-		log.Printf("coyote-serve: /sweep enabled for the %s campaign (%d units, cache %q)",
-			campaign.Name, len(campaign.Units), *sweepCache)
-	}
 	// Graceful shutdown: SIGINT/SIGTERM cancels ctx, which (a) stops the
 	// listeners accepting and (b) — because ctx is every request's base
 	// context — ends long-lived SSE streams (/events), so Shutdown drains
@@ -209,28 +184,19 @@ func main() {
 	}
 }
 
-// buildTopology resolves exactly one of the three topology sources.
-func buildTopology(topoName, topoFile, gen string, p scen.Params) (*graph.Graph, string, error) {
-	sources := 0
-	for _, set := range []bool{topoName != "", topoFile != "", gen != ""} {
-		if set {
-			sources++
-		}
-	}
+// buildTopology resolves exactly one of the two topology sources.
+func buildTopology(topoName, topoFile string) (*graph.Graph, string, error) {
 	switch {
-	case sources > 1:
-		return nil, "", fmt.Errorf("use only one of -topo, -topo-file, -gen")
+	case topoName != "" && topoFile != "":
+		return nil, "", fmt.Errorf("use only one of -topo, -topo-file")
 	case topoName != "":
 		g, err := topo.Load(topoName)
 		return g, topoName, err
 	case topoFile != "":
 		g, err := scen.ReadFile(topoFile)
 		return g, topoFile, err
-	case gen != "":
-		g, err := scen.Generate(gen, p)
-		return g, fmt.Sprintf("%s-n%d-seed%d", gen, p.N, p.Seed), err
 	default:
-		fmt.Fprintln(os.Stderr, "coyote-serve: one of -topo, -topo-file, -gen is required")
+		fmt.Fprintln(os.Stderr, "coyote-serve: one of -topo, -topo-file is required")
 		flag.Usage()
 		os.Exit(2)
 		return nil, "", nil

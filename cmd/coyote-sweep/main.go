@@ -111,6 +111,14 @@ func (cf *campaignFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&cf.fingerprint, "fingerprint", "", "override the code fingerprint in cache keys")
 }
 
+// fp is the code fingerprint cache keys are derived under.
+func (cf *campaignFlags) fp() string {
+	if cf.fingerprint != "" {
+		return cf.fingerprint
+	}
+	return sweep.Fingerprint()
+}
+
 func (cf *campaignFlags) load() (sweep.Campaign, *sweep.Cache, error) {
 	c, err := sweep.Named(cf.campaign, cf.topoDir)
 	if err != nil {
@@ -159,24 +167,14 @@ func runCmd(args []string, resume bool) error {
 		if cache == nil {
 			return fmt.Errorf("resume: -cache is required")
 		}
-		// Count entries this campaign will actually hit (same units, same
-		// config, same code fingerprint) — Len() would also count other
-		// campaigns' and other builds' entries, letting a typo'd -cache or
-		// a recompile silently recompute everything under a "resuming"
-		// banner.
-		fp := cf.fingerprint
-		if fp == "" {
-			fp = sweep.Fingerprint()
-		}
-		cached := 0
-		for _, u := range c.Units {
-			key, err := u.Key(c.Cfg, fp)
-			if err != nil {
-				return err
-			}
-			if cache.Has(key) {
-				cached++
-			}
+		// Count entries this campaign will actually hit — Len() would also
+		// count other campaigns' and other builds' entries, letting a typo'd
+		// -cache or a recompile silently recompute everything under a
+		// "resuming" banner.
+		fp := cf.fp()
+		cached, _, err := cachedUnits(c, cache, fp)
+		if err != nil {
+			return err
 		}
 		if cached == 0 {
 			return fmt.Errorf("resume: cache %s holds no %s-campaign entries for fingerprint %s — use run to start a campaign (or -fingerprint to pin a cache epoch across builds)", cache.Dir(), c.Name, fp)
@@ -211,7 +209,13 @@ func runCmd(args []string, resume bool) error {
 		opts.Ctx = obs.WithTracer(ctx, tracer)
 	}
 	if *debugAddr != "" {
-		debugSrv := &http.Server{Addr: *debugAddr, Handler: obs.DebugMux(obs.Default)}
+		debugSrv := &http.Server{
+			Addr:    *debugAddr,
+			Handler: obs.DebugMux(obs.Default),
+			// As on coyote-serve's listeners: a half-open connection must
+			// not hold the debug plane for a whole campaign.
+			ReadHeaderTimeout: 10 * time.Second,
+		}
 		go func() {
 			fmt.Fprintf(os.Stderr, "debug plane on %s (/debug/pprof /debug/vars /metrics)\n", *debugAddr)
 			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -302,24 +306,10 @@ func statusCmd(args []string) error {
 	if cache == nil {
 		return fmt.Errorf("status: -cache is required")
 	}
-	fp := cf.fingerprint
-	if fp == "" {
-		fp = sweep.Fingerprint()
-	}
-	byKind := map[string][2]int{} // kind -> {cached, total}
-	cached := 0
-	for _, u := range c.Units {
-		key, err := u.Key(c.Cfg, fp)
-		if err != nil {
-			return err
-		}
-		st := byKind[u.Kind]
-		st[1]++
-		if cache.Has(key) {
-			st[0]++
-			cached++
-		}
-		byKind[u.Kind] = st
+	fp := cf.fp()
+	cached, byKind, err := cachedUnits(c, cache, fp)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("campaign %s: %d/%d units cached (fingerprint %s)\n", c.Name, cached, len(c.Units), fp)
 	for _, kind := range []string{"exp", "corpus", "scen", "file"} {
@@ -331,6 +321,27 @@ func statusCmd(args []string) error {
 		fmt.Printf("resume with: coyote-sweep resume -campaign %s -cache %s\n", c.Name, cache.Dir())
 	}
 	return nil
+}
+
+// cachedUnits counts the campaign's units the cache already holds under
+// code fingerprint fp, in total and per unit kind ({cached, total}).
+func cachedUnits(c sweep.Campaign, cache *sweep.Cache, fp string) (int, map[string][2]int, error) {
+	byKind := map[string][2]int{}
+	cached := 0
+	for _, u := range c.Units {
+		key, err := u.Key(c.Cfg, fp)
+		if err != nil {
+			return 0, nil, err
+		}
+		st := byKind[u.Kind]
+		st[1]++
+		if cache.Has(key) {
+			st[0]++
+			cached++
+		}
+		byKind[u.Kind] = st
+	}
+	return cached, byKind, nil
 }
 
 func mergeCmd(args []string) error {

@@ -7,16 +7,14 @@
 //
 //	coyote -list
 //	coyote -topo Geant -margin 2.0 [-virtual 3] [-local-search] [-json]
-//	coyote -file net.txt -margin 2.5
 //	coyote -topo-file Geant.graphml -demand hotspot -margin 2
 //
-// With -file, the topology is read in the text format coyote-scen writes
-// (node/link/edge directives); -topo-file additionally accepts Topology
-// Zoo GraphML and SNDlib native files (format detected from extension or
-// content). The base demand matrix defaults to the gravity model (§VI-B
-// of the paper) and -demand selects any scenario-engine model; -margin x
-// bounds every demand within [d/x, d·x], and -margin 0 selects full
-// demand obliviousness.
+// -topo-file reads the text format coyote-scen writes (node/link/edge
+// directives), Topology Zoo GraphML and SNDlib native files (format
+// detected from extension or content). The base demand matrix defaults to
+// the gravity model (§VI-B of the paper) and -demand selects any
+// scenario-engine model; -margin x bounds every demand within [d/x, d·x],
+// and -margin 0 selects full demand obliviousness.
 package main
 
 import (
@@ -31,9 +29,8 @@ import (
 
 func main() {
 	var (
-		list        = flag.Bool("list", false, "list corpus topologies, scenario generators, and demand models")
+		list        = flag.Bool("list", false, "list corpus topologies and demand models")
 		topoName    = flag.String("topo", "", "corpus topology name (see -list)")
-		file        = flag.String("file", "", "topology file in text format (alternative to -topo)")
 		topoFile    = flag.String("topo-file", "", "topology file in any supported format: text, GraphML, SNDlib (alternative to -topo)")
 		model       = flag.String("demand", "gravity", "base demand model: gravity, bimodal, hotspot, flash, uniform")
 		margin      = flag.Float64("margin", 2, "demand uncertainty margin (0 = fully oblivious)")
@@ -53,7 +50,12 @@ func main() {
 		printList()
 		return
 	}
-	topo, err := loadTopology(*topoName, *file, *topoFile)
+	if err := checkOutputs(*virtual, *msgOut); err != nil {
+		fmt.Fprintln(os.Stderr, "coyote:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	topo, err := loadTopology(*topoName, *topoFile)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,7 +100,7 @@ func main() {
 		Gain     float64  `json:"gain"`
 		Lies     *liesOut `json:"lies,omitempty"`
 	}{
-		Topology: displayName(*topoName, *file, *topoFile),
+		Topology: *topoName + *topoFile, // loadTopology accepted exactly one
 		Demand:   *model,
 		Nodes:    topo.NumNodes(),
 		Links:    topo.NumLinks() / 2,
@@ -164,59 +166,38 @@ func main() {
 	}
 }
 
-func loadTopology(name, file, topoFile string) (*coyote.Topology, error) {
-	set := 0
-	for _, s := range []string{name, file, topoFile} {
-		if s != "" {
-			set++
-		}
+// checkOutputs rejects output flags that would silently write nothing.
+func checkOutputs(virtual int, msgOut string) error {
+	if msgOut != "" && virtual <= 0 {
+		return fmt.Errorf("-messages requires -virtual N (N ≥ 1): there are no lies to write otherwise")
 	}
+	return nil
+}
+
+func loadTopology(name, topoFile string) (*coyote.Topology, error) {
 	switch {
-	case set > 1:
-		return nil, fmt.Errorf("coyote: use exactly one of -topo, -file, -topo-file")
+	case name != "" && topoFile != "":
+		return nil, fmt.Errorf("coyote: use exactly one of -topo, -topo-file")
 	case name != "":
 		t, err := coyote.LoadTopology(name)
 		if err != nil {
-			return nil, fmt.Errorf("%w (use -list for the known topologies and generators)", err)
+			return nil, fmt.Errorf("%w (use -list for the known topologies)", err)
 		}
 		return t, nil
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return coyote.ReadTopology(f)
 	case topoFile != "":
 		return coyote.ReadTopologyFile(topoFile)
 	default:
-		return nil, fmt.Errorf("coyote: -topo, -file or -topo-file is required (try -topo Geant, or -list)")
+		return nil, fmt.Errorf("coyote: -topo or -topo-file is required (try -topo Geant, or -list)")
 	}
 }
 
-// printList answers -list: everything a -topo / -demand flag accepts,
-// plus the scenario generators cmd/coyote-scen builds topologies with.
+// printList answers -list: everything the -topo and -demand flags accept.
 func printList() {
 	fmt.Println("corpus topologies (-topo):")
 	for _, name := range coyote.TopologyNames() {
 		fmt.Printf("  %s\n", name)
 	}
-	fmt.Println("\nscenario generators (coyote-scen generate -gen):")
-	for _, g := range coyote.ScenarioGenerators() {
-		fmt.Printf("  %-8s %s\n", g.Name, g.Desc)
-	}
 	fmt.Printf("\ndemand models (-demand): %s\n", strings.Join(coyote.DemandModels(), ", "))
-}
-
-func displayName(name, file, topoFile string) string {
-	switch {
-	case name != "":
-		return name
-	case file != "":
-		return file
-	default:
-		return topoFile
-	}
 }
 
 func fatal(err error) {

@@ -18,8 +18,8 @@ import (
 // get a fresh scenario).
 
 // SweepGraph runs the Fig. 6-style margin sweep on an arbitrary topology
-// under a named demand model. It backs the scen-* experiments and the
-// -topo-file flag of cmd/coyote-eval.
+// under a named demand model. It backs the scen-* experiments, the file/…
+// units of internal/sweep and coyote-scen sweep -in.
 func SweepGraph(title string, g *graph.Graph, model string, cfg Config) (*Table, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

@@ -12,20 +12,13 @@
 //	GET  /stats     the full event log (recompute cost, warm/cold, churn)
 //	GET  /events    Server-Sent Events stream of session events
 //	GET  /metrics   Prometheus text exposition of the obs.Default registry
-//	                (lp solver, session, par pool, sweep, HTTP families)
+//	                (lp solver, session, par pool, HTTP, log families)
 //	GET  /logtail   recent structured log records (?n=N keeps the last N)
 //	POST /update    demand-box update: {"scale":1.2} scales the current
 //	                bounds; {"margin":2,"entries":[{"from":"a","to":"b",
 //	                "rate":1.5},...]} rebuilds them around an explicit base
 //	POST /fail      {"from":"a","to":"b"} fails the named link
 //	POST /recover   {"from":"a","to":"b"} recovers it
-//
-// With EnableSweep, the server additionally exposes the corpus-scale
-// sweep harness (internal/sweep, DESIGN.md §8):
-//
-//	GET  /sweep     campaign status: units, cached count, run counters
-//	POST /sweep     run the campaign through the content-addressed result
-//	                cache and return the report
 //
 // Mutations recompute synchronously and return the resulting event, so a
 // client sees the post-transition PERF in the response. The controller

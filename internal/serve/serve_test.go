@@ -407,6 +407,8 @@ func TestRouteSet(t *testing.T) {
 		{"GET", "/metrics.json", false},
 		{"POST", "/fleet/heartbeat", false},
 		{"POST", "/fleet/results", false},
+		{"GET", "/sweep", false},
+		{"POST", "/sweep", false},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader("{}"))
 		if err != nil {

@@ -26,11 +26,13 @@ func WriteJSONL(w io.Writer, results []Result) error {
 	return bw.Flush()
 }
 
-// ReadJSONL parses a JSONL result stream.
+// ReadJSONL parses a JSONL result stream, rejecting a unit named twice: Diff
+// keys results by unit, so a second copy would hide the first from it.
 func ReadJSONL(r io.Reader) ([]Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var out []Result
+	seen := map[string]int{} // unit -> line
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -45,6 +47,10 @@ func ReadJSONL(r io.Reader) ([]Result, error) {
 		if res.Unit == "" || res.Table == nil {
 			return nil, fmt.Errorf("sweep: jsonl line %d: missing unit or table", lineno)
 		}
+		if first, dup := seen[res.Unit]; dup {
+			return nil, fmt.Errorf("sweep: jsonl line %d: unit %q already on line %d", lineno, res.Unit, first)
+		}
+		seen[res.Unit] = lineno
 		out = append(out, res)
 	}
 	if err := sc.Err(); err != nil {

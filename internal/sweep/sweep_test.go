@@ -439,6 +439,27 @@ func TestMergeRejectsDuplicates(t *testing.T) {
 	}
 }
 
+// TestReadJSONLRejectsDuplicates: two shard files concatenated instead of
+// merged, with a stale and a fresh copy of one unit. Read leniently, Diff
+// would see only the fresh copy and report no drift against it.
+func TestReadJSONLRejectsDuplicates(t *testing.T) {
+	tab := func(cell string) *exp.Table {
+		return &exp.Table{Title: "t", Columns: []string{"a"}, Rows: [][]string{{cell}}}
+	}
+	var stream bytes.Buffer
+	if err := WriteJSONL(&stream, []Result{
+		{Unit: "u1", Table: tab("1.00")}, // stale
+		{Unit: "u2", Table: tab("2.00")},
+		{Unit: "u1", Table: tab("1.50")}, // fresh
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadJSONL(&stream)
+	if err == nil || !strings.Contains(err.Error(), `line 3: unit "u1" already on line 1`) {
+		t.Fatalf("ReadJSONL of a repeated unit: err = %v", err)
+	}
+}
+
 func TestFingerprintStable(t *testing.T) {
 	a, b := Fingerprint(), Fingerprint()
 	if a == "" || a != b {

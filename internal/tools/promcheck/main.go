@@ -4,8 +4,8 @@
 // or lack a +Inf bound) fail loudly, and every histogram family gets an
 // explicit _bucket/_sum/_count coherence pass. CI boots coyote-serve,
 // points promcheck at it, and requires the families every subsystem is
-// expected to export — LP solver, HTTP plane, sweep and event-log
-// counters — a live end-to-end check that the
+// expected to export — LP solver, session, worker pool, HTTP plane and
+// event-log counters — a live end-to-end check that the
 // observability plane stays both present and well-formed.
 //
 // Usage:
