@@ -215,13 +215,6 @@ func (s *spx) dualIterate() (Status, bool) {
 	for iter := 0; iter < maxIter; iter++ {
 		bland := stall > spxBlandAt
 
-		// Duals and reduced costs of the current basis (real costs).
-		for k, j := range s.basic {
-			s.cB[k] = s.costOf(j)
-		}
-		copy(s.work, s.cB)
-		s.btran(s.work, s.y)
-
 		// Leaving row: the violated basic with the best pricing score.
 		r := int32(-1)
 		above := false // violation side of the chosen row
@@ -280,12 +273,18 @@ func (s *spx) dualIterate() (Status, bool) {
 			return 0, false
 		}
 
-		// ρ = B⁻ᵀ e_r: the r-th row of B⁻¹ in original-row space.
+		// The duals y = B⁻ᵀc_B of the current basis (real costs) and
+		// ρ = B⁻ᵀe_r, the r-th row of B⁻¹ in original-row space, in one
+		// two-lane pass.
+		for k, j := range s.basic {
+			s.cB[k] = s.costOf(j)
+		}
+		copy(s.work, s.cB)
 		for i := range unit {
 			unit[i] = 0
 		}
 		unit[r] = 1
-		s.btran(unit, rho)
+		s.btran2(s.work, unit, s.y, rho)
 
 		// Dual ratio test over the nonbasic columns. sgn normalizes the
 		// leaving direction so eligibility and ratios read identically for

@@ -34,6 +34,7 @@ type luFactors struct {
 	pinv    []int32
 	cperm   []int32   // factorization column → basis position
 	cwork   []float64 // btran scratch (engine is single-threaded per solve)
+	cwork2  []float64 // btranLU2's second lane
 	lPivIdx []int32   // pinv[lRowIdx[p]] precomputed: btranLU's Lᵀ gather index
 }
 
@@ -93,6 +94,7 @@ func newLUScratch(m int) *luScratch {
 			pinv:    make([]int32, m),
 			cperm:   make([]int32, m),
 			cwork:   make([]float64, m),
+			cwork2:  make([]float64, m),
 		}
 	}
 	return sc
@@ -375,5 +377,44 @@ func (f *luFactors) btranLU(c, out []float64) {
 	// Un-permute rows: y[prow[k]] = v[k].
 	for k := 0; k < f.m; k++ {
 		out[f.prow[k]] = w[k]
+	}
+}
+
+// btranLU2 is btranLU on two right-hand sides at once: lane 1 (c1 → out1)
+// and lane 2 (c2 → out2) each perform exactly btranLU's operations in its
+// order, interleaved entry by entry.
+func (f *luFactors) btranLU2(c1, c2, out1, out2 []float64) {
+	w1, w2 := f.cwork, f.cwork2
+	for k := 0; k < f.m; k++ {
+		w1[k] = c1[f.cperm[k]]
+		w2[k] = c2[f.cperm[k]]
+	}
+	for k := 0; k < f.m; k++ {
+		s1, s2 := w1[k], w2[k]
+		lo, hi := f.uColPtr[k], f.uColPtr[k+1]
+		idx := f.uRowIdx[lo:hi]
+		val := f.uVal[lo:hi:hi]
+		for i, j := range idx {
+			s1 -= val[i] * w1[j]
+			s2 -= val[i] * w2[j]
+		}
+		w1[k] = s1 / f.uDiag[k]
+		w2[k] = s2 / f.uDiag[k]
+	}
+	for k := f.m - 1; k >= 0; k-- {
+		s1, s2 := w1[k], w2[k]
+		lo, hi := f.lColPtr[k], f.lColPtr[k+1]
+		idx := f.lPivIdx[lo:hi]
+		val := f.lVal[lo:hi:hi]
+		for i, q := range idx {
+			s1 -= val[i] * w1[q]
+			s2 -= val[i] * w2[q]
+		}
+		w1[k] = s1
+		w2[k] = s2
+	}
+	for k := 0; k < f.m; k++ {
+		out1[f.prow[k]] = w1[k]
+		out2[f.prow[k]] = w2[k]
 	}
 }

@@ -455,6 +455,25 @@ func (s *spx) btran(c, out []float64) {
 	s.lu.btranLU(c, out)
 }
 
+// btran2 solves Bᵀ·y1 = c1 and Bᵀ·y2 = c2 in one pass over the eta file
+// and the factors. Each lane performs exactly btran's operations in btran's
+// order, so both results equal two btran calls bit for bit; the two
+// independent dot-product chains only hide each other's latency.
+func (s *spx) btran2(c1, c2, out1, out2 []float64) {
+	for e := len(s.etas) - 1; e >= 0; e-- {
+		et := &s.etas[e]
+		t1, t2 := c1[et.r], c2[et.r]
+		val := et.val[:len(et.idx)]
+		for i, r := range et.idx {
+			t1 -= val[i] * c1[r]
+			t2 -= val[i] * c2[r]
+		}
+		c1[et.r] = t1 / et.pv
+		c2[et.r] = t2 / et.pv
+	}
+	s.lu.btranLU2(c1, c2, out1, out2)
+}
+
 // infeasibility returns the total bound violation of the basic variables.
 func (s *spx) infeasibility() float64 {
 	sum := 0.0
