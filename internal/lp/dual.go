@@ -59,8 +59,7 @@ func (s *spx) dualFeasible() bool {
 	for k, j := range s.basic {
 		s.cB[k] = s.costOf(j)
 	}
-	copy(s.work, s.cB)
-	s.btran(s.work, s.y)
+	s.btran(s.cB, s.y)
 	for j := int32(0); int(j) < s.ncol; j++ {
 		st := s.status[j]
 		if st == BasisBasic || s.p.lo[j] == s.p.up[j] {
@@ -95,8 +94,7 @@ func (s *spx) flipToDualFeasible() bool {
 	for k, j := range s.basic {
 		s.cB[k] = s.costOf(j)
 	}
-	copy(s.work, s.cB)
-	s.btran(s.work, s.y)
+	s.btran(s.cB, s.y)
 	flipped := false
 	ok := true
 	for j := int32(0); int(j) < s.ncol; j++ {
@@ -181,10 +179,12 @@ func dualCandSift(h []dualCand, i int) {
 
 // dualIterate runs dual simplex pivots until primal feasibility (optimal),
 // primal infeasibility (dual unbounded), or the iteration budget. It
-// assumes the starting basis is dual feasible. On budget exhaustion it
-// returns ok=false and the caller falls through to the primal phases from
-// the current (still valid, still dual-feasible-ish) basis — the dual
-// phase is an accelerator, never a correctness gate.
+// assumes the starting basis is dual feasible. It reports done when it
+// reached either verdict; on budget exhaustion it returns done=false and the
+// caller falls through to the primal phases from the current (still valid,
+// still dual-feasible-ish) basis — the dual phase is an accelerator, never a
+// correctness gate. An error means a pivot left a basis the factors cannot
+// represent.
 //
 // The ratio test is the bound-flipping ("long step") variant: walking the
 // candidates in ascending dual-ratio order, every boxed column whose full
@@ -196,7 +196,7 @@ func dualCandSift(h []dualCand, i int) {
 // pushed each entering variable past its own opposite bound, manufacturing
 // a fresh violation per pivot and cascading ~50 pivots per repaired basic;
 // bound flipping retires whole groups of box constraints per iteration.
-func (s *spx) dualIterate() (Status, bool) {
+func (s *spx) dualIterate() (done bool, err error) {
 	maxIter := iterMul * (s.m + s.ncol)
 	if maxIter < minIter {
 		maxIter = minIter
@@ -241,7 +241,7 @@ func (s *spx) dualIterate() (Status, bool) {
 			}
 		}
 		if r < 0 {
-			return Optimal, true
+			return true, nil // primal feasible: optimal
 		}
 		// Stall detection must watch the DUAL objective — the quantity the
 		// dual simplex increases monotonically (each pivot adds
@@ -267,10 +267,10 @@ func (s *spx) dualIterate() (Status, bool) {
 		// primal phases finish cheaper from the current (still valid)
 		// basis.
 		if rises == 0 && iter >= 48+s.m/8 {
-			return 0, false
+			return false, nil
 		}
 		if stall > spxBlandAt+spxBlandAt/2 || flat > s.m/2+2*spxBlandAt {
-			return 0, false
+			return false, nil
 		}
 
 		// The duals y = B⁻ᵀc_B of the current basis (real costs) and
@@ -279,12 +279,9 @@ func (s *spx) dualIterate() (Status, bool) {
 		for k, j := range s.basic {
 			s.cB[k] = s.costOf(j)
 		}
-		copy(s.work, s.cB)
-		for i := range unit {
-			unit[i] = 0
-		}
 		unit[r] = 1
-		s.btran2(s.work, unit, s.y, rho)
+		s.btran2(s.cB, unit, s.y, rho)
+		unit[r] = 0
 
 		// Dual ratio test over the nonbasic columns. sgn normalizes the
 		// leaving direction so eligibility and ratios read identically for
@@ -328,7 +325,7 @@ func (s *spx) dualIterate() (Status, bool) {
 		if len(cands) == 0 {
 			// Dual unbounded: no entering column can absorb the violation,
 			// so the primal problem is infeasible.
-			return Infeasible, true
+			return true, nil
 		}
 
 		var enter int32
@@ -398,17 +395,13 @@ func (s *spx) dualIterate() (Status, bool) {
 
 		// Pivot column α = B⁻¹A_enter for the basis update, and the step
 		// moving the leaving variable exactly onto its violated bound.
-		for i := range s.work {
-			s.work[i] = 0
-		}
-		s.scatterColumn(enter, 1, s.work)
-		s.ftran(s.work, s.alpha)
+		s.ftranAlpha(enter)
 		arq := s.alpha[r]
 		if math.Abs(arq) < dualPivTol {
-			// ρᵀA_q and (B⁻¹A_q)_r disagree: the eta file has gone stale
-			// numerically. Refactorize and retry the iteration.
+			// ρᵀA_q and (B⁻¹A_q)_r disagree: the updated factors have gone
+			// stale numerically. Refactorize and retry the iteration.
 			if !s.factorize() {
-				return 0, false
+				return false, nil
 			}
 			s.computeXB()
 			continue
@@ -453,9 +446,11 @@ func (s *spx) dualIterate() (Status, bool) {
 			}
 		}
 
-		s.pivot(enter, dir, delta, r, leaveAt)
+		if !s.pivot(enter, dir, delta, r, leaveAt) {
+			return false, errSingularBasis
+		}
 		s.stats.Iterations++
 		s.stats.DualIterations++
 	}
-	return 0, false
+	return false, nil
 }

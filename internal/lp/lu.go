@@ -3,47 +3,93 @@ package lp
 import "math"
 
 // luFactors is a sparse LU factorization of a basis matrix B with partial
-// pivoting: P·B = L·U, computed column by column with the Gilbert–Peierls
+// pivoting, P·B·Q = L·U, computed column by column with the Gilbert–Peierls
 // left-looking algorithm (each column is a sparse triangular solve against
 // the L built so far, with the nonzero pattern discovered by depth-first
-// reachability).
+// reachability), and kept current across basis changes by Forrest–Tomlin
+// updates of U.
 //
 // Storage conventions:
-//   - L is unit lower triangular. Column k holds the below-diagonal
-//     multipliers, indexed by ORIGINAL row number (their pivot indices are
-//     assigned later than k).
-//   - U is upper triangular, stored column-wise in PIVOT-index space with
-//     the diagonal split into uDiag.
+//   - L is unit lower triangular and never changes between
+//     factorizations. Column k holds the below-diagonal multipliers,
+//     indexed by ORIGINAL row number (their pivot indices are assigned
+//     later than k); its row view (row i is lRowCol/lRowVal[lRowPtr[i]:
+//     lRowPtr[i+1]], columns by pivot index) serves btran.
+//   - U lives in PIVOT-index space with the diagonal split into uDiag, and
+//     is stored twice: column-wise (column k is uRowIdx/uVal[uStart[k]:
+//     uEnd[k]]) for ftran, and row-wise (row i is rCol/rVal[rStart[i]:
+//     rEnd[i]], with room up to rCap[i]) for btran and the update. U is
+//     upper triangular in the order uOrder (uPos is its inverse): entry
+//     (i, k) exists only when uPos[i] < uPos[k]. A fresh factorization
+//     has uOrder = identity.
+//   - Each update leaves one row eta behind: row etaPiv[t] minus the
+//     combination etaVal·(rows etaIdx) of the rows it was eliminated with,
+//     entries etaPtr[t]:etaPtr[t+1]. Together, B·Q = Pᵀ·L·R₁⁻¹⋯R_t⁻¹·U.
 //   - prow[k] is the original row chosen as the k-th pivot; pinv is its
 //     inverse (original row → pivot index).
 //
 // Columns are factorized in a fill-reducing order (ascending nonzero
 // count, so the logical ±e_i singletons eliminate first with zero fill);
 // cperm maps factorization column k back to the basis position it came
-// from.
+// from, cpos the other way. An update replaces the column in place, so both
+// stay fixed until the next factorization.
 type luFactors struct {
 	m       int
 	lColPtr []int32
 	lRowIdx []int32 // original row numbers
 	lVal    []float64
-	uColPtr []int32
-	uRowIdx []int32 // pivot indices < k
-	uVal    []float64
-	uDiag   []float64
-	prow    []int32
-	pinv    []int32
-	cperm   []int32   // factorization column → basis position
-	cwork   []float64 // btran scratch (engine is single-threaded per solve)
-	cwork2  []float64 // btranLU2's second lane
-	lPivIdx []int32   // pinv[lRowIdx[p]] precomputed: btranLU's Lᵀ gather index
+	lRowPtr []int32 // row i of L: lRowCol/lRowVal[lRowPtr[i]:lRowPtr[i+1]]
+	lRowCol []int32 // pivot indices < i
+	lRowVal []float64
+
+	uStart, uEnd []int32 // column k of U: uRowIdx/uVal[uStart[k]:uEnd[k]]
+	uRowIdx      []int32 // pivot indices
+	uVal         []float64
+	uDiag        []float64
+
+	rStart, rEnd, rCap []int32 // row i of U: rCol/rVal[rStart[i]:rEnd[i]]
+	rCol               []int32 // pivot indices
+	rVal               []float64
+
+	uOrder, uPos []int32 // triangular order of U's pivot indices and its inverse
+
+	etaPiv []int32 // row eta t eliminated row etaPiv[t] ...
+	etaPtr []int32 // ... with multipliers etaVal[etaPtr[t]:etaPtr[t+1]]
+	etaIdx []int32 // ... of the rows etaIdx (pivot indices)
+	etaVal []float64
+
+	uNNZ  int // off-diagonal entries of U now
+	size0 int // m plus the nonzeros of L and U when factorized: a solve's work
+
+	prow  []int32
+	pinv  []int32
+	cperm []int32 // factorization column → basis position
+	cpos  []int32 // basis position → factorization column
+
+	// Scratch (the engine is single-threaded per solve), shared by both
+	// buffers of a luScratch: ftranLU's pivot-space vector, btranLU's two
+	// lanes and update's elimination accumulator. The last three are all
+	// zero between calls.
+	fwork, bwork, bwork2, ework []float64
 }
+
+// Forrest–Tomlin update limits. A factorization takes at most ftMaxUpdates
+// updates, and none once a solve's work — m plus the nonzeros of L, U and
+// the row etas — is more than ftMaxGrowth times what it was when factorized;
+// an update whose new diagonal disagrees with α_r times the old one by more
+// than ftStabTol (relative) is refused. The two limits were chosen on
+// deterministic counts (EXPERIMENTS.md, "Forrest–Tomlin updates").
+const (
+	ftMaxUpdates = 56
+	ftMaxGrowth  = 2
+	ftStabTol    = 1e-8
+)
 
 // luScratch holds the work arrays shared by factorization and solves, and
 // the two luFactors buffers factorizations alternate between, so a Model
 // allocates them once per shape (DESIGN.md §7).
 type luScratch struct {
 	work  []float64 // dense accumulator, original-row space
-	pivs  []float64 // dense accumulator, pivot-index space
 	mark  []int32   // DFS visit marks (stamped)
 	stamp int32
 	stack []int32 // DFS stack: original row numbers
@@ -80,21 +126,32 @@ func (sc *luScratch) bumpStamp() {
 func newLUScratch(m int) *luScratch {
 	sc := &luScratch{
 		work:   make([]float64, m),
-		pivs:   make([]float64, m),
 		mark:   make([]int32, m),
 		corder: make([]int32, m),
 	}
+	fwork, bwork, bwork2, ework := make([]float64, m), make([]float64, m), make([]float64, m), make([]float64, m)
 	for i := range sc.bufs {
 		sc.bufs[i] = luFactors{
 			m:       m,
 			lColPtr: make([]int32, 1, m+1),
-			uColPtr: make([]int32, 1, m+1),
+			lRowPtr: make([]int32, m+1),
+			uStart:  make([]int32, m),
+			uEnd:    make([]int32, m),
 			uDiag:   make([]float64, m),
+			rStart:  make([]int32, m),
+			rEnd:    make([]int32, m),
+			rCap:    make([]int32, m),
+			uOrder:  make([]int32, m),
+			uPos:    make([]int32, m),
+			etaPtr:  make([]int32, 1, 1+ftMaxUpdates),
 			prow:    make([]int32, m),
 			pinv:    make([]int32, m),
 			cperm:   make([]int32, m),
-			cwork:   make([]float64, m),
-			cwork2:  make([]float64, m),
+			cpos:    make([]int32, m),
+			fwork:   fwork,
+			bwork:   bwork,
+			bwork2:  bwork2,
+			ework:   ework,
 		}
 	}
 	return sc
@@ -113,7 +170,6 @@ func luFactorize(a *csc, basic []int32, sc *luScratch) (*luFactors, bool) {
 	f.lColPtr = f.lColPtr[:1]
 	f.lRowIdx = f.lRowIdx[:0]
 	f.lVal = f.lVal[:0]
-	f.uColPtr = f.uColPtr[:1]
 	f.uRowIdx = f.uRowIdx[:0]
 	f.uVal = f.uVal[:0]
 	for i := range f.pinv {
@@ -223,6 +279,7 @@ func luFactorize(a *csc, basic []int32, sc *luScratch) (*luFactors, bool) {
 		f.pinv[pivRow] = int32(fk)
 		f.uDiag[fk] = pv
 		// Split the solved column into U (pivotal rows) and L (the rest).
+		f.uStart[fk] = int32(len(f.uVal))
 		for _, r := range reach {
 			v := sc.work[r]
 			sc.work[r] = 0
@@ -238,16 +295,97 @@ func luFactorize(a *csc, basic []int32, sc *luScratch) (*luFactors, bool) {
 			}
 		}
 		f.lColPtr = append(f.lColPtr, int32(len(f.lRowIdx)))
-		f.uColPtr = append(f.uColPtr, int32(len(f.uVal)))
+		f.uEnd[fk] = int32(len(f.uVal))
 	}
-	// Resolve L's row indices to pivot space once: every btranLU otherwise
-	// pays the pinv indirection per entry per solve.
-	f.lPivIdx = f.lPivIdx[:0]
-	for _, r := range f.lRowIdx {
-		f.lPivIdx = append(f.lPivIdx, f.pinv[r])
+	f.buildLRows()
+	for k := 0; k < m; k++ {
+		f.cpos[f.cperm[k]] = int32(k)
+		f.uOrder[k] = int32(k)
+		f.uPos[k] = int32(k)
 	}
+	f.buildRows()
+	f.etaPiv = f.etaPiv[:0]
+	f.etaPtr = f.etaPtr[:1]
+	f.etaIdx = f.etaIdx[:0]
+	f.etaVal = f.etaVal[:0]
+	f.uNNZ = len(f.uVal)
+	f.size0 = m + len(f.lVal) + len(f.uVal)
 	sc.live = 1 - sc.live
 	return f, true
+}
+
+// buildLRows derives L's row view, in pivot-index space, from its columns.
+func (f *luFactors) buildLRows() {
+	ptr := f.lRowPtr
+	for i := range ptr {
+		ptr[i] = 0
+	}
+	for _, r := range f.lRowIdx {
+		ptr[f.pinv[r]+1]++
+	}
+	for i := 1; i < len(ptr); i++ {
+		ptr[i] += ptr[i-1]
+	}
+	n := len(f.lRowIdx)
+	f.lRowCol = growInt32(f.lRowCol, n)
+	f.lRowVal = growFloat64(f.lRowVal, n)
+	for k := 0; k < f.m; k++ {
+		for p := f.lColPtr[k]; p < f.lColPtr[k+1]; p++ {
+			i := f.pinv[f.lRowIdx[p]]
+			f.lRowCol[ptr[i]] = int32(k)
+			f.lRowVal[ptr[i]] = f.lVal[p]
+			ptr[i]++
+		}
+	}
+	// The fill advanced each row's pointer to the next row's start.
+	copy(ptr[1:], ptr[:f.m])
+	ptr[0] = 0
+}
+
+// rowSlack is the room each row of U's row view gets beyond its entries at
+// factorization time, so the first updates that lengthen a row need not move
+// it.
+const rowSlack = 4
+
+// buildRows derives U's row view from its columns.
+func (f *luFactors) buildRows() {
+	for i := range f.rEnd {
+		f.rEnd[i] = 0
+	}
+	for _, i := range f.uRowIdx {
+		f.rEnd[i]++
+	}
+	next := int32(0)
+	for i := range f.rStart {
+		f.rStart[i] = next
+		next += f.rEnd[i] + rowSlack
+		f.rCap[i] = next
+		f.rEnd[i] = f.rStart[i]
+	}
+	f.rCol = growInt32(f.rCol, int(next))
+	f.rVal = growFloat64(f.rVal, int(next))
+	for k := 0; k < f.m; k++ {
+		for p := f.uStart[k]; p < f.uEnd[k]; p++ {
+			i := f.uRowIdx[p]
+			f.rCol[f.rEnd[i]] = int32(k)
+			f.rVal[f.rEnd[i]] = f.uVal[p]
+			f.rEnd[i]++
+		}
+	}
+}
+
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func growFloat64(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // luReach returns the reach of the given pattern rows through L's columns
@@ -299,122 +437,293 @@ func luReach(f *luFactors, pattern []int32, sc *luScratch) []int32 {
 
 // ftranLU solves B·x = b: b enters in original-row space (dense, length m,
 // zeroed on return) and x lands in out indexed by BASIS position (the
-// column permutation is undone via cperm).
-func (f *luFactors) ftranLU(b, out []float64) {
-	// Forward: L z = P b, processed in pivot order.
+// column permutation is undone via cperm). A non-nil spike receives the
+// intermediate L⁻¹·P·b after the row etas, in pivot-index space: the column
+// an update puts into U when b is the entering column.
+func (f *luFactors) ftranLU(b, out, spike []float64) {
+	// Forward: L z = P b in pivot order, each entry of z moving into pivot
+	// space once final (L's column k only reaches later pivots).
+	w := f.fwork
 	for k := 0; k < f.m; k++ {
-		t := b[f.prow[k]]
+		r := f.prow[k]
+		t := b[r]
+		b[r] = 0
+		w[k] = t
 		if t == 0 {
 			continue
 		}
 		lo, hi := f.lColPtr[k], f.lColPtr[k+1]
 		idx := f.lRowIdx[lo:hi]
 		val := f.lVal[lo:hi:hi]
-		for i, r := range idx {
-			b[r] -= val[i] * t
+		for i, q := range idx {
+			b[q] -= val[i] * t
 		}
 	}
-	// Gather z into pivot space.
-	w := f.cwork
-	for k := 0; k < f.m; k++ {
-		w[k] = b[f.prow[k]]
-		b[f.prow[k]] = 0
-	}
-	// Back substitution: U x' = z (column-oriented), x' in factorization
-	// column space.
-	for k := f.m - 1; k >= 0; k-- {
-		x := w[k] / f.uDiag[k]
-		w[k] = x
-		if x == 0 {
-			continue
-		}
-		lo, hi := f.uColPtr[k], f.uColPtr[k+1]
-		idx := f.uRowIdx[lo:hi]
-		val := f.uVal[lo:hi:hi]
+	// Row etas, oldest first, each a dot product into its row.
+	for t, p := range f.etaPiv {
+		lo, hi := f.etaPtr[t], f.etaPtr[t+1]
+		idx := f.etaIdx[lo:hi]
+		val := f.etaVal[lo:hi:hi]
+		s := w[p]
 		for i, j := range idx {
-			w[j] -= val[i] * x
+			s -= val[i] * w[j]
 		}
+		w[p] = s
 	}
-	for k := 0; k < f.m; k++ {
-		out[f.cperm[k]] = w[k]
+	if spike != nil {
+		copy(spike, w)
+	}
+	// Back substitution: U x = z column by column, last pivot of the
+	// triangular order first; each x_k is final when reached.
+	for pos := f.m - 1; pos >= 0; pos-- {
+		k := f.uOrder[pos]
+		x := w[k]
+		if x != 0 {
+			x /= f.uDiag[k]
+			lo, hi := f.uStart[k], f.uEnd[k]
+			idx := f.uRowIdx[lo:hi]
+			val := f.uVal[lo:hi:hi]
+			for i, j := range idx {
+				w[j] -= val[i] * x
+			}
+		}
+		out[f.cperm[k]] = x
 	}
 }
 
 // btranLU solves Bᵀ·y = c: c enters indexed by BASIS position (dense,
-// length m, clobbered) and the result is written into out in original-row
-// space.
+// length m, left unchanged) and the result is written into out in
+// original-row space. Every stage scatters: a solved entry is pushed along
+// its row of U, its row eta or its row of L, and skipped when zero.
 func (f *luFactors) btranLU(c, out []float64) {
-	// Permute into factorization column space: c'[k] = c[cperm[k]].
-	w := f.cwork
-	for k := 0; k < f.m; k++ {
-		w[k] = c[f.cperm[k]]
+	w := f.bwork // accumulates the scatters; zero on entry and on return
+	// Uᵀ w = Qᵀ c in triangular order.
+	for _, k := range f.uOrder {
+		x := c[f.cperm[k]] + w[k]
+		if x != 0 {
+			x /= f.uDiag[k]
+			lo, hi := f.rStart[k], f.rEnd[k]
+			idx := f.rCol[lo:hi]
+			val := f.rVal[lo:hi:hi]
+			for i, j := range idx {
+				w[j] -= val[i] * x
+			}
+		}
+		w[k] = x
 	}
-	// Forward: Uᵀ w = c', in increasing pivot order (U's columns are rows
-	// of Uᵀ).
-	for k := 0; k < f.m; k++ {
-		s := w[k]
-		lo, hi := f.uColPtr[k], f.uColPtr[k+1]
-		idx := f.uRowIdx[lo:hi]
-		val := f.uVal[lo:hi:hi]
+	// Transposed row etas, newest first.
+	for t := len(f.etaPiv) - 1; t >= 0; t-- {
+		x := w[f.etaPiv[t]]
+		if x == 0 {
+			continue
+		}
+		lo, hi := f.etaPtr[t], f.etaPtr[t+1]
+		idx := f.etaIdx[lo:hi]
+		val := f.etaVal[lo:hi:hi]
 		for i, j := range idx {
-			s -= val[i] * w[j]
+			w[j] -= val[i] * x
 		}
-		w[k] = s / f.uDiag[k]
 	}
-	// Backward: Lᵀ v = w, in decreasing pivot order; L column entries sit at
-	// original rows whose pivot indices are all larger than k (gathered via
-	// the precomputed lPivIdx).
+	// Lᵀ v = w in decreasing pivot order, un-permuting rows as each v_k is
+	// final: y[prow[k]] = v_k.
 	for k := f.m - 1; k >= 0; k-- {
-		s := w[k]
-		lo, hi := f.lColPtr[k], f.lColPtr[k+1]
-		idx := f.lPivIdx[lo:hi]
-		val := f.lVal[lo:hi:hi]
-		for i, q := range idx {
-			s -= val[i] * w[q]
+		x := w[k]
+		w[k] = 0
+		out[f.prow[k]] = x
+		if x == 0 {
+			continue
 		}
-		w[k] = s
-	}
-	// Un-permute rows: y[prow[k]] = v[k].
-	for k := 0; k < f.m; k++ {
-		out[f.prow[k]] = w[k]
+		lo, hi := f.lRowPtr[k], f.lRowPtr[k+1]
+		idx := f.lRowCol[lo:hi]
+		val := f.lRowVal[lo:hi:hi]
+		for i, j := range idx {
+			w[j] -= val[i] * x
+		}
 	}
 }
 
 // btranLU2 is btranLU on two right-hand sides at once: lane 1 (c1 → out1)
 // and lane 2 (c2 → out2) each perform exactly btranLU's operations in its
-// order, interleaved entry by entry.
+// order, sharing the index and value loads where both lanes are nonzero.
 func (f *luFactors) btranLU2(c1, c2, out1, out2 []float64) {
-	w1, w2 := f.cwork, f.cwork2
-	for k := 0; k < f.m; k++ {
-		w1[k] = c1[f.cperm[k]]
-		w2[k] = c2[f.cperm[k]]
-	}
-	for k := 0; k < f.m; k++ {
-		s1, s2 := w1[k], w2[k]
-		lo, hi := f.uColPtr[k], f.uColPtr[k+1]
-		idx := f.uRowIdx[lo:hi]
-		val := f.uVal[lo:hi:hi]
-		for i, j := range idx {
-			s1 -= val[i] * w1[j]
-			s2 -= val[i] * w2[j]
+	w1, w2 := f.bwork, f.bwork2
+	for _, k := range f.uOrder {
+		x1 := c1[f.cperm[k]] + w1[k]
+		x2 := c2[f.cperm[k]] + w2[k]
+		if x1 == 0 && x2 == 0 {
+			w1[k], w2[k] = 0, 0
+			continue
 		}
-		w1[k] = s1 / f.uDiag[k]
-		w2[k] = s2 / f.uDiag[k]
+		if x1 != 0 {
+			x1 /= f.uDiag[k]
+		}
+		if x2 != 0 {
+			x2 /= f.uDiag[k]
+		}
+		w1[k], w2[k] = x1, x2
+		lo, hi := f.rStart[k], f.rEnd[k]
+		scatter2(f.rCol[lo:hi], f.rVal[lo:hi:hi], w1, w2, x1, x2)
+	}
+	for t := len(f.etaPiv) - 1; t >= 0; t-- {
+		p := f.etaPiv[t]
+		if x1, x2 := w1[p], w2[p]; x1 != 0 || x2 != 0 {
+			lo, hi := f.etaPtr[t], f.etaPtr[t+1]
+			scatter2(f.etaIdx[lo:hi], f.etaVal[lo:hi:hi], w1, w2, x1, x2)
+		}
 	}
 	for k := f.m - 1; k >= 0; k-- {
-		s1, s2 := w1[k], w2[k]
-		lo, hi := f.lColPtr[k], f.lColPtr[k+1]
-		idx := f.lPivIdx[lo:hi]
-		val := f.lVal[lo:hi:hi]
-		for i, q := range idx {
-			s1 -= val[i] * w1[q]
-			s2 -= val[i] * w2[q]
+		x1, x2 := w1[k], w2[k]
+		w1[k], w2[k] = 0, 0
+		out1[f.prow[k]], out2[f.prow[k]] = x1, x2
+		if x1 != 0 || x2 != 0 {
+			lo, hi := f.lRowPtr[k], f.lRowPtr[k+1]
+			scatter2(f.lRowCol[lo:hi], f.lRowVal[lo:hi:hi], w1, w2, x1, x2)
 		}
-		w1[k] = s1
-		w2[k] = s2
 	}
-	for k := 0; k < f.m; k++ {
-		out1[f.prow[k]] = w1[k]
-		out2[f.prow[k]] = w2[k]
+}
+
+// scatter2 subtracts x1·val from w1 and x2·val from w2 at idx, skipping a
+// lane whose multiplier is zero as the one-lane solves do; the caller skips
+// the call when both are.
+func scatter2(idx []int32, val []float64, w1, w2 []float64, x1, x2 float64) {
+	switch {
+	case x2 == 0:
+		for i, j := range idx {
+			w1[j] -= val[i] * x1
+		}
+	case x1 == 0:
+		for i, j := range idx {
+			w2[j] -= val[i] * x2
+		}
+	default:
+		for i, j := range idx {
+			w1[j] -= val[i] * x1
+			w2[j] -= val[i] * x2
+		}
 	}
+}
+
+// full reports whether the factors have taken all the updates they may
+// (ftMaxUpdates, ftMaxGrowth) and the next basis change must refactorize.
+func (f *luFactors) full() bool {
+	return len(f.etaPiv) >= ftMaxUpdates || f.m+len(f.lVal)+f.uNNZ+len(f.etaIdx) > ftMaxGrowth*f.size0
+}
+
+// update is the Forrest–Tomlin update for the basis change that puts a new
+// column into basis position r: spike is that column's ftranLU spike and
+// alphaR the r-th entry of its ftran result. Column k = cpos[r] of U becomes
+// the spike and moves last in the triangular order; row k, which then sits
+// below the diagonal, is eliminated against the rows after it and the
+// multipliers become a row eta. It reports false, leaving the factors as
+// they were, when the new diagonal fails the stability test — it must equal
+// alphaR times the old one — and the basis must be refactorized instead.
+func (f *luFactors) update(r int32, spike []float64, alphaR float64) bool {
+	k := f.cpos[r]
+	ew := f.ework
+	for p := f.rStart[k]; p < f.rEnd[k]; p++ {
+		ew[f.rCol[p]] = f.rVal[p]
+	}
+	// Eliminate row k in triangular order; only rows after k can hold
+	// its entries and their fill. The new diagonal is the spike's entry at
+	// k after the same row operations.
+	etaStart := len(f.etaIdx)
+	diag := spike[k]
+	for pos := f.uPos[k] + 1; pos < int32(f.m); pos++ {
+		j := f.uOrder[pos]
+		v := ew[j]
+		if v == 0 {
+			continue
+		}
+		ew[j] = 0
+		mult := v / f.uDiag[j]
+		f.etaIdx = append(f.etaIdx, j)
+		f.etaVal = append(f.etaVal, mult)
+		diag -= mult * spike[j]
+		for p := f.rStart[j]; p < f.rEnd[j]; p++ {
+			ew[f.rCol[p]] -= f.rVal[p] * mult
+		}
+	}
+	if math.Abs(diag) < luPivTol || math.Abs(diag-alphaR*f.uDiag[k]) > ftStabTol*math.Abs(diag) {
+		f.etaIdx = f.etaIdx[:etaStart]
+		f.etaVal = f.etaVal[:etaStart]
+		return false
+	}
+	f.etaPiv = append(f.etaPiv, k)
+	f.etaPtr = append(f.etaPtr, int32(len(f.etaIdx)))
+
+	// The old column k leaves the row view, row k leaves the column view.
+	for p := f.uStart[k]; p < f.uEnd[k]; p++ {
+		f.rowDelete(f.uRowIdx[p], k)
+	}
+	f.uNNZ -= int(f.uEnd[k] - f.uStart[k])
+	for p := f.rStart[k]; p < f.rEnd[k]; p++ {
+		f.colDelete(f.rCol[p], k)
+	}
+	f.uNNZ -= int(f.rEnd[k] - f.rStart[k])
+	f.rEnd[k] = f.rStart[k]
+	// The spike becomes column k, appended to the column arena.
+	f.uStart[k] = int32(len(f.uRowIdx))
+	for i, v := range spike {
+		if v == 0 || int32(i) == k {
+			continue
+		}
+		f.uRowIdx = append(f.uRowIdx, int32(i))
+		f.uVal = append(f.uVal, v)
+		f.rowAppend(int32(i), k, v)
+	}
+	f.uEnd[k] = int32(len(f.uRowIdx))
+	f.uNNZ += int(f.uEnd[k] - f.uStart[k])
+	f.uDiag[k] = diag
+	// k moves last in the triangular order.
+	pos := f.uPos[k]
+	copy(f.uOrder[pos:], f.uOrder[pos+1:])
+	f.uOrder[f.m-1] = k
+	for q := pos; q < int32(f.m); q++ {
+		f.uPos[f.uOrder[q]] = q
+	}
+	return true
+}
+
+// colDelete removes entry (i, k) from column k of U.
+func (f *luFactors) colDelete(k, i int32) {
+	last := f.uEnd[k] - 1
+	for p := f.uStart[k]; p <= last; p++ {
+		if f.uRowIdx[p] == i {
+			f.uRowIdx[p], f.uVal[p] = f.uRowIdx[last], f.uVal[last]
+			f.uEnd[k] = last
+			return
+		}
+	}
+}
+
+// rowDelete removes entry (i, k) from row i of U's row view.
+func (f *luFactors) rowDelete(i, k int32) {
+	last := f.rEnd[i] - 1
+	for p := f.rStart[i]; p <= last; p++ {
+		if f.rCol[p] == k {
+			f.rCol[p], f.rVal[p] = f.rCol[last], f.rVal[last]
+			f.rEnd[i] = last
+			return
+		}
+	}
+}
+
+// rowAppend adds entry (i, k) = v to row i of U's row view, moving the row
+// to the end of the arena with twice its room when it is full.
+func (f *luFactors) rowAppend(i, k int32, v float64) {
+	if f.rEnd[i] == f.rCap[i] {
+		lo, hi := f.rStart[i], f.rEnd[i]
+		n := hi - lo
+		start := int32(len(f.rCol))
+		f.rCol = append(f.rCol, f.rCol[lo:hi]...)
+		f.rVal = append(f.rVal, f.rVal[lo:hi]...)
+		for q := int32(0); q < n+rowSlack; q++ {
+			f.rCol = append(f.rCol, 0)
+			f.rVal = append(f.rVal, 0)
+		}
+		f.rStart[i], f.rEnd[i], f.rCap[i] = start, start+n, start+2*n+rowSlack
+	}
+	f.rCol[f.rEnd[i]] = k
+	f.rVal[f.rEnd[i]] = v
+	f.rEnd[i]++
 }

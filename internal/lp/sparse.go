@@ -1,7 +1,8 @@
 // Sparse revised-simplex engine: CSC constraint matrix, LU basis
-// factorization with product-form (eta) updates and periodic
-// refactorization, bounded variables, Dantzig pricing with a Bland's-rule
-// anti-cycling fallback, and warm starts from an exported Basis.
+// factorization kept current by Forrest–Tomlin updates (refactorized when
+// the update count, the factors' growth or an update's stability test says
+// so), bounded variables, Dantzig pricing with a Bland's-rule anti-cycling
+// fallback, and warm starts from an exported Basis.
 //
 // The engine solves problems in computational standard form
 //
@@ -79,13 +80,12 @@ type spxProb struct {
 var errSingularBasis = errors.New("lp: basis matrix is numerically singular")
 
 const (
-	luPivTol      = 1e-11 // LU singularity threshold
-	spxPivTol     = 1e-9  // minimum magnitude of an acceptable pivot
-	spxDualTol    = 1e-9  // reduced-cost optimality tolerance
-	spxFeasTol    = 1e-7  // primal bound-violation tolerance
-	spxBlandAt    = 200   // non-improving iterations before Bland's rule
-	refactorEvery = 64    // eta updates between refactorizations
-	spxInf        = math.MaxFloat64 / 4
+	luPivTol   = 1e-11 // LU singularity threshold
+	spxPivTol  = 1e-9  // minimum magnitude of an acceptable pivot
+	spxDualTol = 1e-9  // reduced-cost optimality tolerance
+	spxFeasTol = 1e-7  // primal bound-violation tolerance
+	spxBlandAt = 200   // non-improving iterations before Bland's rule
+	spxInf     = math.MaxFloat64 / 4
 )
 
 // spx is the engine state of a solve. A Model owns one and hands it to every
@@ -93,9 +93,10 @@ const (
 // a warm chain allocates only what it returns. Nothing numeric survives
 // from one solve to the next — statuses, positions and basic values are
 // rebuilt from the warm basis or the cold start, the first successful
-// factorization empties the eta file, the dual phase restarts its Devex
-// weights at 1 — so a solve is the same function of (matrix, bounds, costs,
-// warm basis) on a fresh workspace and on a used one (DESIGN.md §7).
+// factorization drops every update and row eta of the previous solve, the
+// dual phase restarts its Devex weights at 1 — so a solve is the same
+// function of (matrix, bounds, costs, warm basis) on a fresh workspace and
+// on a used one (DESIGN.md §7).
 type spx struct {
 	p          *spxProb
 	m, n, ncol int
@@ -107,36 +108,27 @@ type spx struct {
 
 	lu    *luFactors // the live buffer of luSc
 	luSc  *luScratch
-	etas  []eta
 	stats SolveStats
 	// warmDualStall is the DualStall the solve inherited from its warm basis.
 	warmDualStall uint8
-	// etaIdx/etaVal back every live eta's idx/val segments (three-index
-	// sliced so a segment can never be overwritten by later appends).
-	// Recycled wholesale at each refactorization, so steady-state pivots
-	// stop allocating per-eta slices.
-	etaIdx []int32
-	etaVal []float64
 
 	// scratch
 	work  []float64 // dense m
 	alpha []float64 // pivot column B⁻¹A_q, by basis position
-	y     []float64 // duals, original-row space
-	cB    []float64 // basic costs by position
+	// spike is the last ftranAlpha's column in the live factors' pivot
+	// space, the column the next update puts into U; spikeFor is the
+	// column it belongs to, −1 once an update or factorization used it up.
+	spike    []float64
+	spikeFor int32
+	y        []float64 // duals, original-row space
+	cB       []float64 // basic costs by position
 
 	// dual-phase scratch (dualIterate)
 	devex     []float64  // Devex reference weights, one per basis position
 	rho       []float64  // row of B⁻ᵀ, original-row space
-	unit      []float64  // btran input scratch
+	unit      []float64  // ρ's btran input e_r, all zero between iterations
 	flipDelta []float64  // basic-value correction after flips
 	cands     []dualCand // ratio-test candidates
-}
-
-type eta struct {
-	r   int32   // basis position replaced
-	idx []int32 // off-diagonal rows of the pivot column (excludes r)
-	val []float64
-	pv  float64 // alpha[r], the diagonal
 }
 
 // colLo/colUp and colVal read the bounds and current nonbasic value of a
@@ -190,6 +182,8 @@ func newSpx(m, n int) *spx {
 		luSc:       newLUScratch(m),
 		work:       make([]float64, m),
 		alpha:      make([]float64, m),
+		spike:      make([]float64, m),
+		spikeFor:   -1,
 		y:          make([]float64, m),
 		cB:         make([]float64, m),
 		devex:      make([]float64, m),
@@ -208,9 +202,6 @@ func newSpx(m, n int) *spx {
 func (s *spx) run(p *spxProb, warm *Basis, meth method) (Status, error) {
 	s.p = p
 	s.stats = SolveStats{}
-	s.etas = s.etas[:0]
-	s.etaIdx = s.etaIdx[:0]
-	s.etaVal = s.etaVal[:0]
 	m := s.m
 	s.warmDualStall = 0
 	if warm != nil {
@@ -243,13 +234,15 @@ func (s *spx) run(p *spxProb, warm *Basis, meth method) (Status, error) {
 	}
 	if useDual {
 		s.stats.DualAttempted = true
-		if _, ok := s.dualIterate(); ok {
-			s.stats.DualUsed = true
-			// An Infeasible verdict (dual unbounded) is NOT returned
-			// directly: the primal phase-1 pass below re-derives it from
-			// first principles, so a tolerance artifact in the dual ratio
-			// test can never misreport a feasible model.
+		done, err := s.dualIterate()
+		if err != nil {
+			return 0, err
 		}
+		// An Infeasible verdict (dual unbounded) is NOT returned directly:
+		// the primal phase-1 pass below re-derives it from first
+		// principles, so a tolerance artifact in the dual ratio test can
+		// never misreport a feasible model.
+		s.stats.DualUsed = done
 	}
 	return s.iterate()
 }
@@ -392,18 +385,16 @@ func (s *spx) rebuildPositions() {
 	}
 }
 
-// factorize rebuilds the LU factors of the current basis and clears the eta
-// file. It reports false on a singular basis, leaving factors and eta file
-// as they were.
+// factorize rebuilds the LU factors of the current basis, dropping every
+// update. It reports false on a singular basis, leaving the factors as they
+// were.
 func (s *spx) factorize() bool {
 	f, ok := luFactorize(&s.p.a, s.basic, s.luSc)
 	if !ok {
 		return false
 	}
 	s.lu = f
-	s.etas = s.etas[:0]
-	s.etaIdx = s.etaIdx[:0]
-	s.etaVal = s.etaVal[:0]
+	s.spikeFor = -1
 	s.stats.Refactorizations++
 	return true
 }
@@ -428,49 +419,31 @@ func (s *spx) computeXB() {
 // ftran solves B·x = b. b is dense original-row space and is clobbered;
 // the result lands in out indexed by basis position.
 func (s *spx) ftran(b, out []float64) {
-	s.lu.ftranLU(b, out)
-	for e := range s.etas {
-		et := &s.etas[e]
-		t := out[et.r] / et.pv
-		if t != 0 {
-			for i, r := range et.idx {
-				out[r] -= et.val[i] * t
-			}
-		}
-		out[et.r] = t
-	}
+	s.lu.ftranLU(b, out, nil)
 }
 
-// btran solves Bᵀ·y = c. c is indexed by basis position and is clobbered;
-// the result lands in out in original-row space.
-func (s *spx) btran(c, out []float64) {
-	for e := len(s.etas) - 1; e >= 0; e-- {
-		et := &s.etas[e]
-		t := c[et.r]
-		for i, r := range et.idx {
-			t -= et.val[i] * c[r]
-		}
-		c[et.r] = t / et.pv
+// ftranAlpha computes the pivot column α = B⁻¹A_enter into s.alpha and
+// keeps its spike for the update that brings enter into the basis.
+func (s *spx) ftranAlpha(enter int32) {
+	for i := range s.work {
+		s.work[i] = 0
 	}
+	s.scatterColumn(enter, 1, s.work)
+	s.lu.ftranLU(s.work, s.alpha, s.spike)
+	s.spikeFor = enter
+}
+
+// btran solves Bᵀ·y = c. c is indexed by basis position; the result lands
+// in out in original-row space.
+func (s *spx) btran(c, out []float64) {
 	s.lu.btranLU(c, out)
 }
 
-// btran2 solves Bᵀ·y1 = c1 and Bᵀ·y2 = c2 in one pass over the eta file
-// and the factors. Each lane performs exactly btran's operations in btran's
-// order, so both results equal two btran calls bit for bit; the two
-// independent dot-product chains only hide each other's latency.
+// btran2 solves Bᵀ·y1 = c1 and Bᵀ·y2 = c2 in one pass over the factors.
+// Each lane performs exactly btran's operations in btran's order, so both
+// results equal two btran calls bit for bit; the lanes share the index and
+// value loads.
 func (s *spx) btran2(c1, c2, out1, out2 []float64) {
-	for e := len(s.etas) - 1; e >= 0; e-- {
-		et := &s.etas[e]
-		t1, t2 := c1[et.r], c2[et.r]
-		val := et.val[:len(et.idx)]
-		for i, r := range et.idx {
-			t1 -= val[i] * c1[r]
-			t2 -= val[i] * c2[r]
-		}
-		c1[et.r] = t1 / et.pv
-		c2[et.r] = t2 / et.pv
-	}
 	s.lu.btranLU2(c1, c2, out1, out2)
 }
 
@@ -532,8 +505,7 @@ func (s *spx) iterate() (Status, error) {
 				s.cB[k] = s.costOf(j)
 			}
 		}
-		copy(s.work, s.cB) // btran clobbers its input
-		s.btran(s.work, s.y)
+		s.btran(s.cB, s.y)
 
 		bland := stall > spxBlandAt
 		enter, dir := s.price(phase1, bland)
@@ -545,11 +517,7 @@ func (s *spx) iterate() (Status, error) {
 		}
 
 		// Pivot column α = B⁻¹A_enter.
-		for i := range s.work {
-			s.work[i] = 0
-		}
-		s.scatterColumn(enter, 1, s.work)
-		s.ftran(s.work, s.alpha)
+		s.ftranAlpha(enter)
 
 		leave, t, leaveAt := s.ratioTest(enter, dir, phase1, bland)
 		if leave == -2 {
@@ -577,8 +545,8 @@ func (s *spx) iterate() (Status, error) {
 			} else {
 				s.status[enter] = BasisLower
 			}
-		} else {
-			s.pivot(enter, dir, t, leave, leaveAt)
+		} else if !s.pivot(enter, dir, t, leave, leaveAt) {
+			return 0, errSingularBasis
 		}
 		if phase1 {
 			merit = s.infeasibility()
@@ -711,8 +679,11 @@ func (s *spx) ratioTest(enter int32, dir float64, phase1, bland bool) (int32, fl
 }
 
 // pivot applies a basis change: entering column moves t along dir, basic
-// position r leaves pinned at leaveAt.
-func (s *spx) pivot(enter int32, dir, t float64, r int32, leaveAt int8) {
+// position r leaves pinned at leaveAt. It must follow the ftranAlpha of
+// enter, whose spike the Forrest–Tomlin update consumes. It reports false
+// when the factors cannot follow: the update was refused and the new basis
+// is numerically singular.
+func (s *spx) pivot(enter int32, dir, t float64, r int32, leaveAt int8) bool {
 	enterVal := s.colVal(enter) + dir*t
 	for k := range s.xB {
 		s.xB[k] -= dir * t * s.alpha[k]
@@ -727,30 +698,18 @@ func (s *spx) pivot(enter int32, dir, t float64, r int32, leaveAt int8) {
 	s.inBasisPos[enter] = r
 	s.xB[r] = enterVal
 
-	// Record the eta for this basis change. The diagonal entry lives in pv
-	// only; idx/val hold the off-diagonal rows, carved out of the shared
-	// arenas so steady-state pivots allocate nothing.
-	start := len(s.etaIdx)
-	for k, v := range s.alpha {
-		if v != 0 && int32(k) != r {
-			s.etaIdx = append(s.etaIdx, int32(k))
-			s.etaVal = append(s.etaVal, v)
-		}
+	spiked := s.spikeFor == enter
+	s.spikeFor = -1
+	switch {
+	case !spiked || s.lu.full():
+	case s.lu.update(r, s.spike, s.alpha[r]):
+		return true
+	default:
+		s.stats.StabilityRefactorizations++
 	}
-	end := len(s.etaIdx)
-	s.etas = append(s.etas, eta{
-		r:   r,
-		pv:  s.alpha[r],
-		idx: s.etaIdx[start:end:end],
-		val: s.etaVal[start:end:end],
-	})
-	if len(s.etas) >= refactorEvery {
-		if !s.factorize() {
-			// Should not happen for a basis reached by valid pivots; fall
-			// back to continuing on the eta file (factorize cleared it only
-			// on success).
-			return
-		}
-		s.computeXB()
+	if !s.factorize() {
+		return false
 	}
+	s.computeXB()
+	return true
 }

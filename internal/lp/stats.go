@@ -13,11 +13,14 @@ type StatsSnapshot struct {
 	Phase1Iterations uint64 // iterations spent restoring feasibility
 	DualIterations   uint64 // iterations spent in the dual simplex phase
 	Refactorizations uint64 // LU (re)factorizations
-	WarmAttempts     uint64 // solves offered a warm basis
-	WarmHits         uint64 // ... that accepted it
-	DualAttempts     uint64 // solves that entered the dual simplex phase
-	DualHits         uint64 // ... where it ran to a verdict
-	DenseFallbacks   uint64 // sparse failures answered by the dense oracle
+	// StabilityRefactorizations counts the refactorizations forced by an
+	// update failing its stability test.
+	StabilityRefactorizations uint64
+	WarmAttempts              uint64 // solves offered a warm basis
+	WarmHits                  uint64 // ... that accepted it
+	DualAttempts              uint64 // solves that entered the dual simplex phase
+	DualHits                  uint64 // ... where it ran to a verdict
+	DenseFallbacks            uint64 // sparse failures answered by the dense oracle
 }
 
 // WarmHitRate is WarmHits/WarmAttempts, or 0 when no warm start was tried.
@@ -51,6 +54,8 @@ var (
 		"Iterations spent in the dual simplex phase.")
 	mRefactorizations = obs.Default.NewCounter("coyote_lp_refactorizations_total",
 		"LU (re)factorizations of the basis matrix.")
+	mStabilityRefactorizations = obs.Default.NewCounter("coyote_lp_stability_refactorizations_total",
+		"Refactorizations forced by a Forrest–Tomlin update failing its stability test.")
 	mWarmAttempts = obs.Default.NewCounter("coyote_lp_warm_attempts_total",
 		"Solves offered a warm-start basis.")
 	mWarmHits = obs.Default.NewCounter("coyote_lp_warm_hits_total",
@@ -74,6 +79,7 @@ func recordGlobalStats(s SolveStats) {
 	mPhase1.Add(uint64(s.Phase1Iterations))
 	mDualIterations.Add(uint64(s.DualIterations))
 	mRefactorizations.Add(uint64(s.Refactorizations))
+	mStabilityRefactorizations.Add(uint64(s.StabilityRefactorizations))
 	if s.WarmAttempted {
 		mWarmAttempts.Inc()
 	}
@@ -91,16 +97,17 @@ func recordGlobalStats(s SolveStats) {
 // GlobalStats returns a snapshot of the process-wide solver counters.
 func GlobalStats() StatsSnapshot {
 	return StatsSnapshot{
-		Solves:           mSolves.Value(),
-		Iterations:       mIterations.Value(),
-		Phase1Iterations: mPhase1.Value(),
-		DualIterations:   mDualIterations.Value(),
-		Refactorizations: mRefactorizations.Value(),
-		WarmAttempts:     mWarmAttempts.Value(),
-		WarmHits:         mWarmHits.Value(),
-		DualAttempts:     mDualAttempts.Value(),
-		DualHits:         mDualHits.Value(),
-		DenseFallbacks:   mDenseFallbacks.Value(),
+		Solves:                    mSolves.Value(),
+		Iterations:                mIterations.Value(),
+		Phase1Iterations:          mPhase1.Value(),
+		DualIterations:            mDualIterations.Value(),
+		Refactorizations:          mRefactorizations.Value(),
+		StabilityRefactorizations: mStabilityRefactorizations.Value(),
+		WarmAttempts:              mWarmAttempts.Value(),
+		WarmHits:                  mWarmHits.Value(),
+		DualAttempts:              mDualAttempts.Value(),
+		DualHits:                  mDualHits.Value(),
+		DenseFallbacks:            mDenseFallbacks.Value(),
 	}
 }
 
@@ -109,7 +116,7 @@ func GlobalStats() StatsSnapshot {
 // restart, which its rate functions already handle.
 func ResetGlobalStats() {
 	for _, c := range []*obs.Counter{
-		mSolves, mIterations, mPhase1, mDualIterations, mRefactorizations,
+		mSolves, mIterations, mPhase1, mDualIterations, mRefactorizations, mStabilityRefactorizations,
 		mWarmAttempts, mWarmHits, mDualAttempts, mDualHits, mDenseFallbacks,
 	} {
 		c.Reset()
