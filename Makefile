@@ -91,15 +91,18 @@ bench-counts:
 # fuzz-smoke runs each native fuzz target briefly — the CI gate that
 # malformed real-world topology and MPS files error instead of panicking
 # (and, for MPS, that everything parseable round-trips byte-stably; for
-# the Prometheus exposition parser, that accepted pages keep coherent
-# histograms; for the controller, that every POST /update body gets a 200
-# or a 400 that leaves the event log alone).
+# the sparse simplex, that cold and warm solves of decoded LPs match the
+# dense oracle on every engine path; for the Prometheus exposition parser,
+# that accepted pages keep coherent histograms; for the controller, that
+# every POST /update body gets a 200 or a 400 that leaves the event log
+# alone).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraphML$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSNDlib$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAuto$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMPS$$' -fuzztime 15s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzSolveParity$$' -fuzztime 15s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 15s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzUpdateBody$$' -fuzztime 15s ./internal/serve
 
