@@ -157,7 +157,8 @@ func resetSolverStats() {
 
 // reportLPStats prints the per-run counters of the sparse LP core: how
 // many simplex solves the run triggered, the iteration/refactorization
-// totals, and how often a warm-start basis was offered and accepted
+// totals (with the refactorizations forced by an update failing its
+// stability test, expected 0), and how often a warm-start basis was offered and accepted
 // (PerfExact's per-link chain, the evaluator's carried OPTDAG basis). The
 // second line is the work of the solver that normalizes past the exact
 // node limit instead, the FPTAS (deterministic counts, DESIGN.md §12); the
@@ -169,9 +170,9 @@ func reportLPStats(run string) {
 		return
 	}
 	st := lp.GlobalStats()
-	fmt.Printf("[lp-stats %s] solves=%d iterations=%d phase1=%d dual=%d refactorizations=%d warm=%d/%d (hit rate %.0f%%) dual-restarts=%d/%d (hit rate %.0f%%) dense-fallbacks=%d\n",
+	fmt.Printf("[lp-stats %s] solves=%d iterations=%d phase1=%d dual=%d refactorizations=%d (stability=%d) warm=%d/%d (hit rate %.0f%%) dual-restarts=%d/%d (hit rate %.0f%%) dense-fallbacks=%d\n",
 		run, st.Solves, st.Iterations, st.Phase1Iterations, st.DualIterations, st.Refactorizations,
-		st.WarmHits, st.WarmAttempts, 100*st.WarmHitRate(),
+		st.StabilityRefactorizations, st.WarmHits, st.WarmAttempts, 100*st.WarmHitRate(),
 		st.DualHits, st.DualAttempts, 100*st.DualHitRate(),
 		st.DenseFallbacks)
 	ap := mcf.GlobalApproxStats()

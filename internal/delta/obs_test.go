@@ -110,13 +110,13 @@ func TestTracingParity(t *testing.T) {
 		parents[r.ID] = r.Parent
 		byID[r.ID] = r
 	}
-	// lp.solve spans are absent here on purpose: the session's adversary
-	// runs through the parallel PerfTop path, and per-LP spans only flow
-	// through the serial PerfExact chain (see oblivious.TestPerfExactSpans).
+	// The session's adversary normalizes its candidates through PerfTop,
+	// which records each exact solve as an lp.solve span under its
+	// oblivious.adversary span.
 	for _, want := range []string{
 		"session.init", "session.update", "session.fail", "session.recover",
 		"oblivious.optimize", "oblivious.round", "oblivious.adversary",
-		"gpopt.run",
+		"gpopt.run", "lp.solve",
 	} {
 		if !names[want] {
 			t.Errorf("traced run recorded no %q span", want)

@@ -237,7 +237,7 @@ func (ev *Evaluator) OptDAG(D *demand.Matrix) float64 {
 		return v
 	}
 	z := ev.edgeBuf.Get()
-	v, basis, certified := ev.solveOptDAG(D, ev.cache.warmBasis(), z)
+	v, basis, certified := ev.solveOptDAG(nil, D, ev.cache.warmBasis(), z)
 	ev.cache.store(h, v)
 	if certified {
 		ev.cache.bounds.add(ev.G, ev.DAGs, z, D, v, ev.exact())
@@ -269,8 +269,9 @@ func (c *evalCache) store(h uint64, v float64) {
 // D cannot be routed within the DAGs. It returns the optimal basis of an
 // exact solve (nil otherwise) and whether z (one entry per edge) received
 // the solve's dual certificate — edge lengths ℓ ≥ 0 with Σ ℓ_e·c_e = 1, from
-// the capacity-row duals of the LP or the final Garg–Könemann lengths.
-func (ev *Evaluator) solveOptDAG(D *demand.Matrix, warm *lp.Basis, z []float64) (v float64, basis *lp.Basis, certified bool) {
+// the capacity-row duals of the LP or the final Garg–Könemann lengths. An
+// exact solve records its lp.solve span under ctx (nil: untraced).
+func (ev *Evaluator) solveOptDAG(ctx context.Context, D *demand.Matrix, warm *lp.Basis, z []float64) (v float64, basis *lp.Basis, certified bool) {
 	c := ev.cache
 	var err error
 	switch {
@@ -283,7 +284,7 @@ func (ev *Evaluator) solveOptDAG(D *demand.Matrix, warm *lp.Basis, z []float64) 
 	default:
 		mm := c.takeModel(ev.G, ev.DAGs, D)
 		if err = mm.SetDemands(D); err == nil {
-			if v, basis, err = mm.SolveMLU(&lp.SolveOptions{Basis: warm}); err == nil {
+			if v, basis, err = mm.SolveMLU(&lp.SolveOptions{Basis: warm, Ctx: ctx}); err == nil {
 				certified = mm.Lengths(z)
 			}
 		}
@@ -356,15 +357,15 @@ func (ev *Evaluator) PerfTop(r *pdrouting.Routing, k int) []Result {
 // adversary records one oblivious.adversary span covering the whole call
 // (corner generation, utilization propagation, bounding, the waves of OPTDAG
 // normalizations), with what became of the candidates — cached, solved,
-// pruned — and the number of waves as attributes. The candidates themselves
-// are evaluated in parallel, so the span is deliberately one per call, not
-// one per candidate; nothing observed changes the verdict.
+// pruned — and the number of waves as attributes, and under it one lp.solve
+// span per exact normalization with that solve's phase-1, dual and
+// refactorization counts. Nothing observed changes the verdict.
 //
 // The adversary is bound-ordered: it returns exactly the k best of all its
 // candidates but normalizes only those whose dual-length upper bound reaches
 // the k-th best ratio established so far (DESIGN.md §2.5).
 func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int) []Result {
-	_, span := obs.StartSpan(ctx, "oblivious.adversary")
+	ctx, span := obs.StartSpan(ctx, "oblivious.adversary")
 	defer span.End()
 	workers := ev.cfg.Workers
 	singles, corners := ev.adversaryInputs(r, ev.seq.Add(1))
@@ -457,7 +458,7 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 			c := &cands[pending[j]]
 			w := &wave[j]
 			w.z = ev.edgeBuf.Get()
-			c.norm, w.basis, w.certified = ev.solveOptDAG(c.D, warmSnapshot, w.z)
+			c.norm, w.basis, w.certified = ev.solveOptDAG(ctx, c.D, warmSnapshot, w.z)
 		})
 		for j := 0; j < nw; j++ {
 			c := &cands[pending[j]]

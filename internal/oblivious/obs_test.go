@@ -59,8 +59,10 @@ func TestPerfExactSpans(t *testing.T) {
 
 // TestAdversarySpanAccountsForCandidates: the oblivious.adversary span says
 // what became of every candidate — cached + solved + pruned = candidates —
-// the counter family moves by the same amounts, and the second call on the
-// same routing finds every normalization it needs cached or bounded away.
+// the counter family moves by the same amounts, each solved candidate left
+// one lp.solve span with its phase counts under the adversary span, and the
+// second call on the same routing finds every normalization it needs cached
+// or bounded away.
 func TestAdversarySpanAccountsForCandidates(t *testing.T) {
 	g, err := topo.Load("NSF")
 	if err != nil {
@@ -79,7 +81,29 @@ func TestAdversarySpanAccountsForCandidates(t *testing.T) {
 
 	var total [3]int // cached, solved, pruned over both calls
 	calls := 0
+	adversary := map[uint64]bool{}
 	for _, rec := range tracer.Records() {
+		if rec.Name == "oblivious.adversary" {
+			adversary[rec.ID] = true
+		}
+	}
+	solveSpans := 0
+	for _, rec := range tracer.Records() {
+		if rec.Name == "lp.solve" {
+			if !adversary[rec.Parent] {
+				t.Fatalf("lp.solve span %d is not under an adversary span", rec.ID)
+			}
+			keys := map[string]bool{}
+			for _, a := range rec.Attrs {
+				keys[a.Key] = true
+			}
+			for _, key := range []string{"phase1_iterations", "dual_iterations", "refactorizations", "stability_refactorizations"} {
+				if !keys[key] {
+					t.Fatalf("lp.solve span lacks the %q attribute: %+v", key, rec.Attrs)
+				}
+			}
+			solveSpans++
+		}
 		if rec.Name != "oblivious.adversary" {
 			continue
 		}
@@ -113,6 +137,9 @@ func TestAdversarySpanAccountsForCandidates(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("recorded %d adversary spans, want 2", calls)
+	}
+	if solveSpans != total[1] {
+		t.Fatalf("recorded %d lp.solve spans under the adversary, want one per solved candidate (%d)", solveSpans, total[1])
 	}
 	got := [3]int{int(after.Cached - before.Cached), int(after.Solved - before.Solved), int(after.Pruned - before.Pruned)}
 	if got != total {

@@ -410,7 +410,7 @@ func TestDualLengthBound(t *testing.T) {
 				if D.Total() == 0 {
 					continue
 				}
-				norm, _, certified := ev.solveOptDAG(D, nil, z)
+				norm, _, certified := ev.solveOptDAG(nil, D, nil, z)
 				if !certified {
 					t.Fatalf("%s: solve of a routable matrix returned no certificate", tc.name)
 				}

@@ -47,6 +47,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"coyote_lp_solves_total",
 		"coyote_lp_iterations_total",
+		"coyote_lp_stability_refactorizations_total",
 		"coyote_session_events_total",
 		"coyote_session_recompute_seconds",
 		"coyote_par_loops_total",
