@@ -158,8 +158,9 @@ func resetSolverStats() {
 // reportLPStats prints the per-run counters of the sparse LP core: how
 // many simplex solves the run triggered, the iteration/refactorization
 // totals (with the refactorizations forced by an update failing its
-// stability test, expected 0), and how often a warm-start basis was offered and accepted
-// (PerfExact's per-link chain, the evaluator's carried OPTDAG basis). The
+// stability test, expected 0), and how often a warm-start basis was
+// offered and accepted (PerfExact's per-link chain, the evaluator's
+// carried OPTDAG basis). The
 // second line is the work of the solver that normalizes past the exact
 // node limit instead, the FPTAS (deterministic counts, DESIGN.md §12); the
 // third says what the adversary did with its corner candidates — how many

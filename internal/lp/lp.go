@@ -6,8 +6,9 @@
 // Two engines share the package (DESIGN.md §7):
 //
 //   - Model (the production path) is a sparse revised simplex: CSC
-//     constraint matrix, Gilbert–Peierls LU basis factorization with
-//     product-form eta updates and periodic refactorization, bounded
+//     constraint matrix, Gilbert–Peierls LU basis factorization kept
+//     current by Forrest–Tomlin updates (refactorized on an update cap, on
+//     growth, or when an update fails its stability test), bounded
 //     variables and ranged rows (so simple bounds never become rows),
 //     Dantzig pricing with a Bland's-rule anti-cycling fallback, row duals,
 //     and warm starts from an exported Basis. Every solver client — OPTDAG

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // luFactors is a sparse LU factorization of a basis matrix B with partial
 // pivoting, P·B·Q = L·U, computed column by column with the Gilbert–Peierls
@@ -327,8 +330,8 @@ func (f *luFactors) buildLRows() {
 		ptr[i] += ptr[i-1]
 	}
 	n := len(f.lRowIdx)
-	f.lRowCol = growInt32(f.lRowCol, n)
-	f.lRowVal = growFloat64(f.lRowVal, n)
+	f.lRowCol = slices.Grow(f.lRowCol[:0], n)[:n]
+	f.lRowVal = slices.Grow(f.lRowVal[:0], n)[:n]
 	for k := 0; k < f.m; k++ {
 		for p := f.lColPtr[k]; p < f.lColPtr[k+1]; p++ {
 			i := f.pinv[f.lRowIdx[p]]
@@ -362,8 +365,8 @@ func (f *luFactors) buildRows() {
 		f.rCap[i] = next
 		f.rEnd[i] = f.rStart[i]
 	}
-	f.rCol = growInt32(f.rCol, int(next))
-	f.rVal = growFloat64(f.rVal, int(next))
+	f.rCol = slices.Grow(f.rCol[:0], int(next))[:next]
+	f.rVal = slices.Grow(f.rVal[:0], int(next))[:next]
 	for k := 0; k < f.m; k++ {
 		for p := f.uStart[k]; p < f.uEnd[k]; p++ {
 			i := f.uRowIdx[p]
@@ -372,20 +375,6 @@ func (f *luFactors) buildRows() {
 			f.rEnd[i]++
 		}
 	}
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growFloat64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // luReach returns the reach of the given pattern rows through L's columns
@@ -715,12 +704,8 @@ func (f *luFactors) rowAppend(i, k int32, v float64) {
 		lo, hi := f.rStart[i], f.rEnd[i]
 		n := hi - lo
 		start := int32(len(f.rCol))
-		f.rCol = append(f.rCol, f.rCol[lo:hi]...)
-		f.rVal = append(f.rVal, f.rVal[lo:hi]...)
-		for q := int32(0); q < n+rowSlack; q++ {
-			f.rCol = append(f.rCol, 0)
-			f.rVal = append(f.rVal, 0)
-		}
+		f.rCol = append(append(f.rCol, f.rCol[lo:hi]...), make([]int32, n+rowSlack)...)
+		f.rVal = append(append(f.rVal, f.rVal[lo:hi]...), make([]float64, n+rowSlack)...)
 		f.rStart[i], f.rEnd[i], f.rCap[i] = start, start+n, start+2*n+rowSlack
 	}
 	f.rCol[f.rEnd[i]] = k

@@ -23,8 +23,9 @@ var Inf = math.Inf(1)
 // normalizations cheap.
 //
 // A Model owns the engine's workspace (simplex state, LU factors with their
-// row-eta arenas and U row view) and reuses it across solves of the same shape, so a chain of
-// bound/objective edits and re-solves allocates only what Solve returns.
+// U row view and row-eta arenas) and reuses it across solves of the same
+// shape, so a chain of bound/objective edits and re-solves allocates only
+// what Solve returns.
 // Everything a Solution carries is a fresh copy; nothing numeric is carried
 // from one solve to the next except through SolveOptions.Basis (DESIGN.md
 // §7).
@@ -155,19 +156,20 @@ type SolveOptions struct {
 
 // SolveStats describes one sparse solve.
 type SolveStats struct {
-	Iterations       int // total simplex iterations (all phases)
-	Phase1Iterations int // iterations spent restoring feasibility (primal phase 1)
-	DualIterations   int // iterations spent in the dual simplex phase
-	Refactorizations int // LU (re)factorizations, including the initial one
+	Iterations       int  // total simplex iterations (all phases)
+	Phase1Iterations int  // iterations spent restoring feasibility (primal phase 1)
+	DualIterations   int  // iterations spent in the dual simplex phase
+	Refactorizations int  // LU (re)factorizations, including the initial one
+	WarmAttempted    bool // a warm basis was supplied
+	WarmUsed         bool // ... and it was accepted
+	DualAttempted    bool // the dual simplex phase was entered
+	DualUsed         bool // ... and it ran to a verdict (no budget bailout)
+	DenseFallback    bool // the sparse engine failed and the dense oracle answered
+
 	// StabilityRefactorizations counts the refactorizations forced by a
 	// Forrest–Tomlin update failing its stability test (included in
 	// Refactorizations).
 	StabilityRefactorizations int
-	WarmAttempted             bool // a warm basis was supplied
-	WarmUsed                  bool // ... and it was accepted
-	DualAttempted             bool // the dual simplex phase was entered
-	DualUsed                  bool // ... and it ran to a verdict (no budget bailout)
-	DenseFallback             bool // the sparse engine failed and the dense oracle answered
 }
 
 // build materializes the engine form (CSC structural matrix, bound arrays,

@@ -13,14 +13,15 @@ type StatsSnapshot struct {
 	Phase1Iterations uint64 // iterations spent restoring feasibility
 	DualIterations   uint64 // iterations spent in the dual simplex phase
 	Refactorizations uint64 // LU (re)factorizations
+	WarmAttempts     uint64 // solves offered a warm basis
+	WarmHits         uint64 // ... that accepted it
+	DualAttempts     uint64 // solves that entered the dual simplex phase
+	DualHits         uint64 // ... where it ran to a verdict
+	DenseFallbacks   uint64 // sparse failures answered by the dense oracle
+
 	// StabilityRefactorizations counts the refactorizations forced by an
 	// update failing its stability test.
 	StabilityRefactorizations uint64
-	WarmAttempts              uint64 // solves offered a warm basis
-	WarmHits                  uint64 // ... that accepted it
-	DualAttempts              uint64 // solves that entered the dual simplex phase
-	DualHits                  uint64 // ... where it ran to a verdict
-	DenseFallbacks            uint64 // sparse failures answered by the dense oracle
 }
 
 // WarmHitRate is WarmHits/WarmAttempts, or 0 when no warm start was tried.
@@ -97,17 +98,18 @@ func recordGlobalStats(s SolveStats) {
 // GlobalStats returns a snapshot of the process-wide solver counters.
 func GlobalStats() StatsSnapshot {
 	return StatsSnapshot{
-		Solves:                    mSolves.Value(),
-		Iterations:                mIterations.Value(),
-		Phase1Iterations:          mPhase1.Value(),
-		DualIterations:            mDualIterations.Value(),
-		Refactorizations:          mRefactorizations.Value(),
+		Solves:           mSolves.Value(),
+		Iterations:       mIterations.Value(),
+		Phase1Iterations: mPhase1.Value(),
+		DualIterations:   mDualIterations.Value(),
+		Refactorizations: mRefactorizations.Value(),
+		WarmAttempts:     mWarmAttempts.Value(),
+		WarmHits:         mWarmHits.Value(),
+		DualAttempts:     mDualAttempts.Value(),
+		DualHits:         mDualHits.Value(),
+		DenseFallbacks:   mDenseFallbacks.Value(),
+
 		StabilityRefactorizations: mStabilityRefactorizations.Value(),
-		WarmAttempts:              mWarmAttempts.Value(),
-		WarmHits:                  mWarmHits.Value(),
-		DualAttempts:              mDualAttempts.Value(),
-		DualHits:                  mDualHits.Value(),
-		DenseFallbacks:            mDenseFallbacks.Value(),
 	}
 }
 

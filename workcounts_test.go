@@ -24,17 +24,18 @@ func TestComputeWorkCounts(t *testing.T) {
 	// vertices reached on degenerate LPs, and with them the dual certificates
 	// that prune the adversary's candidates, differ.)
 	want := lp.StatsSnapshot{
-		Solves:                    27,
-		Iterations:                2454,
-		Phase1Iterations:          301,
-		DualIterations:            2142,
-		Refactorizations:          70,
+		Solves:           27,
+		Iterations:       2454,
+		Phase1Iterations: 301,
+		DualIterations:   2142,
+		Refactorizations: 70,
+		WarmAttempts:     26,
+		WarmHits:         26,
+		DualAttempts:     25,
+		DualHits:         25,
+		DenseFallbacks:   0,
+
 		StabilityRefactorizations: 0,
-		WarmAttempts:              26,
-		WarmHits:                  26,
-		DualAttempts:              25,
-		DualHits:                  25,
-		DenseFallbacks:            0,
 	}
 
 	tp, err := coyote.LoadTopology("NSF")
@@ -63,8 +64,8 @@ func TestComputeWorkCounts(t *testing.T) {
 // TestComputeAllocs is the byte-side twin of TestComputeWorkCounts: the same
 // NSF Compute at one worker may allocate no more than computeAllocCeiling
 // bytes, so a lost workspace (an LP model rebuilt per solve, LU factors or
-// eta arenas reallocated per factorization) fails here rather than only in
-// the benchmark's alloc_mb_per_op.
+// their update arenas reallocated per factorization) fails here rather
+// than only in the benchmark's alloc_mb_per_op.
 func TestComputeAllocs(t *testing.T) {
 	// 1.25× the 3.05 MB this Compute allocated once the exact path stopped
 	// rebuilding its LPs (66 MB before).
