@@ -698,13 +698,15 @@ func (s *spx) pivot(enter int32, dir, t float64, r int32, leaveAt int8) bool {
 	s.inBasisPos[enter] = r
 	s.xB[r] = enterVal
 
+	// Update the factors in place when they can take another update;
+	// otherwise, or when the update fails its stability test, rebuild them
+	// for the new basis.
 	spiked := s.spikeFor == enter
 	s.spikeFor = -1
-	switch {
-	case !spiked || s.lu.full():
-	case s.lu.update(r, s.spike, s.alpha[r]):
-		return true
-	default:
+	if spiked && !s.lu.full() {
+		if s.lu.update(r, s.spike, s.alpha[r]) {
+			return true
+		}
 		s.stats.StabilityRefactorizations++
 	}
 	if !s.factorize() {
