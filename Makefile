@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench-e2e bench-counts fuzz-smoke smoke-examples cli-smoke sweep metrics-smoke
+.PHONY: all build test vet race cover bench-e2e bench-counts fuzz-smoke smoke-examples cli-smoke eval-smoke sweep metrics-smoke
 
 all: build test
 
@@ -129,3 +129,10 @@ cli-smoke:
 		echo "cli-smoke: coyote -messages without -virtual exited 0"; exit 1; \
 	fi; \
 	echo "cli-smoke OK"
+
+# eval-smoke runs every registry experiment once through coyote-eval under
+# the Quick configuration and discards the tables: an experiment that
+# returns an error fails the target. About 45 s on 2 CPUs, most of it
+# table1.
+eval-smoke:
+	$(GO) run ./cmd/coyote-eval -all -quick > /dev/null

@@ -3,28 +3,21 @@ package exp
 import (
 	"time"
 
-	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/oblivious"
-	"github.com/coyote-te/coyote/internal/topo"
 )
 
-// AblationAdversary compares the production corner-sampling adversary
+// ablationAdversary compares the production corner-sampling adversary
 // against the exact per-link slave LP of Appendix C on a small topology:
 // the estimated PERF (a lower bound) versus the exact value, and their
 // runtimes. This quantifies the accuracy cost of the substitution
 // documented in DESIGN.md §2.5.
-func AblationAdversary(cfg Config) (*Table, error) {
-	g, err := topo.Load("Abilene")
+func ablationAdversary(cfg Config) (*Table, error) {
+	in, err := loadInput("Abilene", "gravity", cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	base, err := baseMatrix(g, "gravity", cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	ecmp := oblivious.ECMPOnDAGs(g, dags)
+	ecmp := oblivious.ECMPOnDAGs(in.g, in.dags)
 	out := &Table{
 		Title:   "Ablation — corner-sampling adversary vs exact slave LP (Abilene, ECMP)",
 		Columns: []string{"margin", "sampled PERF", "exact PERF", "gap", "t(sample)", "t(LP)"},
@@ -33,8 +26,7 @@ func AblationAdversary(cfg Config) (*Table, error) {
 	// timings, and overlapping rows would contaminate them. The evaluator
 	// itself still uses the configured worker pool.
 	for _, margin := range cfg.Margins {
-		box := demand.MarginBox(base, margin)
-		ev := cfg.evaluator(g, dags, box)
+		ev := cfg.evaluator(in.g, in.dags, demand.MarginBox(in.base, margin))
 		t0 := time.Now()
 		sampled := ev.Perf(ecmp)
 		tSample := time.Since(t0)

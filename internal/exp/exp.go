@@ -1,8 +1,9 @@
 // Package exp is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§VI, §VII) plus the negative-result
 // demonstrations (§IV) and the design-choice ablations called out in
-// DESIGN.md. Each experiment is registered by ID and runnable from
-// cmd/coyote-eval or from the benchmark suite.
+// DESIGN.md. Each experiment is registered by ID, and the registry (Run,
+// IDs) is the only way to run one — from cmd/coyote-eval, sweep campaigns
+// or the benchmark suite.
 package exp
 
 import (
@@ -12,6 +13,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
@@ -34,7 +36,8 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// WriteTo renders the table as aligned text. It is total over the whole
+// WriteTo renders the table as aligned text, sizing and padding columns by
+// characters (runes), not bytes. It is total over the whole
 // Table value space: a zero Table, nil Columns/Rows, and ragged rows
 // (shorter or longer than the header) all render without panicking — extra
 // cells get their own trailing columns, missing cells render empty.
@@ -50,12 +53,12 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	}
 	widths := make([]int, ncol)
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if n := utf8.RuneCountInString(cell); n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -66,7 +69,7 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 			}
 			sb.WriteString(cell)
 			if i < len(widths) {
-				for p := len(cell); p < widths[i]; p++ {
+				for p := utf8.RuneCountInString(cell); p < widths[i]; p++ {
 					sb.WriteByte(' ')
 				}
 			}

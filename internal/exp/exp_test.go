@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/scen"
+	"github.com/coyote-te/coyote/internal/topo"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -48,7 +50,7 @@ func TestServeDriftSmoke(t *testing.T) {
 		t.Skip("drift replay in -short mode")
 	}
 	cfg := Quick()
-	tab, err := ServeDrift(scen.Params{Rows: 3, Cols: 3}, 3, cfg)
+	tab, err := serveDrift(scen.Params{Rows: 3, Cols: 3}, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestRunningExampleAnchors(t *testing.T) {
-	tab, err := RunningExample(Quick())
+	tab, err := runningExample(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestRunningExampleAnchors(t *testing.T) {
 }
 
 func TestNPGadgetTable(t *testing.T) {
-	tab, err := NPGadget([]float64{3, 5, 8}, map[int]bool{2: true})
+	tab, err := npGadget([]float64{3, 5, 8}, map[int]bool{2: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestNPGadgetTable(t *testing.T) {
 
 func TestPathLowerBoundTable(t *testing.T) {
 	n := 5
-	tab, err := PathLowerBound(n)
+	tab, err := pathLowerBound(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestPathLowerBoundTable(t *testing.T) {
 }
 
 func TestFig12Table(t *testing.T) {
-	tab, err := Fig12(Quick())
+	tab, err := fig12(Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,26 +187,102 @@ func TestMarginSweepSmallTopology(t *testing.T) {
 	}
 	cfg := Quick()
 	cfg.Oblivious = true
-	rows, err := MarginSweep("NSF", "gravity", cfg)
+	g, err := topo.Load("NSF")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(cfg.Margins) {
-		t.Fatalf("%d rows, want %d", len(rows), len(cfg.Margins))
+	tab, err := SweepGraph("NSF", g, "gravity", cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range rows {
+	if got := strings.Join(tab.Columns, ","); got != "margin,ECMP,Base,COYOTE-obl,COYOTE-pk" {
+		t.Fatalf("columns %s", got)
+	}
+	if len(tab.Rows) != len(cfg.Margins) {
+		t.Fatalf("%d rows, want %d", len(tab.Rows), len(cfg.Margins))
+	}
+	for i, row := range tab.Rows {
+		ecmp, pk := cell(t, tab, i, 1), cell(t, tab, i, 4)
 		// The partial-knowledge COYOTE is never worse than ECMP (both
 		// evaluated with the same adversary).
-		if r.CoyotePartial > r.ECMP+1e-6 {
-			t.Errorf("margin %g: COYOTE-pk %g worse than ECMP %g", r.Margin, r.CoyotePartial, r.ECMP)
+		if pk > ecmp {
+			t.Errorf("margin %s: COYOTE-pk %g worse than ECMP %g", row[0], pk, ecmp)
 		}
-		if r.ECMP < 1-0.05 || r.CoyotePartial < 1-0.05 {
-			t.Errorf("margin %g: PERF below 1: ECMP %g, pk %g", r.Margin, r.ECMP, r.CoyotePartial)
+		if ecmp < 1-0.05 || pk < 1-0.05 {
+			t.Errorf("margin %s: PERF below 1: ECMP %g, pk %g", row[0], ecmp, pk)
 		}
 	}
 	// At margin 1 the Base routing is optimal.
-	if math.Abs(rows[0].Base-1) > 0.05 {
-		t.Errorf("Base at margin 1 = %g, want 1", rows[0].Base)
+	if base := cell(t, tab, 0, 2); math.Abs(base-1) > 0.05 {
+		t.Errorf("Base at margin 1 = %g, want 1", base)
+	}
+}
+
+// TestTable1IsSweepGraphPerNetwork: table1's columns are "network" and
+// SweepGraph's, and its rows are SweepGraph's with the network prefixed —
+// so COYOTE-obl appears exactly when cfg.Oblivious computes it.
+func TestTable1IsSweepGraphPerNetwork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps in -short mode")
+	}
+	g, err := topo.Load("Abilene")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oblivious := range []bool{false, true} {
+		cfg := Quick()
+		cfg.Oblivious = oblivious
+		tab, err := table1(cfg, []string{"Abilene"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep, err := SweepGraph("Abilene", g, "gravity", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &Table{Title: tab.Title, Columns: append([]string{"network"}, sweep.Columns...)}
+		for _, row := range sweep.Rows {
+			want.AddRow(append([]string{"Abilene"}, row...)...)
+		}
+		if !reflect.DeepEqual(tab, want) {
+			t.Errorf("Oblivious %v: table1\n%+v\nwant\n%+v", oblivious, tab, want)
+		}
+	}
+}
+
+// TestRegistryShapes runs every registered experiment under Quick() —
+// table1 and fig11 on one network through their unexported forms — and
+// checks each returns a titled table with at least one row, every row as
+// wide as the header.
+func TestRegistryShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment in -short mode")
+	}
+	one := []string{"Abilene"}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			var tab *Table
+			var err error
+			switch id {
+			case "table1":
+				tab, err = table1(Quick(), one)
+			case "fig11":
+				tab, err = fig11(Quick(), one)
+			default:
+				tab, err = Run(id, Quick())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab.Title == "" || len(tab.Rows) == 0 {
+				t.Fatalf("title %q, %d rows", tab.Title, len(tab.Rows))
+			}
+			for i, row := range tab.Rows {
+				if len(row) != len(tab.Columns) {
+					t.Errorf("row %d has %d cells, header %d: %v", i, len(row), len(tab.Columns), row)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
@@ -8,131 +10,92 @@ import (
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/par"
 	"github.com/coyote-te/coyote/internal/pdrouting"
-	"github.com/coyote-te/coyote/internal/topo"
 	"github.com/coyote-te/coyote/internal/wcmp"
 )
 
-// Fig9 reproduces Fig. 9: Abilene under the local-search DAG-construction
+// fig9 reproduces Fig. 9: Abilene under the local-search DAG-construction
 // heuristic with the bimodal base model — ECMP vs COYOTE-partial-knowledge,
 // both using the DAGs derived from the locally-searched weights.
-func Fig9(cfg Config) (*Table, error) {
-	g, err := topo.Load("Abilene")
+func fig9(cfg Config) (*Table, error) {
+	in, err := loadInput("Abilene", "bimodal", cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	base, err := baseMatrix(g, "bimodal", cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{
-		Title:   "Fig. 9 — Abilene, local-search heuristic, bimodal model",
-		Columns: []string{"margin", "ECMP", "COYOTE-pk"},
-	}
-	rows := make([][]string, len(cfg.Margins))
-	if err := par.ForErr(cfg.Workers, len(cfg.Margins), func(i int) error {
-		margin := cfg.Margins[i]
-		box := demand.MarginBox(base, margin)
-		ls, err := localsearch.Optimize(g, box, localsearch.Config{
-			OuterIters: cfg.AdvIters, InnerMoves: 10 * g.NumEdges(), Seed: cfg.Seed,
+	return marginTable("Fig. 9 — Abilene, local-search heuristic, bimodal model", []string{"ECMP", "COYOTE-pk"}, cfg,
+		func(margin float64) ([]string, error) {
+			box := demand.MarginBox(in.base, margin)
+			ls, err := localsearch.Optimize(in.g, box, localsearch.Config{
+				OuterIters: cfg.AdvIters, InnerMoves: 10 * in.g.NumEdges(), Seed: cfg.Seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			tuned := in.g.Clone()
+			tuned.SetWeights(ls.Weights)
+			dags := dagx.BuildAll(tuned, dagx.Augmented)
+			ev := cfg.evaluator(tuned, dags, box)
+			ecmp := ev.Perf(oblivious.ECMPOnDAGs(tuned, dags))
+			_, rep := cfg.optimize(ev)
+			return []string{f2(ecmp.Ratio), f2(rep.Perf.Ratio)}, nil
 		})
-		if err != nil {
-			return err
-		}
-		tuned := g.Clone()
-		tuned.SetWeights(ls.Weights)
-		dags := dagx.BuildAll(tuned, dagx.Augmented)
-		ev := cfg.evaluator(tuned, dags, box)
-		ecmp := ev.Perf(oblivious.ECMPOnDAGs(tuned, dags))
-		_, rep := cfg.optimize(ev)
-		rows[i] = []string{f1(margin), f2(ecmp.Ratio), f2(rep.Perf.Ratio)}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	out.Rows = rows
-	return out, nil
 }
 
-// Fig10 reproduces Fig. 10: how closely quantized splitting (3, 5, 10
+// fig10 reproduces Fig. 10: how closely quantized splitting (3, 5, 10
 // virtual next-hops per interface, per [18]) approximates ideal COYOTE on
 // AS1755, and how both compare to ECMP.
-func Fig10(cfg Config, budgets []int) (*Table, error) {
-	if budgets == nil {
-		budgets = []int{3, 5, 10}
-	}
-	g, err := topo.Load("AS1755")
+func fig10(cfg Config) (*Table, error) {
+	in, err := loadInput("AS1755", "gravity", cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	base, err := baseMatrix(g, "gravity", cfg.Seed)
-	if err != nil {
-		return nil, err
+	budgets := []int{3, 5, 10}
+	cols := []string{"ECMP", "COYOTE-ideal"}
+	for _, k := range budgets {
+		cols = append(cols, fmt.Sprintf("%d NHs", k))
 	}
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	out := &Table{
-		Title:   "Fig. 10 — AS1755: splitting-ratio approximation via virtual next-hops",
-		Columns: []string{"margin", "ECMP", "COYOTE-ideal", "3 NHs", "5 NHs", "10 NHs"},
-	}
-	rows := make([][]string, len(cfg.Margins))
-	if err := par.ForErr(cfg.Workers, len(cfg.Margins), func(i int) error {
-		margin := cfg.Margins[i]
-		box := demand.MarginBox(base, margin)
-		ev := cfg.evaluator(g, dags, box)
-		ideal, rep := cfg.optimize(ev)
-		row := []string{f1(margin), f2(ev.Perf(oblivious.ECMPOnDAGs(g, dags)).Ratio), f2(rep.Perf.Ratio)}
-		for _, k := range budgets {
-			q, err := wcmp.Apply(ideal, k)
-			if err != nil {
-				return err
+	return marginTable("Fig. 10 — AS1755: splitting-ratio approximation via virtual next-hops", cols, cfg,
+		func(margin float64) ([]string, error) {
+			ev := cfg.evaluator(in.g, in.dags, demand.MarginBox(in.base, margin))
+			ideal, rep := cfg.optimize(ev)
+			row := []string{f2(ev.Perf(oblivious.ECMPOnDAGs(in.g, in.dags)).Ratio), f2(rep.Perf.Ratio)}
+			for _, k := range budgets {
+				q, err := wcmp.Apply(ideal, k)
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, f2(ev.Perf(q.Routing).Ratio))
 			}
-			row = append(row, f2(ev.Perf(q.Routing).Ratio))
-		}
-		rows[i] = row
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	out.Rows = rows
-	return out, nil
+			return row, nil
+		})
 }
 
-// Fig11 reproduces Fig. 11: the average path stretch (expected hop count
-// relative to ECMP on shortest paths) of COYOTE's routings at margin 2.5.
-func Fig11(cfg Config, names []string) (*Table, error) {
-	if names == nil {
-		names = topo.TableNames()
-	}
-	out := &Table{
-		Title:   "Fig. 11 — average path stretch vs ECMP (margin 2.5)",
-		Columns: []string{"network", "COYOTE-oblivious", "COYOTE-pk"},
-	}
+// fig11 reproduces Fig. 11 on the named networks: the average path
+// stretch (expected hop count relative to ECMP on shortest paths) of
+// COYOTE's routings at margin 2.5.
+func fig11(cfg Config, names []string) (*Table, error) {
 	const margin = 2.5
 	rows := make([][]string, len(names))
 	if err := par.ForErr(cfg.Workers, len(names), func(i int) error {
-		name := names[i]
-		g, err := topo.Load(name)
+		in, err := loadInput(names[i], "gravity", cfg, true)
 		if err != nil {
 			return err
 		}
-		base, err := baseMatrix(g, "gravity", cfg.Seed)
-		if err != nil {
-			return err
-		}
-		dags := dagx.BuildAll(g, dagx.Augmented)
-		box := demand.MarginBox(base, margin)
-		ev := cfg.evaluator(g, dags, box)
-		pk, _ := cfg.optimize(ev)
-		oblBox := demand.ObliviousBox(g.NumNodes(), 1)
-		oblEv := cfg.evaluator(g, dags, oblBox)
-		obl, _ := cfg.optimize(oblEv)
-		ecmp := oblivious.ECMPOnDAGs(g, dags)
-		rows[i] = []string{name, f2(stretch(obl, ecmp)), f2(stretch(pk, ecmp))}
+		pk, _ := cfg.optimize(cfg.evaluator(in.g, in.dags, demand.MarginBox(in.base, margin)))
+		// The oblivious box's cap is 1, not SweepGraph's base-matrix
+		// maximum: PERF is scale-invariant but the optimizer's trajectory
+		// is not, and the recorded Fig. 11 numbers use cap 1.
+		obl, _ := cfg.optimize(cfg.evaluator(in.g, in.dags, demand.ObliviousBox(in.g.NumNodes(), 1)))
+		ecmp := oblivious.ECMPOnDAGs(in.g, in.dags)
+		rows[i] = []string{names[i], f2(stretch(obl, ecmp)), f2(stretch(pk, ecmp))}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	out.Rows = rows
-	return out, nil
+	return &Table{
+		Title:   "Fig. 11 — average path stretch vs ECMP (margin 2.5)",
+		Columns: []string{"network", "COYOTE-oblivious", "COYOTE-pk"},
+		Rows:    rows,
+	}, nil
 }
 
 // stretch computes the mean over all ordered pairs of the ratio between a
@@ -160,42 +123,30 @@ func stretch(r, ecmp *pdrouting.Routing) float64 {
 	return sum / float64(count)
 }
 
-// AblationDAG quantifies the value of Step II DAG augmentation (§V-B): the
-// PERF of COYOTE with and without augmented DAGs on one topology.
-func AblationDAG(topoName string, cfg Config) (*Table, error) {
-	g, err := topo.Load(topoName)
+// ablationDAG quantifies the value of Step II DAG augmentation (§V-B): the
+// PERF of COYOTE with and without augmented DAGs on Geant.
+func ablationDAG(cfg Config) (*Table, error) {
+	in, err := loadInput("Geant", "gravity", cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	base, err := baseMatrix(g, "gravity", cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{
-		Title:   "Ablation — DAG augmentation (" + topoName + ", gravity)",
-		Columns: []string{"margin", "COYOTE-augmented", "COYOTE-sp-only"},
-	}
-	augment := dagx.BuildAll(g, dagx.Augmented)
-	spOnly := dagx.BuildAll(g, dagx.ShortestPath)
-	rows := make([][]string, len(cfg.Margins))
-	par.For(cfg.Workers, len(cfg.Margins), func(i int) {
-		margin := cfg.Margins[i]
-		box := demand.MarginBox(base, margin)
-		// Both variants are normalized within the augmented DAGs so the
-		// numbers are comparable.
-		ev := cfg.evaluator(g, augment, box)
-		_, repAug := cfg.optimize(ev)
-		spRouting, _ := cfg.optimize(cfg.evaluator(g, spOnly, box))
-		// Re-express the SP-only routing over the augmented DAG membership
-		// for apples-to-apples evaluation (zero ratios on extra edges; the
-		// augmented DAGs contain the shortest-path DAGs, so the ratio
-		// vectors carry over unchanged).
-		spOnAug := pdrouting.NewZero(g, augment)
-		for t := range spOnAug.Phi {
-			copy(spOnAug.Phi[t], spRouting.Phi[t])
-		}
-		rows[i] = []string{f1(margin), f2(repAug.Perf.Ratio), f2(ev.Perf(spOnAug).Ratio)}
-	})
-	out.Rows = rows
-	return out, nil
+	spOnly := dagx.BuildAll(in.g, dagx.ShortestPath)
+	return marginTable("Ablation — DAG augmentation (Geant, gravity)", []string{"COYOTE-augmented", "COYOTE-sp-only"}, cfg,
+		func(margin float64) ([]string, error) {
+			box := demand.MarginBox(in.base, margin)
+			// Both variants are normalized within the augmented DAGs so the
+			// numbers are comparable.
+			ev := cfg.evaluator(in.g, in.dags, box)
+			_, repAug := cfg.optimize(ev)
+			spRouting, _ := cfg.optimize(cfg.evaluator(in.g, spOnly, box))
+			// Re-express the SP-only routing over the augmented DAG membership
+			// for apples-to-apples evaluation (zero ratios on extra edges; the
+			// augmented DAGs contain the shortest-path DAGs, so the ratio
+			// vectors carry over unchanged).
+			spOnAug := pdrouting.NewZero(in.g, in.dags)
+			for t := range spOnAug.Phi {
+				copy(spOnAug.Phi[t], spRouting.Phi[t])
+			}
+			return []string{f2(repAug.Perf.Ratio), f2(ev.Perf(spOnAug).Ratio)}, nil
+		})
 }

@@ -1,48 +1,47 @@
 package exp
 
 import (
-	"fmt"
-
-	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/failover"
-	"github.com/coyote-te/coyote/internal/topo"
 )
 
-// Failover exercises the precomputed failure configurations that §VI-A of
-// the paper describes: for every single-link failure of a topology, the
+// failoverTable exercises the precomputed failure configurations that
+// §VI-A of the paper describes: for every single-link failure of NSF, the
 // re-optimized COYOTE configuration versus ECMP on the surviving network
 // (gravity base demands, margin 2).
-func Failover(topoName string, cfg Config) (*Table, error) {
-	g, err := topo.Load(topoName)
+func failoverTable(cfg Config) (*Table, error) {
+	in, err := loadInput("NSF", "gravity", cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	base, err := baseMatrix(g, "gravity", cfg.Seed)
+	box, _ := in.day(0)
+	plan, err := failover.Precompute(in.g, box, cfg.params())
 	if err != nil {
 		return nil, err
 	}
-	box := demand.MarginBox(base, 2)
-	plan, err := failover.Precompute(g, box, cfg.params())
-	if err != nil {
-		return nil, err
+	link := func(sc *failover.GroupScenario) string {
+		e := in.g.Edge(sc.Failed[0])
+		return in.g.Name(e.From) + "–" + in.g.Name(e.To)
 	}
 	out := &Table{
-		Title:   fmt.Sprintf("Failure scenarios — %s, gravity, margin 2 (precomputed per-link configs)", topoName),
+		Title:   "Failure scenarios — NSF, gravity, margin 2 (precomputed per-link configs)",
 		Columns: []string{"failed link", "COYOTE", "ECMP", "status"},
 	}
 	out.AddRow("(none)", f2(plan.Normal.Perf.Ratio), "", "normal")
-	for _, sc := range plan.Scenarios {
-		e := g.Edge(sc.Failed[0])
-		label := g.Name(e.From) + "–" + g.Name(e.To)
-		if sc.Disconnected {
-			out.AddRow(label, "", "", "partitions network")
-			continue
-		}
-		out.AddRow(label, f2(sc.Solved.Perf.Ratio), f2(sc.ECMPPerf), "ok")
+	for i := range plan.Scenarios {
+		out.AddRow(scenarioRow(&plan.Scenarios[i], link(&plan.Scenarios[i]))...)
 	}
 	if w := plan.WorstScenario(); w != nil {
-		e := g.Edge(w.Failed[0])
-		out.AddRow("worst: "+g.Name(e.From)+"–"+g.Name(e.To), f2(w.Solved.Perf.Ratio), f2(w.ECMPPerf), "")
+		out.AddRow("worst: "+link(w), f2(w.Solved.Perf.Ratio), f2(w.ECMPPerf), "")
 	}
 	return out, nil
+}
+
+// scenarioRow is one failure scenario's row, shared by failover and
+// scen-srlg: its label cells, then COYOTE's and ECMP's PERF on the
+// survivor and the status.
+func scenarioRow(sc *failover.GroupScenario, label ...string) []string {
+	if sc.Disconnected {
+		return append(label, "", "", "partitions network")
+	}
+	return append(label, f2(sc.Solved.Perf.Ratio), f2(sc.ECMPPerf), "ok")
 }

@@ -29,138 +29,162 @@ func baseMatrix(g *graph.Graph, model string, seed int64) (*demand.Matrix, error
 	}
 }
 
-// SweepRow is one margin's outcome for one topology.
-type SweepRow struct {
-	Margin          float64
-	ECMP            float64 // PERF of traditional ECMP
-	Base            float64 // PERF of the demands-aware routing for the base matrix
-	CoyoteOblivious float64 // PERF of COYOTE optimized with no demand knowledge
-	CoyotePartial   float64 // PERF of COYOTE optimized within the margin box
+// input is what an experiment on one topology starts from: the graph, its
+// base matrix under a demand model, and the augmented DAGs it evaluates on.
+type input struct {
+	g    *graph.Graph
+	base *demand.Matrix
+	dags []*dagx.DAG // nil unless built: see newInput
+	seed int64
 }
 
-// MarginSweep reproduces the Fig. 6/7/8 measurement for one topology and
-// demand model: PERF of ECMP, Base, COYOTE-oblivious and
-// COYOTE-partial-knowledge as the uncertainty margin grows, all normalized
-// by the demands-aware optimum within the same augmented DAGs.
-func MarginSweep(topoName, model string, cfg Config) ([]SweepRow, error) {
-	g, err := topo.Load(topoName)
-	if err != nil {
-		return nil, err
-	}
+// newInput is the one way an experiment builds its input on g. The DAGs
+// are built only when augment is set: failover, scen-srlg, the portfolio
+// cells and fig9 solve on graphs whose DAGs they build elsewhere.
+func newInput(g *graph.Graph, model string, cfg Config, augment bool) (*input, error) {
 	base, err := baseMatrix(g, model, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	return marginSweep(g, dags, base, cfg)
+	in := &input{g: g, base: base, seed: cfg.Seed}
+	if augment {
+		in.dags = dagx.BuildAll(g, dagx.Augmented)
+	}
+	return in, nil
 }
 
-func marginSweep(g *graph.Graph, dags []*dagx.DAG, base *demand.Matrix, cfg Config) ([]SweepRow, error) {
-	ecmp := oblivious.ECMPOnDAGs(g, dags)
-	baseRouting, err := oblivious.BaseRouting(g, dags, base, 0, cfg.Eps)
+// loadInput is newInput on a corpus topology.
+func loadInput(name, model string, cfg Config, augment bool) (*input, error) {
+	g, err := topo.Load(name)
 	if err != nil {
 		return nil, err
 	}
+	return newInput(g, model, cfg, augment)
+}
 
+// scenInput is newInput on a topology the named generator draws from p at
+// cfg.Seed.
+func scenInput(gen string, p scen.Params, model string, cfg Config, augment bool) (*input, error) {
+	p.Seed = cfg.Seed
+	g, err := scen.Generate(gen, p)
+	if err != nil {
+		return nil, err
+	}
+	return newInput(g, model, cfg, augment)
+}
+
+// day returns the margin-2 box around the base matrix that failover,
+// scen-srlg, scen-grid-day, serve-drift and the portfolio cells run in
+// and, when steps > 0, a seeded diurnal sequence of that many matrices
+// sampled inside it.
+func (in *input) day(steps int) (*demand.Box, []*demand.Matrix) {
+	box := demand.MarginBox(in.base, 2)
+	if steps <= 0 {
+		return box, nil
+	}
+	return box, scen.TimeOfDay(box, steps, 0.1, in.seed)
+}
+
+// marginTable is the per-margin fan-out: row i is cfg.Margins[i] followed
+// by cells(cfg.Margins[i]). Margins are independent data points, each
+// building its own seeded evaluator, so they spread across the worker pool
+// and the rows do not depend on the worker count.
+func marginTable(title string, cols []string, cfg Config, cells func(margin float64) ([]string, error)) (*Table, error) {
+	rows := make([][]string, len(cfg.Margins))
+	if err := par.ForErr(cfg.Workers, len(cfg.Margins), func(i int) error {
+		row, err := cells(cfg.Margins[i])
+		rows[i] = append([]string{f1(cfg.Margins[i])}, row...)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return &Table{Title: title, Columns: append([]string{"margin"}, cols...), Rows: rows}, nil
+}
+
+// sweepColumns are the columns SweepGraph fills after "margin".
+func sweepColumns(cfg Config) []string {
+	if cfg.Oblivious {
+		return []string{"ECMP", "Base", "COYOTE-obl", "COYOTE-pk"}
+	}
+	return []string{"ECMP", "Base", "COYOTE-pk"}
+}
+
+// SweepGraph is the margin sweep of Figs. 6–8 and Table I on an arbitrary
+// topology under a named demand model: PERF of ECMP, Base, (with
+// cfg.Oblivious) COYOTE-oblivious and COYOTE-partial-knowledge as the
+// uncertainty margin grows, all normalized by the demands-aware optimum
+// within the same augmented DAGs. It backs fig6–fig8, table1, the scen-*
+// sweeps, the corpus/scen/file units of internal/sweep and
+// coyote-scen sweep.
+func SweepGraph(title string, g *graph.Graph, model string, cfg Config) (*Table, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if !g.Connected() {
+		return nil, fmt.Errorf("exp: topology %q is not strongly connected", title)
+	}
+	in, err := newInput(g, model, cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	ecmp := oblivious.ECMPOnDAGs(g, in.dags)
+	baseRouting, err := oblivious.BaseRouting(g, in.dags, in.base, 0, cfg.Eps)
+	if err != nil {
+		return nil, err
+	}
 	// COYOTE-oblivious: optimized once, with no knowledge of the demands
 	// (uncertainty set = all matrices up to an arbitrary cap; the
 	// performance ratio is scale-invariant).
 	var coyoteObl *pdrouting.Routing
 	if cfg.Oblivious {
-		oblBox := demand.ObliviousBox(g.NumNodes(), math.Max(base.MaxEntry(), 1))
-		oblEv := cfg.evaluator(g, dags, oblBox)
-		coyoteObl, _ = cfg.optimize(oblEv)
+		oblBox := demand.ObliviousBox(g.NumNodes(), math.Max(in.base.MaxEntry(), 1))
+		coyoteObl, _ = cfg.optimize(cfg.evaluator(g, in.dags, oblBox))
 	}
+	return marginTable(fmt.Sprintf("%s, %s model (PERF vs margin)", title, model), sweepColumns(cfg), cfg,
+		func(margin float64) ([]string, error) {
+			ev := cfg.evaluator(g, in.dags, demand.MarginBox(in.base, margin))
+			row := []string{f2(ev.Perf(ecmp).Ratio), f2(ev.Perf(baseRouting).Ratio)}
+			if coyoteObl != nil {
+				row = append(row, f2(ev.Perf(coyoteObl).Ratio))
+			}
+			_, rep := cfg.optimize(ev)
+			return append(row, f2(rep.Perf.Ratio)), nil
+		})
+}
 
-	// Margins are independent data points: fan them across the worker
-	// pool, each writing its own row (every margin builds its own seeded
-	// evaluator, so rows are reproducible for any worker count).
-	rows := make([]SweepRow, len(cfg.Margins))
-	par.For(cfg.Workers, len(cfg.Margins), func(i int) {
-		margin := cfg.Margins[i]
-		box := demand.MarginBox(base, margin)
-		ev := cfg.evaluator(g, dags, box)
-		row := SweepRow{Margin: margin}
-		row.ECMP = ev.Perf(ecmp).Ratio
-		row.Base = ev.Perf(baseRouting).Ratio
-		if coyoteObl != nil {
-			row.CoyoteOblivious = ev.Perf(coyoteObl).Ratio
+// corpusSweep is SweepGraph on one corpus topology, titled
+// "<fig> — <name>, <model> model (PERF vs margin)": the registry rows of
+// Figs. 6–8, and table1's per-network sweep.
+func corpusSweep(fig, name, model string) runner {
+	return func(cfg Config) (*Table, error) {
+		g, err := topo.Load(name)
+		if err != nil {
+			return nil, err
 		}
-		_, rep := cfg.optimize(ev)
-		row.CoyotePartial = rep.Perf.Ratio
-		rows[i] = row
-	})
-	return rows, nil
+		return SweepGraph(fig+" — "+name, g, model, cfg)
+	}
 }
 
-// sweepTable renders sweep rows in the paper's format.
-func sweepTable(title string, rows []SweepRow, withObl bool) *Table {
-	t := &Table{Title: title}
-	if withObl {
-		t.Columns = []string{"margin", "ECMP", "Base", "COYOTE-obl", "COYOTE-pk"}
-	} else {
-		t.Columns = []string{"margin", "ECMP", "Base", "COYOTE-pk"}
-	}
-	for _, r := range rows {
-		if withObl {
-			t.AddRow(f1(r.Margin), f2(r.ECMP), f2(r.Base), f2(r.CoyoteOblivious), f2(r.CoyotePartial))
-		} else {
-			t.AddRow(f1(r.Margin), f2(r.ECMP), f2(r.Base), f2(r.CoyotePartial))
-		}
-	}
-	return t
-}
-
-// Fig6 reproduces Fig. 6: Geant, gravity model.
-func Fig6(cfg Config) (*Table, error) {
-	rows, err := MarginSweep("Geant", "gravity", cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sweepTable("Fig. 6 — Geant, gravity model (PERF vs margin)", rows, cfg.Oblivious), nil
-}
-
-// Fig7 reproduces Fig. 7: Digex, gravity model.
-func Fig7(cfg Config) (*Table, error) {
-	rows, err := MarginSweep("Digex", "gravity", cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sweepTable("Fig. 7 — Digex, gravity model (PERF vs margin)", rows, cfg.Oblivious), nil
-}
-
-// Fig8 reproduces Fig. 8: AS1755, bimodal model.
-func Fig8(cfg Config) (*Table, error) {
-	rows, err := MarginSweep("AS1755", "bimodal", cfg)
-	if err != nil {
-		return nil, err
-	}
-	return sweepTable("Fig. 8 — AS1755, bimodal model (PERF vs margin)", rows, cfg.Oblivious), nil
-}
-
-// Table1 reproduces Table I: the full corpus × margin sweep under the
-// gravity model, reporting ECMP, Base, COYOTE-oblivious and
-// COYOTE-partial-knowledge.
-func Table1(cfg Config, names []string) (*Table, error) {
-	if names == nil {
-		names = topo.TableNames()
-	}
-	out := &Table{
-		Title:   "Table I — PERF vs margin, gravity base model",
-		Columns: []string{"network", "margin", "ECMP", "Base", "COYOTE-obl", "COYOTE-pk"},
-	}
-	sweeps := make([][]SweepRow, len(names))
+// table1 reproduces Table I: SweepGraph under the gravity model on every
+// named network, each row prefixed with its network.
+func table1(cfg Config, names []string) (*Table, error) {
+	sweeps := make([]*Table, len(names))
 	if err := par.ForErr(cfg.Workers, len(names), func(i int) (err error) {
-		if sweeps[i], err = MarginSweep(names[i], "gravity", cfg); err != nil {
+		// Only the rows are kept, so the sweep's title does not matter.
+		if sweeps[i], err = corpusSweep("Table I", names[i], "gravity")(cfg); err != nil {
 			return fmt.Errorf("exp: %s: %w", names[i], err)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	for i, rows := range sweeps {
-		for _, r := range rows {
-			out.AddRow(names[i], f1(r.Margin), f2(r.ECMP), f2(r.Base), f2(r.CoyoteOblivious), f2(r.CoyotePartial))
+	out := &Table{
+		Title:   "Table I — PERF vs margin, gravity base model",
+		Columns: append([]string{"network", "margin"}, sweepColumns(cfg)...),
+	}
+	for i, sweep := range sweeps {
+		for _, row := range sweep.Rows {
+			out.AddRow(append([]string{names[i]}, row...)...)
 		}
 	}
 	return out, nil

@@ -11,9 +11,9 @@ import (
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
-// GadgetInstance is a constructed OBLIVIOUS IP ROUTING instance from the
+// gadgetInstance is a constructed OBLIVIOUS IP ROUTING instance from the
 // Theorem 1 reduction: one INTEGER gadget (Fig. 2) per element of W.
-type GadgetInstance struct {
+type gadgetInstance struct {
 	G      *graph.Graph
 	S1, S2 graph.NodeID
 	T      graph.NodeID
@@ -23,10 +23,10 @@ type GadgetInstance struct {
 	Sum    float64
 }
 
-// BuildGadget constructs the reduction instance for weight set W.
-func BuildGadget(W []float64) *GadgetInstance {
+// buildGadget constructs the reduction instance for weight set W.
+func buildGadget(W []float64) *gadgetInstance {
 	g := graph.New()
-	inst := &GadgetInstance{G: g, W: append([]float64(nil), W...)}
+	inst := &gadgetInstance{G: g, W: append([]float64(nil), W...)}
 	inst.S1 = g.AddNode("s1")
 	inst.S2 = g.AddNode("s2")
 	inst.T = g.AddNode("t")
@@ -48,11 +48,11 @@ func BuildGadget(W []float64) *GadgetInstance {
 	return inst
 }
 
-// Lemma2Routing builds the explicit oblivious routing of Lemma 2 for a
+// lemma2Routing builds the explicit oblivious routing of Lemma 2 for a
 // bipartition P1 (indices into W whose gadget edge x1→x2 is used; the rest
 // orient x2→x1). When P1 is an even bipartition the routing has oblivious
 // performance exactly 4/3.
-func (inst *GadgetInstance) Lemma2Routing(P1 map[int]bool) (*pdrouting.Routing, error) {
+func (inst *gadgetInstance) lemma2Routing(P1 map[int]bool) (*pdrouting.Routing, error) {
 	g := inst.G
 	member := make([]bool, g.NumEdges())
 	on := func(a, b graph.NodeID) graph.EdgeID {
@@ -150,12 +150,12 @@ func (inst *GadgetInstance) Lemma2Routing(P1 map[int]bool) (*pdrouting.Routing, 
 	return r, nil
 }
 
-// NPGadget demonstrates Theorem 1's reduction numerically: for a positive
+// npGadget demonstrates Theorem 1's reduction numerically: for a positive
 // BIPARTITION instance, the Lemma 2 routing achieves utilization exactly
 // 4/3 on both extreme demand matrices (whose optimum is 1), while an
 // unbalanced orientation does strictly worse.
-func NPGadget(W []float64, P1 map[int]bool) (*Table, error) {
-	inst := BuildGadget(W)
+func npGadget(W []float64, P1 map[int]bool) (*Table, error) {
+	inst := buildGadget(W)
 	out := &Table{
 		Title:   "Theorem 1 gadget — BIPARTITION → OBLIVIOUS IP ROUTING",
 		Columns: []string{"orientation", "MxLU(D1)", "MxLU(D2)", "oblivious ratio", "min-cut"},
@@ -166,7 +166,7 @@ func NPGadget(W []float64, P1 map[int]bool) (*Table, error) {
 	cut := maxflow.MinCutValue(inst.G, []graph.NodeID{inst.S1, inst.S2}, inst.T)
 
 	addRow := func(label string, part map[int]bool) error {
-		r, err := inst.Lemma2Routing(part)
+		r, err := inst.lemma2Routing(part)
 		if err != nil {
 			return err
 		}
@@ -189,10 +189,10 @@ func NPGadget(W []float64, P1 map[int]bool) (*Table, error) {
 	return out, nil
 }
 
-// PathLowerBound demonstrates Theorem 4: on the n-source path with unit
+// pathLowerBound demonstrates Theorem 4: on the n-source path with unit
 // links into t, every per-destination routing suffers PERF ≥ n against the
 // unrestricted optimum.
-func PathLowerBound(n int) (*Table, error) {
+func pathLowerBound(n int) (*Table, error) {
 	g := graph.New()
 	xs := make([]graph.NodeID, n)
 	for i := 0; i < n; i++ {

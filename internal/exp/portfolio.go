@@ -8,7 +8,6 @@ import (
 	"github.com/coyote-te/coyote/internal/par"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/strategy"
-	"github.com/coyote-te/coyote/internal/topo"
 )
 
 // The portfolio experiments are the ROADMAP's strategy head-to-head: every
@@ -31,94 +30,65 @@ type portfolioCell struct {
 	dms  []*demand.Matrix
 }
 
-// newPortfolioCell assembles a cell: margin-2 box around the base matrix,
-// diurnal sequence sampled inside it.
-func newPortfolioCell(name string, g *graph.Graph, model string, cfg Config) (portfolioCell, error) {
-	base, err := baseMatrix(g, model, cfg.Seed)
+// newPortfolioCell assembles a cell on an experiment's input: the margin-2
+// box and the diurnal sequence sampled inside it.
+func newPortfolioCell(name string, in *input) portfolioCell {
+	box, dms := in.day(portfolioSteps)
+	return portfolioCell{name: name, g: in.g, box: box, dms: dms}
+}
+
+// replay builds the named strategy on the cell and returns its max link
+// utilization at each step of the cell's sequence.
+func (c portfolioCell) replay(name string, cfg Config) ([]float64, error) {
+	s, err := strategy.New(name, cfg.params())
 	if err != nil {
-		return portfolioCell{}, err
+		return nil, err
 	}
-	box := demand.MarginBox(base, 2)
-	return portfolioCell{
-		name: name,
-		g:    g,
-		box:  box,
-		dms:  scen.TimeOfDay(box, portfolioSteps, 0.1, cfg.Seed),
-	}, nil
+	plan, err := strategy.Build(s, c.g, c.box)
+	if err != nil {
+		return nil, fmt.Errorf("cell %s: %s: %w", c.name, name, err)
+	}
+	mlus := make([]float64, len(c.dms))
+	for k, dm := range c.dms {
+		r, err := strategy.Apply(name, plan, dm)
+		if err != nil {
+			return nil, fmt.Errorf("cell %s step %d: %s: %w", c.name, k, name, err)
+		}
+		mlus[k] = r.MaxUtilization(dm)
+	}
+	return mlus, nil
 }
 
-// portfolioStrategies resolves cfg.Strategies (default: every registered
-// strategy, sorted — so "opt" is always a column of the default table).
-func portfolioStrategies(cfg Config) []string {
-	if len(cfg.Strategies) > 0 {
-		return cfg.Strategies
-	}
-	return strategy.Names()
-}
-
-// portfolioTable evaluates every strategy on every cell: rows are cells,
-// columns are strategies, values are worst-over-sequence MLU ratios vs the
-// OPT oracle.
+// portfolioTable evaluates every strategy of cfg.Strategies (default:
+// every registered strategy, sorted — so "opt" is always a column of the
+// default table) on every cell: rows are cells, columns are strategies,
+// values are worst-over-sequence MLU ratios vs the OPT oracle.
 func portfolioTable(title string, cells []portfolioCell, cfg Config) (*Table, error) {
-	names := portfolioStrategies(cfg)
+	names := cfg.Strategies
+	if len(names) == 0 {
+		names = strategy.Names()
+	}
 	// Stage 1: the per-step OPT oracle MLUs, one unit per cell.
 	optMLU := make([][]float64, len(cells))
-	if err := par.ForErr(cfg.Workers, len(cells), func(i int) error {
-		oracle, err := strategy.New("opt", cfg.params())
-		if err != nil {
-			return err
-		}
-		plan, err := strategy.Build(oracle, cells[i].g, cells[i].box)
-		if err != nil {
-			return fmt.Errorf("cell %s: opt oracle: %w", cells[i].name, err)
-		}
-		mlus := make([]float64, len(cells[i].dms))
-		for k, dm := range cells[i].dms {
-			r, err := plan.Route(dm)
-			if err != nil {
-				return fmt.Errorf("cell %s step %d: opt oracle: %w", cells[i].name, k, err)
-			}
-			mlus[k] = r.MaxUtilization(dm)
-		}
-		optMLU[i] = mlus
-		return nil
+	if err := par.ForErr(cfg.Workers, len(cells), func(i int) (err error) {
+		optMLU[i], err = cells[i].replay("opt", cfg)
+		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	// Stage 2: one unit per (cell, strategy); each builds its plan and
-	// replays the cell's sequence, keeping the worst ratio.
-	type unit struct{ cell, strat int }
-	units := make([]unit, 0, len(cells)*len(names))
-	for ci := range cells {
-		for si := range names {
-			units = append(units, unit{ci, si})
-		}
-	}
-	vals := make([]float64, len(units))
-	if err := par.ForErr(cfg.Workers, len(units), func(u int) error {
-		ci, si := units[u].cell, units[u].strat
-		cell := cells[ci]
-		s, err := strategy.New(names[si], cfg.params())
-		if err != nil {
-			return err
-		}
-		plan, err := strategy.Build(s, cell.g, cell.box)
-		if err != nil {
-			return fmt.Errorf("cell %s: %s: %w", cell.name, names[si], err)
-		}
-		worst := 0.0
-		for k, dm := range cell.dms {
-			r, err := strategy.Apply(names[si], plan, dm)
-			if err != nil {
-				return fmt.Errorf("cell %s step %d: %s: %w", cell.name, k, names[si], err)
-			}
-			if ratio := r.MaxUtilization(dm) / optMLU[ci][k]; ratio > worst {
-				worst = ratio
+	// Stage 2: one unit per (cell, strategy), cell-major; each replays the
+	// cell's sequence and keeps the worst ratio.
+	vals := make([]float64, len(cells)*len(names))
+	if err := par.ForErr(cfg.Workers, len(vals), func(u int) error {
+		ci, si := u/len(names), u%len(names)
+		mlus, err := cells[ci].replay(names[si], cfg)
+		for k, mlu := range mlus {
+			if ratio := mlu / optMLU[ci][k]; ratio > vals[u] {
+				vals[u] = ratio
 			}
 		}
-		vals[u] = worst
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -137,47 +107,32 @@ func portfolioTable(title string, cells []portfolioCell, cfg Config) (*Table, er
 	return out, nil
 }
 
-// Portfolio is the baseline head-to-head: real backbone × generated WAN,
+// portfolio is the baseline head-to-head: real backbone × generated WAN,
 // gravity × hotspot demand regimes, no failures.
-func Portfolio(cfg Config) (*Table, error) {
-	abilene, err := topo.Load("Abilene")
+func portfolio(cfg Config) (*Table, error) {
+	abilene, err := loadInput("Abilene", "gravity", cfg, false)
 	if err != nil {
 		return nil, err
 	}
 	// Barabási–Albert with m=2 is bridgeless at this size: a tree-like
 	// topology (e.g. small Waxman draws) admits essentially one routing
 	// and would flatten every column to 1.00.
-	ba, err := scen.Generate("ba", scen.Params{N: 12, M: 2, Seed: cfg.Seed})
+	ba, err := scenInput("ba", scen.Params{N: 12, M: 2}, "hotspot", cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	var cells []portfolioCell
-	for _, spec := range []struct {
-		name  string
-		g     *graph.Graph
-		model string
-	}{
-		{"Abilene/gravity", abilene, "gravity"},
-		{"ba-12/hotspot", ba, "hotspot"},
-	} {
-		cell, err := newPortfolioCell(spec.name, spec.g, spec.model, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
-	}
 	return portfolioTable(
 		fmt.Sprintf("Portfolio head-to-head — worst MLU ratio vs OPT over %d diurnal steps, margin-2 box", portfolioSteps),
-		cells, cfg)
+		[]portfolioCell{newPortfolioCell("Abilene/gravity", abilene), newPortfolioCell("ba-12/hotspot", ba)}, cfg)
 }
 
-// PortfolioFailures replays the head-to-head on failure-degraded
+// portfolioFailures replays the head-to-head on failure-degraded
 // survivors: links of a generated WAN are failed one at a time, every
 // strategy is rebuilt on each survivor, and the sequence replayed there.
 // Failures that partition the network are skipped — a partitioned survivor
 // has no routing to compare — and the suite is capped at two survivor
 // cells so the campaign stays golden-corpus fast.
-func PortfolioFailures(cfg Config) (*Table, error) {
+func portfolioFailures(cfg Config) (*Table, error) {
 	g, err := scen.Generate("ba", scen.Params{N: 12, M: 2, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
@@ -195,13 +150,11 @@ func PortfolioFailures(cfg Config) (*Table, error) {
 		if !survivor.Connected() {
 			continue
 		}
-		cell, err := newPortfolioCell(
-			fmt.Sprintf("ba-12/%s", fs.Name),
-			survivor, "gravity", cfg)
+		in, err := newInput(survivor, "gravity", cfg, false)
 		if err != nil {
 			return nil, err
 		}
-		cells = append(cells, cell)
+		cells = append(cells, newPortfolioCell("ba-12/"+fs.Name, in))
 	}
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("exp: every single-link failure partitions the network (seed %d)", cfg.Seed)

@@ -8,12 +8,12 @@ import (
 	"github.com/coyote-te/coyote/internal/ospf"
 )
 
-// Fig12 reproduces the prototype evaluation of §VII: the three-node
+// fig12 reproduces the prototype evaluation of §VII: the three-node
 // topology of Fig. 12a with two IP prefixes at t, the three 15-second
 // traffic phases (0,2), (1,1), (2,0) Mb/s, and the packet-drop rates of
 // the ECMP-achievable schemes TE1/TE2 versus COYOTE's per-prefix DAGs
 // (realized with a single Fibbing lie per prefix).
-func Fig12(cfg Config) (*Table, error) {
+func fig12(cfg Config) (*Table, error) {
 	g := graph.New()
 	s1 := g.AddNode("s1")
 	s2 := g.AddNode("s2")

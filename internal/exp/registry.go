@@ -7,43 +7,33 @@ import (
 	"strings"
 
 	"github.com/coyote-te/coyote/internal/scen"
+	"github.com/coyote-te/coyote/internal/topo"
 )
 
-// Runner produces one experiment's table under a configuration.
-type Runner func(cfg Config) (*Table, error)
+// runner produces one experiment's table under a configuration.
+type runner func(cfg Config) (*Table, error)
 
-// registry maps experiment IDs (DESIGN.md §3) to runners.
-var registry = map[string]Runner{
-	"running": RunningExample,
-	"fig6":    Fig6,
-	"fig7":    Fig7,
-	"fig8":    Fig8,
-	"fig9": func(cfg Config) (*Table, error) {
-		// Fig. 9 spans margins 1–5.
-		cfg.Margins = []float64{1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5}
-		return Fig9(cfg)
-	},
-	"fig10": func(cfg Config) (*Table, error) { return Fig10(cfg, nil) },
-	"fig11": func(cfg Config) (*Table, error) { return Fig11(cfg, nil) },
-	"fig12": Fig12,
-	"table1": func(cfg Config) (*Table, error) {
-		// Table I spans margins 1–5 in 0.5 increments.
-		cfg.Margins = []float64{1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5}
-		return Table1(cfg, nil)
-	},
-	"ablation-dag": func(cfg Config) (*Table, error) {
-		return AblationDAG("Geant", cfg)
-	},
-	"ablation-adv": AblationAdversary,
-	"failover": func(cfg Config) (*Table, error) {
-		return Failover("NSF", cfg)
-	},
+// registry maps experiment IDs (DESIGN.md §3) to runners; it is the
+// package's only door to them.
+var registry = map[string]runner{
+	"running":      runningExample,
+	"fig6":         corpusSweep("Fig. 6", "Geant", "gravity"),
+	"fig7":         corpusSweep("Fig. 7", "Digex", "gravity"),
+	"fig8":         corpusSweep("Fig. 8", "AS1755", "bimodal"),
+	"fig9":         marginsTo5(fig9),
+	"fig10":        fig10,
+	"fig11":        func(cfg Config) (*Table, error) { return fig11(cfg, topo.TableNames()) },
+	"fig12":        fig12,
+	"table1":       marginsTo5(func(cfg Config) (*Table, error) { return table1(cfg, topo.TableNames()) }),
+	"ablation-dag": ablationDAG,
+	"ablation-adv": ablationAdversary,
+	"failover":     failoverTable,
 	"negative-np": func(cfg Config) (*Table, error) {
 		// W = {3,5,8}: positive BIPARTITION instance (8 = 3+5).
-		return NPGadget([]float64{3, 5, 8}, map[int]bool{2: true})
+		return npGadget([]float64{3, 5, 8}, map[int]bool{2: true})
 	},
 	"negative-path": func(cfg Config) (*Table, error) {
-		return PathLowerBound(6)
+		return pathLowerBound(6)
 	},
 	// Scenario-engine sweeps (internal/scen): generated topologies and
 	// workload suites through the same parallel evaluator. Sizes are kept
@@ -59,20 +49,29 @@ var registry = map[string]Runner{
 		return ScenSweep("fattree", scen.Params{K: 4}, "hotspot", cfg)
 	},
 	"scen-grid-day": func(cfg Config) (*Table, error) {
-		return ScenTimeOfDay(scen.Params{Rows: 4, Cols: 4}, 12, cfg)
+		return scenTimeOfDay(scen.Params{Rows: 4, Cols: 4}, 12, cfg)
 	},
 	"scen-srlg": func(cfg Config) (*Table, error) {
-		return ScenSRLG(scen.Params{N: 10, M: 4}, 5, cfg)
+		return scenSRLG(scen.Params{N: 10, M: 4}, 5, cfg)
 	},
 	// Online-controller drift replay (internal/delta): warm incremental
 	// recomputation vs cold batch recomputation over a day of demand.
 	"serve-drift": func(cfg Config) (*Table, error) {
-		return ServeDrift(scen.Params{Rows: 3, Cols: 4}, 8, cfg)
+		return serveDrift(scen.Params{Rows: 3, Cols: 4}, 8, cfg)
 	},
 	// TE strategy portfolio (internal/strategy): every registered strategy
 	// head-to-head, normalized by the per-matrix OPT oracle.
-	"portfolio":          Portfolio,
-	"portfolio-failures": PortfolioFailures,
+	"portfolio":          portfolio,
+	"portfolio-failures": portfolioFailures,
+}
+
+// marginsTo5 runs r over margins 1–5 in 0.5 increments, the span of
+// Fig. 9 and Table I.
+func marginsTo5(r runner) runner {
+	return func(cfg Config) (*Table, error) {
+		cfg.Margins = []float64{1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5}
+		return r(cfg)
+	}
 }
 
 // IDs returns the registered experiment IDs, sorted.

@@ -10,10 +10,10 @@ import (
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
-// RunningExample reproduces the paper's running example end to end
+// runningExample reproduces the paper's running example end to end
 // (Fig. 1, §II, Appendix B): ECMP's worst case, the hand-crafted Fig. 1c
 // ratios, the analytic golden-ratio optimum, and what the optimizer finds.
-func RunningExample(cfg Config) (*Table, error) {
+func runningExample(cfg Config) (*Table, error) {
 	g := graph.New()
 	s1 := g.AddNode("s1")
 	s2 := g.AddNode("s2")

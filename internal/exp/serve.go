@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/delta"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/scen"
 )
 
-// ServeDrift replays a time-of-day demand sequence from the scenario
+// serveDrift replays a time-of-day demand sequence from the scenario
 // engine through an online-controller Session (internal/delta): at each
 // step, the operator's uncertainty box re-centers on the observed demand
 // and the session recomputes warm — previous log-ratio/Adam state,
@@ -21,19 +20,14 @@ import (
 //
 // PERF columns are deterministic for a fixed seed and worker count; the
 // ms columns are wall-clock measurements and vary run to run.
-func ServeDrift(p scen.Params, steps int, cfg Config) (*Table, error) {
-	p.Seed = cfg.Seed
-	g, err := scen.Generate("grid", p)
+func serveDrift(p scen.Params, steps int, cfg Config) (*Table, error) {
+	in, err := scenInput("grid", p, "gravity", cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	base, err := baseMatrix(g, "gravity", cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	dayBox := demand.MarginBox(base, 2)
+	dayBox, day := in.day(steps)
 
-	ses, err := delta.NewSession(g, dayBox, delta.Config{
+	ses, err := delta.NewSession(in.g, dayBox, delta.Config{
 		OptIters: cfg.OptIters,
 		AdvIters: cfg.AdvIters,
 		Samples:  cfg.Samples,
@@ -57,8 +51,7 @@ func ServeDrift(p scen.Params, steps int, cfg Config) (*Table, error) {
 	// The drifting operator view: at each step the box narrows to ±25%
 	// around the observed demand matrix.
 	const stepMargin = 1.25
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	for i, D := range scen.TimeOfDay(dayBox, steps, 0.1, cfg.Seed) {
+	for i, D := range day {
 		stepBox := demand.MarginBox(D, stepMargin)
 
 		warmStart := time.Now()
@@ -69,7 +62,7 @@ func ServeDrift(p scen.Params, steps int, cfg Config) (*Table, error) {
 		warmMs := time.Since(warmStart)
 
 		coldStart := time.Now()
-		coldEv := cfg.evaluator(g, dags, stepBox)
+		coldEv := cfg.evaluator(in.g, in.dags, stepBox)
 		_, coldRep := cfg.optimize(coldEv)
 		coldMs := time.Since(coldStart)
 

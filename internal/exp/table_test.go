@@ -3,8 +3,10 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestTableWriteMatrix drives WriteTo, WriteJSON, and WriteJSONLine over
@@ -14,9 +16,10 @@ import (
 // well-formed (decodable, no nulls for columns/rows).
 func TestTableWriteMatrix(t *testing.T) {
 	cases := []struct {
-		name string
-		tab  Table
-		text []string // substrings the text rendering must contain
+		name    string
+		tab     Table
+		text    []string // substrings the text rendering must contain
+		aligned bool     // every cell is distinct and non-empty: check column offsets
 	}{
 		{name: "zero table", tab: Table{}},
 		{name: "title only", tab: Table{Title: "empty sweep"}, text: []string{"empty sweep"}},
@@ -64,6 +67,12 @@ func TestTableWriteMatrix(t *testing.T) {
 			tab:  Table{Title: "t", Columns: []string{"a"}, Rows: [][]string{{"longer-cell"}}},
 			text: []string{"longer-cell", "-----------"},
 		},
+		{
+			name: "multibyte cells",
+			tab: Table{Title: "t", Columns: []string{"failed link", "COYOTE", "ECMP"},
+				Rows: [][]string{{"NSF-00–NSF-01", "1.50", "2.00"}, {"(none)", "1.25", "1.75"}}},
+			aligned: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,6 +87,9 @@ func TestTableWriteMatrix(t *testing.T) {
 				if !strings.Contains(text.String(), want) {
 					t.Errorf("WriteTo output missing %q:\n%s", want, text.String())
 				}
+			}
+			if tc.aligned {
+				checkAligned(t, &tc.tab, text.String())
 			}
 
 			for _, form := range []struct {
@@ -112,6 +124,36 @@ func TestTableWriteMatrix(t *testing.T) {
 				t.Errorf("WriteJSONLine is not one line: %d newlines in %q", n, line.String())
 			}
 		})
+	}
+}
+
+// checkAligned asserts that every column starts at the same rune offset in
+// the header and in every row, and that the header and every row are
+// exactly as many runes wide as the dash rule.
+func checkAligned(t *testing.T, tab *Table, text string) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
+	if len(lines) != 3+len(tab.Rows) {
+		t.Fatalf("%d lines, want title, header, rule and %d rows:\n%s", len(lines), len(tab.Rows), text)
+	}
+	header, rule := lines[1], lines[2]
+	for i, line := range append([]string{header}, lines[3:]...) {
+		if w, r := utf8.RuneCountInString(line), utf8.RuneCountInString(rule); w != r {
+			t.Errorf("line %d is %d runes wide, the rule %d:\n%s", i+1, w, r, text)
+		}
+	}
+	offsets := func(line string, cells []string) []int {
+		out := make([]int, len(cells))
+		for j, c := range cells {
+			out[j] = utf8.RuneCountInString(line[:strings.Index(line, c)])
+		}
+		return out
+	}
+	want := offsets(header, tab.Columns)
+	for i, row := range tab.Rows {
+		if got := offsets(lines[3+i], row); !reflect.DeepEqual(got, want) {
+			t.Errorf("row %d: columns start at runes %v, header at %v:\n%s", i, got, want, text)
+		}
 	}
 }
 
