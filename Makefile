@@ -92,7 +92,9 @@ bench-counts:
 # malformed real-world topology and MPS files error instead of panicking
 # (and, for MPS, that everything parseable round-trips byte-stably; for
 # the sparse simplex, that cold and warm solves of decoded LPs match the
-# dense oracle on every engine path; for the Prometheus exposition parser,
+# dense oracle on every engine path; for the min-MLU crash start, that it
+# reaches the all-logical start's optimum on small random graphs without a
+# dense fallback; for the Prometheus exposition parser,
 # that accepted pages keep coherent histograms; for the controller, that
 # every POST /update body gets a 200 or a 400 that leaves the event log
 # alone).
@@ -103,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAuto$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMPS$$' -fuzztime 15s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveParity$$' -fuzztime 15s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzCrashStart$$' -fuzztime 15s ./internal/mcf
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 15s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzUpdateBody$$' -fuzztime 15s ./internal/serve
 

@@ -13,13 +13,10 @@
 //     adversary accumulated (oblivious.Report.Critical) seed the next
 //     recompute's finite scenario set, so adversarial corners that still
 //     bind are not re-discovered round by round. OPTDAG normalizations are
-//     shared across demand updates via oblivious.Evaluator.WithBox — and
-//     so is the exact solver's warm-start state: the evaluator cache
-//     carries the last optimal simplex basis (lp.Basis), so the sparse
-//     LP behind every fresh normalization after UpdateBounds or Recover
-//     resumes from the previous solve's vertex instead of re-running
-//     phase 1, exactly as the gpopt log-ratio/Adam state carries through
-//     Options.Warm.
+//     shared across demand updates via oblivious.Evaluator.WithBox; a
+//     fresh one needs no carried LP state, since the exact solver starts
+//     it from its matrix's spanning-tree crash basis, which is primal
+//     feasible (mcf.MinMLUModel.SolveMLU).
 //   - Failover swap-then-refine: single-link failures swap in the
 //     precomputed configuration (failover.PrecomputeGroups), re-seed the
 //     optimizer from its ratios (gpopt.NewFromRouting), and refine with a

@@ -335,74 +335,53 @@ func TestRejectedBoundsLeaveSessionIntact(t *testing.T) {
 	}
 }
 
-// TestBasisCarriesThroughUpdateBounds asserts the tentpole's third warm
-// channel: the exact OPTDAG solver's optimal basis lives in the shared
-// evaluator cache and rides WithBox through demand updates, so the fresh
-// normalizations of an updated box warm-start from the previous epoch's
-// vertex. The counters are process-global, so this test must not run in
-// parallel with others that reset them.
-func TestBasisCarriesThroughUpdateBounds(t *testing.T) {
+// TestSessionEventsRunNoPhase1OrDual: every exact OPTDAG normalization a
+// session event pays for starts from its matrix's crash basis, which is
+// primal feasible, so UpdateBounds (rescaled and widened boxes), Fail and
+// Recover run LP solves with no phase-1 and no dual pivots, whatever the
+// previous epoch left behind. The counters are process-global, so this
+// test must not run in parallel with others that reset them.
+func TestSessionEventsRunNoPhase1OrDual(t *testing.T) {
 	s, base := newNSFSession(t, testCfg())
-	lp.ResetGlobalStats()
-	if _, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(1.2), 2.1)); err != nil {
-		t.Fatal(err)
+	link := s.Base().Links()[0]
+	events := []struct {
+		name string
+		run  func() error
+	}{
+		{"update ×1.2", func() error {
+			_, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(1.2), 2.1))
+			return err
+		}},
+		{"update ×0.55", func() error {
+			_, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(0.55), 2))
+			return err
+		}},
+		{"fail", func() error { _, err := s.Fail(link); return err }},
+		{"update ×2.2", func() error {
+			_, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(2.2), 2))
+			return err
+		}},
+		{"recover", func() error { _, err := s.Recover(link); return err }},
 	}
-	st := lp.GlobalStats()
-	if st.Solves == 0 {
-		t.Fatal("no exact LP solves during UpdateBounds; is NSF above ExactNodeLimit?")
-	}
-	if st.WarmAttempts == 0 {
-		t.Fatal("no warm-start attempts: the basis did not carry through WithBox")
-	}
-	if st.WarmHits == 0 {
-		t.Fatalf("basis carried but never accepted (attempts %d)", st.WarmAttempts)
-	}
-	if st.DenseFallbacks != 0 {
-		t.Fatalf("%d dense fallbacks during a session update", st.DenseFallbacks)
-	}
-	// Dual-restart accounting must stay coherent with the warm channel: the
-	// dual phase only ever runs on an accepted warm basis, and a verdict
-	// implies an attempt. (Whether it fires at all depends on how far the
-	// box moved the carried vertex.)
-	if st.DualAttempts > st.WarmHits {
-		t.Fatalf("dual attempts %d exceed warm hits %d", st.DualAttempts, st.WarmHits)
-	}
-	if st.DualHits > st.DualAttempts {
-		t.Fatalf("dual hits %d exceed attempts %d", st.DualHits, st.DualAttempts)
-	}
-	if st.DualIterations > 0 && st.DualAttempts == 0 {
-		t.Fatalf("%d dual iterations recorded without a dual attempt", st.DualIterations)
-	}
-	t.Logf("update: %d solves, warm %d/%d, dual %d/%d (%d pivots)",
-		st.Solves, st.WarmHits, st.WarmAttempts, st.DualHits, st.DualAttempts, st.DualIterations)
-}
-
-// TestDualRepairsScaledBoxUpdate forces the dual channel inside a session:
-// a pure demand rescale is a bound/RHS-only drift, so carrying the basis
-// into the scaled box must repair primal infeasibility via the dual
-// simplex rather than re-running phase 1 from scratch.
-func TestDualRepairsScaledBoxUpdate(t *testing.T) {
-	s, base := newNSFSession(t, testCfg())
-	var totalDualHits uint64
-	for i, scale := range []float64{1.6, 0.55, 2.2} {
+	solves := uint64(0)
+	for _, ev := range events {
 		lp.ResetGlobalStats()
-		if _, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(scale), 2)); err != nil {
-			t.Fatalf("scale %g: %v", scale, err)
+		if err := ev.run(); err != nil {
+			t.Fatalf("%s: %v", ev.name, err)
 		}
 		st := lp.GlobalStats()
-		if i > 0 && st.WarmHits == 0 {
-			t.Fatalf("scale %g: warm basis not carried", scale)
+		if st.Phase1Iterations != 0 || st.DualIterations != 0 || st.DualAttempts != 0 {
+			t.Errorf("%s: %d solves ran %d phase-1 and %d dual pivots (%d dual attempts), want none",
+				ev.name, st.Solves, st.Phase1Iterations, st.DualIterations, st.DualAttempts)
 		}
-		if st.Phase1Iterations > 0 && st.DualAttempts == 0 && st.WarmHits > 0 {
-			t.Logf("scale %g: phase 1 ran on a warm solve without a dual attempt "+
-				"(%d iters) — auto trigger declined the basis", scale, st.Phase1Iterations)
+		if st.WarmHits != st.Solves || st.DenseFallbacks != 0 {
+			t.Errorf("%s: %d of %d solves started from their crash basis, %d dense fallbacks",
+				ev.name, st.WarmHits, st.Solves, st.DenseFallbacks)
 		}
-		totalDualHits += st.DualHits
-		t.Logf("scale %g: warm %d/%d, dual %d/%d (%d dual pivots, %d phase-1)",
-			scale, st.WarmHits, st.WarmAttempts, st.DualHits, st.DualAttempts,
-			st.DualIterations, st.Phase1Iterations)
+		solves += st.Solves
+		t.Logf("%s: %d solves, %d pivots", ev.name, st.Solves, st.Iterations)
 	}
-	if totalDualHits == 0 {
-		t.Fatal("dual simplex never repaired a scaled-box update; the warm-edit dual trigger is dead in sessions")
+	if solves == 0 {
+		t.Fatal("no exact LP solves during the events; is NSF above ExactNodeLimit?")
 	}
 }

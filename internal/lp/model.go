@@ -275,11 +275,10 @@ func (m *Model) Solve(opts *SolveOptions) (*Solution, error) {
 	return m.solve(opts.Basis, opts.Ctx, methodAuto)
 }
 
-// SolveObjective is Solve for callers that keep only the optimum and the
-// basis to continue from: the same solve, without the copies of X and Duals.
-// The objective is meaningful, and the basis non-nil, when the status is
-// Optimal (a dense-fallback answer has no basis).
-func (m *Model) SolveObjective(opts *SolveOptions) (float64, Status, *Basis, error) {
+// SolveObjective is Solve for callers that keep only the optimum: the same
+// solve, without the copies of X, Duals and the final Basis. The objective is
+// meaningful when the status is Optimal; RowDuals reads the vertex's duals.
+func (m *Model) SolveObjective(opts *SolveOptions) (float64, Status, error) {
 	var warm *Basis
 	var ctx context.Context
 	if opts != nil {
@@ -288,17 +287,17 @@ func (m *Model) SolveObjective(opts *SolveOptions) (float64, Status, *Basis, err
 	status, _, fallback, err := m.run(warm, ctx, methodAuto)
 	switch {
 	case err != nil:
-		return 0, 0, nil, err
+		return 0, 0, err
 	case fallback != nil:
-		return fallback.Objective, fallback.Status, nil, nil
+		return fallback.Objective, fallback.Status, nil
 	case status != Optimal:
-		return 0, status, nil, nil
+		return 0, status, nil
 	}
 	obj := m.objOffset
 	for j, c := range m.obj {
 		obj += c * m.ws.colVal(int32(j))
 	}
-	return obj, Optimal, m.ws.exportBasis(), nil
+	return obj, Optimal, nil
 }
 
 // RowDuals returns one multiplier per model row for the vertex the last

@@ -42,13 +42,16 @@ type Basis struct {
 
 	// DualStall is the auto router's memory of the dual phase giving up
 	// on this warm chain: set when an auto-routed dual attempt hits the
-	// degenerate-plateau bail-out, and cleared by an attempt that runs
-	// to completion. While set, the router stops attempting the dual
-	// phase for this chain — on models where warm restarts plateau
-	// (many zero-reduced-cost nonbasics at scale), every attempt pays
-	// the full bail budget before the primal phases finish the solve
+	// degenerate-plateau bail-out. While set, the auto router never
+	// attempts the dual phase for this chain again, so under it the stall
+	// is permanent: every later warm solve of the chain repairs an
+	// infeasible basis with primal phase 1. Only a forced dual phase
+	// (methodDual), which ignores the flag, can make an attempt whose
+	// completion clears it. The trade: on models where warm restarts
+	// plateau (many zero-reduced-cost nonbasics at scale) every attempt
+	// pays the full bail budget before the primal phases finish the solve
 	// anyway, and chains where the dual phase wins never bail at all.
-	// A forced dual phase (methodDual) ignores it. Zero value = keep trying.
+	// Zero value = keep trying.
 	DualStall uint8
 }
 
@@ -271,7 +274,8 @@ func (s *spx) duals() []float64 {
 // exportBasis snapshots the final basis as a fresh copy, carrying the
 // dual-bail memory forward: an attempt that bailed sets it, a completed dual
 // phase clears it, and a solve that never attempted (cold, or already shut
-// off) passes the inherited value through.
+// off) passes the inherited value through. Under methodAuto a stalled chain
+// never attempts again, so only a forced dual phase can clear it.
 func (s *spx) exportBasis() *Basis {
 	ds := s.warmDualStall
 	if s.stats.DualAttempted {

@@ -17,6 +17,7 @@
 package mcf
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -55,13 +56,13 @@ func MinMLUExact(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, [
 
 // MinMLUExactBasis is MinMLUExact with an optional warm-start basis from a
 // previous solve of the same formulation shape — same graph, DAGs, and set
-// of active destinations (demand columns with traffic). The returned basis
-// is the optimal one of this solve; carrying it across the online
-// controller's repeated normalizations (demand matrices drifting inside a
-// box) typically skips phase 1 entirely, and a bound/RHS-only drift is
-// repaired by the dual simplex. A basis that no longer
-// fits is ignored. The optimum itself never depends on the warm basis;
-// only the pivot path does.
+// of active destinations (demand columns with traffic) — and the optimal
+// basis of this solve returned. A basis that no longer fits is ignored, and
+// nil starts from the all-logical basis as MinMLUExact does. A bound/RHS-only
+// edit since the basis was exported is repaired by the dual simplex. The
+// optimum never depends on the warm basis; only the pivot path, and on a
+// degenerate LP the optimal vertex reached, do. OPTDAG normalizations do not
+// carry bases: SolveMLU starts each one from the model's crash basis.
 func MinMLUExactBasis(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *lp.Basis) (float64, [][]float64, *lp.Basis, error) {
 	if D.Total() == 0 {
 		return 0, make([][]float64, g.NumNodes()), nil, nil
@@ -71,14 +72,15 @@ func MinMLUExactBasis(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *
 }
 
 // MinMLUModel is the exact min-MLU LP kept mutable between solves: callers
-// edit demand RHS values in place (SetDemand, SetDemands) and re-solve from
-// a carried basis, which routes through the dual simplex when the edit left
-// the basis primal infeasible. A model re-targeted to D solves exactly as a
-// model freshly built for D does, provided D has the active destination set
-// the model was shaped on (ShapedFor): the LP is then the same matrix, bounds
-// and costs. The row/variable maps are exported so tests and tools can
-// address the formulation directly, and DumpMPS writes the instance in MPS
-// form for external solvers.
+// edit demand RHS values in place (SetDemand, SetDemands) and re-solve —
+// SolveMLU from the crash basis of the demands it now holds, Solve from a
+// carried basis (repaired by the dual simplex when the edit left it primal
+// infeasible) or the all-logical one. A model re-targeted to D solves
+// exactly as a model freshly built for D does, provided D has the active
+// destination set the model was shaped on (ShapedFor): the LP is then the
+// same matrix, bounds and costs, and the crash basis the same statuses. The
+// row/variable maps are exported so tests and tools can address the
+// formulation directly.
 type MinMLUModel struct {
 	Model *lp.Model
 	// Alpha is the MLU variable (the objective).
@@ -95,6 +97,20 @@ type MinMLUModel struct {
 
 	g      *graph.Graph
 	active []bool
+	// dem holds the demands the conservation rows were last set to, n×n
+	// row-major like demand.Matrix.D.
+	dem []float64
+
+	// The crash start (SolveMLU). tree[t·n+v] is the edge leaving v in
+	// destination t's BFS in-tree inside t's allowed edges, −1 when v cannot
+	// reach t there; order[t] lists the nodes the tree reaches, nearest to t
+	// first. crash is the status buffer the tree vertex is written into; load
+	// (per edge) and sub (per node) are its scratch.
+	tree  []int32
+	order [][]int32
+	crash lp.Basis
+	load  []float64
+	sub   []float64
 }
 
 // NewMinMLUModel builds the min-MLU LP for the demands D. The active
@@ -111,7 +127,13 @@ func NewMinMLUModel(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) *MinMLUM
 		CapRow:    make([]int, g.NumEdges()),
 		g:         g,
 		active:    make([]bool, n),
+		dem:       append([]float64(nil), D.D...),
+		tree:      make([]int32, n*n),
+		order:     make([][]int32, n),
+		load:      make([]float64, g.NumEdges()),
+		sub:       make([]float64, n),
 	}
+	orders := make([]int32, 0, n*n)
 	for t := 0; t < n; t++ {
 		mm.active[t] = destActive(D, t)
 		if !mm.active[t] {
@@ -119,6 +141,7 @@ func NewMinMLUModel(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) *MinMLUM
 		}
 		col := D.ToDestination(graph.NodeID(t))
 		allowed := allowedEdges(g, dags, graph.NodeID(t))
+		mm.order[t], orders = inTree(g, allowed, t, mm.tree[t*n:(t+1)*n], orders)
 		mm.VarOf[t] = make([]int, g.NumEdges())
 		for e := range mm.VarOf[t] {
 			if allowed[e] {
@@ -163,7 +186,33 @@ func NewMinMLUModel(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) *MinMLUM
 			mm.CapRow[e.ID] = prob.AddLE(terms, 0)
 		}
 	}
+	mm.crash = lp.Basis{
+		NumVars: prob.NumVars(),
+		NumRows: prob.NumRows(),
+		Status:  make([]int8, prob.NumVars()+prob.NumRows()),
+	}
 	return mm
+}
+
+// inTree builds destination t's BFS in-tree over the allowed edges: it sets
+// parent[v] to the edge v forwards on (−1 for t and for nodes that cannot
+// reach t) and appends the nodes it reaches, nearest first, to arena,
+// returning them as their own slice and the grown arena.
+func inTree(g *graph.Graph, allowed []bool, t int, parent []int32, arena []int32) (order, grown []int32) {
+	for v := range parent {
+		parent[v] = -1
+	}
+	start := len(arena)
+	arena = append(arena, int32(t))
+	for head := start; head < len(arena); head++ {
+		for _, id := range g.In(graph.NodeID(arena[head])) {
+			if v := g.Edge(id).From; allowed[id] && int(v) != t && parent[v] < 0 {
+				parent[v] = int32(id)
+				arena = append(arena, int32(v))
+			}
+		}
+	}
+	return arena[start+1 : len(arena) : len(arena)], arena
 }
 
 // destActive reports whether any demand of D heads for t — what makes t's
@@ -201,10 +250,13 @@ func (mm *MinMLUModel) SetDemands(D *demand.Matrix) error {
 		return fmt.Errorf("mcf: %d-node demand matrix for a %d-node formulation", D.N, n)
 	}
 	for t := 0; t < n; t++ {
+		if !mm.active[t] && destActive(D, t) {
+			return fmt.Errorf("mcf: destination %d inactive in this formulation", t)
+		}
+	}
+	copy(mm.dem, D.D)
+	for t := 0; t < n; t++ {
 		if !mm.active[t] {
-			if destActive(D, t) {
-				return fmt.Errorf("mcf: destination %d inactive in this formulation", t)
-			}
 			continue
 		}
 		for v := 0; v < n; v++ {
@@ -230,21 +282,95 @@ func (mm *MinMLUModel) SetDemand(s, t graph.NodeID, d float64) error {
 		return fmt.Errorf("mcf: no conservation row for %d→%d", s, t)
 	}
 	mm.Model.SetRowBounds(r, d, d)
+	mm.dem[int(s)*len(mm.active)+int(t)] = d
 	return nil
 }
 
-// SolveMLU runs the LP with the given options (typically a carried Basis)
-// for the optimal utilization and basis alone — what a normalization needs,
-// without Solve's flow unpacking.
-func (mm *MinMLUModel) SolveMLU(opts *lp.SolveOptions) (float64, *lp.Basis, error) {
-	mlu, status, basis, err := mm.Model.SolveObjective(opts)
+// SolveMLU solves for the optimal utilization alone — what a normalization
+// needs, without Solve's flow unpacking — starting from the crash basis of
+// the demands the model holds (crashStart), so phase 1 has nothing to do.
+// The solve is a function of those demands alone: no basis is taken or
+// returned. An lp.solve span is recorded under ctx when it carries a tracer
+// (nil: untraced).
+func (mm *MinMLUModel) SolveMLU(ctx context.Context) (float64, error) {
+	opts := lp.SolveOptions{Ctx: ctx}
+	if mm.crashStart() {
+		opts.Basis = &mm.crash
+	}
+	mlu, status, err := mm.Model.SolveObjective(&opts)
 	if err != nil {
-		return 0, nil, fmt.Errorf("mcf: %w", err)
+		return 0, fmt.Errorf("mcf: %w", err)
 	}
 	if status != lp.Optimal {
-		return math.Inf(1), nil, ErrUnroutable
+		return math.Inf(1), ErrUnroutable
 	}
-	return mlu, basis, nil
+	return mlu, nil
+}
+
+// crashStart writes the tree vertex of the demands the model holds into
+// mm.crash: every demand routed along its destination's in-tree (tree
+// columns basic), α basic at that routing's MLU with the bottleneck
+// capacity row tight (the lowest edge ID on a tie) and every other capacity
+// slack basic, conservation logicals nonbasic at their RHS except at the
+// nodes that cannot reach their destination, whose zero-demand rows keep
+// their logical basic. The vertex is primal feasible, so a solve from it
+// runs no phase 1. It reports false when a positive demand has no tree
+// path; the all-logical start then proves the model infeasible
+// (ErrUnroutable).
+func (mm *MinMLUModel) crashStart() bool {
+	n := len(mm.active)
+	nv := mm.Model.NumVars()
+	status, logical := mm.crash.Status[:nv], mm.crash.Status[nv:]
+	for j := range status {
+		status[j] = lp.BasisLower
+	}
+	clear(mm.load)
+	for t, order := range mm.order {
+		if !mm.active[t] {
+			continue
+		}
+		parent := mm.tree[t*n : (t+1)*n]
+		for v := range mm.sub {
+			mm.sub[v] = mm.dem[v*n+t]
+			if v == t {
+				continue
+			}
+			switch {
+			case parent[v] >= 0:
+				logical[mm.DemandRow[t][v]] = lp.BasisLower
+			case mm.sub[v] > 0:
+				return false
+			default:
+				logical[mm.DemandRow[t][v]] = lp.BasisBasic
+			}
+		}
+		// Farthest first: a node's subtree has forwarded into it before it
+		// forwards the sum.
+		for i := len(order) - 1; i >= 0; i-- {
+			v := order[i]
+			e := parent[v]
+			f := mm.sub[v]
+			mm.sub[mm.g.Edge(graph.EdgeID(e)).To] += f
+			mm.load[e] += f
+			status[mm.VarOf[t][e]] = lp.BasisBasic
+		}
+	}
+	bottleneck, peak := -1, -1.0
+	for e, r := range mm.CapRow {
+		if r < 0 {
+			continue
+		}
+		logical[r] = lp.BasisBasic
+		if u := mm.load[e] / mm.g.Edge(graph.EdgeID(e)).Capacity; u > peak {
+			bottleneck, peak = e, u
+		}
+	}
+	if bottleneck < 0 {
+		return false
+	}
+	logical[mm.CapRow[bottleneck]] = lp.BasisUpper
+	status[mm.Alpha] = lp.BasisBasic
+	return true
 }
 
 // Lengths writes the dual certificate of the solve that just finished into z

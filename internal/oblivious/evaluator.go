@@ -40,7 +40,6 @@ import (
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/maxflow"
 	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/obs"
@@ -100,19 +99,14 @@ type Evaluator struct {
 }
 
 // evalCache holds the values that depend only on (graph, DAGs) — OPTDAG
-// normalizations, per-pair DAG max-flows, the latest exact-LP optimal
-// basis, idle exact-LP models, the ring of dual-length distance tables, and
-// the FPTAS index (DESIGN.md §12) — so evaluators over the same topology but
-// different uncertainty boxes (the online controller's demand updates) can
-// share them. The basis rides the same carry-through as the gpopt warm
-// state: delta.Session's UpdateBounds and Recover derive their
-// evaluator via WithBox, which keeps this cache, so exact normalizations
-// after a demand drift warm-start from the vertex of the previous epoch.
+// normalizations, per-pair DAG max-flows, idle exact-LP models, the ring of
+// dual-length distance tables, and the FPTAS index (DESIGN.md §12) — so
+// evaluators over the same topology but different uncertainty boxes (the
+// online controller's demand updates, via WithBox) can share them.
 type evalCache struct {
-	mu    sync.Mutex
-	opt   map[uint64]float64
-	mf    map[[2]graph.NodeID]float64
-	basis *lp.Basis
+	mu  sync.Mutex
+	opt map[uint64]float64
+	mf  map[[2]graph.NodeID]float64
 	// models is the free list of idle exact min-MLU models, oldest first
 	// (DESIGN.md §4). A solve takes the one shaped for its matrix — or
 	// builds one — and puts it back, so concurrent normalizations each hold
@@ -171,23 +165,6 @@ func (c *evalCache) putModel(mm *mcf.MinMLUModel) {
 	c.mu.Unlock()
 }
 
-// warmBasis snapshots the shared warm-start basis.
-func (c *evalCache) warmBasis() *lp.Basis {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.basis
-}
-
-// setWarmBasis publishes a new warm-start basis (nil is ignored).
-func (c *evalCache) setWarmBasis(b *lp.Basis) {
-	if b == nil {
-		return
-	}
-	c.mu.Lock()
-	c.basis = b
-	c.mu.Unlock()
-}
-
 // NewEvaluator builds an evaluator for the given DAGs and uncertainty box.
 func NewEvaluator(g *graph.Graph, dags []*dagx.DAG, box *demand.Box, cfg EvalConfig) *Evaluator {
 	cfg = cfg.withDefaults()
@@ -226,24 +203,23 @@ func (ev *Evaluator) WithBox(box *demand.Box) *Evaluator {
 
 // OptDAG returns the demands-aware optimal utilization of D within the
 // evaluator's DAGs (cached; exact LP up to ExactNodeLimit nodes, FPTAS
-// otherwise). Exact solves warm-start from — and refresh — the shared
-// basis cache; use it from serialized contexts (the adversarial loop's
-// scenario accumulation, sessions). PerfTop's internal parallel
-// normalization solves against a fixed basis snapshot instead, so its
-// results never depend on goroutine scheduling.
+// otherwise). The value is a function of D alone: an exact solve starts from
+// the crash basis of D (mcf.MinMLUModel.SolveMLU), never from an earlier
+// solve's vertex. Its dual certificate joins the bound ring, so calls that
+// PerfTop may make concurrently are best serialized with it (the adversarial
+// loop's scenario accumulation, sessions).
 func (ev *Evaluator) OptDAG(D *demand.Matrix) float64 {
 	h := hashMatrix(D)
 	if v, ok := ev.cache.lookup(h); ok {
 		return v
 	}
 	z := ev.edgeBuf.Get()
-	v, basis, certified := ev.solveOptDAG(nil, D, ev.cache.warmBasis(), z)
+	v, certified := ev.solveOptDAG(nil, D, z)
 	ev.cache.store(h, v)
 	if certified {
 		ev.cache.bounds.add(ev.G, ev.DAGs, z, D, v, ev.exact())
 	}
 	ev.edgeBuf.Put(z)
-	ev.cache.setWarmBasis(basis)
 	return v
 }
 
@@ -265,35 +241,34 @@ func (c *evalCache) store(h uint64, v float64) {
 	c.mu.Unlock()
 }
 
-// solveOptDAG normalizes D afresh against an explicit warm basis: +Inf when
-// D cannot be routed within the DAGs. It returns the optimal basis of an
-// exact solve (nil otherwise) and whether z (one entry per edge) received
-// the solve's dual certificate — edge lengths ℓ ≥ 0 with Σ ℓ_e·c_e = 1, from
-// the capacity-row duals of the LP or the final Garg–Könemann lengths. An
-// exact solve records its lp.solve span under ctx (nil: untraced).
-func (ev *Evaluator) solveOptDAG(ctx context.Context, D *demand.Matrix, warm *lp.Basis, z []float64) (v float64, basis *lp.Basis, certified bool) {
+// solveOptDAG normalizes D afresh: +Inf when D cannot be routed within the
+// DAGs. It reports whether z (one entry per edge) received the solve's dual
+// certificate — edge lengths ℓ ≥ 0 with Σ ℓ_e·c_e = 1, from the
+// capacity-row duals of the LP or the final Garg–Könemann lengths. An exact
+// solve records its lp.solve span under ctx (nil: untraced).
+func (ev *Evaluator) solveOptDAG(ctx context.Context, D *demand.Matrix, z []float64) (v float64, certified bool) {
 	c := ev.cache
 	var err error
 	switch {
 	case D.Total() == 0:
 		// No demand: utilization 0, no solve.
-		return 0, nil, false
+		return 0, false
 	case !ev.exact():
 		v, err = c.fptas(ev.G, ev.DAGs).MLU(D, ev.cfg.Eps, z)
 		certified = err == nil
 	default:
 		mm := c.takeModel(ev.G, ev.DAGs, D)
 		if err = mm.SetDemands(D); err == nil {
-			if v, basis, err = mm.SolveMLU(&lp.SolveOptions{Basis: warm, Ctx: ctx}); err == nil {
+			if v, err = mm.SolveMLU(ctx); err == nil {
 				certified = mm.Lengths(z)
 			}
 		}
 		c.putModel(mm)
 	}
 	if err != nil {
-		return math.Inf(1), nil, false
+		return math.Inf(1), false
 	}
-	return v, basis, certified
+	return v, certified
 }
 
 // pairMaxFlow returns the maximum s→t flow within DAG_t (cached). The
@@ -425,15 +400,12 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	cached := len(cands) - len(pending)
 	pos := ev.cache.bounds.position() // the survivors' bounds are current to here
 
-	// Solve in descending bound order, boundWave candidates at a time, every
-	// exact solve warm-started from the one basis snapshot taken here; after
+	// Solve in descending bound order, boundWave candidates at a time; after
 	// each wave the fresh certificates join the ring in candidate order and
 	// tighten the survivors' bounds. Wave membership depends only on bounds
 	// and τ, never on the worker count or on scheduling.
-	warmSnapshot := ev.cache.warmBasis()
 	exact := ev.exact()
 	var wave [boundWave]waveSlot
-	var firstBasis *lp.Basis
 	waves := 0
 	for len(pending) > 0 {
 		slices.SortFunc(pending, func(a, b int32) int {
@@ -451,14 +423,14 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 			break // nothing left can reach the top k
 		}
 		waves++
-		// Index order within the wave: the order results, certificates and
-		// the published basis are taken in.
+		// Index order within the wave: the order results and certificates
+		// are taken in.
 		slices.Sort(pending[:nw])
 		par.For(workers, nw, func(j int) {
 			c := &cands[pending[j]]
 			w := &wave[j]
 			w.z = ev.edgeBuf.Get()
-			c.norm, w.basis, w.certified = ev.solveOptDAG(ctx, c.D, warmSnapshot, w.z)
+			c.norm, w.certified = ev.solveOptDAG(ctx, c.D, w.z)
 		})
 		for j := 0; j < nw; j++ {
 			c := &cands[pending[j]]
@@ -472,9 +444,6 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 				ev.cache.bounds.add(ev.G, ev.DAGs, w.z, c.D, c.norm, exact)
 			}
 			ev.edgeBuf.Put(w.z)
-			if firstBasis == nil {
-				firstBasis = w.basis
-			}
 			*w = waveSlot{}
 		}
 		pending = pending[nw:]
@@ -487,12 +456,6 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	pruned := len(pending)
 	solved := len(cands) - cached - pruned
 	sc.top = top
-	// The first fresh basis of the call becomes the shared warm start when
-	// the cache holds none yet; afterwards only the serial OptDAG chain
-	// republishes (DESIGN.md §7).
-	if warmSnapshot == nil {
-		ev.cache.setWarmBasis(firstBasis)
-	}
 
 	mCandCached.Add(uint64(cached))
 	mCandSolved.Add(uint64(solved))
@@ -625,7 +588,6 @@ func (c *candidate) upper() float64 {
 // waveSlot is what one solve of a wave hands back to the serial reduction.
 type waveSlot struct {
 	z         []float64
-	basis     *lp.Basis
 	certified bool
 }
 

@@ -17,16 +17,16 @@ import (
 )
 
 // freshOptDAG is the exact normalization as it was before models were
-// reused: a model built for D alone, solved once from warm. It returns the
-// value, the optimal basis and the LP work the solve did.
-func freshOptDAG(t *testing.T, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *lp.Basis) (float64, *lp.Basis, lp.StatsSnapshot) {
+// reused: a model built for D alone, solved once. It returns the value and
+// the LP work the solve did.
+func freshOptDAG(t *testing.T, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, lp.StatsSnapshot) {
 	t.Helper()
 	before := lp.GlobalStats()
-	v, _, basis, err := mcf.NewMinMLUModel(g, dags, D).Solve(&lp.SolveOptions{Basis: warm})
+	v, err := mcf.NewMinMLUModel(g, dags, D).SolveMLU(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v, basis, statsDelta(before, lp.GlobalStats())
+	return v, statsDelta(before, lp.GlobalStats())
 }
 
 func statsDelta(a, b lp.StatsSnapshot) lp.StatsSnapshot {
@@ -44,25 +44,13 @@ func statsDelta(a, b lp.StatsSnapshot) lp.StatsSnapshot {
 	}
 }
 
-func sameBasisStatus(a, b *lp.Basis) bool {
-	if a == nil || b == nil || len(a.Status) != len(b.Status) || a.DualStall != b.DualStall {
-		return false
-	}
-	for i := range a.Status {
-		if a.Status[i] != b.Status[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestExactOptDAGReuseParity: normalizations through the evaluator — which
 // re-targets pooled models — are, matrix by matrix, the solve a freshly built
-// model does from the same warm basis: same value bits, same optimal basis,
-// same LP work. The margin box keeps one formulation shape; the oblivious
-// box (lower bounds 0) changes the active destination set from matrix to
-// matrix, so the free list is matched, missed, refilled and evicted. OptDAG
-// is the serial chain, PerfTop the parallel fan-out from one snapshot.
+// model does: same value bits, same LP work. The margin box keeps one
+// formulation shape; the oblivious box (lower bounds 0) changes the active
+// destination set from matrix to matrix, so the free list is matched,
+// missed, refilled and evicted. OptDAG is the serial chain, PerfTop the
+// parallel fan-out.
 func TestExactOptDAGReuseParity(t *testing.T) {
 	g, err := topo.Load("NSF")
 	if err != nil {
@@ -96,24 +84,20 @@ func TestExactOptDAGReuseParity(t *testing.T) {
 			ev := NewEvaluator(g, dags, bc.box, EvalConfig{Samples: 16, Seed: 3, Workers: workers})
 			matrices, shapes := 0, map[string]bool{}
 
-			// The serial chain: each solve starts from the basis the last left.
+			// The serial chain.
 			for i := 0; i < 150; i++ {
 				active := subsets[rng.Intn(len(subsets))]
 				D := bc.box.Corner(func(s, t graph.NodeID) bool { return active[t] && rng.Intn(2) == 0 })
 				if D.Total() == 0 {
 					continue
 				}
-				warm := ev.cache.warmBasis()
 				before := lp.GlobalStats()
 				got := ev.OptDAG(D)
 				work := statsDelta(before, lp.GlobalStats())
-				want, wantBasis, wantWork := freshOptDAG(t, g, dags, D, warm)
+				want, wantWork := freshOptDAG(t, g, dags, D)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s workers=%d OptDAG #%d: %v (%#x), fresh model %v (%#x)", bc.name, workers, i,
 						got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-				if !sameBasisStatus(ev.cache.warmBasis(), wantBasis) {
-					t.Fatalf("%s workers=%d OptDAG #%d: optimal basis differs from the fresh model's", bc.name, workers, i)
 				}
 				if work != wantWork {
 					t.Fatalf("%s workers=%d OptDAG #%d: LP work %+v, fresh model %+v", bc.name, workers, i, work, wantWork)
@@ -130,11 +114,9 @@ func TestExactOptDAGReuseParity(t *testing.T) {
 				shapes[string(key)] = true
 			}
 
-			// The fan-out: every candidate not normalized before is solved
-			// from the snapshot taken ahead of the call.
+			// The fan-out: every candidate not normalized before is solved.
 			for round := 0; round < 2; round++ {
 				for _, r := range routings {
-					snapshot := ev.cache.warmBasis()
 					known := map[uint64]bool{}
 					for h := range ev.cache.opt {
 						known[h] = true
@@ -154,7 +136,7 @@ func TestExactOptDAGReuseParity(t *testing.T) {
 							continue
 						}
 						known[h] = true
-						want, _, _ := freshOptDAG(t, g, dags, res.WorstDM, snapshot)
+						want, _ := freshOptDAG(t, g, dags, res.WorstDM)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s workers=%d PerfTop: norm %v (%#x), fresh model %v (%#x)", bc.name, workers,
 								got, math.Float64bits(got), want, math.Float64bits(want))
@@ -176,6 +158,73 @@ func TestExactOptDAGReuseParity(t *testing.T) {
 			}
 			if bc.name == "oblivious" && len(shapes) <= maxIdleModels {
 				t.Fatalf("oblivious box produced %d active sets; the free list (%d) was never overrun", len(shapes), maxIdleModels)
+			}
+		}
+	}
+}
+
+// TestOptDAGIsHistoryFree: OPTDAG(D) is a function of D alone. Probe
+// matrices normalized by a fresh evaluator, by one at the end of a 150-solve
+// chain over other matrices (with an adversary call in the middle), and by
+// the same chain at Workers 1 and 4 all carry the same value bits.
+func TestOptDAGIsHistoryFree(t *testing.T) {
+	g, err := topo.Load("NSF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	for _, bc := range []struct {
+		name string
+		box  *demand.Box
+	}{
+		{"margin", demand.MarginBox(demand.Gravity(g, 1), 2)},
+		{"oblivious", demand.ObliviousBox(n, 1)},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		corner := func() *demand.Matrix {
+			for {
+				if D := bc.box.Corner(func(s, t graph.NodeID) bool { return rng.Intn(2) == 0 }); D.Total() > 0 {
+					return D
+				}
+			}
+		}
+		chain := make([]*demand.Matrix, 150)
+		for i := range chain {
+			chain[i] = corner()
+		}
+		probes := make([]*demand.Matrix, 12)
+		for i := range probes {
+			probes[i] = corner()
+		}
+		fresh := func(D *demand.Matrix) float64 {
+			return NewEvaluator(g, dags, bc.box, EvalConfig{Workers: 1}).OptDAG(D)
+		}
+		afterChain := func(workers int) []float64 {
+			ev := NewEvaluator(g, dags, bc.box, EvalConfig{Samples: 8, Seed: 9, Workers: workers})
+			for i, D := range chain {
+				ev.OptDAG(D)
+				if i == len(chain)/2 {
+					ev.PerfTop(ECMPOnDAGs(g, dags), 4)
+				}
+			}
+			out := make([]float64, len(probes))
+			for i, D := range probes {
+				out[i] = ev.OptDAG(D)
+			}
+			return out
+		}
+		w1, w4 := afterChain(1), afterChain(4)
+		for i, D := range probes {
+			want := fresh(D)
+			for _, got := range []struct {
+				label string
+				v     float64
+			}{{"chain, workers=1", w1[i]}, {"chain, workers=4", w4[i]}} {
+				if math.Float64bits(got.v) != math.Float64bits(want) {
+					t.Fatalf("%s probe %d: %s %v (%#x), fresh evaluator %v (%#x)", bc.name, i, got.label,
+						got.v, math.Float64bits(got.v), want, math.Float64bits(want))
+				}
 			}
 		}
 	}

@@ -20,19 +20,23 @@ func TestComputeWorkCounts(t *testing.T) {
 	// lengths and solving only those that can reach the top k; 33 solves,
 	// 3259 pivots — 407 phase 1, 2843 dual — 73 refactorizations and 29 dual
 	// hits until the simplex replaced its product-form eta file with
-	// Forrest–Tomlin updates, after which the pivot paths, the optimal
-	// vertices reached on degenerate LPs, and with them the dual certificates
-	// that prune the adversary's candidates, differ.)
+	// Forrest–Tomlin updates; 27 solves, 2454 pivots — 301 phase 1, 2142
+	// dual — 70 refactorizations and 25 dual hits until every OPTDAG
+	// normalization began from its spanning-tree crash basis. Since then no
+	// solve has phase-1 or dual pivots and every solve is a warm start (the
+	// crash basis); the optimal vertices reached on degenerate LPs differ,
+	// and with them the dual certificates that decide which of the
+	// adversary's candidates get solved.)
 	want := lp.StatsSnapshot{
-		Solves:           27,
-		Iterations:       2454,
-		Phase1Iterations: 301,
-		DualIterations:   2142,
-		Refactorizations: 70,
-		WarmAttempts:     26,
-		WarmHits:         26,
-		DualAttempts:     25,
-		DualHits:         25,
+		Solves:           33,
+		Iterations:       766,
+		Phase1Iterations: 0,
+		DualIterations:   0,
+		Refactorizations: 33,
+		WarmAttempts:     33,
+		WarmHits:         33,
+		DualAttempts:     0,
+		DualHits:         0,
 		DenseFallbacks:   0,
 
 		StabilityRefactorizations: 0,
