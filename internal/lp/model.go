@@ -140,10 +140,10 @@ func (m *Model) SetRowBounds(r int, rlo, rup float64) {
 // SolveOptions is what a caller can hand a Model solve: where to start and
 // where to report.
 type SolveOptions struct {
-	// Basis warm-starts the solve from a previously returned Basis. A basis
-	// whose shape no longer matches the model (or that has become singular)
-	// is ignored and the solve starts cold; Solution.Stats reports which
-	// happened. An accepted basis that bound/RHS edits have made primal
+	// Basis warm-starts the solve from a previously returned Basis, or from
+	// one the caller built (mcf's crash basis). A basis whose shape no
+	// longer matches the model (or that has become singular) is ignored and
+	// the solve starts cold; Solution.Stats reports which happened. An accepted basis that bound/RHS edits have made primal
 	// infeasible while leaving it dual feasible is repaired by the dual
 	// simplex; everything else runs the primal two-phase path.
 	Basis *Basis

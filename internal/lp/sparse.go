@@ -43,9 +43,9 @@ type Basis struct {
 	// DualStall is the auto router's memory of the dual phase giving up
 	// on this warm chain: set when an auto-routed dual attempt hits the
 	// degenerate-plateau bail-out. While set, the auto router never
-	// attempts the dual phase for this chain again, so under it the stall
-	// is permanent: every later warm solve of the chain repairs an
-	// infeasible basis with primal phase 1. Only a forced dual phase
+	// attempts the dual phase for this chain again — the stall is
+	// permanent under methodAuto, and every later warm solve of the chain
+	// repairs an infeasible basis with primal phase 1. Only a forced dual phase
 	// (methodDual), which ignores the flag, can make an attempt whose
 	// completion clears it. The trade: on models where warm restarts
 	// plateau (many zero-reduced-cost nonbasics at scale) every attempt

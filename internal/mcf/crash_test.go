@@ -73,7 +73,8 @@ func near(a, b, rel float64) bool {
 // is the all-logical start's within 1e-9 (relative); SolveMLU returns the
 // same bits as the crash-started solve; and the capacity-row duals of the
 // vertex it ends on are a dual-feasible certificate (CheckDual) whose bound
-// is the optimum.
+// is the optimum. The bridged-survivor subtest covers nodes outside their
+// destination's tree.
 func TestCrashBasis(t *testing.T) {
 	for _, name := range []string{"Abilene", "NSF", "Geant"} {
 		g, err := topo.Load(name)
@@ -136,6 +137,7 @@ func TestCrashBasis(t *testing.T) {
 			}
 		}
 	}
+	t.Run("bridged-survivor", testCrashBasisUnreachable)
 }
 
 // bridgedSurvivor is two triangles {0,1,2} and {3,4,5} once joined by the
@@ -150,12 +152,12 @@ func bridgedSurvivor() *graph.Graph {
 	return g.WithoutLink(bridge)
 }
 
-// TestCrashBasisUnreachable covers the two ways a node can miss its
+// testCrashBasisUnreachable covers the two ways a node can miss its
 // destination's tree on the bridged survivor graph: with zero demand it keeps
 // its conservation logical basic and the crash still applies, and a positive
 // demand across the failed bridge has no tree path, so the model falls back
 // to the all-logical start, which proves ErrUnroutable.
-func TestCrashBasisUnreachable(t *testing.T) {
+func testCrashBasisUnreachable(t *testing.T) {
 	g := bridgedSurvivor()
 	for _, dc := range []struct {
 		name string

@@ -205,9 +205,10 @@ func (ev *Evaluator) WithBox(box *demand.Box) *Evaluator {
 // evaluator's DAGs (cached; exact LP up to ExactNodeLimit nodes, FPTAS
 // otherwise). The value is a function of D alone: an exact solve starts from
 // the crash basis of D (mcf.MinMLUModel.SolveMLU), never from an earlier
-// solve's vertex. Its dual certificate joins the bound ring, so calls that
-// PerfTop may make concurrently are best serialized with it (the adversarial
-// loop's scenario accumulation, sessions).
+// solve's vertex. Use it from serialized contexts (the adversarial loop's
+// scenario accumulation, sessions): its certificate joins the bound ring
+// that PerfTop prunes with, so a concurrent call would make PerfTop's solve
+// count depend on timing.
 func (ev *Evaluator) OptDAG(D *demand.Matrix) float64 {
 	h := hashMatrix(D)
 	if v, ok := ev.cache.lookup(h); ok {
