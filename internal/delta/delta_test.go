@@ -335,6 +335,30 @@ func TestRejectedBoundsLeaveSessionIntact(t *testing.T) {
 	}
 }
 
+// TestUpdateBoundsStartsFromCrashBasis: no basis rides WithBox any more, so
+// every exact OPTDAG normalization of an updated box must offer its own
+// crash basis and have it accepted, with no dense fallback. The counters
+// are process-global, so this test must not run in parallel with others
+// that reset them.
+func TestUpdateBoundsStartsFromCrashBasis(t *testing.T) {
+	s, base := newNSFSession(t, testCfg())
+	lp.ResetGlobalStats()
+	if _, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(1.2), 2.1)); err != nil {
+		t.Fatal(err)
+	}
+	st := lp.GlobalStats()
+	if st.Solves == 0 {
+		t.Fatal("no exact LP solves during UpdateBounds; is NSF above ExactNodeLimit?")
+	}
+	if st.WarmAttempts != st.Solves || st.WarmHits != st.Solves {
+		t.Fatalf("%d solves offered %d starting bases, %d accepted; want every solve crash-started",
+			st.Solves, st.WarmAttempts, st.WarmHits)
+	}
+	if st.DenseFallbacks != 0 {
+		t.Fatalf("%d dense fallbacks during a session update", st.DenseFallbacks)
+	}
+}
+
 // TestSessionEventsRunNoPhase1OrDual: every exact OPTDAG normalization a
 // session event pays for starts from its matrix's crash basis, which is
 // primal feasible, so UpdateBounds (rescaled and widened boxes), Fail and
