@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race cover bench-e2e bench-counts fuzz-smoke smoke-examples cli-smoke eval-smoke sweep metrics-smoke
+.PHONY: all build test vet race cover oracle-unlinked bench-e2e bench-counts fuzz-smoke smoke-examples cli-smoke eval-smoke sweep metrics-smoke
 
 all: build test
 
@@ -29,6 +29,24 @@ race:
 # so coverage is visible on every push).
 cover:
 	$(GO) test -cover ./...
+
+# oracle-unlinked fails if any binary under cmd/ or examples/ links the dense
+# reference simplex (lp.Problem, its tableau, NewProblem, Model.SolveDense):
+# it is the tests' oracle, and every solve runs on the sparse engine.
+# Inlining is off so no oracle function can hide inside a caller. CI runs it
+# after the build.
+oracle-unlinked:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -gcflags=all=-l -o "$$tmp" ./cmd/... ./examples/...; \
+	bad=0; for b in "$$tmp"/*; do \
+		syms=$$($(GO) tool nm "$$b" | grep -E 'internal/lp\.(\(\*Problem\)|\(\*simplex\)|NewProblem|\(\*Model\)\.SolveDense)' || true); \
+		if [ -n "$$syms" ]; then \
+			echo "$$(basename "$$b") links the dense oracle ($$(echo "$$syms" | wc -l) symbols):"; \
+			echo "$$syms"; bad=1; \
+		fi; \
+	done; \
+	if [ $$bad -ne 0 ]; then exit 1; fi; \
+	echo "oracle-unlinked OK: $$(ls "$$tmp" | wc -l) binaries"
 
 # sweep is the cached corpus-sweep gate (DESIGN.md §8): run the golden
 # campaign fresh through the content-addressed cache, re-run it (must be
@@ -94,7 +112,7 @@ bench-counts:
 # the sparse simplex, that cold and warm solves of decoded LPs match the
 # dense oracle on every engine path; for the min-MLU crash start, that it
 # reaches the all-logical start's optimum on small random graphs without a
-# dense fallback; for the Prometheus exposition parser,
+# solve error; for the Prometheus exposition parser,
 # that accepted pages keep coherent histograms; for the controller, that
 # every POST /update body gets a 200 or a 400 that leaves the event log
 # alone).

@@ -337,7 +337,7 @@ func TestRejectedBoundsLeaveSessionIntact(t *testing.T) {
 
 // TestUpdateBoundsStartsFromCrashBasis: no basis rides WithBox any more, so
 // every exact OPTDAG normalization of an updated box must offer its own
-// crash basis and have it accepted, with no dense fallback. The counters
+// crash basis and have it accepted, with no numerical failure. The counters
 // are process-global, so this test must not run in parallel with others
 // that reset them.
 func TestUpdateBoundsStartsFromCrashBasis(t *testing.T) {
@@ -355,7 +355,7 @@ func TestUpdateBoundsStartsFromCrashBasis(t *testing.T) {
 			st.Solves, st.WarmAttempts, st.WarmHits)
 	}
 	if st.DenseFallbacks != 0 {
-		t.Fatalf("%d dense fallbacks during a session update", st.DenseFallbacks)
+		t.Fatalf("%d numerical failures during a session update", st.DenseFallbacks)
 	}
 }
 
@@ -399,7 +399,7 @@ func TestSessionEventsRunNoPhase1OrDual(t *testing.T) {
 				ev.name, st.Solves, st.Phase1Iterations, st.DualIterations, st.DualAttempts)
 		}
 		if st.WarmHits != st.Solves || st.DenseFallbacks != 0 {
-			t.Errorf("%s: %d of %d solves started from their crash basis, %d dense fallbacks",
+			t.Errorf("%s: %d of %d solves started from their crash basis, %d numerical failures",
 				ev.name, st.WarmHits, st.Solves, st.DenseFallbacks)
 		}
 		solves += st.Solves

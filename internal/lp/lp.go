@@ -3,23 +3,22 @@
 // computing demands-aware optima, the worst-case-demand "slave LP" of
 // Appendix C, and the dual certificates of Theorem 5.
 //
-// Two engines share the package (DESIGN.md §7):
+// The package holds one engine and the tests' oracle (DESIGN.md §7):
 //
-//   - Model (the production path) is a sparse revised simplex: CSC
-//     constraint matrix, Gilbert–Peierls LU basis factorization kept
-//     current by Forrest–Tomlin updates (refactorized on an update cap, on
-//     growth, or when an update fails its stability test), bounded
-//     variables and ranged rows (so simple bounds never become rows),
-//     Dantzig pricing with a Bland's-rule anti-cycling fallback, row duals,
-//     and warm starts from an exported Basis. Every solver client — OPTDAG
-//     (internal/mcf), the slave LP (internal/oblivious), the dual
-//     certificates (internal/gpopt) — builds against it.
-//   - Problem is the original dense full-tableau two-phase simplex for
-//     min/max cᵀx s.t. aᵢᵀx {≤,=,≥} bᵢ, x ≥ 0. It is retained as the
-//     reference oracle: randomized and corpus parity tests cross-validate
-//     every sparse optimum against it (Model.SolveDense bridges the two
-//     forms), and Model.Solve falls back to it on a sparse numerical
-//     failure.
+//   - Model is a sparse revised simplex: CSC constraint matrix,
+//     Gilbert–Peierls LU basis factorization kept current by Forrest–Tomlin
+//     updates (refactorized on an update cap, on growth, or when an update
+//     fails its stability test), bounded variables and ranged rows (so
+//     simple bounds never become rows), Dantzig pricing with a Bland's-rule
+//     anti-cycling fallback, row duals, and warm starts from an exported
+//     Basis. Every solver client — OPTDAG (internal/mcf), the slave LP
+//     (internal/oblivious) — builds against it, and a numerical failure is
+//     returned as an error.
+//   - Problem, the original dense full-tableau two-phase simplex for
+//     min/max cᵀx s.t. aᵢᵀx {≤,=,≥} bᵢ, x ≥ 0, is the tests' reference
+//     oracle: randomized and corpus parity tests cross-validate every
+//     sparse optimum against it (Model.SolveDense bridges the two forms).
+//     No production path calls it.
 package lp
 
 import (

@@ -164,7 +164,6 @@ type SolveStats struct {
 	WarmUsed         bool // ... and it was accepted
 	DualAttempted    bool // the dual simplex phase was entered
 	DualUsed         bool // ... and it ran to a verdict (no budget bailout)
-	DenseFallback    bool // the sparse engine failed and the dense oracle answered
 
 	// StabilityRefactorizations counts the refactorizations forced by a
 	// Forrest–Tomlin update failing its stability test (included in
@@ -264,10 +263,10 @@ func (m *Model) mergeDuplicates(p *spxProb) {
 	a.val = a.val[:w]
 }
 
-// Solve runs the sparse revised simplex and returns the solution, falling
-// back to the dense reference solver if the sparse engine reports a
-// numerical failure (which is counted in the global stats and the returned
-// Stats — it should never happen on the formulations in this repository).
+// Solve runs the sparse revised simplex and returns the solution. A
+// numerical failure of the engine (ErrIterationLimit or a singular basis) is
+// returned as the error and counted in the global stats; it should never
+// happen on the formulations in this repository.
 func (m *Model) Solve(opts *SolveOptions) (*Solution, error) {
 	if opts == nil {
 		return m.solve(nil, nil, methodAuto)
@@ -284,12 +283,10 @@ func (m *Model) SolveObjective(opts *SolveOptions) (float64, Status, error) {
 	if opts != nil {
 		warm, ctx = opts.Basis, opts.Ctx
 	}
-	status, _, fallback, err := m.run(warm, ctx, methodAuto)
+	status, _, err := m.run(warm, ctx, methodAuto)
 	switch {
 	case err != nil:
 		return 0, 0, err
-	case fallback != nil:
-		return fallback.Objective, fallback.Status, nil
 	case status != Optimal:
 		return 0, status, nil
 	}
@@ -319,9 +316,9 @@ func (m *Model) RowDuals() []float64 {
 
 // solve is Solve with the simplex method chosen by the caller (see method).
 func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution, error) {
-	status, stats, fallback, err := m.run(warm, ctx, meth)
-	if err != nil || fallback != nil {
-		return fallback, err
+	status, stats, err := m.run(warm, ctx, meth)
+	if err != nil {
+		return nil, err
 	}
 	sol := &Solution{Status: status, Stats: stats}
 	if status == Optimal {
@@ -342,10 +339,9 @@ func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution,
 }
 
 // run drives the engine on the model's workspace. It returns the engine's
-// verdict with the final vertex left in m.ws for the caller to read, or —
-// when the sparse engine failed numerically — the dense oracle's answer as
-// fallback.
-func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Status, stats SolveStats, fallback *Solution, err error) {
+// verdict with the final vertex left in m.ws for the caller to read, or the
+// engine's error when it failed numerically.
+func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Status, stats SolveStats, err error) {
 	var span *obs.Span
 	if ctx != nil {
 		_, span = obs.StartSpan(ctx, "lp.solve")
@@ -356,12 +352,12 @@ func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Statu
 	// the engine's bound logic assumes lo ≤ up everywhere.
 	for j := range m.vlo {
 		if m.vlo[j] > m.vup[j] {
-			return Infeasible, stats, nil, nil
+			return Infeasible, stats, nil
 		}
 	}
 	for i := range m.rows {
 		if m.rows[i].lo > m.rows[i].up {
-			return Infeasible, stats, nil, nil
+			return Infeasible, stats, nil
 		}
 	}
 	p := m.build()
@@ -382,20 +378,8 @@ func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Statu
 			Attr("dual_used", stats.DualUsed)
 	}
 	if err != nil {
-		// Numerical failure: answer from the dense oracle instead.
-		sol, derr := m.SolveDense()
-		if derr != nil {
-			lpLog.Error("sparse solve failed and dense fallback failed",
-				"sparse_err", err, "dense_err", derr)
-			return 0, stats, nil, err
-		}
-		sol.Stats = stats
-		sol.Stats.DenseFallback = true
 		mDenseFallbacks.Inc()
-		lpLog.Warn("sparse solve failed; dense fallback answered",
-			"err", err, "iterations", stats.Iterations)
-		span.Attr("dense_fallback", true)
-		return sol.Status, stats, sol, nil
+		return 0, stats, err
 	}
 	if stats.DualAttempted && !stats.DualUsed {
 		// The dual phase hit its budget (anti-cycling bail) and the solve
@@ -406,15 +390,15 @@ func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Statu
 	}
 	span.Attr("status", status.String())
 	m.atOptimum = status == Optimal
-	return status, stats, nil, nil
+	return status, stats, nil
 }
 
 // SolveDense solves the model with the dense full-tableau reference solver
-// (package lp's original two-phase simplex). It exists as the parity
-// oracle for the sparse engine — randomized tests cross-validate every
-// optimum — and as Solve's fallback. Bounded variables are rewritten into
-// the dense solver's x ≥ 0 form (shifts, sign flips, and free-variable
-// splits); ranged rows become constraint pairs.
+// (package lp's original two-phase simplex). It exists only as the tests'
+// parity oracle for the sparse engine — randomized tests cross-validate
+// every optimum — and no production path calls it. Bounded variables are
+// rewritten into the dense solver's x ≥ 0 form (shifts, sign flips, and
+// free-variable splits); ranged rows become constraint pairs.
 func (m *Model) SolveDense() (*Solution, error) {
 	n := len(m.obj)
 	p := NewProblem(m.sense)

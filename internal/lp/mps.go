@@ -8,7 +8,8 @@
 // objective offset, the usual convention), RANGES, BOUNDS
 // (UP/LO/FX/FR/MI/PL — a negative UP value does not implicitly drop the
 // lower bound; integer types are rejected), and ENDATA. Integer marker
-// lines are rejected: the solver is a pure LP engine.
+// lines are rejected: the solver is a pure LP engine. Every numeric field
+// must be finite; infinite bounds are written as MI, PL or FR.
 //
 // WriteMPS emits a canonical form — variables named X<i>, constraint rows
 // R<i>, objective COST, shortest round-trip float formatting, column-major
@@ -205,9 +206,9 @@ func (p *mpsParser) columnLine(fields []string) error {
 	}
 	col := &p.cols[ci]
 	for k := 1; k+1 < len(fields); k += 2 {
-		v, err := strconv.ParseFloat(fields[k+1], 64)
+		v, err := parseValue(fields[k+1])
 		if err != nil {
-			return fmt.Errorf("bad value %q: %v", fields[k+1], err)
+			return err
 		}
 		ri, ok := p.rowIdx[fields[k]]
 		if !ok {
@@ -228,9 +229,9 @@ func (p *mpsParser) rhsLine(fields []string) error {
 		return fmt.Errorf("RHS line needs name + (row, value) pairs, got %d fields", len(fields))
 	}
 	for k := 1; k+1 < len(fields); k += 2 {
-		v, err := strconv.ParseFloat(fields[k+1], 64)
+		v, err := parseValue(fields[k+1])
 		if err != nil {
-			return fmt.Errorf("bad value %q: %v", fields[k+1], err)
+			return err
 		}
 		ri, ok := p.rowIdx[fields[k]]
 		if !ok {
@@ -250,9 +251,9 @@ func (p *mpsParser) rangesLine(fields []string) error {
 		return fmt.Errorf("RANGES line needs name + (row, value) pairs, got %d fields", len(fields))
 	}
 	for k := 1; k+1 < len(fields); k += 2 {
-		v, err := strconv.ParseFloat(fields[k+1], 64)
+		v, err := parseValue(fields[k+1])
 		if err != nil {
-			return fmt.Errorf("bad value %q: %v", fields[k+1], err)
+			return err
 		}
 		ri, ok := p.rowIdx[fields[k]]
 		if !ok || ri < 0 {
@@ -281,8 +282,8 @@ func (p *mpsParser) boundLine(fields []string) error {
 			return fmt.Errorf("bound %s needs a value", typ)
 		}
 		var err error
-		if v, err = strconv.ParseFloat(fields[3], 64); err != nil {
-			return fmt.Errorf("bad value %q: %v", fields[3], err)
+		if v, err = parseValue(fields[3]); err != nil {
+			return err
 		}
 	}
 	switch typ {
@@ -304,6 +305,20 @@ func (p *mpsParser) boundLine(fields []string) error {
 		return fmt.Errorf("bad bound type %q", fields[0])
 	}
 	return nil
+}
+
+// parseValue reads one numeric field. Non-finite values (NaN, Inf and
+// overflows like 1e309) are rejected: infinite bounds are written as MI, PL
+// or FR.
+func parseValue(f string) (float64, error) {
+	v, err := strconv.ParseFloat(f, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("not a finite number")
+	}
+	if err != nil {
+		return 0, fmt.Errorf("bad value %q: %v", f, err)
+	}
+	return v, nil
 }
 
 // build assembles the Model: columns in first-appearance order, rows in

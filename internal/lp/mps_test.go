@@ -3,6 +3,7 @@ package lp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -92,6 +93,33 @@ func TestMPSReadErrors(t *testing.T) {
 	for name, src := range cases {
 		if _, err := ReadMPS(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted malformed input", name)
+		}
+	}
+}
+
+// TestMPSRejectsNonFinite: NaN and infinite values are refused in every
+// numeric section, with the line they sit on, where a finite value parses.
+func TestMPSRejectsNonFinite(t *testing.T) {
+	const head = "ROWS\n N  COST\n L  R0\nCOLUMNS\n    X  COST  1\n"
+	sections := []struct {
+		name, src string
+		line      int
+	}{
+		{"COLUMNS", head + "    X  R0  %s\n", 6},
+		{"RHS", head + "    X  R0  1\nRHS\n    RHS  R0  %s\n", 8},
+		{"RANGES", head + "    X  R0  1\nRANGES\n    RNG  R0  %s\n", 8},
+		{"BOUNDS", head + "    X  R0  1\nBOUNDS\n    UP  BND  X  %s\n", 8},
+	}
+	for _, sec := range sections {
+		if _, err := ReadMPS(strings.NewReader(fmt.Sprintf(sec.src, "2"))); err != nil {
+			t.Fatalf("%s: finite value refused: %v", sec.name, err)
+		}
+		for _, v := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
+			_, err := ReadMPS(strings.NewReader(fmt.Sprintf(sec.src, v)))
+			want := fmt.Sprintf("mps line %d:", sec.line)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: err %v, want one naming %q", sec.name, v, err, want)
+			}
 		}
 	}
 }

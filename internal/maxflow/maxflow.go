@@ -1,9 +1,7 @@
 // Package maxflow implements Dinic's maximum-flow algorithm on the network
 // model. COYOTE uses it for the min-cut arguments of the paper's Theorem 1
 // reduction (the min-cut between the sources and the target of an INTEGER
-// gadget instance is 2·SUM), for quick demand-admissibility checks, and for
-// single-destination optimal-utilization computations (via capacity scaling
-// with a super-source).
+// gadget instance is 2·SUM) and for quick demand-admissibility checks.
 package maxflow
 
 import (
@@ -146,53 +144,4 @@ func MinCutValue(g *graph.Graph, sources []graph.NodeID, sink graph.NodeID) floa
 		net.AddArc(s, int(src), math.Inf(1))
 	}
 	return net.MaxFlow(s, int(sink))
-}
-
-// SingleDestMLU computes the optimal (minimum) maximum link utilization for
-// routing the given per-source demands toward a single destination t in g:
-// the smallest λ such that all demands fit with capacities scaled by λ.
-// Because all traffic shares the destination this is a single-commodity
-// problem, solved exactly by one max-flow: λ* = (total demand) / (max flow
-// with a demand-capped super-source) inverted through bisection on λ.
-//
-// It returns +Inf if some positive demand has no path to t.
-func SingleDestMLU(g *graph.Graph, demand []float64, t graph.NodeID) float64 {
-	total := 0.0
-	for _, d := range demand {
-		total += d
-	}
-	if total <= 0 {
-		return 0
-	}
-	feasible := func(lambda float64) bool {
-		net := NewNetwork(g.NumNodes())
-		for _, e := range g.Edges() {
-			net.AddArc(int(e.From), int(e.To), e.Capacity*lambda)
-		}
-		s := net.AddNode()
-		for v, d := range demand {
-			if d > 0 {
-				net.AddArc(s, v, d)
-			}
-		}
-		return net.MaxFlow(s, int(t)) >= total-1e-9*total
-	}
-	// Exponential search for an upper bound, then bisect.
-	hi := 1.0
-	for i := 0; i < 60 && !feasible(hi); i++ {
-		hi *= 2
-	}
-	if !feasible(hi) {
-		return math.Inf(1)
-	}
-	lo := 0.0
-	for i := 0; i < 50; i++ {
-		mid := (lo + hi) / 2
-		if feasible(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
 }

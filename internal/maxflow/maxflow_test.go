@@ -108,54 +108,6 @@ func TestIntegerGadgetMinCut(t *testing.T) {
 	}
 }
 
-func TestSingleDestMLU(t *testing.T) {
-	// Fig. 4 of the paper (Theorem 4): n sources on an infinite-capacity
-	// path, each with a unit edge to t. Demand n at x0 can be balanced so
-	// every t-edge carries 1 unit: optimal MLU 1.
-	n := 5
-	g := graph.New()
-	xs := make([]graph.NodeID, n)
-	for i := 0; i < n; i++ {
-		xs[i] = g.AddNode(nodeName("x", i))
-	}
-	tt := g.AddNode("t")
-	for i := 0; i+1 < n; i++ {
-		g.AddLink(xs[i], xs[i+1], 1e9, 1)
-	}
-	for i := 0; i < n; i++ {
-		g.AddEdge(xs[i], tt, 1, 1)
-	}
-	demand := make([]float64, g.NumNodes())
-	demand[xs[0]] = float64(n)
-	mlu := SingleDestMLU(g, demand, tt)
-	if math.Abs(mlu-1) > 1e-6 {
-		t.Fatalf("optimal single-dest MLU = %g, want 1", mlu)
-	}
-}
-
-func TestSingleDestMLUUnreachable(t *testing.T) {
-	g := graph.New()
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	g.AddNode("c") // isolated
-	g.AddEdge(a, b, 1, 1)
-	demand := make([]float64, 3)
-	demand[2] = 1
-	if mlu := SingleDestMLU(g, demand, b); !math.IsInf(mlu, 1) {
-		t.Fatalf("MLU = %g, want +Inf for unreachable demand", mlu)
-	}
-}
-
-func TestSingleDestMLUZeroDemand(t *testing.T) {
-	g := graph.New()
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	g.AddEdge(a, b, 1, 1)
-	if mlu := SingleDestMLU(g, make([]float64, 2), b); mlu != 0 {
-		t.Fatalf("MLU = %g, want 0 for zero demand", mlu)
-	}
-}
-
 // Property: max-flow value equals min-cut capacity on random graphs.
 func TestPropertyMaxFlowMinCut(t *testing.T) {
 	f := func(seed int64) bool {

@@ -41,6 +41,49 @@ func allLogical(t testing.TB, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix
 	return sol.Objective, sol.Stats, nil
 }
 
+// certifiedAllLogical solves a fresh model for D from the all-logical start
+// and returns its optimum after checking the vertex's own row duals: w from
+// the conservation rows and z = −y from the capacity rows (a binding ≤ row
+// carries y ≤ 0 under minimization) must pass CheckDual, and their dual
+// objective Σ d·w must meet the optimum within 1e-6 (relative).
+func certifiedAllLogical(t testing.TB, label string, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) float64 {
+	t.Helper()
+	mm := NewMinMLUModel(g, dags, D)
+	sol, err := mm.Model.Solve(nil)
+	if err != nil {
+		t.Fatalf("%s: all-logical solve: %v", label, err)
+	}
+	if sol.Status != lp.Optimal {
+		t.Fatalf("%s: all-logical solve is %v", label, sol.Status)
+	}
+	n := g.NumNodes()
+	z := make([]float64, g.NumEdges())
+	for e, r := range mm.CapRow {
+		if r >= 0 {
+			z[e] = -sol.Duals[r]
+		}
+	}
+	w := func(v, t graph.NodeID) float64 {
+		if v == t {
+			return 0
+		}
+		return sol.Duals[mm.DemandRow[t][v]]
+	}
+	if err := CheckDual(g, dags, mm.active, z, w, 1e-6); err != nil {
+		t.Fatalf("%s: all-logical duals: %v", label, err)
+	}
+	bound := 0.0
+	for i, d := range D.D {
+		if d > 0 {
+			bound += d * w(graph.NodeID(i/n), graph.NodeID(i%n))
+		}
+	}
+	if gap := math.Abs(sol.Objective-bound) / (1 + math.Abs(sol.Objective)); gap > 1e-6 {
+		t.Fatalf("%s: all-logical duality gap %g (primal %g, dual %g)", label, gap, sol.Objective, bound)
+	}
+	return sol.Objective
+}
+
 // dagDistances fills dist[v·n+t] with the z-length of v's shortest path to
 // t inside t's allowed edges (+Inf when there is none), by Bellman–Ford.
 func dagDistances(g *graph.Graph, dags []*dagx.DAG, z []float64, dist []float64) {
@@ -70,11 +113,12 @@ func near(a, b, rel float64) bool {
 // with whole demand columns zeroed, which drops destinations from the
 // formulation, and single zero entries inside the remaining columns — is
 // accepted by the engine and runs no phase 1 and no dual phase; its optimum
-// is the all-logical start's within 1e-9 (relative); SolveMLU returns the
-// same bits as the crash-started solve; and the capacity-row duals of the
-// vertex it ends on are a dual-feasible certificate (CheckDual) whose bound
-// is the optimum. The bridged-survivor subtest covers nodes outside their
-// destination's tree.
+// is the all-logical start's within 1e-9 (relative), and the all-logical
+// solve's own row duals are a certificate with no duality gap; SolveMLU
+// returns the same bits as the crash-started solve; and the capacity-row
+// duals of the vertex it ends on are a dual-feasible certificate (CheckDual)
+// whose bound is the optimum. The bridged-survivor subtest covers nodes
+// outside their destination's tree.
 func TestCrashBasis(t *testing.T) {
 	for _, name := range []string{"Abilene", "NSF", "Geant"} {
 		g, err := topo.Load(name)
@@ -105,13 +149,13 @@ func TestCrashBasis(t *testing.T) {
 				mm := NewMinMLUModel(g, dc.dags, D)
 				sol := crashSolve(t, label, mm)
 				st := sol.Stats
-				if sol.Status != lp.Optimal || !st.WarmUsed || st.Phase1Iterations != 0 || st.DualAttempted || st.DenseFallback {
+				if sol.Status != lp.Optimal || !st.WarmUsed || st.Phase1Iterations != 0 || st.DualAttempted {
 					t.Fatalf("%s trial %d: crash solve %v with %+v; want an accepted basis, no phase 1, no dual phase",
 						label, trial, sol.Status, st)
 				}
-				want, _, err := allLogical(t, g, dc.dags, D)
-				if err != nil || !near(sol.Objective, want, 1e-9) {
-					t.Fatalf("%s trial %d: crash optimum %.15g, all-logical %.15g (%v)", label, trial, sol.Objective, want, err)
+				want := certifiedAllLogical(t, label, g, dc.dags, D)
+				if !near(sol.Objective, want, 1e-9) {
+					t.Fatalf("%s trial %d: crash optimum %.15g, all-logical %.15g", label, trial, sol.Objective, want)
 				}
 				mlu, err := mm.SolveMLU(nil)
 				if err != nil || math.Float64bits(mlu) != math.Float64bits(sol.Objective) {
@@ -193,7 +237,7 @@ func testCrashBasisUnreachable(t *testing.T) {
 // some nodes cannot reach some destinations) with random demands, over
 // augmented DAGs or every edge, the crash-started SolveMLU reaches the
 // all-logical start's optimum within 1e-9 (relative) or agrees that the
-// matrix is unroutable, and neither start needs the dense fallback.
+// matrix is unroutable, and neither start fails numerically.
 func FuzzCrashStart(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{7, 1, 9, 200, 17, 33, 5, 61, 2, 0, 90, 14, 7, 255, 3, 8, 128, 64, 32, 16, 8, 4, 2, 1})
@@ -238,18 +282,15 @@ func FuzzCrashStart(f *testing.F) {
 		if useDAGs {
 			dags = dagx.BuildAll(g, dagx.Augmented)
 		}
-		want, wantStats, wantErr := allLogical(t, g, dags, D)
-		if wantStats.DenseFallback {
-			t.Fatalf("all-logical start needed the dense fallback: %+v", wantStats)
-		}
+		want, _, wantErr := allLogical(t, g, dags, D)
 		mm := NewMinMLUModel(g, dags, D)
 		if mm.crashStart() {
 			sol, err := mm.Model.Solve(&lp.SolveOptions{Basis: &mm.crash})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sol.Stats.DenseFallback || !sol.Stats.WarmUsed || sol.Stats.Phase1Iterations != 0 {
-				t.Fatalf("crash start: %+v; want an accepted basis, no phase 1, no dense fallback", sol.Stats)
+			if !sol.Stats.WarmUsed || sol.Stats.Phase1Iterations != 0 {
+				t.Fatalf("crash start: %+v; want an accepted basis, no phase 1", sol.Stats)
 			}
 		}
 		got, err := mm.SolveMLU(nil)

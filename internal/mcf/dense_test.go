@@ -112,7 +112,7 @@ func BenchmarkExactOPT(b *testing.B) {
 	dags := dagx.BuildAll(g, dagx.Augmented)
 	b.Run("sparse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := MinMLUExactBasis(g, dags, D, nil); err != nil {
+			if _, _, _, err := NewMinMLUModel(g, dags, D).Solve(nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -75,7 +75,7 @@ func TestDualRestartBoundEditsProperty(t *testing.T) {
 				basis = nb
 
 				lp.ResetGlobalStats()
-				coldMLU, _, _, err := MinMLUExactBasis(g, dags, cur, nil)
+				coldMLU, _, _, err := NewMinMLUModel(g, dags, cur).Solve(nil)
 				if err != nil {
 					t.Fatalf("edit %d cold: %v", i, err)
 				}

@@ -46,29 +46,16 @@ func allowedEdges(g *graph.Graph, dags []*dagx.DAG, t graph.NodeID) []bool {
 }
 
 // MinMLUExact solves min-MLU exactly with the sparse revised-simplex
-// solver. It returns the optimal utilization and the per-destination edge
-// flows (flows[t][e]; nil rows for destinations without demand). When dags
-// is non-nil, flows are restricted to each destination's DAG.
+// solver from the all-logical basis. It returns the optimal utilization and
+// the per-destination edge flows (flows[t][e]; nil rows for destinations
+// without demand). When dags is non-nil, flows are restricted to each
+// destination's DAG.
 func MinMLUExact(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, [][]float64, error) {
-	mlu, flows, _, err := MinMLUExactBasis(g, dags, D, nil)
-	return mlu, flows, err
-}
-
-// MinMLUExactBasis is MinMLUExact with an optional warm-start basis from a
-// previous solve of the same formulation shape — same graph, DAGs, and set
-// of active destinations (demand columns with traffic) — and the optimal
-// basis of this solve returned. A basis that no longer fits is ignored, and
-// nil starts from the all-logical basis as MinMLUExact does. A bound/RHS-only
-// edit since the basis was exported is repaired by the dual simplex. The
-// optimum never depends on the warm basis; only the pivot path, and on a
-// degenerate LP the optimal vertex reached, do. OPTDAG normalizations do not
-// carry bases: SolveMLU starts each one from the model's crash basis.
-func MinMLUExactBasis(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, warm *lp.Basis) (float64, [][]float64, *lp.Basis, error) {
 	if D.Total() == 0 {
-		return 0, make([][]float64, g.NumNodes()), nil, nil
+		return 0, make([][]float64, g.NumNodes()), nil
 	}
-	mm := NewMinMLUModel(g, dags, D)
-	return mm.Solve(&lp.SolveOptions{Basis: warm})
+	mlu, flows, _, err := NewMinMLUModel(g, dags, D).Solve(nil)
+	return mlu, flows, err
 }
 
 // MinMLUModel is the exact min-MLU LP kept mutable between solves: callers
@@ -444,7 +431,11 @@ func CheckDual(g *graph.Graph, dags []*dagx.DAG, active []bool, z []float64, w f
 }
 
 // Solve runs the LP with the given options (typically a carried Basis) and
-// unpacks the solution into MLU and per-destination edge flows.
+// unpacks the solution into MLU and per-destination edge flows. A basis from
+// a solve of the same shape (graph, DAGs and active destinations) warm-starts
+// it; nil, or a basis that no longer fits, starts it from the all-logical
+// basis. The optimum never depends on the basis; only the pivot path, and on
+// a degenerate LP the optimal vertex reached, do.
 func (mm *MinMLUModel) Solve(opts *lp.SolveOptions) (float64, [][]float64, *lp.Basis, error) {
 	sol, err := mm.Model.Solve(opts)
 	if err != nil {

@@ -53,19 +53,46 @@ func TestExactRunningExampleD1(t *testing.T) {
 	}
 }
 
-// Both users at full demand: total 4 must cross the cut {(s2,t),(v,t)} of
-// capacity 2, so OPTU = 2.
+// fig4 is the network of Fig. 4 (Theorem 4): n sources x0…x(n−1) on a path of
+// near-infinite capacity, each with a unit edge to t, and demand n at x0.
+func fig4(n int) (*graph.Graph, *demand.Matrix) {
+	g := graph.New()
+	xs := g.AddNodes(n)
+	t := g.AddNode("t")
+	for i := 0; i+1 < n; i++ {
+		g.AddLink(xs+graph.NodeID(i), xs+graph.NodeID(i+1), 1e9, 1)
+	}
+	for i := 0; i < n; i++ {
+		g.AddEdge(xs+graph.NodeID(i), t, 1, 1)
+	}
+	D := demand.NewMatrix(g.NumNodes())
+	D.Set(xs, t, float64(n))
+	return g, D
+}
+
+// TestExactCutBound: instances whose optimum is the bound of one cut. In the
+// running example with both users at full demand, total 4 must cross the cut
+// {(s2,t),(v,t)} of capacity 2, so OPTU = 2. In Fig. 4, demand 5 at x0 is
+// balanced over the five unit edges into t, so OPTU = 1.
 func TestExactCutBound(t *testing.T) {
 	g, ids := paperExample()
 	D := demand.NewMatrix(g.NumNodes())
 	D.Set(ids["s1"], ids["t"], 2)
 	D.Set(ids["s2"], ids["t"], 2)
-	mlu, _, err := MinMLUExact(g, nil, D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mlu-2) > 1e-6 {
-		t.Fatalf("OPTU = %g, want 2 (cut bound)", mlu)
+	g4, D4 := fig4(5)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		D    *demand.Matrix
+		want float64
+	}{{"running-example", g, D, 2}, {"fig4", g4, D4, 1}} {
+		mlu, _, err := MinMLUExact(tc.g, nil, tc.D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(mlu-tc.want) > 1e-6 {
+			t.Fatalf("%s: OPTU = %g, want %g (cut bound)", tc.name, mlu, tc.want)
+		}
 	}
 }
 

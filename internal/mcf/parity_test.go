@@ -55,7 +55,7 @@ func TestExactSparseDenseParityCorpus(t *testing.T) {
 				label string
 				dags  []*dagx.DAG
 			}{{"free", nil}, {"in-dag", dags}} {
-				sparseMLU, _, basis, err := MinMLUExactBasis(g, tc.dags, D, nil)
+				sparseMLU, _, basis, err := NewMinMLUModel(g, tc.dags, D).Solve(nil)
 				if err != nil {
 					t.Fatalf("%s sparse: %v", tc.label, err)
 				}
@@ -70,7 +70,7 @@ func TestExactSparseDenseParityCorpus(t *testing.T) {
 				// Warm re-solve of the identical instance: must accept the
 				// basis and land on the same optimum (same vertex, so only
 				// round-off separates the two values).
-				warmMLU, _, _, err := MinMLUExactBasis(g, tc.dags, D, basis)
+				warmMLU, _, _, err := NewMinMLUModel(g, tc.dags, D).Solve(&lp.SolveOptions{Basis: basis})
 				if err != nil {
 					t.Fatalf("%s warm: %v", tc.label, err)
 				}
@@ -96,11 +96,11 @@ func TestExactWarmBasisAcrossDemands(t *testing.T) {
 	var carriedBasis *lp.Basis
 	for _, s := range scales {
 		D := base.Clone().Scale(s)
-		coldMLU, _, _, err := MinMLUExactBasis(g, dags, D, nil)
+		coldMLU, _, _, err := NewMinMLUModel(g, dags, D).Solve(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmMLU, _, nb, err := MinMLUExactBasis(g, dags, D, carriedBasis)
+		warmMLU, _, nb, err := NewMinMLUModel(g, dags, D).Solve(&lp.SolveOptions{Basis: carriedBasis})
 		if err != nil {
 			t.Fatal(err)
 		}

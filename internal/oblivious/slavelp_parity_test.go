@@ -136,7 +136,7 @@ func TestPerfExactWarmChainHits(t *testing.T) {
 			st.WarmHitRate(), st.WarmAttempts, st.WarmHits)
 	}
 	if st.DenseFallbacks != 0 {
-		t.Fatalf("%d dense fallbacks on the slave LP", st.DenseFallbacks)
+		t.Fatalf("%d numerical failures on the slave LP", st.DenseFallbacks)
 	}
 }
 
