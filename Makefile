@@ -112,7 +112,9 @@ bench-counts:
 # the sparse simplex, that cold and warm solves of decoded LPs match the
 # dense oracle on every engine path; for the min-MLU crash start, that it
 # reaches the all-logical start's optimum on small random graphs without a
-# solve error; for the Prometheus exposition parser,
+# solve error; for the FPTAS kernel, that its shortest-path trees match the
+# Bellman–Ford oracle bit for bit and a solve finishes or reports
+# ErrUnroutable; for the Prometheus exposition parser,
 # that accepted pages keep coherent histograms; for the controller, that
 # every POST /update body gets a 200 or a 400 that leaves the event log
 # alone).
@@ -124,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadMPS$$' -fuzztime 15s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveParity$$' -fuzztime 15s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzCrashStart$$' -fuzztime 15s ./internal/mcf
+	$(GO) test -run '^$$' -fuzz '^FuzzApproxTree$$' -fuzztime 15s ./internal/mcf
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 15s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzUpdateBody$$' -fuzztime 15s ./internal/serve
 

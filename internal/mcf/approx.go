@@ -68,36 +68,27 @@ func CheckEps(eps float64) error {
 }
 
 // Approx is the Garg–Könemann/Fleischer FPTAS for min-MLU bound to one
-// (graph, DAGs) pair: an immutable index of the edge arrays and of every
-// destination's usable in-edges, plus a pool of solve workspaces. Build it
-// once and solve many demand matrices; it is safe for concurrent use (each
-// solve takes its own workspace). The graph's capacities and weights are
-// read at construction, so the graph must not change afterwards.
+// (graph, DAGs) pair: an immutable index of the edge arrays and of the
+// per-destination DAGs, plus a pool of solve workspaces. Build it once and
+// solve many demand matrices; it is safe for concurrent use (each solve
+// takes its own workspace). The graph's capacities and weights are read at
+// construction, so the graph must not change afterwards.
 type Approx struct {
 	n, m   int
+	g      *graph.Graph
+	dags   []*dagx.DAG
 	cap    []float64
 	weight []float64 // OSPF weights: the lengths of the demand-scaling pass
-	from   []int32
 	to     []int32
-	in     []inLists // per destination
 	pool   sync.Pool // *workspace
-}
-
-// inLists is one destination's DAG-filtered in-edge lists in g.In order
-// (CSR): the edges into v are edge[start[v]:start[v+1]]. The order fixes
-// the relaxation order, hence the parent chosen on ties.
-type inLists struct {
-	start []int32
-	edge  []int32
 }
 
 // workspace is the mutable state of one solve, recycled through
 // Approx.pool so a steady-state solve allocates nothing.
 type workspace struct {
 	dist   []float64
-	parent []int32 // first edge of the shortest path to the tree's root, or -1
-	heap   pathHeap
-	path   []int32   // edges of the tree path being loaded
+	parent []int32   // first edge of the shortest path to the tree's root, or -1
+	bott   []float64 // least capacity on the tree path to the root
 	length []float64 // the multiplicative-weights edge lengths
 	loads  []float64 // single-path edge loads of the scaling pass
 	dests  []int32   // destinations with demand
@@ -108,51 +99,27 @@ type workspace struct {
 	col, done, phase []float64
 }
 
-// NewApprox indexes g restricted to dags (every edge when dags is nil).
+// NewApprox indexes g restricted to dags, one DAG per destination (as
+// dagx.BuildAll returns them).
 func NewApprox(g *graph.Graph, dags []*dagx.DAG) *Approx {
 	n, m := g.NumNodes(), g.NumEdges()
 	a := &Approx{
 		n: n, m: m,
+		g:      g,
+		dags:   dags,
 		cap:    make([]float64, m),
 		weight: make([]float64, m),
-		from:   make([]int32, m),
 		to:     make([]int32, m),
-		in:     make([]inLists, n),
 	}
 	for _, e := range g.Edges() {
 		a.cap[e.ID], a.weight[e.ID] = e.Capacity, e.Weight
-		a.from[e.ID], a.to[e.ID] = int32(e.From), int32(e.To)
-	}
-	build := func(member []bool) inLists {
-		l := inLists{start: make([]int32, n+1)}
-		for v := 0; v < n; v++ {
-			for _, id := range g.In(graph.NodeID(v)) {
-				if member == nil || member[id] {
-					l.edge = append(l.edge, int32(id))
-				}
-			}
-			l.start[v+1] = int32(len(l.edge))
-		}
-		return l
-	}
-	if dags == nil {
-		all := build(nil)
-		for t := range a.in {
-			a.in[t] = all
-		}
-	} else {
-		for t, d := range dags {
-			if d != nil {
-				a.in[t] = build(d.Member)
-			}
-		}
+		a.to[e.ID] = int32(e.To)
 	}
 	a.pool.New = func() any {
 		return &workspace{
 			dist:   make([]float64, n),
 			parent: make([]int32, n),
-			heap:   make(pathHeap, 0, m+1), // lazy insertion: at most one push per edge
-			path:   make([]int32, 0, n),
+			bott:   make([]float64, n),
 			length: make([]float64, m),
 			loads:  make([]float64, m),
 			dests:  make([]int32, 0, n),
@@ -165,10 +132,9 @@ func NewApprox(g *graph.Graph, dags []*dagx.DAG) *Approx {
 // MinMLUApprox approximates min-MLU with a Garg–Könemann/Fleischer
 // multiplicative-weights scheme, aggregating commodities per destination
 // (one shortest-path tree per destination per phase). The returned flow
-// routes D exactly; its utilization lies in [OPT, (1+O(eps))·OPT].
-//
-// When dags is non-nil the flow is restricted to the DAGs and is therefore
-// acyclic per destination (convertible to splitting ratios).
+// routes D exactly inside the DAGs, so it is acyclic per destination
+// (convertible to splitting ratios); its utilization lies in
+// [OPT, (1+O(eps))·OPT] for OPT the min-MLU within the DAGs.
 //
 // This is the one-shot form of NewApprox(g, dags).Solve(D, eps); callers
 // that normalize many matrices over the same DAGs keep the Approx.
@@ -362,29 +328,20 @@ func (a *Approx) run(ws *workspace, eps float64) (phases, trees int, err error) 
 					// but not under these lengths: some δ/c overflowed.
 					return phases, trees, ErrUnroutable
 				}
-				// Walk the tree path once, keeping its edges and the
-				// bottleneck capacity.
-				path := ws.path[:0]
-				bottleneck := math.Inf(1)
-				for u := s; u != t; {
-					id := ws.parent[u]
-					path = append(path, id)
-					if capacity[id] < bottleneck {
-						bottleneck = capacity[id]
-					}
-					u = a.to[id]
-				}
-				ws.path = path
+				// The tree carries the path's bottleneck, so each chunk
+				// walks the path once.
 				for rem := col[s]; rem > 1e-15; {
-					f := rem // math.Min(rem, bottleneck): neither is NaN here
-					if bottleneck < f {
-						f = bottleneck
+					f := rem // math.Min(rem, bott[s]): neither is NaN here
+					if ws.bott[s] < f {
+						f = ws.bott[s]
 					}
-					for _, id := range path {
+					for u := s; u != t; {
+						id := ws.parent[u]
 						row[id] += f
 						dl := length[id] * eps * f / capacity[id]
 						length[id] += dl
 						sumLC += dl * capacity[id]
+						u = a.to[id]
 					}
 					rem -= f
 				}
@@ -411,93 +368,29 @@ func zeroed(s []float64, n int) []float64 {
 }
 
 // tree computes the shortest-path tree toward t under the given edge
-// lengths within t's usable edges, into ws.parent (-1 if unreachable or t
-// itself). Lazy-insertion Dijkstra: stale heap entries are skipped on pop.
+// lengths within t's DAG: one reverse pass over the topological order, every
+// DAG successor of a node being final by the time the node is reached (the
+// pass of oblivious.distTable). parent[u] is the first edge in g.Out(u)
+// order that reaches the minimum (-1 if unreachable or t itself) and bott[u]
+// the least capacity on u's tree path.
 func (a *Approx) tree(ws *workspace, t int32, length []float64) {
-	dist, parent := ws.dist, ws.parent
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[t] = 0
-	in := &a.in[t]
-	h := ws.heap[:0]
-	h.push(pathItem{dist: 0, node: t})
-	for len(h) > 0 {
-		it := h.pop()
-		if it.dist > dist[it.node] {
-			continue
-		}
-		for _, id := range in.edge[in.start[it.node]:in.start[it.node+1]] {
-			u := a.from[id]
-			if nd := it.dist + length[id]; nd < dist[u] {
-				dist[u] = nd
-				parent[u] = id
-				h.push(pathItem{dist: nd, node: u})
+	dist, parent, bott := ws.dist, ws.parent, ws.bott
+	dag := a.dags[t]
+	for i := len(dag.Order) - 1; i >= 0; i-- {
+		u := dag.Order[i]
+		best, p, b := math.Inf(1), int32(-1), math.Inf(1)
+		if int32(u) == t {
+			best = 0
+		} else {
+			for _, id := range dag.OutEdges(a.g, u) {
+				if d := dist[a.to[id]] + length[id]; d < best {
+					best, p = d, int32(id)
+				}
+			}
+			if p >= 0 {
+				b = min(a.cap[p], bott[a.to[p]])
 			}
 		}
+		dist[u], parent[u], bott[u] = best, p, b
 	}
-	ws.heap = h
-}
-
-// pathItem is one tentative distance label.
-type pathItem struct {
-	dist float64
-	node int32
-}
-
-// pathHeap is a binary min-heap of labels by dist. It takes exactly the
-// comparisons container/heap's up and down take, in the same order with
-// the same strict <, so equal keys pop in the order container/heap would
-// pop them — tie order picks shortest-path parents, and every flow
-// downstream of that (DESIGN.md §12). The sifts move a hole instead of
-// swapping, which leaves the same array.
-type pathHeap []pathItem
-
-func (h *pathHeap) push(x pathItem) {
-	s := append(*h, x)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !(x.dist < s[i].dist) {
-			break
-		}
-		s[j] = s[i]
-		j = i
-	}
-	s[j] = x
-	*h = s
-}
-
-func (h *pathHeap) pop() pathItem {
-	s := *h
-	n := len(s) - 1
-	top, x := s[0], s[n]
-	s = s[:n]
-	i := 0
-	for {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n {
-			// Right child when strictly smaller, without a branch to
-			// mispredict.
-			r := 0
-			if s[j2].dist < s[j].dist {
-				r = 1
-			}
-			j += r
-		}
-		if !(s[j].dist < x.dist) {
-			break
-		}
-		s[i] = s[j]
-		i = j
-	}
-	if n > 0 {
-		s[i] = x
-	}
-	*h = s
-	return top
 }

@@ -1,7 +1,6 @@
 package mcf
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -92,9 +91,8 @@ func sameBits(t *testing.T, label string, wantMLU float64, wantFlows [][]float64
 }
 
 // TestKernelMatchesReference: MLU and every flow of the kernel equal the
-// pre-kernel implementation (reference_test.go) bit for bit, with and
-// without DAGs, across the accuracy range, through Solve, MLU and the
-// one-shot wrapper.
+// reference oracle (reference_test.go) bit for bit on augmented DAGs,
+// across the accuracy range, through Solve, MLU and the one-shot wrapper.
 func TestKernelMatchesReference(t *testing.T) {
 	for name, g := range kernelGraphs(t) {
 		name, g := name, g
@@ -102,35 +100,34 @@ func TestKernelMatchesReference(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(11))
 			base := demand.Gravity(g, 1)
-			for _, dags := range [][]*dagx.DAG{nil, dagx.BuildAll(g, dagx.Augmented)} {
-				a := NewApprox(g, dags)
-				for _, eps := range []float64{0.05, 0.1, 0.4} {
-					D := randomCorner(base, rng)
-					if n := g.NumNodes(); eps < 0.1 && n > 30 {
-						// Phases grow like 1/eps²: keep the tight accuracy
-						// affordable on the big graphs.
-						D = restrictDestinations(D, 0, graph.NodeID(n/3), graph.NodeID(n-1))
-					}
-					label := fmt.Sprintf("dags=%v eps=%g", dags != nil, eps)
-					wantMLU, wantFlows, err := refMinMLUApprox(g, dags, D, eps)
-					if err != nil {
-						t.Fatalf("%s: reference: %v", label, err)
-					}
-					gotMLU, gotFlows, err := a.Solve(D, eps)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					sameBits(t, label, wantMLU, wantFlows, gotMLU, gotFlows)
-					valueOnly, err := a.MLU(D, eps, nil)
-					if err != nil || math.Float64bits(valueOnly) != math.Float64bits(wantMLU) {
-						t.Fatalf("%s: MLU() = %v, %v; reference %v", label, valueOnly, err, wantMLU)
-					}
-					oneMLU, oneFlows, err := MinMLUApprox(g, dags, D, eps)
-					if err != nil {
-						t.Fatalf("%s: one-shot: %v", label, err)
-					}
-					sameBits(t, label+" one-shot", wantMLU, wantFlows, oneMLU, oneFlows)
+			dags := dagx.BuildAll(g, dagx.Augmented)
+			a := NewApprox(g, dags)
+			for _, eps := range []float64{0.05, 0.1, 0.4} {
+				D := randomCorner(base, rng)
+				if n := g.NumNodes(); eps < 0.1 && n > 30 {
+					// Phases grow like 1/eps²: keep the tight accuracy
+					// affordable on the big graphs.
+					D = restrictDestinations(D, 0, graph.NodeID(n/3), graph.NodeID(n-1))
 				}
+				label := fmt.Sprintf("eps=%g", eps)
+				wantMLU, wantFlows, err := refMinMLUApprox(g, dags, D, eps)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
+				}
+				gotMLU, gotFlows, err := a.Solve(D, eps)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameBits(t, label, wantMLU, wantFlows, gotMLU, gotFlows)
+				valueOnly, err := a.MLU(D, eps, nil)
+				if err != nil || math.Float64bits(valueOnly) != math.Float64bits(wantMLU) {
+					t.Fatalf("%s: MLU() = %v, %v; reference %v", label, valueOnly, err, wantMLU)
+				}
+				oneMLU, oneFlows, err := MinMLUApprox(g, dags, D, eps)
+				if err != nil {
+					t.Fatalf("%s: one-shot: %v", label, err)
+				}
+				sameBits(t, label+" one-shot", wantMLU, wantFlows, oneMLU, oneFlows)
 			}
 		})
 	}
@@ -181,42 +178,6 @@ func TestApproxIndexReuse(t *testing.T) {
 	}
 }
 
-// TestPathHeapMirrorsContainerHeap: under random pushes and pops of keys
-// with many duplicates, the typed heap holds the same array as
-// container/heap after every operation, so it pops equal keys in the same
-// order.
-func TestPathHeapMirrorsContainerHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 200; round++ {
-		var typed pathHeap
-		ref := &distHeap{}
-		distinct := 1 + rng.Intn(6)
-		for op, next := 0, int32(0); op < 400; op++ {
-			if len(typed) == 0 || rng.Intn(5) < 3 {
-				key := float64(rng.Intn(distinct))
-				typed.push(pathItem{dist: key, node: next})
-				heap.Push(ref, distItem{node: graph.NodeID(next), dist: key})
-				next++
-			} else {
-				got := typed.pop()
-				want := heap.Pop(ref).(distItem)
-				if got.dist != want.dist || graph.NodeID(got.node) != want.node {
-					t.Fatalf("round %d op %d: popped (%v, node %d), container/heap (%v, node %d)",
-						round, op, got.dist, got.node, want.dist, want.node)
-				}
-			}
-			if len(typed) != ref.Len() {
-				t.Fatalf("round %d op %d: %d items, container/heap %d", round, op, len(typed), ref.Len())
-			}
-			for i, it := range typed {
-				if it.dist != (*ref)[i].dist || graph.NodeID(it.node) != (*ref)[i].node {
-					t.Fatalf("round %d op %d: slot %d differs from container/heap", round, op, i)
-				}
-			}
-		}
-	}
-}
-
 // TestApproxLengthOverflowIsUnroutable: a demand the OSPF-weight scaling
 // pass can route but whose only path has length δ/c = +Inf is reported as
 // ErrUnroutable, not as a failure to complete a phase after eight retries.
@@ -228,7 +189,7 @@ func TestApproxLengthOverflowIsUnroutable(t *testing.T) {
 	D := demand.NewMatrix(2)
 	D.Set(a, b, 1e-300)
 	before := GlobalApproxStats()
-	mlu, _, err := MinMLUApprox(g, nil, D, 0.4)
+	mlu, _, err := MinMLUApprox(g, dagx.BuildAll(g, dagx.Augmented), D, 0.4)
 	if !errors.Is(err, ErrUnroutable) || !math.IsInf(mlu, 1) {
 		t.Fatalf("got mlu=%v err=%v, want +Inf and ErrUnroutable", mlu, err)
 	}
@@ -239,7 +200,7 @@ func TestApproxLengthOverflowIsUnroutable(t *testing.T) {
 
 func TestApproxRejectsWrongSize(t *testing.T) {
 	g, _ := paperExample()
-	if _, err := NewApprox(g, nil).MLU(demand.NewMatrix(g.NumNodes()+1), 0.1, nil); err == nil {
+	if _, err := NewApprox(g, dagx.BuildAll(g, dagx.Augmented)).MLU(demand.NewMatrix(g.NumNodes()+1), 0.1, nil); err == nil {
 		t.Fatal("want an error for a matrix of the wrong dimension")
 	}
 }
@@ -260,7 +221,7 @@ func TestCheckEps(t *testing.T) {
 	D := demand.NewMatrix(g.NumNodes())
 	D.Set(ids["s1"], ids["t"], 1)
 	var ee *EpsError
-	if _, _, err := MinMLUApprox(g, nil, D, 0.5); !errors.As(err, &ee) || ee.Eps != 0.5 {
+	if _, _, err := MinMLUApprox(g, dagx.BuildAll(g, dagx.Augmented), D, 0.5); !errors.As(err, &ee) || ee.Eps != 0.5 {
 		t.Fatalf("MinMLUApprox(eps=0.5) error = %v, want *EpsError", err)
 	}
 }
@@ -282,6 +243,30 @@ func TestApproxWarmSolveAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("warm Approx.MLU allocates %.0f objects per solve, want ≤ 2", allocs)
 	}
+}
+
+// TestApproxOneShotAllocs: the one-shot MinMLUApprox — index, workspace and
+// flow rows built per call, the DAGs' out-edge lists reused — stays under a
+// fixed allocation count at the scale-ba42 shape (eps 0.4, the corners of a
+// margin-2 gravity box), the count the benchmark ledger reports as
+// mcf.fptas_allocs_per_solve.
+func TestApproxOneShotAllocs(t *testing.T) {
+	g, dags := ba42(t)
+	base := demand.Gravity(g, 1)
+	corners := []*demand.Matrix{base.Clone().Scale(2), base.Clone().Scale(0.5)}
+	i := 0
+	solve := func() {
+		if _, _, err := MinMLUApprox(g, dags, corners[i%len(corners)], 0.4); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	solve() // builds the DAGs' out-edge lists, which every later index shares
+	allocs := testing.AllocsPerRun(4, solve)
+	if allocs > 64 {
+		t.Fatalf("one-shot MinMLUApprox allocates %.0f objects per solve, want ≤ 64", allocs)
+	}
+	t.Logf("one-shot MinMLUApprox: %.0f allocations per solve", allocs)
 }
 
 // TestExactWarmSolveAllocs: re-targeting a warmed exact model and solving it
@@ -323,6 +308,87 @@ func TestExactWarmSolveAllocs(t *testing.T) {
 		t.Fatalf("exact SetDemands+SolveMLU allocates %.0f objects per solve, want ≤ 4", allocs)
 	}
 	t.Logf("exact SetDemands+SolveMLU: %.0f allocations per solve", allocs)
+}
+
+// tieLengths are the edge lengths FuzzApproxTree draws from: small values
+// that tie often, zero, subnormals, and values whose sums overflow to +Inf.
+var tieLengths = []float64{1, 1, 2, 0.5, 3, 0, 5e-324, 1e-310, 1e308, math.MaxFloat64}
+
+// FuzzApproxTree: on random graphs of at most 8 nodes with augmented DAGs,
+// the kernel's shortest-path tree toward every destination equals the
+// Bellman–Ford oracle's (spTree) bit for bit — dist and parent — under edge
+// lengths drawn from tieLengths, and bott is the least capacity on each tree
+// path; a solve of a random matrix on the same index finishes or reports
+// ErrUnroutable.
+func FuzzApproxTree(f *testing.F) {
+	f.Add([]byte{4, 1, 0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add([]byte{7, 0, 9, 200, 17, 33, 5, 61, 2, 0, 90, 14, 7, 255, 3, 8, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Add([]byte{2, 3, 0, 1, 1, 0, 5, 9, 6, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[0])%7
+		ring := data[1]%2 == 1
+		data = data[2:]
+		g := graph.New()
+		g.AddNodes(n)
+		// A ring of links when asked for, then a byte pair per edge: its
+		// endpoints, then its capacity (a subnormal and a huge value among
+		// them) and weight.
+		caps := []float64{1, 2, 1e-310, 1e300}
+		if ring {
+			for v := 0; v < n; v++ {
+				g.AddLink(graph.NodeID(v), graph.NodeID((v+1)%n), 1, 1)
+			}
+		}
+		for k := 0; len(data) >= 2 && k < 3*n; k++ {
+			from, to := int(data[0])%n, int(data[0]/8)%n
+			if from != to {
+				g.AddEdge(graph.NodeID(from), graph.NodeID(to), caps[data[1]%4], 1+float64(data[1]/4%3))
+			}
+			data = data[2:]
+		}
+		length := make([]float64, g.NumEdges())
+		for e := range length {
+			if e < len(data) {
+				length[e] = tieLengths[int(data[e])%len(tieLengths)]
+			} else {
+				length[e] = 1
+			}
+		}
+		dags := dagx.BuildAll(g, dagx.Augmented)
+		a := NewApprox(g, dags)
+		ws := a.pool.Get().(*workspace)
+		for dst := 0; dst < n; dst++ {
+			a.tree(ws, int32(dst), length)
+			dist, parent := spTree(g, graph.NodeID(dst), length, dags[dst].Member)
+			for u := 0; u < n; u++ {
+				if math.Float64bits(ws.dist[u]) != math.Float64bits(dist[u]) || graph.EdgeID(ws.parent[u]) != parent[u] {
+					t.Fatalf("toward %d: node %d has dist %v parent %d, oracle %v %d",
+						dst, u, ws.dist[u], ws.parent[u], dist[u], parent[u])
+				}
+				bott := math.Inf(1)
+				for v := graph.NodeID(u); parent[v] >= 0; v = g.Edge(parent[v]).To {
+					bott = min(bott, g.Edge(parent[v]).Capacity)
+				}
+				if math.Float64bits(ws.bott[u]) != math.Float64bits(bott) {
+					t.Fatalf("toward %d: node %d has bottleneck %v, path %v", dst, u, ws.bott[u], bott)
+				}
+			}
+		}
+		a.pool.Put(ws)
+		D := demand.NewMatrix(n)
+		for i, b := range data {
+			s, dst := (i/n)%n, i%n
+			if s != dst && b%3 != 0 {
+				D.Set(graph.NodeID(s), graph.NodeID(dst), float64(b)/16)
+			}
+		}
+		if _, _, err := a.Solve(D, 0.4); err != nil && !errors.Is(err, ErrUnroutable) {
+			t.Fatalf("solve: %v; want success or ErrUnroutable", err)
+		}
+	})
 }
 
 // TestApproxConcurrentSolves: concurrent solves on one index never share a

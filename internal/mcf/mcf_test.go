@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -141,19 +142,20 @@ func TestApproxUnroutable(t *testing.T) {
 	g.AddEdge(b, a, 1, 1)
 	D := demand.NewMatrix(2)
 	D.Set(a, b, 1)
-	if _, _, err := MinMLUApprox(g, nil, D, 0.1); err == nil {
+	if _, _, err := MinMLUApprox(g, dagx.BuildAll(g, dagx.Augmented), D, 0.1); err == nil {
 		t.Fatal("want unroutable error")
 	}
 }
 
 func TestZeroDemand(t *testing.T) {
 	g, _ := paperExample()
+	dags := dagx.BuildAll(g, dagx.Augmented)
 	D := demand.NewMatrix(g.NumNodes())
-	mlu, _, err := MinMLUExact(g, nil, D)
+	mlu, _, err := MinMLUExact(g, dags, D)
 	if err != nil || mlu != 0 {
 		t.Fatalf("zero demand: mlu=%g err=%v", mlu, err)
 	}
-	mlu, _, err = MinMLUApprox(g, nil, D, 0.1)
+	mlu, _, err = MinMLUApprox(g, dags, D, 0.1)
 	if err != nil || mlu != 0 {
 		t.Fatalf("zero demand approx: mlu=%g err=%v", mlu, err)
 	}
@@ -163,10 +165,11 @@ func TestApproxEpsValidation(t *testing.T) {
 	g, ids := paperExample()
 	D := demand.NewMatrix(g.NumNodes())
 	D.Set(ids["s1"], ids["t"], 1)
-	if _, _, err := MinMLUApprox(g, nil, D, 0); err == nil {
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	if _, _, err := MinMLUApprox(g, dags, D, 0); err == nil {
 		t.Fatal("eps=0 should be rejected")
 	}
-	if _, _, err := MinMLUApprox(g, nil, D, 0.9); err == nil {
+	if _, _, err := MinMLUApprox(g, dags, D, 0.9); err == nil {
 		t.Fatal("eps=0.9 should be rejected")
 	}
 }
@@ -176,11 +179,12 @@ func TestApproxMatchesExactRunningExample(t *testing.T) {
 	D := demand.NewMatrix(g.NumNodes())
 	D.Set(ids["s1"], ids["t"], 2)
 	D.Set(ids["s2"], ids["t"], 1)
-	exact, _, err := MinMLUExact(g, nil, D)
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	exact, _, err := MinMLUExact(g, dags, D)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, flows, err := MinMLUApprox(g, nil, D, 0.05)
+	approx, flows, err := MinMLUApprox(g, dags, D, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,20 +232,26 @@ func randomInstance(seed int64, maxN int) (*graph.Graph, *demand.Matrix) {
 	return g, D
 }
 
-// Property: the FPTAS never beats the exact optimum and stays within its
-// guarantee band; restricted to DAGs its flows stay inside the DAGs.
+// Property: on augmented DAGs the FPTAS never beats the exact optimum over
+// the same DAGs and stays within its guarantee band, and its flows conserve
+// D and carry nothing off the DAGs' member edges.
 func TestPropertyApproxVsExact(t *testing.T) {
 	f := func(seed int64) bool {
 		g, D := randomInstance(seed, 8)
 		if D.Total() == 0 {
 			return true
 		}
-		exact, _, err := MinMLUExact(g, nil, D)
+		dags := dagx.BuildAll(g, dagx.Augmented)
+		exact, _, err := MinMLUExact(g, dags, D)
 		if err != nil {
 			return true // skip pathological
 		}
-		approx, _, err := MinMLUApprox(g, nil, D, 0.05)
+		approx, flows, err := MinMLUApprox(g, dags, D, 0.05)
 		if err != nil {
+			return false
+		}
+		if err := checkFlows(g, dags, D, flows, 1e-9); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		if exact == 0 {
@@ -252,6 +262,53 @@ func TestPropertyApproxVsExact(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkFlows reports the first way flows fails to route D inside dags: a
+// row for a destination without demand (or none for one with demand),
+// flow on an edge outside the destination's DAG, or a node whose net
+// outflow toward a destination misses its demand by more than tol times
+// the column total (the destination absorbing the whole column).
+func checkFlows(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, flows [][]float64, tol float64) error {
+	n := g.NumNodes()
+	for dst := 0; dst < n; dst++ {
+		col := D.ToDestination(graph.NodeID(dst))
+		total := 0.0
+		for s, d := range col {
+			if s != dst {
+				total += d
+			}
+		}
+		row := flows[dst]
+		if (row == nil) != (total == 0) {
+			return fmt.Errorf("destination %d: flow row present %v, column total %v", dst, row != nil, total)
+		}
+		if row == nil {
+			continue
+		}
+		for e, fl := range row {
+			if fl != 0 && !dags[dst].Member[e] {
+				return fmt.Errorf("destination %d: flow %v on edge %d outside its DAG", dst, fl, e)
+			}
+		}
+		for u := 0; u < n; u++ {
+			net := 0.0
+			for _, id := range g.Out(graph.NodeID(u)) {
+				net += row[id]
+			}
+			for _, id := range g.In(graph.NodeID(u)) {
+				net -= row[id]
+			}
+			want := col[u]
+			if u == dst {
+				want = -total
+			}
+			if math.Abs(net-want) > tol*total {
+				return fmt.Errorf("destination %d: node %d net outflow %v, want %v", dst, u, net, want)
+			}
+		}
+	}
+	return nil
 }
 
 // Property: DAG-restricted optimum is never better than the unrestricted

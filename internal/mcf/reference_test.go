@@ -1,12 +1,15 @@
 package mcf
 
-// The reference oracle: the FPTAS exactly as production ran it before the
-// allocation-free kernel of approx.go — container/heap with boxed items,
-// per-tree allocations, graph.Edge copies — moved here verbatim. The kernel
-// must reproduce its MLU and flows bit for bit (TestKernelMatchesReference).
+// The reference oracle: the FPTAS as production ran it before the
+// allocation-free kernel of approx.go — per-tree allocations, graph.Edge
+// copies, two walks per path — moved here verbatim, except for its
+// shortest-path tree. spTree builds the tree by another algorithm than the
+// kernel's reverse topological pass: distances as a Bellman–Ford fixpoint,
+// parents picked afterwards by the kernel's rule. The kernel must reproduce
+// the oracle's MLU and flows bit for bit (TestKernelMatchesReference) and its
+// trees bit for bit (FuzzApproxTree).
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -88,7 +91,7 @@ func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (flo
 	for sumLC < 1 && phases < maxPhases {
 		for _, t := range dests {
 			allowed := allowedEdges(g, dags, graph.NodeID(t))
-			parent := spTree(g, graph.NodeID(t), length, allowed)
+			_, parent := spTree(g, graph.NodeID(t), length, allowed)
 			col := D.ToDestination(graph.NodeID(t))
 			for s := 0; s < n; s++ {
 				if col[s] <= 0 || s == t {
@@ -152,9 +155,12 @@ func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (flo
 }
 
 // spTree computes a shortest-path tree toward t under the given edge
-// lengths, restricted to allowed edges. parent[u] is the first edge of u's
-// shortest path (or -1 if unreachable / u == t).
-func spTree(g *graph.Graph, t graph.NodeID, length []float64, allowed []bool) []graph.EdgeID {
+// lengths, restricted to allowed edges, which must form a DAG. dist is the
+// Bellman–Ford fixpoint over the allowed edges (on a DAG, the one solution
+// of dist[u] = min over u's edges of dist[head] + length); parent[u] is the
+// first allowed edge in g.Out(u) order with dist[head] + length == dist[u]
+// (or -1 if unreachable / u == t).
+func spTree(g *graph.Graph, t graph.NodeID, length []float64, allowed []bool) ([]float64, []graph.EdgeID) {
 	n := g.NumNodes()
 	dist := make([]float64, n)
 	parent := make([]graph.EdgeID, n)
@@ -163,26 +169,30 @@ func spTree(g *graph.Graph, t graph.NodeID, length []float64, allowed []bool) []
 		parent[i] = -1
 	}
 	dist[t] = 0
-	pq := &distHeap{{node: t, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.dist > dist[it.node] {
-			continue
-		}
-		for _, id := range g.In(it.node) {
-			if !allowed[id] {
+	for changed := true; changed; {
+		changed = false
+		for _, e := range g.Edges() {
+			if !allowed[e.ID] || e.From == t {
 				continue
 			}
-			e := g.Edge(id)
-			nd := it.dist + length[id]
-			if nd < dist[e.From] {
-				dist[e.From] = nd
-				parent[e.From] = id
-				heap.Push(pq, distItem{node: e.From, dist: nd})
+			if d := dist[e.To] + length[e.ID]; d < dist[e.From] {
+				dist[e.From] = d
+				changed = true
 			}
 		}
 	}
-	return parent
+	for u := range parent {
+		if graph.NodeID(u) == t || math.IsInf(dist[u], 1) {
+			continue
+		}
+		for _, id := range g.Out(graph.NodeID(u)) {
+			if allowed[id] && dist[g.Edge(id).To]+length[id] == dist[u] {
+				parent[u] = id
+				break
+			}
+		}
+	}
+	return dist, parent
 }
 
 // singlePathMLU routes every demand along one shortest path (by OSPF
@@ -208,7 +218,7 @@ func singlePathMLU(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64,
 			continue
 		}
 		allowed := allowedEdges(g, dags, graph.NodeID(t))
-		parent := spTree(g, graph.NodeID(t), weights, allowed)
+		_, parent := spTree(g, graph.NodeID(t), weights, allowed)
 		for s := 0; s < n; s++ {
 			if col[s] <= 0 || s == t {
 				continue
@@ -230,23 +240,4 @@ func singlePathMLU(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64,
 		}
 	}
 	return mlu, nil
-}
-
-type distItem struct {
-	node graph.NodeID
-	dist float64
-}
-
-type distHeap []distItem
-
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }
