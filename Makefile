@@ -109,8 +109,8 @@ bench-counts:
 # fuzz-smoke runs each native fuzz target briefly — the CI gate that
 # malformed real-world topology and MPS files error instead of panicking
 # (and, for MPS, that everything parseable round-trips byte-stably; for
-# the sparse simplex, that cold and warm solves of decoded LPs match the
-# dense oracle on every engine path; for the min-MLU crash start, that it
+# the sparse simplex, that a cold solve and an edited warm re-solve of
+# decoded LPs match the dense oracle; for the min-MLU crash start, that it
 # reaches the all-logical start's optimum on small random graphs without a
 # solve error; for the FPTAS kernel, that its shortest-path trees match the
 # Bellman–Ford oracle bit for bit and a solve finishes or reports

@@ -362,9 +362,10 @@ func TestUpdateBoundsStartsFromCrashBasis(t *testing.T) {
 // TestSessionEventsRunNoPhase1OrDual: every exact OPTDAG normalization a
 // session event pays for starts from its matrix's crash basis, which is
 // primal feasible, so UpdateBounds (rescaled and widened boxes), Fail and
-// Recover run LP solves with no phase-1 and no dual pivots, whatever the
-// previous epoch left behind. The counters are process-global, so this
-// test must not run in parallel with others that reset them.
+// Recover run LP solves with no phase-1 pivots, whatever the previous epoch
+// left behind (the simplex has no dual phase, so no dual pivots either). The
+// counters are process-global, so this test must not run in parallel with
+// others that reset them.
 func TestSessionEventsRunNoPhase1OrDual(t *testing.T) {
 	s, base := newNSFSession(t, testCfg())
 	link := s.Base().Links()[0]
@@ -394,9 +395,9 @@ func TestSessionEventsRunNoPhase1OrDual(t *testing.T) {
 			t.Fatalf("%s: %v", ev.name, err)
 		}
 		st := lp.GlobalStats()
-		if st.Phase1Iterations != 0 || st.DualIterations != 0 || st.DualAttempts != 0 {
-			t.Errorf("%s: %d solves ran %d phase-1 and %d dual pivots (%d dual attempts), want none",
-				ev.name, st.Solves, st.Phase1Iterations, st.DualIterations, st.DualAttempts)
+		if st.Phase1Iterations != 0 {
+			t.Errorf("%s: %d solves ran %d phase-1 pivots, want none",
+				ev.name, st.Solves, st.Phase1Iterations)
 		}
 		if st.WarmHits != st.Solves || st.DenseFallbacks != 0 {
 			t.Errorf("%s: %d of %d solves started from their crash basis, %d numerical failures",

@@ -70,10 +70,10 @@ type luFactors struct {
 	cpos  []int32 // basis position → factorization column
 
 	// Scratch (the engine is single-threaded per solve), shared by both
-	// buffers of a luScratch: ftranLU's pivot-space vector, btranLU's two
-	// lanes and update's elimination accumulator. The last three are all
+	// buffers of a luScratch: ftranLU's pivot-space vector, btranLU's
+	// accumulator and update's elimination accumulator. The last two are
 	// zero between calls.
-	fwork, bwork, bwork2, ework []float64
+	fwork, bwork, ework []float64
 }
 
 // Forrest–Tomlin update limits. A factorization takes at most ftMaxUpdates
@@ -132,7 +132,7 @@ func newLUScratch(m int) *luScratch {
 		mark:   make([]int32, m),
 		corder: make([]int32, m),
 	}
-	fwork, bwork, bwork2, ework := make([]float64, m), make([]float64, m), make([]float64, m), make([]float64, m)
+	fwork, bwork, ework := make([]float64, m), make([]float64, m), make([]float64, m)
 	for i := range sc.bufs {
 		sc.bufs[i] = luFactors{
 			m:       m,
@@ -153,7 +153,6 @@ func newLUScratch(m int) *luScratch {
 			cpos:    make([]int32, m),
 			fwork:   fwork,
 			bwork:   bwork,
-			bwork2:  bwork2,
 			ework:   ework,
 		}
 	}
@@ -527,67 +526,6 @@ func (f *luFactors) btranLU(c, out []float64) {
 		val := f.lRowVal[lo:hi:hi]
 		for i, j := range idx {
 			w[j] -= val[i] * x
-		}
-	}
-}
-
-// btranLU2 is btranLU on two right-hand sides at once: lane 1 (c1 → out1)
-// and lane 2 (c2 → out2) each perform exactly btranLU's operations in its
-// order, sharing the index and value loads where both lanes are nonzero.
-func (f *luFactors) btranLU2(c1, c2, out1, out2 []float64) {
-	w1, w2 := f.bwork, f.bwork2
-	for _, k := range f.uOrder {
-		x1 := c1[f.cperm[k]] + w1[k]
-		x2 := c2[f.cperm[k]] + w2[k]
-		if x1 == 0 && x2 == 0 {
-			w1[k], w2[k] = 0, 0
-			continue
-		}
-		if x1 != 0 {
-			x1 /= f.uDiag[k]
-		}
-		if x2 != 0 {
-			x2 /= f.uDiag[k]
-		}
-		w1[k], w2[k] = x1, x2
-		lo, hi := f.rStart[k], f.rEnd[k]
-		scatter2(f.rCol[lo:hi], f.rVal[lo:hi:hi], w1, w2, x1, x2)
-	}
-	for t := len(f.etaPiv) - 1; t >= 0; t-- {
-		p := f.etaPiv[t]
-		if x1, x2 := w1[p], w2[p]; x1 != 0 || x2 != 0 {
-			lo, hi := f.etaPtr[t], f.etaPtr[t+1]
-			scatter2(f.etaIdx[lo:hi], f.etaVal[lo:hi:hi], w1, w2, x1, x2)
-		}
-	}
-	for k := f.m - 1; k >= 0; k-- {
-		x1, x2 := w1[k], w2[k]
-		w1[k], w2[k] = 0, 0
-		out1[f.prow[k]], out2[f.prow[k]] = x1, x2
-		if x1 != 0 || x2 != 0 {
-			lo, hi := f.lRowPtr[k], f.lRowPtr[k+1]
-			scatter2(f.lRowCol[lo:hi], f.lRowVal[lo:hi:hi], w1, w2, x1, x2)
-		}
-	}
-}
-
-// scatter2 subtracts x1·val from w1 and x2·val from w2 at idx, skipping a
-// lane whose multiplier is zero as the one-lane solves do; the caller skips
-// the call when both are.
-func scatter2(idx []int32, val []float64, w1, w2 []float64, x1, x2 float64) {
-	switch {
-	case x2 == 0:
-		for i, j := range idx {
-			w1[j] -= val[i] * x1
-		}
-	case x1 == 0:
-		for i, j := range idx {
-			w2[j] -= val[i] * x2
-		}
-	default:
-		for i, j := range idx {
-			w1[j] -= val[i] * x1
-			w2[j] -= val[i] * x2
 		}
 	}
 }

@@ -143,12 +143,12 @@ type SolveOptions struct {
 	// Basis warm-starts the solve from a previously returned Basis, or from
 	// one the caller built (mcf's crash basis). A basis whose shape no
 	// longer matches the model (or that has become singular) is ignored and
-	// the solve starts cold; Solution.Stats reports which happened. An accepted basis that bound/RHS edits have made primal
-	// infeasible while leaving it dual feasible is repaired by the dual
-	// simplex; everything else runs the primal two-phase path.
+	// the solve starts cold; Solution.Stats reports which happened. An
+	// accepted basis that bound/RHS edits have made primal infeasible is
+	// repaired by primal phase 1 before phase 2 runs.
 	Basis *Basis
 	// Ctx, when it carries an obs.Tracer, records one lp.solve span per
-	// call with the phase breakdown (iterations, warm/dual verdicts) as
+	// call with the phase breakdown (iterations, warm-start verdict) as
 	// attributes. Purely observational: it never affects the solve and is
 	// ignored (zero cost) when no tracer is attached.
 	Ctx context.Context
@@ -158,12 +158,9 @@ type SolveOptions struct {
 type SolveStats struct {
 	Iterations       int  // total simplex iterations (all phases)
 	Phase1Iterations int  // iterations spent restoring feasibility (primal phase 1)
-	DualIterations   int  // iterations spent in the dual simplex phase
 	Refactorizations int  // LU (re)factorizations, including the initial one
 	WarmAttempted    bool // a warm basis was supplied
 	WarmUsed         bool // ... and it was accepted
-	DualAttempted    bool // the dual simplex phase was entered
-	DualUsed         bool // ... and it ran to a verdict (no budget bailout)
 
 	// StabilityRefactorizations counts the refactorizations forced by a
 	// Forrest–Tomlin update failing its stability test (included in
@@ -268,22 +265,33 @@ func (m *Model) mergeDuplicates(p *spxProb) {
 // returned as the error and counted in the global stats; it should never
 // happen on the formulations in this repository.
 func (m *Model) Solve(opts *SolveOptions) (*Solution, error) {
-	if opts == nil {
-		return m.solve(nil, nil, methodAuto)
+	status, stats, err := m.run(opts)
+	if err != nil {
+		return nil, err
 	}
-	return m.solve(opts.Basis, opts.Ctx, methodAuto)
+	sol := &Solution{Status: status, Stats: stats}
+	if status == Optimal {
+		s := m.ws
+		sol.X = s.values()[:len(m.obj):len(m.obj)]
+		obj := m.objOffset
+		for j, c := range m.obj {
+			obj += c * sol.X[j]
+		}
+		sol.Objective = obj
+		sol.Basis = s.exportBasis()
+		// Duals are reported in the model's own sense: for Maximize the
+		// internal minimization multipliers are negated so weak duality
+		// reads the standard way.
+		sol.Duals = append([]float64(nil), m.RowDuals()...)
+	}
+	return sol, nil
 }
 
 // SolveObjective is Solve for callers that keep only the optimum: the same
 // solve, without the copies of X, Duals and the final Basis. The objective is
 // meaningful when the status is Optimal; RowDuals reads the vertex's duals.
 func (m *Model) SolveObjective(opts *SolveOptions) (float64, Status, error) {
-	var warm *Basis
-	var ctx context.Context
-	if opts != nil {
-		warm, ctx = opts.Basis, opts.Ctx
-	}
-	status, _, err := m.run(warm, ctx, methodAuto)
+	status, _, err := m.run(opts)
 	switch {
 	case err != nil:
 		return 0, 0, err
@@ -314,37 +322,17 @@ func (m *Model) RowDuals() []float64 {
 	return y
 }
 
-// solve is Solve with the simplex method chosen by the caller (see method).
-func (m *Model) solve(warm *Basis, ctx context.Context, meth method) (*Solution, error) {
-	status, stats, err := m.run(warm, ctx, meth)
-	if err != nil {
-		return nil, err
-	}
-	sol := &Solution{Status: status, Stats: stats}
-	if status == Optimal {
-		s := m.ws
-		sol.X = s.values()[:len(m.obj):len(m.obj)]
-		obj := m.objOffset
-		for j, c := range m.obj {
-			obj += c * sol.X[j]
-		}
-		sol.Objective = obj
-		sol.Basis = s.exportBasis()
-		// Duals are reported in the model's own sense: for Maximize the
-		// internal minimization multipliers are negated so weak duality
-		// reads the standard way.
-		sol.Duals = append([]float64(nil), m.RowDuals()...)
-	}
-	return sol, nil
-}
-
 // run drives the engine on the model's workspace. It returns the engine's
 // verdict with the final vertex left in m.ws for the caller to read, or the
 // engine's error when it failed numerically.
-func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Status, stats SolveStats, err error) {
+func (m *Model) run(opts *SolveOptions) (status Status, stats SolveStats, err error) {
+	var warm *Basis
 	var span *obs.Span
-	if ctx != nil {
-		_, span = obs.StartSpan(ctx, "lp.solve")
+	if opts != nil {
+		warm = opts.Basis
+		if opts.Ctx != nil {
+			_, span = obs.StartSpan(opts.Ctx, "lp.solve")
+		}
 	}
 	defer span.End()
 	m.atOptimum = false
@@ -364,29 +352,20 @@ func (m *Model) run(warm *Basis, ctx context.Context, meth method) (status Statu
 	if m.ws == nil || m.ws.m != p.a.m || m.ws.n != p.a.n {
 		m.ws = newSpx(p.a.m, p.a.n)
 	}
-	status, err = m.ws.run(p, warm, meth)
+	status, err = m.ws.run(p, warm)
 	stats = m.ws.stats
 	recordGlobalStats(stats)
 	if span != nil {
 		span.Attr("iterations", stats.Iterations).
 			Attr("phase1_iterations", stats.Phase1Iterations).
-			Attr("dual_iterations", stats.DualIterations).
 			Attr("refactorizations", stats.Refactorizations).
 			Attr("stability_refactorizations", stats.StabilityRefactorizations).
 			Attr("warm_attempted", stats.WarmAttempted).
-			Attr("warm_used", stats.WarmUsed).
-			Attr("dual_used", stats.DualUsed)
+			Attr("warm_used", stats.WarmUsed)
 	}
 	if err != nil {
 		mDenseFallbacks.Inc()
 		return 0, stats, err
-	}
-	if stats.DualAttempted && !stats.DualUsed {
-		// The dual phase hit its budget (anti-cycling bail) and the solve
-		// restarted from the primal path — worth a trace when hunting
-		// warm-start regressions, not worth a warning.
-		lpLog.Debug("dual simplex bailed to primal",
-			"dual_iterations", stats.DualIterations, "iterations", stats.Iterations)
 	}
 	span.Attr("status", status.String())
 	m.atOptimum = status == Optimal

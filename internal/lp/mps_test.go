@@ -125,8 +125,8 @@ func TestMPSRejectsNonFinite(t *testing.T) {
 }
 
 // TestMPSCorpus solves every checked-in stress instance to its known
-// optimum under the full engine matrix: auto-routed, forced primal, forced
-// dual and the dense oracle — plus a Write→Read round trip of each instance.
+// optimum on the sparse engine and the dense oracle — plus a Write→Read
+// round trip of each instance.
 func TestMPSCorpus(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "mps")
 	raw, err := os.ReadFile(filepath.Join(dir, "golden.json"))
@@ -161,13 +161,11 @@ func TestMPSCorpus(t *testing.T) {
 					t.Fatalf("%s: objective %.12g, want %.12g", label, obj, want)
 				}
 			}
-			for _, v := range engineMatrix {
-				sol, err := m.solve(nil, nil, v.meth)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(v.name, sol.Objective, sol.Status)
+			sol, err := m.Solve(nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			check("sparse", sol.Objective, sol.Status)
 			osol, err := m.SolveDense()
 			if err != nil {
 				t.Fatal(err)

@@ -39,20 +39,6 @@ type Basis struct {
 	NumVars int    // structural variables the basis was built for
 	NumRows int    // rows the basis was built for
 	Status  []int8 // len NumVars+NumRows
-
-	// DualStall is the auto router's memory of the dual phase giving up
-	// on this warm chain: set when an auto-routed dual attempt hits the
-	// degenerate-plateau bail-out. While set, the auto router never
-	// attempts the dual phase for this chain again — the stall is
-	// permanent under methodAuto, and every later warm solve of the chain
-	// repairs an infeasible basis with primal phase 1. Only a forced dual phase
-	// (methodDual), which ignores the flag, can make an attempt whose
-	// completion clears it. The trade: on models where warm restarts
-	// plateau (many zero-reduced-cost nonbasics at scale) every attempt
-	// pays the full bail budget before the primal phases finish the solve
-	// anyway, and chains where the dual phase wins never bail at all.
-	// Zero value = keep trying.
-	DualStall uint8
 }
 
 // Clone returns a deep copy.
@@ -60,7 +46,7 @@ func (b *Basis) Clone() *Basis {
 	if b == nil {
 		return nil
 	}
-	return &Basis{NumVars: b.NumVars, NumRows: b.NumRows, Status: append([]int8(nil), b.Status...), DualStall: b.DualStall}
+	return &Basis{NumVars: b.NumVars, NumRows: b.NumRows, Status: append([]int8(nil), b.Status...)}
 }
 
 // csc is a compressed-sparse-column matrix.
@@ -96,9 +82,8 @@ const (
 // a warm chain allocates only what it returns. Nothing numeric survives
 // from one solve to the next — statuses, positions and basic values are
 // rebuilt from the warm basis or the cold start, the first successful
-// factorization drops every update and row eta of the previous solve, the
-// dual phase restarts its Devex weights at 1 — so a solve is the same
-// function of (matrix, bounds, costs, warm basis) on a fresh workspace and
+// factorization drops every update and row eta of the previous solve — so
+// a solve is the same function of (matrix, bounds, costs, warm basis) on a fresh workspace and
 // on a used one (DESIGN.md §7).
 type spx struct {
 	p          *spxProb
@@ -112,8 +97,6 @@ type spx struct {
 	lu    *luFactors // the live buffer of luSc
 	luSc  *luScratch
 	stats SolveStats
-	// warmDualStall is the DualStall the solve inherited from its warm basis.
-	warmDualStall uint8
 
 	// scratch
 	work  []float64 // dense m
@@ -125,13 +108,6 @@ type spx struct {
 	spikeFor int32
 	y        []float64 // duals, original-row space
 	cB       []float64 // basic costs by position
-
-	// dual-phase scratch (dualIterate)
-	devex     []float64  // Devex reference weights, one per basis position
-	rho       []float64  // row of B⁻ᵀ, original-row space
-	unit      []float64  // ρ's btran input e_r, all zero between iterations
-	flipDelta []float64  // basic-value correction after flips
-	cands     []dualCand // ratio-test candidates
 }
 
 // colLo/colUp and colVal read the bounds and current nonbasic value of a
@@ -189,27 +165,18 @@ func newSpx(m, n int) *spx {
 		spikeFor:   -1,
 		y:          make([]float64, m),
 		cB:         make([]float64, m),
-		devex:      make([]float64, m),
-		rho:        make([]float64, m),
-		unit:       make([]float64, m),
-		flipDelta:  make([]float64, m),
 	}
 }
 
-// run solves p with the bounded-variable revised simplex: a dual phase when
-// the method (or methodAuto's warm-edit detection) calls for it, then the
-// primal two-phase loop, which doubles as the dual phase's cleanup and
-// verification pass (it terminates immediately on an already-optimal
-// basis). p must have the workspace's shape. On Optimal the final vertex
-// stays in the workspace for values, duals and exportBasis to read.
-func (s *spx) run(p *spxProb, warm *Basis, meth method) (Status, error) {
+// run solves p with the bounded-variable revised simplex: the primal
+// two-phase loop from the warm basis when it applies, else from the
+// all-logical one. p must have the workspace's shape. On Optimal the final
+// vertex stays in the workspace for values, duals and exportBasis to read.
+func (s *spx) run(p *spxProb, warm *Basis) (Status, error) {
 	s.p = p
 	s.stats = SolveStats{}
-	m := s.m
-	s.warmDualStall = 0
 	if warm != nil {
 		s.stats.WarmAttempted = true
-		s.warmDualStall = warm.DualStall
 	}
 	if warm != nil && s.tryWarmStart(warm) {
 		s.stats.WarmUsed = true
@@ -217,36 +184,6 @@ func (s *spx) run(p *spxProb, warm *Basis, meth method) (Status, error) {
 		s.coldStart()
 	}
 	s.computeXB()
-
-	useDual := false
-	if m > 0 {
-		switch meth {
-		case methodDual:
-			// Explicit request: flip nonbasic bounded columns onto their
-			// sign-correct bounds first; switch to the primal phases when
-			// that cannot reach dual feasibility.
-			useDual = s.flipToDualFeasible()
-		case methodAuto:
-			// The bound/RHS-edit signature: an accepted warm basis whose
-			// basic values violate the edited bounds but whose reduced
-			// costs still price optimal — unless this chain's dual
-			// attempts keep hitting the plateau bail (Basis.DualStall).
-			useDual = s.stats.WarmUsed && s.warmDualStall == 0 &&
-				s.infeasibility() > spxFeasTol && s.dualFeasible()
-		}
-	}
-	if useDual {
-		s.stats.DualAttempted = true
-		done, err := s.dualIterate()
-		if err != nil {
-			return 0, err
-		}
-		// An Infeasible verdict (dual unbounded) is NOT returned directly:
-		// the primal phase-1 pass below re-derives it from first
-		// principles, so a tolerance artifact in the dual ratio test can
-		// never misreport a feasible model.
-		s.stats.DualUsed = done
-	}
 	return s.iterate()
 }
 
@@ -271,21 +208,9 @@ func (s *spx) duals() []float64 {
 	return s.y
 }
 
-// exportBasis snapshots the final basis as a fresh copy, carrying the
-// dual-bail memory forward: an attempt that bailed sets it, a completed dual
-// phase clears it, and a solve that never attempted (cold, or already shut
-// off) passes the inherited value through. Under methodAuto a stalled chain
-// never attempts again, so only a forced dual phase can clear it.
+// exportBasis snapshots the final basis as a fresh copy.
 func (s *spx) exportBasis() *Basis {
-	ds := s.warmDualStall
-	if s.stats.DualAttempted {
-		if s.stats.DualUsed {
-			ds = 0
-		} else {
-			ds = 1
-		}
-	}
-	return &Basis{NumVars: s.n, NumRows: s.m, Status: append([]int8(nil), s.status...), DualStall: ds}
+	return &Basis{NumVars: s.n, NumRows: s.m, Status: append([]int8(nil), s.status...)}
 }
 
 func (s *spx) costOf(j int32) float64 {
@@ -441,14 +366,6 @@ func (s *spx) ftranAlpha(enter int32) {
 // in out in original-row space.
 func (s *spx) btran(c, out []float64) {
 	s.lu.btranLU(c, out)
-}
-
-// btran2 solves Bᵀ·y1 = c1 and Bᵀ·y2 = c2 in one pass over the factors.
-// Each lane performs exactly btran's operations in btran's order, so both
-// results equal two btran calls bit for bit; the lanes share the index and
-// value loads.
-func (s *spx) btran2(c1, c2, out1, out2 []float64) {
-	s.lu.btranLU2(c1, c2, out1, out2)
 }
 
 // infeasibility returns the total bound violation of the basic variables.

@@ -11,12 +11,9 @@ type StatsSnapshot struct {
 	Solves           uint64 // sparse solves attempted
 	Iterations       uint64 // total simplex iterations
 	Phase1Iterations uint64 // iterations spent restoring feasibility
-	DualIterations   uint64 // iterations spent in the dual simplex phase
 	Refactorizations uint64 // LU (re)factorizations
 	WarmAttempts     uint64 // solves offered a warm basis
 	WarmHits         uint64 // ... that accepted it
-	DualAttempts     uint64 // solves that entered the dual simplex phase
-	DualHits         uint64 // ... where it ran to a verdict
 	// DenseFallbacks counts solves the sparse engine failed numerically and
 	// returned as an error; the name predates the removal of the dense
 	// fallback and is kept because the benchmark reads it.
@@ -35,18 +32,12 @@ func (s StatsSnapshot) WarmHitRate() float64 {
 	return float64(s.WarmHits) / float64(s.WarmAttempts)
 }
 
-// DualHitRate is DualHits/DualAttempts, or 0 when the dual phase never ran.
-func (s StatsSnapshot) DualHitRate() float64 {
-	if s.DualAttempts == 0 {
-		return 0
-	}
-	return float64(s.DualHits) / float64(s.DualAttempts)
-}
-
 // The process-wide solver counters now live in the obs.Default metrics
 // registry (DESIGN.md §10) and are exported on GET /metrics as the
 // coyote_lp_* family; GlobalStats/ResetGlobalStats keep their historical
-// semantics by delegating to them.
+// semantics by delegating to them. The simplex has no dual phase; its three
+// coyote_lp_dual_* counters stay registered and read 0 because the benchmark
+// ledger reads them by name.
 var (
 	mSolves = obs.Default.NewCounter("coyote_lp_solves_total",
 		"Sparse simplex solves attempted.")
@@ -54,8 +45,8 @@ var (
 		"Simplex iterations across all phases.")
 	mPhase1 = obs.Default.NewCounter("coyote_lp_phase1_iterations_total",
 		"Iterations spent restoring primal feasibility (phase 1).")
-	mDualIterations = obs.Default.NewCounter("coyote_lp_dual_iterations_total",
-		"Iterations spent in the dual simplex phase.")
+	_ = obs.Default.NewCounter("coyote_lp_dual_iterations_total",
+		"Always 0: the simplex has no dual phase.")
 	mRefactorizations = obs.Default.NewCounter("coyote_lp_refactorizations_total",
 		"LU (re)factorizations of the basis matrix.")
 	mStabilityRefactorizations = obs.Default.NewCounter("coyote_lp_stability_refactorizations_total",
@@ -64,24 +55,18 @@ var (
 		"Solves offered a warm-start basis.")
 	mWarmHits = obs.Default.NewCounter("coyote_lp_warm_hits_total",
 		"Solves that accepted the offered warm-start basis.")
-	mDualAttempts = obs.Default.NewCounter("coyote_lp_dual_attempts_total",
-		"Solves that entered the dual simplex phase.")
-	mDualHits = obs.Default.NewCounter("coyote_lp_dual_hits_total",
-		"Dual simplex attempts that ran to a verdict.")
+	_ = obs.Default.NewCounter("coyote_lp_dual_attempts_total",
+		"Always 0: the simplex has no dual phase.")
+	_ = obs.Default.NewCounter("coyote_lp_dual_hits_total",
+		"Always 0: the simplex has no dual phase.")
 	mDenseFallbacks = obs.Default.NewCounter("coyote_lp_dense_fallbacks_total",
 		"Sparse-engine numerical failures returned as errors.")
 )
-
-// lpLog records the solver's dual-phase bailouts at debug. Ordinary solves
-// stay silent; the counters above carry the volume, and a numerical failure
-// reaches the caller as an error.
-var lpLog = obs.Scope("lp")
 
 func recordGlobalStats(s SolveStats) {
 	mSolves.Inc()
 	mIterations.Add(uint64(s.Iterations))
 	mPhase1.Add(uint64(s.Phase1Iterations))
-	mDualIterations.Add(uint64(s.DualIterations))
 	mRefactorizations.Add(uint64(s.Refactorizations))
 	mStabilityRefactorizations.Add(uint64(s.StabilityRefactorizations))
 	if s.WarmAttempted {
@@ -89,12 +74,6 @@ func recordGlobalStats(s SolveStats) {
 	}
 	if s.WarmUsed {
 		mWarmHits.Inc()
-	}
-	if s.DualAttempted {
-		mDualAttempts.Inc()
-	}
-	if s.DualUsed {
-		mDualHits.Inc()
 	}
 }
 
@@ -104,12 +83,9 @@ func GlobalStats() StatsSnapshot {
 		Solves:           mSolves.Value(),
 		Iterations:       mIterations.Value(),
 		Phase1Iterations: mPhase1.Value(),
-		DualIterations:   mDualIterations.Value(),
 		Refactorizations: mRefactorizations.Value(),
 		WarmAttempts:     mWarmAttempts.Value(),
 		WarmHits:         mWarmHits.Value(),
-		DualAttempts:     mDualAttempts.Value(),
-		DualHits:         mDualHits.Value(),
 		DenseFallbacks:   mDenseFallbacks.Value(),
 
 		StabilityRefactorizations: mStabilityRefactorizations.Value(),
@@ -121,8 +97,8 @@ func GlobalStats() StatsSnapshot {
 // restart, which its rate functions already handle.
 func ResetGlobalStats() {
 	for _, c := range []*obs.Counter{
-		mSolves, mIterations, mPhase1, mDualIterations, mRefactorizations, mStabilityRefactorizations,
-		mWarmAttempts, mWarmHits, mDualAttempts, mDualHits, mDenseFallbacks,
+		mSolves, mIterations, mPhase1, mRefactorizations, mStabilityRefactorizations,
+		mWarmAttempts, mWarmHits, mDenseFallbacks,
 	} {
 		c.Reset()
 	}

@@ -111,47 +111,6 @@ func factorDrift(s *spx, rng *rand.Rand) (float64, error) {
 	return drift, nil
 }
 
-// TestBtran2MatchesBtran: both lanes of the two-lane btran equal two single
-// btran calls bit for bit, over random bases carrying 0 … ftMaxUpdates
-// live updates.
-func TestBtran2MatchesBtran(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	live := 0
-	for trial := 0; trial < 4; trial++ {
-		mdl := networkModel(rng, 60, 180)
-		s := testSpx(mdl)
-		m := s.m
-		c1, c2 := make([]float64, m), make([]float64, m)
-		y1, y2 := make([]float64, m), make([]float64, m)
-		z1, z2 := make([]float64, m), make([]float64, m)
-		for step := 0; step <= 2*ftMaxUpdates; step++ {
-			for i := 0; i < m; i++ {
-				c1[i], c2[i] = 0, 0
-				if rng.Intn(3) == 0 {
-					c1[i] = rng.Float64()*2 - 1
-				}
-			}
-			c2[rng.Intn(m)] = 1 // the ρ lane: a unit vector
-			s.btran(c1, y1)
-			s.btran(c2, y2)
-			s.btran2(c1, c2, z1, z2)
-			for i := 0; i < m; i++ {
-				if math.Float64bits(y1[i]) != math.Float64bits(z1[i]) || math.Float64bits(y2[i]) != math.Float64bits(z2[i]) {
-					t.Fatalf("trial %d, step %d, row %d: btran2 = (%v, %v), btran = (%v, %v)",
-						trial, step, i, z1[i], z2[i], y1[i], y2[i])
-				}
-			}
-			if !pivotRandomly(s, rng) {
-				t.Fatalf("trial %d, step %d: no pivot found", trial, step)
-			}
-			live = max(live, len(s.lu.etaPiv))
-		}
-	}
-	if live != ftMaxUpdates {
-		t.Fatalf("at most %d live updates; the bases no longer reach the cap of %d", live, ftMaxUpdates)
-	}
-}
-
 // TestUpdateMatchesRefactorization: after every Forrest–Tomlin update the
 // factors solve like a fresh factorization of the same basis, to 1e-9
 // relative, across several refactorization boundaries of random pivot

@@ -50,6 +50,15 @@ func ResetGlobalApproxStats() {
 	}
 }
 
+// routeFloor is the scaled demand below which the FPTAS routes nothing more:
+// a phase stops routing a demand once what remains of it is at or under it.
+const routeFloor = 1e-15
+
+// errBelowFloor reports a solve whose demand scaling left every demand at or
+// under routeFloor — capacities so far apart that the scaling pass shrank
+// the matrix to nothing — so no phase could route anything.
+var errBelowFloor = errors.New("mcf: every demand scales to below the FPTAS routing floor (capacities too far apart)")
+
 // EpsError reports an FPTAS accuracy the scheme does not support.
 type EpsError struct{ Eps float64 }
 
@@ -313,6 +322,7 @@ func (a *Approx) run(ws *workspace, eps float64) (phases, trees int, err error) 
 		sumLC += delta
 	}
 	const maxPhases = 200000
+	routed := false // some chunk has been routed
 	for sumLC < 1 && phases < maxPhases {
 		for k, t := range ws.dests {
 			a.tree(ws, t, length)
@@ -330,7 +340,7 @@ func (a *Approx) run(ws *workspace, eps float64) (phases, trees int, err error) 
 				}
 				// The tree carries the path's bottleneck, so each chunk
 				// walks the path once.
-				for rem := col[s]; rem > 1e-15; {
+				for rem := col[s]; rem > routeFloor; {
 					f := rem // math.Min(rem, bott[s]): neither is NaN here
 					if ws.bott[s] < f {
 						f = ws.bott[s]
@@ -344,8 +354,14 @@ func (a *Approx) run(ws *workspace, eps float64) (phases, trees int, err error) 
 						u = a.to[id]
 					}
 					rem -= f
+					routed = true
 				}
 			}
+		}
+		if !routed {
+			// Every demand is at or under the floor: no phase can route
+			// anything or move the lengths.
+			return phases, trees, errBelowFloor
 		}
 		phases++
 		for i, f := range ws.phase {

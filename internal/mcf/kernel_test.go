@@ -198,6 +198,32 @@ func TestApproxLengthOverflowIsUnroutable(t *testing.T) {
 	}
 }
 
+// TestApproxCapacitySpread: on the path 0–1–2 with link 0–1 at capacity
+// 1e-20 (or the subnormal 1e-310) and link 1–2 at 1, unit demands 0→1 and
+// 1→2 scale to at or below the routing floor (to 0 when 1/c overflows), so
+// no phase routes anything. The solve must return a finite MLU or an error —
+// never MLU 0 or NaN with a nil error — and the reference oracle agrees.
+func TestApproxCapacitySpread(t *testing.T) {
+	for _, c := range []float64{1e-20, 1e-310} {
+		g := graph.New()
+		g.AddNodes(3)
+		g.AddLink(0, 1, c, 1)
+		g.AddLink(1, 2, 1, 1)
+		D := demand.NewMatrix(3)
+		D.Set(0, 1, 1)
+		D.Set(1, 2, 1)
+		dags := dagx.BuildAll(g, dagx.Augmented)
+		mlu, _, err := MinMLUApprox(g, dags, D, 0.4)
+		if err == nil && (math.IsNaN(mlu) || math.IsInf(mlu, 0) || mlu <= 0) {
+			t.Fatalf("capacity %g: MLU %v with a nil error", c, mlu)
+		}
+		refMLU, _, refErr := refMinMLUApprox(g, dags, D, 0.4)
+		if !errors.Is(refErr, err) || math.Float64bits(refMLU) != math.Float64bits(mlu) {
+			t.Fatalf("capacity %g: kernel %v (%v), reference %v (%v)", c, mlu, err, refMLU, refErr)
+		}
+	}
+}
+
 func TestApproxRejectsWrongSize(t *testing.T) {
 	g, _ := paperExample()
 	if _, err := NewApprox(g, dagx.BuildAll(g, dagx.Augmented)).MLU(demand.NewMatrix(g.NumNodes()+1), 0.1, nil); err == nil {
@@ -318,8 +344,8 @@ var tieLengths = []float64{1, 1, 2, 0.5, 3, 0, 5e-324, 1e-310, 1e308, math.MaxFl
 // the kernel's shortest-path tree toward every destination equals the
 // Bellman–Ford oracle's (spTree) bit for bit — dist and parent — under edge
 // lengths drawn from tieLengths, and bott is the least capacity on each tree
-// path; a solve of a random matrix on the same index finishes or reports
-// ErrUnroutable.
+// path; a solve of a random matrix on the same index finishes with a
+// positive, finite MLU or reports ErrUnroutable or the routing-floor error.
 func FuzzApproxTree(f *testing.F) {
 	f.Add([]byte{4, 1, 0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{7, 0, 9, 200, 17, 33, 5, 61, 2, 0, 90, 14, 7, 255, 3, 8, 128, 64, 32, 16, 8, 4, 2, 1})
@@ -385,8 +411,13 @@ func FuzzApproxTree(f *testing.F) {
 				D.Set(graph.NodeID(s), graph.NodeID(dst), float64(b)/16)
 			}
 		}
-		if _, _, err := a.Solve(D, 0.4); err != nil && !errors.Is(err, ErrUnroutable) {
-			t.Fatalf("solve: %v; want success or ErrUnroutable", err)
+		mlu, _, err := a.Solve(D, 0.4)
+		switch {
+		case errors.Is(err, ErrUnroutable), errors.Is(err, errBelowFloor):
+		case err != nil:
+			t.Fatalf("solve: %v; want success, ErrUnroutable or the routing-floor error", err)
+		case D.Total() > 0 && !(mlu > 0 && mlu < math.Inf(1)):
+			t.Fatalf("solve: MLU %v with a nil error", mlu)
 		}
 	})
 }

@@ -60,9 +60,9 @@ func MinMLUExact(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, [
 
 // MinMLUModel is the exact min-MLU LP kept mutable between solves: callers
 // edit demand RHS values in place (SetDemand, SetDemands) and re-solve —
-// SolveMLU from the crash basis of the demands it now holds, Solve from a
-// carried basis (repaired by the dual simplex when the edit left it primal
-// infeasible) or the all-logical one. A model re-targeted to D solves
+// SolveMLU from the crash basis of the demands it now holds (CrashBasis),
+// Solve from whichever basis the caller hands it, the crash basis included,
+// or the all-logical one. A model re-targeted to D solves
 // exactly as a model freshly built for D does, provided D has the active
 // destination set the model was shaped on (ShapedFor): the LP is then the
 // same matrix, bounds and costs, and the crash basis the same statuses. The
@@ -88,7 +88,7 @@ type MinMLUModel struct {
 	// row-major like demand.Matrix.D.
 	dem []float64
 
-	// The crash start (SolveMLU). tree[t·n+v] is the edge leaving v in
+	// The crash start (CrashBasis). tree[t·n+v] is the edge leaving v in
 	// destination t's BFS in-tree inside t's allowed edges, −1 when v cannot
 	// reach t there; order[t] lists the nodes the tree reaches, nearest to t
 	// first. crash is the status buffer the tree vertex is written into; load
@@ -257,9 +257,8 @@ func (mm *MinMLUModel) SetDemands(D *demand.Matrix) error {
 }
 
 // SetDemand moves the demand from s toward t to d by editing the
-// conservation row's RHS in place — the bound-only edit the dual simplex
-// warm restart is built for. The destination must have been active at
-// construction time.
+// conservation row's RHS in place; the next CrashBasis routes the new
+// demand. The destination must have been active at construction time.
 func (mm *MinMLUModel) SetDemand(s, t graph.NodeID, d float64) error {
 	if int(t) >= len(mm.DemandRow) || mm.DemandRow[t] == nil {
 		return fmt.Errorf("mcf: destination %d inactive in this formulation", t)
@@ -275,16 +274,12 @@ func (mm *MinMLUModel) SetDemand(s, t graph.NodeID, d float64) error {
 
 // SolveMLU solves for the optimal utilization alone — what a normalization
 // needs, without Solve's flow unpacking — starting from the crash basis of
-// the demands the model holds (crashStart), so phase 1 has nothing to do.
+// the demands the model holds (CrashBasis), so phase 1 has nothing to do.
 // The solve is a function of those demands alone: no basis is taken or
 // returned. An lp.solve span is recorded under ctx when it carries a tracer
 // (nil: untraced).
 func (mm *MinMLUModel) SolveMLU(ctx context.Context) (float64, error) {
-	opts := lp.SolveOptions{Ctx: ctx}
-	if mm.crashStart() {
-		opts.Basis = &mm.crash
-	}
-	mlu, status, err := mm.Model.SolveObjective(&opts)
+	mlu, status, err := mm.Model.SolveObjective(&lp.SolveOptions{Basis: mm.CrashBasis(), Ctx: ctx})
 	if err != nil {
 		return 0, fmt.Errorf("mcf: %w", err)
 	}
@@ -294,17 +289,17 @@ func (mm *MinMLUModel) SolveMLU(ctx context.Context) (float64, error) {
 	return mlu, nil
 }
 
-// crashStart writes the tree vertex of the demands the model holds into
-// mm.crash: every demand routed along its destination's in-tree (tree
-// columns basic), α basic at that routing's MLU with the bottleneck
-// capacity row tight (the lowest edge ID on a tie) and every other capacity
-// slack basic, conservation logicals nonbasic at their RHS except at the
-// nodes that cannot reach their destination, whose zero-demand rows keep
-// their logical basic. The vertex is primal feasible, so a solve from it
-// runs no phase 1. It reports false when a positive demand has no tree
-// path; the all-logical start then proves the model infeasible
-// (ErrUnroutable).
-func (mm *MinMLUModel) crashStart() bool {
+// CrashBasis writes the tree vertex of the demands the model holds into the
+// model's crash buffer and returns it: every demand routed along its
+// destination's in-tree (tree columns basic), α basic at that routing's MLU
+// with the bottleneck capacity row tight (the lowest edge ID on a tie) and
+// every other capacity slack basic, conservation logicals nonbasic at their
+// RHS except at the nodes that cannot reach their destination, whose
+// zero-demand rows keep their logical basic. The vertex is primal feasible, so a solve from it
+// runs no phase 1. It returns nil when a positive demand has no tree path;
+// the all-logical start then proves the model infeasible (ErrUnroutable).
+// The basis is the model's own buffer: the next CrashBasis overwrites it.
+func (mm *MinMLUModel) CrashBasis() *lp.Basis {
 	n := len(mm.active)
 	nv := mm.Model.NumVars()
 	status, logical := mm.crash.Status[:nv], mm.crash.Status[nv:]
@@ -326,7 +321,7 @@ func (mm *MinMLUModel) crashStart() bool {
 			case parent[v] >= 0:
 				logical[mm.DemandRow[t][v]] = lp.BasisLower
 			case mm.sub[v] > 0:
-				return false
+				return nil
 			default:
 				logical[mm.DemandRow[t][v]] = lp.BasisBasic
 			}
@@ -353,11 +348,11 @@ func (mm *MinMLUModel) crashStart() bool {
 		}
 	}
 	if bottleneck < 0 {
-		return false
+		return nil
 	}
 	logical[mm.CapRow[bottleneck]] = lp.BasisUpper
 	status[mm.Alpha] = lp.BasisBasic
-	return true
+	return &mm.crash
 }
 
 // Lengths writes the dual certificate of the solve that just finished into z

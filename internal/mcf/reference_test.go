@@ -39,7 +39,10 @@ func refMinMLUApprox(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps flo
 	for attempt := 0; attempt < 8; attempt++ {
 		scale := 1 / refMLU
 		scaled := D.Clone().Scale(scale)
-		mlu, flows, ok := gkRun(g, dags, scaled, eps)
+		mlu, flows, ok, err := gkRun(g, dags, scaled, eps)
+		if err != nil {
+			return math.Inf(1), nil, err
+		}
 		if !ok {
 			// Zero full phases completed: demands too large relative to the
 			// length budget; shrink and retry.
@@ -61,8 +64,8 @@ func refMinMLUApprox(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps flo
 }
 
 // gkRun executes the core multiplicative-weights loop. It reports ok=false
-// if no full phase completed.
-func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (float64, [][]float64, bool) {
+// if no full phase completed, and errBelowFloor if a phase routed nothing.
+func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (float64, [][]float64, bool, error) {
 	n := g.NumNodes()
 	m := g.NumEdges()
 	delta := (1 + eps) * math.Pow((1+eps)*float64(m), -1/eps)
@@ -88,6 +91,7 @@ func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (flo
 	}
 	phases := 0
 	maxPhases := 200000
+	routed := false
 	for sumLC < 1 && phases < maxPhases {
 		for _, t := range dests {
 			allowed := allowedEdges(g, dags, graph.NodeID(t))
@@ -98,7 +102,7 @@ func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (flo
 					continue
 				}
 				if parent[s] < 0 {
-					return 0, nil, false // unreachable (caller validated, so defensive)
+					return 0, nil, false, nil // unreachable (caller validated, so defensive)
 				}
 				rem := col[s]
 				for rem > 1e-15 {
@@ -121,8 +125,12 @@ func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (flo
 						u = e.To
 					}
 					rem -= f
+					routed = true
 				}
 			}
+		}
+		if !routed {
+			return 0, nil, false, errBelowFloor
 		}
 		phases++
 		for _, t := range dests {
@@ -133,7 +141,7 @@ func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (flo
 		}
 	}
 	if phases == 0 {
-		return 0, nil, false
+		return 0, nil, false, nil
 	}
 	inv := 1 / float64(phases)
 	mlu := 0.0
@@ -151,7 +159,7 @@ func gkRun(g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix, eps float64) (flo
 			mlu = u
 		}
 	}
-	return mlu, done, true
+	return mlu, done, true, nil
 }
 
 // spTree computes a shortest-path tree toward t under the given edge

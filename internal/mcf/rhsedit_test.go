@@ -12,14 +12,14 @@ import (
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
-// TestDualRestartBoundEditsProperty drives the online-controller contract
-// end to end on corpus-derived OPTDAG models: a random sequence of demand
-// (RHS) edits applied to a carried MinMLUModel must, after every edit,
-// reach the same optimum as a cold solve of the edited instance — and the
-// warm path, repaired by the dual simplex where the carried basis went
-// primal infeasible, must spend well under the ROADMAP target of 0.6× the
-// cold pivot count in aggregate.
-func TestDualRestartBoundEditsProperty(t *testing.T) {
+// TestCrashStartRHSEditsProperty drives the semi-oblivious Adapt contract
+// on corpus-derived OPTDAG models: one MinMLUModel carried through a random
+// sequence of demand (RHS) edits and solved from the crash basis of each
+// edited matrix must, after every edit, reach the optimum of a cold solve of
+// a model freshly built for that matrix (to 1e-6), with the crash basis
+// accepted and no phase-1 pivots — and, in aggregate, in under 0.6× the
+// cold solves' pivots.
+func TestCrashStartRHSEditsProperty(t *testing.T) {
 	for _, name := range []string{"NSF", "Abilene"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -33,16 +33,10 @@ func TestDualRestartBoundEditsProperty(t *testing.T) {
 			dags := dagx.BuildAll(g, dagx.Augmented)
 
 			mm := NewMinMLUModel(g, dags, D)
-			_, _, basis, err := mm.Solve(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			rng := rand.New(rand.NewSource(0x5eed + int64(n)))
 			cur := D.Clone()
 			const edits = 30
-			var warmIters, coldIters uint64
-			var dualHits uint64
+			var crashIters, coldIters uint64
 			for i := 0; i < edits; i++ {
 				// Edit 1–3 demand entries toward active destinations. Demands
 				// stay strictly positive so a cold rebuild of the edited
@@ -65,14 +59,15 @@ func TestDualRestartBoundEditsProperty(t *testing.T) {
 				}
 
 				lp.ResetGlobalStats()
-				warmMLU, _, nb, err := mm.Solve(&lp.SolveOptions{Basis: basis})
+				mlu, _, _, err := mm.Solve(&lp.SolveOptions{Basis: mm.CrashBasis()})
 				if err != nil {
-					t.Fatalf("edit %d warm: %v", i, err)
+					t.Fatalf("edit %d crash start: %v", i, err)
 				}
-				ws := lp.GlobalStats()
-				warmIters += ws.Iterations
-				dualHits += ws.DualHits
-				basis = nb
+				st := lp.GlobalStats()
+				if st.WarmHits != 1 || st.Phase1Iterations != 0 {
+					t.Fatalf("edit %d: crash-started solve %+v; want the basis accepted and no phase 1", i, st)
+				}
+				crashIters += st.Iterations
 
 				lp.ResetGlobalStats()
 				coldMLU, _, _, err := NewMinMLUModel(g, dags, cur).Solve(nil)
@@ -81,18 +76,14 @@ func TestDualRestartBoundEditsProperty(t *testing.T) {
 				}
 				coldIters += lp.GlobalStats().Iterations
 
-				if math.Abs(warmMLU-coldMLU) > 1e-6*(1+coldMLU) {
-					t.Fatalf("edit %d: warm MLU %.12g, cold %.12g", i, warmMLU, coldMLU)
+				if math.Abs(mlu-coldMLU) > 1e-6*(1+coldMLU) {
+					t.Fatalf("edit %d: crash-started MLU %.12g, cold %.12g", i, mlu, coldMLU)
 				}
 			}
-			if dualHits == 0 {
-				t.Fatalf("dual simplex never activated across %d random edits", edits)
-			}
-			ratio := float64(warmIters) / float64(coldIters)
-			t.Logf("%s: warm %d pivots vs cold %d over %d edits (ratio %.3f, dual hits %d)",
-				name, warmIters, coldIters, edits, ratio, dualHits)
+			ratio := float64(crashIters) / float64(coldIters)
+			t.Logf("%s: crash start %d pivots vs cold %d over %d edits (ratio %.3f)", name, crashIters, coldIters, edits, ratio)
 			if ratio >= 0.6 {
-				t.Fatalf("warm/cold pivot ratio %.3f; regression guard requires < 0.6", ratio)
+				t.Fatalf("crash/cold pivot ratio %.3f; regression guard requires < 0.6", ratio)
 			}
 		})
 	}

@@ -97,7 +97,7 @@ func TestAdversarySpanAccountsForCandidates(t *testing.T) {
 			for _, a := range rec.Attrs {
 				keys[a.Key] = true
 			}
-			for _, key := range []string{"phase1_iterations", "dual_iterations", "refactorizations", "stability_refactorizations"} {
+			for _, key := range []string{"phase1_iterations", "refactorizations", "stability_refactorizations"} {
 				if !keys[key] {
 					t.Fatalf("lp.solve span lacks the %q attribute: %+v", key, rec.Attrs)
 				}

@@ -34,12 +34,9 @@ func statsDelta(a, b lp.StatsSnapshot) lp.StatsSnapshot {
 		Solves:           b.Solves - a.Solves,
 		Iterations:       b.Iterations - a.Iterations,
 		Phase1Iterations: b.Phase1Iterations - a.Phase1Iterations,
-		DualIterations:   b.DualIterations - a.DualIterations,
 		Refactorizations: b.Refactorizations - a.Refactorizations,
 		WarmAttempts:     b.WarmAttempts - a.WarmAttempts,
 		WarmHits:         b.WarmHits - a.WarmHits,
-		DualAttempts:     b.DualAttempts - a.DualAttempts,
-		DualHits:         b.DualHits - a.DualHits,
 		DenseFallbacks:   b.DenseFallbacks - a.DenseFallbacks,
 	}
 }

@@ -19,11 +19,12 @@ const supportTol = 1e-3
 
 // buildSemiOblivious is the Kulfi-style middle ground: path sets come from
 // the COYOTE oblivious solution (robust to anything in the box), but the
-// *rates* on those paths are re-solved per observed matrix through the warm
-// MinMLUModel SetDemand/dual-restart path (~0.02× cold pivots, zero phase-1
-// iterations on RHS-edit re-solves). Adapt is never worse than the static
-// oblivious routing on the same matrix: the adapted solution is kept only
-// when it evaluates at least as well.
+// *rates* on those paths are re-solved per observed matrix on one
+// MinMLUModel, re-targeted by RHS edits and started from the crash basis of
+// that matrix (the in-tree vertex SolveMLU starts from): no phase-1 pivots,
+// and a result that depends on the matrix alone, never on earlier calls.
+// Adapt is never worse than the static oblivious routing on the same matrix:
+// the adapted solution is kept only when it evaluates at least as well.
 func buildSemiOblivious(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 	static, err := Coyote(g, box, cfg)
 	if err != nil {
@@ -50,11 +51,9 @@ func buildSemiOblivious(cfg Config, g *graph.Graph, box *demand.Box) (Plan, erro
 
 	// The rate LP is shaped on the box maximum so every destination that can
 	// ever see demand has its conservation rows; Adapt then only edits RHS
-	// values, which is exactly the bound-only change the dual-simplex warm
-	// restart repairs without any phase-1 work.
+	// values.
 	model := mcf.NewMinMLUModel(g, support, box.Max)
-	_, _, basis, err := model.Solve(nil)
-	if err != nil {
+	if _, err := model.SolveMLU(nil); err != nil {
 		return nil, fmt.Errorf("strategy: semi-oblivious rate LP infeasible at box max: %w", err)
 	}
 
@@ -63,7 +62,6 @@ func buildSemiOblivious(cfg Config, g *graph.Graph, box *demand.Box) (Plan, erro
 		support: support,
 		static:  static.Routing,
 		model:   model,
-		basis:   basis,
 		cost: Cost{
 			DAGEdges:  0,
 			Adaptive:  true,
@@ -84,7 +82,6 @@ type semiObliviousPlan struct {
 
 	mu    sync.Mutex
 	model *mcf.MinMLUModel
-	basis *lp.Basis
 }
 
 func (p *semiObliviousPlan) Route(*demand.Matrix) (*pdrouting.Routing, error) {
@@ -104,11 +101,10 @@ func (p *semiObliviousPlan) Adapt(dm *demand.Matrix) (*pdrouting.Routing, error)
 		// box never does.
 		return nil, fmt.Errorf("strategy: semi-oblivious Adapt: %w", err)
 	}
-	_, flows, basis, err := p.model.Solve(&lp.SolveOptions{Basis: p.basis})
+	_, flows, _, err := p.model.Solve(&lp.SolveOptions{Basis: p.model.CrashBasis()})
 	if err != nil {
 		return nil, fmt.Errorf("strategy: semi-oblivious rate re-solve: %w", err)
 	}
-	p.basis = basis
 
 	adapted := pdrouting.NewZero(p.g, p.support)
 	uniform := pdrouting.Uniform(p.g, p.support)

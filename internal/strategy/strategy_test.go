@@ -1,8 +1,8 @@
 // Tests for the strategy portfolio: registry sanity, the repo-wide
 // determinism contract (seed-deterministic, bit-identical at any Workers
 // count) extended to every registered strategy, the semi-oblivious
-// never-worse guarantee, and the warm-LP contract its Adapt path rides on
-// (RHS-edit re-solves finish with zero phase-1 iterations).
+// never-worse guarantee, and the LP contract its Adapt path rides on
+// (crash-started RHS-edit re-solves finish with zero phase-1 iterations).
 package strategy
 
 import (
@@ -187,9 +187,9 @@ func TestSemiObliviousNeverWorse(t *testing.T) {
 }
 
 // TestSemiObliviousWarmRestart pins the LP-layer contract the Adapt path is
-// built on: after the cold build solve, every per-matrix re-solve is a pure
-// RHS edit repaired by the dual simplex from the carried basis — zero
-// phase-1 iterations. Reads process-wide lp counters, so no t.Parallel.
+// built on: every per-matrix re-solve is a pure RHS edit started from the
+// crash basis of the new matrix, which is primal feasible — zero phase-1
+// iterations. Reads process-wide lp counters, so no t.Parallel.
 func TestSemiObliviousWarmRestart(t *testing.T) {
 	g, box, dms := fixture(t)
 	s, err := New("semi-oblivious", testConfig(0))
@@ -209,10 +209,10 @@ func TestSemiObliviousWarmRestart(t *testing.T) {
 	}
 	st := lp.GlobalStats()
 	if st.Solves == 0 {
-		t.Fatal("Adapt triggered no LP solves — warm-restart path not exercised")
+		t.Fatal("Adapt triggered no LP solves — crash-start path not exercised")
 	}
 	if st.Phase1Iterations != 0 {
-		t.Errorf("RHS-edit re-solves ran %d phase-1 iterations, want 0 (warm dual restart)",
+		t.Errorf("RHS-edit re-solves ran %d phase-1 iterations, want 0 (crash start)",
 			st.Phase1Iterations)
 	}
 }

@@ -31,12 +31,9 @@ func TestComputeWorkCounts(t *testing.T) {
 		Solves:           33,
 		Iterations:       766,
 		Phase1Iterations: 0,
-		DualIterations:   0,
 		Refactorizations: 33,
 		WarmAttempts:     33,
 		WarmHits:         33,
-		DualAttempts:     0,
-		DualHits:         0,
 		DenseFallbacks:   0,
 
 		StabilityRefactorizations: 0,
