@@ -159,25 +159,18 @@ func TestFig12Table(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("3 schemes expected, got %d", len(tab.Rows))
+	want := [][]string{
+		{"TE1", "50%", "0%", "50%", "33%", "0"},
+		{"TE2", "50%", "25%", "0%", "25%", "0"},
+		{"COYOTE", "0%", "0%", "0%", "0%", "2"},
 	}
-	// COYOTE row: all-zero drops, 2 fake nodes.
-	coyote := tab.Rows[2]
-	for _, c := range coyote[1:5] {
-		if c != "0%" {
-			t.Errorf("COYOTE cell %q, want 0%%", c)
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("%d schemes, want %d", len(tab.Rows), len(want))
+	}
+	for i, row := range want {
+		if got := strings.Join(tab.Rows[i], " "); got != strings.Join(row, " ") {
+			t.Errorf("row %d = %q, want %q", i, got, strings.Join(row, " "))
 		}
-	}
-	if coyote[5] != "2" {
-		t.Errorf("COYOTE fake nodes = %s, want 2", coyote[5])
-	}
-	// TE1 drops 50% in phases 1 and 3.
-	if tab.Rows[0][1] != "50%" || tab.Rows[0][3] != "50%" {
-		t.Errorf("TE1 phases = %v, want 50%% / 0%% / 50%%", tab.Rows[0][1:4])
-	}
-	if tab.Rows[1][2] != "25%" {
-		t.Errorf("TE2 phase 2 = %s, want 25%%", tab.Rows[1][2])
 	}
 }
 
