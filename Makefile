@@ -99,12 +99,14 @@ bench-e2e:
 # solves and pivots by phase, refactorizations, adversary calls, gpopt steps,
 # failover plans, fake nodes, par tasks, and mallocs per op within 2 % (the
 # list is in internal/tools/ledgercheck). A change that moves a count edits that file
-# and says why; wall clock is not looked at.
+# and says why; wall clock is not looked at. Every workload is run and checked,
+# so one report shows all differing rows; the target fails after the last one
+# if any run or row failed.
 bench-counts:
-	@set -e; for w in cold-geant online-nsf scale-ba42; do \
-		$(GO) run ./bench -workload $$w -seed 1 -seconds 1 -trace 1 -json bench-counts-$$w.json; \
-		$(GO) run ./internal/tools/ledgercheck testdata/ledger-counts.json bench-counts-$$w.json; \
-	done
+	@fail=0; for w in cold-geant online-nsf scale-ba42; do \
+		$(GO) run ./bench -workload $$w -seed 1 -seconds 1 -trace 1 -json bench-counts-$$w.json && \
+		$(GO) run ./internal/tools/ledgercheck testdata/ledger-counts.json bench-counts-$$w.json || fail=1; \
+	done; exit $$fail
 
 # fuzz-smoke runs each native fuzz target briefly — the CI gate that
 # malformed real-world topology and MPS files error instead of panicking

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -171,6 +172,25 @@ func TestFig12Table(t *testing.T) {
 		if got := strings.Join(tab.Rows[i], " "); got != strings.Join(row, " ") {
 			t.Errorf("row %d = %q, want %q", i, got, strings.Join(row, " "))
 		}
+	}
+}
+
+// TestFluidDropsGuard: a lone overloaded link drops its excess; two
+// overloaded links in series are refused, since the first would thin what
+// reaches the second.
+func TestFluidDropsGuard(t *testing.T) {
+	g := graph.New()
+	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
+	ab := g.AddEdge(a, b, 1, 1)
+	bc := g.AddEdge(b, c, 1, 1)
+	loads := make([]float64, g.NumEdges())
+	loads[ab], loads[bc] = 3, 0.5
+	if got, err := fluidDrops(g, loads); err != nil || got != 2 {
+		t.Fatalf("one overloaded link: dropped %g, err %v; want 2, nil", got, err)
+	}
+	loads[bc] = 2
+	if _, err := fluidDrops(g, loads); err == nil {
+		t.Fatal("two overloaded links in series: no error")
 	}
 }
 

@@ -3,8 +3,9 @@ package exp
 import (
 	"fmt"
 
+	"github.com/coyote-te/coyote/internal/demand"
+	"github.com/coyote-te/coyote/internal/fibbing"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/netsim"
 	"github.com/coyote-te/coyote/internal/ospf"
 )
 
@@ -12,122 +13,97 @@ import (
 // topology of Fig. 12a with two IP prefixes at t, the three 15-second
 // traffic phases (0,2), (1,1), (2,0) Mb/s, and the packet-drop rates of
 // the ECMP-achievable schemes TE1/TE2 versus COYOTE's per-prefix DAGs
-// (realized with a single Fibbing lie per prefix).
+// (realized with a single Fibbing lie per prefix). Each scheme is an OSPF
+// LSDB; its link loads are those of the forwarding SPF installs over it,
+// read back by fibbing.RealizedRouting.
 func fig12(cfg Config) (*Table, error) {
-	g := graph.New()
-	s1 := g.AddNode("s1")
-	s2 := g.AddNode("s2")
-	t := g.AddNode("t")
-	g.AddLink(s1, t, 1, 1)
-	g.AddLink(s2, t, 1, 1)
-	g.AddLink(s1, s2, 1, 1)
-
-	direct := func(from graph.NodeID) map[graph.EdgeID]float64 {
-		id, _ := g.FindEdge(from, t)
-		return map[graph.EdgeID]float64{id: 1}
+	// The routers of Fig. 12a, then t's two prefixes as stub nodes.
+	const s1, s2, t, t1, t2 graph.NodeID = 0, 1, 2, 3, 4
+	// lsdb builds the topology with unit capacities and weights, except
+	// the s1–t weight and the stub links, whose capacity no phase can fill.
+	lsdb := func(s1tWeight float64) *ospf.LSDB {
+		g := graph.New()
+		for _, name := range []string{"s1", "s2", "t", "t1", "t2"} {
+			g.AddNode(name)
+		}
+		g.AddLink(s1, t, 1, s1tWeight)
+		g.AddLink(s2, t, 1, 1)
+		g.AddLink(s1, s2, 1, 1)
+		g.AddLink(t, t1, 2, 1)
+		g.AddLink(t, t2, 2, 1)
+		return ospf.NewLSDB(g)
 	}
-	half := func(from, via graph.NodeID) map[graph.EdgeID]float64 {
-		d, _ := g.FindEdge(from, t)
-		v, _ := g.FindEdge(from, via)
-		return map[graph.EdgeID]float64{d: 0.5, v: 0.5}
+	// COYOTE: per-prefix DAGs — t1 splits at s1, t2 splits at s2. Each lie
+	// costs as much as the direct path, so the source splits evenly.
+	coyote := lsdb(1)
+	for _, f := range []ospf.FakeNode{
+		{Name: "lie-t1", Attached: s1, MapsTo: s2, Dest: t1, CostUp: 1, CostDown: 1},
+		{Name: "lie-t2", Attached: s2, MapsTo: s1, Dest: t2, CostUp: 1, CostDown: 1},
+	} {
+		if err := coyote.Inject(f); err != nil {
+			return nil, err
+		}
 	}
-
-	type scheme struct {
-		name   string
-		splits map[string]map[graph.NodeID]map[graph.EdgeID]float64
+	schemes := []struct {
+		name string
+		db   *ospf.LSDB
+	}{
+		// TE1: both sources route everything on the direct link.
+		{"TE1", lsdb(1)},
+		// TE2: s1 splits by ECMP (same DAG for both prefixes), s2 direct.
+		{"TE2", lsdb(2)},
+		{"COYOTE", coyote},
 	}
-	schemes := []scheme{
-		{
-			// TE1: both sources route everything on the direct link.
-			name: "TE1",
-			splits: map[string]map[graph.NodeID]map[graph.EdgeID]float64{
-				"t1": {s1: direct(s1), s2: direct(s2)},
-				"t2": {s1: direct(s1), s2: direct(s2)},
-			},
-		},
-		{
-			// TE2: s1 splits (same DAG for both prefixes), s2 direct.
-			name: "TE2",
-			splits: map[string]map[graph.NodeID]map[graph.EdgeID]float64{
-				"t1": {s1: half(s1, s2), s2: direct(s2)},
-				"t2": {s1: half(s1, s2), s2: direct(s2)},
-			},
-		},
-		{
-			// COYOTE: per-prefix DAGs — t1 splits at s1, t2 splits at s2.
-			name: "COYOTE",
-			splits: map[string]map[graph.NodeID]map[graph.EdgeID]float64{
-				"t1": {s1: half(s1, s2), s2: direct(s2)},
-				"t2": {s2: half(s2, s1), s1: direct(s1)},
-			},
-		},
-	}
+	// Mb/s from s1 to t1 and from s2 to t2 in each phase.
+	phases := [3][2]float64{{0, 2}, {1, 1}, {2, 0}}
 
 	out := &Table{
 		Title:   "Fig. 12 — prototype emulation: packet drop rate per 15 s phase",
 		Columns: []string{"scheme", "phase(0,2)", "phase(1,1)", "phase(2,0)", "cumulative", "fake nodes"},
 	}
 	for _, sc := range schemes {
-		sim := netsim.New(g)
-		for prefix, split := range sc.splits {
-			if err := sim.AddPrefix(&netsim.PrefixRouting{Prefix: prefix, Owner: t, Split: split}); err != nil {
-				return nil, err
-			}
-		}
-		if err := sim.AddFlow(&netsim.Flow{Name: "s1-t1", Src: s1, Prefix: "t1", Rate: netsim.PhaseRate(15, 0, 1, 2)}); err != nil {
-			return nil, err
-		}
-		if err := sim.AddFlow(&netsim.Flow{Name: "s2-t2", Src: s2, Prefix: "t2", Rate: netsim.PhaseRate(15, 2, 1, 0)}); err != nil {
-			return nil, err
-		}
-		stats, err := sim.Run(45, 1)
+		r, err := fibbing.RealizedRouting(sc.db)
 		if err != nil {
 			return nil, err
 		}
-		var phases [3]string
-		for p := 0; p < 3; p++ {
-			var sent, dropped float64
-			for _, st := range stats {
-				if st.Time >= float64(p*15) && st.Time < float64((p+1)*15) {
-					sent += st.Sent
-					dropped += st.Dropped
-				}
+		row := []string{sc.name}
+		var sent, dropped float64
+		for _, rates := range phases {
+			D := demand.NewMatrix(sc.db.G.NumNodes())
+			D.Set(s1, t1, rates[0])
+			D.Set(s2, t2, rates[1])
+			drop, err := fluidDrops(sc.db.G, r.LinkLoads(D))
+			if err != nil {
+				return nil, fmt.Errorf("fig12 %s: %w", sc.name, err)
 			}
-			rate := 0.0
-			if sent > 0 {
-				rate = dropped / sent
-			}
-			phases[p] = fmt.Sprintf("%.0f%%", 100*rate)
+			row = append(row, fmt.Sprintf("%.0f%%", 100*drop/D.Total()))
+			sent += D.Total()
+			dropped += drop
 		}
-		fakes := 0
-		if sc.name == "COYOTE" {
-			fakes = coyoteFig12Lies(g, s1, s2, t)
-		}
-		out.AddRow(sc.name, phases[0], phases[1], phases[2],
-			fmt.Sprintf("%.0f%%", 100*netsim.CumulativeDropRate(stats)), fmt.Sprintf("%d", fakes))
+		out.AddRow(append(row, fmt.Sprintf("%.0f%%", 100*dropped/sent), fmt.Sprint(sc.db.NumFakeNodes()))...)
 	}
 	return out, nil
 }
 
-// coyoteFig12Lies builds the actual lie set of §VII — one fake node per
-// prefix attracting half of the splitting source's traffic to the detour —
-// and returns how many fake nodes the LSDB needs (verifying the realized
-// splits along the way; it panics on a modeling bug, as this is a fixed
-// tiny instance).
-func coyoteFig12Lies(g *graph.Graph, s1, s2, t graph.NodeID) int {
-	db := ospf.NewLSDB(g)
-	// Prefix t1: s1 must split between its two equal-cost paths (direct
-	// cost 1, via s2 cost 2): tie them by lying that t1 is reachable via a
-	// fake neighbor mapping to s2 at total cost 1.
-	if err := db.Inject(ospf.FakeNode{Name: "lie-t1", Attached: s1, MapsTo: s2, Dest: t, CostUp: 0.5, CostDown: 0.5}); err != nil {
-		panic(err)
+// fluidDrops returns the traffic that tail-dropping links lose under the
+// offered loads, Σ_e max(0, load_e − c_e). The sum is exact only while no
+// traffic crosses two overloaded links (the first one thins what reaches the
+// second), so an overloaded link whose head forwards onto another overloaded
+// link is an error.
+func fluidDrops(g *graph.Graph, loads []float64) (float64, error) {
+	over := func(id graph.EdgeID) bool { return loads[id] > g.Edge(id).Capacity }
+	dropped := 0.0
+	for _, e := range g.Edges() {
+		if !over(e.ID) {
+			continue
+		}
+		for _, next := range g.Out(e.To) {
+			if over(next) {
+				return 0, fmt.Errorf("overloaded links %s→%s and %s→%s in series",
+					g.Name(e.From), g.Name(e.To), g.Name(e.To), g.Name(g.Edge(next).To))
+			}
+		}
+		dropped += loads[e.ID] - e.Capacity
 	}
-	fibs := db.SPF(t)
-	r := fibs[s1].Ratios()
-	if r[s2] != 0.5 || r[t] != 0.5 {
-		panic(fmt.Sprintf("fig12 lie did not realize a half split: %v", r))
-	}
-	// The t2 lie is symmetric (attached at s2, mapping to s1); per-prefix
-	// scoping means the two lies live in distinct prefix LSAs.
-	return 2
+	return dropped, nil
 }

@@ -242,22 +242,42 @@ func Verify(g *graph.Graph, q *wcmp.QuantizedRouting, syn *Synthesis) error {
 	return nil
 }
 
-// RealizedRouting reconstructs the PD routing that the augmented LSDB
-// induces (for end-to-end verification and for feeding the emulator): each
-// router's splitting ratios are its realized FIB ratios.
-func RealizedRouting(g *graph.Graph, dags []*dagx.DAG, syn *Synthesis) ([]map[graph.NodeID]map[graph.NodeID]float64, error) {
-	out := make([]map[graph.NodeID]map[graph.NodeID]float64, g.NumNodes())
-	for t := 0; t < g.NumNodes(); t++ {
+// RealizedRouting reads back the PD routing that SPF over db installs. Per
+// destination, the edges the routers' FIBs forward on form the DAG (a
+// forwarding loop is an error) and each router's splitting ratios are its
+// FIB ratios. A FIB names next-hop routers, so the edge toward next hop v is
+// g.FindEdge(u, v), as it is for a fake node's MapsTo.
+func RealizedRouting(db *ospf.LSDB) (*pdrouting.Routing, error) {
+	g := db.G
+	r := pdrouting.NewZero(g, make([]*dagx.DAG, g.NumNodes()))
+	for t := range r.DAGs {
 		dest := graph.NodeID(t)
-		fibs := syn.LSDB.SPF(dest)
-		m := make(map[graph.NodeID]map[graph.NodeID]float64)
-		for u := 0; u < g.NumNodes(); u++ {
-			if fibs[u] == nil {
+		fibs := db.SPF(dest)
+		member := make([]bool, g.NumEdges())
+		for u, fib := range fibs {
+			for v := range fib {
+				id, _ := g.FindEdge(graph.NodeID(u), v)
+				member[id] = true
+			}
+		}
+		d, err := dagx.FromEdges(g, dest, member)
+		if err != nil {
+			return nil, fmt.Errorf("fibbing: forwarding loop: %w", err)
+		}
+		r.DAGs[t] = d
+		for u, fib := range fibs {
+			if fib == nil {
 				continue
 			}
-			m[graph.NodeID(u)] = fibs[u].Ratios()
+			ratios := make(map[graph.EdgeID]float64, len(fib))
+			for v, x := range fib.Ratios() {
+				id, _ := g.FindEdge(graph.NodeID(u), v)
+				ratios[id] = x
+			}
+			if err := r.SetRatios(dest, graph.NodeID(u), ratios); err != nil {
+				return nil, err
+			}
 		}
-		out[t] = m
 	}
-	return out, nil
+	return r, nil
 }

@@ -10,8 +10,11 @@ import (
 	"testing/quick"
 
 	"github.com/coyote-te/coyote/internal/dagx"
+	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/obs"
+	"github.com/coyote-te/coyote/internal/ospf"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/topo"
 	"github.com/coyote-te/coyote/internal/wcmp"
@@ -198,12 +201,79 @@ func TestSynthesizeOnCorpus(t *testing.T) {
 	if err := Verify(g, q, syn); err != nil {
 		t.Fatalf("Abilene verification failed: %v", err)
 	}
-	rr, err := RealizedRouting(g, dags, syn)
+	readBack(t, q, syn)
+}
+
+// readBack reads the forwarding SPF installs over syn's LSDB back as a
+// routing and requires its ratios to be q's on every (destination, edge).
+func readBack(t *testing.T, q *wcmp.QuantizedRouting, syn *Synthesis) *pdrouting.Routing {
+	t.Helper()
+	rr, err := RealizedRouting(syn.LSDB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rr) != g.NumNodes() {
-		t.Fatalf("RealizedRouting returned %d destinations", len(rr))
+	for dst, phi := range q.Routing.Phi {
+		for e, want := range phi {
+			if got := rr.Phi[dst][e]; math.Abs(got-want) > 1e-12 {
+				t.Fatalf("toward %d, edge %d: realized ratio %g, quantized %g", dst, e, got, want)
+			}
+		}
+	}
+	return rr
+}
+
+// TestRealizedRoutingReadsBackCoyote: a COYOTE routing, quantized and turned
+// into lies, reads back from SPF over the lies as the quantized routing — the
+// same ratios, and the same MLU on every critical matrix of the run.
+func TestRealizedRoutingReadsBackCoyote(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus COYOTE runs in -short mode")
+	}
+	for _, name := range []string{"Abilene", "NSF", "Geant"} {
+		t.Run(name, func(t *testing.T) {
+			g := topo.MustLoad(name)
+			box := demand.MarginBox(demand.Gravity(g, 1), 2)
+			ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), box, oblivious.EvalConfig{Samples: 2, Seed: 7})
+			// The optimizer's own splitting: on Geant the ECMP guarantee
+			// returns ECMP instead, which needs no lies to read back.
+			_, rep := ev.Optimize(oblivious.Options{OptIters: 40, AdvIters: 1})
+			q, err := wcmp.Apply(rep.Warm.Routing(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syn, err := Synthesize(g, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if syn.FakeNodes == 0 {
+				t.Fatal("no lies to read back")
+			}
+			rr := readBack(t, q, syn)
+			for i, D := range rep.Critical {
+				want, got := q.Routing.MaxUtilization(D), rr.MaxUtilization(D)
+				if math.Abs(got-want) > 1e-12*want {
+					t.Errorf("critical matrix %d: realized MLU %.17g, quantized %.17g", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRealizedRoutingRejectsLoop: lies that make two routers forward to each
+// other toward a destination are a forwarding loop, not a routing.
+func TestRealizedRoutingRejectsLoop(t *testing.T) {
+	g, ids := fig1(t)
+	db := ospf.NewLSDB(g)
+	for _, f := range []ospf.FakeNode{
+		{Name: "s1-to-v", Attached: ids["s1"], MapsTo: ids["v"], Dest: ids["t"], CostUp: 0.1, CostDown: 0.1},
+		{Name: "v-to-s1", Attached: ids["v"], MapsTo: ids["s1"], Dest: ids["t"], CostUp: 0.1, CostDown: 0.1},
+	} {
+		if err := db.Inject(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := RealizedRouting(db); err == nil {
+		t.Fatal("a forwarding loop read back without an error")
 	}
 }
 

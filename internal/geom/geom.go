@@ -10,29 +10,8 @@ package geom
 
 import "math"
 
-// LogSumExp computes log(Σ exp(v_i)) stably.
-func LogSumExp(v []float64) float64 {
-	if len(v) == 0 {
-		return math.Inf(-1)
-	}
-	mx := v[0]
-	for _, x := range v[1:] {
-		if x > mx {
-			mx = x
-		}
-	}
-	if math.IsInf(mx, -1) {
-		return mx
-	}
-	s := 0.0
-	for _, x := range v {
-		s += math.Exp(x - mx)
-	}
-	return mx + math.Log(s)
-}
-
 // Softmax writes exp(v_i − max)/Σ into out (allocating if nil) and returns
-// it. It is the gradient of LogSumExp and the reparameterization the
+// it. It is the gradient of log-sum-exp and the reparameterization the
 // splitting-ratio optimizer uses to keep Σφ = 1 exactly — the normalized
 // monomial family produced by the paper's condensation of the
 // splitting-ratio constraint.

@@ -7,17 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestLogSumExpStable(t *testing.T) {
-	// Large values must not overflow.
-	v := []float64{1000, 1000}
-	if got := LogSumExp(v); math.Abs(got-(1000+math.Log(2))) > 1e-9 {
-		t.Fatalf("LogSumExp = %g, want %g", got, 1000+math.Log(2))
-	}
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Fatalf("LogSumExp(nil) = %g, want -Inf", got)
-	}
-}
-
 func TestSoftmaxNormalized(t *testing.T) {
 	v := []float64{0.5, -1, 2}
 	p := Softmax(v, nil)

@@ -70,15 +70,6 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 	return context.WithValue(ctx, tracerKey{}, t)
 }
 
-// TracerFrom returns the context's tracer, or nil.
-func TracerFrom(ctx context.Context) *Tracer {
-	if ctx == nil {
-		return nil
-	}
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return t
-}
-
 // StartSpan opens a span named name under the context's current span (if
 // any) and returns a derived context carrying the new span. When the
 // context is nil or carries no tracer it returns (ctx, nil) without

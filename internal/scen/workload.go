@@ -169,23 +169,3 @@ func TimeOfDay(box *demand.Box, steps int, jitter float64, seed int64) []*demand
 	}
 	return out
 }
-
-// SampleBox draws one uniform sample from an uncertainty box: every entry
-// independently uniform in [min, max]. Adversarial corners stress the
-// worst case; uniform samples stress the typical one.
-func SampleBox(box *demand.Box, seed int64) *demand.Matrix {
-	rng := rand.New(rand.NewSource(seed))
-	n := box.Min.N
-	m := demand.NewMatrix(n)
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			if s == d {
-				continue
-			}
-			lo := box.Min.At(graph.NodeID(s), graph.NodeID(d))
-			hi := box.Max.At(graph.NodeID(s), graph.NodeID(d))
-			m.Set(graph.NodeID(s), graph.NodeID(d), lo+rng.Float64()*(hi-lo))
-		}
-	}
-	return m
-}

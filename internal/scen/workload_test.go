@@ -149,18 +149,3 @@ func TestTimeOfDayStaysInsideBox(t *testing.T) {
 		t.Errorf("diurnal swing too flat: total range [%g, %g]", lo, hi)
 	}
 }
-
-func TestSampleBoxInsideAndDeterministic(t *testing.T) {
-	g := testGraph(t)
-	box := demand.MarginBox(demand.Gravity(g, 1), 3)
-	m := SampleBox(box, 11)
-	if !box.Contains(m) {
-		t.Error("sample leaves the box")
-	}
-	if !sameMatrix(m, SampleBox(box, 11)) {
-		t.Error("not deterministic in seed")
-	}
-	if sameMatrix(m, SampleBox(box, 12)) {
-		t.Error("different seeds should differ")
-	}
-}

@@ -143,28 +143,3 @@ func AllDestinations(g *graph.Graph) []*Tree {
 	}
 	return trees
 }
-
-// HopDistance computes hop-count distances (unit weights) toward dst; used
-// for the path-stretch metric of Fig. 11, which measures hops rather than
-// OSPF cost.
-func HopDistance(g *graph.Graph, dst graph.NodeID) []float64 {
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[dst] = 0
-	queue := []graph.NodeID{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, id := range g.In(v) {
-			u := g.Edge(id).From
-			if dist[u] == Inf {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
-}

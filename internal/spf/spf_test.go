@@ -95,14 +95,6 @@ func TestUnreachable(t *testing.T) {
 	}
 }
 
-func TestHopDistance(t *testing.T) {
-	g, ids := paperExample()
-	hd := HopDistance(g, ids["t"])
-	if hd[ids["s1"]] != 2 || hd[ids["s2"]] != 1 || hd[ids["v"]] != 1 || hd[ids["t"]] != 0 {
-		t.Fatalf("hop distances wrong: %v", hd)
-	}
-}
-
 func TestAllDestinations(t *testing.T) {
 	g, _ := paperExample()
 	trees := AllDestinations(g)
