@@ -18,7 +18,8 @@ vet:
 
 # race skips the allocation guards (mcf.TestApproxWarmSolveAllocs,
 # mcf.TestExactWarmSolveAllocs, gpopt.TestRunStepAllocs,
-# spf.TestIncrementalRepairAllocs, root TestComputeAllocs): sync.Pool drops
+# spf.TestIncrementalRepairAllocs, delta.TestRecoverAllocs, root
+# TestComputeAllocs): sync.Pool drops
 # items at random under the race detector, so the pooled paths allocate there
 # and nowhere else, and the detector's own bookkeeping moves the byte count.
 # `make test` runs them; CI has a step for them.
@@ -119,7 +120,10 @@ bench-counts:
 # ErrUnroutable; for the Prometheus exposition parser,
 # that accepted pages keep coherent histograms; for the controller, that
 # every POST /update body gets a 200 or a 400 that leaves the event log
-# alone).
+# alone; for the session, that any sequence of updates, failures,
+# recoveries and lie syntheses replays bit for bit, keeps
+# 1 ≤ PERF ≤ ECMP PERF, rolls rejected operations back and keeps its
+# repaired DAGs equal to a cold build).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraphML$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSNDlib$$' -fuzztime 15s ./internal/scen
@@ -131,6 +135,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzApproxTree$$' -fuzztime 15s ./internal/mcf
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 15s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzUpdateBody$$' -fuzztime 15s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionOps$$' -fuzztime 15s ./internal/delta
 
 # smoke-examples builds and runs every examples/* binary (CI does the same
 # so examples cannot silently rot). gravitysweep is the slow one; the

@@ -68,17 +68,6 @@ func (d *DAG) OutEdges(g *graph.Graph, u graph.NodeID) []graph.EdgeID {
 	return d.outIdx[lo:hi:hi]
 }
 
-// InEdges returns v's DAG in-edges.
-func (d *DAG) InEdges(g *graph.Graph, v graph.NodeID) []graph.EdgeID {
-	var in []graph.EdgeID
-	for _, id := range g.In(v) {
-		if d.Member[id] {
-			in = append(in, id)
-		}
-	}
-	return in
-}
-
 // NumEdges counts member edges.
 func (d *DAG) NumEdges() int {
 	n := 0

@@ -5,10 +5,12 @@
 //
 // Three mechanisms make recomputation cheap (DESIGN.md §6):
 //
-//   - Warm-started optimization: the gpopt log-ratio parameters and Adam
-//     moments survive across recomputes (gpopt.State), so a demand-box
-//     update refines the previous solution instead of restarting from the
-//     near-ECMP initialization.
+//   - Warm-started optimization: each held configuration keeps the
+//     gpopt.Optimizer it was solved with, log-ratio parameters and Adam
+//     moments included, and the next solve on the same DAGs resumes it — a
+//     demand-box update the live one, a recovery to the intact topology the
+//     last intact one — instead of restarting from the near-ECMP
+//     initialization.
 //   - Critical-matrix carry-over: the worst-case demand matrices the
 //     adversary accumulated (oblivious.Report.Critical) seed the next
 //     recompute's finite scenario set, so adversarial corners that still
@@ -218,12 +220,11 @@ type Session struct {
 	cur *strategy.Solved
 
 	// normal is the most recent configuration on the intact topology;
-	// recovering to it rebinds it to the live box, so the OPTDAG/max-flow
-	// caches paid for before the failure are kept. normalState snapshots its
-	// optimizer parameters at commit time, the warm start of that recovery
-	// (gpopt's exported state handoff).
-	normal      *strategy.Solved
-	normalState *gpopt.State
+	// recovering to it rebinds it to the live box and resumes its optimizer,
+	// so the OPTDAG/max-flow caches and the θ/Adam state paid for before the
+	// failure are kept. Nothing else hands that optimizer to a solve: under
+	// failure the live configuration is a survivor's, with its own.
+	normal *strategy.Solved
 
 	// plan holds precomputed single-link failover configurations keyed by
 	// the failed base link.
@@ -301,10 +302,12 @@ func (s *Session) traceCtx() context.Context {
 }
 
 // solve computes the next configuration over ev without installing it, so a
-// failed solve leaves the session as it was. A held configuration is re-solved
-// by passing its evaluator (rebound with WithBox when the box moved), which
-// keeps its caches. A non-nil warm optimizer selects the reduced warm effort;
-// the live configuration's critical matrices carry over either way.
+// failed solve leaves the session's configurations as they were (though the
+// warm optimizer it was given may have advanced). A held configuration is
+// re-solved by passing its evaluator (rebound with WithBox when the box
+// moved), which keeps its caches. A non-nil warm optimizer selects the
+// reduced warm effort; the live configuration's critical matrices carry over
+// either way.
 func (s *Session) solve(ctx context.Context, ev *oblivious.Evaluator, warm *gpopt.Optimizer) (*strategy.Solved, error) {
 	recomputeStart := time.Now()
 	opts := s.cfg.params(warm != nil).Options()
@@ -332,14 +335,12 @@ func carried(critical []*demand.Matrix) []*demand.Matrix {
 
 // commit installs a solved configuration and records the transition (e
 // carries kind, detail and warm flag; the numbers are the configuration's).
-// One on the intact topology also becomes the recovery target, with its
-// optimizer parameters snapshotted, so recovering the last failed link
-// resumes from both.
+// One on the intact topology also becomes the recovery target, so recovering
+// the last failed link resumes its evaluator and optimizer.
 func (s *Session) commit(next *strategy.Solved, e Event, start time.Time) Event {
 	s.cur = next
 	if next.Ev.G == s.base {
 		s.normal = next
-		s.normalState = next.Warm.ExportState()
 	}
 	e.Perf, e.ECMPPerf = next.Perf.Ratio, next.ECMPPerf
 	e.OuterIters, e.Scenarios = next.OuterIters, len(carried(next.Critical))
@@ -473,7 +474,7 @@ func (s *Session) Fail(link graph.EdgeID) (Event, error) {
 }
 
 // Recover clears a failed link and recomputes. Recovering back to the
-// intact topology warm-starts from the last intact-topology optimizer state.
+// intact topology resumes the last intact configuration's optimizer.
 func (s *Session) Recover(link graph.EdgeID) (Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,14 +552,10 @@ func (s *Session) resolve(kind EventKind, link graph.EdgeID) (Event, error) {
 	sc := s.plan[link]
 	switch {
 	case len(s.failed) == 0:
-		// Back to the intact topology: the last configuration there, with its
-		// DAGs and evaluator caches, and a warm start from the snapshot of its
-		// optimizer parameters.
-		ev = s.normal.Ev.WithBox(box)
-		warm = gpopt.New(s.base, ev.DAGs, gpopt.Config{})
-		if warm.ImportState(s.normalState) != nil {
-			warm = nil
-		}
+		// Back to the intact topology: the last configuration there re-solved
+		// on the live box with its own optimizer, as UpdateBounds does with the
+		// live one.
+		ev, warm = s.normal.Ev.WithBox(box), s.normal.Warm
 	case kind == EventFail && len(s.failed) == 1 && sc != nil && !sc.Disconnected:
 		// Failover swap: a precomputed single-link scenario provides the
 		// post-failure configuration to refine from — its routing, the DAGs it

@@ -180,21 +180,3 @@ func VerifyDiff(g *graph.Graph, prev *Synthesis, d *LSADiff, next *Synthesis) er
 	}
 	return nil
 }
-
-// TouchedDestinations lists the destinations whose LSA set the diff
-// touches, sorted — the locality of a reconfiguration (a single-ratio
-// change should touch a single destination).
-func (d *LSADiff) TouchedDestinations() []graph.NodeID {
-	seen := make(map[graph.NodeID]bool)
-	for _, fs := range [][]ospf.FakeNode{d.Add, d.Remove, d.Update} {
-		for _, f := range fs {
-			seen[f.Dest] = true
-		}
-	}
-	out := make([]graph.NodeID, 0, len(seen))
-	for dst := range seen {
-		out = append(out, dst)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -20,13 +20,46 @@ import (
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/geom"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/par"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/spf"
 )
+
+// softmax writes exp(v_i − max)/Σ into out (allocating if nil) and returns
+// it. It is the log-space primitive behind the geometric program of
+// Appendix C of the paper: the optimizer works in log space, where a
+// posynomial constraint becomes a log-sum-exp of affine functions — "a
+// logarithm of a sum of exponentials of linear functions and so is convex"
+// (§V-C) — and softmax is that log-sum-exp's gradient. It is also the
+// reparameterization that keeps the splitting-ratio constraint Σφ = 1
+// exact: the normalized monomial family produced by the paper's
+// condensation of that constraint.
+func softmax(v []float64, out []float64) []float64 {
+	if out == nil {
+		out = make([]float64, len(v))
+	}
+	if len(v) == 0 {
+		return out
+	}
+	mx := v[0]
+	for _, x := range v[1:] {
+		if x > mx {
+			mx = x
+		}
+	}
+	s := 0.0
+	for i, x := range v {
+		out[i] = math.Exp(x - mx)
+		s += out[i]
+	}
+	inv := 1 / s
+	for i := range out {
+		out[i] *= inv
+	}
+	return out
+}
 
 // Scenario is one demand matrix of the finite optimization set, together
 // with its normalization constant (the demands-aware optimum within the
@@ -90,10 +123,8 @@ type Optimizer struct {
 	cfg  Config
 
 	// θ and the Adam moments live in one flat arena (3·n·nE float64s,
-	// allocated once per topology); theta/m/v are row views into it, so all
-	// existing per-destination indexing — including the warm-state
-	// export/import in warm.go — works unchanged while the parameter state
-	// stays a single contiguous block.
+	// allocated once per topology); theta/m/v are per-destination row views
+	// into it, so the parameter state stays a single contiguous block.
 	paramArena []float64
 	theta      [][]float64 // theta[t][e]; only DAG member edges are meaningful
 	m, v       [][]float64 // Adam moments
@@ -270,7 +301,7 @@ func (o *Optimizer) materialize(t int, phiT []float64) {
 	for i := range o.sweeps[t].node {
 		out := o.outs(t, i)
 		if len(out) == 1 {
-			phiT[out[0]] = 1 // what Softmax returns for one logit, exactly
+			phiT[out[0]] = 1 // what softmax returns for one logit, exactly
 			continue
 		}
 		logits := o.scratch.logits[t][:len(out)]
@@ -278,7 +309,7 @@ func (o *Optimizer) materialize(t int, phiT []float64) {
 		for k, id := range out {
 			logits[k] = theta[id]
 		}
-		geom.Softmax(logits, probs)
+		softmax(logits, probs)
 		for k, id := range out {
 			phiT[id] = probs[k]
 		}
@@ -439,7 +470,7 @@ func (o *Optimizer) stepOnce(tau float64, span *obs.Span, fwdTime, bwdTime *time
 			sc.scaled[si*nE+e] = sc.tot[e*S+si] / sc.capNorm[si*nE+e] / tau
 		}
 	}
-	geom.Softmax(sc.scaled, sc.w)
+	softmax(sc.scaled, sc.w)
 	for si := 0; si < S; si++ {
 		for e := 0; e < nE; e++ {
 			sc.wNorm[e*S+si] = sc.w[si*nE+e] / sc.capNorm[si*nE+e]

@@ -8,7 +8,6 @@ import (
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/geom"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
@@ -242,7 +241,7 @@ func TestPropertyGradientCheck(t *testing.T) {
 		for i, x := range utils {
 			scaled[i] = x / tau
 		}
-		wNorm := geom.Softmax(scaled, nil)
+		wNorm := softmax(scaled, nil)
 		for e := range wNorm {
 			wNorm[e] /= g.Edge(graph.EdgeID(e)).Capacity * sc.Norm
 		}

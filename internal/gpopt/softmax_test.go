@@ -1,4 +1,4 @@
-package geom
+package gpopt
 
 import (
 	"math"
@@ -9,7 +9,7 @@ import (
 
 func TestSoftmaxNormalized(t *testing.T) {
 	v := []float64{0.5, -1, 2}
-	p := Softmax(v, nil)
+	p := softmax(v, nil)
 	sum := 0.0
 	for _, x := range p {
 		sum += x
@@ -37,8 +37,8 @@ func TestPropertySoftmaxShiftInvariant(t *testing.T) {
 			v[i] = rng.NormFloat64() * 5
 			shifted[i] = v[i] + c
 		}
-		a := Softmax(v, nil)
-		b := Softmax(shifted, nil)
+		a := softmax(v, nil)
+		b := softmax(shifted, nil)
 		sum := 0.0
 		for i := range a {
 			if math.Abs(a[i]-b[i]) > 1e-9 {

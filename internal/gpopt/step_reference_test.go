@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
-	"github.com/coyote-te/coyote/internal/geom"
 	"github.com/coyote-te/coyote/internal/graph"
 )
 
@@ -29,9 +28,15 @@ type scalarStepper struct {
 
 // newScalarStepper clones o's parameters and Adam state into a stepper.
 func newScalarStepper(o *Optimizer) *scalarStepper {
-	st := o.ExportState()
 	n, nE := o.g.NumNodes(), o.g.NumEdges()
-	r := &scalarStepper{g: o.g, dags: o.dags, theta: st.Theta, m: st.M, v: st.V, step: st.Step}
+	clone := func(rows [][]float64) [][]float64 {
+		out := sliceRows(make([]float64, n*nE), n, nE)
+		for t := range rows {
+			copy(out[t], rows[t])
+		}
+		return out
+	}
+	r := &scalarStepper{g: o.g, dags: o.dags, theta: clone(o.theta), m: clone(o.m), v: clone(o.v), step: o.step}
 	r.outs = make([][][]graph.EdgeID, n)
 	r.phi = sliceRows(make([]float64, n*nE), n, nE)
 	r.grad = sliceRows(make([]float64, n*nE), n, nE)
@@ -75,7 +80,7 @@ func (r *scalarStepper) materialize(t int) {
 		for i, id := range out {
 			logits[i] = r.theta[t][id]
 		}
-		for i, p := range geom.Softmax(logits, nil) {
+		for i, p := range softmax(logits, nil) {
 			r.phi[t][out[i]] = p
 		}
 	}
@@ -122,7 +127,7 @@ func (r *scalarStepper) stepOnce(scenarios []Scenario, tau float64) {
 	for i, x := range utils {
 		scaled[i] = x / tau
 	}
-	w := geom.Softmax(scaled, nil)
+	w := softmax(scaled, nil)
 	wNorm := make([]float64, len(w))
 	for si, s := range scenarios {
 		for e := 0; e < nE; e++ {

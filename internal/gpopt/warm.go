@@ -1,7 +1,6 @@
 package gpopt
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -10,68 +9,10 @@ import (
 )
 
 // This file is the warm-start handoff of the online controller
-// (internal/delta): an Optimizer's log-ratio parameters and Adam moments
-// can be exported, re-imported, and re-seeded from an arbitrary routing,
-// so a re-optimization after a demand drift or a failover swap resumes
-// from the previous solution instead of the near-ECMP cold init.
-
-// State is a deep snapshot of an Optimizer's warm-start parameters: the
-// log-ratio variables θ and the Adam moment estimates, plus the Adam step
-// counter the bias correction depends on. A State is only meaningful for
-// the (graph, DAGs) shape it was exported from — ImportState validates
-// dimensions but cannot detect a different topology of the same size.
-type State struct {
-	Theta [][]float64 // Theta[t][e], log-ratio per destination and edge
-	M     [][]float64 // first Adam moment, same shape
-	V     [][]float64 // second Adam moment, same shape
-	Step  int         // Adam steps taken (bias-correction counter)
-}
-
-// ExportState deep-copies the optimizer's parameters and Adam state.
-func (o *Optimizer) ExportState() *State {
-	cp := func(src [][]float64) [][]float64 {
-		out := make([][]float64, len(src))
-		for i := range src {
-			out[i] = append([]float64(nil), src[i]...)
-		}
-		return out
-	}
-	return &State{Theta: cp(o.theta), M: cp(o.m), V: cp(o.v), Step: o.step}
-}
-
-// ImportState restores a previously exported snapshot. The state's shape
-// must match the optimizer's (same destination and edge counts).
-func (o *Optimizer) ImportState(st *State) error {
-	n := o.g.NumNodes()
-	nE := o.g.NumEdges()
-	check := func(name string, rows [][]float64) error {
-		if len(rows) != n {
-			return fmt.Errorf("gpopt: state %s has %d destinations, optimizer has %d", name, len(rows), n)
-		}
-		for t := range rows {
-			if len(rows[t]) != nE {
-				return fmt.Errorf("gpopt: state %s[%d] has %d edges, optimizer has %d", name, t, len(rows[t]), nE)
-			}
-		}
-		return nil
-	}
-	if err := check("theta", st.Theta); err != nil {
-		return err
-	}
-	if err := check("m", st.M); err != nil {
-		return err
-	}
-	if err := check("v", st.V); err != nil {
-		return err
-	}
-	for t := 0; t < n; t++ {
-		copy(o.theta[t], st.Theta[t])
-		copy(o.m[t], st.M[t])
-		copy(o.v[t], st.V[t])
-	}
-	o.step = st.Step
-	return nil
-}
+// (internal/delta): an Optimizer keeps its log-ratio parameters and Adam
+// moments between runs, and can be seeded from an arbitrary routing, so a
+// re-optimization after a demand drift or a failover swap resumes from the
+// previous solution instead of the near-ECMP cold init.
 
 // Matches reports whether the optimizer was built for exactly these DAGs
 // over this graph (pointer identity), i.e. whether its parameters can be

@@ -26,54 +26,6 @@ func testScenarios(g *graph.Graph) []Scenario {
 	return []Scenario{NewScenario(g, D, 1)}
 }
 
-func TestExportImportStateRoundTrip(t *testing.T) {
-	g := diamond()
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	scen := testScenarios(g)
-
-	o := New(g, dags, Config{Iters: 40})
-	o.Run(scen)
-	st := o.ExportState()
-
-	// A fresh optimizer with the imported state must produce the identical
-	// routing and continue identically.
-	o2 := New(g, dags, Config{Iters: 40})
-	if err := o2.ImportState(st); err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := o.Routing(), o2.Routing()
-	for dst := range r1.Phi {
-		for e := range r1.Phi[dst] {
-			if r1.Phi[dst][e] != r2.Phi[dst][e] {
-				t.Fatalf("Phi[%d][%d]: %v != %v after state import", dst, e, r1.Phi[dst][e], r2.Phi[dst][e])
-			}
-		}
-	}
-	v1 := o.Run(scen)
-	v2 := o2.Run(scen)
-	if v1 != v2 {
-		t.Fatalf("continued runs diverge: %v vs %v", v1, v2)
-	}
-
-	// Exported state is a deep copy: mutating it must not leak back.
-	st2 := o.ExportState()
-	st2.Theta[0][0] += 100
-	if o.theta[0][0] == st2.Theta[0][0] {
-		t.Fatal("ExportState returned a shallow copy")
-	}
-}
-
-func TestImportStateShapeMismatch(t *testing.T) {
-	g := diamond()
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	o := New(g, dags, Config{Iters: 10})
-	st := o.ExportState()
-	st.Theta = st.Theta[:2]
-	if err := o.ImportState(st); err == nil {
-		t.Fatal("expected error importing truncated state")
-	}
-}
-
 func TestMatches(t *testing.T) {
 	g := diamond()
 	dags := dagx.BuildAll(g, dagx.Augmented)

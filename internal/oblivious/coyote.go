@@ -59,9 +59,10 @@ type Options struct {
 	// bit-identical with or without it. nil means no tracing.
 	Ctx context.Context
 	// Warm, when non-nil and built for exactly the evaluator's (graph,
-	// DAGs), is reused as the splitting optimizer: θ and the Adam moments
-	// carry over from the previous recompute, so the loop refines the prior
-	// solution instead of restarting from the near-ECMP init. Its tuning is
+	// DAGs), is reused in place as the splitting optimizer: the loop resumes
+	// its θ, Adam moments and step counter, refining the prior solution
+	// instead of restarting from the near-ECMP init, and advances them — the
+	// caller hands the optimizer over rather than a copy. Its tuning is
 	// replaced. A non-matching Warm is ignored.
 	Warm *gpopt.Optimizer
 	// Carry seeds the finite scenario set with critical demand matrices
@@ -88,8 +89,9 @@ type Report struct {
 	// back through Options.Carry to warm-start the next recompute's
 	// adversary.
 	Critical []*demand.Matrix
-	// Warm is the optimizer holding the final log-ratio/Adam state. Pass
-	// it back through Options.Warm (to an evaluator over the same graph and
+	// Warm is the optimizer holding the final log-ratio/Adam state: the
+	// Options.Warm passed in when it matched, else a new one. Pass it back
+	// through Options.Warm (to an evaluator over the same graph and
 	// DAGs) to warm-start the next recompute.
 	Warm *gpopt.Optimizer
 }

@@ -82,12 +82,6 @@ func (h *Heap) Update(v graph.NodeID, k float64) {
 	h.up(len(h.nodes) - 1)
 }
 
-// Key returns the queued key of v; only meaningful while Contains(v).
-func (h *Heap) Key(v graph.NodeID) float64 { return h.key[v] }
-
-// Contains reports whether v is queued.
-func (h *Heap) Contains(v graph.NodeID) bool { return h.pos[v] >= 0 }
-
 // Pop removes and returns the minimum-key node and its key. Ties break
 // toward the smaller node ID so the pop order — and therefore any
 // float-order-sensitive caller — is deterministic.

@@ -96,15 +96,9 @@ func (t *Tree) OnShortestPath(e graph.Edge) bool {
 	return math.Abs(du-(e.Weight+dv)) <= relTol*math.Max(1, du)
 }
 
-// NextHops returns the ECMP next-hop edge set of node u toward the tree's
-// destination: all outgoing edges on shortest paths.
-func (t *Tree) NextHops(g *graph.Graph, u graph.NodeID) []graph.EdgeID {
-	return t.AppendNextHops(nil, g, u)
-}
-
 // AppendNextHops appends u's ECMP next-hop edges toward the tree's
-// destination to buf and returns the extended slice — the allocation-free
-// variant of NextHops for callers that own a reusable buffer.
+// destination — all outgoing edges on shortest paths — to buf and returns
+// the extended slice, so callers that own a reusable buffer allocate nothing.
 func (t *Tree) AppendNextHops(buf []graph.EdgeID, g *graph.Graph, u graph.NodeID) []graph.EdgeID {
 	if u == t.Dst || t.Dist[u] == Inf {
 		return buf

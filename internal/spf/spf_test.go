@@ -41,7 +41,7 @@ func TestDistancesRunningExample(t *testing.T) {
 func TestNextHopsRunningExample(t *testing.T) {
 	g, ids := paperExample()
 	tree := ToDestination(g, ids["t"])
-	hops := tree.NextHops(g, ids["s1"])
+	hops := tree.AppendNextHops(nil, g, ids["s1"])
 	if len(hops) != 2 {
 		t.Fatalf("s1 should have 2 ECMP next-hops (via s2 and v), got %d", len(hops))
 	}
@@ -52,7 +52,7 @@ func TestNextHopsRunningExample(t *testing.T) {
 	if !targets[ids["s2"]] || !targets[ids["v"]] {
 		t.Fatalf("s1 next-hops should be s2 and v, got %v", targets)
 	}
-	if hops := tree.NextHops(g, ids["t"]); hops != nil {
+	if hops := tree.AppendNextHops(nil, g, ids["t"]); hops != nil {
 		t.Fatalf("destination should have no next-hops, got %v", hops)
 	}
 }
@@ -90,7 +90,7 @@ func TestUnreachable(t *testing.T) {
 	if tree.Dist[c] != Inf {
 		t.Fatalf("dist[c] should be Inf, got %g", tree.Dist[c])
 	}
-	if hops := tree.NextHops(g, c); hops != nil {
+	if hops := tree.AppendNextHops(nil, g, c); hops != nil {
 		t.Fatalf("unreachable node should have no next-hops, got %v", hops)
 	}
 }
@@ -173,7 +173,7 @@ func TestPropertyNextHopsDecreaseDistance(t *testing.T) {
 			if uid == dst || tree.Dist[u] == Inf {
 				continue
 			}
-			hops := tree.NextHops(g, uid)
+			hops := tree.AppendNextHops(nil, g, uid)
 			if len(hops) == 0 {
 				return false
 			}
