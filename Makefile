@@ -120,8 +120,9 @@ bench-counts:
 # ErrUnroutable; for the Prometheus exposition parser,
 # that accepted pages keep coherent histograms; for the controller, that
 # every POST /update body gets a 200 or a 400 that leaves the event log
-# alone; for the session, that any sequence of updates, failures,
-# recoveries and lie syntheses replays bit for bit, keeps
+# alone; for the session, with or without a precomputed failover plan,
+# that any sequence of updates, failures, recoveries and lie syntheses
+# replays bit for bit, keeps
 # 1 ≤ PERF ≤ ECMP PERF, rolls rejected operations back and keeps its
 # repaired DAGs equal to a cold build).
 fuzz-smoke:

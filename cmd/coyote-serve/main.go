@@ -123,8 +123,9 @@ func main() {
 	if err != nil {
 		log.Fatalln("coyote-serve:", err)
 	}
+	cur := ses.Solved()
 	log.Printf("coyote-serve: ready in %v — PERF %.3f (ECMP %.3f)",
-		time.Since(start).Round(time.Millisecond), ses.Perf(), ses.ECMPPerf())
+		time.Since(start).Round(time.Millisecond), cur.Perf.Ratio, cur.ECMPPerf)
 	srv := serve.New(ses)
 	// Graceful shutdown: SIGINT/SIGTERM cancels ctx, which (a) stops the
 	// listeners accepting and (b) — because ctx is every request's base

@@ -51,6 +51,7 @@ import (
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
+	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/spf"
 	"github.com/coyote-te/coyote/internal/strategy"
 )
@@ -278,14 +279,14 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 
 	if cfg.PrecomputeFailover {
 		_, planSpan := obs.StartSpan(ctx, "session.failover_plan")
-		scens, err := failover.PrecomputeLinks(g, box, cfg.params(true))
+		scens, err := failover.PrecomputeGroups(g, box, scen.SingleLinkFailures(g), cfg.params(true))
 		if err != nil {
 			planSpan.End()
 			return nil, err
 		}
 		s.plan = make(map[graph.EdgeID]*failover.GroupScenario, len(scens))
 		for i := range scens {
-			s.plan[scens[i].Failed[0]] = &scens[i]
+			s.plan[scens[i].Set.Links[0]] = &scens[i]
 		}
 		planSpan.Attr("links", len(scens)).End()
 	}
@@ -454,44 +455,45 @@ func (s *Session) representative(id graph.EdgeID) (graph.EdgeID, error) {
 // re-optimized cold (with carried critical matrices). Failing a link whose
 // removal partitions the network is rejected and leaves the session
 // unchanged.
-func (s *Session) Fail(link graph.EdgeID) (Event, error) {
+func (s *Session) Fail(link graph.EdgeID) (Event, error) { return s.transition(EventFail, link) }
+
+// Recover clears a failed link and recomputes. Recovering back to the
+// intact topology resumes the last intact configuration's optimizer.
+func (s *Session) Recover(link graph.EdgeID) (Event, error) { return s.transition(EventRecover, link) }
+
+// transition applies one link event (EventFail or EventRecover): it flips
+// the link's entry in the failed set, recomputes, and flips it back if the
+// recompute is rejected, so a failed event leaves the session unchanged.
+func (s *Session) transition(kind EventKind, link graph.EdgeID) (Event, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep, err := s.representative(link)
 	if err != nil {
 		return Event{}, err
 	}
-	if s.failed[rep] {
+	fail := kind == EventFail
+	switch {
+	case fail && s.failed[rep]:
 		return Event{}, fmt.Errorf("delta: link %d already failed", rep)
+	case !fail && !s.failed[rep]:
+		return Event{}, fmt.Errorf("delta: link %d is not failed", rep)
 	}
-	s.failed[rep] = true
-	ev, err := s.resolve(EventFail, rep)
+	s.setFailed(rep, fail)
+	ev, err := s.resolve(kind, rep)
 	if err != nil {
-		delete(s.failed, rep)
+		s.setFailed(rep, !fail)
 		return Event{}, err
 	}
 	return ev, nil
 }
 
-// Recover clears a failed link and recomputes. Recovering back to the
-// intact topology resumes the last intact configuration's optimizer.
-func (s *Session) Recover(link graph.EdgeID) (Event, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep, err := s.representative(link)
-	if err != nil {
-		return Event{}, err
+// setFailed adds a link to the failed set, or removes it.
+func (s *Session) setFailed(link graph.EdgeID, failed bool) {
+	if failed {
+		s.failed[link] = true
+	} else {
+		delete(s.failed, link)
 	}
-	if !s.failed[rep] {
-		return Event{}, fmt.Errorf("delta: link %d is not failed", rep)
-	}
-	delete(s.failed, rep)
-	ev, err := s.resolve(EventRecover, rep)
-	if err != nil {
-		s.failed[rep] = true
-		return Event{}, err
-	}
-	return ev, nil
 }
 
 // failedList returns the failed links in deterministic (ascending) order.
@@ -634,13 +636,6 @@ func (s *Session) Solved() *strategy.Solved {
 
 // Routing returns the current per-destination routing (read-only).
 func (s *Session) Routing() *pdrouting.Routing { return s.Solved().Routing }
-
-// Perf returns the current worst-case normalized utilization.
-func (s *Session) Perf() float64 { return s.Solved().Perf.Ratio }
-
-// ECMPPerf returns traditional ECMP's worst-case normalized utilization on
-// the current topology (same DAGs and uncertainty set).
-func (s *Session) ECMPPerf() float64 { return s.Solved().ECMPPerf }
 
 // Graph returns the current (possibly degraded) topology.
 func (s *Session) Graph() *graph.Graph { return s.Solved().Ev.G }

@@ -41,11 +41,12 @@ func newNSFSession(t *testing.T, cfg Config) (*Session, *demand.Matrix) {
 
 func TestSessionInit(t *testing.T) {
 	s, _ := newNSFSession(t, testCfg())
-	if !(s.Perf() >= 1-1e-9) {
-		t.Fatalf("initial PERF %v, want ≥ 1", s.Perf())
+	cur := s.Solved()
+	if !(cur.Perf.Ratio >= 1-1e-9) {
+		t.Fatalf("initial PERF %v, want ≥ 1", cur.Perf.Ratio)
 	}
-	if s.Perf() > s.ECMPPerf()+1e-9 {
-		t.Fatalf("initial PERF %v worse than ECMP %v", s.Perf(), s.ECMPPerf())
+	if cur.Perf.Ratio > cur.ECMPPerf+1e-9 {
+		t.Fatalf("initial PERF %v worse than ECMP %v", cur.Perf.Ratio, cur.ECMPPerf)
 	}
 	events := s.Events()
 	if len(events) != 1 || events[0].Kind != EventInit {
@@ -85,7 +86,7 @@ func TestWarmUpdateWithinOnePercentOfCold(t *testing.T) {
 	})
 
 	cold := coldRep.Perf.Ratio
-	warm := s.Perf()
+	warm := s.Solved().Perf.Ratio
 	if warm > cold*1.01 {
 		t.Fatalf("warm PERF %v not within 1%% of cold %v", warm, cold)
 	}
@@ -93,7 +94,7 @@ func TestWarmUpdateWithinOnePercentOfCold(t *testing.T) {
 
 func TestFailRecoverRoundTrip(t *testing.T) {
 	s, _ := newNSFSession(t, testCfg())
-	initial := s.Perf()
+	initial := s.Solved().Perf.Ratio
 
 	link := s.Base().Links()[0]
 	evFail, err := s.Fail(link)
@@ -109,8 +110,8 @@ func TestFailRecoverRoundTrip(t *testing.T) {
 	if got := s.FailedLinks(); len(got) != 1 || got[0] != link {
 		t.Fatalf("FailedLinks = %v, want [%d]", got, link)
 	}
-	if !(s.Perf() >= 1-1e-9) {
-		t.Fatalf("post-failure PERF %v, want ≥ 1", s.Perf())
+	if !(s.Solved().Perf.Ratio >= 1-1e-9) {
+		t.Fatalf("post-failure PERF %v, want ≥ 1", s.Solved().Perf.Ratio)
 	}
 
 	evRec, err := s.Recover(link)
@@ -128,8 +129,8 @@ func TestFailRecoverRoundTrip(t *testing.T) {
 	}
 	// The recovered configuration must be in the same quality regime as
 	// the initial one (warm restart from the base-epoch state).
-	if s.Perf() > initial*1.05 {
-		t.Fatalf("recovered PERF %v much worse than initial %v", s.Perf(), initial)
+	if s.Solved().Perf.Ratio > initial*1.05 {
+		t.Fatalf("recovered PERF %v much worse than initial %v", s.Solved().Perf.Ratio, initial)
 	}
 
 	// Double-fail and double-recover are rejected.
@@ -156,8 +157,8 @@ func TestFailoverPlanSwap(t *testing.T) {
 	if !ev.Warm {
 		t.Fatal("planned failover should refine warm from the precomputed configuration")
 	}
-	if !(s.Perf() >= 1-1e-9) {
-		t.Fatalf("post-failover PERF %v, want ≥ 1", s.Perf())
+	if !(s.Solved().Perf.Ratio >= 1-1e-9) {
+		t.Fatalf("post-failover PERF %v, want ≥ 1", s.Solved().Perf.Ratio)
 	}
 }
 
@@ -172,11 +173,11 @@ func TestPartitioningFailureRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Perf()
+	before := s.Solved().Perf.Ratio
 	if _, err := s.Fail(g.Links()[0]); err == nil {
 		t.Fatal("partitioning failure must be rejected")
 	}
-	if s.Perf() != before || len(s.FailedLinks()) != 0 {
+	if s.Solved().Perf.Ratio != before || len(s.FailedLinks()) != 0 {
 		t.Fatal("rejected failure mutated the session")
 	}
 }
@@ -248,7 +249,7 @@ func TestSessionWorkerParity(t *testing.T) {
 		if _, err := s.Recover(link); err != nil {
 			t.Fatal(err)
 		}
-		return s.Perf(), s
+		return s.Solved().Perf.Ratio, s
 	}
 	perf1, s1 := run(1)
 	perf4, s4 := run(4)
@@ -320,13 +321,13 @@ func TestRejectedBoundsLeaveSessionIntact(t *testing.T) {
 		"negative": edited(func(b *demand.Box) { b.Min.D[1] = -1 }),
 		"crossed":  edited(func(b *demand.Box) { b.Min.D[1] = 2 * b.Max.D[1] }),
 	}
-	perf, box, routing, events := s.Perf(), s.Bounds(), s.Routing(), len(s.Events())
+	perf, box, routing, events := s.Solved().Perf.Ratio, s.Bounds(), s.Routing(), len(s.Events())
 	for name, b := range bad {
 		var be *demand.BoxError
 		if _, err := s.UpdateBounds(b); !errors.As(err, &be) {
 			t.Errorf("%s box: err = %v, want a *demand.BoxError", name, err)
 		}
-		if s.Perf() != perf || s.Bounds() != box || s.Routing() != routing || len(s.Events()) != events {
+		if s.Solved().Perf.Ratio != perf || s.Bounds() != box || s.Routing() != routing || len(s.Events()) != events {
 			t.Fatalf("%s box: rejected update changed the session", name)
 		}
 	}

@@ -88,8 +88,8 @@ func TestTracingParity(t *testing.T) {
 	traced4 := run(4, tracer4)
 
 	for name, other := range map[string]*Session{"traced w=1": traced, "traced w=4": traced4} {
-		if plain.Perf() != other.Perf() {
-			t.Fatalf("%s: PERF %v differs from untraced %v", name, other.Perf(), plain.Perf())
+		if plain.Solved().Perf.Ratio != other.Solved().Perf.Ratio {
+			t.Fatalf("%s: PERF %v differs from untraced %v", name, other.Solved().Perf.Ratio, plain.Solved().Perf.Ratio)
 		}
 		a, b := plain.Routing(), other.Routing()
 		for dst := range a.Phi {

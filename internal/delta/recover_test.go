@@ -130,6 +130,9 @@ func TestFailureLeavesIntactOptimizerAlone(t *testing.T) {
 //   - every committed recompute has a finite PERF in [1, ECMPPerf];
 //   - the live DAGs equal the cold construction over the live topology, so
 //     the incrementally repaired SPF state never drifts;
+//   - a first failure is warm exactly when the session has a precomputed
+//     failover plan (the planned swap), which the top bit of the first
+//     byte chooses;
 //
 // and at the end that replaying the operations on a fresh session returns
 // the same errors and bit-identical events.
@@ -141,8 +144,10 @@ func FuzzSessionOps(f *testing.F) {
 	gravity := demand.Gravity(g, 1)
 	links := g.Links()
 	cfg := Config{OptIters: 20, AdvIters: 1, Samples: 2, Seed: 1, Workers: 1}
-	newSession := func(t *testing.T) *Session {
-		s, err := NewSession(g, demand.MarginBox(gravity, 2), cfg)
+	newSession := func(t *testing.T, planned bool) *Session {
+		c := cfg
+		c.PrecomputeFailover = planned
+		s, err := NewSession(g, demand.MarginBox(gravity, 2), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,10 +180,12 @@ func FuzzSessionOps(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 0, 2, 0, 3, 0})
 	f.Add([]byte{0, 40, 1, 3, 1, 3, 1, 5, 2, 3, 0, 255})
 	f.Add([]byte{1, 2, 1, 7, 3, 0, 2, 2, 0, 128, 2, 7})
-	f.Add([]byte{1, 1, 1, 2, 2, 1, 1, 1}) // the second failure isolates Abilene-02
+	f.Add([]byte{1, 1, 1, 2, 2, 1, 1, 1})           // the second failure isolates Abilene-02
+	f.Add([]byte{0x81, 3, 3, 0, 0, 90, 1, 5, 2, 3}) // planned swap, lies, update under failure
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decode(data)
-		s := newSession(t)
+		planned := len(data) > 0 && data[0]&0x80 != 0
+		s := newSession(t, planned)
 		errs := make([]string, len(ops))
 		for i, o := range ops {
 			events, failed := s.Events(), s.FailedLinks()
@@ -190,6 +197,9 @@ func FuzzSessionOps(f *testing.F) {
 				continue
 			}
 			e := s.Events()[len(events)]
+			if e.Kind == EventFail && len(s.FailedLinks()) == 1 && e.Warm != planned {
+				t.Fatalf("op %d (%v): a first failure is warm %v, want %v (the planned swap)", i, o, e.Warm, planned)
+			}
 			if e.Kind != EventLies {
 				if math.IsNaN(e.Perf) || math.IsInf(e.Perf, 0) || e.Perf < 1-1e-9 || e.Perf > e.ECMPPerf {
 					t.Fatalf("op %d (%v): PERF %v outside [1, ECMPPerf %v]", i, o, e.Perf, e.ECMPPerf)
@@ -198,7 +208,7 @@ func FuzzSessionOps(f *testing.F) {
 			}
 		}
 
-		replay := newSession(t)
+		replay := newSession(t, planned)
 		for i, o := range ops {
 			got := ""
 			if err := apply(replay, o); err != nil {

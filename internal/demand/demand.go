@@ -193,6 +193,16 @@ func (b *Box) Contains(d *Matrix) bool {
 	return true
 }
 
+// Midpoint returns the box's entry-wise geometric midpoint √(min·max) —
+// the base matrix of a margin box.
+func (b *Box) Midpoint() *Matrix {
+	mid := NewMatrix(b.Min.N)
+	for i := range mid.D {
+		mid.D[i] = math.Sqrt(b.Min.D[i] * b.Max.D[i])
+	}
+	return mid
+}
+
 // Corner materializes the box corner selected by pick: entry (s,t) takes
 // Max if pick(s,t) is true, Min otherwise.
 func (b *Box) Corner(pick func(s, t graph.NodeID) bool) *Matrix {
@@ -244,24 +254,19 @@ func Gravity(g *graph.Graph, peak float64) *Matrix {
 	return m
 }
 
-// BimodalParams configures the bimodal traffic model of §VI-B: a small
-// fraction of node pairs exchange large flows and the rest exchange small
-// flows.
-type BimodalParams struct {
-	LargeFraction float64 // fraction of pairs drawing from the large mode
-	LargeMean     float64 // mean of the large mode
-	SmallMean     float64 // mean of the small mode
-	Sigma         float64 // relative standard deviation of both modes
-}
-
-// DefaultBimodal mirrors the common parameterization in [23]: 10% elephant
-// pairs, 20:1 elephant-to-mouse ratio.
-func DefaultBimodal() BimodalParams {
-	return BimodalParams{LargeFraction: 0.1, LargeMean: 20, SmallMean: 1, Sigma: 0.2}
-}
+// The bimodal traffic model of §VI-B: a small fraction of node pairs
+// exchange large flows and the rest exchange small flows. The
+// parameterization mirrors the common one in [23]: 10% elephant pairs,
+// 20:1 elephant-to-mouse ratio.
+const (
+	bimodalLargeFraction = 0.1  // fraction of pairs drawing from the large mode
+	bimodalLargeMean     = 20.0 // mean of the large mode
+	bimodalSmallMean     = 1.0  // mean of the small mode
+	bimodalSigma         = 0.2  // relative standard deviation of both modes
+)
 
 // Bimodal samples a bimodal base matrix. Negative draws clamp to zero.
-func Bimodal(g *graph.Graph, p BimodalParams, rng *rand.Rand) *Matrix {
+func Bimodal(g *graph.Graph, rng *rand.Rand) *Matrix {
 	n := g.NumNodes()
 	m := NewMatrix(n)
 	for s := 0; s < n; s++ {
@@ -269,11 +274,11 @@ func Bimodal(g *graph.Graph, p BimodalParams, rng *rand.Rand) *Matrix {
 			if s == t {
 				continue
 			}
-			mean := p.SmallMean
-			if rng.Float64() < p.LargeFraction {
-				mean = p.LargeMean
+			mean := bimodalSmallMean
+			if rng.Float64() < bimodalLargeFraction {
+				mean = bimodalLargeMean
 			}
-			d := mean * (1 + p.Sigma*rng.NormFloat64())
+			d := mean * (1 + bimodalSigma*rng.NormFloat64())
 			if d < 0 {
 				d = 0
 			}

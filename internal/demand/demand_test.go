@@ -173,7 +173,7 @@ func TestBimodalShape(t *testing.T) {
 	}
 	_ = g
 	rng := rand.New(rand.NewSource(1))
-	m := Bimodal(big, DefaultBimodal(), rng)
+	m := Bimodal(big, rng)
 	var large, small int
 	m.Pairs(func(s, tt graph.NodeID, d float64) {
 		if d > 10 {

@@ -175,6 +175,49 @@ func TestFig12Table(t *testing.T) {
 	}
 }
 
+// TestFailoverTable pins every cell of the failover experiment at Quick():
+// the normal row, one row per NSF link in g.Links() order and the worst
+// row. The table is not in the golden corpus.
+func TestFailoverTable(t *testing.T) {
+	tab, err := failoverTable(Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"(none) 2.13  normal",
+		"NSF-00–NSF-01 1.72 1.94 ok",
+		"NSF-01–NSF-02 2.01 2.50 ok",
+		"NSF-02–NSF-03 1.80 2.35 ok",
+		"NSF-03–NSF-04 1.81 2.45 ok",
+		"NSF-04–NSF-05 2.28 2.45 ok",
+		"NSF-05–NSF-06 1.84 2.29 ok",
+		"NSF-06–NSF-07 1.96 2.30 ok",
+		"NSF-07–NSF-08 2.19 2.68 ok",
+		"NSF-08–NSF-09 2.18 2.56 ok",
+		"NSF-09–NSF-10 2.15 2.21 ok",
+		"NSF-10–NSF-11 1.72 1.99 ok",
+		"NSF-11–NSF-12 2.13 2.52 ok",
+		"NSF-12–NSF-13 2.03 2.70 ok",
+		"NSF-13–NSF-00 1.96 2.15 ok",
+		"NSF-09–NSF-01 1.92 2.11 ok",
+		"NSF-12–NSF-06 1.77 2.16 ok",
+		"NSF-02–NSF-06 1.97 2.71 ok",
+		"NSF-11–NSF-13 2.00 2.53 ok",
+		"NSF-04–NSF-10 1.68 2.12 ok",
+		"NSF-09–NSF-06 2.33 2.37 ok",
+		"NSF-09–NSF-07 2.11 2.60 ok",
+		"worst: NSF-09–NSF-06 2.33 2.37 ",
+	}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tab.Rows), len(want))
+	}
+	for i, row := range want {
+		if got := strings.Join(tab.Rows[i], " "); got != row {
+			t.Errorf("row %d = %q, want %q", i, got, row)
+		}
+	}
+}
+
 // TestFluidDropsGuard: a lone overloaded link drops its excess; two
 // overloaded links in series are refused, since the first would thin what
 // reaches the second.

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"github.com/coyote-te/coyote/internal/failover"
+	"github.com/coyote-te/coyote/internal/scen"
+	"github.com/coyote-te/coyote/internal/strategy"
 )
 
 // failoverTable exercises the precomputed failure configurations that
@@ -14,24 +16,29 @@ func failoverTable(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	box, _ := in.day(0)
-	plan, err := failover.Precompute(in.g, box, cfg.params())
+	normal, err := strategy.Coyote(in.g, box, cfg.params())
 	if err != nil {
 		return nil, err
 	}
-	link := func(sc *failover.GroupScenario) string {
-		e := in.g.Edge(sc.Failed[0])
-		return in.g.Name(e.From) + "–" + in.g.Name(e.To)
+	scenarios, err := failover.PrecomputeGroups(in.g, box, scen.SingleLinkFailures(in.g), cfg.params())
+	if err != nil {
+		return nil, err
 	}
 	out := &Table{
 		Title:   "Failure scenarios — NSF, gravity, margin 2 (precomputed per-link configs)",
 		Columns: []string{"failed link", "COYOTE", "ECMP", "status"},
 	}
-	out.AddRow("(none)", f2(plan.Normal.Perf.Ratio), "", "normal")
-	for i := range plan.Scenarios {
-		out.AddRow(scenarioRow(&plan.Scenarios[i], link(&plan.Scenarios[i]))...)
+	out.AddRow("(none)", f2(normal.Perf.Ratio), "", "normal")
+	var worst *failover.GroupScenario
+	for i := range scenarios {
+		sc := &scenarios[i]
+		out.AddRow(scenarioRow(sc, sc.Set.Name)...)
+		if !sc.Disconnected && (worst == nil || sc.Solved.Perf.Ratio > worst.Solved.Perf.Ratio) {
+			worst = sc
+		}
 	}
-	if w := plan.WorstScenario(); w != nil {
-		out.AddRow("worst: "+link(w), f2(w.Solved.Perf.Ratio), f2(w.ECMPPerf), "")
+	if worst != nil {
+		out.AddRow("worst: "+worst.Set.Name, f2(worst.Solved.Perf.Ratio), f2(worst.ECMPPerf), "")
 	}
 	return out, nil
 }

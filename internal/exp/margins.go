@@ -23,7 +23,7 @@ func baseMatrix(g *graph.Graph, model string, seed int64) (*demand.Matrix, error
 	case "gravity":
 		return demand.Gravity(g, 1), nil
 	case "bimodal":
-		return demand.Bimodal(g, demand.DefaultBimodal(), rand.New(rand.NewSource(seed))), nil
+		return demand.Bimodal(g, rand.New(rand.NewSource(seed))), nil
 	default:
 		return scen.BaseMatrix(g, model, 1, seed)
 	}

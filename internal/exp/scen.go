@@ -66,7 +66,7 @@ func scenSRLG(p scen.Params, groups int, cfg Config) (*Table, error) {
 	}
 	box, _ := in.day(0)
 	suite := scen.SRLGPartition(in.g, groups, cfg.Seed)
-	scenarios, err := failover.PrecomputeGroups(in.g, box, scen.LinkSets(suite), cfg.params())
+	scenarios, err := failover.PrecomputeGroups(in.g, box, suite, cfg.params())
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func scenSRLG(p scen.Params, groups int, cfg Config) (*Table, error) {
 		Columns: []string{"group", "links", "COYOTE", "ECMP", "status"},
 	}
 	for i := range scenarios {
-		out.AddRow(scenarioRow(&scenarios[i], suite[i].Name, fmt.Sprint(len(scenarios[i].Failed)))...)
+		out.AddRow(scenarioRow(&scenarios[i], suite[i].Name, fmt.Sprint(len(suite[i].Links)))...)
 	}
 	return out, nil
 }

@@ -1,11 +1,11 @@
 // Package failover precomputes COYOTE routing configurations for failure
 // scenarios. §VI-A of the paper notes that, because COYOTE routing is
 // static, "routing configurations for failure scenarios (e.g., every
-// single link/node failure) can be precomputed"; this package does exactly
-// that for single-link failures (Precompute) and single-node failures
-// (PrecomputeNodes): for each surviving topology it rebuilds the augmented
-// DAGs, re-optimizes the splitting ratios against the same uncertainty
-// bounds, and records the achievable worst-case performance.
+// single link/node failure) can be precomputed"; PrecomputeGroups does that
+// for any failure suite of internal/scen (single links, shared-risk link
+// groups, k-link combinations): for each surviving topology it rebuilds the
+// augmented DAGs, re-optimizes the splitting ratios against the same
+// uncertainty bounds, and records the achievable worst-case performance.
 package failover
 
 import (
@@ -13,6 +13,7 @@ import (
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/par"
+	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/strategy"
 )
 
@@ -40,9 +41,9 @@ func withDefaults(c Config) Config {
 // from the scenario engine) fails at once and the survivors are
 // re-optimized.
 type GroupScenario struct {
-	// Failed lists the representative edge IDs (in the original graph) of
-	// the links that fail together.
-	Failed []graph.EdgeID
+	// Set is the failure: its name and the representative edge IDs (in the
+	// original graph) of the links that fail together.
+	Set scen.FailureSet
 	// Disconnected reports that the group's failure partitions the
 	// network; no configuration is computed in that case (Solved is nil).
 	Disconnected bool
@@ -67,77 +68,15 @@ type GroupScenario struct {
 	ECMPPerf float64
 }
 
-// Plan holds the normal-case configuration plus one scenario per physical
-// link.
-type Plan struct {
-	Normal    *strategy.Solved
-	Scenarios []GroupScenario // one single-link group per g.Links() entry
-}
-
-// Precompute builds the failure plan: the normal-case COYOTE configuration
-// plus a re-optimized configuration for every single-link failure.
-// Scenarios are computed in parallel.
-func Precompute(g *graph.Graph, box *demand.Box, cfg Config) (*Plan, error) {
+// PrecomputeGroups computes one scenario per failure set, in suite order.
+// Sets are computed in parallel; an empty set yields the normal-topology
+// configuration.
+func PrecomputeGroups(g *graph.Graph, box *demand.Box, sets []scen.FailureSet, cfg Config) ([]GroupScenario, error) {
 	cfg = withDefaults(cfg)
-	normal, err := strategy.Coyote(g, box, cfg)
-	if err != nil {
-		return nil, err
-	}
-	scenarios, err := PrecomputeLinks(g, box, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Normal: normal, Scenarios: scenarios}, nil
-}
-
-// PrecomputeLinks computes one single-link scenario per physical link, in
-// g.Links() order (each scenario's Failed[0] is its link).
-func PrecomputeLinks(g *graph.Graph, box *demand.Box, cfg Config) ([]GroupScenario, error) {
-	links := g.Links()
-	groups := make([][]graph.EdgeID, len(links))
-	for i, id := range links {
-		groups[i] = []graph.EdgeID{id}
-	}
-	return PrecomputeGroups(g, box, groups, cfg)
-}
-
-// WorstScenario returns the scenario with the highest post-failure PERF
-// (ignoring disconnecting failures), or nil if none exists.
-func (p *Plan) WorstScenario() *GroupScenario {
-	var worst *GroupScenario
-	for i := range p.Scenarios {
-		sc := &p.Scenarios[i]
-		if sc.Disconnected {
-			continue
-		}
-		if worst == nil || sc.Solved.Perf.Ratio > worst.Solved.Perf.Ratio {
-			worst = sc
-		}
-	}
-	return worst
-}
-
-// NumDisconnecting counts failures that partition the network (bridges).
-func (p *Plan) NumDisconnecting() int {
-	n := 0
-	for i := range p.Scenarios {
-		if p.Scenarios[i].Disconnected {
-			n++
-		}
-	}
-	return n
-}
-
-// PrecomputeGroups computes one scenario per group of failed links — the
-// multi-link generalization of Precompute that internal/scen's SRLG
-// and k-link failure suites feed. Groups are computed in parallel; an
-// empty group yields the normal-topology configuration.
-func PrecomputeGroups(g *graph.Graph, box *demand.Box, groups [][]graph.EdgeID, cfg Config) ([]GroupScenario, error) {
-	cfg = withDefaults(cfg)
-	out := make([]GroupScenario, len(groups))
-	err := par.ForErr(cfg.Workers, len(groups), func(i int) error {
-		out[i].Failed = append([]graph.EdgeID(nil), groups[i]...)
-		survivor := g.WithoutLinks(out[i].Failed)
+	out := make([]GroupScenario, len(sets))
+	err := par.ForErr(cfg.Workers, len(sets), func(i int) error {
+		out[i].Set = scen.FailureSet{Name: sets[i].Name, Links: append([]graph.EdgeID(nil), sets[i].Links...)}
+		survivor := g.WithoutLinks(out[i].Set.Links)
 		if !survivor.Connected() {
 			out[i].Disconnected = true
 			return nil
@@ -155,62 +94,4 @@ func PrecomputeGroups(g *graph.Graph, box *demand.Box, groups [][]graph.EdgeID, 
 		return nil
 	})
 	return out, err
-}
-
-// NodeScenario is one precomputed single-node-failure configuration: the
-// failed router is isolated (its links removed) and its demands drop out
-// of the uncertainty set; the rest of the network is re-optimized.
-type NodeScenario struct {
-	Failed       graph.NodeID
-	Disconnected bool             // the survivors are no longer mutually reachable (Solved is nil)
-	Solved       *strategy.Solved // the re-optimized configuration
-}
-
-// PrecomputeNodes builds per-node failure configurations ("every single
-// link/node failure can be precomputed", §VI-A). The failed node's own
-// demands are zeroed; scenarios whose survivors are partitioned are marked
-// Disconnected.
-func PrecomputeNodes(g *graph.Graph, box *demand.Box, cfg Config) ([]NodeScenario, error) {
-	cfg = withDefaults(cfg)
-	out := make([]NodeScenario, g.NumNodes())
-	err := par.ForErr(cfg.Workers, g.NumNodes(), func(v int) (err error) {
-		failed := graph.NodeID(v)
-		out[v].Failed = failed
-		// Every link incident to the failed node goes (WithoutLinks takes
-		// each listed edge's reverse with it).
-		incident := append(append([]graph.EdgeID(nil), g.Out(failed)...), g.In(failed)...)
-		survivor := g.WithoutLinks(incident)
-		if !survivorsConnected(survivor, failed) {
-			out[v].Disconnected = true
-			return nil
-		}
-		// Zero the failed node's demands in the box.
-		min, max := box.Min.Clone(), box.Max.Clone()
-		n := min.N
-		for u := 0; u < n; u++ {
-			for _, i := range [2]int{v*n + u, u*n + v} {
-				min.D[i], max.D[i] = 0, 0
-			}
-		}
-		out[v].Solved, err = strategy.Coyote(survivor, demand.NewBox(min, max), cfg)
-		return err
-	})
-	return out, err
-}
-
-// survivorsConnected reports whether all nodes other than failed — which
-// the survivor graph leaves isolated — remain mutually reachable: hanging
-// the isolated node off one survivor as a leaf makes that exactly strong
-// connectivity of the whole graph.
-func survivorsConnected(survivor *graph.Graph, failed graph.NodeID) bool {
-	if survivor.NumNodes() <= 2 {
-		return true
-	}
-	anchor := graph.NodeID(0)
-	if anchor == failed {
-		anchor = 1
-	}
-	probe := survivor.Clone()
-	probe.AddLink(failed, anchor, 1, 1)
-	return probe.Connected()
 }

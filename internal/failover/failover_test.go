@@ -5,6 +5,7 @@ import (
 
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/scen"
 )
 
 // ringWithSpur: a 4-ring (survives any single failure) plus a spur node
@@ -32,94 +33,57 @@ func smallBox(g *graph.Graph) *demand.Box {
 	return demand.MarginBox(base, 2)
 }
 
+// TestPrecomputePlan precomputes the single-link failover plan a session
+// holds: one scenario per physical link, in g.Links() order.
 func TestPrecomputePlan(t *testing.T) {
 	g := ringWithSpur()
-	plan, err := Precompute(g, smallBox(g), Config{OptIters: 80, AdvIters: 2, Seed: 1})
+	suite := scen.SingleLinkFailures(g)
+	scenarios, err := PrecomputeGroups(g, smallBox(g), suite, Config{OptIters: 80, AdvIters: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Normal == nil || plan.Normal.Perf.Ratio <= 0 {
-		t.Fatal("missing normal-case routing")
+	if len(scenarios) != len(g.Links()) {
+		t.Fatalf("%d scenarios, want %d", len(scenarios), len(g.Links()))
 	}
-	if len(plan.Scenarios) != len(g.Links()) {
-		t.Fatalf("%d scenarios, want %d", len(plan.Scenarios), len(g.Links()))
-	}
-	// Exactly one bridge: the spur link.
-	if nd := plan.NumDisconnecting(); nd != 1 {
-		t.Fatalf("%d disconnecting failures, want 1", nd)
-	}
-	for _, sc := range plan.Scenarios {
+	disconnecting := 0
+	for i, sc := range scenarios {
+		if sc.Set.Name != suite[i].Name || len(sc.Set.Links) != 1 || sc.Set.Links[0] != g.Links()[i] {
+			t.Fatalf("scenario %d is %+v, want link %d (%s)", i, sc.Set, g.Links()[i], suite[i].Name)
+		}
 		if sc.Disconnected {
+			disconnecting++
 			if sc.Solved != nil {
 				t.Fatal("disconnected scenario must not carry a routing")
 			}
 			continue
 		}
 		if sc.Solved == nil {
-			t.Fatalf("scenario %d missing routing", sc.Failed)
+			t.Fatalf("scenario %s missing routing", sc.Set.Name)
 		}
 		if err := sc.Solved.Routing.Validate(); err != nil {
-			t.Fatalf("scenario %d routing invalid: %v", sc.Failed, err)
+			t.Fatalf("scenario %s routing invalid: %v", sc.Set.Name, err)
 		}
 		if sc.Solved.Perf.Ratio > sc.ECMPPerf+1e-9 {
-			t.Fatalf("scenario %d: COYOTE %g worse than ECMP %g", sc.Failed, sc.Solved.Perf.Ratio, sc.ECMPPerf)
+			t.Fatalf("scenario %s: COYOTE %g worse than ECMP %g", sc.Set.Name, sc.Solved.Perf.Ratio, sc.ECMPPerf)
 		}
 		if sc.Solved.Ev.G.NumEdges() != g.NumEdges()-2 {
-			t.Fatalf("scenario %d survivor has %d edges", sc.Failed, sc.Solved.Ev.G.NumEdges())
+			t.Fatalf("scenario %s survivor has %d edges", sc.Set.Name, sc.Solved.Ev.G.NumEdges())
 		}
 	}
-	if plan.WorstScenario() == nil {
-		t.Fatal("expected a worst scenario")
-	}
-}
-
-func TestWorstScenarioSkipsDisconnected(t *testing.T) {
-	g := ringWithSpur()
-	plan, err := Precompute(g, smallBox(g), Config{OptIters: 60, AdvIters: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := plan.WorstScenario()
-	if w == nil || w.Disconnected {
-		t.Fatal("worst scenario must be a connected one")
-	}
-}
-
-func TestPrecomputeNodes(t *testing.T) {
-	g := ringWithSpur()
-	scenarios, err := PrecomputeNodes(g, smallBox(g), Config{OptIters: 60, AdvIters: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scenarios) != g.NumNodes() {
-		t.Fatalf("%d node scenarios, want %d", len(scenarios), g.NumNodes())
-	}
-	// Failing node 0 disconnects the spur (it hangs off node 0); failing
-	// the spur keeps the ring intact.
-	if !scenarios[0].Disconnected {
-		t.Fatal("failing node 0 must disconnect the spur")
-	}
-	spur, _ := g.NodeByName("spur")
-	sc := scenarios[spur]
-	if sc.Disconnected {
-		t.Fatal("failing the spur leaves the ring connected")
-	}
-	if sc.Solved == nil || sc.Solved.Perf.Ratio <= 0 {
-		t.Fatal("spur-failure scenario missing routing")
-	}
-	if err := sc.Solved.Routing.Validate(); err != nil {
-		t.Fatalf("node scenario routing invalid: %v", err)
+	// Exactly one bridge: the spur link.
+	if disconnecting != 1 {
+		t.Fatalf("%d disconnecting failures, want 1", disconnecting)
 	}
 }
 
 func TestPrecomputeGroups(t *testing.T) {
 	g := ringWithSpur()
 	links := g.Links() // 4 ring links then the spur bridge
-	groups := [][]graph.EdgeID{
-		{links[0]},           // single ring link: survivable
-		{links[0], links[2]}, // two opposite ring links: partitions the ring
-		{links[4]},           // the spur bridge: disconnects
-		{},                   // empty group: the normal topology
+	groups := []scen.FailureSet{
+		{Name: "ring", Links: []graph.EdgeID{links[0]}},               // single ring link: survivable
+		{Name: "opposite", Links: []graph.EdgeID{links[0], links[2]}}, // two opposite ring links: partitions the ring
+		{Name: "spur", Links: []graph.EdgeID{links[4]}},               // the spur bridge: disconnects
+		{Name: "none"}, // empty group: the normal topology
 	}
 	scenarios, err := PrecomputeGroups(g, smallBox(g), groups, Config{OptIters: 60, AdvIters: 1, Seed: 4})
 	if err != nil {
@@ -147,6 +111,9 @@ func TestPrecomputeGroups(t *testing.T) {
 		t.Fatal("empty group must keep every edge")
 	}
 	for i, sc := range scenarios {
+		if sc.Set.Name != groups[i].Name || len(sc.Set.Links) != len(groups[i].Links) {
+			t.Fatalf("group %d carries %+v, want %+v", i, sc.Set, groups[i])
+		}
 		if sc.Disconnected {
 			continue
 		}

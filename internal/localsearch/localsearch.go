@@ -58,6 +58,23 @@ type Result struct {
 	Rounds      int
 }
 
+// InverseCapacityWeights returns the Cisco-recommended INVERSECAPACITY
+// weight assignment the paper cites [16], scaled into a sane integer-ish
+// range: w_e = max(1, round(maxCap/c_e)).
+func InverseCapacityWeights(g *graph.Graph) []float64 {
+	maxCap := 0.0
+	for _, e := range g.Edges() {
+		if e.Capacity > maxCap {
+			maxCap = e.Capacity
+		}
+	}
+	w := make([]float64, g.NumEdges())
+	for _, e := range g.Edges() {
+		w[e.ID] = math.Max(1, math.Round(maxCap/e.Capacity))
+	}
+	return w
+}
+
 // Optimize runs Algorithm 1 against the uncertainty box and returns
 // optimized link weights. The input graph's weights are left untouched;
 // INVERSECAPACITY initialization follows the Cisco-recommended default the
@@ -72,16 +89,8 @@ func Optimize(g *graph.Graph, box *demand.Box, cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	work := g.Clone()
-	// Line 4: w ← INVERSECAPACITY(c), scaled into a sane integer-ish range.
-	maxCap := 0.0
-	for _, e := range work.Edges() {
-		if e.Capacity > maxCap {
-			maxCap = e.Capacity
-		}
-	}
-	for _, e := range work.Edges() {
-		work.SetWeight(e.ID, math.Max(1, math.Round(maxCap/e.Capacity)))
-	}
+	// Line 4: w ← INVERSECAPACITY(c).
+	work.SetWeights(InverseCapacityWeights(g))
 
 	var critical []*demand.Matrix
 	tabu := make(map[graph.EdgeID]int)

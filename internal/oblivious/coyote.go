@@ -155,10 +155,7 @@ func (ev *Evaluator) Optimize(opts Options) (*pdrouting.Routing, *Report) {
 	seedCtx, seedSpan := obs.StartSpan(ctx, "oblivious.seed")
 	maxCorner := ev.Box.Max.Clone()
 	addScenario(maxCorner, ev.OptDAG(maxCorner))
-	mid := demand.NewMatrix(n)
-	for i := range mid.D {
-		mid.D[i] = math.Sqrt(ev.Box.Min.D[i] * ev.Box.Max.D[i])
-	}
+	mid := ev.Box.Midpoint()
 	addScenario(mid, ev.OptDAG(mid))
 
 	// Carry-over: critical matrices from earlier recomputes enter the
@@ -303,18 +300,5 @@ func BaseRouting(g *graph.Graph, dags []*dagx.DAG, base *demand.Matrix, exactNod
 	if err != nil {
 		return nil, err
 	}
-	r := pdrouting.NewZero(g, dags)
-	uniform := pdrouting.Uniform(g, dags)
-	for t := 0; t < g.NumNodes(); t++ {
-		if flows[t] == nil {
-			r.Phi[t] = uniform.Phi[t]
-			continue
-		}
-		phi, err := pdrouting.FromFlows(g, dags[t], flows[t])
-		if err != nil {
-			return nil, err
-		}
-		r.Phi[t] = phi
-	}
-	return r, nil
+	return pdrouting.FromFlowSet(g, dags, flows)
 }

@@ -545,11 +545,7 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 	// slots in parallel.
 	corners = make([]*demand.Matrix, 2+nE+ev.cfg.Samples)
 	corners[0] = ev.Box.Max.Clone()
-	mid := demand.NewMatrix(n)
-	for i := range mid.D {
-		mid.D[i] = math.Sqrt(ev.Box.Min.D[i] * ev.Box.Max.D[i])
-	}
-	corners[1] = mid
+	corners[1] = ev.Box.Midpoint()
 	par.For(workers, nE, func(e int) {
 		corners[2+e] = ev.Box.Corner(func(s, t graph.NodeID) bool {
 			return coeff[t][s][e] > 1e-12

@@ -331,6 +331,27 @@ func (r *Routing) LoadCoeffs(t graph.NodeID) [][]float64 {
 	return C
 }
 
+// FromFlowSet converts one flow vector per destination (flows[t], as a
+// multicommodity-flow solve returns them) into a routing over dags. A
+// destination whose flow vector is nil — no demand toward it — keeps the
+// uniform split.
+func FromFlowSet(g *graph.Graph, dags []*dagx.DAG, flows [][]float64) (*Routing, error) {
+	r := NewZero(g, dags)
+	uniform := Uniform(g, dags)
+	for t := range flows {
+		if flows[t] == nil {
+			r.Phi[t] = uniform.Phi[t]
+			continue
+		}
+		phi, err := FromFlows(g, dags[t], flows[t])
+		if err != nil {
+			return nil, err
+		}
+		r.Phi[t] = phi
+	}
+	return r, nil
+}
+
 // FromFlows converts a per-destination flow vector (absolute flow on each
 // edge, supported on the DAG) into splitting ratios. Nodes with zero
 // outgoing flow fall back to a uniform split over their DAG out-edges so

@@ -230,6 +230,27 @@ func TestFromFlows(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("fallback ratios at s2 sum to %g", sum)
 	}
+
+	// FromFlowSet: the same ratios toward t; every destination without a
+	// flow vector keeps the uniform split.
+	set := make([][]float64, g.NumNodes())
+	set[ids["t"]] = flows
+	r, err := FromFlowSet(g, dags, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform := Uniform(g, dags)
+	for dst := range r.Phi {
+		want := uniform.Phi[dst]
+		if dst == int(ids["t"]) {
+			want = phi
+		}
+		for e := range want {
+			if r.Phi[dst][e] != want[e] {
+				t.Fatalf("FromFlowSet: Phi[%d][%d] = %g, want %g", dst, e, r.Phi[dst][e], want[e])
+			}
+		}
+	}
 }
 
 func TestFromFlowsRejectsOffDAGFlow(t *testing.T) {

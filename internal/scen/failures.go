@@ -170,16 +170,6 @@ func SRLGPartition(g *graph.Graph, groups int, seed int64) []FailureSet {
 	return out
 }
 
-// LinkSets strips the names off a failure suite, yielding the raw link
-// groups internal/failover consumes.
-func LinkSets(sets []FailureSet) [][]graph.EdgeID {
-	out := make([][]graph.EdgeID, len(sets))
-	for i, s := range sets {
-		out[i] = s.Links
-	}
-	return out
-}
-
 func joinNames(names []string) string {
 	s := names[0]
 	for _, n := range names[1:] {

@@ -35,12 +35,12 @@ func BaseMatrix(g *graph.Graph, model string, peak float64, seed int64) (*demand
 	case "gravity":
 		return demand.Gravity(g, peak), nil
 	case "bimodal":
-		m := demand.Bimodal(g, demand.DefaultBimodal(), rand.New(rand.NewSource(seed)))
+		m := demand.Bimodal(g, rand.New(rand.NewSource(seed)))
 		return normalize(m, peak), nil
 	case "hotspot":
-		return Hotspot(g, HotspotParams{}, peak, seed), nil
+		return Hotspot(g, peak, seed), nil
 	case "flash":
-		return FlashCrowd(g, FlashParams{}, peak, seed), nil
+		return FlashCrowd(g, peak, seed), nil
 	case "uniform":
 		m := demand.NewMatrix(g.NumNodes())
 		for s := 0; s < m.N; s++ {
@@ -63,68 +63,53 @@ func normalize(m *demand.Matrix, peak float64) *demand.Matrix {
 	return m
 }
 
-// HotspotParams tunes the hotspot workload.
-type HotspotParams struct {
-	// Hotspots is the number of overloaded destination routers (default:
-	// max(1, n/8)).
-	Hotspots int
-	// Boost multiplies the demand toward each hotspot (default 8).
-	Boost float64
-}
+// The hotspot workload's shape: max(1, n/hotspotDivisor) overloaded
+// destination routers, each drawing hotspotBoost× its gravity share.
+const (
+	hotspotDivisor = 8
+	hotspotBoost   = 8.0
+)
 
 // Hotspot builds the hotspot workload: a gravity baseline with a few
-// destination routers (content caches, peering exits) drawing Boost×
-// their gravity share. The hotspot set is a seeded uniform choice.
-func Hotspot(g *graph.Graph, p HotspotParams, peak float64, seed int64) *demand.Matrix {
+// destination routers (content caches, peering exits) drawing
+// hotspotBoost× their gravity share. The hotspot set is a seeded uniform
+// choice.
+func Hotspot(g *graph.Graph, peak float64, seed int64) *demand.Matrix {
 	n := g.NumNodes()
-	if p.Hotspots <= 0 {
-		p.Hotspots = max(1, n/8)
-	}
-	if p.Boost <= 0 {
-		p.Boost = 8
-	}
+	hotspots := max(1, n/hotspotDivisor)
 	rng := rand.New(rand.NewSource(seed))
 	m := demand.Gravity(g, 1)
-	for _, t := range rng.Perm(n)[:min(p.Hotspots, n)] {
+	for _, t := range rng.Perm(n)[:min(hotspots, n)] {
 		for s := 0; s < n; s++ {
 			if s != t {
-				m.Set(graph.NodeID(s), graph.NodeID(t), m.At(graph.NodeID(s), graph.NodeID(t))*p.Boost)
+				m.Set(graph.NodeID(s), graph.NodeID(t), m.At(graph.NodeID(s), graph.NodeID(t))*hotspotBoost)
 			}
 		}
 	}
 	return normalize(m, peak)
 }
 
-// FlashParams tunes the flash-crowd workload.
-type FlashParams struct {
-	// SourceFraction is the fraction of routers joining the crowd
-	// (default 0.5).
-	SourceFraction float64
-	// Surge multiplies the crowd's demand toward the event destination
-	// (default 20).
-	Surge float64
-}
+// The flash crowd's shape: flashSourceFraction of the other routers join
+// it, each sending flashSurge× its gravity demand to the event destination.
+const (
+	flashSourceFraction = 0.5
+	flashSurge          = 20.0
+)
 
 // FlashCrowd builds the flash-crowd workload: on top of a gravity
-// baseline, a seeded random destination suddenly receives Surge× demand
-// from a random subset of sources — the "everyone watches the same
+// baseline, a seeded random destination suddenly receives flashSurge×
+// demand from a random subset of sources — the "everyone watches the same
 // stream" pattern that breaks demand forecasts.
-func FlashCrowd(g *graph.Graph, p FlashParams, peak float64, seed int64) *demand.Matrix {
+func FlashCrowd(g *graph.Graph, peak float64, seed int64) *demand.Matrix {
 	n := g.NumNodes()
-	if p.SourceFraction <= 0 || p.SourceFraction > 1 {
-		p.SourceFraction = 0.5
-	}
-	if p.Surge <= 0 {
-		p.Surge = 20
-	}
 	rng := rand.New(rand.NewSource(seed))
 	m := demand.Gravity(g, 1)
 	perm := rng.Perm(n)
 	dest := graph.NodeID(perm[0])
-	crowd := perm[1 : 1+int(p.SourceFraction*float64(n-1))]
+	crowd := perm[1 : 1+int(flashSourceFraction*float64(n-1))]
 	for _, s := range crowd {
 		src := graph.NodeID(s)
-		m.Set(src, dest, m.At(src, dest)*p.Surge)
+		m.Set(src, dest, m.At(src, dest)*flashSurge)
 	}
 	return normalize(m, peak)
 }

@@ -53,9 +53,13 @@ func TestBaseMatrixModels(t *testing.T) {
 }
 
 func TestHotspotBoostsDestinations(t *testing.T) {
-	g := testGraph(t)
+	// 16 routers, so the workload picks max(1, 16/8) = 2 hotspots.
+	g, err := Generate("ring", Params{N: 16, M: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	grav := demand.Gravity(g, 1)
-	hot := Hotspot(g, HotspotParams{Hotspots: 2, Boost: 8}, 1, 3)
+	hot := Hotspot(g, 1, 3)
 	// Per-column hotspot/gravity ratios: normalization rescales all of
 	// them uniformly, so exactly 2 destinations must sit 8× above the
 	// smallest ratio.
@@ -88,7 +92,7 @@ func TestHotspotBoostsDestinations(t *testing.T) {
 func TestFlashCrowdSingleDestination(t *testing.T) {
 	g := testGraph(t)
 	grav := demand.Gravity(g, 1)
-	flash := FlashCrowd(g, FlashParams{}, 1, 3)
+	flash := FlashCrowd(g, 1, 3)
 	n := g.NumNodes()
 	// Entry-wise flash/gravity ratios take exactly two values (1 and
 	// Surge, both times the normalization scale); only one destination

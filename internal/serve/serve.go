@@ -117,14 +117,16 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 			Failed:   failed[id],
 		})
 	}
-	cur := s.ses.Graph()
+	// One snapshot, so the live edges, PERF and ECMP PERF all describe the
+	// same configuration even while a mutation commits the next one.
+	cur := s.ses.Solved()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"nodes":          base.NumNodes(),
 		"links":          links,
 		"failed":         len(failed),
-		"live_edges":     cur.NumEdges(),
-		"perf":           s.ses.Perf(),
-		"ecmp_perf":      s.ses.ECMPPerf(),
+		"live_edges":     cur.Ev.G.NumEdges(),
+		"perf":           cur.Perf.Ratio,
+		"ecmp_perf":      cur.ECMPPerf,
 		"event_count":    len(s.ses.Events()),
 		"dropped_events": s.ses.Dropped(),
 	})

@@ -82,8 +82,8 @@ func TestStateRoutingStats(t *testing.T) {
 	if state.Nodes != ses.Base().NumNodes() {
 		t.Fatalf("state nodes %d, want %d", state.Nodes, ses.Base().NumNodes())
 	}
-	if state.Perf != ses.Perf() {
-		t.Fatalf("state perf %v, want %v", state.Perf, ses.Perf())
+	if state.Perf != ses.Solved().Perf.Ratio {
+		t.Fatalf("state perf %v, want %v", state.Perf, ses.Solved().Perf.Ratio)
 	}
 	if len(state.Links) != len(ses.Base().Links()) {
 		t.Fatalf("state has %d links, want %d", len(state.Links), len(ses.Base().Links()))
@@ -161,6 +161,72 @@ func TestUpdateFailRecoverLies(t *testing.T) {
 	}
 	if ev["kind"] != "recover" {
 		t.Fatalf("recover event: %v", ev)
+	}
+}
+
+// TestStateReadsOneConfiguration polls GET /state while failures and
+// recoveries commit new configurations: every (perf, ecmp_perf) pair it
+// reads must be the pair of one recorded event, never one configuration's
+// PERF next to another's ECMP PERF. Run it under -race.
+func TestStateReadsOneConfiguration(t *testing.T) {
+	ts, ses := newTestServer(t)
+	type pair struct{ perf, ecmp float64 }
+	done := make(chan struct{})
+	polled := make(chan []pair)
+	go func() {
+		var seen []pair
+		defer func() { polled <- seen }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/state")
+			if err != nil {
+				t.Errorf("GET /state: %v", err)
+				return
+			}
+			var state struct {
+				Perf     float64 `json:"perf"`
+				ECMPPerf float64 `json:"ecmp_perf"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&state)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("decode /state: %v", err)
+				return
+			}
+			seen = append(seen, pair{state.Perf, state.ECMPPerf})
+		}
+	}()
+
+	base := ses.Base()
+	for _, id := range base.Links()[:3] {
+		e := base.Edge(id)
+		body := map[string]string{"from": base.Name(e.From), "to": base.Name(e.To)}
+		for _, path := range []string{"/fail", "/recover"} {
+			if resp, ev := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusOK {
+				close(done)
+				<-polled
+				t.Fatalf("POST %s: status %d (%v)", path, resp.StatusCode, ev)
+			}
+		}
+	}
+	close(done)
+	seen := <-polled
+
+	committed := make(map[pair]bool)
+	for _, e := range ses.Events() {
+		committed[pair{e.Perf, e.ECMPPerf}] = true
+	}
+	if len(seen) == 0 {
+		t.Fatal("no /state reads")
+	}
+	for _, p := range seen {
+		if !committed[p] {
+			t.Fatalf("/state paired perf %v with ecmp_perf %v; no configuration has that pair", p.perf, p.ecmp)
+		}
 	}
 }
 

@@ -12,27 +12,11 @@ import (
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
-// inverseCapacityWeights returns the Cisco-recommended INVERSECAPACITY
-// weight assignment the paper cites [16]: w_e = max(1, round(maxCap/c_e)).
-func inverseCapacityWeights(g *graph.Graph) []float64 {
-	maxCap := 0.0
-	for _, e := range g.Edges() {
-		if e.Capacity > maxCap {
-			maxCap = e.Capacity
-		}
-	}
-	w := make([]float64, g.NumEdges())
-	for _, e := range g.Edges() {
-		w[e.ID] = math.Max(1, math.Round(maxCap/e.Capacity))
-	}
-	return w
-}
-
 // buildECMP is traditional OSPF/ECMP under INVERSECAPACITY weights: equal
 // splitting over shortest-path DAGs, oblivious to the box.
 func buildECMP(_ Config, g *graph.Graph, _ *demand.Box) (Plan, error) {
 	work := g.Clone()
-	work.SetWeights(inverseCapacityWeights(g))
+	work.SetWeights(localsearch.InverseCapacityWeights(g))
 	dags := dagx.BuildAll(work, dagx.ShortestPath)
 	r := pdrouting.Uniform(work, dags)
 	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r)}}, nil
@@ -74,11 +58,7 @@ func buildGPOpt(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 		}
 	}
 	add(box.Max.Clone())
-	mid := demand.NewMatrix(g.NumNodes())
-	for i := range mid.D {
-		mid.D[i] = math.Sqrt(box.Min.D[i] * box.Max.D[i])
-	}
-	add(mid)
+	add(box.Midpoint())
 	opt := gpopt.New(g, dags, gpopt.Config{Iters: cfg.OptIters, Workers: cfg.Workers})
 	opt.Run(scenarios)
 	r := opt.Routing()

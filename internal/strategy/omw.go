@@ -23,7 +23,7 @@ import (
 // shortest paths carries twice the share of a single-plane edge.
 func buildOMW(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 	plane1 := g.Clone()
-	plane1.SetWeights(inverseCapacityWeights(g))
+	plane1.SetWeights(localsearch.InverseCapacityWeights(g))
 	ls, err := localsearch.Optimize(g, box, localsearch.Config{
 		OuterIters: cfg.AdvIters,
 		InnerMoves: 10 * g.NumEdges(),

@@ -106,18 +106,9 @@ func (p *semiObliviousPlan) Adapt(dm *demand.Matrix) (*pdrouting.Routing, error)
 		return nil, fmt.Errorf("strategy: semi-oblivious rate re-solve: %w", err)
 	}
 
-	adapted := pdrouting.NewZero(p.g, p.support)
-	uniform := pdrouting.Uniform(p.g, p.support)
-	for t := range flows {
-		if flows[t] == nil {
-			adapted.Phi[t] = uniform.Phi[t]
-			continue
-		}
-		phi, err := pdrouting.FromFlows(p.g, p.support[t], flows[t])
-		if err != nil {
-			return nil, fmt.Errorf("strategy: semi-oblivious flow decomposition: %w", err)
-		}
-		adapted.Phi[t] = phi
+	adapted, err := pdrouting.FromFlowSet(p.g, p.support, flows)
+	if err != nil {
+		return nil, fmt.Errorf("strategy: semi-oblivious flow decomposition: %w", err)
 	}
 	if adapted.MaxUtilization(dm) <= p.static.MaxUtilization(dm) {
 		return adapted, nil

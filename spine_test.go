@@ -1,7 +1,7 @@
-// The spine: Engine.Compute, the portfolio's coyote strategy, the failover
-// plan's normal case and a fresh session all hold the same solved
-// configuration (strategy.Solved), so for one topology, box and explicit
-// effort they must agree bit for bit — at any worker count.
+// The spine: Engine.Compute, the portfolio's coyote strategy and a fresh
+// session all hold the same solved configuration (strategy.Solved), so for
+// one topology, box and explicit effort they must agree bit for bit — at
+// any worker count.
 package coyote_test
 
 import (
@@ -9,7 +9,6 @@ import (
 
 	coyote "github.com/coyote-te/coyote"
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/failover"
 	"github.com/coyote-te/coyote/internal/strategy"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -72,16 +71,6 @@ func TestOneSolvedConfiguration(t *testing.T) {
 		sameConfig(t, "Compute across worker counts", want, serial)
 
 		sameConfig(t, "strategy.Build(coyote)", view(buildSolved(t, "coyote", cfg)), want)
-
-		g, err := topo.Load("Abilene")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := failover.Precompute(g, demand.MarginBox(demand.Gravity(g, 1), 2), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameConfig(t, "failover.Precompute.Normal", view(plan.Normal), want)
 
 		ses, err := coyote.NewSession(tp, bounds, opts)
 		if err != nil {
