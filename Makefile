@@ -150,13 +150,22 @@ smoke-examples:
 # cli-smoke runs each command-line door once on a small input: compute and
 # lie synthesis, topology generation, a file sweep, one registry experiment,
 # and the usage error of -messages without -virtual (which must exit
-# non-zero before computing anything). Well under a second of compute.
+# non-zero before computing anything). Well under a second of compute. The
+# experiment runs with -lp-stats and -metrics: the LP solves the per-run
+# lines print must add up to the registry's coyote_lp_solves_total at exit
+# (counters only go up; -lp-stats reads registry deltas).
 cli-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/coyote -topo Abilene -iters 20 -adv-iters 1 -virtual 3 -json; \
 	$(GO) run ./cmd/coyote-scen generate -gen ring -n 6 -seed 1 > "$$tmp/ring6.txt"; \
 	$(GO) run ./cmd/coyote-scen sweep -in "$$tmp/ring6.txt" -quick -seed 1 -margins 1,2 -json; \
-	$(GO) run ./cmd/coyote-eval -run negative-path -quick; \
+	$(GO) run ./cmd/coyote-eval -run running -quick -lp-stats -metrics > "$$tmp/eval.out" 2> "$$tmp/eval.prom"; \
+	cat "$$tmp/eval.out"; \
+	printed=$$(awk '/^\[lp-stats / { for (i = 3; i <= NF; i++) if (split($$i, kv, "=") == 2 && kv[1] == "coyote_lp_solves_total") n += kv[2] } END { print n + 0 }' "$$tmp/eval.out"); \
+	dumped=$$(awk '$$1 == "coyote_lp_solves_total" { print $$2 + 0 }' "$$tmp/eval.prom"); \
+	if [ "$$printed" = 0 ] || [ "$$printed" != "$$dumped" ]; then \
+		echo "cli-smoke: -lp-stats printed $$printed LP solves, the -metrics dump has '$$dumped'"; exit 1; \
+	fi; \
 	if $(GO) run ./cmd/coyote -topo Abilene -messages "$$tmp/x.json"; then \
 		echo "cli-smoke: coyote -messages without -virtual exited 0"; exit 1; \
 	fi; \

@@ -20,14 +20,13 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"github.com/coyote-te/coyote/internal/exp"
-	"github.com/coyote-te/coyote/internal/lp"
-	"github.com/coyote-te/coyote/internal/mcf"
-	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/strategy"
 )
@@ -40,7 +39,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "use the reduced (smoke-test) configuration")
 		strats   = flag.String("strategy", "", "comma-separated strategy subset for the portfolio experiments (default: all; see -list)")
 		workers  = flag.Int("workers", 0, "worker-pool size for the evaluation engine (0 = one per CPU; results are identical for any value)")
-		lpStats  = flag.Bool("lp-stats", false, "print solver statistics after each run: the sparse LP core (iterations, refactorizations, warm-start hit rate, numerical failures) and the FPTAS work counts")
+		lpStats  = flag.Bool("lp-stats", false, "print after each run how far every solver counter moved: the sparse LP core (coyote_lp_*), the FPTAS (coyote_mcf_fptas_*) and the adversary's candidates (coyote_oblivious_*)")
 		metrics  = flag.Bool("metrics", false, "dump the metrics registry (Prometheus text) to stderr before exiting")
 		traceOut = flag.String("trace", "", "write a per-experiment span trace here (.jsonl = span records, else Chrome trace-event JSON)")
 	)
@@ -129,7 +128,7 @@ var traceCtx = context.Background()
 
 func runOne(id string, cfg exp.Config) error {
 	start := time.Now()
-	resetSolverStats()
+	before := obs.Default.Snapshot()
 	ctx, span := obs.StartSpan(traceCtx, "exp:"+id)
 	cfg.Ctx = ctx
 	tab, err := exp.Run(id, cfg)
@@ -141,46 +140,42 @@ func runOne(id string, cfg exp.Config) error {
 		return err
 	}
 	fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
-	reportLPStats(id)
+	if printLPStats {
+		reportLPStats(id, obs.Default.Snapshot().Since(before))
+	}
 	return nil
 }
 
-// printLPStats mirrors the -lp-stats flag for reportLPStats.
+// printLPStats mirrors the -lp-stats flag.
 var printLPStats bool
 
-// resetSolverStats starts one run's accounting for reportLPStats.
-func resetSolverStats() {
-	lp.ResetGlobalStats()
-	mcf.ResetGlobalApproxStats()
-	oblivious.ResetGlobalAdversaryStats()
-}
+// solverFamilies are the metric-name prefixes -lp-stats reports, one line
+// each: the sparse LP core (solves, pivots, refactorizations, warm starts
+// and numerical failures), the FPTAS that normalizes past the exact node
+// limit (deterministic counts, DESIGN.md §12), and what the adversary did
+// with its corner candidates (cached, solved, or pruned by a dual-length
+// bound). Stability refactorizations, numerical failures, FPTAS retries and
+// bound violations are expected to stay at 0.
+var solverFamilies = []string{"coyote_lp_", "coyote_mcf_fptas_", "coyote_oblivious_"}
 
-// reportLPStats prints the per-run counters of the sparse LP core: how
-// many simplex solves the run triggered, the iteration/refactorization
-// totals (with the refactorizations forced by an update failing its
-// stability test, expected 0), and how often a warm-start basis was
-// offered and accepted (PerfExact's per-link chain, the evaluator's
-// carried OPTDAG basis). The
-// second line is the work of the solver that normalizes past the exact
-// node limit instead, the FPTAS (deterministic counts, DESIGN.md §12); the
-// third says what the adversary did with its corner candidates — how many
-// normalizations it found cached, solved, or avoided through a dual-length
-// bound — which is where either solver's solve count comes from.
-func reportLPStats(run string) {
-	if !printLPStats {
-		return
+// reportLPStats prints one run's movement of every series in
+// solverFamilies, as name=value pairs sorted by name.
+func reportLPStats(run string, delta map[string]float64) {
+	keys := make([]string, 0, len(delta))
+	for k := range delta {
+		keys = append(keys, k)
 	}
-	st := lp.GlobalStats()
-	fmt.Printf("[lp-stats %s] solves=%d iterations=%d phase1=%d refactorizations=%d (stability=%d) warm=%d/%d (hit rate %.0f%%) numerical-failures=%d\n",
-		run, st.Solves, st.Iterations, st.Phase1Iterations, st.Refactorizations,
-		st.StabilityRefactorizations, st.WarmHits, st.WarmAttempts, 100*st.WarmHitRate(),
-		st.DenseFallbacks)
-	ap := mcf.GlobalApproxStats()
-	fmt.Printf("[fptas-stats %s] solves=%d phases=%d sptrees=%d retries=%d\n",
-		run, ap.Solves, ap.Phases, ap.Trees, ap.Retries)
-	ad := oblivious.GlobalAdversaryStats()
-	fmt.Printf("[adversary-stats %s] candidates cached=%d solved=%d pruned=%d bound-violations=%d\n\n",
-		run, ad.Cached, ad.Solved, ad.Pruned, ad.BoundViolations)
+	sort.Strings(keys)
+	for _, prefix := range solverFamilies {
+		line := "[lp-stats " + run + "]"
+		for _, k := range keys {
+			if strings.HasPrefix(k, prefix) {
+				line += " " + k + "=" + strconv.FormatFloat(delta[k], 'f', -1, 64)
+			}
+		}
+		fmt.Println(line)
+	}
+	fmt.Println()
 }
 
 func fatal(err error) {

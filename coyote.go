@@ -234,16 +234,11 @@ func (e *Engine) Compute() (*Config, error) {
 		if err := strategy.Check(g, e.bounds, e.opts.Eps); err != nil {
 			return nil, err
 		}
-		ls, err := localsearch.Optimize(g, e.bounds, localsearch.Config{
-			OuterIters: max(e.opts.AdversarialIters, 3),
-			InnerMoves: 10 * g.NumEdges(),
-			Seed:       e.opts.Seed,
-		})
+		tuned, _, err := localsearch.Reweight(g, e.bounds, max(e.opts.AdversarialIters, 3), e.opts.Seed)
 		if err != nil {
 			return nil, err
 		}
-		g = g.Clone()
-		g.SetWeights(ls.Weights)
+		g = tuned
 	}
 	s, err := strategy.New("coyote", e.opts.params())
 	if err != nil {

@@ -6,11 +6,12 @@ package coyote_test
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"testing"
 
 	coyote "github.com/coyote-te/coyote"
-	"github.com/coyote-te/coyote/internal/mcf"
+	"github.com/coyote-te/coyote/internal/obs"
 )
 
 // ba42 is the first generated size past the exact/FPTAS crossover (the
@@ -40,10 +41,12 @@ func TestEpsOutOfRangeIsAnError(t *testing.T) {
 	}
 }
 
-func computeBA42(t *testing.T, workers int) (*coyote.Config, mcf.ApproxStats) {
+// computeBA42 runs one 42-node Compute and returns it with the
+// coyote_mcf_fptas_* series it moved.
+func computeBA42(t *testing.T, workers int) (*coyote.Config, map[string]float64) {
 	t.Helper()
 	topo, bounds := ba42(t)
-	before := mcf.GlobalApproxStats()
+	before := obs.Default.Snapshot()
 	cfg, err := coyote.New(topo, bounds, coyote.Options{
 		OptimizerIters:   20,
 		AdversarialIters: 1,
@@ -55,13 +58,7 @@ func computeBA42(t *testing.T, workers int) (*coyote.Config, mcf.ApproxStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := mcf.GlobalApproxStats()
-	return cfg, mcf.ApproxStats{
-		Solves:  after.Solves - before.Solves,
-		Phases:  after.Phases - before.Phases,
-		Trees:   after.Trees - before.Trees,
-		Retries: after.Retries - before.Retries,
-	}
+	return cfg, moved(before, "coyote_mcf_fptas_")
 }
 
 // TestFPTASWorkCountsDeterministic: the coyote_mcf_fptas_* counters move by
@@ -72,16 +69,17 @@ func TestFPTASWorkCountsDeterministic(t *testing.T) {
 		t.Skip("three 42-node computations in -short mode")
 	}
 	cfg, first := computeBA42(t, 1)
-	if first.Solves == 0 || first.Phases == 0 || first.Trees < first.Phases {
-		t.Fatalf("a 42-node Compute must normalize through the FPTAS, got %+v", first)
+	if first["coyote_mcf_fptas_solves_total"] == 0 || first["coyote_mcf_fptas_phases_total"] == 0 ||
+		first["coyote_mcf_fptas_sptrees_total"] < first["coyote_mcf_fptas_phases_total"] {
+		t.Fatalf("a 42-node Compute must normalize through the FPTAS, got %v", first)
 	}
 	if math.IsInf(cfg.Perf, 0) || math.IsNaN(cfg.Perf) || cfg.Perf > cfg.ECMPPerf {
 		t.Fatalf("Perf %v, ECMPPerf %v: want finite and Perf ≤ ECMPPerf", cfg.Perf, cfg.ECMPPerf)
 	}
 	for _, workers := range []int{1, 4} {
 		again, stats := computeBA42(t, workers)
-		if stats != first {
-			t.Errorf("workers=%d: FPTAS work %+v, first run %+v", workers, stats, first)
+		if !maps.Equal(stats, first) {
+			t.Errorf("workers=%d: FPTAS work %v, first run %v", workers, stats, first)
 		}
 		if math.Float64bits(again.Perf) != math.Float64bits(cfg.Perf) ||
 			math.Float64bits(again.ECMPPerf) != math.Float64bits(cfg.ECMPPerf) {

@@ -604,7 +604,7 @@ func (s *Session) Lies(extraPerInterface int) (*LieResult, error) {
 		return nil, err
 	}
 	diff := fibbing.Diff(s.prevSyn, syn)
-	if err := fibbing.VerifyDiff(g, s.prevSyn, diff, syn); err != nil {
+	if err := fibbing.VerifyDiff(g, q, s.prevSyn, diff); err != nil {
 		return nil, fmt.Errorf("delta: diff verification failed: %w", err)
 	}
 	span.Attr("fake_nodes", syn.FakeNodes).Attr("churn", diff.Churn())

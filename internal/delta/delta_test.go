@@ -9,8 +9,8 @@ import (
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/oblivious"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -340,23 +340,25 @@ func TestRejectedBoundsLeaveSessionIntact(t *testing.T) {
 // every exact OPTDAG normalization of an updated box must offer its own
 // crash basis and have it accepted, with no numerical failure. The counters
 // are process-global, so this test must not run in parallel with others
-// that reset them.
+// that solve LPs.
 func TestUpdateBoundsStartsFromCrashBasis(t *testing.T) {
 	s, base := newNSFSession(t, testCfg())
-	lp.ResetGlobalStats()
+	before := obs.Default.Snapshot()
 	if _, err := s.UpdateBounds(demand.MarginBox(base.Clone().Scale(1.2), 2.1)); err != nil {
 		t.Fatal(err)
 	}
-	st := lp.GlobalStats()
-	if st.Solves == 0 {
+	st := obs.Default.Snapshot().Since(before)
+	solves := movedBy(t, st, "coyote_lp_solves_total")
+	if solves == 0 {
 		t.Fatal("no exact LP solves during UpdateBounds; is NSF above ExactNodeLimit?")
 	}
-	if st.WarmAttempts != st.Solves || st.WarmHits != st.Solves {
-		t.Fatalf("%d solves offered %d starting bases, %d accepted; want every solve crash-started",
-			st.Solves, st.WarmAttempts, st.WarmHits)
+	attempts, hits := movedBy(t, st, "coyote_lp_warm_attempts_total"), movedBy(t, st, "coyote_lp_warm_hits_total")
+	if attempts != solves || hits != solves {
+		t.Fatalf("%v solves offered %v starting bases, %v accepted; want every solve crash-started",
+			solves, attempts, hits)
 	}
-	if st.DenseFallbacks != 0 {
-		t.Fatalf("%d numerical failures during a session update", st.DenseFallbacks)
+	if n := movedBy(t, st, "coyote_lp_dense_fallbacks_total"); n != 0 {
+		t.Fatalf("%v numerical failures during a session update", n)
 	}
 }
 
@@ -366,7 +368,7 @@ func TestUpdateBoundsStartsFromCrashBasis(t *testing.T) {
 // Recover run LP solves with no phase-1 pivots, whatever the previous epoch
 // left behind (the simplex has no dual phase, so no dual pivots either). The
 // counters are process-global, so this test must not run in parallel with
-// others that reset them.
+// others that solve LPs.
 func TestSessionEventsRunNoPhase1OrDual(t *testing.T) {
 	s, base := newNSFSession(t, testCfg())
 	link := s.Base().Links()[0]
@@ -389,25 +391,37 @@ func TestSessionEventsRunNoPhase1OrDual(t *testing.T) {
 		}},
 		{"recover", func() error { _, err := s.Recover(link); return err }},
 	}
-	solves := uint64(0)
+	solves := 0.0
 	for _, ev := range events {
-		lp.ResetGlobalStats()
+		before := obs.Default.Snapshot()
 		if err := ev.run(); err != nil {
 			t.Fatalf("%s: %v", ev.name, err)
 		}
-		st := lp.GlobalStats()
-		if st.Phase1Iterations != 0 {
-			t.Errorf("%s: %d solves ran %d phase-1 pivots, want none",
-				ev.name, st.Solves, st.Phase1Iterations)
+		st := obs.Default.Snapshot().Since(before)
+		n := movedBy(t, st, "coyote_lp_solves_total")
+		if p1 := movedBy(t, st, "coyote_lp_phase1_iterations_total"); p1 != 0 {
+			t.Errorf("%s: %v solves ran %v phase-1 pivots, want none", ev.name, n, p1)
 		}
-		if st.WarmHits != st.Solves || st.DenseFallbacks != 0 {
-			t.Errorf("%s: %d of %d solves started from their crash basis, %d numerical failures",
-				ev.name, st.WarmHits, st.Solves, st.DenseFallbacks)
+		if hits, fails := movedBy(t, st, "coyote_lp_warm_hits_total"), movedBy(t, st, "coyote_lp_dense_fallbacks_total"); hits != n || fails != 0 {
+			t.Errorf("%s: %v of %v solves started from their crash basis, %v numerical failures",
+				ev.name, hits, n, fails)
 		}
-		solves += st.Solves
-		t.Logf("%s: %d solves, %d pivots", ev.name, st.Solves, st.Iterations)
+		solves += n
+		t.Logf("%s: %v solves, %v pivots", ev.name, n, movedBy(t, st, "coyote_lp_iterations_total"))
 	}
 	if solves == 0 {
 		t.Fatal("no exact LP solves during the events; is NSF above ExactNodeLimit?")
 	}
+}
+
+// movedBy reads key from a Snapshot.Since map and fails the test when the
+// registry holds no such series, so a renamed or mistyped counter cannot
+// read as 0.
+func movedBy(tb testing.TB, moved map[string]float64, key string) float64 {
+	tb.Helper()
+	v, ok := moved[key]
+	if !ok {
+		tb.Fatalf("the registry has no series %s", key)
+	}
+	return v
 }

@@ -24,14 +24,10 @@ func fig9(cfg Config) (*Table, error) {
 	return marginTable("Fig. 9 — Abilene, local-search heuristic, bimodal model", []string{"ECMP", "COYOTE-pk"}, cfg,
 		func(margin float64) ([]string, error) {
 			box := demand.MarginBox(in.base, margin)
-			ls, err := localsearch.Optimize(in.g, box, localsearch.Config{
-				OuterIters: cfg.AdvIters, InnerMoves: 10 * in.g.NumEdges(), Seed: cfg.Seed,
-			})
+			tuned, _, err := localsearch.Reweight(in.g, box, cfg.AdvIters, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}
-			tuned := in.g.Clone()
-			tuned.SetWeights(ls.Weights)
 			dags := dagx.BuildAll(tuned, dagx.Augmented)
 			ev := cfg.evaluator(tuned, dags, box)
 			ecmp := ev.Perf(oblivious.ECMPOnDAGs(tuned, dags))

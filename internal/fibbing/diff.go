@@ -6,13 +6,14 @@ import (
 
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/ospf"
+	"github.com/coyote-te/coyote/internal/wcmp"
 )
 
 // LSA diffing: when the online controller recomputes a configuration, the
 // routers should not be asked to flush and re-learn the whole lie set —
 // only the LSAs that actually changed. Diff computes the minimal
 // add/remove/update set between two syntheses, VerifyDiff proves that
-// applying the diff to the previous LSDB reproduces the next forwarding
+// applying the diff to the previous LSDB realizes the next quantized routing
 // exactly, and Churn (the number of LSAs touched) is the reconfiguration
 // cost metric the operational literature cares about.
 
@@ -144,39 +145,14 @@ func ApplyDiff(g *graph.Graph, prev *Synthesis, d *LSADiff) (*Synthesis, error) 
 	return out, nil
 }
 
-// VerifyDiff proves that prev ⊕ d reproduces next's forwarding exactly:
-// it applies the diff to prev's lie set over next's topology g and checks
-// that, for every destination, every router's realized FIB multiset under
-// the reconstructed LSDB equals the one under next's LSDB. It returns the
-// first discrepancy found.
-func VerifyDiff(g *graph.Graph, prev *Synthesis, d *LSADiff, next *Synthesis) error {
+// VerifyDiff proves that prev ⊕ d realizes q: it applies the diff to prev's
+// lie set over q's topology g and checks the result as Verify checks a
+// synthesis. For a diff toward a synthesis already verified against q, this
+// is the proof that the diff reproduces the next forwarding exactly.
+func VerifyDiff(g *graph.Graph, q *wcmp.QuantizedRouting, prev *Synthesis, d *LSADiff) error {
 	applied, err := ApplyDiff(g, prev, d)
 	if err != nil {
 		return err
 	}
-	for t := 0; t < g.NumNodes(); t++ {
-		dest := graph.NodeID(t)
-		want := next.LSDB.SPF(dest)
-		got := applied.LSDB.SPF(dest)
-		for u := 0; u < g.NumNodes(); u++ {
-			if graph.NodeID(u) == dest {
-				continue
-			}
-			if (want[u] == nil) != (got[u] == nil) {
-				return fmt.Errorf("fibbing: diff verification: router %d toward %d: fib presence mismatch (want %v, got %v)",
-					u, dest, want[u], got[u])
-			}
-			if len(want[u]) != len(got[u]) {
-				return fmt.Errorf("fibbing: diff verification: router %d toward %d: %d next-hops, want %d",
-					u, dest, len(got[u]), len(want[u]))
-			}
-			for nh, m := range want[u] {
-				if got[u][nh] != m {
-					return fmt.Errorf("fibbing: diff verification: router %d toward %d: next-hop %d multiplicity %d, want %d",
-						u, dest, nh, got[u][nh], m)
-				}
-			}
-		}
-	}
-	return nil
+	return Verify(g, q, applied)
 }

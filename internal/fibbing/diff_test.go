@@ -12,7 +12,7 @@ import (
 )
 
 // synth quantizes and synthesizes a routing, failing the test on error.
-func synth(t *testing.T, g *graph.Graph, r *pdrouting.Routing) *Synthesis {
+func synth(t *testing.T, g *graph.Graph, r *pdrouting.Routing) (*wcmp.QuantizedRouting, *Synthesis) {
 	t.Helper()
 	q, err := wcmp.Apply(r, 3)
 	if err != nil {
@@ -25,19 +25,19 @@ func synth(t *testing.T, g *graph.Graph, r *pdrouting.Routing) *Synthesis {
 	if err := Verify(g, q, syn); err != nil {
 		t.Fatal(err)
 	}
-	return syn
+	return q, syn
 }
 
 func TestDiffNoOpIsEmpty(t *testing.T) {
 	g, ids := fig1(t)
 	r := skewedRouting(t, g, ids)
-	a := synth(t, g, r)
-	b := synth(t, g, r)
+	_, a := synth(t, g, r)
+	q, b := synth(t, g, r)
 	d := Diff(a, b)
 	if !d.Empty() {
 		t.Fatalf("identical syntheses produced non-empty diff (churn %d)", d.Churn())
 	}
-	if err := VerifyDiff(g, a, d, b); err != nil {
+	if err := VerifyDiff(g, q, a, d); err != nil {
 		t.Fatalf("no-op diff failed verification: %v", err)
 	}
 }
@@ -45,13 +45,13 @@ func TestDiffNoOpIsEmpty(t *testing.T) {
 func TestDiffFromNilIsFullInjection(t *testing.T) {
 	g, ids := fig1(t)
 	r := skewedRouting(t, g, ids)
-	s := synth(t, g, r)
+	q, s := synth(t, g, r)
 	d := Diff(nil, s)
 	if len(d.Add) != s.FakeNodes || len(d.Remove) != 0 || len(d.Update) != 0 {
 		t.Fatalf("diff from empty = %d adds %d removes %d updates, want %d/0/0",
 			len(d.Add), len(d.Remove), len(d.Update), s.FakeNodes)
 	}
-	if err := VerifyDiff(g, nil, d, s); err != nil {
+	if err := VerifyDiff(g, q, nil, d); err != nil {
 		t.Fatalf("full-injection diff failed verification: %v", err)
 	}
 }
@@ -74,7 +74,7 @@ func touchedDestinations(d *LSADiff) map[graph.NodeID]bool {
 func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 	g, ids := fig1(t)
 	r1 := skewedRouting(t, g, ids) // s1 → t split 2/3, 1/3
-	a := synth(t, g, r1)
+	_, a := synth(t, g, r1)
 
 	r2 := r1.Clone()
 	es1s2, _ := g.FindEdge(ids["s1"], ids["s2"])
@@ -82,7 +82,7 @@ func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 	if err := r2.SetRatios(ids["t"], ids["s1"], map[graph.EdgeID]float64{es1s2: 3.0 / 4, es1v: 1.0 / 4}); err != nil {
 		t.Fatal(err)
 	}
-	b := synth(t, g, r2)
+	q, b := synth(t, g, r2)
 
 	d := Diff(a, b)
 	if d.Empty() {
@@ -91,7 +91,7 @@ func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 	if touched := touchedDestinations(d); len(touched) != 1 || !touched[ids["t"]] {
 		t.Fatalf("diff touched destinations %v, want exactly [%d]", touched, ids["t"])
 	}
-	if err := VerifyDiff(g, a, d, b); err != nil {
+	if err := VerifyDiff(g, q, a, d); err != nil {
 		t.Fatalf("single-ratio diff failed verification: %v", err)
 	}
 	// The diff must be strictly smaller than a full re-injection.
@@ -106,23 +106,23 @@ func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 func TestDiffFailureRecoveryRoundTrip(t *testing.T) {
 	g, ids := fig1(t)
 	r := skewedRouting(t, g, ids)
-	normal := synth(t, g, r)
+	_, normal := synth(t, g, r)
 
 	// Fail the s2–t link: survivor keeps node IDs, re-derive a routing.
 	link, _ := g.FindEdge(ids["s2"], ids["t"])
 	survivor := g.WithoutLink(link)
 	sdags := dagx.BuildAll(survivor, dagx.Augmented)
-	failedSyn := synth(t, survivor, pdrouting.Uniform(survivor, sdags))
+	qFailed, failedSyn := synth(t, survivor, pdrouting.Uniform(survivor, sdags))
 
 	dFail := Diff(normal, failedSyn)
-	if err := VerifyDiff(survivor, normal, dFail, failedSyn); err != nil {
+	if err := VerifyDiff(survivor, qFailed, normal, dFail); err != nil {
 		t.Fatalf("failure diff failed verification: %v", err)
 	}
 
 	// Recover: synthesize the original routing again on the original graph.
-	recovered := synth(t, g, r)
+	qRecovered, recovered := synth(t, g, r)
 	dRecover := Diff(failedSyn, recovered)
-	if err := VerifyDiff(g, failedSyn, dRecover, recovered); err != nil {
+	if err := VerifyDiff(g, qRecovered, failedSyn, dRecover); err != nil {
 		t.Fatalf("recovery diff failed verification: %v", err)
 	}
 	if d := Diff(normal, recovered); !d.Empty() {
@@ -144,7 +144,7 @@ func TestDiffVerifierOnCorpus(t *testing.T) {
 			g := topo.MustLoad(name)
 			dags := dagx.BuildAll(g, dagx.Augmented)
 			r1 := pdrouting.Uniform(g, dags)
-			a := synth(t, g, r1)
+			_, a := synth(t, g, r1)
 
 			// Skew the first node with ≥ 2 DAG out-edges toward destination 0.
 			r2 := r1.Clone()
@@ -175,9 +175,9 @@ func TestDiffVerifierOnCorpus(t *testing.T) {
 			if !skewed {
 				t.Skip("no multi-out-edge node found")
 			}
-			b := synth(t, g, r2)
+			q, b := synth(t, g, r2)
 			d := Diff(a, b)
-			if err := VerifyDiff(g, a, d, b); err != nil {
+			if err := VerifyDiff(g, q, a, d); err != nil {
 				t.Fatalf("%s: diff failed verification: %v", name, err)
 			}
 			for dst := range touchedDestinations(d) {
@@ -194,7 +194,7 @@ func TestDiffVerifierOnCorpus(t *testing.T) {
 func TestApplyDiffRejectsMismatch(t *testing.T) {
 	g, ids := fig1(t)
 	r := skewedRouting(t, g, ids)
-	s := synth(t, g, r)
+	_, s := synth(t, g, r)
 	d := Diff(nil, s)
 	// Applying a pure-add diff on top of s itself duplicates every LSA.
 	if _, err := ApplyDiff(g, s, d); err == nil {
@@ -204,5 +204,32 @@ func TestApplyDiffRejectsMismatch(t *testing.T) {
 	d2 := Diff(s, nil)
 	if _, err := ApplyDiff(g, nil, d2); err == nil {
 		t.Fatal("expected unknown-remove rejection")
+	}
+}
+
+// TestVerifyDiffRejectsDroppedAdd: a ratio change re-advertises the lies
+// toward one destination; a diff that leaves out any one of the LSAs it
+// injects does not realize the new routing.
+func TestVerifyDiffRejectsDroppedAdd(t *testing.T) {
+	g, ids := fig1(t)
+	r1 := skewedRouting(t, g, ids)
+	_, a := synth(t, g, r1)
+	r2 := r1.Clone()
+	es1s2, _ := g.FindEdge(ids["s1"], ids["s2"])
+	es1v, _ := g.FindEdge(ids["s1"], ids["v"])
+	if err := r2.SetRatios(ids["t"], ids["s1"], map[graph.EdgeID]float64{es1s2: 3.0 / 4, es1v: 1.0 / 4}); err != nil {
+		t.Fatal(err)
+	}
+	q, b := synth(t, g, r2)
+	d := Diff(a, b)
+	if len(d.Add) == 0 {
+		t.Fatal("the ratio change adds no LSA; the fixture no longer exercises a dropped Add")
+	}
+	for i := range d.Add {
+		short := *d
+		short.Add = append(append([]ospf.FakeNode(nil), d.Add[:i]...), d.Add[i+1:]...)
+		if err := VerifyDiff(g, q, a, &short); err == nil {
+			t.Errorf("diff without Add %q verified", d.Add[i].Name)
+		}
 	}
 }

@@ -171,3 +171,28 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestReweightIsOptimizeAtTenMovesPerEdge: Reweight is Optimize with 10·|E|
+// inner moves, applied to a copy of the graph; the input keeps its weights.
+func TestReweightIsOptimizeAtTenMovesPerEdge(t *testing.T) {
+	g := topo.MustLoad("Abilene")
+	before := g.Weights()
+	box := demand.MarginBox(demand.Gravity(g, 1), 2)
+	tuned, res, err := Reweight(g, box, 2, 4)
+	if err != nil {
+		t.Fatalf("Reweight: %v", err)
+	}
+	want, err := Optimize(g, box, Config{OuterIters: 2, InnerMoves: 10 * g.NumEdges(), Seed: 4})
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	got, after := tuned.Weights(), g.Weights()
+	for i := range want.Weights {
+		if got[i] != want.Weights[i] || res.Weights[i] != want.Weights[i] {
+			t.Fatalf("edge %d: tuned weight %v, result %v, Optimize %v", i, got[i], res.Weights[i], want.Weights[i])
+		}
+		if after[i] != before[i] {
+			t.Fatal("Reweight mutated the input graph's weights")
+		}
+	}
+}

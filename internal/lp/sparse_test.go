@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/coyote-te/coyote/internal/obs"
 )
 
 // randomModel generates a random bounded LP exercising every feature the
@@ -294,9 +296,11 @@ func TestWarmStartShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestGlobalStatsAccumulate sanity-checks the -lp-stats counters.
+// TestGlobalStatsAccumulate sanity-checks the coyote_lp_* counters -lp-stats
+// reports: a cold solve and an accepted warm re-solve move them by exactly
+// that much, and GlobalStats reads the same registry.
 func TestGlobalStatsAccumulate(t *testing.T) {
-	ResetGlobalStats()
+	before, global := obs.Default.Snapshot(), GlobalStats()
 	m := NewModel(Maximize)
 	x := m.AddVar(0, 4, 3)
 	y := m.AddVar(0, 6, 5)
@@ -308,16 +312,17 @@ func TestGlobalStatsAccumulate(t *testing.T) {
 	if _, err := m.Solve(&SolveOptions{Basis: sol.Basis}); err != nil {
 		t.Fatal(err)
 	}
+	d := obs.Default.Snapshot().Since(before)
+	if movedBy(t, d, "coyote_lp_solves_total") != 2 || movedBy(t, d, "coyote_lp_warm_attempts_total") != 1 || movedBy(t, d, "coyote_lp_warm_hits_total") != 1 {
+		t.Fatalf("counters moved by %v, want 2 solves, 1 warm attempt, 1 hit", d)
+	}
 	st := GlobalStats()
-	if st.Solves != 2 || st.WarmAttempts != 1 || st.WarmHits != 1 {
-		t.Fatalf("stats = %+v, want 2 solves, 1 warm attempt, 1 hit", st)
+	if st.Solves-global.Solves != 2 || st.WarmHits-global.WarmHits != 1 {
+		t.Fatalf("GlobalStats %+v after %+v, want 2 more solves and 1 more warm hit", st, global)
 	}
-	if st.WarmHitRate() != 1 {
-		t.Fatalf("hit rate = %g, want 1", st.WarmHitRate())
-	}
-	ResetGlobalStats()
-	if GlobalStats().Solves != 0 {
-		t.Fatal("reset did not clear counters")
+	run := StatsSnapshot{WarmAttempts: st.WarmAttempts - global.WarmAttempts, WarmHits: st.WarmHits - global.WarmHits}
+	if run.WarmHitRate() != 1 {
+		t.Fatalf("hit rate = %g, want 1", run.WarmHitRate())
 	}
 }
 

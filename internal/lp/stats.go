@@ -3,10 +3,10 @@ package lp
 import "github.com/coyote-te/coyote/internal/obs"
 
 // StatsSnapshot aggregates solver activity across every Model.Solve in the
-// process since the last ResetGlobalStats — the source for
-// `coyote-eval -lp-stats`. Counters are monotone and safe to read
-// concurrently; they are diagnostics only and never part of the
-// determinism contract.
+// process. Counters are monotone and safe to read concurrently; they are
+// diagnostics only and never part of the determinism contract. A per-run
+// count is a difference of two obs.Default snapshots (obs.Snapshot.Since);
+// GlobalStats stays for the benchmark's pivot counts.
 type StatsSnapshot struct {
 	Solves           uint64 // sparse solves attempted
 	Iterations       uint64 // total simplex iterations
@@ -32,10 +32,9 @@ func (s StatsSnapshot) WarmHitRate() float64 {
 	return float64(s.WarmHits) / float64(s.WarmAttempts)
 }
 
-// The process-wide solver counters now live in the obs.Default metrics
-// registry (DESIGN.md §10) and are exported on GET /metrics as the
-// coyote_lp_* family; GlobalStats/ResetGlobalStats keep their historical
-// semantics by delegating to them. The simplex has no dual phase; its three
+// The process-wide solver counters live in the obs.Default metrics registry
+// (DESIGN.md §10) and are exported on GET /metrics as the coyote_lp_*
+// family; GlobalStats reads them. The simplex has no dual phase; its three
 // coyote_lp_dual_* counters stay registered and read 0 because the benchmark
 // ledger reads them by name.
 var (
@@ -89,17 +88,5 @@ func GlobalStats() StatsSnapshot {
 		DenseFallbacks:   mDenseFallbacks.Value(),
 
 		StabilityRefactorizations: mStabilityRefactorizations.Value(),
-	}
-}
-
-// ResetGlobalStats zeroes the process-wide solver counters (per-run
-// accounting for -lp-stats). A Prometheus scraper sees this as a counter
-// restart, which its rate functions already handle.
-func ResetGlobalStats() {
-	for _, c := range []*obs.Counter{
-		mSolves, mIterations, mPhase1, mRefactorizations, mStabilityRefactorizations,
-		mWarmAttempts, mWarmHits, mDenseFallbacks,
-	} {
-		c.Reset()
 	}
 }

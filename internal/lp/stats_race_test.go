@@ -8,12 +8,11 @@ import (
 )
 
 // TestGlobalStatsConcurrentSolves hammers the process-wide solver counters
-// from three directions at once — goroutines running solves, readers
-// polling GlobalStats and the obs registry snapshot, and a resetter zeroing
-// the counters mid-flight — so `go test -race` proves the registry-backed
-// stats path is data-race-free. Values are only sanity-checked (counters
-// are process-global and resets interleave arbitrarily); the race detector
-// is the real assertion.
+// from two directions at once — goroutines running solves and readers
+// polling GlobalStats and the obs registry snapshot — so `go test -race`
+// proves the registry-backed stats path is data-race-free. Counters only go
+// up, so once the solvers quiesce the registry must have moved by exactly
+// the work they did: every solve of the same model takes the same pivots.
 func TestGlobalStatsConcurrentSolves(t *testing.T) {
 	build := func() *Model {
 		m := NewModel(Minimize)
@@ -25,12 +24,17 @@ func TestGlobalStatsConcurrentSolves(t *testing.T) {
 		m.AddLE([]Term{{x, 1}, {z, 1}}, 5)
 		return m
 	}
+	one, err := build().Solve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const (
 		solvers        = 4
 		solvesPerG     = 40
 		readsPerReader = 200
 	)
+	before := obs.Default.Snapshot()
 	var wg sync.WaitGroup
 
 	for g := 0; g < solvers; g++ {
@@ -52,19 +56,13 @@ func TestGlobalStatsConcurrentSolves(t *testing.T) {
 		}()
 	}
 
-	// Readers: the legacy snapshot API and the registry exposition path.
+	// Readers: the GlobalStats view and the registry exposition path.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < readsPerReader; i++ {
-				st := GlobalStats()
-				if st.Iterations > 0 && st.Solves == 0 && st.DenseFallbacks == 0 {
-					// Not exact across a concurrent reset, but iterations
-					// without any solve ever recorded would mean torn
-					// accounting rather than an interleaved reset.
-					_ = st
-				}
+				_ = GlobalStats()
 				for _, fam := range obs.Default.Snapshot() {
 					_ = fam.Name
 				}
@@ -72,24 +70,31 @@ func TestGlobalStatsConcurrentSolves(t *testing.T) {
 		}()
 	}
 
-	// Resetter: zero the counters while solves are in flight.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 25; i++ {
-			ResetGlobalStats()
-		}
-	}()
-
 	wg.Wait()
 
-	// Quiesced: one more solve must be visible in a fresh snapshot.
-	ResetGlobalStats()
-	m := build()
-	if _, err := m.Solve(nil); err != nil {
-		t.Fatal(err)
+	const n = solvers * solvesPerG
+	d := obs.Default.Snapshot().Since(before)
+	for key, want := range map[string]float64{
+		"coyote_lp_solves_total":            n,
+		"coyote_lp_iterations_total":        n * float64(one.Stats.Iterations),
+		"coyote_lp_phase1_iterations_total": n * float64(one.Stats.Phase1Iterations),
+		"coyote_lp_refactorizations_total":  n * float64(one.Stats.Refactorizations),
+		"coyote_lp_warm_attempts_total":     0,
+	} {
+		if got := movedBy(t, d, key); got != want {
+			t.Errorf("%d concurrent solves moved %s by %v, want %v", n, key, got, want)
+		}
 	}
-	if st := GlobalStats(); st.Solves != 1 {
-		t.Fatalf("after reset + one solve: Solves = %d, want 1", st.Solves)
+}
+
+// movedBy reads key from a Snapshot.Since map and fails the test when the
+// registry holds no such series, so a renamed or mistyped counter cannot
+// read as 0.
+func movedBy(tb testing.TB, moved map[string]float64, key string) float64 {
+	tb.Helper()
+	v, ok := moved[key]
+	if !ok {
+		tb.Fatalf("the registry has no series %s", key)
 	}
+	return v
 }

@@ -26,30 +26,6 @@ var (
 		"Solves restarted with halved demands because no phase completed; expected 0.")
 )
 
-// ApproxStats is a snapshot of the process-wide FPTAS work counters — the
-// source for `coyote-eval -lp-stats` next to lp.GlobalStats.
-type ApproxStats struct {
-	Solves, Phases, Trees, Retries uint64
-}
-
-// GlobalApproxStats returns the process-wide FPTAS work counters.
-func GlobalApproxStats() ApproxStats {
-	return ApproxStats{
-		Solves:  mApproxSolves.Value(),
-		Phases:  mApproxPhases.Value(),
-		Trees:   mApproxTrees.Value(),
-		Retries: mApproxRetries.Value(),
-	}
-}
-
-// ResetGlobalApproxStats zeroes the FPTAS work counters (per-run accounting
-// for -lp-stats, like lp.ResetGlobalStats).
-func ResetGlobalApproxStats() {
-	for _, c := range []*obs.Counter{mApproxSolves, mApproxPhases, mApproxTrees, mApproxRetries} {
-		c.Reset()
-	}
-}
-
 // routeFloor is the scaled demand below which the FPTAS routes nothing more:
 // a phase stops routing a demand once what remains of it is at or under it.
 const routeFloor = 1e-15

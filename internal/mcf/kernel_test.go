@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -188,13 +190,15 @@ func TestApproxLengthOverflowIsUnroutable(t *testing.T) {
 	g.AddEdge(b, a, 1, 1)
 	D := demand.NewMatrix(2)
 	D.Set(a, b, 1e-300)
-	before := GlobalApproxStats()
+	before := obs.Default.Snapshot()
 	mlu, _, err := MinMLUApprox(g, dagx.BuildAll(g, dagx.Augmented), D, 0.4)
 	if !errors.Is(err, ErrUnroutable) || !math.IsInf(mlu, 1) {
 		t.Fatalf("got mlu=%v err=%v, want +Inf and ErrUnroutable", mlu, err)
 	}
-	if after := GlobalApproxStats(); after != before {
-		t.Fatalf("a failed solve moved the work counters: %+v → %+v", before, after)
+	for k, v := range obs.Default.Snapshot().Since(before) {
+		if strings.HasPrefix(k, "coyote_mcf_fptas_") && v != 0 {
+			t.Fatalf("a failed solve moved %s by %v", k, v)
+		}
 	}
 }
 
@@ -476,7 +480,7 @@ func BenchmarkMinMLUApprox(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var sink float64
-			before := GlobalApproxStats()
+			before := obs.Default.Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v, err := bc.solve()
@@ -486,9 +490,9 @@ func BenchmarkMinMLUApprox(b *testing.B) {
 				sink += v
 			}
 			b.StopTimer()
-			after := GlobalApproxStats()
-			b.ReportMetric(float64(after.Phases-before.Phases)/float64(b.N), "phases/op")
-			b.ReportMetric(float64(after.Trees-before.Trees)/float64(b.N), "sptrees/op")
+			d := obs.Default.Snapshot().Since(before)
+			b.ReportMetric(movedBy(b, d, "coyote_mcf_fptas_phases_total")/float64(b.N), "phases/op")
+			b.ReportMetric(movedBy(b, d, "coyote_mcf_fptas_sptrees_total")/float64(b.N), "sptrees/op")
 			_ = sink
 		})
 	}

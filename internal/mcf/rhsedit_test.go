@@ -9,6 +9,7 @@ import (
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -36,7 +37,7 @@ func TestCrashStartRHSEditsProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(0x5eed + int64(n)))
 			cur := D.Clone()
 			const edits = 30
-			var crashIters, coldIters uint64
+			var crashIters, coldIters float64
 			for i := 0; i < edits; i++ {
 				// Edit 1–3 demand entries toward active destinations. Demands
 				// stay strictly positive so a cold rebuild of the edited
@@ -58,33 +59,45 @@ func TestCrashStartRHSEditsProperty(t *testing.T) {
 					}
 				}
 
-				lp.ResetGlobalStats()
+				before := obs.Default.Snapshot()
 				mlu, _, _, err := mm.Solve(&lp.SolveOptions{Basis: mm.CrashBasis()})
 				if err != nil {
 					t.Fatalf("edit %d crash start: %v", i, err)
 				}
-				st := lp.GlobalStats()
-				if st.WarmHits != 1 || st.Phase1Iterations != 0 {
-					t.Fatalf("edit %d: crash-started solve %+v; want the basis accepted and no phase 1", i, st)
+				st := obs.Default.Snapshot().Since(before)
+				if movedBy(t, st, "coyote_lp_warm_hits_total") != 1 || movedBy(t, st, "coyote_lp_phase1_iterations_total") != 0 {
+					t.Fatalf("edit %d: crash-started solve moved %v; want the basis accepted and no phase 1", i, st)
 				}
-				crashIters += st.Iterations
+				crashIters += movedBy(t, st, "coyote_lp_iterations_total")
 
-				lp.ResetGlobalStats()
+				before = obs.Default.Snapshot()
 				coldMLU, _, _, err := NewMinMLUModel(g, dags, cur).Solve(nil)
 				if err != nil {
 					t.Fatalf("edit %d cold: %v", i, err)
 				}
-				coldIters += lp.GlobalStats().Iterations
+				coldIters += movedBy(t, obs.Default.Snapshot().Since(before), "coyote_lp_iterations_total")
 
 				if math.Abs(mlu-coldMLU) > 1e-6*(1+coldMLU) {
 					t.Fatalf("edit %d: crash-started MLU %.12g, cold %.12g", i, mlu, coldMLU)
 				}
 			}
-			ratio := float64(crashIters) / float64(coldIters)
-			t.Logf("%s: crash start %d pivots vs cold %d over %d edits (ratio %.3f)", name, crashIters, coldIters, edits, ratio)
+			ratio := crashIters / coldIters
+			t.Logf("%s: crash start %v pivots vs cold %v over %d edits (ratio %.3f)", name, crashIters, coldIters, edits, ratio)
 			if ratio >= 0.6 {
 				t.Fatalf("crash/cold pivot ratio %.3f; regression guard requires < 0.6", ratio)
 			}
 		})
 	}
+}
+
+// movedBy reads key from a Snapshot.Since map and fails the test when the
+// registry holds no such series, so a renamed or mistyped counter cannot
+// read as 0.
+func movedBy(tb testing.TB, moved map[string]float64, key string) float64 {
+	tb.Helper()
+	v, ok := moved[key]
+	if !ok {
+		tb.Fatalf("the registry has no series %s", key)
+	}
+	return v
 }

@@ -26,30 +26,6 @@ var (
 		"Dual-length certificates dropped because their bound at their own matrix disagreed with the solve that produced them; expected 0.")
 )
 
-// AdversaryStats is a snapshot of the process-wide adversary counters — the
-// source for `coyote-eval -lp-stats` next to lp.GlobalStats.
-type AdversaryStats struct {
-	Cached, Solved, Pruned, BoundViolations uint64
-}
-
-// GlobalAdversaryStats returns the process-wide adversary counters.
-func GlobalAdversaryStats() AdversaryStats {
-	return AdversaryStats{
-		Cached:          mCandCached.Value(),
-		Solved:          mCandSolved.Value(),
-		Pruned:          mCandPruned.Value(),
-		BoundViolations: mBoundViolations.Value(),
-	}
-}
-
-// ResetGlobalAdversaryStats zeroes the adversary counters (per-run accounting
-// for -lp-stats, like lp.ResetGlobalStats).
-func ResetGlobalAdversaryStats() {
-	for _, c := range []*obs.Counter{mCandCached, mCandSolved, mCandPruned, mBoundViolations} {
-		c.Reset()
-	}
-}
-
 const (
 	// boundRingSize is how many distance tables an evalCache keeps. The
 	// adversary's corners share most of their binding links, so a handful of

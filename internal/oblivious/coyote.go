@@ -76,10 +76,9 @@ type Options struct {
 
 // Report summarizes an Optimize run.
 type Report struct {
-	Perf          Result // final worst-case evaluation of the returned routing
-	OuterIters    int    // adversarial iterations executed
-	ScenarioCount int    // scenarios accumulated in the finite optimization set
-	ECMPFallback  bool   // true if plain ECMP evaluated no worse and was returned
+	Perf         Result // final worst-case evaluation of the returned routing
+	OuterIters   int    // adversarial iterations executed
+	ECMPFallback bool   // true if plain ECMP evaluated no worse and was returned
 	// ECMPPerf is the worst-case ratio of traditional ECMP over the same
 	// DAGs and uncertainty set, evaluated as part of the no-worse-than-ECMP
 	// guarantee (so callers need not re-run the adversary for it).
@@ -209,8 +208,6 @@ func (ev *Evaluator) Optimize(opts Options) (*pdrouting.Routing, *Report) {
 			break // adversary found nothing new
 		}
 	}
-	report.ScenarioCount = len(scenarios)
-
 	// ECMP guarantee: traditional equal splitting over the embedded
 	// shortest-path DAGs is a point of the solution space; never return
 	// anything that evaluates worse.

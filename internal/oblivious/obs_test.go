@@ -74,10 +74,10 @@ func TestAdversarySpanAccountsForCandidates(t *testing.T) {
 
 	tracer := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tracer)
-	before := GlobalAdversaryStats()
+	before := obs.Default.Snapshot()
 	ev.PerfTopCtx(ctx, r, 4)
 	ev.PerfTopCtx(ctx, r, 4)
-	after := GlobalAdversaryStats()
+	moved := obs.Default.Snapshot().Since(before)
 
 	var total [3]int // cached, solved, pruned over both calls
 	calls := 0
@@ -141,7 +141,10 @@ func TestAdversarySpanAccountsForCandidates(t *testing.T) {
 	if solveSpans != total[1] {
 		t.Fatalf("recorded %d lp.solve spans under the adversary, want one per solved candidate (%d)", solveSpans, total[1])
 	}
-	got := [3]int{int(after.Cached - before.Cached), int(after.Solved - before.Solved), int(after.Pruned - before.Pruned)}
+	var got [3]int
+	for i, kind := range []string{"cached", "solved", "pruned"} {
+		got[i] = int(movedBy(t, moved, "coyote_oblivious_candidates_total{"+kind+"}"))
+	}
 	if got != total {
 		t.Fatalf("coyote_oblivious_candidates_total moved by %v (cached, solved, pruned), spans say %v", got, total)
 	}

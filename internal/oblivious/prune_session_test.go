@@ -7,6 +7,7 @@ import (
 	"github.com/coyote-te/coyote/internal/delta"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/oblivious"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -23,7 +24,7 @@ func TestPerfTopMatchesExhaustiveInSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := demand.Gravity(g, 1)
-	violations := oblivious.GlobalAdversaryStats().BoundViolations
+	before := obs.Default.Snapshot()
 	for _, workers := range []int{1, 4} {
 		if oblivious.RaceDetector && workers == 1 {
 			continue // the session costs minutes under -race; keep the run with a fan-out
@@ -58,7 +59,9 @@ func TestPerfTopMatchesExhaustiveInSession(t *testing.T) {
 			}
 		}
 	}
-	if v := oblivious.GlobalAdversaryStats().BoundViolations - violations; v != 0 {
-		t.Errorf("%d dual certificates failed their soundness guard, want 0", v)
+	if v, ok := obs.Default.Snapshot().Since(before)["coyote_oblivious_bound_violations_total"]; !ok {
+		t.Error("the registry has no series coyote_oblivious_bound_violations_total")
+	} else if v != 0 {
+		t.Errorf("%v dual certificates failed their soundness guard, want 0", v)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/coyote-te/coyote/internal/gpopt"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/mcf"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
@@ -227,7 +228,7 @@ var pruneInstances = []pruneInstance{
 // UpdateBounds does it — returns the exhaustive adversary's top-k, and no
 // certificate fails its soundness guard.
 func TestPerfTopMatchesExhaustive(t *testing.T) {
-	before := GlobalAdversaryStats()
+	before := obs.Default.Snapshot()
 	for _, in := range pruneInstances {
 		if testing.Short() && in.name != "Abilene" && in.name != "ba-42-fptas" {
 			continue
@@ -260,14 +261,27 @@ func TestPerfTopMatchesExhaustive(t *testing.T) {
 			}
 		}
 	}
-	after := GlobalAdversaryStats()
-	if v := after.BoundViolations - before.BoundViolations; v != 0 {
-		t.Errorf("%d dual certificates failed their soundness guard, want 0", v)
+	moved := obs.Default.Snapshot().Since(before)
+	if v := movedBy(t, moved, "coyote_oblivious_bound_violations_total"); v != 0 {
+		t.Errorf("%v dual certificates failed their soundness guard, want 0", v)
 	}
 	// The bounds must earn their keep: most uncached candidates go unsolved.
-	if pruned, solved := after.Pruned-before.Pruned, after.Solved-before.Solved; pruned < 2*solved {
-		t.Errorf("the adversary pruned %d candidates and solved %d; want at least two pruned per solve", pruned, solved)
+	pruned := movedBy(t, moved, "coyote_oblivious_candidates_total{pruned}")
+	if solved := movedBy(t, moved, "coyote_oblivious_candidates_total{solved}"); pruned < 2*solved {
+		t.Errorf("the adversary pruned %v candidates and solved %v; want at least two pruned per solve", pruned, solved)
 	}
+}
+
+// movedBy reads key from a Snapshot.Since map and fails the test when the
+// registry holds no such series, so a renamed or mistyped counter cannot
+// read as 0.
+func movedBy(tb testing.TB, moved map[string]float64, key string) float64 {
+	tb.Helper()
+	v, ok := moved[key]
+	if !ok {
+		tb.Fatalf("the registry has no series %s", key)
+	}
+	return v
 }
 
 // TestPerfTopAfterFailure covers what a link failure does to the adversary:

@@ -3,15 +3,17 @@ package oblivious
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/mcf"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -19,26 +21,25 @@ import (
 // freshOptDAG is the exact normalization as it was before models were
 // reused: a model built for D alone, solved once. It returns the value and
 // the LP work the solve did.
-func freshOptDAG(t *testing.T, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, lp.StatsSnapshot) {
+func freshOptDAG(t *testing.T, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, map[string]float64) {
 	t.Helper()
-	before := lp.GlobalStats()
+	before := obs.Default.Snapshot()
 	v, err := mcf.NewMinMLUModel(g, dags, D).SolveMLU(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v, statsDelta(before, lp.GlobalStats())
+	return v, lpWork(before)
 }
 
-func statsDelta(a, b lp.StatsSnapshot) lp.StatsSnapshot {
-	return lp.StatsSnapshot{
-		Solves:           b.Solves - a.Solves,
-		Iterations:       b.Iterations - a.Iterations,
-		Phase1Iterations: b.Phase1Iterations - a.Phase1Iterations,
-		Refactorizations: b.Refactorizations - a.Refactorizations,
-		WarmAttempts:     b.WarmAttempts - a.WarmAttempts,
-		WarmHits:         b.WarmHits - a.WarmHits,
-		DenseFallbacks:   b.DenseFallbacks - a.DenseFallbacks,
+// lpWork returns the coyote_lp_ series that moved since before.
+func lpWork(before obs.Snapshot) map[string]float64 {
+	out := map[string]float64{}
+	for k, v := range obs.Default.Snapshot().Since(before) {
+		if strings.HasPrefix(k, "coyote_lp_") && v != 0 {
+			out[k] = v
+		}
 	}
+	return out
 }
 
 // TestExactOptDAGReuseParity: normalizations through the evaluator — which
@@ -88,16 +89,16 @@ func TestExactOptDAGReuseParity(t *testing.T) {
 				if D.Total() == 0 {
 					continue
 				}
-				before := lp.GlobalStats()
+				before := obs.Default.Snapshot()
 				got := ev.OptDAG(D)
-				work := statsDelta(before, lp.GlobalStats())
+				work := lpWork(before)
 				want, wantWork := freshOptDAG(t, g, dags, D)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s workers=%d OptDAG #%d: %v (%#x), fresh model %v (%#x)", bc.name, workers, i,
 						got, math.Float64bits(got), want, math.Float64bits(want))
 				}
-				if work != wantWork {
-					t.Fatalf("%s workers=%d OptDAG #%d: LP work %+v, fresh model %+v", bc.name, workers, i, work, wantWork)
+				if !maps.Equal(work, wantWork) {
+					t.Fatalf("%s workers=%d OptDAG #%d: LP work %v, fresh model %v", bc.name, workers, i, work, wantWork)
 				}
 				matrices++
 				key := make([]byte, n)
@@ -118,13 +119,13 @@ func TestExactOptDAGReuseParity(t *testing.T) {
 					for h := range ev.cache.opt {
 						known[h] = true
 					}
-					before := lp.GlobalStats()
+					before := obs.Default.Snapshot()
 					results := ev.PerfTop(r, 1<<20)
-					work := statsDelta(before, lp.GlobalStats())
+					work := lpWork(before)
 					// A result is a fresh normalization when its matrix entered
 					// the cache during the call (the closed-form single-pair
 					// candidates never do).
-					before = lp.GlobalStats()
+					before = obs.Default.Snapshot()
 					fresh := 0
 					for _, res := range results {
 						h := hashMatrix(res.WorstDM)
@@ -140,8 +141,8 @@ func TestExactOptDAGReuseParity(t *testing.T) {
 						}
 						fresh++
 					}
-					if wantWork := statsDelta(before, lp.GlobalStats()); work != wantWork || int(work.Solves) != fresh {
-						t.Fatalf("%s workers=%d PerfTop: LP work %+v, %d fresh models %+v", bc.name, workers, work, fresh, wantWork)
+					if wantWork := lpWork(before); !maps.Equal(work, wantWork) || work["coyote_lp_solves_total"] != float64(fresh) {
+						t.Fatalf("%s workers=%d PerfTop: LP work %v, %d fresh models %v", bc.name, workers, work, fresh, wantWork)
 					}
 					matrices += fresh
 				}

@@ -9,6 +9,7 @@ import (
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -123,20 +124,21 @@ func TestPerfExactWarmMatchesCold(t *testing.T) {
 func TestPerfExactWarmChainHits(t *testing.T) {
 	ev := slaveEvaluator(t, "Abilene", 4)
 	r := ECMPOnDAGs(ev.G, ev.DAGs)
-	lp.ResetGlobalStats()
+	before := obs.Default.Snapshot()
 	if _, err := ev.PerfExact(r); err != nil {
 		t.Fatal(err)
 	}
-	st := lp.GlobalStats()
-	if st.WarmAttempts == 0 {
+	st := obs.Default.Snapshot().Since(before)
+	attempts, hits := movedBy(t, st, "coyote_lp_warm_attempts_total"), movedBy(t, st, "coyote_lp_warm_hits_total")
+	if attempts == 0 {
 		t.Fatal("no warm starts attempted across the per-link chain")
 	}
-	if st.WarmHitRate() < 0.9 {
-		t.Fatalf("warm hit rate %.2f (attempts %d, hits %d); expected ≥ 0.9 — the rows never change",
-			st.WarmHitRate(), st.WarmAttempts, st.WarmHits)
+	if hits < 0.9*attempts {
+		t.Fatalf("warm hit rate %.2f (attempts %v, hits %v); expected ≥ 0.9 — the rows never change",
+			hits/attempts, attempts, hits)
 	}
-	if st.DenseFallbacks != 0 {
-		t.Fatalf("%d numerical failures on the slave LP", st.DenseFallbacks)
+	if n := movedBy(t, st, "coyote_lp_dense_fallbacks_total"); n != 0 {
+		t.Fatalf("%v numerical failures on the slave LP", n)
 	}
 }
 

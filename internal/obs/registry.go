@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -156,9 +157,8 @@ func joinLabels(values []string) string {
 	return string(b)
 }
 
-// Counter is a monotone event count. Reset exists only for per-run
-// accounting (lp.ResetGlobalStats); Prometheus scrapers treat a reset as a
-// counter restart.
+// Counter is a monotone event count: it only goes up, so a per-run count is
+// a difference of two snapshots (Snapshot.Since).
 type Counter struct{ n atomic.Uint64 }
 
 // Inc adds one.
@@ -169,9 +169,6 @@ func (c *Counter) Add(n uint64) { c.n.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n.Load() }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n.Store(0) }
 
 // Gauge is a value that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }
@@ -387,6 +384,38 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		f.mu.RUnlock()
 		out = append(out, fs)
+	}
+	return out
+}
+
+// Since returns how far every series moved from prev to s, keyed by family
+// name plus `{v1,v2}` when the series has label values; a histogram
+// contributes its `_sum` and `_count`. A series prev does not hold (a family
+// or child first touched between the two snapshots) counts from zero.
+func (s Snapshot) Since(prev Snapshot) map[string]float64 {
+	out := s.series()
+	for k, v := range prev.series() {
+		out[k] -= v
+	}
+	return out
+}
+
+// series flattens a snapshot into the keys Since documents.
+func (s Snapshot) series() map[string]float64 {
+	out := make(map[string]float64)
+	for _, f := range s {
+		for _, m := range f.Metrics {
+			key := f.Name
+			if len(m.LabelValues) > 0 {
+				key += "{" + strings.Join(m.LabelValues, ",") + "}"
+			}
+			if f.Type == HistogramType {
+				out[key+"_sum"] = m.Sum
+				out[key+"_count"] = float64(m.Count)
+			} else {
+				out[key] = m.Value
+			}
+		}
 	}
 	return out
 }

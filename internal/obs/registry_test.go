@@ -16,10 +16,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	c.Reset()
-	if got := c.Value(); got != 0 {
-		t.Fatalf("counter after reset = %d, want 0", got)
-	}
 
 	g := r.NewGauge("test_level", "level")
 	g.Set(2.5)
@@ -34,6 +30,49 @@ func TestCounterGaugeBasics(t *testing.T) {
 	cv.With("b").Inc()
 	if cv.With("a").Value() != 2 || cv.With("b").Value() != 1 {
 		t.Fatalf("labeled counters: a=%d b=%d", cv.With("a").Value(), cv.With("b").Value())
+	}
+}
+
+// TestSnapshotSince: a per-run count is the difference of two snapshots —
+// plain counters, labelled children, a histogram's _sum and _count, and a
+// family first touched between the two snapshots, which counts from zero.
+func TestSnapshotSince(t *testing.T) {
+	r := NewRegistry()
+	c := r.NewCounter("test_events_total", "events")
+	cv := r.NewCounterVec("test_kinds_total", "by kind", "kind", "phase")
+	h := r.NewHistogram("test_seconds", "latency", []float64{1})
+	late := r.NewCounterVec("test_late_total", "touched late", "kind")
+	c.Add(3)
+	cv.With("a", "x").Inc()
+	h.Observe(0.5)
+
+	prev := r.Snapshot()
+	c.Add(2)
+	cv.With("a", "x").Add(4)
+	cv.With("b", "y").Inc()
+	h.Observe(2)
+	h.Observe(0.25)
+	late.With("z").Add(7)
+
+	got := r.Snapshot().Since(prev)
+	want := map[string]float64{
+		"test_events_total":     2,
+		"test_kinds_total{a,x}": 4,
+		"test_kinds_total{b,y}": 1,
+		"test_seconds_sum":      2.25,
+		"test_seconds_count":    2,
+		"test_late_total{z}":    7,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Since = %v, want %v", got, want)
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("Since[%q] = %v, want %v", k, got[k], v)
+		}
+	}
+	if c.Value() != 5 {
+		t.Fatalf("taking a delta moved the counter: %d, want 5", c.Value())
 	}
 }
 

@@ -1,14 +1,16 @@
 package strategy
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/mcf"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -88,21 +90,37 @@ func TestAdaptDependsOnMatrixAlone(t *testing.T) {
 // this test's failure output. Reads process-wide lp counters, so no
 // t.Parallel.
 func TestAdaptWorkCounts(t *testing.T) {
-	want := map[string]lp.StatsSnapshot{
-		"Abilene": {Solves: 30, Iterations: 540, Refactorizations: 30, WarmAttempts: 30, WarmHits: 30},
-		"NSF":     {Solves: 30, Iterations: 770, Refactorizations: 30, WarmAttempts: 30, WarmHits: 30},
-		"Geant":   {Solves: 30, Iterations: 54, Refactorizations: 30, WarmAttempts: 30, WarmHits: 30},
+	// The coyote_lp_ series that move; every other one stays at 0.
+	work := func(solves, pivots float64) map[string]float64 {
+		return map[string]float64{
+			"coyote_lp_solves_total":           solves,
+			"coyote_lp_iterations_total":       pivots,
+			"coyote_lp_refactorizations_total": solves,
+			"coyote_lp_warm_attempts_total":    solves,
+			"coyote_lp_warm_hits_total":        solves,
+		}
+	}
+	want := map[string]map[string]float64{
+		"Abilene": work(30, 540),
+		"NSF":     work(30, 770),
+		"Geant":   work(30, 54),
 	}
 	for _, name := range []string{"Abilene", "NSF", "Geant"} {
 		_, box, plan := semiObliviousFixture(t, name)
-		lp.ResetGlobalStats()
+		before := obs.Default.Snapshot()
 		for i, dm := range boxMatrices(box, 30, 1) {
 			if _, err := plan.Adapt(dm); err != nil {
 				t.Fatalf("%s matrix %d: %v", name, i, err)
 			}
 		}
-		if got := lp.GlobalStats(); got != want[name] {
-			t.Errorf("%s: LP work of 30 Adapt calls\n got %+v\nwant %+v", name, got, want[name])
+		got := map[string]float64{}
+		for k, v := range obs.Default.Snapshot().Since(before) {
+			if strings.HasPrefix(k, "coyote_lp_") && v != 0 {
+				got[k] = v
+			}
+		}
+		if !maps.Equal(got, want[name]) {
+			t.Errorf("%s: LP work of 30 Adapt calls\n got %v\nwant %v", name, got, want[name])
 		}
 	}
 }

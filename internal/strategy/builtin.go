@@ -26,16 +26,10 @@ func buildECMP(_ Config, g *graph.Graph, _ *demand.Box) (Plan, error) {
 // and deploys plain ECMP on the tuned weights — the strongest routing
 // reachable without any lies.
 func buildLocalSearch(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
-	ls, err := localsearch.Optimize(g, box, localsearch.Config{
-		OuterIters: cfg.AdvIters,
-		InnerMoves: 10 * g.NumEdges(),
-		Seed:       cfg.Seed,
-	})
+	work, ls, err := localsearch.Reweight(g, box, cfg.AdvIters, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	work := g.Clone()
-	work.SetWeights(ls.Weights)
 	dags := dagx.BuildAll(work, dagx.ShortestPath)
 	r := pdrouting.Uniform(work, dags)
 	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r), Scenarios: len(ls.CriticalDMs)}}, nil

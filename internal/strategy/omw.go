@@ -24,16 +24,10 @@ import (
 func buildOMW(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 	plane1 := g.Clone()
 	plane1.SetWeights(localsearch.InverseCapacityWeights(g))
-	ls, err := localsearch.Optimize(g, box, localsearch.Config{
-		OuterIters: cfg.AdvIters,
-		InnerMoves: 10 * g.NumEdges(),
-		Seed:       cfg.Seed,
-	})
+	plane2, ls, err := localsearch.Reweight(g, box, cfg.AdvIters, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	plane2 := g.Clone()
-	plane2.SetWeights(ls.Weights)
 
 	n := g.NumNodes()
 	dags := make([]*dagx.DAG, n)

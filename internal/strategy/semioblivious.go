@@ -65,7 +65,7 @@ func buildSemiOblivious(cfg Config, g *graph.Graph, box *demand.Box) (Plan, erro
 		cost: Cost{
 			DAGEdges:  0,
 			Adaptive:  true,
-			Scenarios: static.ScenarioCount,
+			Scenarios: len(static.Critical),
 		},
 	}
 	for _, d := range support {

@@ -46,5 +46,5 @@ func (p *Solved) Route(*demand.Matrix) (*pdrouting.Routing, error) { return p.Ro
 
 // Cost reports the installed DAG state and the scenarios the loop gathered.
 func (p *Solved) Cost() Cost {
-	return Cost{DAGEdges: dagEdges(p.Routing), Scenarios: p.ScenarioCount}
+	return Cost{DAGEdges: dagEdges(p.Routing), Scenarios: len(p.Critical)}
 }

@@ -12,8 +12,8 @@ import (
 
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/lp"
 	"github.com/coyote-te/coyote/internal/mcf"
+	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -201,19 +201,18 @@ func TestSemiObliviousWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	adapter := plan.(Adapter)
-	lp.ResetGlobalStats()
+	before := obs.Default.Snapshot()
 	for i, dm := range dms {
 		if _, err := adapter.Adapt(dm); err != nil {
 			t.Fatalf("matrix %d: Adapt: %v", i, err)
 		}
 	}
-	st := lp.GlobalStats()
-	if st.Solves == 0 {
+	st := obs.Default.Snapshot().Since(before)
+	if movedBy(t, st, "coyote_lp_solves_total") == 0 {
 		t.Fatal("Adapt triggered no LP solves — crash-start path not exercised")
 	}
-	if st.Phase1Iterations != 0 {
-		t.Errorf("RHS-edit re-solves ran %d phase-1 iterations, want 0 (crash start)",
-			st.Phase1Iterations)
+	if p1 := movedBy(t, st, "coyote_lp_phase1_iterations_total"); p1 != 0 {
+		t.Errorf("RHS-edit re-solves ran %v phase-1 iterations, want 0 (crash start)", p1)
 	}
 }
 
@@ -293,4 +292,16 @@ func TestBuildChecksTheBox(t *testing.T) {
 			}
 		}
 	}
+}
+
+// movedBy reads key from a Snapshot.Since map and fails the test when the
+// registry holds no such series, so a renamed or mistyped counter cannot
+// read as 0.
+func movedBy(tb testing.TB, moved map[string]float64, key string) float64 {
+	tb.Helper()
+	v, ok := moved[key]
+	if !ok {
+		tb.Fatalf("the registry has no series %s", key)
+	}
+	return v
 }

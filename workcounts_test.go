@@ -6,11 +6,13 @@
 package coyote_test
 
 import (
+	"maps"
 	"runtime"
+	"strings"
 	"testing"
 
 	coyote "github.com/coyote-te/coyote"
-	"github.com/coyote-te/coyote/internal/lp"
+	"github.com/coyote-te/coyote/internal/obs"
 )
 
 func TestComputeWorkCounts(t *testing.T) {
@@ -27,16 +29,15 @@ func TestComputeWorkCounts(t *testing.T) {
 	// crash basis); the optimal vertices reached on degenerate LPs differ,
 	// and with them the dual certificates that decide which of the
 	// adversary's candidates get solved.)
-	want := lp.StatsSnapshot{
-		Solves:           33,
-		Iterations:       766,
-		Phase1Iterations: 0,
-		Refactorizations: 33,
-		WarmAttempts:     33,
-		WarmHits:         33,
-		DenseFallbacks:   0,
-
-		StabilityRefactorizations: 0,
+	// Series of the coyote_lp_ family that move; every other one (phase 1,
+	// stability refactorizations, numerical failures, the dual counters)
+	// must stay at 0.
+	want := map[string]float64{
+		"coyote_lp_solves_total":           33,
+		"coyote_lp_iterations_total":       766,
+		"coyote_lp_refactorizations_total": 33,
+		"coyote_lp_warm_attempts_total":    33,
+		"coyote_lp_warm_hits_total":        33,
 	}
 
 	tp, err := coyote.LoadTopology("NSF")
@@ -45,7 +46,7 @@ func TestComputeWorkCounts(t *testing.T) {
 	}
 	bounds := coyote.MarginBounds(coyote.GravityDemands(tp, 1), 2)
 	for _, workers := range []int{1, 4} {
-		lp.ResetGlobalStats()
+		before := obs.Default.Snapshot()
 		_, err := coyote.New(tp, bounds, coyote.Options{
 			OptimizerIters:   60,
 			AdversarialIters: 3,
@@ -56,10 +57,22 @@ func TestComputeWorkCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := lp.GlobalStats(); got != want {
-			t.Errorf("workers=%d: LP work of one Compute\n got %+v\nwant %+v", workers, got, want)
+		if got := moved(before, "coyote_lp_"); !maps.Equal(got, want) {
+			t.Errorf("workers=%d: LP work of one Compute\n got %v\nwant %v", workers, got, want)
 		}
 	}
+}
+
+// moved returns the registry series under prefix that moved since before,
+// with how far they moved.
+func moved(before obs.Snapshot, prefix string) map[string]float64 {
+	out := map[string]float64{}
+	for k, v := range obs.Default.Snapshot().Since(before) {
+		if strings.HasPrefix(k, prefix) && v != 0 {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 // TestComputeAllocs is the byte-side twin of TestComputeWorkCounts: the same
