@@ -153,14 +153,19 @@ smoke-examples:
 # non-zero before computing anything). Well under a second of compute. The
 # experiment runs with -lp-stats and -metrics: the LP solves the per-run
 # lines print must add up to the registry's coyote_lp_solves_total at exit
-# (counters only go up; -lp-stats reads registry deltas).
+# (counters only go up; -lp-stats reads registry deltas). It also runs with
+# -trace, whose span file must hold the solve's oblivious.optimize span
+# beneath the experiment's root.
 cli-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/coyote -topo Abilene -iters 20 -adv-iters 1 -virtual 3 -json; \
 	$(GO) run ./cmd/coyote-scen generate -gen ring -n 6 -seed 1 > "$$tmp/ring6.txt"; \
 	$(GO) run ./cmd/coyote-scen sweep -in "$$tmp/ring6.txt" -quick -seed 1 -margins 1,2 -json; \
-	$(GO) run ./cmd/coyote-eval -run running -quick -lp-stats -metrics > "$$tmp/eval.out" 2> "$$tmp/eval.prom"; \
+	$(GO) run ./cmd/coyote-eval -run running -quick -lp-stats -metrics -trace "$$tmp/run.jsonl" > "$$tmp/eval.out" 2> "$$tmp/eval.prom"; \
 	cat "$$tmp/eval.out"; \
+	if ! grep -q '"name":"oblivious.optimize"' "$$tmp/run.jsonl"; then \
+		echo "cli-smoke: the -trace file of coyote-eval -run running holds no oblivious.optimize span"; exit 1; \
+	fi; \
 	printed=$$(awk '/^\[lp-stats / { for (i = 3; i <= NF; i++) if (split($$i, kv, "=") == 2 && kv[1] == "coyote_lp_solves_total") n += kv[2] } END { print n + 0 }' "$$tmp/eval.out"); \
 	dumped=$$(awk '$$1 == "coyote_lp_solves_total" { print $$2 + 0 }' "$$tmp/eval.prom"); \
 	if [ "$$printed" = 0 ] || [ "$$printed" != "$$dumped" ]; then \

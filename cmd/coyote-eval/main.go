@@ -130,8 +130,7 @@ func runOne(id string, cfg exp.Config) error {
 	start := time.Now()
 	before := obs.Default.Snapshot()
 	ctx, span := obs.StartSpan(traceCtx, "exp:"+id)
-	cfg.Ctx = ctx
-	tab, err := exp.Run(id, cfg)
+	tab, err := exp.Run(ctx, id, cfg)
 	span.End()
 	if err != nil {
 		return fmt.Errorf("%s: %w", id, err)

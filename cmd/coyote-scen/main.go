@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -201,9 +202,9 @@ func runSweep(args []string) error {
 		if rerr != nil {
 			return rerr
 		}
-		tab, err = exp.SweepGraph(fmt.Sprintf("Scenario sweep — %s", *in), g, *model, cfg)
+		tab, err = exp.SweepGraph(context.Background(), fmt.Sprintf("Scenario sweep — %s", *in), g, *model, cfg)
 	case *gen != "":
-		tab, err = exp.ScenSweep(*gen, p, *model, cfg)
+		tab, err = exp.ScenSweep(context.Background(), *gen, p, *model, cfg)
 	default:
 		return fmt.Errorf("sweep: -gen or -in is required")
 	}

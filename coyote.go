@@ -271,7 +271,7 @@ func newConfig(p *strategy.Solved) *Config {
 // (per Fibbing [8,9]); the synthesized LSDB is verified to reproduce the
 // quantized forwarding exactly before being returned.
 func (c *Config) Lies(extraPerInterface int) (*LieSet, error) {
-	q, syn, err := fibbing.Realize(context.TODO(), c.topo.g, c.Routing, extraPerInterface)
+	q, syn, err := fibbing.Realize(context.Background(), c.topo.g, c.Routing, extraPerInterface)
 	if err != nil {
 		return nil, err
 	}

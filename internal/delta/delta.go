@@ -94,7 +94,10 @@ type Config struct {
 	// pipeline's knobs (coyote.Options) and govern the initial cold
 	// computation and any cold restarts. Warm recomputes (demand updates,
 	// post-failover refinement) and the precomputed failover plan run at
-	// OptIters/2 and max(2, AdvIters/3).
+	// OptIters/2 and max(2, AdvIters/3). When Samples is 0 the plan also
+	// runs at Samples 4, failover's default, and its evaluators carry those
+	// 4 samples into every refinement until recovery; intact solves and
+	// cold survivor solves sample 8.
 	OptIters int     // optimizer gradient steps, cold (default 400)
 	AdvIters int     // adversarial rounds, cold (default 6)
 	Samples  int     // adversary corner samples (default 8)
@@ -233,17 +236,9 @@ type Session struct {
 
 	prevSyn *fibbing.Synthesis // last emitted lie set, diff baseline
 	events  []Event
-	subs    map[int]*subscriber
+	subs    map[int]chan Event // Subscribe registrations by id
 	nextSub int
 	dropped uint64 // lifetime count of events dropped on full subscriber channels
-}
-
-// subscriber is one Subscribe registration: its delivery channel plus the
-// count of events it missed because the channel was full when the
-// controller tried to notify it.
-type subscriber struct {
-	ch      chan Event
-	dropped uint64
 }
 
 // NewSession validates the topology and bounds, runs the initial cold
@@ -257,7 +252,7 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 		cfg:    cfg,
 		base:   g,
 		failed: make(map[graph.EdgeID]bool),
-		subs:   make(map[int]*subscriber),
+		subs:   make(map[int]chan Event),
 	}
 	ctx, span := obs.StartSpan(s.traceCtx(), "session.init")
 	defer span.End()
@@ -278,8 +273,8 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 	s.commit(next, Event{Kind: EventInit}, start)
 
 	if cfg.PrecomputeFailover {
-		_, planSpan := obs.StartSpan(ctx, "session.failover_plan")
-		scens, err := failover.PrecomputeGroups(g, box, scen.SingleLinkFailures(g), cfg.params(true))
+		planCtx, planSpan := obs.StartSpan(ctx, "session.failover_plan")
+		scens, err := failover.PrecomputeGroups(planCtx, g, box, scen.SingleLinkFailures(g), cfg.params(true))
 		if err != nil {
 			planSpan.End()
 			return nil, err
@@ -293,12 +288,9 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// traceCtx returns a background context carrying the session's tracer, or
-// a plain background context when tracing is off.
+// traceCtx returns a background context carrying the session's tracer, if
+// it has one.
 func (s *Session) traceCtx() context.Context {
-	if s.cfg.Tracer == nil {
-		return context.Background()
-	}
 	return obs.WithTracer(context.Background(), s.cfg.Tracer)
 }
 
@@ -312,11 +304,11 @@ func (s *Session) traceCtx() context.Context {
 func (s *Session) solve(ctx context.Context, ev *oblivious.Evaluator, warm *gpopt.Optimizer) (*strategy.Solved, error) {
 	recomputeStart := time.Now()
 	opts := s.cfg.params(warm != nil).Options()
-	opts.Warm, opts.Ctx = warm, ctx
+	opts.Warm = warm
 	if s.cur != nil {
 		opts.Carry = projectOntoBox(carried(s.cur.Critical), ev.Box)
 	}
-	next, err := strategy.Solve(ev, opts)
+	next, err := strategy.Solve(ctx, ev, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -389,10 +381,9 @@ func projectOntoBox(critical []*demand.Matrix, box *demand.Box) []*demand.Matrix
 
 // record appends an event (stamping its sequence number) and notifies
 // subscribers without blocking. A subscriber whose channel is full misses
-// the event rather than stalling the controller — but the loss is no longer
-// silent: it is counted per subscriber, in the session lifetime total
-// (Dropped, surfaced on GET /state), and in the
-// coyote_session_dropped_events_total metric.
+// the event rather than stalling the controller — but the loss is not
+// silent: it is counted in the session lifetime total (Dropped, surfaced on
+// GET /state) and in the coyote_session_dropped_events_total metric.
 func (s *Session) record(e Event) Event {
 	e.Seq = len(s.events)
 	s.events = append(s.events, e)
@@ -403,11 +394,10 @@ func (s *Session) record(e Event) Event {
 	if e.Kind == EventLies {
 		mLSAChurn.Add(uint64(e.Churn))
 	}
-	for _, sub := range s.subs {
+	for _, ch := range s.subs {
 		select {
-		case sub.ch <- e:
+		case ch <- e:
 		default: // slow subscriber: drop rather than stall the controller
-			sub.dropped++
 			s.dropped++
 			mDroppedEvents.Inc()
 		}
@@ -664,22 +654,22 @@ func (s *Session) Events() []Event {
 // Subscribe registers a listener for future events. The returned cancel
 // function must be called to release the subscription. Events are
 // delivered best-effort: a subscriber that falls behind misses events
-// rather than stalling the controller. Missed deliveries are counted —
-// per subscriber and in the session total reported by Dropped — so the
-// loss is observable instead of silent.
+// rather than stalling the controller. Missed deliveries are counted in
+// the session total reported by Dropped, so the loss is observable instead
+// of silent.
 func (s *Session) Subscribe() (<-chan Event, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.nextSub
 	s.nextSub++
-	sub := &subscriber{ch: make(chan Event, 16)}
-	s.subs[id] = sub
-	return sub.ch, func() {
+	ch := make(chan Event, 16)
+	s.subs[id] = ch
+	return ch, func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if _, ok := s.subs[id]; ok {
 			delete(s.subs, id)
-			close(sub.ch)
+			close(ch)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -80,7 +81,7 @@ func TestWarmUpdateWithinOnePercentOfCold(t *testing.T) {
 	coldEv := oblivious.NewEvaluator(g, dags, perturbed, oblivious.EvalConfig{
 		Samples: cfg.Samples, Seed: cfg.Seed,
 	})
-	_, coldRep := coldEv.Optimize(oblivious.Options{
+	_, coldRep := coldEv.Optimize(context.Background(), oblivious.Options{
 		OptIters: cfg.OptIters,
 		AdvIters: cfg.AdvIters,
 	})

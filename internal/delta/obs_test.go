@@ -141,3 +141,48 @@ func TestTracingParity(t *testing.T) {
 		t.Fatal("tracer recorded nothing")
 	}
 }
+
+// TestFailoverPlanTraced checks that the precomputed failover plan's solves
+// are traced: every survivor solve records its oblivious.optimize span tree
+// beneath the session.failover_plan span.
+func TestFailoverPlanTraced(t *testing.T) {
+	cfg := testCfg()
+	cfg.OptIters = 40
+	cfg.AdvIters = 2
+	cfg.PrecomputeFailover = true
+	cfg.Tracer = obs.NewTracer()
+	s, _ := newNSFSession(t, cfg)
+
+	byID := make(map[uint64]obs.SpanRecord)
+	var plan uint64
+	for _, r := range cfg.Tracer.Records() {
+		byID[r.ID] = r
+		if r.Name == "session.failover_plan" {
+			plan = r.ID
+		}
+	}
+	if plan == 0 {
+		t.Fatal("no session.failover_plan span")
+	}
+	under := 0
+	for _, r := range byID {
+		if r.Name != "oblivious.optimize" {
+			continue
+		}
+		for p := r.Parent; p != 0; p = byID[p].Parent {
+			if p == plan {
+				under++
+				break
+			}
+		}
+	}
+	survivors := 0
+	for _, sc := range s.plan {
+		if !sc.Disconnected {
+			survivors++
+		}
+	}
+	if survivors == 0 || under != survivors {
+		t.Fatalf("%d oblivious.optimize spans under session.failover_plan, want one per survivor (%d)", under, survivors)
+	}
+}

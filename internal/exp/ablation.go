@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"time"
 
 	"github.com/coyote-te/coyote/internal/demand"
@@ -12,7 +13,7 @@ import (
 // the estimated PERF (a lower bound) versus the exact value, and their
 // runtimes. This quantifies the accuracy cost of the substitution
 // documented in DESIGN.md §2.5.
-func ablationAdversary(cfg Config) (*Table, error) {
+func ablationAdversary(ctx context.Context, cfg Config) (*Table, error) {
 	in, err := loadInput("Abilene", "gravity", cfg, true)
 	if err != nil {
 		return nil, err
@@ -31,7 +32,7 @@ func ablationAdversary(cfg Config) (*Table, error) {
 		sampled := ev.Perf(ecmp)
 		tSample := time.Since(t0)
 		t1 := time.Now()
-		exact, err := ev.PerfExact(ecmp)
+		exact, err := ev.PerfExact(ctx, ecmp)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@
 package exp
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +18,6 @@ import (
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/oblivious"
-	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
 // Table is the uniform output shape of every experiment: a titled grid.
@@ -151,54 +149,24 @@ func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 // Config scales every experiment between a quick smoke run and the full
 // paper-fidelity sweep.
 type Config struct {
-	Margins   []float64 // uncertainty margins for sweeps
-	Samples   int       // adversary random corners
-	OptIters  int       // inner optimizer gradient steps
-	AdvIters  int       // outer adversarial iterations
-	Eps       float64   // FPTAS accuracy for OPTDAG normalization
-	Seed      int64
+	Margins []float64 // uncertainty margins for sweeps
+	// Params is the COYOTE solve's parameter set. Its Workers also bounds
+	// the harness's worker pool: experiments spread topologies and data
+	// points (margins, failure scenarios) across it (DESIGN.md §4). Tables
+	// are bit-identical for any Workers value given the same Seed.
+	oblivious.Params
 	Oblivious bool // also compute the COYOTE-oblivious column (costlier)
-	// Workers bounds the harness's worker pool: experiments spread
-	// topologies and data points (margins, failure scenarios) across it,
-	// and it is threaded through to the evaluation engine (DESIGN.md §4).
-	// Zero or negative means one worker per available CPU. Tables are
-	// bit-identical for any value given the same Seed.
-	Workers int
 	// Strategies restricts the portfolio experiments' strategy columns
 	// (nil/empty = every registered strategy). omitempty keeps the JSON
-	// encoding — and therefore every existing sweep cache key — unchanged
-	// when the field is unset.
+	// encoding, and therefore every sweep cache key, unchanged when the
+	// field is unset. Embedding Params reordered the encoded fields, which
+	// changed every key once.
 	Strategies []string `json:",omitempty"`
-	// Ctx, when it carries an obs.Tracer, threads tracing spans through the
-	// adversarial loop beneath the experiment. Excluded from JSON (and thus
-	// from sweep cache keys): tracing never changes results.
-	Ctx context.Context `json:"-"`
-}
-
-// params is the one conversion from an experiment Config to the solve's
-// parameter set, so the Workers and Seed knobs reach the evaluation engine.
-func (c Config) params() oblivious.Params {
-	return oblivious.Params{
-		OptIters: c.OptIters,
-		AdvIters: c.AdvIters,
-		Samples:  c.Samples,
-		Eps:      c.Eps,
-		Seed:     c.Seed,
-		Workers:  c.Workers,
-	}
 }
 
 // evaluator builds the evaluator every experiment derives from its Config.
 func (c Config) evaluator(g *graph.Graph, dags []*dagx.DAG, box *demand.Box) *oblivious.Evaluator {
-	return oblivious.NewEvaluator(g, dags, box, c.params().EvalConfig())
-}
-
-// optimize runs the COYOTE solve on ev at the Config's effort, traced
-// under Ctx.
-func (c Config) optimize(ev *oblivious.Evaluator) (*pdrouting.Routing, *oblivious.Report) {
-	opts := c.params().Options()
-	opts.Ctx = c.Ctx
-	return ev.Optimize(opts)
+	return oblivious.NewEvaluator(g, dags, box, c.EvalConfig())
 }
 
 // Default is the configuration used for the recorded results in
@@ -206,11 +174,7 @@ func (c Config) optimize(ev *oblivious.Evaluator) (*pdrouting.Routing, *obliviou
 func Default() Config {
 	return Config{
 		Margins:   []float64{1, 1.5, 2, 2.5, 3},
-		Samples:   6,
-		OptIters:  500,
-		AdvIters:  5,
-		Eps:       0.15,
-		Seed:      1,
+		Params:    oblivious.Params{Samples: 6, OptIters: 500, AdvIters: 5, Eps: 0.15, Seed: 1},
 		Oblivious: true,
 	}
 }
@@ -218,12 +182,7 @@ func Default() Config {
 // Quick is a reduced configuration for benchmarks and smoke tests.
 func Quick() Config {
 	return Config{
-		Margins:   []float64{1, 2},
-		Samples:   3,
-		OptIters:  120,
-		AdvIters:  2,
-		Eps:       0.2,
-		Seed:      1,
-		Oblivious: false,
+		Margins: []float64{1, 2},
+		Params:  oblivious.Params{Samples: 3, OptIters: 120, AdvIters: 2, Eps: 0.2, Seed: 1},
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -51,7 +52,7 @@ func TestServeDriftSmoke(t *testing.T) {
 		t.Skip("drift replay in -short mode")
 	}
 	cfg := Quick()
-	tab, err := serveDrift(scen.Params{Rows: 3, Cols: 3}, 3, cfg)
+	tab, err := serveDrift(context.Background(), scen.Params{Rows: 3, Cols: 3}, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestRegistryIDs(t *testing.T) {
 			t.Fatalf("IDs[%d] = %s, want %s", i, got[i], want[i])
 		}
 	}
-	if _, err := Run("nope", Quick()); err == nil {
+	if _, err := Run(context.Background(), "nope", Quick()); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
 }
@@ -96,7 +97,7 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 }
 
 func TestRunningExampleAnchors(t *testing.T) {
-	tab, err := runningExample(Quick())
+	tab, err := runningExample(context.Background(), Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestPathLowerBoundTable(t *testing.T) {
 }
 
 func TestFig12Table(t *testing.T) {
-	tab, err := fig12(Quick())
+	tab, err := fig12(context.Background(), Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestFig12Table(t *testing.T) {
 // the normal row, one row per NSF link in g.Links() order and the worst
 // row. The table is not in the golden corpus.
 func TestFailoverTable(t *testing.T) {
-	tab, err := failoverTable(Quick())
+	tab, err := failoverTable(context.Background(), Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestMarginSweepSmallTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := SweepGraph("NSF", g, "gravity", cfg)
+	tab, err := SweepGraph(context.Background(), "NSF", g, "gravity", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +289,11 @@ func TestTable1IsSweepGraphPerNetwork(t *testing.T) {
 	for _, oblivious := range []bool{false, true} {
 		cfg := Quick()
 		cfg.Oblivious = oblivious
-		tab, err := table1(cfg, []string{"Abilene"})
+		tab, err := table1(context.Background(), cfg, []string{"Abilene"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sweep, err := SweepGraph("Abilene", g, "gravity", cfg)
+		sweep, err := SweepGraph(context.Background(), "Abilene", g, "gravity", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,11 +322,11 @@ func TestRegistryShapes(t *testing.T) {
 			var err error
 			switch id {
 			case "table1":
-				tab, err = table1(Quick(), one)
+				tab, err = table1(context.Background(), Quick(), one)
 			case "fig11":
-				tab, err = fig11(Quick(), one)
+				tab, err = fig11(context.Background(), Quick(), one)
 			default:
-				tab, err = Run(id, Quick())
+				tab, err = Run(context.Background(), id, Quick())
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -343,7 +344,7 @@ func TestRegistryShapes(t *testing.T) {
 }
 
 func TestFig12ViaRegistry(t *testing.T) {
-	tab, err := Run("fig12", Quick())
+	tab, err := Run(context.Background(), "fig12", Quick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+
 	"github.com/coyote-te/coyote/internal/failover"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/strategy"
@@ -10,17 +12,17 @@ import (
 // §VI-A of the paper describes: for every single-link failure of NSF, the
 // re-optimized COYOTE configuration versus ECMP on the surviving network
 // (gravity base demands, margin 2).
-func failoverTable(cfg Config) (*Table, error) {
+func failoverTable(ctx context.Context, cfg Config) (*Table, error) {
 	in, err := loadInput("NSF", "gravity", cfg, false)
 	if err != nil {
 		return nil, err
 	}
 	box, _ := in.day(0)
-	normal, err := strategy.Coyote(in.g, box, cfg.params())
+	normal, err := strategy.Coyote(ctx, in.g, box, cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	scenarios, err := failover.PrecomputeGroups(in.g, box, scen.SingleLinkFailures(in.g), cfg.params())
+	scenarios, err := failover.PrecomputeGroups(ctx, in.g, box, scen.SingleLinkFailures(in.g), cfg.Params)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"github.com/coyote-te/coyote/internal/par"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/scen"
+	"github.com/coyote-te/coyote/internal/strategy"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -116,7 +118,7 @@ func sweepColumns(cfg Config) []string {
 // within the same augmented DAGs. It backs fig6–fig8, table1, the scen-*
 // sweeps, the corpus/scen/file units of internal/sweep and
 // coyote-scen sweep.
-func SweepGraph(title string, g *graph.Graph, model string, cfg Config) (*Table, error) {
+func SweepGraph(ctx context.Context, title string, g *graph.Graph, model string, cfg Config) (*Table, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -128,7 +130,7 @@ func SweepGraph(title string, g *graph.Graph, model string, cfg Config) (*Table,
 		return nil, err
 	}
 	ecmp := oblivious.ECMPOnDAGs(g, in.dags)
-	baseRouting, err := oblivious.BaseRouting(g, in.dags, in.base, 0, cfg.Eps)
+	baseRouting, err := oblivious.BaseRouting(g, in.dags, in.base, cfg.Eps)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +140,11 @@ func SweepGraph(title string, g *graph.Graph, model string, cfg Config) (*Table,
 	var coyoteObl *pdrouting.Routing
 	if cfg.Oblivious {
 		oblBox := demand.ObliviousBox(g.NumNodes(), math.Max(in.base.MaxEntry(), 1))
-		coyoteObl, _ = cfg.optimize(cfg.evaluator(g, in.dags, oblBox))
+		obl, err := strategy.Solve(ctx, cfg.evaluator(g, in.dags, oblBox), cfg.Options())
+		if err != nil {
+			return nil, err
+		}
+		coyoteObl = obl.Routing
 	}
 	return marginTable(fmt.Sprintf("%s, %s model (PERF vs margin)", title, model), sweepColumns(cfg), cfg,
 		func(margin float64) ([]string, error) {
@@ -147,8 +153,11 @@ func SweepGraph(title string, g *graph.Graph, model string, cfg Config) (*Table,
 			if coyoteObl != nil {
 				row = append(row, f2(ev.Perf(coyoteObl).Ratio))
 			}
-			_, rep := cfg.optimize(ev)
-			return append(row, f2(rep.Perf.Ratio)), nil
+			pk, err := strategy.Solve(ctx, ev, cfg.Options())
+			if err != nil {
+				return nil, err
+			}
+			return append(row, f2(pk.Perf.Ratio)), nil
 		})
 }
 
@@ -156,22 +165,22 @@ func SweepGraph(title string, g *graph.Graph, model string, cfg Config) (*Table,
 // "<fig> — <name>, <model> model (PERF vs margin)": the registry rows of
 // Figs. 6–8, and table1's per-network sweep.
 func corpusSweep(fig, name, model string) runner {
-	return func(cfg Config) (*Table, error) {
+	return func(ctx context.Context, cfg Config) (*Table, error) {
 		g, err := topo.Load(name)
 		if err != nil {
 			return nil, err
 		}
-		return SweepGraph(fig+" — "+name, g, model, cfg)
+		return SweepGraph(ctx, fig+" — "+name, g, model, cfg)
 	}
 }
 
 // table1 reproduces Table I: SweepGraph under the gravity model on every
 // named network, each row prefixed with its network.
-func table1(cfg Config, names []string) (*Table, error) {
+func table1(ctx context.Context, cfg Config, names []string) (*Table, error) {
 	sweeps := make([]*Table, len(names))
 	if err := par.ForErr(cfg.Workers, len(names), func(i int) (err error) {
 		// Only the rows are kept, so the sweep's title does not matter.
-		if sweeps[i], err = corpusSweep("Table I", names[i], "gravity")(cfg); err != nil {
+		if sweeps[i], err = corpusSweep("Table I", names[i], "gravity")(ctx, cfg); err != nil {
 			return fmt.Errorf("exp: %s: %w", names[i], err)
 		}
 		return nil

@@ -26,7 +26,7 @@ func TestBaseRoutingIsOptimal(t *testing.T) {
 			t.Fatal(err)
 		}
 		dags := dagx.BuildAll(g, dagx.Augmented)
-		r, err := oblivious.BaseRouting(g, dags, base, 0, 0)
+		r, err := oblivious.BaseRouting(g, dags, base, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

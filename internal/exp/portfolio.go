@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/coyote-te/coyote/internal/demand"
@@ -40,7 +41,7 @@ func newPortfolioCell(name string, in *input) portfolioCell {
 // replay builds the named strategy on the cell and returns its max link
 // utilization at each step of the cell's sequence.
 func (c portfolioCell) replay(name string, cfg Config) ([]float64, error) {
-	s, err := strategy.New(name, cfg.params())
+	s, err := strategy.New(name, cfg.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func portfolioTable(title string, cells []portfolioCell, cfg Config) (*Table, er
 
 // portfolio is the baseline head-to-head: real backbone × generated WAN,
 // gravity × hotspot demand regimes, no failures.
-func portfolio(cfg Config) (*Table, error) {
+func portfolio(_ context.Context, cfg Config) (*Table, error) {
 	abilene, err := loadInput("Abilene", "gravity", cfg, false)
 	if err != nil {
 		return nil, err
@@ -132,7 +133,7 @@ func portfolio(cfg Config) (*Table, error) {
 // Failures that partition the network are skipped — a partitioned survivor
 // has no routing to compare — and the suite is capped at two survivor
 // cells so the campaign stays golden-corpus fast.
-func portfolioFailures(cfg Config) (*Table, error) {
+func portfolioFailures(_ context.Context, cfg Config) (*Table, error) {
 	g, err := scen.Generate("ba", scen.Params{N: 12, M: 2, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/coyote-te/coyote/internal/demand"
@@ -16,7 +17,7 @@ import (
 // (realized with a single Fibbing lie per prefix). Each scheme is an OSPF
 // LSDB; its link loads are those of the forwarding SPF installs over it,
 // read back by fibbing.RealizedRouting.
-func fig12(cfg Config) (*Table, error) {
+func fig12(context.Context, Config) (*Table, error) {
 	// The routers of Fig. 12a, then t's two prefixes as stub nodes.
 	const s1, s2, t, t1, t2 graph.NodeID = 0, 1, 2, 3, 4
 	// lsdb builds the topology with unit capacities and weights, except

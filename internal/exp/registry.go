@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,8 +11,9 @@ import (
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
-// runner produces one experiment's table under a configuration.
-type runner func(cfg Config) (*Table, error)
+// runner produces one experiment's table under a configuration, recording
+// its solves' span trees under ctx when it carries an obs.Tracer.
+type runner func(ctx context.Context, cfg Config) (*Table, error)
 
 // registry maps experiment IDs (DESIGN.md §3) to runners; it is the
 // package's only door to them.
@@ -22,42 +24,42 @@ var registry = map[string]runner{
 	"fig8":         corpusSweep("Fig. 8", "AS1755", "bimodal"),
 	"fig9":         marginsTo5(fig9),
 	"fig10":        fig10,
-	"fig11":        func(cfg Config) (*Table, error) { return fig11(cfg, topo.TableNames()) },
+	"fig11":        func(ctx context.Context, cfg Config) (*Table, error) { return fig11(ctx, cfg, topo.TableNames()) },
 	"fig12":        fig12,
-	"table1":       marginsTo5(func(cfg Config) (*Table, error) { return table1(cfg, topo.TableNames()) }),
+	"table1":       marginsTo5(func(ctx context.Context, cfg Config) (*Table, error) { return table1(ctx, cfg, topo.TableNames()) }),
 	"ablation-dag": ablationDAG,
 	"ablation-adv": ablationAdversary,
 	"failover":     failoverTable,
-	"negative-np": func(cfg Config) (*Table, error) {
+	"negative-np": func(context.Context, Config) (*Table, error) {
 		// W = {3,5,8}: positive BIPARTITION instance (8 = 3+5).
 		return npGadget([]float64{3, 5, 8}, map[int]bool{2: true})
 	},
-	"negative-path": func(cfg Config) (*Table, error) {
+	"negative-path": func(context.Context, Config) (*Table, error) {
 		return pathLowerBound(6)
 	},
 	// Scenario-engine sweeps (internal/scen): generated topologies and
 	// workload suites through the same parallel evaluator. Sizes are kept
 	// modest so `-all` stays tractable; cmd/coyote-scen sweeps arbitrary
 	// parameters.
-	"scen-waxman": func(cfg Config) (*Table, error) {
-		return ScenSweep("waxman", scen.Params{N: 16}, "gravity", cfg)
+	"scen-waxman": func(ctx context.Context, cfg Config) (*Table, error) {
+		return ScenSweep(ctx, "waxman", scen.Params{N: 16}, "gravity", cfg)
 	},
-	"scen-ba": func(cfg Config) (*Table, error) {
-		return ScenSweep("ba", scen.Params{N: 16, M: 2}, "gravity", cfg)
+	"scen-ba": func(ctx context.Context, cfg Config) (*Table, error) {
+		return ScenSweep(ctx, "ba", scen.Params{N: 16, M: 2}, "gravity", cfg)
 	},
-	"scen-fattree": func(cfg Config) (*Table, error) {
-		return ScenSweep("fattree", scen.Params{K: 4}, "hotspot", cfg)
+	"scen-fattree": func(ctx context.Context, cfg Config) (*Table, error) {
+		return ScenSweep(ctx, "fattree", scen.Params{K: 4}, "hotspot", cfg)
 	},
-	"scen-grid-day": func(cfg Config) (*Table, error) {
-		return scenTimeOfDay(scen.Params{Rows: 4, Cols: 4}, 12, cfg)
+	"scen-grid-day": func(ctx context.Context, cfg Config) (*Table, error) {
+		return scenTimeOfDay(ctx, scen.Params{Rows: 4, Cols: 4}, 12, cfg)
 	},
-	"scen-srlg": func(cfg Config) (*Table, error) {
-		return scenSRLG(scen.Params{N: 10, M: 4}, 5, cfg)
+	"scen-srlg": func(ctx context.Context, cfg Config) (*Table, error) {
+		return scenSRLG(ctx, scen.Params{N: 10, M: 4}, 5, cfg)
 	},
 	// Online-controller drift replay (internal/delta): warm incremental
 	// recomputation vs cold batch recomputation over a day of demand.
-	"serve-drift": func(cfg Config) (*Table, error) {
-		return serveDrift(scen.Params{Rows: 3, Cols: 4}, 8, cfg)
+	"serve-drift": func(ctx context.Context, cfg Config) (*Table, error) {
+		return serveDrift(ctx, scen.Params{Rows: 3, Cols: 4}, 8, cfg)
 	},
 	// TE strategy portfolio (internal/strategy): every registered strategy
 	// head-to-head, normalized by the per-matrix OPT oracle.
@@ -68,9 +70,9 @@ var registry = map[string]runner{
 // marginsTo5 runs r over margins 1–5 in 0.5 increments, the span of
 // Fig. 9 and Table I.
 func marginsTo5(r runner) runner {
-	return func(cfg Config) (*Table, error) {
+	return func(ctx context.Context, cfg Config) (*Table, error) {
 		cfg.Margins = []float64{1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5}
-		return r(cfg)
+		return r(ctx, cfg)
 	}
 }
 
@@ -89,7 +91,8 @@ func IDs() []string {
 // wrapped message lists every valid ID.
 var ErrUnknownID = errors.New("unknown experiment ID")
 
-// Run executes the experiment with the given ID under cfg. The registered
+// Run executes the experiment with the given ID under cfg; its solves record
+// their span trees under ctx when it carries an obs.Tracer. The registered
 // IDs (see EXPERIMENTS.md for what each reproduces) are:
 //
 //	running        — Fig. 1 / Appendix B running example
@@ -118,10 +121,10 @@ var ErrUnknownID = errors.New("unknown experiment ID")
 //
 // An unregistered ID yields an error wrapping ErrUnknownID that lists the
 // valid IDs.
-func Run(id string, cfg Config) (*Table, error) {
+func Run(ctx context.Context, id string, cfg Config) (*Table, error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("exp: %w %q (valid IDs: %s)", ErrUnknownID, id, strings.Join(IDs(), ", "))
 	}
-	return r(cfg)
+	return r(ctx, cfg)
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -8,12 +9,13 @@ import (
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/pdrouting"
+	"github.com/coyote-te/coyote/internal/strategy"
 )
 
 // runningExample reproduces the paper's running example end to end
 // (Fig. 1, §II, Appendix B): ECMP's worst case, the hand-crafted Fig. 1c
 // ratios, the analytic golden-ratio optimum, and what the optimizer finds.
-func runningExample(cfg Config) (*Table, error) {
+func runningExample(ctx context.Context, cfg Config) (*Table, error) {
 	g := graph.New()
 	s1 := g.AddNode("s1")
 	s2 := g.AddNode("s2")
@@ -84,7 +86,10 @@ func runningExample(cfg Config) (*Table, error) {
 	out.AddRow("golden ratio (App. B)", f2(ev.Perf(goldenRouting).Ratio), "1.24")
 
 	// What COYOTE's optimizer finds on the same DAGs.
-	_, rep := ev.Optimize(oblivious.Options{OptIters: cfg.OptIters * 4, AdvIters: cfg.AdvIters + 2})
-	out.AddRow("COYOTE optimizer", f2(rep.Perf.Ratio), "≤1.24")
+	sv, err := strategy.Solve(ctx, ev, oblivious.Options{OptIters: cfg.OptIters * 4, AdvIters: cfg.AdvIters + 2})
+	if err != nil {
+		return nil, err
+	}
+	out.AddRow("COYOTE optimizer", f2(sv.Perf.Ratio), "≤1.24")
 	return out, nil
 }

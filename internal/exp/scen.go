@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/coyote-te/coyote/internal/failover"
 	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/scen"
+	"github.com/coyote-te/coyote/internal/strategy"
 )
 
 // The scen-* experiments sweep generated scenarios — rather than the fixed
@@ -16,14 +18,14 @@ import (
 
 // ScenSweep generates a topology with the named generator and margin-sweeps
 // it under a demand model.
-func ScenSweep(gen string, p scen.Params, model string, cfg Config) (*Table, error) {
+func ScenSweep(ctx context.Context, gen string, p scen.Params, model string, cfg Config) (*Table, error) {
 	p.Seed = cfg.Seed
 	g, err := scen.Generate(gen, p)
 	if err != nil {
 		return nil, err
 	}
 	title := fmt.Sprintf("Scenario sweep — %s (n=%d, seed %d)", gen, g.NumNodes(), cfg.Seed)
-	return SweepGraph(title, g, model, cfg)
+	return SweepGraph(ctx, title, g, model, cfg)
 }
 
 // scenTimeOfDay optimizes one static COYOTE configuration on a generated
@@ -31,14 +33,17 @@ func ScenSweep(gen string, p scen.Params, model string, cfg Config) (*Table, err
 // uncertainty box against it: per step, the normalized utilization of the
 // static COYOTE routing vs ECMP. The point of the paper made measurable:
 // one robust configuration serves the whole day.
-func scenTimeOfDay(p scen.Params, steps int, cfg Config) (*Table, error) {
+func scenTimeOfDay(ctx context.Context, p scen.Params, steps int, cfg Config) (*Table, error) {
 	in, err := scenInput("grid", p, "gravity", cfg, true)
 	if err != nil {
 		return nil, err
 	}
 	box, day := in.day(steps)
 	ev := cfg.evaluator(in.g, in.dags, box)
-	routing, _ := cfg.optimize(ev)
+	sv, err := strategy.Solve(ctx, ev, cfg.Options())
+	if err != nil {
+		return nil, err
+	}
 	ecmp := oblivious.ECMPOnDAGs(in.g, in.dags)
 
 	out := &Table{
@@ -49,7 +54,7 @@ func scenTimeOfDay(p scen.Params, steps int, cfg Config) (*Table, error) {
 	for i, D := range day {
 		norm := ev.OptDAG(D)
 		out.AddRow(fmt.Sprintf("t%02d", i),
-			f2(ev.MaxUtilization(routing, D)/norm),
+			f2(ev.MaxUtilization(sv.Routing, D)/norm),
 			f2(ev.MaxUtilization(ecmp, D)/norm))
 	}
 	return out, nil
@@ -59,14 +64,14 @@ func scenTimeOfDay(p scen.Params, steps int, cfg Config) (*Table, error) {
 // precomputes a re-optimized configuration per group failure via
 // failover.PrecomputeGroups — the multi-link extension of the failover
 // experiment.
-func scenSRLG(p scen.Params, groups int, cfg Config) (*Table, error) {
+func scenSRLG(ctx context.Context, p scen.Params, groups int, cfg Config) (*Table, error) {
 	in, err := scenInput("ring", p, "gravity", cfg, false)
 	if err != nil {
 		return nil, err
 	}
 	box, _ := in.day(0)
 	suite := scen.SRLGPartition(in.g, groups, cfg.Seed)
-	scenarios, err := failover.PrecomputeGroups(in.g, box, suite, cfg.params())
+	scenarios, err := failover.PrecomputeGroups(ctx, in.g, box, suite, cfg.Params)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ import (
 func TestSweepGraphRejectsInvalidGraph(t *testing.T) {
 	g := graph.New()
 	g.AddLink(g.AddNode("a"), g.AddNode("b"), math.Inf(1), 1)
-	if _, err := SweepGraph("inf", g, "gravity", Quick()); err == nil {
+	if _, err := SweepGraph(context.Background(), "inf", g, "gravity", Quick()); err == nil {
 		t.Fatal("a link of infinite capacity was swept")
 	}
 }
@@ -24,7 +25,7 @@ func TestSweepGraphRejectsDisconnectedGraph(t *testing.T) {
 	g := graph.New()
 	g.AddLink(g.AddNode("a"), g.AddNode("b"), 1, 1)
 	g.AddLink(g.AddNode("c"), g.AddNode("d"), 1, 1)
-	_, err := SweepGraph("two islands", g, "gravity", Quick())
+	_, err := SweepGraph(context.Background(), "two islands", g, "gravity", Quick())
 	if err == nil || !strings.Contains(err.Error(), `"two islands"`) {
 		t.Fatalf("disconnected graph: err = %v, want one naming the title", err)
 	}
@@ -53,7 +54,7 @@ func TestSweepGraphRingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Quick()
-	tab, err := SweepGraph(path, g, "gravity", cfg)
+	tab, err := SweepGraph(context.Background(), path, g, "gravity", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"github.com/coyote-te/coyote/internal/delta"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/scen"
+	"github.com/coyote-te/coyote/internal/strategy"
 )
 
 // serveDrift replays a time-of-day demand sequence from the scenario
@@ -20,7 +22,7 @@ import (
 //
 // PERF columns are deterministic for a fixed seed and worker count; the
 // ms columns are wall-clock measurements and vary run to run.
-func serveDrift(p scen.Params, steps int, cfg Config) (*Table, error) {
+func serveDrift(ctx context.Context, p scen.Params, steps int, cfg Config) (*Table, error) {
 	in, err := scenInput("grid", p, "gravity", cfg, true)
 	if err != nil {
 		return nil, err
@@ -62,8 +64,10 @@ func serveDrift(p scen.Params, steps int, cfg Config) (*Table, error) {
 		warmMs := time.Since(warmStart)
 
 		coldStart := time.Now()
-		coldEv := cfg.evaluator(in.g, in.dags, stepBox)
-		_, coldRep := cfg.optimize(coldEv)
+		cold, err := strategy.Solve(ctx, cfg.evaluator(in.g, in.dags, stepBox), cfg.Options())
+		if err != nil {
+			return nil, err
+		}
 		coldMs := time.Since(coldStart)
 
 		lies, err := ses.Lies(3)
@@ -73,7 +77,7 @@ func serveDrift(p scen.Params, steps int, cfg Config) (*Table, error) {
 		out.AddRow(
 			fmt.Sprintf("t%02d", i),
 			f2(ev.Perf),
-			f2(coldRep.Perf.Ratio),
+			f2(cold.Perf.Ratio),
 			fmt.Sprintf("%d", warmMs.Milliseconds()),
 			fmt.Sprintf("%d", coldMs.Milliseconds()),
 			fmt.Sprint(lies.Diff.Churn()),

@@ -9,6 +9,8 @@
 package failover
 
 import (
+	"context"
+
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/oblivious"
@@ -17,13 +19,9 @@ import (
 	"github.com/coyote-te/coyote/internal/strategy"
 )
 
-// Config tunes the per-scenario optimization: the solve's one parameter
-// set, with lighter defaults than the primary configuration since there is
-// one run per failure (OptIters 250, AdvIters 3, Samples 4). Workers also
-// sizes the pool scenarios are spread across.
-type Config = oblivious.Params
-
-func withDefaults(c Config) Config {
+// withDefaults gives the per-scenario optimization lighter defaults than
+// the primary configuration, since there is one run per failure.
+func withDefaults(c oblivious.Params) oblivious.Params {
 	if c.OptIters <= 0 {
 		c.OptIters = 250
 	}
@@ -69,9 +67,11 @@ type GroupScenario struct {
 }
 
 // PrecomputeGroups computes one scenario per failure set, in suite order.
-// Sets are computed in parallel; an empty set yields the normal-topology
-// configuration.
-func PrecomputeGroups(g *graph.Graph, box *demand.Box, sets []scen.FailureSet, cfg Config) ([]GroupScenario, error) {
+// Sets are computed in parallel across cfg.Workers; an empty set yields the
+// normal-topology configuration. Zero fields of cfg default to OptIters
+// 250, AdvIters 3 and Samples 4. Each solve's span tree is recorded under
+// ctx when it carries an obs.Tracer.
+func PrecomputeGroups(ctx context.Context, g *graph.Graph, box *demand.Box, sets []scen.FailureSet, cfg oblivious.Params) ([]GroupScenario, error) {
 	cfg = withDefaults(cfg)
 	out := make([]GroupScenario, len(sets))
 	err := par.ForErr(cfg.Workers, len(sets), func(i int) error {
@@ -81,7 +81,7 @@ func PrecomputeGroups(g *graph.Graph, box *demand.Box, sets []scen.FailureSet, c
 			out[i].Disconnected = true
 			return nil
 		}
-		sv, err := strategy.Coyote(survivor, box, cfg)
+		sv, err := strategy.Coyote(ctx, survivor, box, cfg)
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,12 @@
 package failover
 
 import (
+	"context"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/scen"
 )
 
@@ -38,7 +40,7 @@ func smallBox(g *graph.Graph) *demand.Box {
 func TestPrecomputePlan(t *testing.T) {
 	g := ringWithSpur()
 	suite := scen.SingleLinkFailures(g)
-	scenarios, err := PrecomputeGroups(g, smallBox(g), suite, Config{OptIters: 80, AdvIters: 2, Seed: 1})
+	scenarios, err := PrecomputeGroups(context.Background(), g, smallBox(g), suite, oblivious.Params{OptIters: 80, AdvIters: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestPrecomputeGroups(t *testing.T) {
 		{Name: "spur", Links: []graph.EdgeID{links[4]}},               // the spur bridge: disconnects
 		{Name: "none"}, // empty group: the normal topology
 	}
-	scenarios, err := PrecomputeGroups(g, smallBox(g), groups, Config{OptIters: 60, AdvIters: 1, Seed: 4})
+	scenarios, err := PrecomputeGroups(context.Background(), g, smallBox(g), groups, oblivious.Params{OptIters: 60, AdvIters: 1, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

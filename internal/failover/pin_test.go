@@ -1,10 +1,12 @@
 package failover
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/demand"
+	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/strategy"
 	"github.com/coyote-te/coyote/internal/topo"
@@ -31,9 +33,9 @@ func TestPrecomputeBitPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := demand.MarginBox(demand.Gravity(g, 1), 2)
-	cfg := Config{OptIters: 40, AdvIters: 2, Samples: 3, Seed: 1}
+	cfg := oblivious.Params{OptIters: 40, AdvIters: 2, Samples: 3, Seed: 1}
 
-	normal, err := strategy.Coyote(g, box, cfg)
+	normal, err := strategy.Coyote(context.Background(), g, box, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestPrecomputeBitPins(t *testing.T) {
 		{0x3ff8275ba1c43078, 0x3ffe45306eb3e453}, // ECMPPerf +1 ulp
 		{0x3ffe6d4d1bcf9861, 0x4000e028c1978fee}, // Perf +1 ulp, ECMPPerf +3 ulps
 	}
-	scenarios, err := PrecomputeGroups(g, box, scen.SingleLinkFailures(g), cfg)
+	scenarios, err := PrecomputeGroups(context.Background(), g, box, scen.SingleLinkFailures(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

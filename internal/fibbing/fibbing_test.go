@@ -236,7 +236,7 @@ func TestRealizedRoutingReadsBackCoyote(t *testing.T) {
 			ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), box, oblivious.EvalConfig{Samples: 2, Seed: 7})
 			// The optimizer's own splitting: on Geant the ECMP guarantee
 			// returns ECMP instead, which needs no lies to read back.
-			_, rep := ev.Optimize(oblivious.Options{OptIters: 40, AdvIters: 1})
+			_, rep := ev.Optimize(context.Background(), oblivious.Options{OptIters: 40, AdvIters: 1})
 			q, err := wcmp.Apply(rep.Warm.Routing(), 3)
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -152,7 +153,7 @@ func FuzzSolveParity(f *testing.F) {
 			if err != nil {
 				t.Skipf("dense oracle: %v", err)
 			}
-			got, err := m.Solve(&SolveOptions{Basis: basis})
+			got, err := m.Solve(context.Background(), &SolveOptions{Basis: basis})
 			if err != nil {
 				t.Fatalf("%s: %v", step, err)
 			}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 type engineFunc func(*Model) (*Solution, error)
 
 var engines = map[string]engineFunc{
-	"sparse": func(m *Model) (*Solution, error) { return m.Solve(nil) },
+	"sparse": func(m *Model) (*Solution, error) { return m.Solve(context.Background(), nil) },
 	"dense":  func(m *Model) (*Solution, error) { return m.SolveDense() },
 }
 

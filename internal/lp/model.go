@@ -137,8 +137,7 @@ func (m *Model) SetRowBounds(r int, rlo, rup float64) {
 	}
 }
 
-// SolveOptions is what a caller can hand a Model solve: where to start and
-// where to report.
+// SolveOptions is where a Model solve starts.
 type SolveOptions struct {
 	// Basis warm-starts the solve from a previously returned Basis, or from
 	// one the caller built (mcf's crash basis). A basis whose shape no
@@ -147,11 +146,6 @@ type SolveOptions struct {
 	// accepted basis that bound/RHS edits have made primal infeasible is
 	// repaired by primal phase 1 before phase 2 runs.
 	Basis *Basis
-	// Ctx, when it carries an obs.Tracer, records one lp.solve span per
-	// call with the phase breakdown (iterations, warm-start verdict) as
-	// attributes. Purely observational: it never affects the solve and is
-	// ignored (zero cost) when no tracer is attached.
-	Ctx context.Context
 }
 
 // SolveStats describes one sparse solve.
@@ -263,9 +257,11 @@ func (m *Model) mergeDuplicates(p *spxProb) {
 // Solve runs the sparse revised simplex and returns the solution. A
 // numerical failure of the engine (ErrIterationLimit or a singular basis) is
 // returned as the error and counted in the global stats; it should never
-// happen on the formulations in this repository.
-func (m *Model) Solve(opts *SolveOptions) (*Solution, error) {
-	status, stats, err := m.run(opts)
+// happen on the formulations in this repository. When ctx carries an
+// obs.Tracer the solve records one lp.solve span with its phase breakdown
+// (iterations, warm-start verdict); tracing never affects the solve.
+func (m *Model) Solve(ctx context.Context, opts *SolveOptions) (*Solution, error) {
+	status, stats, err := m.run(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -290,8 +286,8 @@ func (m *Model) Solve(opts *SolveOptions) (*Solution, error) {
 // SolveObjective is Solve for callers that keep only the optimum: the same
 // solve, without the copies of X, Duals and the final Basis. The objective is
 // meaningful when the status is Optimal; RowDuals reads the vertex's duals.
-func (m *Model) SolveObjective(opts *SolveOptions) (float64, Status, error) {
-	status, _, err := m.run(opts)
+func (m *Model) SolveObjective(ctx context.Context, opts *SolveOptions) (float64, Status, error) {
+	status, _, err := m.run(ctx, opts)
 	switch {
 	case err != nil:
 		return 0, 0, err
@@ -325,15 +321,12 @@ func (m *Model) RowDuals() []float64 {
 // run drives the engine on the model's workspace. It returns the engine's
 // verdict with the final vertex left in m.ws for the caller to read, or the
 // engine's error when it failed numerically.
-func (m *Model) run(opts *SolveOptions) (status Status, stats SolveStats, err error) {
+func (m *Model) run(ctx context.Context, opts *SolveOptions) (status Status, stats SolveStats, err error) {
 	var warm *Basis
-	var span *obs.Span
 	if opts != nil {
 		warm = opts.Basis
-		if opts.Ctx != nil {
-			_, span = obs.StartSpan(opts.Ctx, "lp.solve")
-		}
 	}
+	_, span := obs.StartSpan(ctx, "lp.solve")
 	defer span.End()
 	m.atOptimum = false
 	// A variable with crossed bounds makes the model trivially infeasible;

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -54,11 +55,11 @@ func TestMPSRoundTrip(t *testing.T) {
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatalf("round trip not byte-stable:\n--- first ---\n%s--- second ---\n%s", b1.String(), b2.String())
 	}
-	s1, err := m.Solve(nil)
+	s1, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := m2.Solve(nil)
+	s2, err := m2.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestMPSCorpus(t *testing.T) {
 					t.Fatalf("%s: objective %.12g, want %.12g", label, obj, want)
 				}
 			}
-			sol, err := m.Solve(nil)
+			sol, err := m.Solve(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +182,7 @@ func TestMPSCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("re-read canonical form: %v", err)
 			}
-			rsol, err := m2.Solve(nil)
+			rsol, err := m2.Solve(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

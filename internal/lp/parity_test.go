@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,7 +23,7 @@ func TestCrossEngineParityRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		sol, err := mdl.Solve(nil)
+		sol, err := mdl.Solve(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

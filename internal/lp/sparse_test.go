@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,7 +73,7 @@ func TestSparseDenseParityRandom(t *testing.T) {
 	solved := 0
 	for trial := 0; trial < 400; trial++ {
 		mdl := randomModel(rng)
-		ssol, err := mdl.Solve(nil)
+		ssol, err := mdl.Solve(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("trial %d: sparse: %v", trial, err)
 		}
@@ -127,7 +128,7 @@ func TestDualsKKT(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 200 && checked < 60; trial++ {
 		mdl := randomModel(rng)
-		sol, err := mdl.Solve(nil)
+		sol, err := mdl.Solve(context.Background(), nil)
 		if err != nil || sol.Status != Optimal {
 			continue
 		}
@@ -200,7 +201,7 @@ func TestWarmStartSkipsPhase1(t *testing.T) {
 	tried := 0
 	for trial := 0; trial < 100 && tried < 25; trial++ {
 		mdl := randomModel(rng)
-		sol, err := mdl.Solve(nil)
+		sol, err := mdl.Solve(context.Background(), nil)
 		if err != nil || sol.Status != Optimal {
 			continue
 		}
@@ -208,7 +209,7 @@ func TestWarmStartSkipsPhase1(t *testing.T) {
 		for j := 0; j < len(mdl.obj); j++ {
 			mdl.SetObjective(j, mdl.obj[j]+rng.Float64()-0.5)
 		}
-		warm, err := mdl.Solve(&SolveOptions{Basis: sol.Basis})
+		warm, err := mdl.Solve(context.Background(), &SolveOptions{Basis: sol.Basis})
 		if err != nil {
 			t.Fatalf("trial %d: warm solve: %v", trial, err)
 		}
@@ -220,7 +221,7 @@ func TestWarmStartSkipsPhase1(t *testing.T) {
 				trial, warm.Stats.Phase1Iterations)
 		}
 		if warm.Status == Optimal {
-			cold, err := mdl.Solve(nil)
+			cold, err := mdl.Solve(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +248,7 @@ func TestWarmStartRHSChange(t *testing.T) {
 	y := m.AddVar(0, Inf, 2)
 	r1 := m.AddGE([]Term{{x, 1}, {y, 1}}, 10)
 	m.AddEQ([]Term{{x, 1}, {y, -1}}, 2)
-	sol, err := m.Solve(nil)
+	sol, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestWarmStartRHSChange(t *testing.T) {
 		t.Fatalf("cold: %v obj=%g, want optimal 14", sol.Status, sol.Objective)
 	}
 	m.SetRowBounds(r1, 20, Inf)
-	warm, err := m.Solve(&SolveOptions{Basis: sol.Basis})
+	warm, err := m.Solve(context.Background(), &SolveOptions{Basis: sol.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestWarmStartShapeMismatch(t *testing.T) {
 	small := NewModel(Minimize)
 	a := small.AddVar(0, Inf, 1)
 	small.AddGE([]Term{{a, 1}}, 1)
-	ssol, err := small.Solve(nil)
+	ssol, err := small.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestWarmStartShapeMismatch(t *testing.T) {
 	x := big.AddVar(0, Inf, 1)
 	y := big.AddVar(0, Inf, 1)
 	big.AddGE([]Term{{x, 1}, {y, 1}}, 4)
-	bsol, err := big.Solve(&SolveOptions{Basis: ssol.Basis})
+	bsol, err := big.Solve(context.Background(), &SolveOptions{Basis: ssol.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +306,11 @@ func TestGlobalStatsAccumulate(t *testing.T) {
 	x := m.AddVar(0, 4, 3)
 	y := m.AddVar(0, 6, 5)
 	m.AddLE([]Term{{x, 3}, {y, 2}}, 18)
-	sol, err := m.Solve(nil)
+	sol, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Solve(&SolveOptions{Basis: sol.Basis}); err != nil {
+	if _, err := m.Solve(context.Background(), &SolveOptions{Basis: sol.Basis}); err != nil {
 		t.Fatal(err)
 	}
 	d := obs.Default.Snapshot().Since(before)
@@ -340,7 +341,7 @@ func BenchmarkSparseMedium(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(nil); err != nil {
+		if _, err := m.Solve(context.Background(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -355,7 +356,7 @@ func TestWarmStartFreeVarGainsBounds(t *testing.T) {
 	y := m.AddVar(0, Inf, 1)
 	m.AddGE([]Term{{y, 1}}, 2)
 	m.AddLE([]Term{{x, 1}, {y, 1}}, 100)
-	sol, err := m.Solve(nil)
+	sol, err := m.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestWarmStartFreeVarGainsBounds(t *testing.T) {
 		t.Skipf("x not free-nonbasic in this basis (status %d); scenario needs it", sol.Basis.Status[x])
 	}
 	m.SetVarBounds(x, 1, 5)
-	warm, err := m.Solve(&SolveOptions{Basis: sol.Basis})
+	warm, err := m.Solve(context.Background(), &SolveOptions{Basis: sol.Basis})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestGlobalStatsConcurrentSolves(t *testing.T) {
 		m.AddLE([]Term{{x, 1}, {z, 1}}, 5)
 		return m
 	}
-	one, err := build().Solve(nil)
+	one, err := build().Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestGlobalStatsConcurrentSolves(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < solvesPerG; i++ {
 				m := build()
-				sol, err := m.Solve(nil)
+				sol, err := m.Solve(context.Background(), nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -196,7 +197,7 @@ func TestSolveEndsOnMatchingFactors(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 5; trial++ {
 		mdl, _ := boxedModel(rng, 80, 60)
-		sol, err := mdl.Solve(nil)
+		sol, err := mdl.Solve(context.Background(), nil)
 		if err != nil || sol.Status != Optimal {
 			t.Fatalf("trial %d: %v, %v", trial, sol.Status, err)
 		}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -163,11 +164,11 @@ func TestWorkspaceReuseParity(t *testing.T) {
 			shapeChanges++
 		}
 		fresh := cloneModel(live)
-		got, err := live.Solve(&SolveOptions{Basis: use})
+		got, err := live.Solve(context.Background(), &SolveOptions{Basis: use})
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		want, err := fresh.Solve(&SolveOptions{Basis: use})
+		want, err := fresh.Solve(context.Background(), &SolveOptions{Basis: use})
 		if err != nil {
 			t.Fatalf("%s: fresh model: %v", step, err)
 		}
@@ -176,7 +177,7 @@ func TestWorkspaceReuseParity(t *testing.T) {
 			t.Fatalf("%s: status %v; the generator keeps the model feasible and bounded", step, got.Status)
 		}
 		// The value-only entry point is the same solve.
-		obj, status, err := live.SolveObjective(&SolveOptions{Basis: use})
+		obj, status, err := live.SolveObjective(context.Background(), &SolveOptions{Basis: use})
 		if err != nil || status != Optimal || math.Float64bits(obj) != math.Float64bits(want.Objective) {
 			t.Fatalf("%s: SolveObjective = %v, %v, %v; Solve on a fresh model found %v", step, obj, status, err, want.Objective)
 		}

@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -22,7 +23,7 @@ func crashSolve(t testing.TB, label string, mm *MinMLUModel) *lp.Solution {
 	if b == nil {
 		t.Fatalf("%s: no crash basis for a routable matrix", label)
 	}
-	sol, err := mm.Model.Solve(&lp.SolveOptions{Basis: b})
+	sol, err := mm.Model.Solve(context.Background(), &lp.SolveOptions{Basis: b})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -32,7 +33,7 @@ func crashSolve(t testing.TB, label string, mm *MinMLUModel) *lp.Solution {
 // allLogical solves a fresh model for D from the all-logical start.
 func allLogical(t testing.TB, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) (float64, lp.SolveStats, error) {
 	t.Helper()
-	sol, err := NewMinMLUModel(g, dags, D).Model.Solve(nil)
+	sol, err := NewMinMLUModel(g, dags, D).Model.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func allLogical(t testing.TB, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix
 func certifiedAllLogical(t testing.TB, label string, g *graph.Graph, dags []*dagx.DAG, D *demand.Matrix) float64 {
 	t.Helper()
 	mm := NewMinMLUModel(g, dags, D)
-	sol, err := mm.Model.Solve(nil)
+	sol, err := mm.Model.Solve(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("%s: all-logical solve: %v", label, err)
 	}
@@ -286,7 +287,7 @@ func FuzzCrashStart(f *testing.F) {
 		want, _, wantErr := allLogical(t, g, dags, D)
 		mm := NewMinMLUModel(g, dags, D)
 		if b := mm.CrashBasis(); b != nil {
-			sol, err := mm.Model.Solve(&lp.SolveOptions{Basis: b})
+			sol, err := mm.Model.Solve(context.Background(), &lp.SolveOptions{Basis: b})
 			if err != nil {
 				t.Fatal(err)
 			}

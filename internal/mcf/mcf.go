@@ -276,10 +276,9 @@ func (mm *MinMLUModel) SetDemand(s, t graph.NodeID, d float64) error {
 // needs, without Solve's flow unpacking — starting from the crash basis of
 // the demands the model holds (CrashBasis), so phase 1 has nothing to do.
 // The solve is a function of those demands alone: no basis is taken or
-// returned. An lp.solve span is recorded under ctx when it carries a tracer
-// (nil: untraced).
+// returned. An lp.solve span is recorded under ctx when it carries a tracer.
 func (mm *MinMLUModel) SolveMLU(ctx context.Context) (float64, error) {
-	mlu, status, err := mm.Model.SolveObjective(&lp.SolveOptions{Basis: mm.CrashBasis(), Ctx: ctx})
+	mlu, status, err := mm.Model.SolveObjective(ctx, &lp.SolveOptions{Basis: mm.CrashBasis()})
 	if err != nil {
 		return 0, fmt.Errorf("mcf: %w", err)
 	}
@@ -430,9 +429,9 @@ func CheckDual(g *graph.Graph, dags []*dagx.DAG, active []bool, z []float64, w f
 // a solve of the same shape (graph, DAGs and active destinations) warm-starts
 // it; nil, or a basis that no longer fits, starts it from the all-logical
 // basis. The optimum never depends on the basis; only the pivot path, and on
-// a degenerate LP the optimal vertex reached, do.
+// a degenerate LP the optimal vertex reached, do. The solve is untraced.
 func (mm *MinMLUModel) Solve(opts *lp.SolveOptions) (float64, [][]float64, *lp.Basis, error) {
-	sol, err := mm.Model.Solve(opts)
+	sol, err := mm.Model.Solve(context.Background(), opts)
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("mcf: %w", err)
 	}

@@ -16,9 +16,9 @@ import (
 )
 
 // Params is the one parameter set of a COYOTE solve: loop effort plus
-// evaluator tuning. coyote.Options, delta.Config and exp.Config convert to
-// it once; strategy.Config and failover.Config are this type. Zero fields
-// take the defaults of the half they reach (EvalConfig, Options).
+// evaluator tuning. exp.Config embeds it; coyote.Options and delta.Config
+// convert to it once; strategy.Config is this type. Zero fields take the
+// defaults of the half they reach (EvalConfig, Options).
 type Params struct {
 	OptIters int     // optimizer gradient steps per adversarial round (default 400)
 	AdvIters int     // adversarial rounds (default 6)
@@ -26,20 +26,11 @@ type Params struct {
 	Eps      float64 // FPTAS accuracy for large-instance normalization (0 = default 0.1, else in (0, 0.5))
 	Seed     int64
 	Workers  int // worker-pool size (≤ 0 = GOMAXPROCS); never changes results
-	// ExactNodeLimit overrides the exact/FPTAS OPTDAG crossover
-	// (DefaultExactNodeLimit when 0; 1 forces the FPTAS).
-	ExactNodeLimit int
 }
 
 // EvalConfig is the evaluator half of the parameter set.
 func (p Params) EvalConfig() EvalConfig {
-	return EvalConfig{
-		Eps:            p.Eps,
-		Samples:        p.Samples,
-		Seed:           p.Seed,
-		ExactNodeLimit: p.ExactNodeLimit,
-		Workers:        p.Workers,
-	}
+	return EvalConfig{Eps: p.Eps, Samples: p.Samples, Seed: p.Seed, Workers: p.Workers}
 }
 
 // Options is the loop-effort half of the parameter set.
@@ -47,17 +38,11 @@ func (p Params) Options() Options {
 	return Options{OptIters: p.OptIters, AdvIters: p.AdvIters}
 }
 
-// Options is what varies per Optimize call: effort, warm state, tracing.
+// Options is what varies per Optimize call: effort and warm state.
 // Graph, DAGs, box, seed and worker count are the evaluator's.
 type Options struct {
 	OptIters int // gradient steps per inner optimization (default 400)
 	AdvIters int // outer adversarial iterations (default 6)
-	// Ctx, when it carries an obs.Tracer (obs.WithTracer), records one span
-	// per pipeline stage of the adversarial loop — scenario seeding, each
-	// optimize/adversary round, the final ECMP guarantee — plus the nested
-	// gpopt and evaluator spans. Purely observational: results are
-	// bit-identical with or without it. nil means no tracing.
-	Ctx context.Context
 	// Warm, when non-nil and built for exactly the evaluator's (graph,
 	// DAGs), is reused in place as the splitting optimizer: the loop resumes
 	// its θ, Adam moments and step counter, refining the prior solution
@@ -117,13 +102,14 @@ func (r *Report) Err() error {
 // The returned routing is never worse (under the same evaluator) than
 // traditional ECMP on the embedded shortest-path DAGs, fulfilling the
 // paper's "no worse than standard OSPF/ECMP" guarantee.
-func (ev *Evaluator) Optimize(opts Options) (*pdrouting.Routing, *Report) {
+//
+// When ctx carries an obs.Tracer the loop records one span per stage —
+// scenario seeding, each optimize/adversary round, the final ECMP guarantee
+// — with the gpopt, adversary and lp.solve spans beneath them. Tracing never
+// changes a result. strategy.Solve is the one caller outside tests.
+func (ev *Evaluator) Optimize(ctx context.Context, opts Options) (*pdrouting.Routing, *Report) {
 	if opts.AdvIters <= 0 {
 		opts.AdvIters = 6
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	ctx, span := obs.StartSpan(ctx, "oblivious.optimize")
 	defer span.End()
@@ -276,11 +262,9 @@ func ECMPOnDAGs(g *graph.Graph, dags []*dagx.DAG) *pdrouting.Routing {
 // optimal routing for a single base matrix (no uncertainty), realized as
 // splitting ratios within the given DAGs. Figures 6–8 show how quickly it
 // degrades as actual demands drift from the base. eps is the FPTAS accuracy
-// past exactNodeLimit nodes (0 = default 0.1, otherwise inside (0, 0.5)).
-func BaseRouting(g *graph.Graph, dags []*dagx.DAG, base *demand.Matrix, exactNodeLimit int, eps float64) (*pdrouting.Routing, error) {
-	if exactNodeLimit <= 0 {
-		exactNodeLimit = DefaultExactNodeLimit
-	}
+// past DefaultExactNodeLimit nodes (0 = default 0.1, otherwise inside
+// (0, 0.5)).
+func BaseRouting(g *graph.Graph, dags []*dagx.DAG, base *demand.Matrix, eps float64) (*pdrouting.Routing, error) {
 	if err := mcf.CheckEps(eps); err != nil {
 		return nil, err
 	}
@@ -289,7 +273,7 @@ func BaseRouting(g *graph.Graph, dags []*dagx.DAG, base *demand.Matrix, exactNod
 	}
 	var flows [][]float64
 	var err error
-	if g.NumNodes() <= exactNodeLimit {
+	if g.NumNodes() <= DefaultExactNodeLimit {
 		_, flows, err = mcf.MinMLUExact(g, dags, base)
 	} else {
 		_, flows, err = mcf.MinMLUApprox(g, dags, base, eps)

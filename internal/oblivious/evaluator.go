@@ -215,7 +215,7 @@ func (ev *Evaluator) OptDAG(D *demand.Matrix) float64 {
 		return v
 	}
 	z := ev.edgeBuf.Get()
-	v, certified := ev.solveOptDAG(nil, D, z)
+	v, certified := ev.solveOptDAG(context.Background(), D, z)
 	ev.cache.store(h, v)
 	if certified {
 		ev.cache.bounds.add(ev.G, ev.DAGs, z, D, v, ev.exact())
@@ -246,7 +246,7 @@ func (c *evalCache) store(h uint64, v float64) {
 // DAGs. It reports whether z (one entry per edge) received the solve's dual
 // certificate — edge lengths ℓ ≥ 0 with Σ ℓ_e·c_e = 1, from the
 // capacity-row duals of the LP or the final Garg–Könemann lengths. An exact
-// solve records its lp.solve span under ctx (nil: untraced).
+// solve records its lp.solve span under ctx.
 func (ev *Evaluator) solveOptDAG(ctx context.Context, D *demand.Matrix, z []float64) (v float64, certified bool) {
 	c := ev.cache
 	var err error

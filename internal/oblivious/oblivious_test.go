@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -104,7 +105,7 @@ func TestPerfExactMatchesSampling(t *testing.T) {
 	r := goldenRouting(t, g, ids, dags)
 	ev := NewEvaluator(g, dags, box02(g, ids), EvalConfig{Samples: 16, Seed: 1})
 	approx := ev.Perf(r)
-	exact, err := ev.PerfExact(r)
+	exact, err := ev.PerfExact(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestPropertySamplingBelowExact(t *testing.T) {
 		ev := NewEvaluator(g, dags, box, EvalConfig{Samples: 6, Seed: seed})
 		r := pdrouting.Uniform(g, dags)
 		approx := ev.Perf(r)
-		exact, err := ev.PerfExact(r)
+		exact, err := ev.PerfExact(context.Background(), r)
 		if err != nil {
 			return false
 		}
@@ -171,7 +172,7 @@ func TestCoyoteBeatsECMPRunningExample(t *testing.T) {
 		t.Fatalf("ECMP PERF = %g, expected ≥ 1.5 on this instance", ecmpPerf.Ratio)
 	}
 
-	r, rep := ev.Optimize(Options{
+	r, rep := ev.Optimize(context.Background(), Options{
 		OptIters: 600,
 		AdvIters: 4,
 	})
@@ -242,7 +243,7 @@ func TestBaseRoutingOptimalAtBase(t *testing.T) {
 	base := demand.NewMatrix(g.NumNodes())
 	base.Set(ids["s1"], ids["t"], 1)
 	base.Set(ids["s2"], ids["t"], 0.5)
-	r, err := BaseRouting(g, dags, base, 18, 0.1)
+	r, err := BaseRouting(g, dags, base, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestBaseRoutingOptimalAtBase(t *testing.T) {
 		t.Fatalf("Base routing at margin 1: PERF = %g, want 1", res.Ratio)
 	}
 	var ee *mcf.EpsError
-	if _, err := BaseRouting(g, dags, base, 18, 0.5); !errors.As(err, &ee) {
+	if _, err := BaseRouting(g, dags, base, 0.5); !errors.As(err, &ee) {
 		t.Fatalf("BaseRouting with eps 0.5: error %v, want an *mcf.EpsError", err)
 	}
 }
@@ -269,7 +270,7 @@ func TestBaseDegradesWithMargin(t *testing.T) {
 	base.Set(ids["s1"], ids["t"], 1)
 	base.Set(ids["s2"], ids["t"], 1)
 	base.Set(ids["s1"], ids["s2"], 0.3)
-	r, err := BaseRouting(g, dags, base, 18, 0.1)
+	r, err := BaseRouting(g, dags, base, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}

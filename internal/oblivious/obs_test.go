@@ -12,7 +12,7 @@ import (
 )
 
 // TestPerfExactSpans covers the serial slave-LP chain's tracing: with a
-// tracer in the context, PerfExactCtx must record one perf_exact span with
+// tracer in the context, PerfExact must record one perf_exact span with
 // an lp.solve child per link, and must return exactly the value of an
 // untraced PerfExact on the same routing (tracing never touches the
 // numeric path).
@@ -22,14 +22,14 @@ func TestPerfExactSpans(t *testing.T) {
 	r := goldenRouting(t, g, ids, dags)
 	ev := NewEvaluator(g, dags, box02(g, ids), EvalConfig{Samples: 16, Seed: 1})
 
-	plain, err := ev.PerfExact(r)
+	plain, err := ev.PerfExact(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	tracer := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tracer)
-	traced, err := ev.PerfExactCtx(ctx, r)
+	traced, err := ev.PerfExact(ctx, r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ func evalAt(t *testing.T, name string, workers int) []float64 {
 	for _, res := range ev.PerfTop(ecmp, 3) {
 		out = append(out, res.Ratio, res.MxLU, res.Norm)
 	}
-	routing, rep := ev.Optimize(Options{
+	routing, rep := ev.Optimize(context.Background(), Options{
 		OptIters: 40,
 		AdvIters: 2,
 	})

@@ -146,15 +146,12 @@ func (sl *slaveLP) setObjective(ev *Evaluator, coeff [][][]float64, targetEdge i
 // basis chain across the per-link solves (the rows are shared — only the
 // objective moves) keep it viable well beyond the old dense limits, but
 // the sampling adversary (Perf) remains the production path.
-func (ev *Evaluator) PerfExact(r *pdrouting.Routing) (Result, error) {
-	return ev.perfExact(context.Background(), r, true)
-}
-
-// PerfExactCtx is PerfExact with tracing: when ctx carries an obs.Tracer it
-// records one oblivious.perf_exact span for the whole per-link sweep plus
-// one nested lp.solve span per slave LP (the per-link solves run serially
-// on the warm-start chain, so the spans nest cleanly). Observational only.
-func (ev *Evaluator) PerfExactCtx(ctx context.Context, r *pdrouting.Routing) (Result, error) {
+//
+// When ctx carries an obs.Tracer it records one oblivious.perf_exact span
+// for the whole per-link sweep plus one nested lp.solve span per slave LP
+// (the per-link solves run serially on the warm-start chain, so the spans
+// nest cleanly). Observational only.
+func (ev *Evaluator) PerfExact(ctx context.Context, r *pdrouting.Routing) (Result, error) {
 	return ev.perfExact(ctx, r, true)
 }
 
@@ -181,7 +178,7 @@ func (ev *Evaluator) perfExact(ctx context.Context, r *pdrouting.Routing, warmCh
 	var basis *lp.Basis
 	for targetEdge := 0; targetEdge < nE; targetEdge++ {
 		sl.setObjective(ev, coeff, targetEdge)
-		sol, err := sl.model.Solve(&lp.SolveOptions{Basis: basis, Ctx: ctx})
+		sol, err := sl.model.Solve(ctx, &lp.SolveOptions{Basis: basis})
 		if err != nil {
 			return Result{}, err
 		}

@@ -74,7 +74,7 @@ func TestSlaveLPSparseDenseParityCorpus(t *testing.T) {
 			// identical across links, so coverage is not reduced.
 			for e := 0; e < g.NumEdges(); e += 7 {
 				sl.setObjective(ev, coeff, e)
-				sparse, err := sl.model.Solve(&lp.SolveOptions{Basis: basis})
+				sparse, err := sl.model.Solve(context.Background(), &lp.SolveOptions{Basis: basis})
 				if err != nil {
 					t.Fatalf("edge %d sparse: %v", e, err)
 				}
@@ -105,7 +105,7 @@ func TestPerfExactWarmMatchesCold(t *testing.T) {
 	for _, name := range []string{"Abilene", "NSF"} {
 		ev := slaveEvaluator(t, name, 4)
 		r := ECMPOnDAGs(ev.G, ev.DAGs)
-		warm, err := ev.PerfExact(r)
+		warm, err := ev.PerfExact(context.Background(), r)
 		if err != nil {
 			t.Fatalf("%s warm: %v", name, err)
 		}
@@ -125,7 +125,7 @@ func TestPerfExactWarmChainHits(t *testing.T) {
 	ev := slaveEvaluator(t, "Abilene", 4)
 	r := ECMPOnDAGs(ev.G, ev.DAGs)
 	before := obs.Default.Snapshot()
-	if _, err := ev.PerfExact(r); err != nil {
+	if _, err := ev.PerfExact(context.Background(), r); err != nil {
 		t.Fatal(err)
 	}
 	st := obs.Default.Snapshot().Since(before)
@@ -165,7 +165,7 @@ func BenchmarkSlaveLP(b *testing.B) {
 	r := ECMPOnDAGs(g, dags)
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.PerfExact(r); err != nil {
+			if _, err := ev.PerfExact(context.Background(), r); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"context"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -63,7 +64,7 @@ func TestWarmCarryRecompute(t *testing.T) {
 
 	// Initial cold optimization.
 	ev := NewEvaluator(g, dags, demand.MarginBox(base, 2), evalCfg)
-	_, rep := ev.Optimize(coldOpts)
+	_, rep := ev.Optimize(context.Background(), coldOpts)
 	if rep.Warm == nil {
 		t.Fatal("Report.Warm is nil")
 	}
@@ -81,10 +82,10 @@ func TestWarmCarryRecompute(t *testing.T) {
 		Warm:     rep.Warm,
 		Carry:    rep.Critical,
 	}
-	_, warmRep := warmEv.Optimize(warmOpts)
+	_, warmRep := warmEv.Optimize(context.Background(), warmOpts)
 
 	coldEv := NewEvaluator(g, dags, perturbed, evalCfg)
-	_, coldRep := coldEv.Optimize(coldOpts)
+	_, coldRep := coldEv.Optimize(context.Background(), coldOpts)
 
 	if warmRep.Perf.Ratio > coldRep.Perf.Ratio*1.01 {
 		t.Fatalf("warm recompute PERF %v worse than 1%% over cold %v",
@@ -105,7 +106,7 @@ func TestWarmMismatchedOptimizerIgnored(t *testing.T) {
 
 	box := demand.MarginBox(demand.Gravity(g, 1), 2)
 	ev := NewEvaluator(g, dags, box, EvalConfig{Samples: 2, Seed: 1})
-	_, rep := ev.Optimize(Options{
+	_, rep := ev.Optimize(context.Background(), Options{
 		OptIters: 40,
 		AdvIters: 1,
 		Warm:     stale,

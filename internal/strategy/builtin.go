@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"math"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -62,7 +63,23 @@ func buildGPOpt(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 // buildCoyote is the full COYOTE pipeline; the plan is the Solved value
 // Engine.Compute, failover scenarios and sessions hold.
 func buildCoyote(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
-	p, err := Coyote(g, box, cfg)
+	return asPlan(Coyote(context.Background(), g, box, cfg))
+}
+
+// buildCoyoteFPTAS is buildCoyote with the OPTDAG normalizer pinned to the
+// Garg–Könemann FPTAS regardless of instance size (exact node limit 1),
+// exercising the approximation path the paper relies on beyond the
+// exact-LP crossover.
+func buildCoyoteFPTAS(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
+	ec := cfg.EvalConfig()
+	ec.ExactNodeLimit = 1
+	ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), box, ec)
+	return asPlan(Solve(context.Background(), ev, cfg.Options()))
+}
+
+// asPlan returns a COYOTE solve as a Plan; a failed solve is a nil Plan,
+// never a typed nil.
+func asPlan(p *Solved, err error) (Plan, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +106,7 @@ type optPlan struct {
 }
 
 func (p *optPlan) Route(dm *demand.Matrix) (*pdrouting.Routing, error) {
-	return oblivious.BaseRouting(p.g, p.dags, dm, p.cfg.ExactNodeLimit, p.cfg.Eps)
+	return oblivious.BaseRouting(p.g, p.dags, dm, p.cfg.Eps)
 }
 
 func (p *optPlan) Cost() Cost {

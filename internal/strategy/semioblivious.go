@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -26,7 +27,7 @@ const supportTol = 1e-3
 // Adapt is never worse than the static oblivious routing on the same matrix:
 // the adapted solution is kept only when it evaluates at least as well.
 func buildSemiOblivious(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
-	static, err := Coyote(g, box, cfg)
+	static, err := Coyote(context.Background(), g, box, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +54,7 @@ func buildSemiOblivious(cfg Config, g *graph.Graph, box *demand.Box) (Plan, erro
 	// ever see demand has its conservation rows; Adapt then only edits RHS
 	// values.
 	model := mcf.NewMinMLUModel(g, support, box.Max)
-	if _, err := model.SolveMLU(nil); err != nil {
+	if _, err := model.SolveMLU(context.Background()); err != nil {
 		return nil, fmt.Errorf("strategy: semi-oblivious rate LP infeasible at box max: %w", err)
 	}
 

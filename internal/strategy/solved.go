@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"context"
+
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
@@ -25,8 +27,9 @@ type Solved struct {
 // Re-solving a held configuration for another box is Solve on
 // p.Ev.WithBox(box): every OPTDAG and max-flow normalization already paid for
 // is kept, and opts carries the warm optimizer and the matrices to start from.
-func Solve(ev *oblivious.Evaluator, opts oblivious.Options) (*Solved, error) {
-	r, rep := ev.Optimize(opts)
+// The loop's span tree is recorded under ctx when it carries an obs.Tracer.
+func Solve(ctx context.Context, ev *oblivious.Evaluator, opts oblivious.Options) (*Solved, error) {
+	r, rep := ev.Optimize(ctx, opts)
 	if err := rep.Err(); err != nil {
 		return nil, err
 	}
@@ -36,9 +39,9 @@ func Solve(ev *oblivious.Evaluator, opts oblivious.Options) (*Solved, error) {
 // Coyote runs Fig. 5 up to the lies: augmented shortest-path DAGs on g, then
 // Solve against box. Inputs are the caller's to Check — failover feeds it
 // survivors whose failed router is deliberately isolated.
-func Coyote(g *graph.Graph, box *demand.Box, cfg Config) (*Solved, error) {
+func Coyote(ctx context.Context, g *graph.Graph, box *demand.Box, cfg Config) (*Solved, error) {
 	ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), box, cfg.EvalConfig())
-	return Solve(ev, cfg.Options())
+	return Solve(ctx, ev, cfg.Options())
 }
 
 // Route returns the oblivious routing for every matrix.

@@ -95,17 +95,11 @@ var (
 // builders is the registry: name → build function. Names double as the
 // `-strategy` flag values and the portfolio table's column headers.
 var builders = map[string]buildFunc{
-	"ecmp":        buildECMP,
-	"localsearch": buildLocalSearch,
-	"gpopt":       buildGPOpt,
-	"coyote":      buildCoyote,
-	// coyote-fptas pins the OPTDAG normalizer to the Garg–Könemann FPTAS
-	// regardless of instance size, exercising the approximation path the
-	// paper relies on beyond the exact-LP crossover.
-	"coyote-fptas": func(c Config, g *graph.Graph, box *demand.Box) (Plan, error) {
-		c.ExactNodeLimit = 1
-		return buildCoyote(c, g, box)
-	},
+	"ecmp":           buildECMP,
+	"localsearch":    buildLocalSearch,
+	"gpopt":          buildGPOpt,
+	"coyote":         buildCoyote,
+	"coyote-fptas":   buildCoyoteFPTAS,
 	"opt":            buildOPT,
 	"semi-oblivious": buildSemiOblivious,
 	"cspf":           buildCSPF,

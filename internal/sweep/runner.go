@@ -64,9 +64,10 @@ type Options struct {
 	// completes, in completion order.
 	Progress func(UnitStatus)
 	// Ctx, when it carries an obs.Tracer, records one sweep.unit span per
-	// unit with cache-probe/compute/cache-put/verify children (and the
-	// full adversarial-loop span tree beneath compute). Tracing never
-	// reaches the cache key or the result bytes.
+	// unit with cache-probe/compute/cache-put/verify children and the full
+	// adversarial-loop span tree beneath compute, except for portfolio*
+	// units: strategy.Build takes no context, so their solves go
+	// untraced. Tracing never reaches the cache key or the result bytes.
 	Ctx context.Context
 }
 
@@ -200,8 +201,8 @@ func Run(c Campaign, opts Options) (*Report, error) {
 				}
 				table, cached = entry.Table, true
 				if opts.Verify {
-					_, verifySpan := obs.StartSpan(unitCtx, "sweep.verify")
-					err := verifyHit(u, c.Cfg, entry)
+					verifyCtx, verifySpan := obs.StartSpan(unitCtx, "sweep.verify")
+					err := verifyHit(verifyCtx, u, c.Cfg, entry)
 					verifySpan.End()
 					if err != nil {
 						mUnits.With("failed").Inc()
@@ -212,9 +213,7 @@ func Run(c Campaign, opts Options) (*Report, error) {
 		}
 		if table == nil {
 			computeCtx, computeSpan := obs.StartSpan(unitCtx, "sweep.compute")
-			runCfg := c.Cfg
-			runCfg.Ctx = computeCtx
-			table, err = u.Run(runCfg)
+			table, err = u.Run(computeCtx, c.Cfg)
 			computeSpan.End()
 			if err != nil {
 				mUnits.With("failed").Inc()
@@ -271,8 +270,8 @@ func Run(c Campaign, opts Options) (*Report, error) {
 
 // verifyHit recomputes a cache hit and demands bit-identical bytes — the
 // proof that cached and fresh results are interchangeable.
-func verifyHit(u Unit, cfg exp.Config, entry *Entry) error {
-	fresh, err := u.Run(cfg)
+func verifyHit(ctx context.Context, u Unit, cfg exp.Config, entry *Entry) error {
+	fresh, err := u.Run(ctx, cfg)
 	if err != nil {
 		return fmt.Errorf("sweep: verify %s: %w", u.ID, err)
 	}

@@ -18,6 +18,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,16 +54,17 @@ type Unit struct {
 	Model string
 }
 
-// Run executes the unit under cfg and returns its table.
-func (u Unit) Run(cfg exp.Config) (*exp.Table, error) {
+// Run executes the unit under cfg and returns its table, recording its
+// span tree under ctx when it carries an obs.Tracer.
+func (u Unit) Run(ctx context.Context, cfg exp.Config) (*exp.Table, error) {
 	if u.Kind == "exp" {
-		return exp.Run(u.Exp, cfg)
+		return exp.Run(ctx, u.Exp, cfg)
 	}
 	g, err := graph.ReadText(bytes.NewReader(u.Topo))
 	if err != nil {
 		return nil, fmt.Errorf("sweep: unit %s: bad topology bytes: %w", u.ID, err)
 	}
-	return exp.SweepGraph(u.ID, g, u.Model, cfg)
+	return exp.SweepGraph(ctx, u.ID, g, u.Model, cfg)
 }
 
 // Campaign is a named, fully enumerated sweep: a configuration plus the

@@ -10,18 +10,15 @@ import (
 	"time"
 
 	"github.com/coyote-te/coyote/internal/exp"
+	"github.com/coyote-te/coyote/internal/oblivious"
 )
 
 // tinyConfig is deliberately cheaper than exp.Quick so the harness's own
 // machinery can be exercised many times per test run.
 func tinyConfig() exp.Config {
 	return exp.Config{
-		Margins:  []float64{1, 2},
-		Samples:  2,
-		OptIters: 40,
-		AdvIters: 1,
-		Eps:      0.25,
-		Seed:     1,
+		Margins: []float64{1, 2},
+		Params:  oblivious.Params{Samples: 2, OptIters: 40, AdvIters: 1, Eps: 0.25, Seed: 1},
 	}
 }
 

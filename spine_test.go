@@ -5,10 +5,13 @@
 package coyote_test
 
 import (
+	"context"
 	"testing"
 
 	coyote "github.com/coyote-te/coyote"
+	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
+	"github.com/coyote-te/coyote/internal/oblivious"
 	"github.com/coyote-te/coyote/internal/strategy"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -78,8 +81,15 @@ func TestOneSolvedConfiguration(t *testing.T) {
 		}
 		sameConfig(t, "NewSession.Config", ses.Config(), want)
 
-		fptas := cfg
-		fptas.ExactNodeLimit = 1
-		sameConfig(t, "coyote-fptas", view(buildSolved(t, "coyote-fptas", cfg)), view(buildSolved(t, "coyote", fptas)))
+		// coyote-fptas is the same solve on an evaluator pinned to the FPTAS.
+		g, _ := topo.Load("Abilene")
+		ec := cfg.EvalConfig()
+		ec.ExactNodeLimit = 1
+		ev := oblivious.NewEvaluator(g, dagx.BuildAll(g, dagx.Augmented), demand.MarginBox(demand.Gravity(g, 1), 2), ec)
+		fptas, err := strategy.Solve(context.Background(), ev, cfg.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameConfig(t, "coyote-fptas", view(buildSolved(t, "coyote-fptas", cfg)), view(fptas))
 	}
 }
