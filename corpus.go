@@ -1,11 +1,9 @@
 package coyote
 
 import (
-	"bytes"
 	"io"
 
 	"github.com/coyote-te/coyote/internal/demand"
-	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
@@ -30,56 +28,12 @@ func NewDemandMatrix(t *Topology) *DemandMatrix {
 }
 
 // WriteText serializes the topology in the line-oriented text format
-// understood by ReadTopology (node/link/edge directives).
+// (node/link/edge directives) that ReadTopologyAuto and ReadTopologyFile
+// read back.
 func (t *Topology) WriteText(w io.Writer) error { return t.g.WriteText(w) }
-
-// CanonicalBytes returns the canonical text serialization of the topology
-// — the exact byte string the corpus-scale sweep harness (cmd/coyote-sweep,
-// DESIGN.md §8) hashes into content-addressed cache keys. Two topologies
-// with equal CanonicalBytes are byte-for-byte the same network, so their
-// sweep results are interchangeable cache entries.
-func (t *Topology) CanonicalBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := t.g.WriteText(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // WriteDOT emits a Graphviz rendering of the topology.
 func (t *Topology) WriteDOT(w io.Writer) error { return t.g.WriteDOT(w) }
-
-// ReadTopology parses the text format produced by WriteText.
-func ReadTopology(r io.Reader) (*Topology, error) {
-	g, err := graph.ReadText(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Topology{g: g}, nil
-}
-
-// ReadGraphML parses a GraphML topology (the Internet Topology Zoo
-// format), inferring link capacities from the file's speed annotations
-// and OSPF weights from the inverse-capacity rule. See
-// internal/scen.ReadGraphML for the inference details.
-func ReadGraphML(r io.Reader) (*Topology, error) {
-	g, err := scen.ReadGraphML(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Topology{g: g}, nil
-}
-
-// ReadSNDlib parses a network in the SNDlib native format. When the file
-// carries a DEMANDS section the second return is its demand matrix;
-// otherwise it is nil.
-func ReadSNDlib(r io.Reader) (*Topology, *DemandMatrix, error) {
-	g, dm, err := scen.ReadSNDlib(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Topology{g: g}, dm, nil
-}
 
 // ReadTopologyAuto parses a topology whose format is detected from the
 // content: GraphML (XML), SNDlib native, or the line-oriented text format.

@@ -275,19 +275,18 @@ func (c *Config) Lies(extraPerInterface int) (*LieSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	lies := newLieSet(c.topo.g, q.Routing, q.VirtualLinks, syn)
+	lies := newLieSet(q.Routing, q.VirtualLinks, syn)
 	return &lies, nil
 }
 
-// newLieSet wraps one verified realization (fibbing.Realize) over g.
-func newLieSet(g *graph.Graph, quantized *pdrouting.Routing, virtualLinks int, syn *fibbing.Synthesis) LieSet {
+// newLieSet wraps one verified realization (fibbing.Realize).
+func newLieSet(quantized *pdrouting.Routing, virtualLinks int, syn *fibbing.Synthesis) LieSet {
 	return LieSet{
 		Quantized:        quantized,
 		VirtualLinks:     virtualLinks,
 		FakeNodes:        syn.FakeNodes,
 		LiedDestinations: len(syn.LiedDestinations),
 		synthesis:        syn,
-		topo:             &Topology{g: g},
 	}
 }
 
@@ -304,11 +303,10 @@ type LieSet struct {
 	LiedDestinations int
 
 	synthesis *fibbing.Synthesis
-	topo      *Topology
 }
 
 // WriteMessages emits the fake-node LSAs ("OSPF messages", the final stage
 // of the paper's Fig. 5 pipeline) as JSON.
 func (l *LieSet) WriteMessages(w io.Writer) error {
-	return l.synthesis.WriteJSON(w, l.topo.g)
+	return l.synthesis.WriteJSON(w)
 }

@@ -382,7 +382,7 @@ func projectOntoBox(critical []*demand.Matrix, box *demand.Box) []*demand.Matrix
 // record appends an event (stamping its sequence number) and notifies
 // subscribers without blocking. A subscriber whose channel is full misses
 // the event rather than stalling the controller — but the loss is not
-// silent: it is counted in the session lifetime total (Dropped, surfaced on
+// silent: it is counted in the session lifetime total (State, surfaced on
 // GET /state) and in the coyote_session_dropped_events_total metric.
 func (s *Session) record(e Event) Event {
 	e.Seq = len(s.events)
@@ -655,7 +655,7 @@ func (s *Session) Events() []Event {
 // function must be called to release the subscription. Events are
 // delivered best-effort: a subscriber that falls behind misses events
 // rather than stalling the controller. Missed deliveries are counted in
-// the session total reported by Dropped, so the loss is observable instead
+// the session total reported by State, so the loss is observable instead
 // of silent.
 func (s *Session) Subscribe() (<-chan Event, func()) {
 	s.mu.Lock()
@@ -674,11 +674,13 @@ func (s *Session) Subscribe() (<-chan Event, func()) {
 	}
 }
 
-// Dropped returns the number of events that were not delivered to some
-// subscriber because its channel was full, summed over the session's
-// lifetime (cancelled subscribers included).
-func (s *Session) Dropped() uint64 {
+// State returns, under one lock, the live configuration, the failed links
+// (base representative edge IDs, ascending), the length of the event log and
+// the number of events not delivered to some subscriber because its channel
+// was full (summed over the session's lifetime, cancelled subscribers
+// included). The four always describe the same committed transition.
+func (s *Session) State() (cur *strategy.Solved, failed []graph.EdgeID, events int, dropped uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dropped
+	return s.cur, s.failedList(), len(s.events), s.dropped
 }

@@ -11,7 +11,7 @@ import (
 // bug: a subscriber that never drains its channel misses events once the
 // buffer fills, and every miss must now be counted — the controller still
 // never blocks, other subscribers still get every event, and the loss is
-// visible through Session.Dropped.
+// visible through Session.State.
 func TestStalledSubscriberDropsCounted(t *testing.T) {
 	cfg := testCfg()
 	cfg.OptIters = 60
@@ -42,8 +42,8 @@ func TestStalledSubscriberDropsCounted(t *testing.T) {
 	}
 
 	wantDropped := uint64(total - cap(stalled))
-	if got := s.Dropped(); got != wantDropped {
-		t.Fatalf("Dropped() = %d, want %d (buffer %d, events %d)", got, wantDropped, cap(stalled), total)
+	if _, _, _, got := s.State(); got != wantDropped {
+		t.Fatalf("dropped = %d, want %d (buffer %d, events %d)", got, wantDropped, cap(stalled), total)
 	}
 	// The stalled channel still holds the first buffer-full of events in
 	// order — loss is tail-drop, not corruption.

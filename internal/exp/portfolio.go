@@ -138,12 +138,8 @@ func portfolioFailures(_ context.Context, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	suite, err := scen.KLinkFailures(g, 1)
-	if err != nil {
-		return nil, err
-	}
 	var cells []portfolioCell
-	for _, fs := range suite {
+	for _, fs := range scen.SingleLinkFailures(g) {
 		if len(cells) >= 2 {
 			break
 		}

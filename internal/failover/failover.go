@@ -2,8 +2,8 @@
 // scenarios. §VI-A of the paper notes that, because COYOTE routing is
 // static, "routing configurations for failure scenarios (e.g., every
 // single link/node failure) can be precomputed"; PrecomputeGroups does that
-// for any failure suite of internal/scen (single links, shared-risk link
-// groups, k-link combinations): for each surviving topology it rebuilds the
+// for any failure suite of internal/scen (single links or shared-risk link
+// groups): for each surviving topology it rebuilds the
 // augmented DAGs, re-optimizes the splitting ratios against the same
 // uncertainty bounds, and records the achievable worst-case performance.
 package failover
@@ -35,9 +35,8 @@ func withDefaults(c oblivious.Params) oblivious.Params {
 }
 
 // GroupScenario is one precomputed failure configuration: a group of links
-// (a single link, a shared-risk link group, or a sampled k-link combination
-// from the scenario engine) fails at once and the survivors are
-// re-optimized.
+// (a single link or a shared-risk link group from the scenario engine)
+// fails at once and the survivors are re-optimized.
 type GroupScenario struct {
 	// Set is the failure: its name and the representative edge IDs (in the
 	// original graph) of the links that fail together.

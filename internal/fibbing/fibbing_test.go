@@ -342,8 +342,8 @@ func TestMessagesDeterministicAndComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1 := syn.Messages(g)
-	m2 := syn.Messages(g)
+	m1 := syn.Messages()
+	m2 := syn.Messages()
 	if len(m1) != syn.FakeNodes {
 		t.Fatalf("%d messages, want %d", len(m1), syn.FakeNodes)
 	}
@@ -353,7 +353,7 @@ func TestMessagesDeterministicAndComplete(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := syn.WriteJSON(&buf, g); err != nil {
+	if err := syn.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []Message

@@ -24,8 +24,10 @@ type Message struct {
 }
 
 // Messages flattens the synthesized lie set into deterministic (sorted)
-// wire messages, with router names resolved against g.
-func (s *Synthesis) Messages(g *graph.Graph) []Message {
+// wire messages, with router names resolved against the graph the lies were
+// synthesized over.
+func (s *Synthesis) Messages() []Message {
+	g := s.LSDB.G
 	var out []Message
 	dests := make([]graph.NodeID, 0, len(s.LSDB.Fakes))
 	for d := range s.LSDB.Fakes {
@@ -50,8 +52,8 @@ func (s *Synthesis) Messages(g *graph.Graph) []Message {
 }
 
 // WriteJSON emits the message stream as indented JSON.
-func (s *Synthesis) WriteJSON(w io.Writer, g *graph.Graph) error {
+func (s *Synthesis) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(s.Messages(g))
+	return enc.Encode(s.Messages())
 }

@@ -289,7 +289,7 @@ func (g *Graph) WithoutLink(id EdgeID) *Graph {
 
 // WithoutLinks returns a copy of g with every listed directed edge and its
 // reverse (if any) removed — the multi-link generalization of WithoutLink
-// used for shared-risk-link-group and k-link failure scenarios. Edge IDs
+// used for shared-risk link groups and a session's failed-link set. Edge IDs
 // are re-assigned densely; node IDs are preserved.
 func (g *Graph) WithoutLinks(ids []EdgeID) *Graph {
 	skip := make(map[EdgeID]bool, 2*len(ids))

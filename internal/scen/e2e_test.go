@@ -7,7 +7,6 @@ package scen_test
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -73,38 +72,23 @@ func TestLoadedFixturesComputeEndToEnd(t *testing.T) {
 			}
 		})
 	}
-	// The SNDlib demand matrix composes with MarginBounds too.
-	f, err := os.Open(filepath.Join("testdata", "tiny.snd"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	topo, dm, err := coyote.ReadSNDlib(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm == nil {
-		t.Fatal("fixture demands missing")
-	}
-	if _, err := coyote.New(topo, coyote.MarginBounds(dm, 2), tinyOpts).Compute(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestGeneratedScenarioComputes runs a composed Scenario (generator +
-// workload + failure suite) through Compute.
+// TestGeneratedScenarioComputes runs a generated topology and demand model,
+// wrapped in a margin box, through Compute.
 func TestGeneratedScenarioComputes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Compute runs in -short mode")
 	}
-	s, err := coyote.GenerateScenario("ring", coyote.GenParams{N: 8, M: 2, Seed: 5}, "hotspot", 2)
+	topo, err := coyote.GenerateTopology("ring", coyote.GenParams{N: 8, M: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Failures) != 10 { // 8 ring links + 2 chords
-		t.Fatalf("%d failure sets, want 10", len(s.Failures))
+	base, err := coyote.BuildDemands(topo, "hotspot", 1, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg, err := s.Compute(tinyOpts)
+	cfg, err := coyote.New(topo, coyote.MarginBounds(base, 2), tinyOpts).Compute()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,79 +19,6 @@ func TestSingleLinkFailures(t *testing.T) {
 	}
 }
 
-func TestKLinkFailures(t *testing.T) {
-	g := testGraph(t)
-	l := len(g.Links())
-	sets, err := KLinkFailures(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := l * (l - 1) / 2; len(sets) != want {
-		t.Fatalf("%d pairs, want C(%d,2) = %d", len(sets), l, want)
-	}
-	seen := map[string]bool{}
-	for _, s := range sets {
-		if len(s.Links) != 2 {
-			t.Fatalf("set size %d, want 2", len(s.Links))
-		}
-		key := s.Name
-		if seen[key] {
-			t.Fatalf("duplicate set %q", key)
-		}
-		seen[key] = true
-	}
-	if _, err := KLinkFailures(g, 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-	if _, err := KLinkFailures(g, l+1); err == nil {
-		t.Error("k > links should fail")
-	}
-}
-
-func TestSampleKLinkFailures(t *testing.T) {
-	g := testGraph(t)
-	sets, err := SampleKLinkFailures(g, 3, 5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != 5 {
-		t.Fatalf("%d sets, want 5", len(sets))
-	}
-	seen := map[string]bool{}
-	for _, s := range sets {
-		if len(s.Links) != 3 {
-			t.Fatalf("set size %d, want 3", len(s.Links))
-		}
-		if seen[s.Name] {
-			t.Fatalf("duplicate sampled set %q", s.Name)
-		}
-		seen[s.Name] = true
-	}
-	// Deterministic in seed.
-	again, err := SampleKLinkFailures(g, 3, 5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sets {
-		if sets[i].Name != again[i].Name {
-			t.Fatalf("sample %d differs across runs", i)
-		}
-	}
-	// Asking for at least as many sets as exist falls back to exhaustive
-	// enumeration — never a silently truncated sample.
-	l := len(g.Links())
-	all, err := SampleKLinkFailures(g, 2, l*l, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := l * (l - 1) / 2; len(all) != want {
-		t.Fatalf("%d sets, want exhaustive %d", len(all), want)
-	}
-	if _, err := SampleKLinkFailures(g, 2, 0, 7); err == nil {
-		t.Error("count=0 should fail")
-	}
-}
-
 func TestSRLGPartitionCoversEveryLinkOnce(t *testing.T) {
 	g := testGraph(t)
 	sets := SRLGPartition(g, 3, 7)

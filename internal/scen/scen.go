@@ -16,13 +16,13 @@
 //     inverse-capacity rule the paper cites [16].
 //   - Demand workload suites (workload.go) beyond gravity/bimodal —
 //     hotspot, flash-crowd, and time-of-day sequences sampled inside a
-//     demand.Box — and failure-scenario enumeration (failures.go):
-//     single-link, k-link, and shared-risk-link-group sets feeding
-//     internal/failover.
+//     demand.Box — and failure suites (failures.go): single-link and
+//     shared-risk-link-group sets feeding internal/failover.
 //
-// The public surface is re-exported through the coyote root package
-// (coyote.GenerateTopology, coyote.ReadGraphML, ...) and driven from the
-// command line by cmd/coyote-scen.
+// The coyote root package reaches the generators, demand models and
+// readers (coyote.GenerateTopology, coyote.BuildDemands,
+// coyote.ReadTopologyFile, ...), and cmd/coyote-scen drives them from the
+// command line.
 package scen
 
 import (

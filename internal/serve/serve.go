@@ -101,9 +101,13 @@ type linkJSON struct {
 }
 
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
+	// One snapshot, so the failed links, live edges, PERF and ECMP PERF all
+	// describe the same configuration even while a mutation commits the
+	// next one.
+	cur, failedLinks, events, dropped := s.ses.State()
 	base := s.ses.Base()
-	failed := make(map[graph.EdgeID]bool)
-	for _, id := range s.ses.FailedLinks() {
+	failed := make(map[graph.EdgeID]bool, len(failedLinks))
+	for _, id := range failedLinks {
 		failed[id] = true
 	}
 	links := make([]linkJSON, 0, len(base.Links()))
@@ -117,9 +121,6 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 			Failed:   failed[id],
 		})
 	}
-	// One snapshot, so the live edges, PERF and ECMP PERF all describe the
-	// same configuration even while a mutation commits the next one.
-	cur := s.ses.Solved()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"nodes":          base.NumNodes(),
 		"links":          links,
@@ -127,8 +128,8 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		"live_edges":     cur.Ev.G.NumEdges(),
 		"perf":           cur.Perf.Ratio,
 		"ecmp_perf":      cur.ECMPPerf,
-		"event_count":    len(s.ses.Events()),
-		"dropped_events": s.ses.Dropped(),
+		"event_count":    events,
+		"dropped_events": dropped,
 	})
 }
 
@@ -186,7 +187,7 @@ func (s *Server) handleLies(w http.ResponseWriter, r *http.Request) {
 			"updated": len(res.Diff.Update),
 			"total":   res.Diff.Churn(),
 		},
-		"messages": res.Synthesis.Messages(s.ses.Graph()),
+		"messages": res.Synthesis.Messages(),
 	})
 }
 

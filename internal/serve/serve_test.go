@@ -167,14 +167,20 @@ func TestUpdateFailRecoverLies(t *testing.T) {
 // TestStateReadsOneConfiguration polls GET /state while failures and
 // recoveries commit new configurations: every (perf, ecmp_perf) pair it
 // reads must be the pair of one recorded event, never one configuration's
-// PERF next to another's ECMP PERF. Run it under -race.
+// PERF next to another's ECMP PERF, and the failed-link count must match the
+// live topology (every test link is bidirectional, so each failed link
+// removes two edges). Run it under -race.
 func TestStateReadsOneConfiguration(t *testing.T) {
 	ts, ses := newTestServer(t)
 	type pair struct{ perf, ecmp float64 }
+	type reading struct {
+		pair
+		liveEdges, failed int
+	}
 	done := make(chan struct{})
-	polled := make(chan []pair)
+	polled := make(chan []reading)
 	go func() {
-		var seen []pair
+		var seen []reading
 		defer func() { polled <- seen }()
 		for {
 			select {
@@ -188,8 +194,10 @@ func TestStateReadsOneConfiguration(t *testing.T) {
 				return
 			}
 			var state struct {
-				Perf     float64 `json:"perf"`
-				ECMPPerf float64 `json:"ecmp_perf"`
+				Perf      float64 `json:"perf"`
+				ECMPPerf  float64 `json:"ecmp_perf"`
+				LiveEdges int     `json:"live_edges"`
+				Failed    int     `json:"failed"`
 			}
 			err = json.NewDecoder(resp.Body).Decode(&state)
 			resp.Body.Close()
@@ -197,7 +205,7 @@ func TestStateReadsOneConfiguration(t *testing.T) {
 				t.Errorf("decode /state: %v", err)
 				return
 			}
-			seen = append(seen, pair{state.Perf, state.ECMPPerf})
+			seen = append(seen, reading{pair{state.Perf, state.ECMPPerf}, state.LiveEdges, state.Failed})
 		}
 	}()
 
@@ -223,9 +231,12 @@ func TestStateReadsOneConfiguration(t *testing.T) {
 	if len(seen) == 0 {
 		t.Fatal("no /state reads")
 	}
-	for _, p := range seen {
-		if !committed[p] {
-			t.Fatalf("/state paired perf %v with ecmp_perf %v; no configuration has that pair", p.perf, p.ecmp)
+	for _, r := range seen {
+		if !committed[r.pair] {
+			t.Fatalf("/state paired perf %v with ecmp_perf %v; no configuration has that pair", r.perf, r.ecmp)
+		}
+		if r.liveEdges+2*r.failed != base.NumEdges() {
+			t.Fatalf("/state reports %d live edges with %d failed links; base has %d edges", r.liveEdges, r.failed, base.NumEdges())
 		}
 	}
 }

@@ -1,20 +1,17 @@
 package spf
 
-import (
-	"fmt"
-
-	"github.com/coyote-te/coyote/internal/graph"
-)
+import "github.com/coyote-te/coyote/internal/graph"
 
 // Incremental is a dynamic single-destination shortest-path structure: it
 // maintains the distance field dist[u] = length of the shortest u→Dst path
-// under edge weight updates, link failures, and link recoveries, repairing
-// only the affected vertices instead of re-running Dijkstra from scratch
-// (Ramalingam–Reps-style dynamic SPF, DESIGN.md §12).
+// under link failures and recoveries, repairing only the affected vertices
+// instead of re-running Dijkstra from scratch (Ramalingam–Reps-style dynamic
+// SPF, DESIGN.md §12). Weights stay fixed: the session only fails and
+// recovers links.
 //
-// The structure owns a private copy of the edge weights plus an active mask
-// (failed edges are inactive), so the underlying graph is never mutated and
-// one graph can back many Incrementals. After every operation the field
+// The structure copies the edge weights at construction and keeps an active
+// mask (failed edges are inactive), so the underlying graph is never mutated
+// and one graph can back many Incrementals. After every operation the field
 // satisfies the same fixpoint cold Dijkstra computes —
 //
 //	dist[u] = min over active out-edges (u,v) of fl(w(u,v) + dist[v])
@@ -32,7 +29,7 @@ type Incremental struct {
 	g   *graph.Graph
 	dst graph.NodeID
 
-	weight []float64 // current weight per edge (may diverge from g)
+	weight []float64 // per-edge weight, copied from g at construction
 	active []bool    // false = failed
 	dist   []float64
 
@@ -73,10 +70,7 @@ func (inc *Incremental) Dst() graph.NodeID { return inc.dst }
 func (inc *Incremental) Dist() []float64 { return inc.dist }
 
 // Tree wraps the live distance field as a Tree (sharing storage); the same
-// read-only/staleness caveat as Dist applies. Note OnShortestPath on the
-// returned tree consults the graph's weights — callers that diverge the
-// Incremental's weights from the graph's (UpdateEdge without SetWeight)
-// should compare against a graph carrying the same weights.
+// read-only/staleness caveat as Dist applies.
 func (inc *Incremental) Tree() *Tree { return &Tree{Dst: inc.dst, Dist: inc.dist} }
 
 // TreeCopy returns a Tree over a snapshot copy of the current distance
@@ -85,9 +79,6 @@ func (inc *Incremental) Tree() *Tree { return &Tree{Dst: inc.dst, Dist: inc.dist
 func (inc *Incremental) TreeCopy() *Tree {
 	return &Tree{Dst: inc.dst, Dist: append([]float64(nil), inc.dist...)}
 }
-
-// Weight returns the structure's current weight for edge id.
-func (inc *Incremental) Weight(id graph.EdgeID) float64 { return inc.weight[id] }
 
 // Active reports whether edge id is currently active (not failed).
 func (inc *Incremental) Active(id graph.EdgeID) bool { return inc.active[id] }
@@ -123,25 +114,6 @@ func (inc *Incremental) recomputeAll() {
 // escape hatch (and the oracle the property tests compare against).
 func (inc *Incremental) RecomputeAll() { inc.recomputeAll() }
 
-// UpdateEdge sets the weight of directed edge id to w and repairs the
-// field. It returns the number of vertices whose label was re-derived (0
-// when the change does not touch the shortest-path field). Non-positive or
-// NaN weights panic, mirroring graph.SetWeight.
-func (inc *Incremental) UpdateEdge(id graph.EdgeID, w float64) int {
-	if !(w > 0) { // catches NaN too
-		panic(fmt.Sprintf("spf: non-positive weight %v on edge %d", w, id))
-	}
-	old := inc.weight[id]
-	inc.weight[id] = w
-	if !inc.active[id] || w == old {
-		return 0
-	}
-	if w < old {
-		return inc.decreased(id)
-	}
-	return inc.increased(id, old)
-}
-
 // FailEdge deactivates directed edge id (an infinite-weight update) and
 // repairs the field, returning the number of re-derived vertices. Failing
 // an already-failed edge is a no-op.
@@ -150,10 +122,10 @@ func (inc *Incremental) FailEdge(id graph.EdgeID) int {
 		return 0
 	}
 	inc.active[id] = false
-	return inc.increased(id, inc.weight[id])
+	return inc.increased(id)
 }
 
-// RecoverEdge reactivates directed edge id at its current stored weight and
+// RecoverEdge reactivates directed edge id at its weight and
 // repairs the field. Recovering an active edge is a no-op.
 func (inc *Incremental) RecoverEdge(id graph.EdgeID) int {
 	if inc.active[id] {
@@ -181,7 +153,7 @@ func (inc *Incremental) RecoverLink(id graph.EdgeID) int {
 	return n
 }
 
-// decreased handles a weight decrease / recovery of edge id = (u,v): seed u
+// decreased handles the recovery of edge id = (u,v): seed u
 // with the new candidate and run a decrease-only Dijkstra from there. Each
 // relaxation can only lower labels, and pops happen in increasing key
 // order, so every popped label is final (the standard Dijkstra argument).
@@ -244,8 +216,7 @@ func (inc *Incremental) supportOf(x graph.NodeID, skipAffected bool) float64 {
 	return best
 }
 
-// increased handles a weight increase / failure of edge id = (u,v), where
-// oldW is the weight the field may still depend on. Two phases:
+// increased handles the failure of edge id = (u,v). Two phases:
 //
 // Phase 1 marks the affected closure: u, if its label was supported by the
 // changed edge and no surviving edge re-derives it, then transitively every
@@ -257,7 +228,7 @@ func (inc *Incremental) supportOf(x graph.NodeID, skipAffected bool) float64 {
 // Phase 2 is a Dijkstra restricted to the affected set: members are keyed by
 // their best support outside the set, popped in increasing order, and
 // re-labeled; members never popped are unreachable and stay at Inf.
-func (inc *Incremental) increased(id graph.EdgeID, oldW float64) int {
+func (inc *Incremental) increased(id graph.EdgeID) int {
 	g := inc.g
 	e := g.Edge(id)
 	u, v := e.From, e.To
@@ -265,7 +236,7 @@ func (inc *Incremental) increased(id graph.EdgeID, oldW float64) int {
 	if dist[u] == Inf || dist[v] == Inf {
 		return 0 // the edge cannot have supported any finite label
 	}
-	if oldW+dist[v] != dist[u] {
+	if inc.weight[id]+dist[v] != dist[u] {
 		return 0 // the edge was not tight: no label depended on it
 	}
 	if inc.supportOf(u, false) == dist[u] {

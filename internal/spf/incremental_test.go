@@ -56,8 +56,8 @@ func TestHeapOrdering(t *testing.T) {
 }
 
 // activeGraph reconstructs the plain graph an Incremental currently models:
-// only active edges, at the Incremental's weights. It returns the graph and
-// the base-edge → new-edge ID mapping (-1 for inactive edges).
+// only active edges, at g's weights. It returns the graph and the base-edge
+// → new-edge ID mapping (-1 for inactive edges).
 func activeGraph(g *graph.Graph, inc *Incremental) (*graph.Graph, []graph.EdgeID) {
 	ng := graph.New()
 	for i := 0; i < g.NumNodes(); i++ {
@@ -69,7 +69,7 @@ func activeGraph(g *graph.Graph, inc *Incremental) (*graph.Graph, []graph.EdgeID
 			mapping[e.ID] = -1
 			continue
 		}
-		mapping[e.ID] = ng.AddEdge(e.From, e.To, e.Capacity, inc.Weight(e.ID))
+		mapping[e.ID] = ng.AddEdge(e.From, e.To, e.Capacity, e.Weight)
 	}
 	return ng, mapping
 }
@@ -93,7 +93,7 @@ func checkAgainstCold(t *testing.T, g *graph.Graph, inc *Incremental, step int) 
 		if nid < 0 {
 			continue
 		}
-		// Evaluate membership with the Incremental's weights (== ng's).
+		// Evaluate membership with ng's weights (== g's).
 		ne := ng.Edge(nid)
 		if got := incTree.OnShortestPath(ne); got != coldMember[nid] {
 			t.Fatalf("step %d: edge %d (%d→%d) membership %v, cold %v", step, e.ID, e.From, e.To, got, coldMember[nid])
@@ -102,7 +102,7 @@ func checkAgainstCold(t *testing.T, g *graph.Graph, inc *Incremental, step int) 
 }
 
 // propertyTopologies returns the corpus + generated topologies the
-// randomized fail/recover/weight-edit parity property runs over.
+// randomized fail/recover parity property runs over.
 func propertyTopologies(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	out := map[string]*graph.Graph{}
@@ -134,8 +134,8 @@ func propertyTopologies(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestIncrementalMatchesCold is the dynamic-SPF parity property: over
-// randomized sequences of link failures, recoveries, and weight edits, the
-// incrementally repaired field must stay bit-identical — distances and
+// randomized sequences of link and directed-edge failures and recoveries,
+// the incrementally repaired field must stay bit-identical — distances and
 // ShortestPathEdges — to a cold Dijkstra on the equivalent topology.
 func TestIncrementalMatchesCold(t *testing.T) {
 	steps := 90
@@ -155,12 +155,12 @@ func TestIncrementalMatchesCold(t *testing.T) {
 				failed := map[graph.EdgeID]bool{}
 				for step := 0; step < steps; step++ {
 					switch r := rng.Intn(10); {
-					case r < 4: // weight edit on a random active directed edge
+					case r < 4: // fail a random directed edge (one direction of a link)
 						id := graph.EdgeID(rng.Intn(g.NumEdges()))
 						if !inc.Active(id) {
 							continue
 						}
-						inc.UpdateEdge(id, 0.5+rng.Float64()*9.5)
+						inc.FailEdge(id)
 					case r < 7: // fail a random link (disconnection is fine for SPF)
 						id := links[rng.Intn(len(links))]
 						if failed[id] {
@@ -206,16 +206,18 @@ func TestIncrementalNoOpRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := NewIncremental(g, 0)
-	// Editing a non-tight edge's weight upward touches nothing.
+	// Failing and recovering a non-tight edge touches nothing.
 	for _, e := range g.Edges() {
 		tree := inc.Tree()
 		if tree.OnShortestPath(e) || inc.Dist()[e.From] == Inf {
 			continue
 		}
-		if n := inc.UpdateEdge(e.ID, e.Weight*1.01); n != 0 {
-			t.Fatalf("raising non-tight edge %d repaired %d vertices, want 0", e.ID, n)
+		if n := inc.FailEdge(e.ID); n != 0 {
+			t.Fatalf("failing non-tight edge %d repaired %d vertices, want 0", e.ID, n)
 		}
-		inc.UpdateEdge(e.ID, e.Weight) // restore
+		if n := inc.RecoverEdge(e.ID); n != 0 {
+			t.Fatalf("recovering non-tight edge %d repaired %d vertices, want 0", e.ID, n)
+		}
 	}
 	// A fail immediately followed by recover restores the exact field.
 	before := append([]float64(nil), inc.Dist()...)
@@ -231,7 +233,7 @@ func TestIncrementalNoOpRepairs(t *testing.T) {
 
 // TestIncrementalRepairAllocs is the alloc-regression guard for the dynamic
 // SPF repair path (tier-1, run in CI): once the structure is warmed up,
-// fail/recover/weight-edit repairs must not allocate at all.
+// link and directed-edge fail/recover repairs must not allocate at all.
 func TestIncrementalRepairAllocs(t *testing.T) {
 	g, err := topo.Load("Geant")
 	if err != nil {
@@ -250,9 +252,8 @@ func TestIncrementalRepairAllocs(t *testing.T) {
 		inc.FailLink(id)
 		inc.RecoverLink(id)
 		eid := graph.EdgeID(i % g.NumEdges())
-		w := inc.Weight(eid)
-		inc.UpdateEdge(eid, w*1.5)
-		inc.UpdateEdge(eid, w)
+		inc.FailEdge(eid)
+		inc.RecoverEdge(eid)
 		i++
 	})
 	if allocs != 0 {

@@ -1,15 +1,11 @@
 package coyote
 
-import (
-	"fmt"
-
-	"github.com/coyote-te/coyote/internal/scen"
-)
+import "github.com/coyote-te/coyote/internal/scen"
 
 // This file is the public face of the scenario engine (internal/scen):
-// parametric topology generators, demand workload models beyond
-// gravity/bimodal, failure suites, and the Scenario bundle that composes
-// them. cmd/coyote-scen drives the same API from the command line.
+// parametric topology generators and demand workload models beyond
+// gravity/bimodal. cmd/coyote-scen drives the same engine from the command
+// line.
 
 // GenParams parameterizes a topology generator: node count, seed, and the
 // generator-specific knobs (Waxman α/β, Barabási–Albert M, fat-tree K,
@@ -56,89 +52,4 @@ func DemandModels() []string { return scen.Models() }
 // (hotspot destinations, flash crowds, uniform all-pairs).
 func BuildDemands(t *Topology, model string, peak float64, seed int64) (*DemandMatrix, error) {
 	return scen.BaseMatrix(t.g, model, peak, seed)
-}
-
-// TimeOfDayDemands samples a diurnal demand sequence inside an
-// uncertainty box: steps matrices tracing a sinusoidal day between the
-// box's lower and upper bounds with ±jitter noise, every one inside the
-// box. Evaluate a static configuration against each step to measure how
-// one robust routing serves a whole day of traffic.
-func TimeOfDayDemands(bounds *Bounds, steps int, jitter float64, seed int64) []*DemandMatrix {
-	return scen.TimeOfDay(bounds, steps, jitter, seed)
-}
-
-// FailureSet is a named group of links that fail simultaneously (the
-// representative EdgeID per bidirectional pair, as in Topology links).
-type FailureSet = scen.FailureSet
-
-// SingleLinkFailures enumerates every single physical-link failure of a
-// topology — the precomputation suite of §VI-A.
-func SingleLinkFailures(t *Topology) []FailureSet {
-	return scen.SingleLinkFailures(t.g)
-}
-
-// KLinkFailures enumerates (count ≤ 0) or samples (count > 0, seeded)
-// simultaneous k-link failures.
-func KLinkFailures(t *Topology, k, count int, seed int64) ([]FailureSet, error) {
-	if count > 0 {
-		return scen.SampleKLinkFailures(t.g, k, count, seed)
-	}
-	return scen.KLinkFailures(t.g, k)
-}
-
-// SRLGFailures partitions a topology's links into shared-risk link
-// groups (deterministic in seed), each a simultaneous-failure scenario.
-func SRLGFailures(t *Topology, groups int, seed int64) []FailureSet {
-	return scen.SRLGPartition(t.g, groups, seed)
-}
-
-// Scenario bundles one evaluation scenario: a topology, a base demand
-// estimate, the operator's uncertainty bounds around it, and a failure
-// suite. Compose one by hand or with GenerateScenario.
-type Scenario struct {
-	// Name identifies the scenario in reports.
-	Name string
-	// Topology is the network under evaluation.
-	Topology *Topology
-	// Base is the base demand estimate the bounds wrap (nil for purely
-	// oblivious scenarios).
-	Base *DemandMatrix
-	// Bounds is the uncertainty set Compute optimizes against.
-	Bounds *Bounds
-	// Failures is the failure suite to precompute configurations for
-	// (may be empty).
-	Failures []FailureSet
-}
-
-// GenerateScenario composes a full scenario: a generated topology, a
-// demand model with the given uncertainty margin (margin ≤ 0 selects full
-// demand obliviousness), and the single-link failure suite.
-func GenerateScenario(gen string, p GenParams, model string, margin float64) (*Scenario, error) {
-	t, err := GenerateTopology(gen, p)
-	if err != nil {
-		return nil, err
-	}
-	s := &Scenario{
-		Name:     fmt.Sprintf("%s-n%d-seed%d/%s", gen, t.NumNodes(), p.Seed, model),
-		Topology: t,
-		Failures: SingleLinkFailures(t),
-	}
-	if margin <= 0 {
-		s.Bounds = ObliviousBounds(t, 1)
-		return s, nil
-	}
-	s.Base, err = BuildDemands(t, model, 1, p.Seed)
-	if err != nil {
-		return nil, err
-	}
-	s.Bounds = MarginBounds(s.Base, margin)
-	return s, nil
-}
-
-// Compute runs the COYOTE pipeline on the scenario's topology and bounds.
-func (s *Scenario) Compute(opts ...Options) (*Config, error) {
-	if s.Topology == nil || s.Bounds == nil {
-		return nil, fmt.Errorf("coyote: scenario %q needs a topology and bounds", s.Name)
-	}
-	return New(s.Topology, s.Bounds, opts...).Compute()
 }

@@ -115,7 +115,7 @@ func (s *Session) Lies(extraPerInterface int) (*LieUpdate, error) {
 		return nil, err
 	}
 	return &LieUpdate{
-		LieSet:  newLieSet(s.s.Graph(), res.Quantized, res.VirtualLinks, res.Synthesis),
+		LieSet:  newLieSet(res.Quantized, res.VirtualLinks, res.Synthesis),
 		Added:   len(res.Diff.Add),
 		Removed: len(res.Diff.Remove),
 		Updated: len(res.Diff.Update),
