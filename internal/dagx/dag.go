@@ -176,43 +176,47 @@ func topoOrder(g *graph.Graph, d *DAG) []graph.NodeID {
 	return order
 }
 
-// topoOrderChecked returns a topological order (sources first, destination
-// last among reachable nodes) using Kahn's algorithm restricted to member
-// edges, and reports whether the edge set is acyclic.
+// topoOrderChecked returns a topological order of the DAG's member edges
+// and reports whether the edge set is acyclic.
 func topoOrderChecked(g *graph.Graph, d *DAG) ([]graph.NodeID, bool) {
 	n := g.NumNodes()
-	indeg := make([]int, n)
-	for _, e := range g.Edges() {
-		if d.Member[e.ID] {
-			indeg[e.To]++
+	return TopoOrderInto(make([]graph.NodeID, 0, n), make([]int32, n), g, d.Member)
+}
+
+// TopoOrderInto writes a topological order of g's nodes over the member
+// edges (sources first, destination last among reachable nodes) into
+// order[:0] and reports whether the edge set is acyclic; on a cycle the
+// returned order is short. It is Kahn's algorithm with order itself as the
+// FIFO queue, nodes entering in ID order and then in g.Out order. indeg
+// (length NumNodes) is overwritten scratch. With cap(order) ≥ NumNodes it
+// performs no allocation.
+func TopoOrderInto(order []graph.NodeID, indeg []int32, g *graph.Graph, member []bool) ([]graph.NodeID, bool) {
+	clear(indeg)
+	edges := g.Edges()
+	for id, in := range member {
+		if in {
+			indeg[edges[id].To]++
 		}
 	}
-	queue := make([]graph.NodeID, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, graph.NodeID(i))
+	order = order[:0]
+	for i, k := range indeg {
+		if k == 0 {
+			order = append(order, graph.NodeID(i))
 		}
 	}
-	order := make([]graph.NodeID, 0, n)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, u)
-		for _, id := range g.Out(u) {
-			if !d.Member[id] {
+	for head := 0; head < len(order); head++ {
+		for _, id := range g.Out(order[head]) {
+			if !member[id] {
 				continue
 			}
-			v := g.Edge(id).To
+			v := edges[id].To
 			indeg[v]--
 			if indeg[v] == 0 {
-				queue = append(queue, v)
+				order = append(order, v)
 			}
 		}
 	}
-	if len(order) != n {
-		return nil, false
-	}
-	return order, true
+	return order, len(order) == len(indeg)
 }
 
 // ContainsShortestPathDAG reports whether d contains every edge of the

@@ -16,10 +16,9 @@ import (
 	"math"
 	"math/rand"
 
-	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/pdrouting"
+	"github.com/coyote-te/coyote/internal/obs"
 )
 
 // ErrInvalidInput is the typed error (wrapped with detail) Optimize returns
@@ -40,6 +39,18 @@ type Config struct {
 // tabuTenure is the number of rounds a changed link stays tabu.
 const tabuTenure = 5
 
+// moveFactors are the weight multipliers a move draws from.
+var moveFactors = [...]float64{0.5, 2, 4, 0.25}
+
+// Deterministic search work counts (DESIGN.md §12), added once per Optimize
+// after the search loop.
+var (
+	mMoves = obs.Default.NewCounter("coyote_localsearch_moves_total",
+		"Single-weight moves evaluated by the weight search.")
+	mRebuilds = obs.Default.NewCounter("coyote_localsearch_dest_rebuilds_total",
+		"Destinations whose shortest-path rows an evaluated move rebuilt.")
+)
+
 func (c Config) withDefaults() Config {
 	if c.OuterIters <= 0 {
 		c.OuterIters = 4
@@ -53,7 +64,7 @@ func (c Config) withDefaults() Config {
 // Result reports the outcome of the search.
 type Result struct {
 	Weights     []float64        // optimized per-edge weights
-	WorstUtil   float64          // worst ECMP utilization over the critical set
+	WorstUtil   float64          // worst ECMP utilization over the whole box (not only CriticalDMs) under Weights
 	CriticalDMs []*demand.Matrix // the accumulated demand set D of Algorithm 1
 	Rounds      int
 }
@@ -93,55 +104,57 @@ func Optimize(g *graph.Graph, box *demand.Box, cfg Config) (*Result, error) {
 	work.SetWeights(InverseCapacityWeights(g))
 
 	var critical []*demand.Matrix
-	tabu := make(map[graph.EdgeID]int)
+	tabu := make([]int, work.NumEdges()) // round until which a changed link stays put
 	res := &Result{}
+	ev := newEvaluator(work)
 
 	for round := 0; round < cfg.OuterIters; round++ {
 		res.Rounds++
 		// Line 6: shortest-path DAGs for current weights; line 7: add the
 		// worst-case DM for ECMP on those DAGs.
-		dm, _ := worstCaseDM(work, box)
-		if dm != nil {
-			var err error
-			critical, err = appendIfNew(critical, dm)
+		if dm, _ := ev.worstCaseDM(box); dm != nil {
+			grown, err := appendIfNew(critical, dm)
 			if err != nil {
 				return nil, err
 			}
+			if len(grown) > len(critical) {
+				ev.addMatrix(dm)
+			}
+			critical = grown
 		}
 		// Line 10: FORTZTHORUP — tabu-restricted single-weight moves that
 		// reduce the max utilization over the critical set.
-		cur := evalWeights(work, critical)
+		cur := ev.value()
 		improved := false
 		for move := 0; move < cfg.InnerMoves; move++ {
 			eid := graph.EdgeID(rng.Intn(work.NumEdges()))
 			if tabu[eid] > round {
 				continue
 			}
-			e := work.Edge(eid)
-			old := e.Weight
-			factor := []float64{0.5, 2, 4, 0.25}[rng.Intn(4)]
-			next := math.Max(1, math.Round(old*factor))
+			old := work.Edge(eid).Weight
+			next := math.Max(1, math.Round(old*moveFactors[rng.Intn(len(moveFactors))]))
 			if next == old {
 				next = old + 1
 			}
-			work.SetLinkWeight(eid, next)
-			cand := evalWeights(work, critical)
-			if cand < cur-1e-12 {
+			if cand := ev.try(eid, next); cand < cur-1e-12 {
+				ev.commit()
 				cur = cand
 				tabu[eid] = round + tabuTenure
 				improved = true
 			} else {
-				work.SetLinkWeight(eid, old)
+				ev.revert()
 			}
 		}
 		if !improved && round > 0 {
 			break
 		}
 	}
+	mMoves.Add(ev.moves)
+	mRebuilds.Add(ev.rebuilds)
 	res.Weights = work.Weights()
 	res.CriticalDMs = critical
 	// Final utilization under the final weights.
-	_, res.WorstUtil = worstCaseDM(work, box)
+	_, res.WorstUtil = ev.worstCaseDM(box)
 	return res, nil
 }
 
@@ -181,61 +194,6 @@ func validate(g *graph.Graph, box *demand.Box) error {
 		return fmt.Errorf("%w: box is %dx%d over a %d-node graph", ErrInvalidInput, box.Min.N, box.Max.N, n)
 	}
 	return nil
-}
-
-// worstCaseDM finds the demand matrix in the box that maximizes ECMP's link
-// utilization under the graph's current weights (the WORSTCASEDM
-// subroutine). Because link loads are linear in the demands for a fixed
-// routing, the maximum sits at a box corner identifiable per link from the
-// load-coefficient signs.
-func worstCaseDM(g *graph.Graph, box *demand.Box) (*demand.Matrix, float64) {
-	dags := dagx.BuildAll(g, dagx.ShortestPath)
-	r := pdrouting.Uniform(g, dags)
-	n := g.NumNodes()
-	coeff := make([][][]float64, n)
-	for t := 0; t < n; t++ {
-		coeff[t] = r.LoadCoeffs(graph.NodeID(t))
-	}
-	bestUtil := -1.0
-	var bestDM *demand.Matrix
-	for e := 0; e < g.NumEdges(); e++ {
-		util := 0.0
-		ce := g.Edge(graph.EdgeID(e)).Capacity
-		for s := 0; s < n; s++ {
-			for t := 0; t < n; t++ {
-				if s == t {
-					continue
-				}
-				c := coeff[t][s][e]
-				if c > 0 {
-					util += c * box.Max.At(graph.NodeID(s), graph.NodeID(t))
-				}
-			}
-		}
-		util /= ce
-		if util > bestUtil {
-			bestUtil = util
-			bestDM = box.Corner(func(s, t graph.NodeID) bool { return coeff[t][s][e] > 0 })
-		}
-	}
-	return bestDM, bestUtil
-}
-
-// evalWeights computes the worst ECMP utilization over the critical demand
-// set under the graph's current weights.
-func evalWeights(g *graph.Graph, critical []*demand.Matrix) float64 {
-	if len(critical) == 0 {
-		return 0
-	}
-	dags := dagx.BuildAll(g, dagx.ShortestPath)
-	r := pdrouting.Uniform(g, dags)
-	worst := 0.0
-	for _, dm := range critical {
-		if u := r.MaxUtilization(dm); u > worst {
-			worst = u
-		}
-	}
-	return worst
 }
 
 // appendIfNew adds dm to the critical set unless an equal matrix (within

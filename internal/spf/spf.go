@@ -93,7 +93,33 @@ func (t *Tree) OnShortestPath(e graph.Edge) bool {
 	if du == Inf || dv == Inf {
 		return false
 	}
-	return math.Abs(du-(e.Weight+dv)) <= relTol*math.Max(1, du)
+	return onPath(du, e.Weight, dv)
+}
+
+// onPath is the shortest-path test OnShortestPath applies to finite
+// distances: du equals w + dv within relTol.
+func onPath(du, w, dv float64) bool {
+	return math.Abs(du-(w+dv)) <= relTol*math.Max(1, du)
+}
+
+// UnaffectedBy reports whether giving directed edge e weight w in place of
+// e.Weight provably leaves the tree's Dist and ShortestPathEdges
+// bit-identical. It holds when e is on no shortest path now and w + Dist[To]
+// still exceeds Dist[From] by more than the OnShortestPath margin: then e
+// stays off every shortest path, and the old field remains the unique
+// fixpoint of the new weights. An edge into a node that cannot reach the
+// destination is unaffected; a reachable head with an unreachable tail
+// (which no consistent field has) counts as affected. For a link, both
+// directions must be unaffected.
+func (t *Tree) UnaffectedBy(e graph.Edge, w float64) bool {
+	du, dv := t.Dist[e.From], t.Dist[e.To]
+	if dv == Inf {
+		return true
+	}
+	if du == Inf || onPath(du, e.Weight, dv) {
+		return false
+	}
+	return w+dv > du && !onPath(du, w, dv)
 }
 
 // AppendNextHops appends u's ECMP next-hop edges toward the tree's

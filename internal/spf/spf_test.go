@@ -7,6 +7,8 @@ import (
 	"testing/quick"
 
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/scen"
+	"github.com/coyote-te/coyote/internal/topo"
 )
 
 // paperExample builds the running example of Fig. 1a: sources s1, s2, relay
@@ -188,5 +190,100 @@ func TestPropertyNextHopsDecreaseDistance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPropertyUnaffectedByKeepsTree changes every directed edge of the
+// corpus topologies and a seeded Barabási–Albert graph by ×¼, ×½, ×2 and ×4,
+// under their own weights and under seeded integer weights 1..8. Wherever
+// UnaffectedBy says a destination is unaffected, a cold ToDestination after
+// the change must give the same Dist bits and the same ShortestPathEdges.
+func TestPropertyUnaffectedByKeepsTree(t *testing.T) {
+	ba, err := scen.Generate("ba", scen.Params{N: 24, M: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{"ba-24": ba}
+	for _, name := range []string{"Abilene", "NSF", "Geant"} {
+		graphs[name] = topo.MustLoad(name)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for name, g := range graphs {
+		reweighted := g.Clone()
+		for _, e := range g.Edges() {
+			reweighted.SetWeight(e.ID, float64(1+rng.Intn(8)))
+		}
+		for _, g := range []*graph.Graph{g, reweighted} {
+			unaffected, checked := 0, 0
+			trees := AllDestinations(g)
+			for _, e := range g.Edges() {
+				for _, f := range []float64{0.25, 0.5, 2, 4} {
+					w := e.Weight * f
+					moved := g.Clone()
+					moved.SetWeight(e.ID, w)
+					for _, tr := range trees {
+						checked++
+						if !tr.UnaffectedBy(e, w) {
+							continue
+						}
+						unaffected++
+						cold := ToDestination(moved, tr.Dst)
+						for u := range cold.Dist {
+							if math.Float64bits(cold.Dist[u]) != math.Float64bits(tr.Dist[u]) {
+								t.Fatalf("%s: edge %d ×%v, dst %d: Dist[%d] %v, cold %v", name, e.ID, f, tr.Dst, u, tr.Dist[u], cold.Dist[u])
+							}
+						}
+						before, after := tr.ShortestPathEdges(g), cold.ShortestPathEdges(moved)
+						for id := range before {
+							if before[id] != after[id] {
+								t.Fatalf("%s: edge %d ×%v, dst %d: edge %d membership %v → %v", name, e.ID, f, tr.Dst, id, before[id], after[id])
+							}
+						}
+					}
+				}
+			}
+			if unaffected == 0 || unaffected == checked {
+				t.Fatalf("%s: %d of %d changes unaffected; the property is vacuous", name, unaffected, checked)
+			}
+		}
+	}
+}
+
+// TestUnaffectedByEdgeCases pins the cases the corpus sweep cannot reach:
+// a new weight that puts an off-path edge within the OnShortestPath margin
+// of a tie is affecting, an edge into a node that cannot reach the
+// destination is unaffected, and a reachable head under an unreachable tail
+// is affected.
+func TestUnaffectedByEdgeCases(t *testing.T) {
+	tri := graph.New()
+	x, y, z := tri.AddNode("x"), tri.AddNode("y"), tri.AddNode("z")
+	tri.AddEdge(x, y, 1, 1)
+	tri.AddEdge(y, z, 1, 1)
+	xz := tri.Edge(tri.AddEdge(x, z, 1, 3)) // off path: Dist[x] = 2
+	toZ := ToDestination(tri, z)
+	for _, w := range []float64{2 + 1e-12, 2, 1.5} {
+		if toZ.UnaffectedBy(xz, w) {
+			t.Fatalf("x→z at weight %v ties or beats Dist[x] = 2, reported unaffected", w)
+		}
+	}
+	if !toZ.UnaffectedBy(xz, 2.5) {
+		t.Fatal("x→z at weight 2.5 stays off every shortest path, reported affected")
+	}
+
+	g := graph.New()
+	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
+	ab := g.AddEdge(a, b, 1, 1)
+	tr := ToDestination(g, b)
+	if tr.UnaffectedBy(g.Edge(ab), 4) {
+		t.Fatal("the only path's edge reported unaffected")
+	}
+	ca := g.AddEdge(c, a, 1, 1)
+	toC := ToDestination(g, c) // nothing reaches c
+	if !toC.UnaffectedBy(g.Edge(ca), 7) {
+		t.Fatal("an edge into a node that cannot reach the destination reported affected")
+	}
+	inconsistent := FromDist(b, []float64{Inf, 0, Inf})
+	if inconsistent.UnaffectedBy(g.Edge(ab), 5) {
+		t.Fatal("an unreachable tail over a reachable head reported unaffected")
 	}
 }
