@@ -16,13 +16,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# race skips the allocation guards (mcf.TestApproxWarmSolveAllocs,
-# mcf.TestExactWarmSolveAllocs, gpopt.TestRunStepAllocs,
-# spf.TestIncrementalRepairAllocs, delta.TestRecoverAllocs, root
-# TestComputeAllocs): sync.Pool drops
-# items at random under the race detector, so the pooled paths allocate there
-# and nowhere else, and the detector's own bookkeeping moves the byte count.
-# `make test` runs them; CI has a step for them.
+# race skips the allocation guards — every Test…Allocs, which is what
+# -skip 'Allocs$' selects: sync.Pool drops items at random under the race
+# detector, so the pooled paths allocate there and nowhere else, and the
+# detector's own bookkeeping moves the byte count. `make test` runs them; CI
+# has a step for them.
 race:
 	$(GO) test -race -skip 'Allocs$$' ./...
 

@@ -69,11 +69,6 @@ func (t *Topology) AddLink(a, b NodeID, capacity, weight float64) EdgeID {
 	return t.g.AddLink(a, b, capacity, weight)
 }
 
-// AddDirectedLink adds a one-way link.
-func (t *Topology) AddDirectedLink(a, b NodeID, capacity, weight float64) EdgeID {
-	return t.g.AddEdge(a, b, capacity, weight)
-}
-
 // NumNodes reports the router count.
 func (t *Topology) NumNodes() int { return t.g.NumNodes() }
 
@@ -234,7 +229,7 @@ func (e *Engine) Compute() (*Config, error) {
 		if err := strategy.Check(g, e.bounds, e.opts.Eps); err != nil {
 			return nil, err
 		}
-		tuned, _, err := localsearch.Reweight(g, e.bounds, max(e.opts.AdversarialIters, 3), e.opts.Seed)
+		tuned, err := localsearch.Reweight(g, e.bounds, max(e.opts.AdversarialIters, 3), e.opts.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -35,17 +35,6 @@ type DAG struct {
 	outIdx  []graph.EdgeID
 }
 
-// Edges returns the IDs of the DAG's member edges.
-func (d *DAG) Edges() []graph.EdgeID {
-	var out []graph.EdgeID
-	for id, in := range d.Member {
-		if in {
-			out = append(out, graph.EdgeID(id))
-		}
-	}
-	return out
-}
-
 // OutEdges returns u's DAG out-edges, in g.Out(u) order. g must be the
 // graph the DAG was built over (or a clone with the same edges). The result
 // is a view of storage shared by every caller: read it, do not write it
@@ -104,12 +93,13 @@ func ShortestPathFromTree(g *graph.Graph, tree *spf.Tree) *DAG {
 	return d
 }
 
-// Tree wraps the DAG's cached distance field as an spf.Tree (sharing
-// storage), or nil when the DAG carries no distances (FromEdges). Consumers
-// use it to answer shortest-path queries without re-running Dijkstra.
-func (d *DAG) Tree() *spf.Tree {
+// Tree returns the shortest-path tree toward d.Dst over g: the DAG's cached
+// construction-time distance field (sharing storage, zero Dijkstras — the
+// DAGs of the standard pipeline and of sessions always carry one), or a cold
+// spf.ToDestination over g when the DAG carries no distances (FromEdges).
+func (d *DAG) Tree(g *graph.Graph) *spf.Tree {
 	if d.Dist == nil {
-		return nil
+		return spf.ToDestination(g, d.Dst)
 	}
 	return spf.FromDist(d.Dst, d.Dist)
 }

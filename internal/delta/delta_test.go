@@ -199,7 +199,7 @@ func TestLiesAndChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Diff.Empty() {
+	if second.Diff.Churn() != 0 {
 		t.Fatalf("unchanged configuration produced churn %d", second.Diff.Churn())
 	}
 

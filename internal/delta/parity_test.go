@@ -8,6 +8,7 @@ import (
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/spf"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -27,7 +28,7 @@ func assertColdDAGs(t *testing.T, s *Session, when string) {
 				t.Fatalf("%s: DAG %d member[%d] = %v, cold %v", when, dst, e, dags[dst].Member[e], want)
 			}
 		}
-		got, want := dags[dst].Tree().Dist, cold[dst].Tree().Dist
+		got, want := dags[dst].Dist, cold[dst].Dist
 		for u := range want {
 			if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
 				t.Fatalf("%s: DAG %d dist[%d] = %v, cold %v", when, dst, u, got[u], want[u])
@@ -78,16 +79,18 @@ func TestSessionIncrementalSPFParity(t *testing.T) {
 
 // TestSessionIncrementalStateTracksFailures checks the dynamic SPF
 // structures stay in lockstep with the failed-link set across rejected
-// mutations: a partitioning failure must leave them untouched.
+// mutations: a partitioning failure must leave them equal to a cold build on
+// the intact topology, and a later fail/recover pair must match cold builds
+// on the survivor and on the intact topology — which a failed link left
+// marked inactive by the rejection would break.
 func TestSessionIncrementalStateTracksFailures(t *testing.T) {
 	g := graph.New()
 	a := g.AddNode("a")
 	b := g.AddNode("b")
 	c := g.AddNode("c")
 	ab := g.AddLink(a, b, 10, 1)
-	g.AddLink(b, c, 10, 1)
-	bc2 := g.AddLink(b, c, 10, 3)
-	_ = bc2
+	bc := g.AddLink(b, c, 10, 1)
+	g.AddLink(b, c, 10, 3)
 	base := demand.Gravity(g, 1)
 	s, err := NewSession(g, demand.MarginBox(base, 2), Config{OptIters: 20, AdvIters: 2, Samples: 2, Seed: 3, Workers: 1})
 	if err != nil {
@@ -98,18 +101,24 @@ func TestSessionIncrementalStateTracksFailures(t *testing.T) {
 	if _, err := s.Fail(ab); err == nil {
 		t.Fatal("partitioning failure was accepted")
 	}
-	for _, inc := range s.incs {
-		for _, e := range g.Edges() {
-			if !inc.Active(e.ID) {
-				t.Fatalf("edge %d inactive after rejected failure", e.ID)
-			}
-		}
-		before := append([]float64(nil), inc.Dist()...)
-		inc.RecomputeAll()
-		for u, d := range inc.Dist() {
-			if d != before[u] {
-				t.Fatalf("dist[%d] drifted after rejected failure: %v vs recomputed %v", u, before[u], d)
+	sameAsCold := func(when string, survivor *graph.Graph) {
+		t.Helper()
+		for dst, inc := range s.incs {
+			cold := spf.ToDestination(survivor, graph.NodeID(dst))
+			for u, d := range inc.TreeCopy().Dist {
+				if d != cold.Dist[u] {
+					t.Fatalf("%s: dist[%d] toward %d = %v, cold Dijkstra %v", when, u, dst, d, cold.Dist[u])
+				}
 			}
 		}
 	}
+	sameAsCold("after the rejected failure", g)
+	if _, err := s.Fail(bc); err != nil {
+		t.Fatal(err)
+	}
+	sameAsCold("after failing b–c", g.WithoutLinks([]graph.EdgeID{bc}))
+	if _, err := s.Recover(bc); err != nil {
+		t.Fatal(err)
+	}
+	sameAsCold("after recovering b–c", g)
 }

@@ -26,7 +26,7 @@ func fig9(ctx context.Context, cfg Config) (*Table, error) {
 	return marginTable("Fig. 9 — Abilene, local-search heuristic, bimodal model", []string{"ECMP", "COYOTE-pk"}, cfg,
 		func(margin float64) ([]string, error) {
 			box := demand.MarginBox(in.base, margin)
-			tuned, _, err := localsearch.Reweight(in.g, box, cfg.AdvIters, cfg.Seed)
+			tuned, err := localsearch.Reweight(in.g, box, cfg.AdvIters, cfg.Seed)
 			if err != nil {
 				return nil, err
 			}

@@ -36,9 +36,6 @@ type LSADiff struct {
 // This is the reconfiguration cost of moving between the two lie sets.
 func (d *LSADiff) Churn() int { return len(d.Add) + len(d.Remove) + len(d.Update) }
 
-// Empty reports whether the diff is a no-op.
-func (d *LSADiff) Empty() bool { return d.Churn() == 0 }
-
 // fakesByName flattens a synthesis's lie set into a name-keyed map. A nil
 // synthesis means "no lies" (the state before any synthesis was applied).
 func fakesByName(s *Synthesis) map[string]ospf.FakeNode {

@@ -34,7 +34,7 @@ func TestDiffNoOpIsEmpty(t *testing.T) {
 	_, a := synth(t, g, r)
 	q, b := synth(t, g, r)
 	d := Diff(a, b)
-	if !d.Empty() {
+	if d.Churn() != 0 {
 		t.Fatalf("identical syntheses produced non-empty diff (churn %d)", d.Churn())
 	}
 	if err := VerifyDiff(g, q, a, d); err != nil {
@@ -85,7 +85,7 @@ func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 	q, b := synth(t, g, r2)
 
 	d := Diff(a, b)
-	if d.Empty() {
+	if d.Churn() == 0 {
 		t.Fatal("ratio change produced an empty diff")
 	}
 	if touched := touchedDestinations(d); len(touched) != 1 || !touched[ids["t"]] {
@@ -125,7 +125,7 @@ func TestDiffFailureRecoveryRoundTrip(t *testing.T) {
 	if err := VerifyDiff(g, qRecovered, failedSyn, dRecover); err != nil {
 		t.Fatalf("recovery diff failed verification: %v", err)
 	}
-	if d := Diff(normal, recovered); !d.Empty() {
+	if d := Diff(normal, recovered); d.Churn() != 0 {
 		t.Fatalf("failure→recovery did not round-trip: residual churn %d", d.Churn())
 	}
 }

@@ -60,7 +60,7 @@ func Synthesize(g *graph.Graph, q *wcmp.QuantizedRouting) (*Synthesis, error) {
 		// (target FIB derivation and the needs-lies check); when the DAG
 		// carries its construction-time distance field no Dijkstra runs at
 		// all.
-		tree := spTree(g, q.Routing.DAGs[t])
+		tree := q.Routing.DAGs[t].Tree(g)
 		targets, err := targetFIBs(g, q, dest, tree)
 		if err != nil {
 			return nil, err
@@ -107,17 +107,6 @@ func Synthesize(g *graph.Graph, q *wcmp.QuantizedRouting) (*Synthesis, error) {
 		}
 	}
 	return out, nil
-}
-
-// spTree returns a shortest-path tree for d.Dst over g: the DAG's cached
-// construction-time distance field when present (zero Dijkstras — the DAGs
-// of the standard pipeline and of incremental sessions always carry one),
-// falling back to a cold spf.ToDestination for operator-supplied DAGs.
-func spTree(g *graph.Graph, d *dagx.DAG) *spf.Tree {
-	if t := d.Tree(); t != nil {
-		return t
-	}
-	return spf.ToDestination(g, d.Dst)
 }
 
 // targetFIBs derives, per router, the desired next-hop multiplicity map
@@ -212,7 +201,7 @@ func Realize(ctx context.Context, g *graph.Graph, r *pdrouting.Routing, extraPer
 func Verify(g *graph.Graph, q *wcmp.QuantizedRouting, syn *Synthesis) error {
 	for t := range q.Routing.DAGs {
 		dest := graph.NodeID(t)
-		targets, err := targetFIBs(g, q, dest, spTree(g, q.Routing.DAGs[t]))
+		targets, err := targetFIBs(g, q, dest, q.Routing.DAGs[t].Tree(g))
 		if err != nil {
 			return err
 		}

@@ -24,7 +24,6 @@ import (
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/par"
 	"github.com/coyote-te/coyote/internal/pdrouting"
-	"github.com/coyote-te/coyote/internal/spf"
 )
 
 // softmax writes exp(v_i − max)/Σ into out (allocating if nil) and returns
@@ -222,7 +221,7 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 	o.sweeps = make([]sweep, n)
 	maxDeg := 0
 	for t := 0; t < n; t++ {
-		spMember := spMembership(g, dags[t])
+		spMember := dags[t].Tree(g).ShortestPathEdges(g)
 		sw := &o.sweeps[t]
 		sw.node = make([]graph.NodeID, 0, n)
 		sw.first = append(make([]int, 0, n+1), len(o.edge))
@@ -269,17 +268,6 @@ func sliceRows(arena []float64, rows, width int) [][]float64 {
 		out[i] = arena[i*width : (i+1)*width : (i+1)*width]
 	}
 	return out
-}
-
-// spMembership returns the shortest-path DAG membership vector for d.Dst:
-// derived from the DAG's cached construction-time distance field when
-// present (zero Dijkstras), cold spf.ToDestination otherwise.
-func spMembership(g *graph.Graph, d *dagx.DAG) []bool {
-	tree := d.Tree()
-	if tree == nil {
-		tree = spf.ToDestination(g, d.Dst)
-	}
-	return tree.ShortestPathEdges(g)
 }
 
 // Routing materializes the current parameters as a PD routing

@@ -17,7 +17,7 @@ func BenchmarkReweight(b *testing.B) {
 			g := topo.MustLoad(name)
 			box := demand.MarginBox(demand.Gravity(g, 1), 2)
 			for b.Loop() {
-				if _, _, err := Reweight(g, box, 3, 7); err != nil {
+				if _, err := Reweight(g, box, 3, 7); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -132,9 +132,11 @@ func TestMoveEvalMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestReweightPins pins Reweight's weights, worst-case utilization and
-// critical set on the corpus (3 rounds, gravity margin 2, seed 7), recorded
-// when every move rebuilt every DAG from scratch.
+// TestReweightPins pins the weights, worst-case utilization and critical set
+// of the search at Reweight's neighbourhood on the corpus (3 rounds of
+// 10·|E| moves, gravity margin 2, seed 7), recorded when every move rebuilt
+// every DAG from scratch. TestReweightIsOptimizeAtTenMovesPerEdge ties
+// Reweight's weights to Optimize's.
 func TestReweightPins(t *testing.T) {
 	pins := []struct {
 		name    string
@@ -155,7 +157,7 @@ func TestReweightPins(t *testing.T) {
 	}
 	for _, p := range pins {
 		g := topo.MustLoad(p.name)
-		_, res, err := Reweight(g, demand.MarginBox(demand.Gravity(g, 1), 2), 3, 7)
+		res, err := Optimize(g, demand.MarginBox(demand.Gravity(g, 1), 2), Config{OuterIters: 3, InnerMoves: 10 * g.NumEdges(), Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
@@ -206,7 +208,7 @@ func TestSearchCounts(t *testing.T) {
 	g := topo.MustLoad("Geant")
 	box := demand.MarginBox(demand.Gravity(g, 1), 2)
 	before := obs.Default.Snapshot()
-	if _, _, err := Reweight(g, box, 3, 7); err != nil {
+	if _, err := Reweight(g, box, 3, 7); err != nil {
 		t.Fatal(err)
 	}
 	moved := obs.Default.Snapshot().Since(before)

@@ -160,16 +160,15 @@ func Optimize(g *graph.Graph, box *demand.Box, cfg Config) (*Result, error) {
 
 // Reweight runs the search at rounds outer rounds of 10·|E| moves each —
 // the neighbourhood the portfolio strategies and the weight-search pipeline
-// use — and returns a copy of g carrying the tuned weights, with the
-// search's result.
-func Reweight(g *graph.Graph, box *demand.Box, rounds int, seed int64) (*graph.Graph, *Result, error) {
+// use — and returns a copy of g carrying the tuned weights.
+func Reweight(g *graph.Graph, box *demand.Box, rounds int, seed int64) (*graph.Graph, error) {
 	ls, err := Optimize(g, box, Config{OuterIters: rounds, InnerMoves: 10 * g.NumEdges(), Seed: seed})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tuned := g.Clone()
 	tuned.SetWeights(ls.Weights)
-	return tuned, ls, nil
+	return tuned, nil
 }
 
 // validate rejects inputs the search cannot run on, wrapping

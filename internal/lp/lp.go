@@ -130,17 +130,14 @@ func (p *Problem) AddConstraint(terms []Term, rel Rel, rhs float64) {
 }
 
 // Solution is the result of a solve — the dense Problem.Solve fills the
-// first three fields; the sparse Model.Solve additionally reports duals,
-// the final basis for warm starts, and per-solve statistics.
+// first three fields; the sparse Model.Solve additionally reports the final
+// basis for warm starts and per-solve statistics (Model.RowDuals reads the
+// vertex's duals).
 type Solution struct {
 	Status    Status
 	Objective float64   // objective value in the problem's own sense
 	X         []float64 // primal values, one per variable (valid when Status == Optimal)
 
-	// Duals holds one multiplier per model row (Model.Solve only), in the
-	// model's own sense: for a minimization, yᵀ·rhs lower-bounds the
-	// optimum; for a maximization it upper-bounds it.
-	Duals []float64
 	// Basis is the optimal basis (Model.Solve only); feed it back through
 	// SolveOptions.Basis to warm-start a related solve.
 	Basis *Basis

@@ -275,16 +275,12 @@ func (m *Model) Solve(ctx context.Context, opts *SolveOptions) (*Solution, error
 		}
 		sol.Objective = obj
 		sol.Basis = s.exportBasis()
-		// Duals are reported in the model's own sense: for Maximize the
-		// internal minimization multipliers are negated so weak duality
-		// reads the standard way.
-		sol.Duals = append([]float64(nil), m.RowDuals()...)
 	}
 	return sol, nil
 }
 
 // SolveObjective is Solve for callers that keep only the optimum: the same
-// solve, without the copies of X, Duals and the final Basis. The objective is
+// solve, without the copies of X and the final Basis. The objective is
 // meaningful when the status is Optimal; RowDuals reads the vertex's duals.
 func (m *Model) SolveObjective(ctx context.Context, opts *SolveOptions) (float64, Status, error) {
 	status, _, err := m.run(ctx, opts)
@@ -302,9 +298,11 @@ func (m *Model) SolveObjective(ctx context.Context, opts *SolveOptions) (float64
 }
 
 // RowDuals returns one multiplier per model row for the vertex the last
-// solve ended on, in the model's own sense (what Solution.Duals holds),
-// without copying: the slice is the workspace's, valid until the model is
-// solved again. It is nil unless that solve was Optimal on the sparse engine.
+// solve ended on, in the model's own sense — for a minimization yᵀ·rhs
+// lower-bounds the optimum, for a maximization it upper-bounds it (the
+// engine's minimization multipliers are negated) — without copying: the
+// slice is the workspace's, valid until the model is solved again. It is
+// nil unless that solve was Optimal on the sparse engine.
 func (m *Model) RowDuals() []float64 {
 	if !m.atOptimum {
 		return nil

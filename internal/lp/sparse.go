@@ -41,14 +41,6 @@ type Basis struct {
 	Status  []int8 // len NumVars+NumRows
 }
 
-// Clone returns a deep copy.
-func (b *Basis) Clone() *Basis {
-	if b == nil {
-		return nil
-	}
-	return &Basis{NumVars: b.NumVars, NumRows: b.NumRows, Status: append([]int8(nil), b.Status...)}
-}
-
 // csc is a compressed-sparse-column matrix.
 type csc struct {
 	m, n   int

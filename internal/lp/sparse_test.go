@@ -133,6 +133,7 @@ func TestDualsKKT(t *testing.T) {
 			continue
 		}
 		checked++
+		duals := mdl.RowDuals()
 		// Normalize to minimization for the sign checks.
 		sign := 1.0
 		if mdl.sense == Maximize {
@@ -145,7 +146,7 @@ func TestDualsKKT(t *testing.T) {
 			d[j] = sign * mdl.obj[j]
 		}
 		for i, r := range mdl.rows {
-			y := sign * sol.Duals[i]
+			y := sign * duals[i]
 			for _, tm := range r.terms {
 				d[tm.Var] -= y * tm.Coeff
 			}
@@ -177,7 +178,7 @@ func TestDualsKKT(t *testing.T) {
 			for _, tm := range r.terms {
 				act += tm.Coeff * sol.X[tm.Var]
 			}
-			y := sign * sol.Duals[i]
+			y := sign * duals[i]
 			atLo := act < r.lo+1e-7
 			atUp := act > r.up-1e-7
 			if !atLo && y > tol {
@@ -320,10 +321,6 @@ func TestGlobalStatsAccumulate(t *testing.T) {
 	st := GlobalStats()
 	if st.Solves-global.Solves != 2 || st.WarmHits-global.WarmHits != 1 {
 		t.Fatalf("GlobalStats %+v after %+v, want 2 more solves and 1 more warm hit", st, global)
-	}
-	run := StatsSnapshot{WarmAttempts: st.WarmAttempts - global.WarmAttempts, WarmHits: st.WarmHits - global.WarmHits}
-	if run.WarmHitRate() != 1 {
-		t.Fatalf("hit rate = %g, want 1", run.WarmHitRate())
 	}
 }
 

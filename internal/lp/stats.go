@@ -24,14 +24,6 @@ type StatsSnapshot struct {
 	StabilityRefactorizations uint64
 }
 
-// WarmHitRate is WarmHits/WarmAttempts, or 0 when no warm start was tried.
-func (s StatsSnapshot) WarmHitRate() float64 {
-	if s.WarmAttempts == 0 {
-		return 0
-	}
-	return float64(s.WarmHits) / float64(s.WarmAttempts)
-}
-
 // The process-wide solver counters live in the obs.Default metrics registry
 // (DESIGN.md §10) and are exported on GET /metrics as the coyote_lp_*
 // family; GlobalStats reads them. The simplex has no dual phase; its three

@@ -59,17 +59,18 @@ func certifiedAllLogical(t testing.TB, label string, g *graph.Graph, dags []*dag
 		t.Fatalf("%s: all-logical solve is %v", label, sol.Status)
 	}
 	n := g.NumNodes()
+	duals := mm.Model.RowDuals()
 	z := make([]float64, g.NumEdges())
 	for e, r := range mm.CapRow {
 		if r >= 0 {
-			z[e] = -sol.Duals[r]
+			z[e] = -duals[r]
 		}
 	}
 	w := func(v, t graph.NodeID) float64 {
 		if v == t {
 			return 0
 		}
-		return sol.Duals[mm.DemandRow[t][v]]
+		return duals[mm.DemandRow[t][v]]
 	}
 	if err := CheckDual(g, dags, mm.active, z, w, 1e-6); err != nil {
 		t.Fatalf("%s: all-logical duals: %v", label, err)

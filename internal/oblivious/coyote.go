@@ -12,7 +12,6 @@ import (
 	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
-	"github.com/coyote-te/coyote/internal/spf"
 )
 
 // Params is the one parameter set of a COYOTE solve: loop effort plus
@@ -223,13 +222,7 @@ func (ev *Evaluator) Optimize(ctx context.Context, opts Options) (*pdrouting.Rou
 func ECMPOnDAGs(g *graph.Graph, dags []*dagx.DAG) *pdrouting.Routing {
 	r := pdrouting.NewZero(g, dags)
 	for t := range dags {
-		// Reuse the DAG's cached construction-time distance field when
-		// present; only operator-supplied DAGs (FromEdges) pay a Dijkstra.
-		tree := dags[t].Tree()
-		if tree == nil {
-			tree = spf.ToDestination(g, graph.NodeID(t))
-		}
-		spMember := tree.ShortestPathEdges(g)
+		spMember := dags[t].Tree(g).ShortestPathEdges(g)
 		for u := 0; u < g.NumNodes(); u++ {
 			if u == t {
 				continue

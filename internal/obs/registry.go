@@ -79,9 +79,6 @@ type Family struct {
 	children map[string]any // joined label values → *Counter | *Gauge | *Histogram
 }
 
-// Name returns the family name.
-func (f *Family) Name() string { return f.name }
-
 func (r *Registry) register(name, help string, typ MetricType, buckets []float64, labels []string) *Family {
 	if name == "" {
 		panic("obs: empty metric name")
@@ -224,15 +221,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Second
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // ExpBuckets returns n exponentially growing bucket bounds starting at
 // start (start, start·factor, …).
 func ExpBuckets(start, factor float64, n int) []float64 {
@@ -277,11 +265,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 // NewCounterVec registers a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) CounterVec {
 	return CounterVec{r.register(name, help, CounterType, nil, labels)}
-}
-
-// NewGauge registers an unlabeled gauge family and returns its sole child.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.register(name, help, GaugeType, nil, nil).child(nil).(*Gauge)
 }
 
 // NewGaugeVec registers a labeled gauge family.

@@ -17,7 +17,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", got)
 	}
 
-	g := r.NewGauge("test_level", "level")
+	g := r.NewGaugeVec("test_level", "level").With()
 	g.Set(2.5)
 	g.Add(-1)
 	if got := g.Value(); got != 1.5 {
@@ -82,15 +82,15 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	for _, v := range []float64{0.05, 0.1, 0.5, 5, 50} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
 	if math.Abs(h.Sum()-55.65) > 1e-9 {
 		t.Fatalf("sum = %v, want 55.65", h.Sum())
 	}
 	snap := r.Snapshot()
 	if len(snap) != 1 || len(snap[0].Metrics) != 1 {
 		t.Fatalf("snapshot shape: %+v", snap)
+	}
+	if n := snap[0].Metrics[0].Count; n != 5 {
+		t.Fatalf("count = %d, want 5", n)
 	}
 	b := snap[0].Metrics[0].Buckets
 	// le=0.1 gets 0.05 and 0.1 (le semantics), le=1 adds 0.5, le=10 adds 5,
@@ -114,7 +114,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.NewGauge("dup_total", "")
+	r.NewGaugeVec("dup_total", "")
 }
 
 // TestPromRoundTrip is the writer/validator contract: everything the
@@ -126,7 +126,7 @@ func TestPromRoundTrip(t *testing.T) {
 	cv := r.NewCounterVec("rt_events_total", "by kind", "kind")
 	cv.With("up\"date\\n").Add(2) // hostile label value: quote, backslash
 	cv.With("fail").Inc()
-	r.NewGauge("rt_progress", "done fraction").Set(0.25)
+	r.NewGaugeVec("rt_progress", "done fraction").With().Set(0.25)
 	h := r.NewHistogramVec("rt_wait_seconds", "queue wait", []float64{0.001, 0.1}, "pool")
 	h.With("p1").Observe(0.0005)
 	h.With("p1").Observe(2)
@@ -197,8 +197,14 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Fatalf("counter = %d, want 8000", c.Value())
 	}
-	if h.Count() != 8000 {
-		t.Fatalf("histogram count = %d, want 8000", h.Count())
+	var observed uint64
+	for _, f := range r.Snapshot() {
+		if f.Name == "cc_seconds" {
+			observed = f.Metrics[0].Count
+		}
+	}
+	if observed != 8000 {
+		t.Fatalf("histogram count = %d, want 8000", observed)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {

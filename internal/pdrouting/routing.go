@@ -254,48 +254,22 @@ func (r *Routing) ParallelMaxUtilization(D *demand.Matrix, workers int, edgeBuf,
 	return mx
 }
 
-// SourceFractions returns f_st(v) for all v: the fraction of the s→t demand
-// entering each vertex (§III), computed by propagating a unit of flow from
-// s toward t.
-func (r *Routing) SourceFractions(s, t graph.NodeID) []float64 {
-	col := make([]float64, r.G.NumNodes())
-	col[s] = 1
-	d := r.DAGs[t]
-	phi := r.Phi[t]
-	inflow := make([]float64, r.G.NumNodes())
-	inflow[s] = 1
-	for _, u := range d.Order {
-		if u == t || inflow[u] == 0 {
-			continue
-		}
-		for _, id := range d.OutEdges(r.G, u) {
-			f := inflow[u] * phi[id]
-			inflow[r.G.Edge(id).To] += f
-		}
-	}
-	return inflow
-}
-
 // ExpectedHops returns the expected path length, in hops, of s→t traffic:
-// Σ_e f_st(tail(e))·φ_t(e). Fig. 11's stretch metric divides this by the
-// ECMP expected hop count.
+// Σ_e f_st(tail(e))·φ_t(e), the load one unit of s→t demand places on every
+// DAG edge, summed in topological order. Fig. 11's stretch metric divides
+// this by the ECMP expected hop count.
 func (r *Routing) ExpectedHops(s, t graph.NodeID) float64 {
 	if s == t {
 		return 0
 	}
+	col := make([]float64, r.G.NumNodes())
+	col[s] = 1
+	loads := r.DestLoads(t, col)
 	d := r.DAGs[t]
-	phi := r.Phi[t]
-	inflow := make([]float64, r.G.NumNodes())
-	inflow[s] = 1
 	hops := 0.0
 	for _, u := range d.Order {
-		if u == t || inflow[u] == 0 {
-			continue
-		}
 		for _, id := range d.OutEdges(r.G, u) {
-			f := inflow[u] * phi[id]
-			hops += f
-			inflow[r.G.Edge(id).To] += f
+			hops += loads[id]
 		}
 	}
 	return hops
@@ -308,25 +282,17 @@ func (r *Routing) ExpectedHops(s, t graph.NodeID) float64 {
 func (r *Routing) LoadCoeffs(t graph.NodeID) [][]float64 {
 	n := r.G.NumNodes()
 	C := make([][]float64, n)
-	d := r.DAGs[t]
-	phi := r.Phi[t]
-	for s := 0; s < n; s++ {
+	col := make([]float64, n)
+	inflow := make([]float64, n)
+	for s := range C {
 		C[s] = make([]float64, r.G.NumEdges())
 		if graph.NodeID(s) == t {
 			continue
 		}
-		inflow := make([]float64, n)
-		inflow[s] = 1
-		for _, u := range d.Order {
-			if u == t || inflow[u] == 0 {
-				continue
-			}
-			for _, id := range d.OutEdges(r.G, u) {
-				f := inflow[u] * phi[id]
-				C[s][id] = f
-				inflow[r.G.Edge(id).To] += f
-			}
-		}
+		col[s] = 1
+		clear(inflow)
+		r.DestLoadsInto(t, col, C[s], inflow)
+		col[s] = 0
 	}
 	return C
 }

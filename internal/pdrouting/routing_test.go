@@ -151,16 +151,28 @@ func TestCoyoteFig1cRatios(t *testing.T) {
 	}
 }
 
-func TestSourceFractionsConservation(t *testing.T) {
+// TestUnitDemandConservation: one unit of s→t demand leaves s whole
+// (f_st(s) = 1) and reaches t whole (f_st(t) = 1), read off the unit loads
+// LoadCoeffs returns.
+func TestUnitDemandConservation(t *testing.T) {
 	g, ids, dags := paperExample(t)
 	r := Uniform(g, dags)
-	f := r.SourceFractions(ids["s1"], ids["t"])
-	if math.Abs(f[ids["t"]]-1) > 1e-9 {
-		t.Fatalf("all flow must reach t: f[t] = %g", f[ids["t"]])
+	C := r.LoadCoeffs(ids["t"])[ids["s1"]]
+	if f := edgeSum(C, g.Out(ids["s1"])); math.Abs(f-1) > 1e-9 {
+		t.Fatalf("f_st(s) must be 1, got %g", f)
 	}
-	if math.Abs(f[ids["s1"]]-1) > 1e-9 {
-		t.Fatalf("f_st(s) must be 1, got %g", f[ids["s1"]])
+	if f := edgeSum(C, g.In(ids["t"])); math.Abs(f-1) > 1e-9 {
+		t.Fatalf("all flow must reach t: f[t] = %g", f)
 	}
+}
+
+// edgeSum sums loads over the listed edges.
+func edgeSum(loads []float64, ids []graph.EdgeID) float64 {
+	sum := 0.0
+	for _, id := range ids {
+		sum += loads[id]
+	}
+	return sum
 }
 
 func TestExpectedHops(t *testing.T) {
@@ -302,8 +314,9 @@ func TestPropertyDemandConservation(t *testing.T) {
 			if s == tt {
 				continue
 			}
-			frac := r.SourceFractions(s, tt)
-			if math.Abs(frac[tt]-1) > 1e-6 {
+			col := make([]float64, n)
+			col[s] = 1
+			if math.Abs(edgeSum(r.DestLoads(tt, col), g.In(tt))-1) > 1e-6 {
 				return false
 			}
 		}

@@ -63,25 +63,6 @@ func (h *Heap) DecreaseTo(v graph.NodeID, k float64) bool {
 	return true
 }
 
-// Update inserts v with key k or moves its key to k (up or down); used by
-// repair queues whose keys can be re-estimated in either direction.
-func (h *Heap) Update(v graph.NodeID, k float64) {
-	if p := h.pos[v]; p >= 0 {
-		old := h.key[v]
-		h.key[v] = k
-		if k < old {
-			h.up(int(p))
-		} else if k > old {
-			h.down(int(p))
-		}
-		return
-	}
-	h.key[v] = k
-	h.pos[v] = int32(len(h.nodes))
-	h.nodes = append(h.nodes, v)
-	h.up(len(h.nodes) - 1)
-}
-
 // Pop removes and returns the minimum-key node and its key. Ties break
 // toward the smaller node ID so the pop order — and therefore any
 // float-order-sensitive caller — is deterministic.

@@ -9,10 +9,11 @@ import "github.com/coyote-te/coyote/internal/graph"
 // SPF, DESIGN.md §12). Weights stay fixed: the session only fails and
 // recovers links.
 //
-// The structure copies the edge weights at construction and keeps an active
+// The structure reads the edge weights from the graph and keeps an active
 // mask (failed edges are inactive), so the underlying graph is never mutated
-// and one graph can back many Incrementals. After every operation the field
-// satisfies the same fixpoint cold Dijkstra computes —
+// and one graph can back many Incrementals; its weights must not change while
+// they live. After every operation the field satisfies the same fixpoint cold
+// Dijkstra computes —
 //
 //	dist[u] = min over active out-edges (u,v) of fl(w(u,v) + dist[v])
 //
@@ -29,8 +30,7 @@ type Incremental struct {
 	g   *graph.Graph
 	dst graph.NodeID
 
-	weight []float64 // per-edge weight, copied from g at construction
-	active []bool    // false = failed
+	active []bool // false = failed
 	dist   []float64
 
 	h        *Heap          // repair frontier, reused across operations
@@ -42,36 +42,23 @@ type Incremental struct {
 // NewIncremental builds the structure for destination dst with an initial
 // cold Dijkstra over g's current weights (all edges active).
 func NewIncremental(g *graph.Graph, dst graph.NodeID) *Incremental {
-	n, nE := g.NumNodes(), g.NumEdges()
+	n := g.NumNodes()
 	inc := &Incremental{
 		g:        g,
 		dst:      dst,
-		weight:   make([]float64, nE),
-		active:   make([]bool, nE),
+		active:   make([]bool, g.NumEdges()),
 		dist:     make([]float64, n),
 		h:        NewHeap(n),
 		affected: make([]bool, n),
 		stack:    make([]graph.NodeID, 0, n),
 		marked:   make([]graph.NodeID, 0, n),
 	}
-	for i := 0; i < nE; i++ {
-		inc.weight[i] = g.Edge(graph.EdgeID(i)).Weight
+	for i := range inc.active {
 		inc.active[i] = true
 	}
-	inc.recomputeAll()
+	dijkstraInto(g, dst, inc.dist, inc.h)
 	return inc
 }
-
-// Dst returns the destination the field is rooted at.
-func (inc *Incremental) Dst() graph.NodeID { return inc.dst }
-
-// Dist returns the live distance field (indexed by NodeID). It must be
-// treated read-only and is invalidated by the next mutating call.
-func (inc *Incremental) Dist() []float64 { return inc.dist }
-
-// Tree wraps the live distance field as a Tree (sharing storage); the same
-// read-only/staleness caveat as Dist applies.
-func (inc *Incremental) Tree() *Tree { return &Tree{Dst: inc.dst, Dist: inc.dist} }
 
 // TreeCopy returns a Tree over a snapshot copy of the current distance
 // field — for consumers that retain the tree past the next mutating call
@@ -79,40 +66,6 @@ func (inc *Incremental) Tree() *Tree { return &Tree{Dst: inc.dst, Dist: inc.dist
 func (inc *Incremental) TreeCopy() *Tree {
 	return &Tree{Dst: inc.dst, Dist: append([]float64(nil), inc.dist...)}
 }
-
-// Active reports whether edge id is currently active (not failed).
-func (inc *Incremental) Active(id graph.EdgeID) bool { return inc.active[id] }
-
-// recomputeAll runs the masked cold Dijkstra over the active edges — the
-// initial build (and a test oracle via RecomputeAll).
-func (inc *Incremental) recomputeAll() {
-	dist := inc.dist
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[inc.dst] = 0
-	h := inc.h
-	h.Reset()
-	h.DecreaseTo(inc.dst, 0)
-	for h.Len() > 0 {
-		v, d := h.Pop()
-		for _, id := range inc.g.In(v) {
-			if !inc.active[id] {
-				continue
-			}
-			u := inc.g.Edge(id).From
-			nd := inc.weight[id] + d
-			if nd < dist[u] {
-				dist[u] = nd
-				h.DecreaseTo(u, nd)
-			}
-		}
-	}
-}
-
-// RecomputeAll discards the maintained field and rebuilds it cold — the
-// escape hatch (and the oracle the property tests compare against).
-func (inc *Incremental) RecomputeAll() { inc.recomputeAll() }
 
 // FailEdge deactivates directed edge id (an infinite-weight update) and
 // repairs the field, returning the number of re-derived vertices. Failing
@@ -164,7 +117,7 @@ func (inc *Incremental) decreased(id graph.EdgeID) int {
 	if dv == Inf {
 		return 0
 	}
-	nd := inc.weight[id] + dv
+	nd := e.Weight + dv
 	if nd >= inc.dist[e.From] {
 		return 0
 	}
@@ -181,7 +134,7 @@ func (inc *Incremental) decreased(id graph.EdgeID) int {
 				continue
 			}
 			y := g.Edge(eid).From
-			cand := inc.weight[eid] + d
+			cand := g.Edge(eid).Weight + d
 			if cand < dist[y] {
 				dist[y] = cand
 				h.DecreaseTo(y, cand)
@@ -209,7 +162,7 @@ func (inc *Incremental) supportOf(x graph.NodeID, skipAffected bool) float64 {
 		if dz == Inf {
 			continue
 		}
-		if cand := inc.weight[eid] + dz; cand < best {
+		if cand := g.Edge(eid).Weight + dz; cand < best {
 			best = cand
 		}
 	}
@@ -236,7 +189,7 @@ func (inc *Incremental) increased(id graph.EdgeID) int {
 	if dist[u] == Inf || dist[v] == Inf {
 		return 0 // the edge cannot have supported any finite label
 	}
-	if inc.weight[id]+dist[v] != dist[u] {
+	if e.Weight+dist[v] != dist[u] {
 		return 0 // the edge was not tight: no label depended on it
 	}
 	if inc.supportOf(u, false) == dist[u] {
@@ -260,7 +213,7 @@ func (inc *Incremental) increased(id graph.EdgeID) int {
 			if inc.affected[y] || dist[y] == Inf {
 				continue
 			}
-			if inc.weight[eid]+dist[x] == dist[y] { // y's label was tight through x
+			if g.Edge(eid).Weight+dist[x] == dist[y] { // y's label was tight through x
 				inc.affected[y] = true
 				inc.marked = append(inc.marked, y)
 				inc.stack = append(inc.stack, y)
@@ -291,7 +244,7 @@ func (inc *Incremental) increased(id graph.EdgeID) int {
 			if !inc.affected[y] {
 				continue
 			}
-			h.DecreaseTo(y, inc.weight[eid]+d)
+			h.DecreaseTo(y, g.Edge(eid).Weight+d)
 		}
 	}
 	for _, x := range inc.marked {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestHeapOrdering exercises the indexed heap against a brute-force oracle:
-// random interleavings of insert, decrease-key, bidirectional update, and
-// pop must always pop the (key, id)-minimal queued node.
+// random interleavings of insert-or-decrease and pop must always pop the
+// (key, id)-minimal queued node.
 func TestHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 32
@@ -19,7 +19,7 @@ func TestHeapOrdering(t *testing.T) {
 		h := NewHeap(n)
 		oracle := make(map[graph.NodeID]float64)
 		for op := 0; op < 120; op++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0, 1: // insert-or-decrease
 				v := graph.NodeID(rng.Intn(n))
 				k := rng.Float64() * 100
@@ -27,12 +27,7 @@ func TestHeapOrdering(t *testing.T) {
 					oracle[v] = k
 				}
 				h.DecreaseTo(v, k)
-			case 2: // bidirectional update
-				v := graph.NodeID(rng.Intn(n))
-				k := rng.Float64() * 100
-				oracle[v] = k
-				h.Update(v, k)
-			case 3: // pop
+			case 2: // pop
 				if len(oracle) == 0 {
 					continue
 				}
@@ -55,17 +50,18 @@ func TestHeapOrdering(t *testing.T) {
 	}
 }
 
-// activeGraph reconstructs the plain graph an Incremental currently models:
-// only active edges, at g's weights. It returns the graph and the base-edge
-// → new-edge ID mapping (-1 for inactive edges).
-func activeGraph(g *graph.Graph, inc *Incremental) (*graph.Graph, []graph.EdgeID) {
+// withoutEdges is g without the directed edges in down, node IDs preserved
+// (graph.WithoutLinks drops whole links; the property test also fails single
+// directions). It returns the graph and the g-edge → new-edge ID mapping (-1
+// for a removed edge).
+func withoutEdges(g *graph.Graph, down map[graph.EdgeID]bool) (*graph.Graph, []graph.EdgeID) {
 	ng := graph.New()
 	for i := 0; i < g.NumNodes(); i++ {
 		ng.AddNode(g.Name(graph.NodeID(i)))
 	}
 	mapping := make([]graph.EdgeID, g.NumEdges())
 	for _, e := range g.Edges() {
-		if !inc.Active(e.ID) {
+		if down[e.ID] {
 			mapping[e.ID] = -1
 			continue
 		}
@@ -75,19 +71,19 @@ func activeGraph(g *graph.Graph, inc *Incremental) (*graph.Graph, []graph.EdgeID
 }
 
 // checkAgainstCold asserts the incremental field is bit-identical to a cold
-// ToDestination on the equivalent reconstructed topology — distances and
-// shortest-path DAG membership both.
-func checkAgainstCold(t *testing.T, g *graph.Graph, inc *Incremental, step int) {
+// ToDestination on g without the directed edges the test failed — distances
+// and shortest-path DAG membership both.
+func checkAgainstCold(t *testing.T, g *graph.Graph, down map[graph.EdgeID]bool, inc *Incremental, dst graph.NodeID, step int) {
 	t.Helper()
-	ng, mapping := activeGraph(g, inc)
-	cold := ToDestination(ng, inc.Dst())
+	ng, mapping := withoutEdges(g, down)
+	cold := ToDestination(ng, dst)
+	tree := inc.TreeCopy()
 	for u := range cold.Dist {
-		if got := inc.Dist()[u]; got != cold.Dist[u] {
+		if got := tree.Dist[u]; got != cold.Dist[u] {
 			t.Fatalf("step %d: dist[%d] = %v, cold Dijkstra %v", step, u, got, cold.Dist[u])
 		}
 	}
 	coldMember := cold.ShortestPathEdges(ng)
-	incTree := inc.Tree()
 	for _, e := range g.Edges() {
 		nid := mapping[e.ID]
 		if nid < 0 {
@@ -95,7 +91,7 @@ func checkAgainstCold(t *testing.T, g *graph.Graph, inc *Incremental, step int) 
 		}
 		// Evaluate membership with ng's weights (== g's).
 		ne := ng.Edge(nid)
-		if got := incTree.OnShortestPath(ne); got != coldMember[nid] {
+		if got := tree.OnShortestPath(ne); got != coldMember[nid] {
 			t.Fatalf("step %d: edge %d (%d→%d) membership %v, cold %v", step, e.ID, e.From, e.To, got, coldMember[nid])
 		}
 	}
@@ -151,15 +147,23 @@ func TestIncrementalMatchesCold(t *testing.T) {
 			links := g.Links()
 			for _, dst := range []graph.NodeID{0, graph.NodeID(n / 2), graph.NodeID(n - 1)} {
 				inc := NewIncremental(g, dst)
-				checkAgainstCold(t, g, inc, -1)
+				down := map[graph.EdgeID]bool{} // failed directed edges
+				checkAgainstCold(t, g, down, inc, dst, -1)
 				failed := map[graph.EdgeID]bool{}
+				setLink := func(id graph.EdgeID, isDown bool) {
+					down[id] = isDown
+					if r := g.Edge(id).Reverse; r >= 0 {
+						down[r] = isDown
+					}
+				}
 				for step := 0; step < steps; step++ {
 					switch r := rng.Intn(10); {
 					case r < 4: // fail a random directed edge (one direction of a link)
 						id := graph.EdgeID(rng.Intn(g.NumEdges()))
-						if !inc.Active(id) {
+						if down[id] {
 							continue
 						}
+						down[id] = true
 						inc.FailEdge(id)
 					case r < 7: // fail a random link (disconnection is fine for SPF)
 						id := links[rng.Intn(len(links))]
@@ -167,6 +171,7 @@ func TestIncrementalMatchesCold(t *testing.T) {
 							continue
 						}
 						failed[id] = true
+						setLink(id, true)
 						inc.FailLink(id)
 					case r < 9: // recover a random failed link
 						var pick graph.EdgeID = -1
@@ -179,17 +184,19 @@ func TestIncrementalMatchesCold(t *testing.T) {
 							continue
 						}
 						delete(failed, pick)
+						setLink(pick, false)
 						inc.RecoverLink(pick)
 					default: // single directed edge fail/recover round-trip
 						id := graph.EdgeID(rng.Intn(g.NumEdges()))
-						if !inc.Active(id) {
+						if down[id] {
+							down[id] = false
 							inc.RecoverEdge(id)
 						} else if rng.Intn(2) == 0 {
 							inc.FailEdge(id)
 							inc.RecoverEdge(id)
 						}
 					}
-					checkAgainstCold(t, g, inc, step)
+					checkAgainstCold(t, g, down, inc, dst, step)
 				}
 			}
 		})
@@ -206,10 +213,10 @@ func TestIncrementalNoOpRepairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := NewIncremental(g, 0)
+	cold := ToDestination(g, 0)
 	// Failing and recovering a non-tight edge touches nothing.
 	for _, e := range g.Edges() {
-		tree := inc.Tree()
-		if tree.OnShortestPath(e) || inc.Dist()[e.From] == Inf {
+		if cold.OnShortestPath(e) || cold.Dist[e.From] == Inf {
 			continue
 		}
 		if n := inc.FailEdge(e.ID); n != 0 {
@@ -220,13 +227,12 @@ func TestIncrementalNoOpRepairs(t *testing.T) {
 		}
 	}
 	// A fail immediately followed by recover restores the exact field.
-	before := append([]float64(nil), inc.Dist()...)
 	link := g.Links()[3]
 	inc.FailLink(link)
 	inc.RecoverLink(link)
-	for u, d := range inc.Dist() {
-		if d != before[u] {
-			t.Fatalf("fail/recover round-trip changed dist[%d]: %v → %v", u, before[u], d)
+	for u, d := range inc.TreeCopy().Dist {
+		if d != cold.Dist[u] {
+			t.Fatalf("fail/recover round-trip changed dist[%d]: %v → %v", u, cold.Dist[u], d)
 		}
 	}
 }

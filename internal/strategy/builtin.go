@@ -20,20 +20,20 @@ func buildECMP(_ Config, g *graph.Graph, _ *demand.Box) (Plan, error) {
 	work.SetWeights(localsearch.InverseCapacityWeights(g))
 	dags := dagx.BuildAll(work, dagx.ShortestPath)
 	r := pdrouting.Uniform(work, dags)
-	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r)}}, nil
+	return &staticPlan{r}, nil
 }
 
 // buildLocalSearch runs the §V-B/Appendix A weight search against the box
 // and deploys plain ECMP on the tuned weights — the strongest routing
 // reachable without any lies.
 func buildLocalSearch(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
-	work, ls, err := localsearch.Reweight(g, box, cfg.AdvIters, cfg.Seed)
+	work, err := localsearch.Reweight(g, box, cfg.AdvIters, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	dags := dagx.BuildAll(work, dagx.ShortestPath)
 	r := pdrouting.Uniform(work, dags)
-	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r), Scenarios: len(ls.CriticalDMs)}}, nil
+	return &staticPlan{r}, nil
 }
 
 // buildGPOpt runs the GP-style splitting optimizer alone — no adversarial
@@ -57,7 +57,7 @@ func buildGPOpt(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 	opt := gpopt.New(g, dags, gpopt.Config{Iters: cfg.OptIters, Workers: cfg.Workers})
 	opt.Run(scenarios)
 	r := opt.Routing()
-	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r), Scenarios: len(scenarios)}}, nil
+	return &staticPlan{r}, nil
 }
 
 // buildCoyote is the full COYOTE pipeline; the plan is the Solved value
@@ -107,12 +107,4 @@ type optPlan struct {
 
 func (p *optPlan) Route(dm *demand.Matrix) (*pdrouting.Routing, error) {
 	return oblivious.BaseRouting(p.g, p.dags, dm, p.cfg.Eps)
-}
-
-func (p *optPlan) Cost() Cost {
-	n := 0
-	for _, d := range p.dags {
-		n += d.NumEdges()
-	}
-	return Cost{DAGEdges: n, Adaptive: true}
 }

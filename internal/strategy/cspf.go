@@ -39,7 +39,7 @@ func buildCSPF(_ Config, g *graph.Graph, _ *demand.Box) (Plan, error) {
 		phi[t] = phiT
 	}
 	r := &pdrouting.Routing{G: g, DAGs: dags, Phi: phi}
-	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r)}}, nil
+	return &staticPlan{r}, nil
 }
 
 // widestShortestTree runs a reverse Dijkstra toward t with the

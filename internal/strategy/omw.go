@@ -24,7 +24,7 @@ import (
 func buildOMW(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 	plane1 := g.Clone()
 	plane1.SetWeights(localsearch.InverseCapacityWeights(g))
-	plane2, ls, err := localsearch.Reweight(g, box, cfg.AdvIters, cfg.Seed)
+	plane2, err := localsearch.Reweight(g, box, cfg.AdvIters, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +73,7 @@ func buildOMW(cfg Config, g *graph.Graph, box *demand.Box) (Plan, error) {
 		phi[t] = phiT
 	}
 	r := &pdrouting.Routing{G: g, DAGs: dags, Phi: phi}
-	return &staticPlan{r: r, cost: Cost{DAGEdges: dagEdges(r), Scenarios: len(ls.CriticalDMs)}}, nil
+	return &staticPlan{r}, nil
 }
 
 // downhill reports whether edge e strictly decreases the (dist, id)

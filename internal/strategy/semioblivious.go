@@ -58,28 +58,18 @@ func buildSemiOblivious(cfg Config, g *graph.Graph, box *demand.Box) (Plan, erro
 		return nil, fmt.Errorf("strategy: semi-oblivious rate LP infeasible at box max: %w", err)
 	}
 
-	p := &semiObliviousPlan{
+	return &semiObliviousPlan{
 		g:       g,
 		support: support,
 		static:  static.Routing,
 		model:   model,
-		cost: Cost{
-			DAGEdges:  0,
-			Adaptive:  true,
-			Scenarios: len(static.Critical),
-		},
-	}
-	for _, d := range support {
-		p.cost.DAGEdges += d.NumEdges()
-	}
-	return p, nil
+	}, nil
 }
 
 type semiObliviousPlan struct {
 	g       *graph.Graph
 	support []*dagx.DAG
 	static  *pdrouting.Routing
-	cost    Cost
 
 	mu    sync.Mutex
 	model *mcf.MinMLUModel
@@ -88,8 +78,6 @@ type semiObliviousPlan struct {
 func (p *semiObliviousPlan) Route(*demand.Matrix) (*pdrouting.Routing, error) {
 	return p.static, nil
 }
-
-func (p *semiObliviousPlan) Cost() Cost { return p.cost }
 
 // Adapt re-solves the rates on the fixed oblivious path sets for dm and
 // returns whichever of (adapted, static) has the lower max utilization on

@@ -46,8 +46,3 @@ func Coyote(ctx context.Context, g *graph.Graph, box *demand.Box, cfg Config) (*
 
 // Route returns the oblivious routing for every matrix.
 func (p *Solved) Route(*demand.Matrix) (*pdrouting.Routing, error) { return p.Routing, nil }
-
-// Cost reports the installed DAG state and the scenarios the loop gathered.
-func (p *Solved) Cost() Cost {
-	return Cost{DAGEdges: dagEdges(p.Routing), Scenarios: len(p.Critical)}
-}

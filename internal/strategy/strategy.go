@@ -30,28 +30,11 @@ import (
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
-// Cost is deterministic plan metadata: what the plan costs a network to
-// hold and to run, independent of wall clock (timings go to obs metrics so
-// golden results stay byte-stable).
-type Cost struct {
-	// DAGEdges is the total member-edge count across all destination DAGs —
-	// the forwarding state a router fleet must install.
-	DAGEdges int
-	// Adaptive reports whether the plan re-solves per observed matrix
-	// (either a per-matrix Route or an online Adapt).
-	Adaptive bool
-	// Scenarios counts the adversarial demand scenarios accumulated while
-	// building (0 for closed-form strategies).
-	Scenarios int
-}
-
 // Plan is a built routing policy for one (topology, box).
 type Plan interface {
 	// Route returns the routing the plan uses for dm. Static plans ignore
 	// dm; per-matrix plans (the OPT oracle) solve for it.
 	Route(dm *demand.Matrix) (*pdrouting.Routing, error)
-	// Cost reports deterministic plan metadata.
-	Cost() Cost
 }
 
 // Adapter is the optional online-rate interface: Adapt keeps the plan's
@@ -170,20 +153,7 @@ func Apply(name string, p Plan, dm *demand.Matrix) (*pdrouting.Routing, error) {
 	return p.Route(dm)
 }
 
-// dagEdges sums member edges across a routing's destination DAGs.
-func dagEdges(r *pdrouting.Routing) int {
-	n := 0
-	for _, d := range r.DAGs {
-		n += d.NumEdges()
-	}
-	return n
-}
-
 // staticPlan wraps a fixed routing.
-type staticPlan struct {
-	r    *pdrouting.Routing
-	cost Cost
-}
+type staticPlan struct{ r *pdrouting.Routing }
 
 func (p *staticPlan) Route(*demand.Matrix) (*pdrouting.Routing, error) { return p.r, nil }
-func (p *staticPlan) Cost() Cost                                       { return p.cost }

@@ -133,31 +133,6 @@ func TestStrategyParity(t *testing.T) {
 	}
 }
 
-// TestCostMetadata pins the deterministic plan metadata the portfolio
-// reports: every plan installs at least one DAG edge, and the adaptive bit
-// matches the plan's actual interface.
-func TestCostMetadata(t *testing.T) {
-	g, box, _ := fixture(t)
-	for _, name := range Names() {
-		s, err := New(name, testConfig(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := Build(s, g, box)
-		if err != nil {
-			t.Fatalf("%s: Build: %v", name, err)
-		}
-		cost := plan.Cost()
-		if cost.DAGEdges <= 0 {
-			t.Errorf("%s: Cost().DAGEdges = %d, want > 0", name, cost.DAGEdges)
-		}
-		_, isAdapter := plan.(Adapter)
-		if isAdapter && !cost.Adaptive {
-			t.Errorf("%s: implements Adapter but Cost().Adaptive is false", name)
-		}
-	}
-}
-
 // TestSemiObliviousNeverWorse checks the Adapter contract on matrices across
 // the box: the adapted routing's max utilization never exceeds the static
 // oblivious routing's on the same matrix.

@@ -180,18 +180,3 @@ func (c *Cache) Put(e *Entry) error {
 	}
 	return os.Rename(tmp.Name(), path)
 }
-
-// Len counts the entries in the cache.
-func (c *Cache) Len() (int, error) {
-	n := 0
-	err := filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n, err
-}
