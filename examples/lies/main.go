@@ -7,6 +7,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/fibbing"
@@ -52,11 +54,12 @@ func main() {
 	fmt.Printf("synthesized %d fake nodes for %d destination(s)\n",
 		syn.FakeNodes, len(syn.LiedDestinations))
 
-	// Show what s1's FIB toward t looks like after the lies.
-	fibs := syn.LSDB.SPF(t)
+	// Show what s1's FIB toward t looks like after the lies, in next-hop
+	// order.
+	fib := syn.LSDB.SPF(t)[s1]
+	ratios := fib.Ratios()
 	fmt.Println("s1 FIB toward t (next-hop: ECMP multiplicity → realized split):")
-	for nh, mult := range fibs[s1] {
-		ratios := fibs[s1].Ratios()
-		fmt.Printf("  via %-3s multiplicity %d → %.3f\n", g.Name(nh), mult, ratios[nh])
+	for _, nh := range slices.Sorted(maps.Keys(fib)) {
+		fmt.Printf("  via %-3s multiplicity %d → %.3f\n", g.Name(nh), fib[nh], ratios[nh])
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/graph"
@@ -41,140 +42,44 @@ type Synthesis struct {
 // graph g. The input graph's weights are the real OSPF weights routers
 // already use.
 func Synthesize(g *graph.Graph, q *wcmp.QuantizedRouting) (*Synthesis, error) {
-	db := ospf.NewLSDB(g)
-	out := &Synthesis{LSDB: db}
-
-	// c < wmin/n makes every fake path shorter than any real alternative.
-	wmin := math.Inf(1)
-	for _, e := range g.Edges() {
-		if e.Weight < wmin {
-			wmin = e.Weight
-		}
-	}
-	n := g.NumNodes()
-	c := wmin / (2 * float64(n+1))
-
+	z := newRealizer(g, q)
 	for t := range q.Routing.DAGs {
 		dest := graph.NodeID(t)
-		// One shortest-path tree serves this destination's whole synthesis
-		// (target FIB derivation and the needs-lies check); when the DAG
-		// carries its construction-time distance field no Dijkstra runs at
-		// all.
-		tree := q.Routing.DAGs[t].Tree(g)
-		targets, err := targetFIBs(g, q, dest, tree)
-		if err != nil {
+		if err := z.targets(dest); err != nil {
 			return nil, err
 		}
-		if !needsLies(g, dest, targets, tree) {
-			continue
-		}
-		out.LiedDestinations = append(out.LiedDestinations, dest)
-		// Potential: position from the destination in reverse topological
-		// order of the target DAG (t gets 0).
-		d := q.Routing.DAGs[t]
-		L := make([]int, n)
-		rank := 1
-		for i := len(d.Order) - 1; i >= 0; i-- {
-			u := d.Order[i]
-			if u == dest {
-				L[u] = 0
-				continue
-			}
-			L[u] = rank
-			rank++
-		}
-		for u := 0; u < n; u++ {
-			if graph.NodeID(u) == dest || targets[u] == nil {
-				continue
-			}
-			total := c * float64(L[u])
-			for nh, mult := range targets[u] {
-				for k := 0; k < mult; k++ {
-					f := ospf.FakeNode{
-						Name:     fmt.Sprintf("fake-t%d-u%d-v%d-%d", t, u, nh, k),
-						Attached: graph.NodeID(u),
-						MapsTo:   nh,
-						Dest:     dest,
-						CostUp:   total / 2,
-						CostDown: total / 2,
-					}
-					if err := db.Inject(f); err != nil {
-						return nil, err
-					}
-					out.FakeNodes++
-				}
-			}
+		if err := z.synthesize(dest); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return z.finish(), nil
 }
 
-// targetFIBs derives, per router, the desired next-hop multiplicity map
-// toward dest. Routers whose quantized multiplicities are all zero (no
-// traffic shaped through them) fall back to their shortest-path next-hops
-// so that they still forward deterministically. The caller provides the
-// destination's shortest-path tree so it is computed (at most) once per
-// destination and shared across the synthesis passes.
-func targetFIBs(g *graph.Graph, q *wcmp.QuantizedRouting, dest graph.NodeID, tree *spf.Tree) ([]ospf.FIB, error) {
-	n := g.NumNodes()
-	d := q.Routing.DAGs[dest]
-	fibs := make([]ospf.FIB, n)
-	var hopBuf []graph.EdgeID
-	for u := 0; u < n; u++ {
-		if graph.NodeID(u) == dest {
-			continue
+// Verify checks that running SPF over the synthesized LSDB reproduces the
+// quantized routing exactly: every router's realized FIB multiset equals
+// the target derived from q. It returns the first discrepancy found.
+func Verify(g *graph.Graph, q *wcmp.QuantizedRouting, syn *Synthesis) error {
+	z := newRealizer(g, q)
+	for t := range q.Routing.DAGs {
+		dest := graph.NodeID(t)
+		if err := z.targets(dest); err != nil {
+			return err
 		}
-		fib := make(ospf.FIB)
-		for _, id := range d.OutEdges(g, graph.NodeID(u)) {
-			if m := q.Mult[dest][id]; m > 0 {
-				fib[g.Edge(id).To] += m
-			}
-		}
-		if len(fib) == 0 {
-			hopBuf = tree.AppendNextHops(hopBuf[:0], g, graph.NodeID(u))
-			for _, id := range hopBuf {
-				fib[g.Edge(id).To]++
-			}
-		}
-		if len(fib) == 0 {
-			if tree.Dist[u] == spf.Inf {
-				continue // genuinely unreachable
-			}
-			return nil, fmt.Errorf("fibbing: router %d has no forwarding entry toward %d", u, dest)
-		}
-		fibs[u] = fib
-	}
-	return fibs, nil
-}
-
-// needsLies reports whether the target differs from plain shortest-path
-// ECMP (equal multiplicity 1 on every SP next-hop), reusing the caller's
-// shortest-path tree for the destination.
-func needsLies(g *graph.Graph, dest graph.NodeID, targets []ospf.FIB, tree *spf.Tree) bool {
-	var hopBuf []graph.EdgeID
-	for u := 0; u < g.NumNodes(); u++ {
-		if graph.NodeID(u) == dest || targets[u] == nil {
-			continue
-		}
-		hopBuf = tree.AppendNextHops(hopBuf[:0], g, graph.NodeID(u))
-		if len(hopBuf) != len(targets[u]) {
-			return true
-		}
-		for _, id := range hopBuf {
-			if targets[u][g.Edge(id).To] != 1 {
-				return true
-			}
+		if err := z.verify(syn.LSDB, dest); err != nil {
+			return err
 		}
 	}
-	return false
+	return nil
 }
 
 // Realize is the one way a routing becomes lies: it quantizes r to at most
 // extraPerInterface virtual next-hops per interface (wcmp.Apply, per [18]),
 // synthesizes the fake-node LSAs over g, and verifies that SPF over the
-// synthesized LSDB reproduces the quantized forwarding exactly. When ctx
-// carries an obs.Tracer the quantization and the synthesis+verification each
-// record a span; otherwise no tracing work is done.
+// synthesized LSDB reproduces the quantized forwarding exactly. Synthesis
+// and verification share one workspace and run destination by destination,
+// so each destination's target FIBs are derived once. When ctx carries an
+// obs.Tracer the quantization and the synthesis+verification each record a
+// span; otherwise no tracing work is done.
 func Realize(ctx context.Context, g *graph.Graph, r *pdrouting.Routing, extraPerInterface int) (*wcmp.QuantizedRouting, *Synthesis, error) {
 	_, span := obs.StartSpan(ctx, "fibbing.quantize")
 	q, err := wcmp.Apply(r, extraPerInterface)
@@ -184,51 +89,243 @@ func Realize(ctx context.Context, g *graph.Graph, r *pdrouting.Routing, extraPer
 	}
 	_, span = obs.StartSpan(ctx, "fibbing.synthesize")
 	defer span.End()
-	syn, err := Synthesize(g, q)
-	if err != nil {
-		return nil, nil, err
+	z := newRealizer(g, q)
+	for t := range q.Routing.DAGs {
+		dest := graph.NodeID(t)
+		if err := z.targets(dest); err != nil {
+			return nil, nil, err
+		}
+		if err := z.synthesize(dest); err != nil {
+			return nil, nil, err
+		}
+		// Lies are scoped to their destination, so dest's fakes are all
+		// the LSDB holds that SPF toward dest can see.
+		if err := z.verify(z.syn.LSDB, dest); err != nil {
+			return nil, nil, fmt.Errorf("fibbing: lie verification failed: %w", err)
+		}
 	}
-	if err := Verify(g, q, syn); err != nil {
-		return nil, nil, fmt.Errorf("fibbing: lie verification failed: %w", err)
-	}
+	syn := z.finish()
 	span.Attr("fake_nodes", syn.FakeNodes)
 	return q, syn, nil
 }
 
-// Verify checks that running SPF over the synthesized LSDB reproduces the
-// quantized routing exactly: every router's realized FIB multiset equals
-// the target derived from q. It returns the first discrepancy found.
-func Verify(g *graph.Graph, q *wcmp.QuantizedRouting, syn *Synthesis) error {
-	for t := range q.Routing.DAGs {
-		dest := graph.NodeID(t)
-		targets, err := targetFIBs(g, q, dest, q.Routing.DAGs[t].Tree(g))
-		if err != nil {
-			return err
+// realizer is the workspace of one realization of q over g: the flat
+// buffers that Synthesize, Verify and Realize reuse from one destination to
+// the next. It is not safe for concurrent use.
+type realizer struct {
+	g *graph.Graph
+	q *wcmp.QuantizedRouting
+	// c < wmin/n makes every fake path shorter than any real alternative.
+	c   float64
+	syn *Synthesis
+
+	// tgt[tgtStart[u]:tgtStart[u+1]] is router u's target FIB toward the
+	// current destination, tree that destination's shortest-path tree.
+	tgtStart []int32
+	tgt      []ospf.Hop
+	tree     *spf.Tree
+	hops     []graph.EdgeID // next-hop scratch
+	rank     []int          // the potential L of the current destination
+
+	// names holds the fake-node names back to back, in injection order;
+	// nameEnd[i] is where the i-th one ends. finish slices every Name out
+	// of one string copy of names.
+	names   []byte
+	nameEnd []int32
+
+	spf ospf.Workspace
+}
+
+func newRealizer(g *graph.Graph, q *wcmp.QuantizedRouting) *realizer {
+	wmin := math.Inf(1)
+	for _, e := range g.Edges() {
+		if e.Weight < wmin {
+			wmin = e.Weight
 		}
-		realized := syn.LSDB.SPF(dest)
-		for u := 0; u < g.NumNodes(); u++ {
-			if graph.NodeID(u) == dest {
-				continue
+	}
+	n := g.NumNodes()
+	return &realizer{
+		g:        g,
+		q:        q,
+		c:        wmin / (2 * float64(n+1)),
+		syn:      &Synthesis{LSDB: ospf.NewLSDB(g)},
+		tgtStart: make([]int32, n+1),
+		rank:     make([]int, n),
+	}
+}
+
+// target is router u's target FIB toward the current destination.
+func (z *realizer) target(u int) []ospf.Hop {
+	return z.tgt[z.tgtStart[u]:z.tgtStart[u+1]]
+}
+
+// targets derives, per router, the desired FIB toward dest: the quantized
+// multiplicities of its DAG out-edges, merged per next hop in DAG out-edge
+// order. Routers whose quantized multiplicities are all zero (no traffic
+// shaped through them) fall back to their shortest-path next-hops so that
+// they still forward deterministically. One shortest-path tree serves the
+// destination's whole synthesis and verification; when the DAG carries its
+// construction-time distance field no Dijkstra runs at all.
+func (z *realizer) targets(dest graph.NodeID) error {
+	g := z.g
+	d := z.q.Routing.DAGs[dest]
+	mult := z.q.Mult[dest]
+	z.tree = d.Tree(g)
+	z.tgt = z.tgt[:0]
+	for u := 0; u < g.NumNodes(); u++ {
+		lo := len(z.tgt)
+		z.tgtStart[u] = int32(lo)
+		if graph.NodeID(u) == dest {
+			continue
+		}
+		for _, id := range d.OutEdges(g, graph.NodeID(u)) {
+			if m := mult[id]; m > 0 {
+				z.tgt = ospf.AddHop(z.tgt, lo, g.Edge(id).To, m)
 			}
-			want := targets[u]
-			got := realized[u]
-			if want == nil && got == nil {
-				continue
+		}
+		if len(z.tgt) == lo {
+			z.hops = z.tree.AppendNextHops(z.hops[:0], g, graph.NodeID(u))
+			for _, id := range z.hops {
+				z.tgt = ospf.AddHop(z.tgt, lo, g.Edge(id).To, 1)
 			}
-			if (want == nil) != (got == nil) {
-				return fmt.Errorf("fibbing: router %d toward %d: fib presence mismatch (want %v, got %v)", u, dest, want, got)
+		}
+		if len(z.tgt) == lo && z.tree.Dist[u] != spf.Inf {
+			return fmt.Errorf("fibbing: router %d has no forwarding entry toward %d", u, dest)
+		}
+	}
+	z.tgtStart[g.NumNodes()] = int32(len(z.tgt))
+	return nil
+}
+
+// needsLies reports whether the current target differs from plain
+// shortest-path ECMP toward dest (equal multiplicity 1 on every SP
+// next-hop).
+func (z *realizer) needsLies(dest graph.NodeID) bool {
+	g := z.g
+	for u := 0; u < g.NumNodes(); u++ {
+		want := z.target(u)
+		if len(want) == 0 {
+			continue
+		}
+		z.hops = z.tree.AppendNextHops(z.hops[:0], g, graph.NodeID(u))
+		if len(z.hops) != len(want) {
+			return true
+		}
+		for _, id := range z.hops {
+			if multOf(want, g.Edge(id).To) != 1 {
+				return true
 			}
-			if len(want) != len(got) {
-				return fmt.Errorf("fibbing: router %d toward %d: %d next-hops realized, want %d", u, dest, len(got), len(want))
-			}
-			for nh, m := range want {
-				if got[nh] != m {
-					return fmt.Errorf("fibbing: router %d toward %d: next-hop %d multiplicity %d, want %d", u, dest, nh, got[nh], m)
+		}
+	}
+	return false
+}
+
+// synthesize injects dest's lies when its target needs any: per router, one
+// fake node per target FIB slot, in (router, next hop, replica) order, all
+// at total cost c·L(u). The fakes are named by finish.
+func (z *realizer) synthesize(dest graph.NodeID) error {
+	if !z.needsLies(dest) {
+		return nil
+	}
+	g, db := z.g, z.syn.LSDB
+	z.syn.LiedDestinations = append(z.syn.LiedDestinations, dest)
+	// Potential: position from the destination in reverse topological
+	// order of the target DAG (t gets 0).
+	d := z.q.Routing.DAGs[dest]
+	L := z.rank
+	clear(L)
+	rank := 1
+	for i := len(d.Order) - 1; i >= 0; i-- {
+		if u := d.Order[i]; u != dest {
+			L[u] = rank
+			rank++
+		}
+	}
+	slots := 0
+	for _, h := range z.tgt {
+		slots += h.Mult
+	}
+	db.Fakes[dest] = make([]ospf.FakeNode, 0, slots)
+	for u := 0; u < g.NumNodes(); u++ {
+		total := z.c * float64(L[u])
+		for _, h := range z.target(u) {
+			for k := 0; k < h.Mult; k++ {
+				lo := len(z.names)
+				z.names = append(z.names, "fake-t"...)
+				z.names = strconv.AppendInt(z.names, int64(dest), 10)
+				z.names = append(z.names, "-u"...)
+				z.names = strconv.AppendInt(z.names, int64(u), 10)
+				z.names = append(z.names, "-v"...)
+				z.names = strconv.AppendInt(z.names, int64(h.To), 10)
+				z.names = append(z.names, '-')
+				z.names = strconv.AppendInt(z.names, int64(k), 10)
+				z.nameEnd = append(z.nameEnd, int32(len(z.names)))
+				f := ospf.FakeNode{
+					Attached: graph.NodeID(u),
+					MapsTo:   h.To,
+					Dest:     dest,
+					CostUp:   total / 2,
+					CostDown: total / 2,
 				}
+				if err := db.Inject(f); err != nil {
+					return fmt.Errorf("fibbing: %s: %w", z.names[lo:], err)
+				}
+				z.syn.FakeNodes++
 			}
 		}
 	}
 	return nil
+}
+
+// finish names every injected fake, slicing its name out of one string,
+// and returns the synthesis. The Synthesis and every FakeNode copied from
+// it share that string.
+func (z *realizer) finish() *Synthesis {
+	all := string(z.names)
+	i, lo := 0, int32(0)
+	for _, dest := range z.syn.LiedDestinations {
+		fakes := z.syn.LSDB.Fakes[dest]
+		for j := range fakes {
+			fakes[j].Name = all[lo:z.nameEnd[i]]
+			lo = z.nameEnd[i]
+			i++
+		}
+	}
+	return z.syn
+}
+
+// verify runs SPF toward dest over db and compares every router's realized
+// FIB with its target: presence, next-hop count and each multiplicity.
+func (z *realizer) verify(db *ospf.LSDB, dest graph.NodeID) error {
+	z.spf.Run(db, dest)
+	for u := 0; u < z.g.NumNodes(); u++ {
+		want, got := z.target(u), z.spf.FIB(graph.NodeID(u))
+		if len(want) == 0 && len(got) == 0 {
+			continue
+		}
+		if (len(want) == 0) != (len(got) == 0) {
+			return fmt.Errorf("fibbing: router %d toward %d: fib presence mismatch (want %v, got %v)", u, dest, want, got)
+		}
+		if len(want) != len(got) {
+			return fmt.Errorf("fibbing: router %d toward %d: %d next-hops realized, want %d", u, dest, len(got), len(want))
+		}
+		for _, h := range want {
+			if m := multOf(got, h.To); m != h.Mult {
+				return fmt.Errorf("fibbing: router %d toward %d: next-hop %d multiplicity %d, want %d", u, dest, h.To, m, h.Mult)
+			}
+		}
+	}
+	return nil
+}
+
+// multOf is next hop to's multiplicity in fib, 0 when fib has no entry.
+func multOf(fib []ospf.Hop, to graph.NodeID) int {
+	for _, h := range fib {
+		if h.To == to {
+			return h.Mult
+		}
+	}
+	return 0
 }
 
 // RealizedRouting reads back the PD routing that SPF over db installs. Per
@@ -239,14 +336,22 @@ func Verify(g *graph.Graph, q *wcmp.QuantizedRouting, syn *Synthesis) error {
 func RealizedRouting(db *ospf.LSDB) (*pdrouting.Routing, error) {
 	g := db.G
 	r := pdrouting.NewZero(g, make([]*dagx.DAG, g.NumNodes()))
+	var ws ospf.Workspace
+	member := make([]bool, g.NumEdges())
 	for t := range r.DAGs {
 		dest := graph.NodeID(t)
-		fibs := db.SPF(dest)
-		member := make([]bool, g.NumEdges())
-		for u, fib := range fibs {
-			for v := range fib {
-				id, _ := g.FindEdge(graph.NodeID(u), v)
+		ws.Run(db, dest)
+		clear(member)
+		for u := 0; u < g.NumNodes(); u++ {
+			fib := ws.FIB(graph.NodeID(u))
+			total := 0
+			for _, h := range fib {
+				total += h.Mult
+			}
+			for _, h := range fib {
+				id, _ := g.FindEdge(graph.NodeID(u), h.To)
 				member[id] = true
+				r.Phi[t][id] = float64(h.Mult) / float64(total)
 			}
 		}
 		d, err := dagx.FromEdges(g, dest, member)
@@ -254,19 +359,6 @@ func RealizedRouting(db *ospf.LSDB) (*pdrouting.Routing, error) {
 			return nil, fmt.Errorf("fibbing: forwarding loop: %w", err)
 		}
 		r.DAGs[t] = d
-		for u, fib := range fibs {
-			if fib == nil {
-				continue
-			}
-			ratios := make(map[graph.EdgeID]float64, len(fib))
-			for v, x := range fib.Ratios() {
-				id, _ := g.FindEdge(graph.NodeID(u), v)
-				ratios[id] = x
-			}
-			if err := r.SetRatios(dest, graph.NodeID(u), ratios); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return r, nil
 }

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -154,5 +155,52 @@ func TestRealizeFailRecoverChurnPin(t *testing.T) {
 	}
 	if d := Diff(normal, recovered); d.Churn() != 0 {
 		t.Fatalf("recovery left churn %d against the intact lie set", d.Churn())
+	}
+}
+
+// TestSynthesizeIsDeterministic: two syntheses of the same quantized
+// routing inject the same fakes in the same order, so their LSDBs are deeply
+// equal (each destination's fakes in router, DAG out-edge, replica order).
+func TestSynthesizeIsDeterministic(t *testing.T) {
+	g := pinGraph(t, "Geant")
+	q, err := wcmp.Apply(pinRouting(g), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Synthesize(g, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Synthesize(g, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.LSDB, b.LSDB) {
+		t.Fatal("two syntheses of one quantized routing gave different LSDBs")
+	}
+}
+
+// BenchmarkRealize times one Realize(…, 3) of the fixed routing on Geant
+// and on the scale benchmark's BA graph; run it with -benchmem.
+func BenchmarkRealize(b *testing.B) {
+	for _, name := range []string{"Geant", "ba42"} {
+		b.Run(name, func(b *testing.B) {
+			var g *graph.Graph
+			if name == "ba42" {
+				var err error
+				if g, err = scen.Generate("ba", scen.Params{N: 42, M: 2, Seed: 2}); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				g = topo.MustLoad(name)
+			}
+			r := pinRouting(g)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := Realize(context.Background(), g, r, 3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ package ospf
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/spf"
@@ -83,18 +83,64 @@ func (db *LSDB) NumFakeNodes() int {
 	return n
 }
 
-// FIB is a router's forwarding table toward one destination: real next-hop
-// neighbor → ECMP multiplicity (number of equal-cost adjacencies resolving
-// to that neighbor, fake ones included).
-type FIB map[graph.NodeID]int
+// Hop is one FIB entry toward a destination: a real next-hop router and
+// its ECMP multiplicity, the number of equal-cost adjacencies (fake ones
+// included) that resolve to it.
+type Hop struct {
+	To   graph.NodeID
+	Mult int
+}
 
-// SPF runs the shortest-path-first computation every router performs over
-// the augmented LSDB for destination dest, and returns each router's FIB.
-// fibs[u] is nil for unreachable routers and for dest itself.
-func (db *LSDB) SPF(dest graph.NodeID) []FIB {
+// AddHop adds mult adjacencies toward to into the FIB run fib[lo:]: it
+// raises to's entry when the run has one and appends a new entry otherwise,
+// so each next hop appears once, in order of first appearance.
+func AddHop(fib []Hop, lo int, to graph.NodeID, mult int) []Hop {
+	for i := lo; i < len(fib); i++ {
+		if fib[i].To == to {
+			fib[i].Mult += mult
+			return fib
+		}
+	}
+	return append(fib, Hop{To: to, Mult: mult})
+}
+
+// Workspace is the caller-owned state of Run, the one SPF kernel over an
+// LSDB: the distance field, the heap, the destination's fakes indexed by
+// attached router, and every router's realized FIB as a run of Hops in one
+// slice. Its zero value is ready; Run sizes it to the LSDB's graph and
+// reuses it, so runs after the first allocate only when a FIB grows past
+// every earlier one. A run overwrites the previous run's output.
+type Workspace struct {
+	// Dist[u] is u's distance toward the last run's destination over the
+	// augmented LSDB, spf.Inf when u cannot reach it.
+	Dist []float64
+
+	heap      *spf.Heap
+	fibStart  []int32 // router u's FIB is fib[fibStart[u]:fibStart[u+1]]
+	fib       []Hop
+	fakeStart []int32 // the fakes attached to u are fakes[fakeIdx[fakeStart[u]:fakeStart[u+1]]]
+	fakeIdx   []int32
+}
+
+// Run is the SPF computation every router performs over the augmented LSDB
+// for destination dest. Distances land in ws.Dist and each router's FIB in
+// ws.FIB: next hops in g.Out order, then the next hops of the router's
+// fakes in injection order.
+func (ws *Workspace) Run(db *LSDB, dest graph.NodeID) {
 	g := db.G
 	n := g.NumNodes()
+	if len(ws.Dist) != n {
+		*ws = Workspace{
+			Dist:      make([]float64, n),
+			heap:      spf.NewHeap(n),
+			fibStart:  make([]int32, n+1),
+			fakeStart: make([]int32, n+1),
+			fib:       ws.fib,
+			fakeIdx:   ws.fakeIdx,
+		}
+	}
 	fakes := db.Fakes[dest]
+	ws.indexFakes(fakes)
 
 	// Distances toward dest over the augmented graph. Fake nodes only have
 	// the path f → dest (CostDown), so dist(f) = CostDown, and they are
@@ -104,12 +150,12 @@ func (db *LSDB) SPF(dest graph.NodeID) []FIB {
 	// against dist[dest]=0 (final immediately) lets a single reverse
 	// Dijkstra on the indexed heap cover the augmented graph without ever
 	// materializing the fake vertices.
-	dist := make([]float64, n)
+	dist := ws.Dist
 	for i := range dist {
-		dist[i] = math.Inf(1)
+		dist[i] = spf.Inf
 	}
 	dist[dest] = 0
-	h := spf.NewHeap(n)
+	h := ws.heap
 	h.DecreaseTo(dest, 0)
 	for _, f := range fakes {
 		if nd := f.CostUp + f.CostDown; nd < dist[f.Attached] {
@@ -128,30 +174,78 @@ func (db *LSDB) SPF(dest graph.NodeID) []FIB {
 		}
 	}
 
-	const tol = 1e-9
-	fibs := make([]FIB, n)
+	tree := spf.Tree{Dst: dest, Dist: dist}
+	fib := ws.fib[:0]
 	for u := 0; u < n; u++ {
-		if graph.NodeID(u) == dest || math.IsInf(dist[u], 1) {
+		lo := len(fib)
+		ws.fibStart[u] = int32(lo)
+		if graph.NodeID(u) == dest || dist[u] == spf.Inf {
 			continue
 		}
-		fib := make(FIB)
 		for _, id := range g.Out(graph.NodeID(u)) {
-			e := g.Edge(id)
-			if math.Abs(dist[u]-(e.Weight+dist[e.To])) <= tol*math.Max(1, dist[u]) {
-				fib[e.To]++
+			if e := g.Edge(id); tree.OnShortestPath(e) {
+				fib = AddHop(fib, lo, e.To, 1)
 			}
 		}
-		for _, f := range fakes {
-			if f.Attached != graph.NodeID(u) {
-				continue
-			}
-			if math.Abs(dist[u]-(f.CostUp+f.CostDown)) <= tol*math.Max(1, dist[u]) {
-				fib[f.MapsTo]++
+		for _, i := range ws.fakeIdx[ws.fakeStart[u]:ws.fakeStart[u+1]] {
+			if f := &fakes[i]; spf.OnPath(dist[u], f.CostUp, f.CostDown) {
+				fib = AddHop(fib, lo, f.MapsTo, 1)
 			}
 		}
-		if len(fib) > 0 {
-			fibs[u] = fib
+	}
+	ws.fibStart[n] = int32(len(fib))
+	ws.fib = fib
+}
+
+// indexFakes sorts the positions of fakes by attached router (a stable
+// counting sort into fakeStart/fakeIdx).
+func (ws *Workspace) indexFakes(fakes []FakeNode) {
+	start := ws.fakeStart
+	clear(start)
+	for _, f := range fakes {
+		start[f.Attached+1]++
+	}
+	for u := 1; u < len(start); u++ {
+		start[u] += start[u-1]
+	}
+	ws.fakeIdx = slices.Grow(ws.fakeIdx[:0], len(fakes))[:len(fakes)]
+	for i, f := range fakes {
+		ws.fakeIdx[start[f.Attached]] = int32(i)
+		start[f.Attached]++
+	}
+	// Each start[u] now holds u's end, which is start[u+1] before the fill.
+	copy(start[1:], start)
+	start[0] = 0
+}
+
+// FIB returns router u's FIB from the last Run: one Hop per next hop,
+// empty for the destination and for routers that cannot reach it. It is a
+// view of the workspace, valid until the next Run.
+func (ws *Workspace) FIB(u graph.NodeID) []Hop {
+	return ws.fib[ws.fibStart[u]:ws.fibStart[u+1]]
+}
+
+// FIB is a router's forwarding table toward one destination: real next-hop
+// neighbor → ECMP multiplicity (number of equal-cost adjacencies resolving
+// to that neighbor, fake ones included).
+type FIB map[graph.NodeID]int
+
+// SPF is Run as maps: each router's FIB toward dest. fibs[u] is nil for
+// unreachable routers and for dest itself.
+func (db *LSDB) SPF(dest graph.NodeID) []FIB {
+	var ws Workspace
+	ws.Run(db, dest)
+	fibs := make([]FIB, db.G.NumNodes())
+	for u := range fibs {
+		hops := ws.FIB(graph.NodeID(u))
+		if len(hops) == 0 {
+			continue
 		}
+		fib := make(FIB, len(hops))
+		for _, h := range hops {
+			fib[h.To] = h.Mult
+		}
+		fibs[u] = fib
 	}
 	return fibs
 }

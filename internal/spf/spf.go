@@ -93,12 +93,13 @@ func (t *Tree) OnShortestPath(e graph.Edge) bool {
 	if du == Inf || dv == Inf {
 		return false
 	}
-	return onPath(du, e.Weight, dv)
+	return OnPath(du, e.Weight, dv)
 }
 
-// onPath is the shortest-path test OnShortestPath applies to finite
-// distances: du equals w + dv within relTol.
-func onPath(du, w, dv float64) bool {
+// OnPath is the shortest-path test OnShortestPath applies to finite
+// distances: du equals w + dv within relTol. It is the one tie rule of the
+// repository; the LSDB SPF of package ospf applies it to fake paths too.
+func OnPath(du, w, dv float64) bool {
 	return math.Abs(du-(w+dv)) <= relTol*math.Max(1, du)
 }
 
@@ -116,10 +117,10 @@ func (t *Tree) UnaffectedBy(e graph.Edge, w float64) bool {
 	if dv == Inf {
 		return true
 	}
-	if du == Inf || onPath(du, e.Weight, dv) {
+	if du == Inf || OnPath(du, e.Weight, dv) {
 		return false
 	}
-	return w+dv > du && !onPath(du, w, dv)
+	return w+dv > du && !OnPath(du, w, dv)
 }
 
 // AppendNextHops appends u's ECMP next-hop edges toward the tree's

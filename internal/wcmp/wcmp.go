@@ -9,29 +9,31 @@ package wcmp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
-// Quantize finds integer multiplicities m_i ≤ maxMult approximating the
-// given ratios (non-negative, summing to ~1): it minimizes the maximum
-// absolute ratio error over all achievable total sums. Ratios below a
-// negligible mass may round to multiplicity zero (the next-hop is dropped);
-// at least one multiplicity is always positive (the largest ratio).
-func Quantize(ratios []float64, maxMult int) ([]int, error) {
+// quantize finds integer multiplicities m_i ≤ maxMult approximating the
+// given ratios (non-negative, summing to ~1) and writes them into best: it
+// minimizes the maximum absolute ratio error over all achievable total sums.
+// Ratios below a negligible mass may round to multiplicity zero (the
+// next-hop is dropped); at least one multiplicity is always positive (the
+// largest ratio). best and cand (scratch) have len(ratios) entries.
+func quantize(best, cand []int, ratios []float64, maxMult int) error {
 	if maxMult < 1 {
-		return nil, fmt.Errorf("wcmp: maxMult %d < 1", maxMult)
+		return fmt.Errorf("wcmp: maxMult %d < 1", maxMult)
 	}
 	k := len(ratios)
 	if k == 0 {
-		return nil, nil
+		return nil
 	}
 	sum := 0.0
 	argmax := 0
 	for i, r := range ratios {
 		if r < -1e-9 {
-			return nil, fmt.Errorf("wcmp: negative ratio %g", r)
+			return fmt.Errorf("wcmp: negative ratio %g", r)
 		}
 		sum += r
 		if r > ratios[argmax] {
@@ -39,12 +41,11 @@ func Quantize(ratios []float64, maxMult int) ([]int, error) {
 		}
 	}
 	if math.Abs(sum-1) > 1e-6 {
-		return nil, fmt.Errorf("wcmp: ratios sum to %g", sum)
+		return fmt.Errorf("wcmp: ratios sum to %g", sum)
 	}
-	best := make([]int, k)
+	clear(best)
 	best[argmax] = 1
 	bestErr := math.Inf(1)
-	cand := make([]int, k)
 	// Sweep over total FIB entries S; round each ratio to the nearest
 	// multiplicity, clamped to [0, maxMult], then repair the total by
 	// largest-remainder adjustments.
@@ -68,7 +69,7 @@ func Quantize(ratios []float64, maxMult int) ([]int, error) {
 			copy(best, cand)
 		}
 	}
-	return best, nil
+	return nil
 }
 
 func maxErr(ratios []float64, m []int, total int) float64 {
@@ -102,12 +103,17 @@ func Apply(r *pdrouting.Routing, extraPerInterface int) (*QuantizedRouting, erro
 	}
 	maxMult := extraPerInterface + 1
 	g := r.G
+	m := g.NumEdges()
 	out := &QuantizedRouting{
 		Routing: pdrouting.NewZero(g, r.DAGs),
 		Mult:    make([][]int, len(r.DAGs)),
 	}
+	mults := make([]int, len(r.DAGs)*m)
+	// One node's ratios and multiplicities, reused across nodes.
+	var ratios []float64
+	var best, cand []int
 	for t := range r.DAGs {
-		out.Mult[t] = make([]int, g.NumEdges())
+		out.Mult[t] = mults[t*m : (t+1)*m : (t+1)*m]
 		d := r.DAGs[t]
 		for u := 0; u < g.NumNodes(); u++ {
 			if u == t {
@@ -117,11 +123,11 @@ func Apply(r *pdrouting.Routing, extraPerInterface int) (*QuantizedRouting, erro
 			if len(edges) == 0 {
 				continue
 			}
-			ratios := make([]float64, len(edges))
+			ratios = ratios[:0]
 			sum := 0.0
-			for i, id := range edges {
-				ratios[i] = r.Phi[t][id]
-				sum += ratios[i]
+			for _, id := range edges {
+				ratios = append(ratios, r.Phi[t][id])
+				sum += r.Phi[t][id]
 			}
 			if sum <= 0 {
 				continue
@@ -129,19 +135,20 @@ func Apply(r *pdrouting.Routing, extraPerInterface int) (*QuantizedRouting, erro
 			for i := range ratios {
 				ratios[i] /= sum
 			}
-			mult, err := Quantize(ratios, maxMult)
-			if err != nil {
+			best = slices.Grow(best[:0], len(edges))[:len(edges)]
+			cand = slices.Grow(cand[:0], len(edges))[:len(edges)]
+			if err := quantize(best, cand, ratios, maxMult); err != nil {
 				return nil, fmt.Errorf("wcmp: node %d toward %d: %w", u, t, err)
 			}
 			total := 0
-			for _, m := range mult {
-				total += m
+			for _, x := range best {
+				total += x
 			}
 			for i, id := range edges {
-				out.Mult[t][id] = mult[i]
-				out.Routing.Phi[t][id] = float64(mult[i]) / float64(total)
-				if mult[i] > 1 {
-					out.VirtualLinks += mult[i] - 1
+				out.Mult[t][id] = best[i]
+				out.Routing.Phi[t][id] = float64(best[i]) / float64(total)
+				if best[i] > 1 {
+					out.VirtualLinks += best[i] - 1
 				}
 			}
 		}

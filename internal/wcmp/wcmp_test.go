@@ -11,10 +11,19 @@ import (
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
+// quantizeFresh is quantize on fresh buffers.
+func quantizeFresh(ratios []float64, maxMult int) ([]int, error) {
+	best := make([]int, len(ratios))
+	if err := quantize(best, make([]int, len(ratios)), ratios, maxMult); err != nil {
+		return nil, err
+	}
+	return best, nil
+}
+
 func TestQuantizeFig1d(t *testing.T) {
 	// The paper's Fig. 1d: ratios 2/3 and 1/3 realized with multiplicities
 	// 2 and 1 (one extra virtual link).
-	m, err := Quantize([]float64{2.0 / 3, 1.0 / 3}, 4)
+	m, err := quantizeFresh([]float64{2.0 / 3, 1.0 / 3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +34,7 @@ func TestQuantizeFig1d(t *testing.T) {
 }
 
 func TestQuantizeExactWhenRepresentable(t *testing.T) {
-	m, err := Quantize([]float64{0.5, 0.25, 0.25}, 4)
+	m, err := quantizeFresh([]float64{0.5, 0.25, 0.25}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,20 +50,20 @@ func TestQuantizeExactWhenRepresentable(t *testing.T) {
 }
 
 func TestQuantizeSingleNextHop(t *testing.T) {
-	m, err := Quantize([]float64{1}, 1)
+	m, err := quantizeFresh([]float64{1}, 1)
 	if err != nil || len(m) != 1 || m[0] != 1 {
 		t.Fatalf("m=%v err=%v, want [1]", m, err)
 	}
 }
 
 func TestQuantizeRejectsBadInput(t *testing.T) {
-	if _, err := Quantize([]float64{0.5, 0.5}, 0); err == nil {
+	if _, err := quantizeFresh([]float64{0.5, 0.5}, 0); err == nil {
 		t.Fatal("maxMult 0 should fail")
 	}
-	if _, err := Quantize([]float64{0.9, 0.3}, 3); err == nil {
+	if _, err := quantizeFresh([]float64{0.9, 0.3}, 3); err == nil {
 		t.Fatal("ratios summing to 1.2 should fail")
 	}
-	if _, err := Quantize([]float64{-0.1, 1.1}, 3); err == nil {
+	if _, err := quantizeFresh([]float64{-0.1, 1.1}, 3); err == nil {
 		t.Fatal("negative ratio should fail")
 	}
 }
@@ -76,7 +85,7 @@ func TestPropertyQuantizeConverges(t *testing.T) {
 		}
 		prevErr := math.Inf(1)
 		for _, mm := range []int{2, 4, 8, 16} {
-			m, err := Quantize(ratios, mm)
+			m, err := quantizeFresh(ratios, mm)
 			if err != nil {
 				return false
 			}
