@@ -30,6 +30,8 @@ import (
 )
 
 // Synthesis is the output of Synthesize: an augmented LSDB and bookkeeping.
+// Its fake nodes' names are slices of one string, shared with every
+// FakeNode copied out of it.
 type Synthesis struct {
 	LSDB *ospf.LSDB
 	// LiedDestinations lists destinations that required lies.
@@ -120,10 +122,10 @@ type realizer struct {
 	syn *Synthesis
 
 	// tgt[tgtStart[u]:tgtStart[u+1]] is router u's target FIB toward the
-	// current destination, tree that destination's shortest-path tree.
+	// current destination.
 	tgtStart []int32
 	tgt      []ospf.Hop
-	tree     *spf.Tree
+	tree     *spf.Tree      // the current destination's shortest-path tree
 	hops     []graph.EdgeID // next-hop scratch
 	rank     []int          // the potential L of the current destination
 

@@ -108,13 +108,13 @@ func AddHop(fib []Hop, lo int, to graph.NodeID, mult int) []Hop {
 // LSDB: the distance field, the heap, the destination's fakes indexed by
 // attached router, and every router's realized FIB as a run of Hops in one
 // slice. Its zero value is ready; Run sizes it to the LSDB's graph and
-// reuses it, so runs after the first allocate only when a FIB grows past
-// every earlier one. A run overwrites the previous run's output.
+// reuses it, so a later run allocates only when its FIBs or its
+// destination's fakes outgrow every earlier run's. A run overwrites the
+// previous run's output.
 type Workspace struct {
-	// Dist[u] is u's distance toward the last run's destination over the
+	// dist[u] is u's distance toward the last run's destination over the
 	// augmented LSDB, spf.Inf when u cannot reach it.
-	Dist []float64
-
+	dist      []float64
 	heap      *spf.Heap
 	fibStart  []int32 // router u's FIB is fib[fibStart[u]:fibStart[u+1]]
 	fib       []Hop
@@ -123,20 +123,19 @@ type Workspace struct {
 }
 
 // Run is the SPF computation every router performs over the augmented LSDB
-// for destination dest. Distances land in ws.Dist and each router's FIB in
-// ws.FIB: next hops in g.Out order, then the next hops of the router's
-// fakes in injection order.
+// for destination dest. Each router's FIB lands in ws.FIB: the next hops of
+// its real adjacencies in g.Out order, then those of its fakes in injection
+// order, each next hop once.
 func (ws *Workspace) Run(db *LSDB, dest graph.NodeID) {
 	g := db.G
 	n := g.NumNodes()
-	if len(ws.Dist) != n {
+	if len(ws.dist) != n {
 		*ws = Workspace{
-			Dist:      make([]float64, n),
+			dist:      make([]float64, n),
 			heap:      spf.NewHeap(n),
 			fibStart:  make([]int32, n+1),
 			fakeStart: make([]int32, n+1),
-			fib:       ws.fib,
-			fakeIdx:   ws.fakeIdx,
+			fib:       make([]Hop, 0, g.NumEdges()), // room for one next hop per edge
 		}
 	}
 	fakes := db.Fakes[dest]
@@ -150,7 +149,7 @@ func (ws *Workspace) Run(db *LSDB, dest graph.NodeID) {
 	// against dist[dest]=0 (final immediately) lets a single reverse
 	// Dijkstra on the indexed heap cover the augmented graph without ever
 	// materializing the fake vertices.
-	dist := ws.Dist
+	dist := ws.dist
 	for i := range dist {
 		dist[i] = spf.Inf
 	}

@@ -159,3 +159,49 @@ func TestLiesAreDestinationScoped(t *testing.T) {
 		t.Fatalf("s1 FIB toward v = %v, want direct v:1", fib)
 	}
 }
+
+// TestWorkspaceReuse: one Workspace run over every destination of two
+// LSDBs of different sizes, in alternation, gives each run the FIBs a fresh
+// SPF gives; parallel links to one neighbor merge into one entry.
+func TestWorkspaceReuse(t *testing.T) {
+	_, _, lied := fig1d(t)
+	g := graph.New()
+	g.AddNodes(5)
+	for i := 0; i < 5; i++ {
+		g.AddLink(graph.NodeID(i), graph.NodeID((i+1)%5), 1, 1)
+	}
+	g.AddLink(0, 1, 1, 1) // a parallel link: 0's FIB toward 1 holds 1 twice
+	ring := NewLSDB(g)
+	for _, f := range []FakeNode{
+		{Name: "a", Attached: 3, MapsTo: 4, Dest: 1, CostUp: 0.5, CostDown: 1.5},
+		{Name: "b", Attached: 3, MapsTo: 2, Dest: 1, CostUp: 1, CostDown: 1},
+		{Name: "c", Attached: 2, MapsTo: 3, Dest: 0, CostUp: 1, CostDown: 1},
+	} {
+		if err := ring.Inject(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fib := ring.SPF(1)[0]; len(fib) != 1 || fib[1] != 2 {
+		t.Fatalf("router 0 FIB toward 1 = %v, want 1:2", fib)
+	}
+	var ws Workspace
+	for round := 0; round < 2; round++ {
+		for _, db := range []*LSDB{ring, lied} {
+			for dest := 0; dest < db.G.NumNodes(); dest++ {
+				want := db.SPF(graph.NodeID(dest))
+				ws.Run(db, graph.NodeID(dest))
+				for u := range want {
+					got := ws.FIB(graph.NodeID(u))
+					if len(got) != len(want[u]) {
+						t.Fatalf("router %d toward %d: reused FIB %v, fresh %v", u, dest, got, want[u])
+					}
+					for _, h := range got {
+						if want[u][h.To] != h.Mult {
+							t.Fatalf("router %d toward %d: reused FIB %v, fresh %v", u, dest, got, want[u])
+						}
+					}
+				}
+			}
+		}
+	}
+}
