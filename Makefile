@@ -123,7 +123,9 @@ bench-counts:
 # replays bit for bit, keeps
 # 1 ≤ PERF ≤ ECMP PERF, rolls rejected operations back and keeps its
 # repaired DAGs equal to a cold build; for the weight search, that every
-# move's in-place evaluation equals a rebuild bit for bit).
+# move's in-place evaluation equals a rebuild bit for bit; for the LSA diff,
+# that it finds the name-keyed reference diff's sets and its replay proof
+# accepts it).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraphML$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSNDlib$$' -fuzztime 15s ./internal/scen
@@ -137,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUpdateBody$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionOps$$' -fuzztime 15s ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzMoveEval$$' -fuzztime 15s ./internal/localsearch
+	$(GO) test -run '^$$' -fuzz '^FuzzDiff$$' -fuzztime 15s ./internal/fibbing
 
 # smoke-examples builds and runs every examples/* binary (CI does the same
 # so examples cannot silently rot). gravitysweep is the slow one; the

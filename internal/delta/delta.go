@@ -196,8 +196,9 @@ type LieResult struct {
 	// Synthesis is the verified full LSDB augmentation.
 	Synthesis *fibbing.Synthesis
 	// Diff is the minimal LSA set transforming the previously emitted
-	// synthesis into this one (a full injection on first call), verified
-	// against the current topology.
+	// synthesis into this one (a full injection on first call), lies
+	// matched on their identity; replayed onto the previous lie set it
+	// gives this one exactly.
 	Diff *fibbing.LSADiff
 }
 
@@ -578,9 +579,11 @@ func (s *Session) resolve(kind EventKind, link graph.EdgeID) (Event, error) {
 
 // Lies synthesizes the fake-node LSAs realizing the current configuration
 // (quantized to extraPerInterface virtual next-hops per interface),
-// verifies them, and computes the minimal LSA diff against the previously
-// emitted lie set. The diff itself is verified: applying it to the
-// previous synthesis must reproduce the new forwarding exactly. The new
+// verifies that SPF over them reproduces the quantized forwarding, and
+// computes the minimal LSA diff against the previously emitted lie set.
+// The diff is proved by replay (fibbing.VerifyDiff): applied to the
+// previous lie set it must give the new one exactly, costs included, so it
+// realizes the forwarding the new lies were verified against. The new
 // synthesis becomes the next diff baseline.
 func (s *Session) Lies(extraPerInterface int) (*LieResult, error) {
 	s.mu.Lock()
@@ -594,7 +597,7 @@ func (s *Session) Lies(extraPerInterface int) (*LieResult, error) {
 		return nil, err
 	}
 	diff := fibbing.Diff(s.prevSyn, syn)
-	if err := fibbing.VerifyDiff(g, q, s.prevSyn, diff); err != nil {
+	if err := fibbing.VerifyDiff(s.prevSyn, syn, diff); err != nil {
 		return nil, fmt.Errorf("delta: diff verification failed: %w", err)
 	}
 	span.Attr("fake_nodes", syn.FakeNodes).Attr("churn", diff.Churn())

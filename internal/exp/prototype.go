@@ -38,8 +38,8 @@ func fig12(context.Context, Config) (*Table, error) {
 	// costs as much as the direct path, so the source splits evenly.
 	coyote := lsdb(1)
 	for _, f := range []ospf.FakeNode{
-		{Name: "lie-t1", Attached: s1, MapsTo: s2, Dest: t1, CostUp: 1, CostDown: 1},
-		{Name: "lie-t2", Attached: s2, MapsTo: s1, Dest: t2, CostUp: 1, CostDown: 1},
+		{Attached: s1, MapsTo: s2, Dest: t1, CostUp: 1, CostDown: 1},
+		{Attached: s2, MapsTo: s1, Dest: t2, CostUp: 1, CostDown: 1},
 	} {
 		if err := coyote.Inject(f); err != nil {
 			return nil, err

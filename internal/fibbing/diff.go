@@ -1,34 +1,34 @@
 package fibbing
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/ospf"
-	"github.com/coyote-te/coyote/internal/wcmp"
 )
 
 // LSA diffing: when the online controller recomputes a configuration, the
 // routers should not be asked to flush and re-learn the whole lie set —
-// only the LSAs that actually changed. Diff computes the minimal
-// add/remove/update set between two syntheses, VerifyDiff proves that
-// applying the diff to the previous LSDB realizes the next quantized routing
-// exactly, and Churn (the number of LSAs touched) is the reconfiguration
-// cost metric the operational literature cares about.
+// only the LSAs that actually changed. A lie is identified by what it is:
+// (destination, lied-to router, forwarding adjacency, replica). Diff
+// matches two lie sets on that identity, VerifyDiff proves the diff by
+// replaying it onto the previous lie set, and Churn (the number of LSAs
+// touched) is the reconfiguration cost metric the operational literature
+// cares about.
 
 // LSADiff is the minimal set of fake-node LSAs that must be injected,
 // withdrawn, or re-advertised to move a network from one synthesized lie
-// configuration to another. Fake nodes are identified by Name, which
-// encodes (destination, lied-to router, forwarding adjacency, replica
-// index) — the natural identity of a Fibbing LSA.
+// configuration to another. Each list is in identity order: destination,
+// lied-to router, forwarding adjacency, replica.
 type LSADiff struct {
 	// Add lists LSAs present only in the next synthesis.
 	Add []ospf.FakeNode
 	// Remove lists LSAs present only in the previous synthesis.
 	Remove []ospf.FakeNode
-	// Update lists LSAs present in both whose advertised costs (or
-	// forwarding adjacency) changed; entries carry the next values.
+	// Update lists LSAs present in both whose advertised costs changed;
+	// entries carry the next values.
 	Update []ospf.FakeNode
 }
 
@@ -36,120 +36,130 @@ type LSADiff struct {
 // This is the reconfiguration cost of moving between the two lie sets.
 func (d *LSADiff) Churn() int { return len(d.Add) + len(d.Remove) + len(d.Update) }
 
-// fakesByName flattens a synthesis's lie set into a name-keyed map. A nil
-// synthesis means "no lies" (the state before any synthesis was applied).
-func fakesByName(s *Synthesis) map[string]ospf.FakeNode {
-	out := make(map[string]ospf.FakeNode)
-	if s == nil {
-		return out
+// cmpLie orders lies by identity.
+func cmpLie(a, b ospf.FakeNode) int {
+	switch {
+	case a.Dest != b.Dest:
+		return cmp.Compare(a.Dest, b.Dest)
+	case a.Attached != b.Attached:
+		return cmp.Compare(a.Attached, b.Attached)
+	case a.MapsTo != b.MapsTo:
+		return cmp.Compare(a.MapsTo, b.MapsTo)
 	}
-	for _, fakes := range s.LSDB.Fakes {
-		for _, f := range fakes {
-			out[f.Name] = f
-		}
+	return cmp.Compare(a.Replica, b.Replica)
+}
+
+// lies copies s's lie set into one slice in identity order. A nil
+// synthesis is the empty lie set (the state before any synthesis was
+// applied).
+func lies(s *Synthesis) []ospf.FakeNode {
+	if s == nil {
+		return nil
+	}
+	db := s.LSDB
+	out := make([]ospf.FakeNode, 0, db.NumFakeNodes())
+	for t := range db.G.NumNodes() {
+		lo := len(out)
+		out = append(out, db.Fakes[graph.NodeID(t)]...)
+		slices.SortFunc(out[lo:], cmpLie)
 	}
 	return out
 }
 
-// sortFakes orders fake nodes deterministically (by destination, then
-// name), matching the ordering of Synthesis.Messages.
-func sortFakes(fs []ospf.FakeNode) {
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].Dest != fs[j].Dest {
-			return fs[i].Dest < fs[j].Dest
-		}
-		return fs[i].Name < fs[j].Name
-	})
-}
-
 // Diff computes the minimal add/remove/update LSA set transforming prev's
 // lie configuration into next's. Either synthesis may be nil (treated as
-// the empty lie set, so Diff(nil, s) is the full injection of s). The
-// result is deterministic: entries are sorted by destination then name.
+// the empty lie set, so Diff(nil, s) is the full injection of s).
 func Diff(prev, next *Synthesis) *LSADiff {
-	pm := fakesByName(prev)
-	nm := fakesByName(next)
-	d := &LSADiff{}
-	for name, nf := range nm {
-		pf, ok := pm[name]
-		if !ok {
-			d.Add = append(d.Add, nf)
-			continue
-		}
-		if pf != nf {
-			d.Update = append(d.Update, nf)
+	p, n := lies(prev), lies(next)
+	// Removals and additions are compacted into the fronts of p and n,
+	// which the merge has already read past.
+	d := &LSADiff{Remove: p[:0], Add: n[:0]}
+	i, j := 0, 0
+	for i < len(p) || j < len(n) {
+		switch {
+		case j == len(n) || i < len(p) && cmpLie(p[i], n[j]) < 0:
+			d.Remove = append(d.Remove, p[i])
+			i++
+		case i == len(p) || cmpLie(p[i], n[j]) > 0:
+			d.Add = append(d.Add, n[j])
+			j++
+		default:
+			if p[i] != n[j] {
+				d.Update = append(d.Update, n[j])
+			}
+			i, j = i+1, j+1
 		}
 	}
-	for name, pf := range pm {
-		if _, ok := nm[name]; !ok {
-			d.Remove = append(d.Remove, pf)
-		}
-	}
-	sortFakes(d.Add)
-	sortFakes(d.Remove)
-	sortFakes(d.Update)
 	return d
 }
 
-// ApplyDiff replays a diff on top of prev's lie set and materializes the
-// result as a synthesis over graph g (the topology of the *next*
-// configuration — node IDs must be consistent between the two, which
-// WithoutLinks-derived survivor graphs guarantee). It errors if the diff
-// does not fit prev (removing or updating an LSA that is not present,
-// adding one that is).
-func ApplyDiff(g *graph.Graph, prev *Synthesis, d *LSADiff) (*Synthesis, error) {
-	set := fakesByName(prev)
+// VerifyDiff proves that prev ⊕ d is next's lie set: it replays d onto
+// prev's lies — withdrawals, then re-advertisements, then injections — and
+// checks that the result equals next's lies exactly, costs included.
+// Withdrawing or re-advertising an absent lie is an error, and so is
+// injecting a present one. For a next that Realize has verified against a
+// routing, this is the proof that shipping d realizes that routing.
+func VerifyDiff(prev, next *Synthesis, d *LSADiff) error {
+	have, want := lies(prev), lies(next)
+	// gone[i] marks have[i] withdrawn; added[j] marks want[j] injected.
+	done := make([]bool, len(have)+len(want))
+	gone, added := done[:len(have)], done[len(have):]
+	find := func(f ospf.FakeNode) (int, bool) {
+		i, ok := slices.BinarySearchFunc(have, f, cmpLie)
+		return i, ok && !gone[i]
+	}
 	for _, f := range d.Remove {
-		if _, ok := set[f.Name]; !ok {
-			return nil, fmt.Errorf("fibbing: diff removes unknown LSA %q", f.Name)
+		i, ok := find(f)
+		if !ok {
+			return fmt.Errorf("fibbing: diff removes absent LSA %s", f.Name())
 		}
-		delete(set, f.Name)
+		gone[i] = true
 	}
 	for _, f := range d.Update {
-		if _, ok := set[f.Name]; !ok {
-			return nil, fmt.Errorf("fibbing: diff updates unknown LSA %q", f.Name)
+		i, ok := find(f)
+		if !ok {
+			return fmt.Errorf("fibbing: diff updates absent LSA %s", f.Name())
 		}
-		set[f.Name] = f
+		have[i] = f
 	}
 	for _, f := range d.Add {
-		if _, ok := set[f.Name]; ok {
-			return nil, fmt.Errorf("fibbing: diff adds duplicate LSA %q", f.Name)
+		if _, ok := find(f); ok {
+			return fmt.Errorf("fibbing: diff adds present LSA %s", f.Name())
 		}
-		set[f.Name] = f
-	}
-
-	db := ospf.NewLSDB(g)
-	out := &Synthesis{LSDB: db}
-	all := make([]ospf.FakeNode, 0, len(set))
-	for _, f := range set {
-		all = append(all, f)
-	}
-	sortFakes(all)
-	lied := make(map[graph.NodeID]bool)
-	for _, f := range all {
-		if err := db.Inject(f); err != nil {
-			return nil, err
+		j, ok := slices.BinarySearchFunc(want, f, cmpLie)
+		switch {
+		case !ok:
+			return fmt.Errorf("fibbing: diff adds LSA %s that the next lie set lacks", f.Name())
+		case added[j]:
+			return fmt.Errorf("fibbing: diff adds LSA %s twice", f.Name())
+		case want[j] != f:
+			return fmt.Errorf("fibbing: diff adds LSA %s at other costs than the next lie set", f.Name())
 		}
-		out.FakeNodes++
-		lied[f.Dest] = true
+		added[j] = true
 	}
-	for dest := range lied {
-		out.LiedDestinations = append(out.LiedDestinations, dest)
+	// What is left of prev's lies must be the rest of next's, in order.
+	j := 0
+	for i, f := range have {
+		if gone[i] {
+			continue
+		}
+		for j < len(want) && added[j] {
+			j++
+		}
+		switch {
+		case j == len(want) || cmpLie(f, want[j]) < 0:
+			return fmt.Errorf("fibbing: diff leaves LSA %s that the next lie set lacks", f.Name())
+		case cmpLie(f, want[j]) > 0:
+			return fmt.Errorf("fibbing: diff misses LSA %s of the next lie set", want[j].Name())
+		case f != want[j]:
+			return fmt.Errorf("fibbing: diff leaves LSA %s at other costs than the next lie set", f.Name())
+		}
+		j++
 	}
-	sort.Slice(out.LiedDestinations, func(i, j int) bool {
-		return out.LiedDestinations[i] < out.LiedDestinations[j]
-	})
-	return out, nil
-}
-
-// VerifyDiff proves that prev ⊕ d realizes q: it applies the diff to prev's
-// lie set over q's topology g and checks the result as Verify checks a
-// synthesis. For a diff toward a synthesis already verified against q, this
-// is the proof that the diff reproduces the next forwarding exactly.
-func VerifyDiff(g *graph.Graph, q *wcmp.QuantizedRouting, prev *Synthesis, d *LSADiff) error {
-	applied, err := ApplyDiff(g, prev, d)
-	if err != nil {
-		return err
+	for ; j < len(want); j++ {
+		if !added[j] {
+			return fmt.Errorf("fibbing: diff misses LSA %s of the next lie set", want[j].Name())
+		}
 	}
-	return Verify(g, q, applied)
+	return nil
 }

@@ -1,6 +1,7 @@
 package fibbing
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -11,8 +12,9 @@ import (
 	"github.com/coyote-te/coyote/internal/wcmp"
 )
 
-// synth quantizes and synthesizes a routing, failing the test on error.
-func synth(t *testing.T, g *graph.Graph, r *pdrouting.Routing) (*wcmp.QuantizedRouting, *Synthesis) {
+// synth quantizes, synthesizes and verifies a routing, failing the test on
+// error.
+func synth(t *testing.T, g *graph.Graph, r *pdrouting.Routing) *Synthesis {
 	t.Helper()
 	q, err := wcmp.Apply(r, 3)
 	if err != nil {
@@ -25,19 +27,19 @@ func synth(t *testing.T, g *graph.Graph, r *pdrouting.Routing) (*wcmp.QuantizedR
 	if err := Verify(g, q, syn); err != nil {
 		t.Fatal(err)
 	}
-	return q, syn
+	return syn
 }
 
 func TestDiffNoOpIsEmpty(t *testing.T) {
 	g, ids := fig1(t)
 	r := skewedRouting(t, g, ids)
-	_, a := synth(t, g, r)
-	q, b := synth(t, g, r)
+	a := synth(t, g, r)
+	b := synth(t, g, r)
 	d := Diff(a, b)
 	if d.Churn() != 0 {
 		t.Fatalf("identical syntheses produced non-empty diff (churn %d)", d.Churn())
 	}
-	if err := VerifyDiff(g, q, a, d); err != nil {
+	if err := VerifyDiff(a, b, d); err != nil {
 		t.Fatalf("no-op diff failed verification: %v", err)
 	}
 }
@@ -45,13 +47,13 @@ func TestDiffNoOpIsEmpty(t *testing.T) {
 func TestDiffFromNilIsFullInjection(t *testing.T) {
 	g, ids := fig1(t)
 	r := skewedRouting(t, g, ids)
-	q, s := synth(t, g, r)
+	s := synth(t, g, r)
 	d := Diff(nil, s)
 	if len(d.Add) != s.FakeNodes || len(d.Remove) != 0 || len(d.Update) != 0 {
 		t.Fatalf("diff from empty = %d adds %d removes %d updates, want %d/0/0",
 			len(d.Add), len(d.Remove), len(d.Update), s.FakeNodes)
 	}
-	if err := VerifyDiff(g, q, nil, d); err != nil {
+	if err := VerifyDiff(nil, s, d); err != nil {
 		t.Fatalf("full-injection diff failed verification: %v", err)
 	}
 }
@@ -74,7 +76,7 @@ func touchedDestinations(d *LSADiff) map[graph.NodeID]bool {
 func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 	g, ids := fig1(t)
 	r1 := skewedRouting(t, g, ids) // s1 → t split 2/3, 1/3
-	_, a := synth(t, g, r1)
+	a := synth(t, g, r1)
 
 	r2 := r1.Clone()
 	es1s2, _ := g.FindEdge(ids["s1"], ids["s2"])
@@ -82,7 +84,7 @@ func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 	if err := r2.SetRatios(ids["t"], ids["s1"], map[graph.EdgeID]float64{es1s2: 3.0 / 4, es1v: 1.0 / 4}); err != nil {
 		t.Fatal(err)
 	}
-	q, b := synth(t, g, r2)
+	b := synth(t, g, r2)
 
 	d := Diff(a, b)
 	if d.Churn() == 0 {
@@ -91,7 +93,7 @@ func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 	if touched := touchedDestinations(d); len(touched) != 1 || !touched[ids["t"]] {
 		t.Fatalf("diff touched destinations %v, want exactly [%d]", touched, ids["t"])
 	}
-	if err := VerifyDiff(g, q, a, d); err != nil {
+	if err := VerifyDiff(a, b, d); err != nil {
 		t.Fatalf("single-ratio diff failed verification: %v", err)
 	}
 	// The diff must be strictly smaller than a full re-injection.
@@ -106,23 +108,23 @@ func TestDiffSingleRatioChangeIsLocal(t *testing.T) {
 func TestDiffFailureRecoveryRoundTrip(t *testing.T) {
 	g, ids := fig1(t)
 	r := skewedRouting(t, g, ids)
-	_, normal := synth(t, g, r)
+	normal := synth(t, g, r)
 
 	// Fail the s2–t link: survivor keeps node IDs, re-derive a routing.
 	link, _ := g.FindEdge(ids["s2"], ids["t"])
 	survivor := g.WithoutLink(link)
 	sdags := dagx.BuildAll(survivor, dagx.Augmented)
-	qFailed, failedSyn := synth(t, survivor, pdrouting.Uniform(survivor, sdags))
+	failedSyn := synth(t, survivor, pdrouting.Uniform(survivor, sdags))
 
 	dFail := Diff(normal, failedSyn)
-	if err := VerifyDiff(survivor, qFailed, normal, dFail); err != nil {
+	if err := VerifyDiff(normal, failedSyn, dFail); err != nil {
 		t.Fatalf("failure diff failed verification: %v", err)
 	}
 
 	// Recover: synthesize the original routing again on the original graph.
-	qRecovered, recovered := synth(t, g, r)
+	recovered := synth(t, g, r)
 	dRecover := Diff(failedSyn, recovered)
-	if err := VerifyDiff(g, qRecovered, failedSyn, dRecover); err != nil {
+	if err := VerifyDiff(failedSyn, recovered, dRecover); err != nil {
 		t.Fatalf("recovery diff failed verification: %v", err)
 	}
 	if d := Diff(normal, recovered); d.Churn() != 0 {
@@ -144,7 +146,7 @@ func TestDiffVerifierOnCorpus(t *testing.T) {
 			g := topo.MustLoad(name)
 			dags := dagx.BuildAll(g, dagx.Augmented)
 			r1 := pdrouting.Uniform(g, dags)
-			_, a := synth(t, g, r1)
+			a := synth(t, g, r1)
 
 			// Skew the first node with ≥ 2 DAG out-edges toward destination 0.
 			r2 := r1.Clone()
@@ -175,9 +177,9 @@ func TestDiffVerifierOnCorpus(t *testing.T) {
 			if !skewed {
 				t.Skip("no multi-out-edge node found")
 			}
-			q, b := synth(t, g, r2)
+			b := synth(t, g, r2)
 			d := Diff(a, b)
-			if err := VerifyDiff(g, q, a, d); err != nil {
+			if err := VerifyDiff(a, b, d); err != nil {
 				t.Fatalf("%s: diff failed verification: %v", name, err)
 			}
 			for dst := range touchedDestinations(d) {
@@ -189,47 +191,50 @@ func TestDiffVerifierOnCorpus(t *testing.T) {
 	}
 }
 
-// TestApplyDiffRejectsMismatch: a diff that does not fit the base lie set
-// must be rejected rather than silently mis-applied.
-func TestApplyDiffRejectsMismatch(t *testing.T) {
-	g, ids := fig1(t)
-	r := skewedRouting(t, g, ids)
-	_, s := synth(t, g, r)
-	d := Diff(nil, s)
-	// Applying a pure-add diff on top of s itself duplicates every LSA.
-	if _, err := ApplyDiff(g, s, d); err == nil {
-		t.Fatal("expected duplicate-add rejection")
+// TestVerifyDiffRejects: on the NSF fail diff, which adds, removes and
+// updates LSAs, every diff that does not replay prev's lies into next's
+// exactly is rejected.
+func TestVerifyDiffRejects(t *testing.T) {
+	normal, failed := nsfFailLies(t)
+	d := Diff(normal, failed)
+	if len(d.Add) == 0 || len(d.Remove) == 0 || len(d.Update) == 0 {
+		t.Fatalf("fixture diff has %d adds %d removes %d updates; it must have all three", len(d.Add), len(d.Remove), len(d.Update))
 	}
-	// Removing from an empty set must fail too.
-	d2 := Diff(s, nil)
-	if _, err := ApplyDiff(g, nil, d2); err == nil {
-		t.Fatal("expected unknown-remove rejection")
+	type edit struct {
+		name       string
+		prev, next *Synthesis
+		d          LSADiff
 	}
-}
-
-// TestVerifyDiffRejectsDroppedAdd: a ratio change re-advertises the lies
-// toward one destination; a diff that leaves out any one of the LSAs it
-// injects does not realize the new routing.
-func TestVerifyDiffRejectsDroppedAdd(t *testing.T) {
-	g, ids := fig1(t)
-	r1 := skewedRouting(t, g, ids)
-	_, a := synth(t, g, r1)
-	r2 := r1.Clone()
-	es1s2, _ := g.FindEdge(ids["s1"], ids["s2"])
-	es1v, _ := g.FindEdge(ids["s1"], ids["v"])
-	if err := r2.SetRatios(ids["t"], ids["s1"], map[graph.EdgeID]float64{es1s2: 3.0 / 4, es1v: 1.0 / 4}); err != nil {
-		t.Fatal(err)
+	without := func(fs []ospf.FakeNode, i int) []ospf.FakeNode {
+		return slices.Delete(slices.Clone(fs), i, i+1)
 	}
-	q, b := synth(t, g, r2)
-	d := Diff(a, b)
-	if len(d.Add) == 0 {
-		t.Fatal("the ratio change adds no LSA; the fixture no longer exercises a dropped Add")
+	plus := func(fs []ospf.FakeNode, f ospf.FakeNode) []ospf.FakeNode {
+		return append(slices.Clone(fs), f)
 	}
+	var cases []edit
 	for i := range d.Add {
-		short := *d
-		short.Add = append(append([]ospf.FakeNode(nil), d.Add[:i]...), d.Add[i+1:]...)
-		if err := VerifyDiff(g, q, a, &short); err == nil {
-			t.Errorf("diff without Add %q verified", d.Add[i].Name)
+		cases = append(cases, edit{"drop an Add", normal, failed, LSADiff{without(d.Add, i), d.Remove, d.Update}})
+	}
+	for i := range d.Remove {
+		cases = append(cases, edit{"drop a Remove", normal, failed, LSADiff{d.Add, without(d.Remove, i), d.Update}})
+	}
+	for i := range d.Update {
+		cases = append(cases, edit{"drop an Update", normal, failed, LSADiff{d.Add, d.Remove, without(d.Update, i)}})
+		up := slices.Clone(d.Update)
+		up[i].CostDown *= 2
+		cases = append(cases, edit{"change an Update's cost", normal, failed, LSADiff{d.Add, d.Remove, up}})
+	}
+	cases = append(cases,
+		edit{"duplicate Add", normal, failed, LSADiff{plus(d.Add, d.Add[0]), d.Remove, d.Update}},
+		edit{"Add of a present lie", normal, failed, LSADiff{plus(d.Add, d.Update[0]), d.Remove, d.Update}},
+		edit{"Remove of an absent lie", normal, failed, LSADiff{d.Add, plus(d.Remove, d.Add[0]), d.Update}},
+		edit{"Update of an absent lie", normal, failed, LSADiff{d.Add, d.Remove, plus(d.Update, d.Add[0])}},
+		edit{"full injection over itself", normal, normal, *Diff(nil, normal)},
+		edit{"withdrawal from nothing", nil, nil, *Diff(normal, nil)},
+	)
+	for _, c := range cases {
+		if err := VerifyDiff(c.prev, c.next, &c.d); err == nil {
+			t.Errorf("%s: diff verified", c.name)
 		}
 	}
 }

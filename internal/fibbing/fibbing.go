@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/graph"
@@ -30,8 +29,6 @@ import (
 )
 
 // Synthesis is the output of Synthesize: an augmented LSDB and bookkeeping.
-// Its fake nodes' names are slices of one string, shared with every
-// FakeNode copied out of it.
 type Synthesis struct {
 	LSDB *ospf.LSDB
 	// LiedDestinations lists destinations that required lies.
@@ -54,7 +51,7 @@ func Synthesize(g *graph.Graph, q *wcmp.QuantizedRouting) (*Synthesis, error) {
 			return nil, err
 		}
 	}
-	return z.finish(), nil
+	return z.syn, nil
 }
 
 // Verify checks that running SPF over the synthesized LSDB reproduces the
@@ -106,9 +103,8 @@ func Realize(ctx context.Context, g *graph.Graph, r *pdrouting.Routing, extraPer
 			return nil, nil, fmt.Errorf("fibbing: lie verification failed: %w", err)
 		}
 	}
-	syn := z.finish()
-	span.Attr("fake_nodes", syn.FakeNodes)
-	return q, syn, nil
+	span.Attr("fake_nodes", z.syn.FakeNodes)
+	return q, z.syn, nil
 }
 
 // realizer is the workspace of one realization of q over g: the flat
@@ -128,12 +124,6 @@ type realizer struct {
 	tree     *spf.Tree      // the current destination's shortest-path tree
 	hops     []graph.EdgeID // next-hop scratch
 	rank     []int          // the potential L of the current destination
-
-	// names holds the fake-node names back to back, in injection order;
-	// nameEnd[i] is where the i-th one ends. finish slices every Name out
-	// of one string copy of names.
-	names   []byte
-	nameEnd []int32
 
 	spf ospf.Workspace
 }
@@ -224,7 +214,7 @@ func (z *realizer) needsLies(dest graph.NodeID) bool {
 
 // synthesize injects dest's lies when its target needs any: per router, one
 // fake node per target FIB slot, in (router, next hop, replica) order, all
-// at total cost c·L(u). The fakes are named by finish.
+// at total cost c·L(u).
 func (z *realizer) synthesize(dest graph.NodeID) error {
 	if !z.needsLies(dest) {
 		return nil
@@ -252,48 +242,22 @@ func (z *realizer) synthesize(dest graph.NodeID) error {
 		total := z.c * float64(L[u])
 		for _, h := range z.target(u) {
 			for k := 0; k < h.Mult; k++ {
-				lo := len(z.names)
-				z.names = append(z.names, "fake-t"...)
-				z.names = strconv.AppendInt(z.names, int64(dest), 10)
-				z.names = append(z.names, "-u"...)
-				z.names = strconv.AppendInt(z.names, int64(u), 10)
-				z.names = append(z.names, "-v"...)
-				z.names = strconv.AppendInt(z.names, int64(h.To), 10)
-				z.names = append(z.names, '-')
-				z.names = strconv.AppendInt(z.names, int64(k), 10)
-				z.nameEnd = append(z.nameEnd, int32(len(z.names)))
 				f := ospf.FakeNode{
 					Attached: graph.NodeID(u),
 					MapsTo:   h.To,
 					Dest:     dest,
+					Replica:  int32(k),
 					CostUp:   total / 2,
 					CostDown: total / 2,
 				}
 				if err := db.Inject(f); err != nil {
-					return fmt.Errorf("fibbing: %s: %w", z.names[lo:], err)
+					return err
 				}
 				z.syn.FakeNodes++
 			}
 		}
 	}
 	return nil
-}
-
-// finish names every injected fake, slicing its name out of one string,
-// and returns the synthesis. The Synthesis and every FakeNode copied from
-// it share that string.
-func (z *realizer) finish() *Synthesis {
-	all := string(z.names)
-	i, lo := 0, int32(0)
-	for _, dest := range z.syn.LiedDestinations {
-		fakes := z.syn.LSDB.Fakes[dest]
-		for j := range fakes {
-			fakes[j].Name = all[lo:z.nameEnd[i]]
-			lo = z.nameEnd[i]
-			i++
-		}
-	}
-	return z.syn
 }
 
 // verify runs SPF toward dest over db and compares every router's realized

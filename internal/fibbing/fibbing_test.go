@@ -265,8 +265,8 @@ func TestRealizedRoutingRejectsLoop(t *testing.T) {
 	g, ids := fig1(t)
 	db := ospf.NewLSDB(g)
 	for _, f := range []ospf.FakeNode{
-		{Name: "s1-to-v", Attached: ids["s1"], MapsTo: ids["v"], Dest: ids["t"], CostUp: 0.1, CostDown: 0.1},
-		{Name: "v-to-s1", Attached: ids["v"], MapsTo: ids["s1"], Dest: ids["t"], CostUp: 0.1, CostDown: 0.1},
+		{Attached: ids["s1"], MapsTo: ids["v"], Dest: ids["t"], CostUp: 0.1, CostDown: 0.1},
+		{Attached: ids["v"], MapsTo: ids["s1"], Dest: ids["t"], CostUp: 0.1, CostDown: 0.1},
 	} {
 		if err := db.Inject(f); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/ospf"
 )
 
 // Message is the wire-friendly form of one fake-node LSA, the "OSPF
@@ -35,11 +34,10 @@ func (s *Synthesis) Messages() []Message {
 	}
 	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
 	for _, d := range dests {
-		fakes := append([]ospf.FakeNode(nil), s.LSDB.Fakes[d]...)
-		sort.Slice(fakes, func(i, j int) bool { return fakes[i].Name < fakes[j].Name })
-		for _, f := range fakes {
+		lo := len(out)
+		for _, f := range s.LSDB.Fakes[d] {
 			out = append(out, Message{
-				Name:     f.Name,
+				Name:     f.Name(),
 				Dest:     g.Name(f.Dest),
 				Attached: g.Name(f.Attached),
 				MapsTo:   g.Name(f.MapsTo),
@@ -47,6 +45,8 @@ func (s *Synthesis) Messages() []Message {
 				CostDown: f.CostDown,
 			})
 		}
+		dm := out[lo:]
+		sort.Slice(dm, func(i, j int) bool { return dm[i].Name < dm[j].Name })
 	}
 	return out
 }

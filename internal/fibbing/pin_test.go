@@ -22,17 +22,25 @@ import (
 // 1 + (t + 3u + 5i) mod 4, so quantization needs replicas and most
 // destinations need lies.
 func pinRouting(g *graph.Graph) *pdrouting.Routing {
+	return skewedOver(g, func(t, u, i int) int { return 1 + (t+3*u+5*i)%4 })
+}
+
+// skewedOver is the routing over g's augmented DAGs in which router u splits
+// its traffic toward t over its i-th DAG out-edge in proportion to
+// weight(t, u, i), called once per (t, u, i) in that loop order.
+func skewedOver(g *graph.Graph, weight func(t, u, i int) int) *pdrouting.Routing {
 	dags := dagx.BuildAll(g, dagx.Augmented)
 	r := pdrouting.NewZero(g, dags)
 	for t, d := range dags {
 		for u := 0; u < g.NumNodes(); u++ {
 			out := d.OutEdges(g, graph.NodeID(u))
 			sum := 0.0
-			for i := range out {
-				sum += float64(1 + (t+3*u+5*i)%4)
-			}
 			for i, id := range out {
-				r.Phi[t][id] = float64(1+(t+3*u+5*i)%4) / sum
+				r.Phi[t][id] = float64(weight(t, u, i))
+				sum += r.Phi[t][id]
+			}
+			for _, id := range out {
+				r.Phi[t][id] /= sum
 			}
 		}
 	}
@@ -41,12 +49,12 @@ func pinRouting(g *graph.Graph) *pdrouting.Routing {
 
 // pinGraph loads a corpus topology, or the Barabási–Albert graph of the
 // scale benchmark (N 42, M 2, seed 2) for "ba42".
-func pinGraph(t *testing.T, name string) *graph.Graph {
-	t.Helper()
+func pinGraph(tb testing.TB, name string) *graph.Graph {
+	tb.Helper()
 	if name == "ba42" {
 		g, err := scen.Generate("ba", scen.Params{N: 42, M: 2, Seed: 2})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		return g
 	}
@@ -126,28 +134,37 @@ func TestRealizePins(t *testing.T) {
 	}
 }
 
+// realizePin realizes the fixed routing over g with 3 virtual next-hops per
+// interface.
+func realizePin(tb testing.TB, g *graph.Graph) *Synthesis {
+	tb.Helper()
+	_, syn, err := Realize(context.Background(), g, pinRouting(g), 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return syn
+}
+
+// nsfFailLies is the lie set of the fixed routing on NSF and on NSF without
+// its first link: the two ends of the pinned fail diff.
+func nsfFailLies(tb testing.TB) (normal, failed *Synthesis) {
+	tb.Helper()
+	g := pinGraph(tb, "NSF")
+	return realizePin(tb, g), realizePin(tb, g.WithoutLink(g.Links()[0]))
+}
+
 // TestRealizeFailRecoverChurnPin pins the LSA churn of one fail → recover
 // pair on NSF: the fixed routing over the intact graph, over the graph
 // without its first link, and over the intact graph again.
 func TestRealizeFailRecoverChurnPin(t *testing.T) {
 	const wantFail, wantRecover = 442, 442
-	g := pinGraph(t, "NSF")
-	realize := func(g *graph.Graph) (*wcmp.QuantizedRouting, *Synthesis) {
-		q, syn, err := Realize(context.Background(), g, pinRouting(g), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return q, syn
-	}
-	_, normal := realize(g)
-	survivor := g.WithoutLink(g.Links()[0])
-	qFailed, failed := realize(survivor)
-	qRecovered, recovered := realize(g)
+	normal, failed := nsfFailLies(t)
+	recovered := realizePin(t, pinGraph(t, "NSF"))
 	fail, recover := Diff(normal, failed), Diff(failed, recovered)
-	if err := VerifyDiff(survivor, qFailed, normal, fail); err != nil {
+	if err := VerifyDiff(normal, failed, fail); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyDiff(g, qRecovered, failed, recover); err != nil {
+	if err := VerifyDiff(failed, recovered, recover); err != nil {
 		t.Fatal(err)
 	}
 	if fail.Churn() != wantFail || recover.Churn() != wantRecover {
@@ -155,6 +172,22 @@ func TestRealizeFailRecoverChurnPin(t *testing.T) {
 	}
 	if d := Diff(normal, recovered); d.Churn() != 0 {
 		t.Fatalf("recovery left churn %d against the intact lie set", d.Churn())
+	}
+}
+
+// TestDiffAllocs caps the allocations of Diff + VerifyDiff on the NSF fail
+// diff (442 LSAs): each call copies each lie set once, and nothing is
+// allocated per lie.
+func TestDiffAllocs(t *testing.T) {
+	const maxAllocs = 64
+	normal, failed := nsfFailLies(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := VerifyDiff(normal, failed, Diff(normal, failed)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("Diff + VerifyDiff made %.0f allocations, want ≤ %d", allocs, maxAllocs)
 	}
 }
 
@@ -181,19 +214,12 @@ func TestSynthesizeIsDeterministic(t *testing.T) {
 }
 
 // BenchmarkRealize times one Realize(…, 3) of the fixed routing on Geant
-// and on the scale benchmark's BA graph; run it with -benchmem.
+// and on the scale benchmark's BA graph, then Diff and VerifyDiff of the NSF
+// fail diff; run it with -benchmem.
 func BenchmarkRealize(b *testing.B) {
 	for _, name := range []string{"Geant", "ba42"} {
 		b.Run(name, func(b *testing.B) {
-			var g *graph.Graph
-			if name == "ba42" {
-				var err error
-				if g, err = scen.Generate("ba", scen.Params{N: 42, M: 2, Seed: 2}); err != nil {
-					b.Fatal(err)
-				}
-			} else {
-				g = topo.MustLoad(name)
-			}
+			g := pinGraph(b, name)
 			r := pinRouting(g)
 			b.ReportAllocs()
 			for b.Loop() {
@@ -203,4 +229,20 @@ func BenchmarkRealize(b *testing.B) {
 			}
 		})
 	}
+	normal, failed := nsfFailLies(b)
+	d := Diff(normal, failed)
+	b.Run("Diff", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			Diff(normal, failed)
+		}
+	})
+	b.Run("VerifyDiff", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if err := VerifyDiff(normal, failed, d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -20,14 +20,22 @@ import (
 	"github.com/coyote-te/coyote/internal/spf"
 )
 
-// FakeNode is one injected lie, scoped to a single destination prefix.
+// FakeNode is one injected lie, scoped to a single destination prefix. Its
+// identity is (Dest, Attached, MapsTo, Replica); the costs are what it
+// advertises.
 type FakeNode struct {
-	Name     string       // diagnostic label
 	Attached graph.NodeID // the router being lied to
 	MapsTo   graph.NodeID // real neighbor the fake adjacency resolves to
 	Dest     graph.NodeID // destination (prefix owner) this lie is scoped to
+	Replica  int32        // which of Attached's equal lies toward MapsTo this is
 	CostUp   float64      // advertised cost Attached → fake node
 	CostDown float64      // advertised cost fake node → Dest
+}
+
+// Name renders f's identity as fake-t{Dest}-u{Attached}-v{MapsTo}-{Replica},
+// the label of its LSA in messages and errors.
+func (f FakeNode) Name() string {
+	return fmt.Sprintf("fake-t%d-u%d-v%d-%d", f.Dest, f.Attached, f.MapsTo, f.Replica)
 }
 
 // LSDB is a link-state database: the real topology plus per-destination
@@ -49,26 +57,26 @@ func NewLSDB(g *graph.Graph) *LSDB {
 // inside SPF), and the lie must not target its own attachment router.
 func (db *LSDB) Inject(f FakeNode) error {
 	if f.CostUp <= 0 || f.CostDown <= 0 {
-		return fmt.Errorf("ospf: fake node %q has non-positive costs", f.Name)
+		return fmt.Errorf("ospf: fake node %q has non-positive costs", f.Name())
 	}
 	n := graph.NodeID(db.G.NumNodes())
 	if f.Attached < 0 || f.Attached >= n {
-		return fmt.Errorf("ospf: fake node %q attached to out-of-range router %d (topology has %d nodes)", f.Name, f.Attached, n)
+		return fmt.Errorf("ospf: fake node %q attached to out-of-range router %d (topology has %d nodes)", f.Name(), f.Attached, n)
 	}
 	if f.Dest < 0 || f.Dest >= n {
-		return fmt.Errorf("ospf: fake node %q scoped to out-of-range destination %d (topology has %d nodes)", f.Name, f.Dest, n)
+		return fmt.Errorf("ospf: fake node %q scoped to out-of-range destination %d (topology has %d nodes)", f.Name(), f.Dest, n)
 	}
 	if f.MapsTo < 0 || f.MapsTo >= n {
-		return fmt.Errorf("ospf: fake node %q maps to out-of-range router %d (topology has %d nodes)", f.Name, f.MapsTo, n)
+		return fmt.Errorf("ospf: fake node %q maps to out-of-range router %d (topology has %d nodes)", f.Name(), f.MapsTo, n)
 	}
 	if f.Dest == f.Attached {
-		return fmt.Errorf("ospf: fake node %q lies to destination %d about itself", f.Name, f.Dest)
+		return fmt.Errorf("ospf: fake node %q lies to destination %d about itself", f.Name(), f.Dest)
 	}
 	if f.MapsTo == f.Attached {
-		return fmt.Errorf("ospf: fake node %q maps to its own router", f.Name)
+		return fmt.Errorf("ospf: fake node %q maps to its own router", f.Name())
 	}
 	if _, ok := db.G.FindEdge(f.Attached, f.MapsTo); !ok {
-		return fmt.Errorf("ospf: fake node %q maps to %d, not a neighbor of %d", f.Name, f.MapsTo, f.Attached)
+		return fmt.Errorf("ospf: fake node %q maps to %d, not a neighbor of %d", f.Name(), f.MapsTo, f.Attached)
 	}
 	db.Fakes[f.Dest] = append(db.Fakes[f.Dest], f)
 	return nil

@@ -27,7 +27,7 @@ func fig1d(t *testing.T) (*graph.Graph, map[string]graph.NodeID, *LSDB) {
 	// s1's real shortest paths to t cost 2 (via s2 and via v). A fake node
 	// at cost 1 + 1 ties with them and resolves to s2.
 	err := db.Inject(FakeNode{
-		Name: "f1", Attached: ids["s1"], MapsTo: ids["s2"], Dest: ids["t"],
+		Attached: ids["s1"], MapsTo: ids["s2"], Dest: ids["t"],
 		CostUp: 1, CostDown: 1,
 	})
 	if err != nil {
@@ -87,7 +87,7 @@ func TestFakeShortcutAttractsRemoteTraffic(t *testing.T) {
 		t.Fatalf("a FIB = %v, want c only", fib)
 	}
 	// Lie at b: fake path to d at cost 1. Now a's path via b costs 2 < 3.
-	if err := db.Inject(FakeNode{Name: "f", Attached: b, MapsTo: d, Dest: d, CostUp: 0.5, CostDown: 0.5}); err != nil {
+	if err := db.Inject(FakeNode{Attached: b, MapsTo: d, Dest: d, CostUp: 0.5, CostDown: 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	fibs = db.SPF(d)
@@ -173,9 +173,9 @@ func TestWorkspaceReuse(t *testing.T) {
 	g.AddLink(0, 1, 1, 1) // a parallel link: 0's FIB toward 1 holds 1 twice
 	ring := NewLSDB(g)
 	for _, f := range []FakeNode{
-		{Name: "a", Attached: 3, MapsTo: 4, Dest: 1, CostUp: 0.5, CostDown: 1.5},
-		{Name: "b", Attached: 3, MapsTo: 2, Dest: 1, CostUp: 1, CostDown: 1},
-		{Name: "c", Attached: 2, MapsTo: 3, Dest: 0, CostUp: 1, CostDown: 1},
+		{Attached: 3, MapsTo: 4, Dest: 1, CostUp: 0.5, CostDown: 1.5},
+		{Attached: 3, MapsTo: 2, Dest: 1, CostUp: 1, CostDown: 1},
+		{Attached: 2, MapsTo: 3, Dest: 0, CostUp: 1, CostDown: 1},
 	} {
 		if err := ring.Inject(f); err != nil {
 			t.Fatal(err)

@@ -92,7 +92,9 @@ func (s *Session) FailedLinks() []EdgeID { return s.s.FailedLinks() }
 func (s *Session) Events() []RecomputeEvent { return s.s.Events() }
 
 // LieUpdate is a verified lie configuration for the session's current
-// state plus the minimal LSA delta against the previously emitted one.
+// state plus the minimal LSA delta against the previously emitted one,
+// lies matched on their identity (destination, lied-to router, forwarding
+// adjacency, replica).
 type LieUpdate struct {
 	LieSet
 	// Added/Removed/Updated count the LSAs a Fibbing controller must
@@ -107,8 +109,9 @@ func (u *LieUpdate) Churn() int { return u.Added + u.Removed + u.Updated }
 
 // Lies synthesizes and verifies the lie set realizing the current
 // configuration (as Config.Lies) and diffs it against the session's
-// previously emitted lie set; the diff itself is verified to reproduce the
-// new forwarding exactly when applied on top of the old lie set.
+// previously emitted lie set; the diff is verified by replay: applied on
+// top of the old lie set it gives the new one exactly, so it reproduces
+// the new forwarding.
 func (s *Session) Lies(extraPerInterface int) (*LieUpdate, error) {
 	res, err := s.s.Lies(extraPerInterface)
 	if err != nil {
