@@ -125,7 +125,9 @@ bench-counts:
 # repaired DAGs equal to a cold build; for the weight search, that every
 # move's in-place evaluation equals a rebuild bit for bit; for the LSA diff,
 # that it finds the name-keyed reference diff's sets and its replay proof
-# accepts it).
+# accepts it; for the exact adversary, that PerfExact's cutting planes reach
+# the slave-LP oracle's PERF to 1e-9 under random Abilene splitting ratios
+# and margins).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraphML$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSNDlib$$' -fuzztime 15s ./internal/scen
@@ -140,6 +142,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionOps$$' -fuzztime 15s ./internal/delta
 	$(GO) test -run '^$$' -fuzz '^FuzzMoveEval$$' -fuzztime 15s ./internal/localsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzDiff$$' -fuzztime 15s ./internal/fibbing
+	$(GO) test -run '^$$' -fuzz '^FuzzPerfExact$$' -fuzztime 15s ./internal/oblivious
 
 # smoke-examples builds and runs every examples/* binary (CI does the same
 # so examples cannot silently rot). gravitysweep is the slow one; the

@@ -105,7 +105,7 @@ var ErrUnknownID = errors.New("unknown experiment ID")
 //	fig12          — Fig. 12: §VII prototype emulation
 //	table1         — Table I: corpus × margin sweep, margins 1–5
 //	ablation-dag   — DAG-augmentation ablation (Geant)
-//	ablation-adv   — sampled vs exact slave-LP adversary (Abilene)
+//	ablation-adv   — sampled vs exact (cutting-plane) adversary (Abilene)
 //	failover       — per-link failure configurations (NSF)
 //	negative-np    — Theorem 1 NP-hardness gadget
 //	negative-path  — Theorem 4 path lower bound

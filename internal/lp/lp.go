@@ -1,7 +1,8 @@
 // Package lp is a self-contained linear-programming stack used wherever the
 // paper relies on an external LP/convex solver (AMPL + MOSEK, §VI-A):
-// computing demands-aware optima, the worst-case-demand "slave LP" of
-// Appendix C, and the dual certificates of Theorem 5.
+// computing demands-aware optima, the exact worst-case-demand adversary
+// that stands in for Appendix C's "slave LP", and the dual certificates of
+// Theorem 5.
 //
 // The package holds one engine and the tests' oracle (DESIGN.md §7):
 //
@@ -11,9 +12,9 @@
 //     fails its stability test), bounded variables and ranged rows (so
 //     simple bounds never become rows), Dantzig pricing with a Bland's-rule
 //     anti-cycling fallback, row duals, and warm starts from an exported
-//     Basis. Every solver client — OPTDAG (internal/mcf), the slave LP
-//     (internal/oblivious) — builds against it, and a numerical failure is
-//     returned as an error.
+//     Basis. Every solver client — OPTDAG (internal/mcf), the exact
+//     adversary's cut master (internal/oblivious) — builds against it, and a
+//     numerical failure is returned as an error.
 //   - Problem, the original dense full-tableau two-phase simplex for
 //     min/max cᵀx s.t. aᵢᵀx {≤,=,≥} bᵢ, x ≥ 0, is the tests' reference
 //     oracle: randomized and corpus parity tests cross-validate every

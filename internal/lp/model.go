@@ -12,8 +12,8 @@ import (
 // magnitude at or beyond it is treated as infinite.
 var Inf = math.Inf(1)
 
-// Model is the shared LP builder the solver clients (OPTDAG, the slave LP,
-// the dual certificates) construct against. Unlike the legacy Problem it
+// Model is the shared LP builder the solver clients (OPTDAG, the exact
+// adversary's cut master, the dual certificates) construct against. Unlike the legacy Problem it
 // supports bounded variables (lo ≤ x ≤ up, so demand-box and capacity
 // bounds need not become explicit rows), ranged rows (rlo ≤ aᵀx ≤ rup),
 // objective/bound mutation between solves, and warm starts from an

@@ -2,6 +2,7 @@ package oblivious
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -104,6 +105,16 @@ func (b *boundRing) bound(D *demand.Matrix, since uint64) (lb float64) {
 		}
 	}
 	return lb
+}
+
+// live returns copies of the live tables, oldest first.
+func (b *boundRing) live() (out [][]float64) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for i := b.added - min(b.added, boundRingSize); i < b.added; i++ {
+		out = append(out, slices.Clone(b.tables[i%boundRingSize]))
+	}
+	return out
 }
 
 // distTable fills tbl[s·n+t] with the length of the shortest s→t path within

@@ -5,17 +5,11 @@
 // couples the worst-case-demand finder with the GP-style splitting-ratio
 // optimizer (§V-C, Appendix C).
 //
-// Two adversaries are provided. The exact one solves, per link, the "slave
-// LP" of Appendix C (maximize the link's utilization over all demand
-// matrices in the uncertainty set that are routable within the DAGs'
-// capacities). The fast one exploits that for a fixed routing the load on a
-// link is linear in the demand matrix, so a box-constrained maximum is
-// attained at a corner readable from the coefficient signs; corners are
-// then normalized by OPTDAG via the mcf solvers — only those corners whose
-// dual-length bound says they can be among the k worst (DESIGN.md §2.5).
-// Single-pair demand
-// matrices (the adversaries behind Theorem 4) are additionally screened in
-// closed form through DAG-restricted max-flow.
+// Two adversaries are provided, both bounding OPTDAG from below by the
+// dual-length tables of earlier solves (DESIGN.md §2.5). The fast one
+// normalizes only the box corners that can be among the k worst, screening
+// single-pair matrices (Theorem 4) by DAG max-flow; the exact one searches
+// the whole box by cutting planes, in place of Appendix C's slave LP.
 //
 // The evaluator is concurrent end-to-end (DESIGN.md §4): coefficient
 // extraction, the single-pair screen, corner-adversary sampling, candidate
@@ -248,28 +242,33 @@ func (c *evalCache) store(h uint64, v float64) {
 // capacity-row duals of the LP or the final Garg–Könemann lengths. An exact
 // solve records its lp.solve span under ctx.
 func (ev *Evaluator) solveOptDAG(ctx context.Context, D *demand.Matrix, z []float64) (v float64, certified bool) {
-	c := ev.cache
 	var err error
 	switch {
 	case D.Total() == 0:
 		// No demand: utilization 0, no solve.
 		return 0, false
-	case !ev.exact():
-		v, err = c.fptas(ev.G, ev.DAGs).MLU(D, ev.cfg.Eps, z)
-		certified = err == nil
+	case ev.exact():
+		v, certified, err = ev.solveExact(ctx, D, z)
 	default:
-		mm := c.takeModel(ev.G, ev.DAGs, D)
-		if err = mm.SetDemands(D); err == nil {
-			if v, err = mm.SolveMLU(ctx); err == nil {
-				certified = mm.Lengths(z)
-			}
-		}
-		c.putModel(mm)
+		v, err = ev.cache.fptas(ev.G, ev.DAGs).MLU(D, ev.cfg.Eps, z)
+		certified = err == nil
 	}
 	if err != nil {
 		return math.Inf(1), false
 	}
 	return v, certified
+}
+
+// solveExact is the exact branch of solveOptDAG, which PerfExact's
+// separation runs whatever ExactNodeLimit says.
+func (ev *Evaluator) solveExact(ctx context.Context, D *demand.Matrix, z []float64) (v float64, certified bool, err error) {
+	mm := ev.cache.takeModel(ev.G, ev.DAGs, D)
+	defer ev.cache.putModel(mm)
+	if err = mm.SetDemands(D); err != nil {
+		return 0, false, err
+	}
+	v, err = mm.SolveMLU(ctx)
+	return v, err == nil && mm.Lengths(z), err
 }
 
 // pairMaxFlow returns the maximum s→t flow within DAG_t (cached). The
@@ -330,12 +329,10 @@ func (ev *Evaluator) PerfTop(r *pdrouting.Routing, k int) []Result {
 }
 
 // PerfTopCtx is PerfTop with tracing: when ctx carries an obs.Tracer the
-// adversary records one oblivious.adversary span covering the whole call
-// (corner generation, utilization propagation, bounding, the waves of OPTDAG
-// normalizations), with what became of the candidates — cached, solved,
-// pruned — and the number of waves as attributes, and under it one lp.solve
-// span per exact normalization with that solve's phase-1, dual and
-// refactorization counts. Nothing observed changes the verdict.
+// adversary records one oblivious.adversary span covering the whole call,
+// with what became of the candidates — cached, solved, pruned — and the
+// number of waves as attributes, and under it the lp.solve span of each exact
+// normalization. Nothing observed changes the verdict.
 //
 // The adversary is bound-ordered: it returns exactly the k best of all its
 // candidates but normalizes only those whose dual-length upper bound reaches
@@ -490,12 +487,7 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 	nE := ev.G.NumEdges()
 	workers := ev.cfg.Workers
 
-	// Load coefficients coeff[t][s][e], one independent propagation per
-	// destination.
-	coeff := make([][][]float64, n)
-	par.For(workers, n, func(t int) {
-		coeff[t] = r.LoadCoeffs(graph.NodeID(t))
-	})
+	coeff := ev.loadCoeffs(r)
 
 	// Single-pair adversary, exact and closed-form: for demand d on (s,t),
 	// MxLU = d·max_e coeff[t][s][e]/c_e and OPTDAG = d/maxflow(s,t), so the
@@ -555,6 +547,14 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 		corners[2+nE+i] = ev.randomCorner(seq, i)
 	})
 	return singles, corners
+}
+
+// loadCoeffs returns coeff[t][s][e], the load one unit of s→t demand puts
+// on edge e: one independent propagation per destination.
+func (ev *Evaluator) loadCoeffs(r *pdrouting.Routing) [][][]float64 {
+	coeff := make([][][]float64, ev.G.NumNodes())
+	par.For(ev.cfg.Workers, len(coeff), func(t int) { coeff[t] = r.LoadCoeffs(graph.NodeID(t)) })
+	return coeff
 }
 
 // candidate is one deduplicated corner of an adversary call.

@@ -97,8 +97,9 @@ func TestGoldenRoutingPerf(t *testing.T) {
 	}
 }
 
-// TestPerfExactMatchesSampling on the running example: the slave LP must
-// agree with the corner adversary here (the worst case sits at a corner).
+// TestPerfExactMatchesSampling on the running example: the exact adversary
+// must agree with the corner adversary here (the worst case sits at a
+// corner).
 func TestPerfExactMatchesSampling(t *testing.T) {
 	g, ids := fig1Graph()
 	dags := fig1cDAGs(t, g, ids)
@@ -118,7 +119,7 @@ func TestPerfExactMatchesSampling(t *testing.T) {
 	}
 }
 
-// Property: the sampling adversary never exceeds the exact slave-LP value
+// Property: the sampling adversary never exceeds the exact (PerfExact) value
 // (it is a lower bound on PERF).
 func TestPropertySamplingBelowExact(t *testing.T) {
 	f := func(seed int64) bool {

@@ -11,11 +11,11 @@ import (
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
-// TestPerfExactSpans covers the serial slave-LP chain's tracing: with a
-// tracer in the context, PerfExact must record one perf_exact span with
-// an lp.solve child per link, and must return exactly the value of an
-// untraced PerfExact on the same routing (tracing never touches the
-// numeric path).
+// TestPerfExactSpans covers the exact adversary's tracing: with a tracer in
+// the context, PerfExact must record one perf_exact span over a pinned
+// number of lp.solve spans (its master and separation solves), and must
+// return exactly the value of an untraced PerfExact on the same routing
+// (tracing never touches the numeric path).
 func TestPerfExactSpans(t *testing.T) {
 	g, ids := fig1Graph()
 	dags := fig1cDAGs(t, g, ids)
@@ -40,11 +40,16 @@ func TestPerfExactSpans(t *testing.T) {
 		t.Fatalf("PerfExact = %g, want %g", traced.Ratio, math.Sqrt(5)-1)
 	}
 
-	var roots, solves int
+	var roots, solves, separations int
 	for _, rec := range tracer.Records() {
 		switch rec.Name {
 		case "oblivious.perf_exact":
 			roots++
+			for _, a := range rec.Attrs {
+				if a.Key == "separations" {
+					separations = a.Val.(int)
+				}
+			}
 		case "lp.solve":
 			solves++
 		}
@@ -52,8 +57,12 @@ func TestPerfExactSpans(t *testing.T) {
 	if roots != 1 {
 		t.Fatalf("recorded %d perf_exact spans, want 1", roots)
 	}
-	if want := g.NumEdges(); solves != want {
-		t.Fatalf("recorded %d lp.solve spans, want one per link (%d)", solves, want)
+	// PerfExact leaves the ring empty, so each call seeds its pool with a
+	// separation at Box.Max, takes one master step on the first link and
+	// separates its matrix, which is exact; every other link is dropped
+	// without a solve.
+	if solves != 3 || separations != 2 {
+		t.Fatalf("recorded %d lp.solve spans and %d separations, want 3 and 2", solves, separations)
 	}
 }
 

@@ -3,21 +3,22 @@ package oblivious
 import (
 	"context"
 	"math"
+	"testing"
 
+	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
 	"github.com/coyote-te/coyote/internal/lp"
-	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
+	"github.com/coyote-te/coyote/internal/topo"
 )
 
-// slaveLP is the Appendix-C worst-case-demand LP, built ONCE per routing
-// evaluation on the shared lp.Model builder: the constraint rows (flow
-// conservation, capacities, box cone) are identical for every target link;
-// only the objective row changes. The per-link loop therefore mutates the
-// objective in place and warm-starts each solve from the previous link's
-// optimal basis — the previous vertex stays primal feasible under an
-// objective-only change, so successive solves skip phase 1 entirely.
+// slaveLP is the Appendix-C worst-case-demand LP, the exact adversary that
+// PerfExact's cutting planes replaced, kept as their oracle. It is built
+// once per routing evaluation: the constraint rows (flow conservation,
+// capacities, box cone) are identical for every target link and only the
+// objective row changes, so the per-link loop mutates the objective in place
+// and warm-starts each solve from the previous link's optimal basis.
 type slaveLP struct {
 	model  *lp.Model
 	lambda int
@@ -135,33 +136,13 @@ func (sl *slaveLP) setObjective(ev *Evaluator, coeff [][][]float64, targetEdge i
 	}
 }
 
-// PerfExact computes the exact worst-case performance ratio of routing r
-// over the evaluator's uncertainty set by solving, for every link, the
-// "slave LP" of Appendix C: maximize the link's utilization over all
-// demand matrices D in the cone of the box that are routable within the
-// DAGs without exceeding capacities (i.e. OPTDAG(D) ≤ 1). The maximum over
-// links is PERF(r, Box).
-//
-// The LP has Θ(n² + n·|E|) variables; the sparse core plus the
-// basis chain across the per-link solves (the rows are shared — only the
-// objective moves) keep it viable well beyond the old dense limits, but
-// the sampling adversary (Perf) remains the production path.
-//
-// When ctx carries an obs.Tracer it records one oblivious.perf_exact span
-// for the whole per-link sweep plus one nested lp.solve span per slave LP
-// (the per-link solves run serially on the warm-start chain, so the spans
-// nest cleanly). Observational only.
-func (ev *Evaluator) PerfExact(ctx context.Context, r *pdrouting.Routing) (Result, error) {
-	return ev.perfExact(ctx, r, true)
-}
-
-func (ev *Evaluator) perfExact(ctx context.Context, r *pdrouting.Routing, warmChain bool) (Result, error) {
-	ctx, span := obs.StartSpan(ctx, "oblivious.perf_exact")
-	defer span.End()
+// slavePerf is PERF(r, Box) by the slave LP: for every link, maximize its
+// utilization over all matrices D in the cone of the box that are routable
+// within the DAGs without exceeding capacities (OPTDAG(D) ≤ 1); the maximum
+// over links is PERF.
+func slavePerf(ev *Evaluator, r *pdrouting.Routing) (float64, error) {
 	g := ev.G
 	n := g.NumNodes()
-	nE := g.NumEdges()
-
 	coeff := make([][][]float64, n)
 	actives := make([]bool, n) // destinations that can receive demand
 	for t := 0; t < n; t++ {
@@ -172,34 +153,103 @@ func (ev *Evaluator) perfExact(ctx context.Context, r *pdrouting.Routing, warmCh
 			}
 		}
 	}
-
 	sl := ev.buildSlaveLP(actives)
-	best := Result{Ratio: math.Inf(-1)}
+	perf := math.Inf(-1)
 	var basis *lp.Basis
-	for targetEdge := 0; targetEdge < nE; targetEdge++ {
-		sl.setObjective(ev, coeff, targetEdge)
-		sol, err := sl.model.Solve(ctx, &lp.SolveOptions{Basis: basis})
+	for e := 0; e < g.NumEdges(); e++ {
+		sl.setObjective(ev, coeff, e)
+		sol, err := sl.model.Solve(context.Background(), &lp.SolveOptions{Basis: basis})
 		if err != nil {
-			return Result{}, err
+			return 0, err
 		}
-		if sol.Status != lp.Optimal {
-			continue
-		}
-		if warmChain {
+		if sol.Status == lp.Optimal {
 			basis = sol.Basis
+			perf = max(perf, sol.Objective)
 		}
-		if sol.Objective > best.Ratio {
-			D := demand.NewMatrix(n)
-			for s := 0; s < n; s++ {
-				for t := 0; t < n; t++ {
-					if sl.dVar[s][t] >= 0 {
-						D.D[s*n+t] = sol.X[sl.dVar[s][t]]
+	}
+	return perf, nil
+}
+
+// slaveEvaluator builds an evaluator whose uncertainty box keeps only
+// demand pairs into a handful of destinations, so the dense oracle stays
+// tractable on the 30+ node corpus topologies while the slave-LP rows keep
+// their full structure.
+func slaveEvaluator(t *testing.T, name string, nDests int) *Evaluator {
+	t.Helper()
+	g, err := topo.Load(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	base := demand.Gravity(g, 1)
+	keep := make(map[int]bool, nDests)
+	for i := 0; i < nDests; i++ {
+		keep[i*n/nDests] = true
+	}
+	for s := 0; s < n; s++ {
+		for tt := 0; tt < n; tt++ {
+			if !keep[tt] {
+				base.D[s*n+tt] = 0
+			}
+		}
+	}
+	box := demand.MarginBox(base, 2)
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	return NewEvaluator(g, dags, box, EvalConfig{Samples: 2, Seed: 3})
+}
+
+// TestSlaveLPSparseDenseParityCorpus runs the oracle's slave-LP
+// formulation of every corpus topology through both engines — the shared
+// Model solved sparse (with the per-link warm-start chain) and the dense
+// full-tableau oracle — and requires identical per-link optima.
+func TestSlaveLPSparseDenseParityCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus sweep in -short mode")
+	}
+	for _, name := range topo.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			ev := slaveEvaluator(t, name, 3)
+			g := ev.G
+			n := g.NumNodes()
+			r := ECMPOnDAGs(g, ev.DAGs)
+			coeff := make([][][]float64, n)
+			actives := make([]bool, n)
+			for tt := 0; tt < n; tt++ {
+				coeff[tt] = r.LoadCoeffs(graph.NodeID(tt))
+				for s := 0; s < n; s++ {
+					if s != tt && ev.Box.Max.At(graph.NodeID(s), graph.NodeID(tt)) > 0 {
+						actives[tt] = true
 					}
 				}
 			}
-			best = Result{Ratio: sol.Objective, WorstDM: D, MxLU: sol.Objective, Norm: 1}
-		}
+			sl := ev.buildSlaveLP(actives)
+			var basis *lp.Basis
+			// Every 7th link bounds the dense-oracle cost; the rows are
+			// identical across links, so coverage is not reduced.
+			for e := 0; e < g.NumEdges(); e += 7 {
+				sl.setObjective(ev, coeff, e)
+				sparse, err := sl.model.Solve(context.Background(), &lp.SolveOptions{Basis: basis})
+				if err != nil {
+					t.Fatalf("edge %d sparse: %v", e, err)
+				}
+				basis = sparse.Basis
+				dense, err := sl.model.SolveDense()
+				if err != nil {
+					t.Fatalf("edge %d dense: %v", e, err)
+				}
+				if sparse.Status != dense.Status {
+					t.Fatalf("edge %d: sparse %v, dense %v", e, sparse.Status, dense.Status)
+				}
+				if sparse.Status != lp.Optimal {
+					continue
+				}
+				tol := 1e-6 * (1 + math.Abs(dense.Objective))
+				if math.Abs(sparse.Objective-dense.Objective) > tol {
+					t.Fatalf("edge %d: sparse %.12g, dense %.12g", e, sparse.Objective, dense.Objective)
+				}
+			}
+		})
 	}
-	span.Attr("links", nE).Attr("warm_chain", warmChain).Attr("ratio", best.Ratio)
-	return best, nil
 }

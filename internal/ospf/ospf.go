@@ -14,6 +14,7 @@ package ospf
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/coyote-te/coyote/internal/graph"
@@ -51,13 +52,14 @@ func NewLSDB(g *graph.Graph) *LSDB {
 }
 
 // Inject adds a fake node to the database. Both advertised costs must be
-// strictly positive (a zero CostDown would claim the fake node sits on the
-// destination), all three node IDs must exist in the topology (an
+// finite and strictly positive (a zero CostDown would claim the fake node
+// sits on the destination; a NaN or infinite cost has no place in an SPF
+// sum), all three node IDs must exist in the topology (an
 // out-of-range Dest would otherwise only surface as an index panic deep
 // inside SPF), and the lie must not target its own attachment router.
 func (db *LSDB) Inject(f FakeNode) error {
-	if f.CostUp <= 0 || f.CostDown <= 0 {
-		return fmt.Errorf("ospf: fake node %q has non-positive costs", f.Name())
+	if !(f.CostUp > 0 && f.CostDown > 0) || math.IsInf(f.CostUp, 1) || math.IsInf(f.CostDown, 1) {
+		return fmt.Errorf("ospf: fake node %q advertises costs %v and %v; both must be finite and positive", f.Name(), f.CostUp, f.CostDown)
 	}
 	n := graph.NodeID(db.G.NumNodes())
 	if f.Attached < 0 || f.Attached >= n {

@@ -99,6 +99,30 @@ func TestFakeShortcutAttractsRemoteTraffic(t *testing.T) {
 	}
 }
 
+// TestInjectRejectsBadCosts: a lie must advertise finite, strictly positive
+// costs on both of its links. NaN slips past a "cost <= 0" test, and an
+// infinite cost is no cost an SPF can add.
+func TestInjectRejectsBadCosts(t *testing.T) {
+	g := graph.New()
+	a := g.AddNode("a")
+	b := g.AddNode("b")
+	g.AddLink(a, b, 1, 1)
+	db := NewLSDB(g)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		for _, f := range []FakeNode{
+			{Attached: a, MapsTo: b, Dest: b, CostUp: bad, CostDown: 1},
+			{Attached: a, MapsTo: b, Dest: b, CostUp: 1, CostDown: bad},
+		} {
+			if err := db.Inject(f); err == nil {
+				t.Errorf("Inject accepted costs up %v, down %v", f.CostUp, f.CostDown)
+			}
+		}
+	}
+	if len(db.Fakes) != 0 {
+		t.Fatalf("rejected lies reached the database: %v", db.Fakes)
+	}
+}
+
 func TestInjectValidation(t *testing.T) {
 	g := graph.New()
 	a := g.AddNode("a")
