@@ -20,14 +20,12 @@ import (
 // everything else exported must have a caller outside the tests.
 var uncalledExports = map[string]string{
 	"gpopt.Objective":        "the unsmoothed loss the optimizer tests check Run's return value against",
-	"lp.ReadMPS":             "reads the testdata/mps stress corpus and is the FuzzReadMPS target",
-	"lp.WriteMPS":            "round-trips the testdata/mps corpus in the MPS tests",
 	"mcf.CheckDual":          "the dual certificate the crash-basis and bound-pruning tests check",
 	"sweep.WriteGolden":      "regenerates testdata/golden under TestGoldenCorpus -update",
 	"topo.MustLoad":          "loads corpus topologies in tests without error plumbing",
 	"coyote.NewDemandMatrix": "the public way to build a DemandMatrix entry by entry",
 
-	"lp.Model.SolveDense":              "the dense oracle every sparse-engine parity test solves against",
+	"lp.Model.Check":                   "certifies solver optima in the lp, mcf and oblivious tests",
 	"lp.Model.SetVarBounds":            "the bound edits of the LP fuzz and warm-edit tests",
 	"graph.Graph.AddNodes":             "the test graph builder",
 	"pdrouting.Routing.Validate":       "checks the §III routing invariants in the tests",

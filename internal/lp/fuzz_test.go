@@ -128,11 +128,12 @@ func (lp *fuzzLP) edit(m *Model) {
 
 // FuzzSolveParity: a decoded LP solved cold, then edited and re-solved warm
 // from the cold basis on the same workspace, reaches the dense oracle's
-// status and optimum (to 1e-7) both times, without a numerical failure. The
-// larger seeds run their cold solves past a refactorization and end them on
-// updated factors, which the warm solve's factorization must replace without
-// a trace; the second one's edit also leaves the carried basis primal
-// infeasible, so its warm solve runs phase 1 from an accepted basis.
+// status and optimum (to 1e-7) both times, without a numerical failure, and
+// each optimum passes Check with its row duals. The larger seeds run their
+// cold solves past a refactorization and end them on updated factors, which
+// the warm solve's factorization must replace without a trace; the second
+// one's edit also leaves the carried basis primal infeasible, so its warm
+// solve runs phase 1 from an accepted basis.
 func FuzzSolveParity(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 1, 1, 2, 6, 1, 0, 2, 9, 0, 3, 3, 4, 1, 8, 5, 2, 4, 0, 1, 3, 2})
 	f.Add([]byte{7, 6, 7, 1, 1, 3, 4, 2, 5, 1, 2, 4, 8, 3, 1, 0, 7, 0, 2, 2, 9, 1, 4, 1, 10, 5, 0, 0, 1,
@@ -160,8 +161,13 @@ func FuzzSolveParity(f *testing.F) {
 			if got.Status != want.Status {
 				t.Fatalf("%s: status %v, dense oracle %v", step, got.Status, want.Status)
 			}
-			if got.Status == Optimal && math.Abs(got.Objective-want.Objective) > 1e-7*(1+math.Abs(want.Objective)) {
-				t.Fatalf("%s: objective %.12g, dense oracle %.12g", step, got.Objective, want.Objective)
+			if got.Status == Optimal {
+				if math.Abs(got.Objective-want.Objective) > 1e-7*(1+math.Abs(want.Objective)) {
+					t.Fatalf("%s: objective %.12g, dense oracle %.12g", step, got.Objective, want.Objective)
+				}
+				if err := m.Check(got.X, m.RowDuals()); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
 			}
 			basis = got.Basis
 		}

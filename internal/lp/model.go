@@ -13,7 +13,7 @@ import (
 var Inf = math.Inf(1)
 
 // Model is the shared LP builder the solver clients (OPTDAG, the exact
-// adversary's cut master, the dual certificates) construct against. Unlike the legacy Problem it
+// adversary's cut master, the dual certificates) construct against. It
 // supports bounded variables (lo ≤ x ≤ up, so demand-box and capacity
 // bounds need not become explicit rows), ranged rows (rlo ≤ aᵀx ≤ rup),
 // objective/bound mutation between solves, and warm starts from an
@@ -33,12 +33,11 @@ var Inf = math.Inf(1)
 // The zero value is not usable; create models with NewModel. Models are
 // not safe for concurrent use.
 type Model struct {
-	sense     Sense
-	obj       []float64
-	objOffset float64 // constant added to every objective value
-	vlo       []float64
-	vup       []float64
-	rows      []mrow
+	sense Sense
+	obj   []float64
+	vlo   []float64
+	vup   []float64
+	rows  []mrow
 
 	built *spxProb // cached engine form; invalidated by AddRow/AddVar
 	ws    *spx     // engine workspace, reused while the built shape (rows, vars) holds
@@ -88,11 +87,6 @@ func (m *Model) NumRows() int { return len(m.rows) }
 // objective does not invalidate a warm-start basis: the previous optimal
 // vertex stays primal feasible, so re-solving skips phase 1 entirely.
 func (m *Model) SetObjective(v int, c float64) { m.obj[v] = c }
-
-// SetObjectiveOffset sets the constant term added to every objective value
-// (MPS files express it as an RHS entry on the objective row). It does not
-// affect the optimizer's choices, only the reported Objective.
-func (m *Model) SetObjectiveOffset(c float64) { m.objOffset = c }
 
 // SetVarBounds replaces the bounds of variable v.
 func (m *Model) SetVarBounds(v int, lo, up float64) {
@@ -269,7 +263,7 @@ func (m *Model) Solve(ctx context.Context, opts *SolveOptions) (*Solution, error
 	if status == Optimal {
 		s := m.ws
 		sol.X = s.values()[:len(m.obj):len(m.obj)]
-		obj := m.objOffset
+		obj := 0.0
 		for j, c := range m.obj {
 			obj += c * sol.X[j]
 		}
@@ -290,7 +284,7 @@ func (m *Model) SolveObjective(ctx context.Context, opts *SolveOptions) (float64
 	case status != Optimal:
 		return 0, status, nil
 	}
-	obj := m.objOffset
+	obj := 0.0
 	for j, c := range m.obj {
 		obj += c * m.ws.colVal(int32(j))
 	}
@@ -361,124 +355,4 @@ func (m *Model) run(ctx context.Context, opts *SolveOptions) (status Status, sta
 	span.Attr("status", status.String())
 	m.atOptimum = status == Optimal
 	return status, stats, nil
-}
-
-// SolveDense solves the model with the dense full-tableau reference solver
-// (package lp's original two-phase simplex). It exists only as the tests'
-// parity oracle for the sparse engine — randomized tests cross-validate
-// every optimum — and no production path calls it. Bounded variables are
-// rewritten into the dense solver's x ≥ 0 form (shifts, sign flips, and
-// free-variable splits); ranged rows become constraint pairs.
-func (m *Model) SolveDense() (*Solution, error) {
-	n := len(m.obj)
-	p := NewProblem(m.sense)
-	// Per-variable mapping into dense variables: x = shift + sign·x' with
-	// x' ≥ 0, or a free split x = x⁺ − x⁻.
-	type vmap struct {
-		pos, neg int // dense indices (neg = −1 unless split)
-		shift    float64
-		sign     float64
-		fixed    bool
-	}
-	maps := make([]vmap, n)
-	constant := 0.0
-	for j := 0; j < n; j++ {
-		lo, up := m.vlo[j], m.vup[j]
-		switch {
-		case lo > up:
-			return &Solution{Status: Infeasible}, nil
-		case lo == up:
-			maps[j] = vmap{pos: -1, neg: -1, shift: lo, fixed: true}
-			constant += m.obj[j] * lo
-		case lo > -spxInf:
-			v := p.AddVariable()
-			maps[j] = vmap{pos: v, neg: -1, shift: lo, sign: 1}
-			p.SetObjective(v, m.obj[j])
-			constant += m.obj[j] * lo
-			if up < spxInf {
-				p.AddConstraint([]Term{{v, 1}}, LE, up-lo)
-			}
-		case up < spxInf:
-			v := p.AddVariable()
-			maps[j] = vmap{pos: v, neg: -1, shift: up, sign: -1}
-			p.SetObjective(v, -m.obj[j])
-			constant += m.obj[j] * up
-		default:
-			vp := p.AddVariable()
-			vn := p.AddVariable()
-			maps[j] = vmap{pos: vp, neg: vn, sign: 1}
-			p.SetObjective(vp, m.obj[j])
-			p.SetObjective(vn, -m.obj[j])
-		}
-	}
-	// addRow reports false when the row reduces to an unsatisfiable
-	// constant (every referenced variable fixed): Problem.Solve would not
-	// see such rows at all once it has zero variables.
-	addRow := func(r mrow, rel Rel, rhs float64) bool {
-		var terms []Term
-		shift := 0.0
-		for _, t := range r.terms {
-			mp := maps[t.Var]
-			if mp.fixed {
-				shift += t.Coeff * mp.shift
-				continue
-			}
-			terms = append(terms, Term{mp.pos, t.Coeff * mp.sign})
-			if mp.neg >= 0 {
-				terms = append(terms, Term{mp.neg, -t.Coeff})
-			}
-			shift += t.Coeff * mp.shift
-		}
-		if len(terms) == 0 {
-			b := rhs - shift
-			switch rel {
-			case LE:
-				return b >= -spxFeasTol
-			case GE:
-				return b <= spxFeasTol
-			}
-			return math.Abs(b) <= spxFeasTol
-		}
-		p.AddConstraint(terms, rel, rhs-shift)
-		return true
-	}
-	for _, r := range m.rows {
-		ok := true
-		switch {
-		case r.lo > r.up:
-			return &Solution{Status: Infeasible}, nil
-		case r.lo == r.up:
-			ok = addRow(r, EQ, r.lo)
-		default:
-			if r.up < spxInf {
-				ok = addRow(r, LE, r.up)
-			}
-			if ok && r.lo > -spxInf {
-				ok = addRow(r, GE, r.lo)
-			}
-		}
-		if !ok {
-			return &Solution{Status: Infeasible}, nil
-		}
-	}
-	dsol, err := p.Solve()
-	if err != nil {
-		return nil, err
-	}
-	sol := &Solution{Status: dsol.Status}
-	if dsol.Status == Optimal {
-		sol.X = make([]float64, n)
-		for j, mp := range maps {
-			switch {
-			case mp.fixed:
-				sol.X[j] = mp.shift
-			case mp.neg >= 0:
-				sol.X[j] = dsol.X[mp.pos] - dsol.X[mp.neg]
-			default:
-				sol.X[j] = mp.shift + mp.sign*dsol.X[mp.pos]
-			}
-		}
-		sol.Objective = dsol.Objective + constant + m.objOffset
-	}
-	return sol, nil
 }

@@ -16,9 +16,10 @@ import (
 )
 
 // mpsFeatureModel exercises every construct the writer can emit: both
-// senses, an objective offset, free/fixed/boxed/MI variables, equality,
-// ranged, one-sided, and free rows, negative bounds, and duplicate terms.
-func mpsFeatureModel() *Model {
+// senses, an objective offset (returned next to the model), free/fixed/
+// boxed/MI variables, equality, ranged, one-sided, and free rows, negative
+// bounds, and duplicate terms.
+func mpsFeatureModel() (*Model, float64) {
 	m := NewModel(Maximize)
 	a := m.AddVar(0, Inf, 3)        // default bounds
 	b := m.AddVar(-2.5, 7, -1.25)   // boxed, negative lower
@@ -26,30 +27,32 @@ func mpsFeatureModel() *Model {
 	d := m.AddVar(-Inf, Inf, 0.125) // free
 	e := m.AddVar(-Inf, 3, 1)       // MI + UP
 	f := m.AddVar(1.5, Inf, -2)     // LO only
-	m.SetObjectiveOffset(-7.5)
 	m.AddLE([]Term{{a, 1}, {b, 2}, {c, -1}}, 10)
 	m.AddGE([]Term{{b, 1}, {d, 0.5}}, -4)
 	m.AddEQ([]Term{{a, 1}, {e, -1}, {f, 2}}, 3)
 	m.AddRow([]Term{{a, 0.25}, {d, 1}, {e, 1}}, -2, 6) // ranged
 	m.AddRow([]Term{{b, 1}, {f, 1}}, -Inf, Inf)        // free row
 	m.AddLE([]Term{{a, 1}, {a, 1}, {c, 0.5}}, 20)      // duplicate terms
-	return m
+	return m, -7.5
 }
 
 // TestMPSRoundTrip pins the Write→Read→Write byte-stability contract and
 // that the re-read model solves to the same optimum as the original.
 func TestMPSRoundTrip(t *testing.T) {
-	m := mpsFeatureModel()
+	m, off := mpsFeatureModel()
 	var b1 bytes.Buffer
-	if err := WriteMPS(&b1, m); err != nil {
+	if err := WriteMPS(&b1, m, off); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ReadMPS(bytes.NewReader(b1.Bytes()))
+	m2, off2, err := ReadMPS(bytes.NewReader(b1.Bytes()))
 	if err != nil {
 		t.Fatalf("read back: %v\n%s", err, b1.String())
 	}
+	if off2 != off {
+		t.Fatalf("objective offset %g read back as %g", off, off2)
+	}
 	var b2 bytes.Buffer
-	if err := WriteMPS(&b2, m2); err != nil {
+	if err := WriteMPS(&b2, m2, off2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
@@ -92,7 +95,7 @@ func TestMPSReadErrors(t *testing.T) {
 		"data-no-section": "    X  R0  1\n",
 	}
 	for name, src := range cases {
-		if _, err := ReadMPS(strings.NewReader(src)); err == nil {
+		if _, _, err := ReadMPS(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted malformed input", name)
 		}
 	}
@@ -112,11 +115,11 @@ func TestMPSRejectsNonFinite(t *testing.T) {
 		{"BOUNDS", head + "    X  R0  1\nBOUNDS\n    UP  BND  X  %s\n", 8},
 	}
 	for _, sec := range sections {
-		if _, err := ReadMPS(strings.NewReader(fmt.Sprintf(sec.src, "2"))); err != nil {
+		if _, _, err := ReadMPS(strings.NewReader(fmt.Sprintf(sec.src, "2"))); err != nil {
 			t.Fatalf("%s: finite value refused: %v", sec.name, err)
 		}
 		for _, v := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
-			_, err := ReadMPS(strings.NewReader(fmt.Sprintf(sec.src, v)))
+			_, _, err := ReadMPS(strings.NewReader(fmt.Sprintf(sec.src, v)))
 			want := fmt.Sprintf("mps line %d:", sec.line)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s %s: err %v, want one naming %q", sec.name, v, err, want)
@@ -126,8 +129,9 @@ func TestMPSRejectsNonFinite(t *testing.T) {
 }
 
 // TestMPSCorpus solves every checked-in stress instance to its known
-// optimum on the sparse engine and the dense oracle — plus a Write→Read
-// round trip of each instance.
+// optimum on the sparse engine and the dense oracle, certifies the sparse
+// optimum with Check, and repeats the sparse solve after a Write→Read round
+// trip of each instance.
 func TestMPSCorpus(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "mps")
 	raw, err := os.ReadFile(filepath.Join(dir, "golden.json"))
@@ -148,7 +152,7 @@ func TestMPSCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			m, err := ReadMPS(f)
+			m, off, err := ReadMPS(f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,6 +162,7 @@ func TestMPSCorpus(t *testing.T) {
 				if status != Optimal {
 					t.Fatalf("%s: status %v", label, status)
 				}
+				obj += off
 				if math.Abs(obj-want) > tol {
 					t.Fatalf("%s: objective %.12g, want %.12g", label, obj, want)
 				}
@@ -167,6 +172,9 @@ func TestMPSCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("sparse", sol.Objective, sol.Status)
+			if err := m.Check(sol.X, m.RowDuals()); err != nil {
+				t.Fatal(err)
+			}
 			osol, err := m.SolveDense()
 			if err != nil {
 				t.Fatal(err)
@@ -175,10 +183,10 @@ func TestMPSCorpus(t *testing.T) {
 
 			// Round trip through the canonical writer.
 			var buf bytes.Buffer
-			if err := WriteMPS(&buf, m); err != nil {
+			if err := WriteMPS(&buf, m, off); err != nil {
 				t.Fatal(err)
 			}
-			m2, err := ReadMPS(&buf)
+			m2, _, err := ReadMPS(&buf)
 			if err != nil {
 				t.Fatalf("re-read canonical form: %v", err)
 			}
@@ -192,8 +200,8 @@ func TestMPSCorpus(t *testing.T) {
 }
 
 // TestMPSCorpusExternal cross-validates the corpus against glpsol when it
-// is installed; skipped otherwise. The canonical writer output is handed to
-// glpsol as free MPS.
+// is installed; skipped otherwise. Each corpus file is handed to glpsol as
+// free MPS.
 func TestMPSCorpusExternal(t *testing.T) {
 	glpsol, err := exec.LookPath("glpsol")
 	if err != nil {
@@ -255,20 +263,20 @@ func FuzzReadMPS(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		m, err := ReadMPS(strings.NewReader(src))
+		m, off, err := ReadMPS(strings.NewReader(src))
 		if err != nil {
 			return
 		}
 		var b1 bytes.Buffer
-		if err := WriteMPS(&b1, m); err != nil {
+		if err := WriteMPS(&b1, m, off); err != nil {
 			t.Fatalf("write of parsed model failed: %v", err)
 		}
-		m2, err := ReadMPS(bytes.NewReader(b1.Bytes()))
+		m2, off2, err := ReadMPS(bytes.NewReader(b1.Bytes()))
 		if err != nil {
 			t.Fatalf("canonical form does not re-parse: %v\n%s", err, b1.String())
 		}
 		var b2 bytes.Buffer
-		if err := WriteMPS(&b2, m2); err != nil {
+		if err := WriteMPS(&b2, m2, off2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

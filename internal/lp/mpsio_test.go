@@ -1,11 +1,13 @@
-// MPS reading and writing for Model.
+// MPS reading and writing for Model, the test fixture that loads the
+// testdata/mps stress corpus and is the FuzzReadMPS target.
 //
 // The dialect is free-format MPS: section headers start in column one, data
 // lines are whitespace-separated fields, '*' begins a comment. Supported
 // sections are NAME, OBJSENSE (MAX/MAXIMIZE or MIN/MINIMIZE), ROWS
 // (N/L/G/E; the first N row is the objective, later N rows are kept as free
 // rows), COLUMNS, RHS (an entry on the objective row becomes the negated
-// objective offset, the usual convention), RANGES, BOUNDS
+// objective offset, the usual convention; the reader returns it next to the
+// model, which has no constant term), RANGES, BOUNDS
 // (UP/LO/FX/FR/MI/PL — a negative UP value does not implicitly drop the
 // lower bound; integer types are rejected), and ENDATA. Integer marker
 // lines are rejected: the solver is a pure LP engine. Every numeric field
@@ -15,6 +17,7 @@
 // R<i>, objective COST, shortest round-trip float formatting, column-major
 // COLUMNS in index order — so Write→Read→Write is byte-stable, which is
 // what the fuzz corpus and the round-trip tests pin down.
+
 package lp
 
 import (
@@ -26,10 +29,11 @@ import (
 	"strings"
 )
 
-// ReadMPS parses an MPS file into a Model. Names are resolved to dense
-// indices (variables in first-appearance order in COLUMNS, rows in ROWS
-// declaration order, objective excluded) and then discarded.
-func ReadMPS(r io.Reader) (*Model, error) {
+// ReadMPS parses an MPS file into a Model and the objective's constant
+// term, which a caller adds to the model's objective. Names are resolved to
+// dense indices (variables in first-appearance order in COLUMNS, rows in
+// ROWS declaration order, objective excluded) and then discarded.
+func ReadMPS(r io.Reader) (*Model, float64, error) {
 	p := &mpsParser{
 		rowIdx: map[string]int{},
 		colIdx: map[string]int{},
@@ -50,7 +54,7 @@ func ReadMPS(r io.Reader) (*Model, error) {
 		fields := strings.Fields(line)
 		if isHeader {
 			if err := p.header(fields); err != nil {
-				return nil, fmt.Errorf("mps line %d: %w", lineNo, err)
+				return nil, 0, fmt.Errorf("mps line %d: %w", lineNo, err)
 			}
 			if p.done {
 				break
@@ -58,16 +62,16 @@ func ReadMPS(r io.Reader) (*Model, error) {
 			continue
 		}
 		if err := p.data(fields); err != nil {
-			return nil, fmt.Errorf("mps line %d: %w", lineNo, err)
+			return nil, 0, fmt.Errorf("mps line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if !p.sawRows {
-		return nil, fmt.Errorf("mps: no ROWS section")
+		return nil, 0, fmt.Errorf("mps: no ROWS section")
 	}
-	return p.build()
+	return p.build(), p.objOff, nil
 }
 
 type mpsRow struct {
@@ -323,14 +327,13 @@ func parseValue(f string) (float64, error) {
 
 // build assembles the Model: columns in first-appearance order, rows in
 // declaration order, RANGES resolved against the row types.
-func (p *mpsParser) build() (*Model, error) {
+func (p *mpsParser) build() *Model {
 	m := NewModel(p.sense)
 	for _, c := range p.cols {
 		// Crossed bounds are kept as-is: the solver reports Infeasible,
 		// which is the correct reading of such a file.
 		m.AddVar(c.lo, c.up, c.obj)
 	}
-	m.SetObjectiveOffset(p.objOff)
 	// Row terms, gathered column-major then grouped per row.
 	terms := make([][]Term, len(p.rows))
 	for ci, c := range p.cols {
@@ -365,13 +368,14 @@ func (p *mpsParser) build() (*Model, error) {
 		}
 		m.AddRow(terms[ri], lo, up)
 	}
-	return m, nil
+	return m
 }
 
-// WriteMPS writes the model in canonical free-format MPS (see the package
-// comment of this file for the exact dialect). The output is deterministic
-// and Write→Read→Write is byte-stable.
-func WriteMPS(w io.Writer, m *Model) error {
+// WriteMPS writes the model, with offset as its objective's constant term,
+// in canonical free-format MPS (see the comment at the top of this file for
+// the exact dialect). The output is deterministic and Write→Read→Write is
+// byte-stable.
+func WriteMPS(w io.Writer, m *Model, offset float64) error {
 	bw := bufio.NewWriter(w)
 	fmtF := func(v float64) string {
 		switch {
@@ -437,8 +441,8 @@ func WriteMPS(w io.Writer, m *Model) error {
 		}
 	}
 	fmt.Fprintln(bw, "RHS")
-	if m.objOffset != 0 {
-		fmt.Fprintf(bw, "    RHS  COST  %s\n", fmtF(-m.objOffset))
+	if offset != 0 {
+		fmt.Fprintf(bw, "    RHS  COST  %s\n", fmtF(-offset))
 	}
 	for i, r := range m.rows {
 		switch rowType[i] {

@@ -67,6 +67,8 @@ const (
 	spxFeasTol = 1e-7  // primal bound-violation tolerance
 	spxBlandAt = 200   // non-improving iterations before Bland's rule
 	spxInf     = math.MaxFloat64 / 4
+	iterMul    = 60    // iteration budget multiplier over (m + n)
+	minIter    = 20000 // iteration budget floor
 )
 
 // spx is the engine state of a solve. A Model owns one and hands it to every

@@ -92,37 +92,19 @@ func TestSparseDenseParityRandom(t *testing.T) {
 		if math.Abs(ssol.Objective-dsol.Objective) > tol {
 			t.Fatalf("trial %d: sparse objective %.12g, dense %.12g", trial, ssol.Objective, dsol.Objective)
 		}
-		// The sparse X must be feasible for its own model.
-		checkFeasible(t, mdl, ssol.X, trial)
+		if err := mdl.Check(ssol.X, mdl.RowDuals()); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 	if solved < 50 {
 		t.Fatalf("only %d/400 random models optimal; generator broken?", solved)
 	}
 }
 
-func checkFeasible(t *testing.T, m *Model, x []float64, trial int) {
-	t.Helper()
-	const tol = 1e-6
-	for j := range m.vlo {
-		if x[j] < m.vlo[j]-tol || x[j] > m.vup[j]+tol {
-			t.Fatalf("trial %d: x[%d]=%g outside [%g, %g]", trial, j, x[j], m.vlo[j], m.vup[j])
-		}
-	}
-	for i, r := range m.rows {
-		act := 0.0
-		for _, tm := range r.terms {
-			act += tm.Coeff * x[tm.Var]
-		}
-		if act < r.lo-tol || act > r.up+tol {
-			t.Fatalf("trial %d: row %d activity %g outside [%g, %g]", trial, i, act, r.lo, r.up)
-		}
-	}
-}
-
-// TestDualsKKT checks the sign convention and optimality conditions of the
-// reported duals on random optimal models: reduced costs must vanish for
-// in-between (basic) variables and point the right way at active bounds,
-// and row duals must respect the activity bound they are pinned to.
+// TestDualsKKT checks the sign convention of the reported duals on random
+// optimal models of both senses: every optimum with its RowDuals must pass
+// Check (reduced costs vanish for in-between variables and point the right
+// way at active bounds, row duals respect the side they are pinned to).
 func TestDualsKKT(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	checked := 0
@@ -133,60 +115,8 @@ func TestDualsKKT(t *testing.T) {
 			continue
 		}
 		checked++
-		duals := mdl.RowDuals()
-		// Normalize to minimization for the sign checks.
-		sign := 1.0
-		if mdl.sense == Maximize {
-			sign = -1
-		}
-		n := len(mdl.obj)
-		// Reduced costs d_j = c_j − yᵀA_j (minimization convention).
-		d := make([]float64, n)
-		for j := 0; j < n; j++ {
-			d[j] = sign * mdl.obj[j]
-		}
-		for i, r := range mdl.rows {
-			y := sign * duals[i]
-			for _, tm := range r.terms {
-				d[tm.Var] -= y * tm.Coeff
-			}
-		}
-		const tol = 1e-5
-		for j := 0; j < n; j++ {
-			atLo := sol.X[j] < mdl.vlo[j]+1e-7
-			atUp := sol.X[j] > mdl.vup[j]-1e-7
-			switch {
-			case atLo && atUp: // fixed: any reduced cost is fine
-			case atLo:
-				if d[j] < -tol {
-					t.Fatalf("trial %d: var %d at lower with reduced cost %g < 0", trial, j, d[j])
-				}
-			case atUp:
-				if d[j] > tol {
-					t.Fatalf("trial %d: var %d at upper with reduced cost %g > 0", trial, j, d[j])
-				}
-			default:
-				if math.Abs(d[j]) > tol {
-					t.Fatalf("trial %d: interior var %d has reduced cost %g ≠ 0", trial, j, d[j])
-				}
-			}
-		}
-		// Row duals: positive only when pushing against the lower activity
-		// bound, negative only against the upper (minimization convention).
-		for i, r := range mdl.rows {
-			act := 0.0
-			for _, tm := range r.terms {
-				act += tm.Coeff * sol.X[tm.Var]
-			}
-			y := sign * duals[i]
-			atLo := act < r.lo+1e-7
-			atUp := act > r.up-1e-7
-			if !atLo && y > tol {
-				t.Fatalf("trial %d: row %d slack below upper yet dual %g > 0", trial, i, y)
-			}
-			if !atUp && y < -tol {
-				t.Fatalf("trial %d: row %d slack above lower yet dual %g < 0", trial, i, y)
-			}
+		if err := mdl.Check(sol.X, mdl.RowDuals()); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 	if checked < 30 {
@@ -374,5 +304,7 @@ func TestWarmStartFreeVarGainsBounds(t *testing.T) {
 	if warm.X[x] < 1-1e-9 || warm.X[x] > 5+1e-9 {
 		t.Fatalf("warm solution violates new bounds: x = %g ∉ [1, 5]", warm.X[x])
 	}
-	checkFeasible(t, m, warm.X, -1)
+	if err := m.Check(warm.X, m.RowDuals()); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -12,7 +12,6 @@ import (
 // m as it stands now: same variables, rows, bounds and costs, no workspace.
 func cloneModel(m *Model) *Model {
 	c := NewModel(m.sense)
-	c.SetObjectiveOffset(m.objOffset)
 	for j := range m.obj {
 		c.AddVar(m.vlo[j], m.vup[j], m.obj[j])
 	}

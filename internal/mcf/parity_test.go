@@ -12,8 +12,9 @@ import (
 )
 
 // restrictDestinations zeroes every demand column except the given
-// destinations, keeping the OPTDAG formulation representative while
-// bounding the dense oracle's cost on the big corpus topologies.
+// destinations: the same OPTDAG row and column structure over fewer active
+// destinations, which keeps randomized kernel and RHS-edit tests small on
+// the big corpus topologies.
 func restrictDestinations(D *demand.Matrix, dests ...graph.NodeID) *demand.Matrix {
 	keep := make(map[graph.NodeID]bool, len(dests))
 	for _, t := range dests {
@@ -30,11 +31,11 @@ func restrictDestinations(D *demand.Matrix, dests ...graph.NodeID) *demand.Matri
 	return out
 }
 
-// TestExactSparseDenseParityCorpus proves the sparse revised simplex and
-// the dense tableau oracle agree on the OPTDAG formulation of every corpus
-// topology — both unrestricted (full multicommodity) and DAG-restricted —
-// and that a warm-started re-solve reproduces the optimum bit-for-bit
-// deterministically.
+// TestExactSparseDenseParityCorpus certifies the exact OPTDAG optimum of
+// every corpus topology under its full gravity matrix — unrestricted (full
+// multicommodity) and DAG-restricted: the MLU and flows Solve returns, put
+// back into the model's variables, must pass lp's Check with the solve's
+// row duals, and a warm-started re-solve must reproduce the optimum.
 func TestExactSparseDenseParityCorpus(t *testing.T) {
 	for _, name := range topo.Names() {
 		name := name
@@ -44,28 +45,19 @@ func TestExactSparseDenseParityCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := g.NumNodes()
-			// Four spread-out destinations keep the dense oracle tractable
-			// on the 30+ node topologies while exercising the same row and
-			// column structure.
-			D := restrictDestinations(demand.Gravity(g, 1),
-				0, graph.NodeID(n/3), graph.NodeID(2*n/3), graph.NodeID(n-1))
+			D := demand.Gravity(g, 1)
 			dags := dagx.BuildAll(g, dagx.Augmented)
 			for _, tc := range []struct {
 				label string
 				dags  []*dagx.DAG
 			}{{"free", nil}, {"in-dag", dags}} {
-				sparseMLU, _, basis, err := NewMinMLUModel(g, tc.dags, D).Solve(nil)
+				mm := NewMinMLUModel(g, tc.dags, D)
+				mlu, flows, basis, err := mm.Solve(nil)
 				if err != nil {
-					t.Fatalf("%s sparse: %v", tc.label, err)
+					t.Fatalf("%s: %v", tc.label, err)
 				}
-				denseMLU, _, err := MinMLUExactDense(g, tc.dags, D)
-				if err != nil {
-					t.Fatalf("%s dense: %v", tc.label, err)
-				}
-				tol := 1e-6 * (1 + denseMLU)
-				if math.Abs(sparseMLU-denseMLU) > tol {
-					t.Fatalf("%s: sparse MLU %.12g, dense %.12g", tc.label, sparseMLU, denseMLU)
+				if err := mm.Model.Check(mm.point(mlu, flows), mm.Model.RowDuals()); err != nil {
+					t.Fatalf("%s: MLU %.17g not certified: %v", tc.label, mlu, err)
 				}
 				// Warm re-solve of the identical instance: must accept the
 				// basis and land on the same optimum (same vertex, so only
@@ -74,11 +66,42 @@ func TestExactSparseDenseParityCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s warm: %v", tc.label, err)
 				}
-				if math.Abs(warmMLU-sparseMLU) > 1e-9*(1+sparseMLU) {
-					t.Fatalf("%s: warm MLU %.17g differs from cold %.17g", tc.label, warmMLU, sparseMLU)
+				if math.Abs(warmMLU-mlu) > 1e-9*(1+mlu) {
+					t.Fatalf("%s: warm MLU %.17g differs from cold %.17g", tc.label, warmMLU, mlu)
 				}
 			}
 		})
+	}
+}
+
+// point is the LP variable vector holding the MLU and flows Solve returned.
+func (mm *MinMLUModel) point(mlu float64, flows [][]float64) []float64 {
+	x := make([]float64, mm.Model.NumVars())
+	x[mm.Alpha] = mlu
+	for t, vars := range mm.VarOf {
+		for e, v := range vars {
+			if v >= 0 {
+				x[v] = flows[t][e]
+			}
+		}
+	}
+	return x
+}
+
+// BenchmarkExactOPT times exact OPTDAG (min-MLU within the augmented DAGs,
+// gravity demands) on the largest corpus topology, BICS (33 nodes, 96
+// directed edges), from the all-logical basis.
+func BenchmarkExactOPT(b *testing.B) {
+	g, err := topo.Load("BICS")
+	if err != nil {
+		b.Fatal(err)
+	}
+	D := demand.Gravity(g, 1)
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := NewMinMLUModel(g, dags, D).Solve(nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -313,8 +313,9 @@ type Result struct {
 
 // Perf estimates PERF(r, Box): the worst normalized utilization of the
 // routing across the uncertainty set. The adversary combines per-link box
-// corners, random corners, the box extremes, and all single-pair demand
-// matrices (evaluated in closed form).
+// corners, random corners, the box maximum and midpoint, and — when
+// Box.Min is all zero, so single-pair matrices lie in the box — the 8
+// strongest single-pair demand matrices (evaluated in closed form).
 func (ev *Evaluator) Perf(r *pdrouting.Routing) Result {
 	top := ev.PerfTop(r, 1)
 	return top[0]

@@ -198,10 +198,10 @@ func slaveEvaluator(t *testing.T, name string, nDests int) *Evaluator {
 	return NewEvaluator(g, dags, box, EvalConfig{Samples: 2, Seed: 3})
 }
 
-// TestSlaveLPSparseDenseParityCorpus runs the oracle's slave-LP
-// formulation of every corpus topology through both engines — the shared
-// Model solved sparse (with the per-link warm-start chain) and the dense
-// full-tableau oracle — and requires identical per-link optima.
+// TestSlaveLPSparseDenseParityCorpus solves the oracle's slave-LP
+// formulation of every corpus topology with the per-link warm-start chain on
+// the shared Model and certifies each link's optimum with lp's Check against
+// the solve's row duals.
 func TestSlaveLPSparseDenseParityCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus sweep in -short mode")
@@ -226,28 +226,18 @@ func TestSlaveLPSparseDenseParityCorpus(t *testing.T) {
 			}
 			sl := ev.buildSlaveLP(actives)
 			var basis *lp.Basis
-			// Every 7th link bounds the dense-oracle cost; the rows are
-			// identical across links, so coverage is not reduced.
-			for e := 0; e < g.NumEdges(); e += 7 {
+			for e := 0; e < g.NumEdges(); e++ {
 				sl.setObjective(ev, coeff, e)
-				sparse, err := sl.model.Solve(context.Background(), &lp.SolveOptions{Basis: basis})
+				sol, err := sl.model.Solve(context.Background(), &lp.SolveOptions{Basis: basis})
 				if err != nil {
-					t.Fatalf("edge %d sparse: %v", e, err)
+					t.Fatalf("edge %d: %v", e, err)
 				}
-				basis = sparse.Basis
-				dense, err := sl.model.SolveDense()
-				if err != nil {
-					t.Fatalf("edge %d dense: %v", e, err)
+				if sol.Status != lp.Optimal {
+					t.Fatalf("edge %d: status %v", e, sol.Status)
 				}
-				if sparse.Status != dense.Status {
-					t.Fatalf("edge %d: sparse %v, dense %v", e, sparse.Status, dense.Status)
-				}
-				if sparse.Status != lp.Optimal {
-					continue
-				}
-				tol := 1e-6 * (1 + math.Abs(dense.Objective))
-				if math.Abs(sparse.Objective-dense.Objective) > tol {
-					t.Fatalf("edge %d: sparse %.12g, dense %.12g", e, sparse.Objective, dense.Objective)
+				basis = sol.Basis
+				if err := sl.model.Check(sol.X, sl.model.RowDuals()); err != nil {
+					t.Fatalf("edge %d: optimum %.17g not certified: %v", e, sol.Objective, err)
 				}
 			}
 		})
