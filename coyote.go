@@ -147,11 +147,12 @@ type Options struct {
 	LocalSearchWeights bool
 	// Seed makes runs reproducible.
 	Seed int64
-	// Workers is the one worker-pool size of a solve: the evaluator is built
-	// with it and the adversarial loop — flow propagation, corner-adversary
-	// sampling, optimizer passes (DESIGN.md §4) — takes it from there. Zero
-	// or negative means one worker per available CPU. For a fixed Seed the
-	// computed configuration is bit-identical for every Workers value.
+	// Workers is the one worker-pool size of a solve: it bounds the
+	// optimizer's per-destination sweeps and, in sessions, the precomputed
+	// failover plans solved side by side; the adversary runs on the
+	// caller's goroutine (DESIGN.md §4). Zero or negative means one worker
+	// per available CPU. For a fixed Seed the computed configuration is
+	// bit-identical for every Workers value.
 	Workers int
 	// PrecomputeFailover (sessions only, ignored by Compute) precomputes
 	// a configuration for every single-link failure at session start, so

@@ -103,7 +103,8 @@ type Config struct {
 	Samples  int     // adversary corner samples (default 8)
 	Eps      float64 // FPTAS accuracy (default 0.1)
 	Seed     int64
-	// Workers bounds the evaluation engine's worker pool (≤ 0 =
+	// Workers bounds the worker pool of the optimizer's per-destination
+	// sweeps and of the failover plans precomputed side by side (≤ 0 =
 	// GOMAXPROCS); never changes results.
 	Workers int
 	// PrecomputeFailover, when true, precomputes a configuration for every

@@ -25,8 +25,8 @@ func ablationAdversary(ctx context.Context, cfg Config) (*Table, error) {
 		Columns: []string{"margin", "sampled PERF", "exact PERF", "gap", "t(sample)", "t(exact)"},
 	}
 	// Rows stay serial on purpose: this experiment reports wall-clock
-	// timings, and overlapping rows would contaminate them. The evaluator
-	// itself still uses the configured worker pool.
+	// timings, and overlapping rows would contaminate them. Both adversaries
+	// run on this goroutine.
 	for _, margin := range cfg.Margins {
 		ev := cfg.evaluator(in.g, in.dags, demand.MarginBox(in.base, margin))
 		t0 := time.Now()

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
@@ -69,29 +70,31 @@ func portfolioTable(title string, cells []portfolioCell, cfg Config) (*Table, er
 	if len(names) == 0 {
 		names = strategy.Names()
 	}
-	// Stage 1: the per-step OPT oracle MLUs, one unit per cell.
-	optMLU := make([][]float64, len(cells))
-	if err := par.ForErr(cfg.Workers, len(cells), func(i int) (err error) {
-		optMLU[i], err = cells[i].replay("opt", cfg)
+	// One unit per (cell, strategy), cell-major, over the columns and the
+	// OPT oracle — replayed once per cell, whether or not it is a column.
+	replayed := names
+	if !slices.Contains(names, "opt") {
+		replayed = append(slices.Clip(names), "opt")
+	}
+	opt := slices.Index(replayed, "opt")
+	mlus := make([][]float64, len(cells)*len(replayed))
+	if err := par.ForErr(cfg.Workers, len(mlus), func(u int) (err error) {
+		mlus[u], err = cells[u/len(replayed)].replay(replayed[u%len(replayed)], cfg)
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	// Stage 2: one unit per (cell, strategy), cell-major; each replays the
-	// cell's sequence and keeps the worst ratio.
+	// Each cell keeps the worst ratio over its sequence.
 	vals := make([]float64, len(cells)*len(names))
-	if err := par.ForErr(cfg.Workers, len(vals), func(u int) error {
+	for u := range vals {
 		ci, si := u/len(names), u%len(names)
-		mlus, err := cells[ci].replay(names[si], cfg)
-		for k, mlu := range mlus {
-			if ratio := mlu / optMLU[ci][k]; ratio > vals[u] {
+		optMLU := mlus[ci*len(replayed)+opt]
+		for k, mlu := range mlus[ci*len(replayed)+si] {
+			if ratio := mlu / optMLU[k]; ratio > vals[u] {
 				vals[u] = ratio
 			}
 		}
-		return err
-	}); err != nil {
-		return nil, err
 	}
 
 	out := &Table{

@@ -54,8 +54,8 @@ func scenTimeOfDay(ctx context.Context, p scen.Params, steps int, cfg Config) (*
 	for i, D := range day {
 		norm := ev.OptDAG(D)
 		out.AddRow(fmt.Sprintf("t%02d", i),
-			f2(ev.MaxUtilization(sv.Routing, D)/norm),
-			f2(ev.MaxUtilization(ecmp, D)/norm))
+			f2(sv.Routing.MaxUtilization(D)/norm),
+			f2(ecmp.MaxUtilization(D)/norm))
 	}
 	return out, nil
 }

@@ -305,15 +305,13 @@ func (o *Optimizer) materialize(t int, phiT []float64) {
 }
 
 // Objective evaluates the true (unsmoothed) worst normalized utilization of
-// routing r over the scenarios. Scenarios are evaluated in parallel (one
-// worker per CPU); the per-scenario accumulation stays serial in
-// destination order and the final max-reduction is exact, so the value is
-// worker-count-independent.
+// routing r over the scenarios, each scenario's loads accumulated in
+// destination order.
 func Objective(r *pdrouting.Routing, scenarios []Scenario) float64 {
-	perScenario := make([]float64, len(scenarios))
-	par.For(0, len(scenarios), func(si int) {
-		sc := scenarios[si]
-		loads := make([]float64, r.G.NumEdges())
+	worst := 0.0
+	loads := make([]float64, r.G.NumEdges())
+	for _, sc := range scenarios {
+		clear(loads)
 		for t, col := range sc.Cols {
 			if col == nil {
 				continue
@@ -323,19 +321,10 @@ func Objective(r *pdrouting.Routing, scenarios []Scenario) float64 {
 				loads[e] += lt[e]
 			}
 		}
-		worst := 0.0
 		for e := range loads {
-			u := loads[e] / (r.G.Edge(graph.EdgeID(e)).Capacity * sc.Norm)
-			if u > worst {
+			if u := loads[e] / (r.G.Edge(graph.EdgeID(e)).Capacity * sc.Norm); u > worst {
 				worst = u
 			}
-		}
-		perScenario[si] = worst
-	})
-	worst := 0.0
-	for _, v := range perScenario {
-		if v > worst {
-			worst = v
 		}
 	}
 	return worst

@@ -36,14 +36,14 @@ const (
 	// leave 37 / 42, 32 leave 36 / 35 — 16 is where the exact engine's
 	// curve flattens, at 16·n² floats per (graph, DAGs).
 	boundRingSize = 16
-	// boundWave is how many candidates PerfTop solves between re-bounding
-	// the rest. It is a constant, never the worker count: which candidates
-	// are solved — and so every basis, cache entry and count downstream —
-	// must not depend on Workers. Each doubling costs about a tenth more
-	// solves (1: 34 / 40, 2: 37 / 42, 4: 41 / 45, 8: 49 / 56) because a
-	// wave is bounded by tables older than itself, and a k = 1 call (Perf,
-	// the ECMP guarantee) rarely needs more than two. 2 is the narrowest
-	// wave that is still a fan-out.
+	// boundWave is how many candidates PerfTop solves, one after another,
+	// between re-bounding the rest. The solves run on the caller's
+	// goroutine, so the value only fixes which candidates are solved — and
+	// so every basis, cache entry and count downstream. Each doubling costs
+	// about a tenth more solves (1: 34 / 40, 2: 37 / 42, 4: 41 / 45, 8:
+	// 49 / 56) because a wave is bounded by tables older than itself, and a
+	// k = 1 call (Perf, the ECMP guarantee) rarely needs more than two.
+	// A wave of 1 would solve fewer, but would move every gated count.
 	boundWave = 2
 )
 

@@ -24,7 +24,7 @@ type Params struct {
 	Samples  int     // random corner adversaries per evaluation (default 8)
 	Eps      float64 // FPTAS accuracy for large-instance normalization (0 = default 0.1, else in (0, 0.5))
 	Seed     int64
-	Workers  int // worker-pool size (≤ 0 = GOMAXPROCS); never changes results
+	Workers  int // worker-pool size of the optimizer's sweeps and of independent solves (≤ 0 = GOMAXPROCS); never changes results
 }
 
 // EvalConfig is the evaluator half of the parameter set.
@@ -96,7 +96,7 @@ func (r *Report) Err() error {
 // with the current worst-case demand matrix (the evaluator's adversary),
 // mirroring the critical-matrix accumulation of Algorithm 1 and the
 // finite-set handling of the geometric program in Appendix C. The
-// evaluator's worker count governs the whole loop.
+// evaluator's worker count sizes the optimizer's sweeps.
 //
 // The returned routing is never worse (under the same evaluator) than
 // traditional ECMP on the embedded shortest-path DAGs, fulfilling the

@@ -11,15 +11,13 @@
 // single-pair matrices (Theorem 4) by DAG max-flow; the exact one searches
 // the whole box by cutting planes, in place of Appendix C's slave LP.
 //
-// The evaluator is concurrent end-to-end (DESIGN.md §4): coefficient
-// extraction, the single-pair screen, corner-adversary sampling, candidate
-// normalization, and per-destination DAG flow propagation all fan out
-// across a worker pool sized by EvalConfig.Workers, with flow buffers
-// recycled through sync.Pool. Every parallel stage writes index-addressed
-// slots and reduces serially in index order, and corner sampling derives
-// each corner from (Seed, call sequence, sample index) rather than from a
-// shared RNG stream, so results for a fixed Seed are bit-identical for any
-// worker count.
+// The adversary runs on its caller's goroutine (DESIGN.md §4): coefficient
+// extraction, the single-pair screen, corner sampling, the candidates' MxLU
+// and their normalizations are plain loops in index order. Corner sampling
+// derives each corner from (Seed, call sequence, sample index) rather than
+// from a shared RNG stream, so a call's result is a function of its inputs
+// and the evaluator's caches. Concurrent callers are safe: the caches sit
+// behind mutexes.
 package oblivious
 
 import (
@@ -37,7 +35,6 @@ import (
 	"github.com/coyote-te/coyote/internal/maxflow"
 	"github.com/coyote-te/coyote/internal/mcf"
 	"github.com/coyote-te/coyote/internal/obs"
-	"github.com/coyote-te/coyote/internal/par"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
@@ -56,7 +53,7 @@ type EvalConfig struct {
 	Samples        int     // random box corners per evaluation (default 8)
 	Seed           int64   // seed for corner sampling
 	ExactNodeLimit int     // use the exact LP for OPTDAG when NumNodes ≤ this (default DefaultExactNodeLimit)
-	Workers        int     // worker-pool size (≤ 0 = GOMAXPROCS); never changes results
+	Workers        int     // worker-pool size of the optimizer's per-destination sweeps (≤ 0 = GOMAXPROCS); never changes results
 }
 
 func (c EvalConfig) withDefaults() EvalConfig {
@@ -77,8 +74,7 @@ func (c EvalConfig) withDefaults() EvalConfig {
 // (which depend only on the demand matrix and DAGs, not the routing) and
 // per-pair DAG max-flows, so repeated evaluations inside the adversarial
 // loop are cheap. Evaluator is safe for concurrent use; a serialized
-// sequence of calls is reproducible for a fixed Seed regardless of
-// EvalConfig.Workers.
+// sequence of calls is reproducible for a fixed Seed.
 type Evaluator struct {
 	G    *graph.Graph
 	DAGs []*dagx.DAG
@@ -87,9 +83,7 @@ type Evaluator struct {
 
 	cache *evalCache // OPTDAG and max-flow caches, shareable across boxes
 
-	seq     atomic.Uint64 // PerfTop call sequence; varies corner samples across calls
-	edgeBuf *par.Pool     // pooled per-edge flow buffers (len NumEdges)
-	nodeBuf *par.Pool     // pooled per-node inflow buffers (len NumNodes)
+	seq atomic.Uint64 // PerfTop call sequence; varies corner samples across calls
 }
 
 // evalCache holds the values that depend only on (graph, DAGs) — OPTDAG
@@ -103,8 +97,8 @@ type evalCache struct {
 	mf  map[[2]graph.NodeID]float64
 	// models is the free list of idle exact min-MLU models, oldest first
 	// (DESIGN.md §4). A solve takes the one shaped for its matrix — or
-	// builds one — and puts it back, so concurrent normalizations each hold
-	// their own instance.
+	// builds one — and puts it back, so concurrent callers' normalizations
+	// each hold their own instance.
 	models []*mcf.MinMLUModel
 
 	// bounds holds the dual certificates of recent normalizations as
@@ -112,7 +106,8 @@ type evalCache struct {
 	// solves any (DESIGN.md §2.5). Every fresh solve, OptDAG's included,
 	// feeds it.
 	bounds boundRing
-	// scratch recycles PerfTop's per-call working set (*advScratch).
+	// scratch recycles the per-call working set of PerfTop and OptDAG
+	// (*advScratch).
 	scratch sync.Pool
 
 	approxOnce sync.Once
@@ -126,9 +121,10 @@ func (c *evalCache) fptas(g *graph.Graph, dags []*dagx.DAG) *mcf.Approx {
 	return c.approx
 }
 
-// maxIdleModels bounds the free list of exact models: enough for every
-// worker of a margin box's single shape and for the handful of active sets an
-// oblivious box's corners cycle through; past it the oldest idle model goes.
+// maxIdleModels bounds the free list of exact models: enough for concurrent
+// callers on a margin box's single shape and for the handful of active sets
+// an oblivious box's corners cycle through; past it the oldest idle model
+// goes.
 const maxIdleModels = 8
 
 // takeModel hands out an exact min-MLU model shaped for D's active
@@ -172,27 +168,16 @@ func NewEvaluator(g *graph.Graph, dags []*dagx.DAG, box *demand.Box, cfg EvalCon
 			mf:      make(map[[2]graph.NodeID]float64),
 			scratch: sync.Pool{New: func() any { return new(advScratch) }},
 		},
-		edgeBuf: par.NewPool(g.NumEdges()),
-		nodeBuf: par.NewPool(g.NumNodes()),
 	}
 }
 
 // WithBox derives an evaluator for a different uncertainty box over the
 // same graph and DAGs. The OPTDAG and max-flow caches — which are
-// box-independent — and the flow-buffer pools are shared with the
-// receiver, so a session that drifts its demand bounds keeps every
-// normalization it already paid for. The derived evaluator starts a fresh
-// corner-sampling sequence.
+// box-independent — are shared with the receiver, so a session that drifts
+// its demand bounds keeps every normalization it already paid for. The
+// derived evaluator starts a fresh corner-sampling sequence.
 func (ev *Evaluator) WithBox(box *demand.Box) *Evaluator {
-	return &Evaluator{
-		G:       ev.G,
-		DAGs:    ev.DAGs,
-		Box:     box,
-		cfg:     ev.cfg,
-		cache:   ev.cache,
-		edgeBuf: ev.edgeBuf,
-		nodeBuf: ev.nodeBuf,
-	}
+	return &Evaluator{G: ev.G, DAGs: ev.DAGs, Box: box, cfg: ev.cfg, cache: ev.cache}
 }
 
 // OptDAG returns the demands-aware optimal utilization of D within the
@@ -208,13 +193,13 @@ func (ev *Evaluator) OptDAG(D *demand.Matrix) float64 {
 	if v, ok := ev.cache.lookup(h); ok {
 		return v
 	}
-	z := ev.edgeBuf.Get()
-	v, certified := ev.solveOptDAG(context.Background(), D, z)
+	sc := ev.cache.scratch.Get().(*advScratch)
+	defer ev.cache.scratch.Put(sc)
+	v, certified := ev.solveOptDAG(context.Background(), D, sc.lengths(ev.G.NumEdges()))
 	ev.cache.store(h, v)
 	if certified {
-		ev.cache.bounds.add(ev.G, ev.DAGs, z, D, v, ev.exact())
+		ev.cache.bounds.add(ev.G, ev.DAGs, sc.z, D, v, ev.exact())
 	}
-	ev.edgeBuf.Put(z)
 	return v
 }
 
@@ -296,13 +281,6 @@ func (ev *Evaluator) pairMaxFlow(s, t graph.NodeID) float64 {
 	return v
 }
 
-// MaxUtilization is MxLU(r, D) computed with the per-destination DAG flow
-// propagation fanned across the evaluator's worker pool and its pooled
-// flow buffers; bit-identical to r.MaxUtilization for any worker count.
-func (ev *Evaluator) MaxUtilization(r *pdrouting.Routing, D *demand.Matrix) float64 {
-	return r.ParallelMaxUtilization(D, ev.cfg.Workers, ev.edgeBuf, ev.nodeBuf)
-}
-
 // Result reports a worst-case evaluation.
 type Result struct {
 	Ratio   float64        // PERF estimate: max over adversarial DMs of MxLU/OPTDAG
@@ -341,7 +319,6 @@ func (ev *Evaluator) PerfTop(r *pdrouting.Routing, k int) []Result {
 func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int) []Result {
 	ctx, span := obs.StartSpan(ctx, "oblivious.adversary")
 	defer span.End()
-	workers := ev.cfg.Workers
 	singles, corners := ev.adversaryInputs(r, ev.seq.Add(1))
 
 	// Deduplicate serially in a fixed order.
@@ -362,13 +339,10 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	sc.cands = cands
 
 	// The routing's utilization on every candidate, once: it is the
-	// numerator of the ratio and of the bound. The candidate fan-out already
-	// saturates the pool; a full-width inner fan-out here would square the
-	// goroutine count for no throughput. The serial propagation still reuses
-	// pooled buffers and is bit-identical at any width.
-	par.For(workers, len(cands), func(i int) {
-		cands[i].mxlu = r.ParallelMaxUtilization(cands[i].D, 1, ev.edgeBuf, ev.nodeBuf)
-	})
+	// numerator of the ratio and of the bound.
+	for i := range cands {
+		cands[i].mxlu = r.MaxUtilization(cands[i].D)
+	}
 
 	// The bar τ is the k-th best exact ratio known so far: the single-pair
 	// results and the candidates normalized by an earlier call set it before
@@ -400,11 +374,10 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	pos := ev.cache.bounds.position() // the survivors' bounds are current to here
 
 	// Solve in descending bound order, boundWave candidates at a time; after
-	// each wave the fresh certificates join the ring in candidate order and
-	// tighten the survivors' bounds. Wave membership depends only on bounds
-	// and τ, never on the worker count or on scheduling.
+	// each wave the fresh certificates tighten the survivors' bounds. Wave
+	// membership depends only on bounds and τ.
 	exact := ev.exact()
-	var wave [boundWave]waveSlot
+	z := sc.lengths(ev.G.NumEdges())
 	waves := 0
 	for len(pending) > 0 {
 		slices.SortFunc(pending, func(a, b int32) int {
@@ -422,28 +395,21 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 			break // nothing left can reach the top k
 		}
 		waves++
-		// Index order within the wave: the order results and certificates
-		// are taken in.
+		// The wave is solved in candidate index order, each certificate
+		// joining the ring as soon as its solve returns.
 		slices.Sort(pending[:nw])
-		par.For(workers, nw, func(j int) {
-			c := &cands[pending[j]]
-			w := &wave[j]
-			w.z = ev.edgeBuf.Get()
-			c.norm, w.certified = ev.solveOptDAG(ctx, c.D, w.z)
-		})
-		for j := 0; j < nw; j++ {
-			c := &cands[pending[j]]
-			w := &wave[j]
+		for _, i := range pending[:nw] {
+			c := &cands[i]
+			var certified bool
+			c.norm, certified = ev.solveOptDAG(ctx, c.D, z)
 			c.known = true
 			ev.cache.store(c.hash, c.norm)
 			if c.valid() {
 				top = pushTop(top, k, c.mxlu/c.norm)
 			}
-			if w.certified {
-				ev.cache.bounds.add(ev.G, ev.DAGs, w.z, c.D, c.norm, exact)
+			if certified {
+				ev.cache.bounds.add(ev.G, ev.DAGs, z, c.D, c.norm, exact)
 			}
-			ev.edgeBuf.Put(w.z)
-			*w = waveSlot{}
 		}
 		pending = pending[nw:]
 		for _, i := range pending {
@@ -486,7 +452,6 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles []Result, corners []*demand.Matrix) {
 	n := ev.G.NumNodes()
 	nE := ev.G.NumEdges()
-	workers := ev.cfg.Workers
 
 	coeff := ev.loadCoeffs(r)
 
@@ -496,8 +461,7 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 	// matrices belong to the box only when its lower bounds are all zero
 	// (the oblivious sets); skip them otherwise.
 	if ev.Box.Min.Total() == 0 {
-		perSource := make([][]Result, n)
-		par.For(workers, n, func(s int) {
+		for s := 0; s < n; s++ {
 			for t := 0; t < n; t++ {
 				if s == t || ev.Box.Max.At(graph.NodeID(s), graph.NodeID(t)) <= 0 {
 					continue
@@ -514,16 +478,13 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 					continue
 				}
 				d := ev.Box.Max.At(graph.NodeID(s), graph.NodeID(t))
-				perSource[s] = append(perSource[s], Result{
+				singles = append(singles, Result{
 					Ratio:   peak * mf,
 					WorstDM: demand.SinglePair(n, graph.NodeID(s), graph.NodeID(t), d),
 					MxLU:    peak * d,
 					Norm:    d / mf,
 				})
 			}
-		})
-		for _, rs := range perSource {
-			singles = append(singles, rs...)
 		}
 		// Keep the strongest few; they are candidates for the top-k set.
 		sort.SliceStable(singles, func(i, j int) bool { return singles[i].Ratio > singles[j].Ratio })
@@ -534,19 +495,17 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 
 	// Corner candidates: the box maximum, the geometric midpoint (≈ the
 	// base matrix of a margin box), one corner per link maximizing that
-	// link's load, and the random corners, generated into index-addressed
-	// slots in parallel.
-	corners = make([]*demand.Matrix, 2+nE+ev.cfg.Samples)
-	corners[0] = ev.Box.Max.Clone()
-	corners[1] = ev.Box.Midpoint()
-	par.For(workers, nE, func(e int) {
-		corners[2+e] = ev.Box.Corner(func(s, t graph.NodeID) bool {
+	// link's load, and the random corners.
+	corners = make([]*demand.Matrix, 0, 2+nE+ev.cfg.Samples)
+	corners = append(corners, ev.Box.Max.Clone(), ev.Box.Midpoint())
+	for e := 0; e < nE; e++ {
+		corners = append(corners, ev.Box.Corner(func(s, t graph.NodeID) bool {
 			return coeff[t][s][e] > 1e-12
-		})
-	})
-	par.For(workers, ev.cfg.Samples, func(i int) {
-		corners[2+nE+i] = ev.randomCorner(seq, i)
-	})
+		}))
+	}
+	for i := 0; i < ev.cfg.Samples; i++ {
+		corners = append(corners, ev.randomCorner(seq, i))
+	}
 	return singles, corners
 }
 
@@ -554,7 +513,9 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 // on edge e: one independent propagation per destination.
 func (ev *Evaluator) loadCoeffs(r *pdrouting.Routing) [][][]float64 {
 	coeff := make([][][]float64, ev.G.NumNodes())
-	par.For(ev.cfg.Workers, len(coeff), func(t int) { coeff[t] = r.LoadCoeffs(graph.NodeID(t)) })
+	for t := range coeff {
+		coeff[t] = r.LoadCoeffs(graph.NodeID(t))
+	}
 	return coeff
 }
 
@@ -583,18 +544,21 @@ func (c *candidate) upper() float64 {
 	return c.mxlu / c.lb
 }
 
-// waveSlot is what one solve of a wave hands back to the serial reduction.
-type waveSlot struct {
-	z         []float64
-	certified bool
-}
-
-// advScratch is the per-call working set of PerfTop, recycled through
-// evalCache.scratch so a steady-state call allocates none of it.
+// advScratch is the per-call working set of PerfTop and OptDAG, recycled
+// through evalCache.scratch so a steady-state call allocates none of it.
 type advScratch struct {
 	cands   []candidate
 	pending []int32   // indices of candidates not yet solved, best bound first
 	top     []float64 // the k best exact ratios so far, descending
+	z       []float64 // the dual lengths of the latest solve, one per edge
+}
+
+// lengths returns the scratch length vector, sized for m edges.
+func (sc *advScratch) lengths(m int) []float64 {
+	if len(sc.z) != m {
+		sc.z = make([]float64, m)
+	}
+	return sc.z
 }
 
 // pushTop inserts ratio into the descending list of the k best.
@@ -611,7 +575,7 @@ func pushTop(top []float64, k int, ratio float64) []float64 {
 // randomCorner materializes the sample-th random box corner of the seq-th
 // PerfTop call. Corner bits come from a counter-mode splitmix64 stream
 // keyed on (Seed, seq, sample), so every (call, sample) pair sees an
-// independent corner and the choice is independent of which worker runs it.
+// independent corner.
 func (ev *Evaluator) randomCorner(seq uint64, sample int) *demand.Matrix {
 	state := splitmix64(uint64(ev.cfg.Seed)) ^ splitmix64(seq<<20^uint64(sample))
 	var word uint64

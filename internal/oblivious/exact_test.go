@@ -62,7 +62,7 @@ func TestPerfExactPins(t *testing.T) {
 		if !ev.Box.Contains(got.WorstDM) {
 			t.Errorf("%s %g: worst matrix outside the box", c.name, c.margin)
 		}
-		if ratio := ev.MaxUtilization(r, got.WorstDM) / ev.OptDAG(got.WorstDM); math.Abs(ratio-got.Ratio) > 1e-9*got.Ratio {
+		if ratio := r.MaxUtilization(got.WorstDM) / ev.OptDAG(got.WorstDM); math.Abs(ratio-got.Ratio) > 1e-9*got.Ratio {
 			t.Errorf("%s %g: worst matrix has ratio %.17g, reported %.17g", c.name, c.margin, ratio, got.Ratio)
 		}
 		if c.name == "Geant" {

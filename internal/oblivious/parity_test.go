@@ -99,7 +99,7 @@ func TestEvaluatorConcurrentSmoke(t *testing.T) {
 					t.Errorf("Perf ratio %v < 1", r.Ratio)
 				}
 			case 1:
-				if u := ev.MaxUtilization(ecmp, box.Max); u <= 0 {
+				if u := ecmp.MaxUtilization(box.Max); u <= 0 {
 					t.Errorf("MaxUtilization = %v", u)
 				}
 			case 2:

@@ -1,8 +1,6 @@
-// Package par provides the deterministic worker-pool primitives behind the
-// concurrent evaluation engine (DESIGN.md §4): a bounded parallel for-loop
-// whose results are reproducible for any worker count, and a sync.Pool of
-// fixed-length float64 scratch slices for reusing flow buffers across
-// workers.
+// Package par provides the deterministic worker-pool primitive behind the
+// concurrent engine (DESIGN.md §4): a bounded parallel for-loop whose
+// results are reproducible for any worker count.
 //
 // The determinism contract is structural, not accidental: For runs
 // independent leaf computations addressed by index, and callers perform any
@@ -76,9 +74,9 @@ func effective(workers, n int) int {
 // from losing to serial runs on small inputs or small machines.
 //
 // fn must treat distinct indices as independent: write results only into
-// the slot for i, never read a sibling's slot, and take any shared scratch
-// through a Pool. Under that contract the observable results do not depend
-// on the worker count.
+// the slot for i, never read a sibling's slot, and share no scratch between
+// leaves that may run at once. Under that contract the observable results
+// do not depend on the worker count.
 func For(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -154,39 +152,4 @@ func ForErr(workers, n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// Pool recycles float64 scratch slices of a fixed length. It exists so the
-// evaluator's and optimizer's per-destination flow buffers are reused
-// across worker goroutines instead of reallocated per leaf.
-type Pool struct {
-	size int
-	pool sync.Pool
-}
-
-// NewPool returns a pool of slices of the given length.
-func NewPool(size int) *Pool {
-	p := &Pool{size: size}
-	p.pool.New = func() any {
-		s := make([]float64, size)
-		return &s
-	}
-	return p
-}
-
-// Get returns a zeroed slice of the pool's length.
-func (p *Pool) Get() []float64 {
-	s := *p.pool.Get().(*[]float64)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// Put returns a slice obtained from Get to the pool.
-func (p *Pool) Put(s []float64) {
-	if len(s) != p.size {
-		panic("par: returning slice of wrong length to Pool")
-	}
-	p.pool.Put(&s)
 }

@@ -106,30 +106,3 @@ func TestForErr(t *testing.T) {
 		t.Fatalf("n=0: err = %v", err)
 	}
 }
-
-func TestPoolZeroesOnGet(t *testing.T) {
-	p := NewPool(4)
-	s := p.Get()
-	if len(s) != 4 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for i := range s {
-		s[i] = 42
-	}
-	p.Put(s)
-	s2 := p.Get()
-	for i, v := range s2 {
-		if v != 0 {
-			t.Fatalf("reused slice not zeroed at %d: %v", i, v)
-		}
-	}
-}
-
-func TestPoolRejectsWrongLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Put of wrong-length slice should panic")
-		}
-	}()
-	NewPool(4).Put(make([]float64, 3))
-}

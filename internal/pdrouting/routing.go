@@ -12,7 +12,6 @@ import (
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
-	"github.com/coyote-te/coyote/internal/par"
 )
 
 // ratioTol is the tolerance for splitting-ratio normalization checks.
@@ -141,10 +140,9 @@ func (r *Routing) DestLoads(t graph.NodeID, demandCol []float64) []float64 {
 }
 
 // DestLoadsInto is DestLoads with caller-provided scratch, letting hot
-// callers (the concurrent evaluator) recycle flow buffers through a pool
-// instead of allocating per propagation. loads (len NumEdges) receives the
-// result and is returned; inflow (len NumNodes) is overwritten scratch.
-// Both must be zeroed on entry.
+// callers (LinkLoads, LoadCoeffs) reuse flow buffers instead of allocating
+// per propagation. loads (len NumEdges) receives the result and is returned;
+// inflow (len NumNodes) is overwritten scratch. Both must be zeroed on entry.
 func (r *Routing) DestLoadsInto(t graph.NodeID, demandCol, loads, inflow []float64) []float64 {
 	d := r.DAGs[t]
 	phi := r.Phi[t]
@@ -170,83 +168,37 @@ func (r *Routing) DestLoadsInto(t graph.NodeID, demandCol, loads, inflow []float
 }
 
 // LinkLoads returns the total flow on every edge when routing demand matrix
-// D (summing the per-destination propagations).
+// D: one propagation per destination with demand, each added into the total
+// in destination order. It is the one load kernel — MaxUtilization, and so
+// the adversary's MxLU, reads it — and allocates one scratch set per call.
 func (r *Routing) LinkLoads(D *demand.Matrix) []float64 {
-	loads := make([]float64, r.G.NumEdges())
-	for t := 0; t < r.G.NumNodes(); t++ {
-		col := D.ToDestination(graph.NodeID(t))
-		any := false
-		for _, v := range col {
-			if v > 0 {
-				any = true
-				break
-			}
+	n, m := r.G.NumNodes(), r.G.NumEdges()
+	buf := make([]float64, 2*m+2*n)
+	total, loads := buf[:m:m], buf[m:2*m:2*m]
+	inflow, col := buf[2*m:2*m+n:2*m+n], buf[2*m+n:]
+	for t := 0; t < n; t++ {
+		active := false
+		for s := range col {
+			col[s] = D.D[s*n+t]
+			active = active || col[s] > 0
 		}
-		if !any {
+		if !active {
 			continue
 		}
-		lt := r.DestLoads(graph.NodeID(t), col)
-		for e := range loads {
-			loads[e] += lt[e]
+		clear(loads)
+		clear(inflow)
+		r.DestLoadsInto(graph.NodeID(t), col, loads, inflow)
+		for e, l := range loads {
+			total[e] += l
 		}
 	}
-	return loads
+	return total
 }
 
 // MaxUtilization returns MxLU(φ, D) = max_e load(e)/c_e (§III).
 func (r *Routing) MaxUtilization(D *demand.Matrix) float64 {
-	loads := r.LinkLoads(D)
 	mx := 0.0
-	for e, l := range loads {
-		u := l / r.G.Edge(graph.EdgeID(e)).Capacity
-		if u > mx {
-			mx = u
-		}
-	}
-	return mx
-}
-
-// ParallelMaxUtilization is MaxUtilization with the per-destination
-// propagations fanned across a worker pool and flow buffers recycled
-// through the given pools (edgeBuf sized NumEdges, nodeBuf sized NumNodes).
-// Per-destination load vectors land in index-addressed slots and are
-// summed serially in destination order before the max, so the value is
-// bit-identical to MaxUtilization for any worker count.
-func (r *Routing) ParallelMaxUtilization(D *demand.Matrix, workers int, edgeBuf, nodeBuf *par.Pool) float64 {
-	n := r.G.NumNodes()
-	perDest := make([][]float64, n)
-	par.For(workers, n, func(t int) {
-		col := D.ToDestination(graph.NodeID(t))
-		active := false
-		for _, v := range col {
-			if v > 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
-			return
-		}
-		loads := edgeBuf.Get()
-		inflow := nodeBuf.Get()
-		r.DestLoadsInto(graph.NodeID(t), col, loads, inflow)
-		nodeBuf.Put(inflow)
-		perDest[t] = loads
-	})
-	total := edgeBuf.Get()
-	defer edgeBuf.Put(total)
-	for t := 0; t < n; t++ {
-		lt := perDest[t]
-		if lt == nil {
-			continue
-		}
-		for e := range total {
-			total[e] += lt[e]
-		}
-		edgeBuf.Put(lt)
-	}
-	mx := 0.0
-	for e, l := range total {
+	for e, l := range r.LinkLoads(D) {
 		if u := l / r.G.Edge(graph.EdgeID(e)).Capacity; u > mx {
 			mx = u
 		}

@@ -11,6 +11,7 @@ import (
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
 	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/topo"
 )
 
 // paperExample builds Fig. 1a with the augmented DAG toward t.
@@ -410,4 +411,20 @@ func TestExportDeterministicAndComplete(t *testing.T) {
 		t.Fatal("JSON round trip lost entries")
 	}
 	_ = ids
+}
+
+// TestMaxUtilizationAllocs: the load kernel allocates one scratch set per
+// call, however many destinations carry demand (Geant, box maximum of a
+// margin-2 gravity box, where a column and a load vector per destination
+// would cost 67).
+func TestMaxUtilizationAllocs(t *testing.T) {
+	g, err := topo.Load("Geant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Uniform(g, dagx.BuildAll(g, dagx.Augmented))
+	D := demand.MarginBox(demand.Gravity(g, 1), 2).Max
+	if allocs := testing.AllocsPerRun(20, func() { r.MaxUtilization(D) }); allocs > 4 {
+		t.Fatalf("MaxUtilization allocates %.0f objects per call, want ≤ 4", allocs)
+	}
 }
