@@ -94,7 +94,7 @@ type Config struct {
 	// pipeline's knobs (coyote.Options) and govern the initial cold
 	// computation and any cold restarts. Warm recomputes (demand updates,
 	// post-failover refinement) and the precomputed failover plan run at
-	// OptIters/2 and max(2, AdvIters/3). When Samples is 0 the plan also
+	// max(1, OptIters/2) and max(2, AdvIters/3). When Samples is 0 the plan also
 	// runs at Samples 4, failover's default, and its evaluators carry those
 	// 4 samples into every refinement until recovery; intact solves and
 	// cold survivor solves sample 8.
@@ -142,7 +142,7 @@ func (c Config) params(warm bool) oblivious.Params {
 		Workers:  c.Workers,
 	}
 	if warm {
-		p.OptIters, p.AdvIters = c.OptIters/2, max(2, c.AdvIters/3)
+		p.OptIters, p.AdvIters = max(1, c.OptIters/2), max(2, c.AdvIters/3)
 	}
 	return p
 }

@@ -186,3 +186,43 @@ func TestFailoverPlanTraced(t *testing.T) {
 		t.Fatalf("%d oblivious.optimize spans under session.failover_plan, want one per survivor (%d)", under, survivors)
 	}
 }
+
+// TestWarmEffortAtLeastOneStep: a session built with OptIters 1 runs every
+// optimizer at one gradient step — cold, in the precomputed failover plan and
+// after UpdateBounds. Halving 1 used to give 0, which the optimizer reads as
+// its 400-step default.
+func TestWarmEffortAtLeastOneStep(t *testing.T) {
+	cfg := testCfg()
+	cfg.OptIters = 1
+	cfg.AdvIters = 2
+	cfg.PrecomputeFailover = true
+	cfg.Tracer = obs.NewTracer()
+	s, base := newNSFSession(t, cfg)
+	if _, err := s.UpdateBounds(demand.MarginBox(base, 2.5)); err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[uint64]string)
+	parent := make(map[uint64]uint64)
+	for _, r := range cfg.Tracer.Records() {
+		names[r.ID], parent[r.ID] = r.Name, r.Parent
+	}
+	runs := map[string]int{}
+	for _, r := range cfg.Tracer.Records() {
+		if r.Name != "gpopt.run" {
+			continue
+		}
+		for _, a := range r.Attrs {
+			if a.Key == "iters" && a.Val != 1 {
+				t.Errorf("gpopt.run span %d ran %v steps, want 1", r.ID, a.Val)
+			}
+		}
+		for p := r.Parent; p != 0; p = parent[p] {
+			runs[names[p]]++
+		}
+	}
+	for _, under := range []string{"session.init", "session.failover_plan", "session.update"} {
+		if runs[under] == 0 {
+			t.Errorf("no gpopt.run span under %s: %v", under, runs)
+		}
+	}
+}

@@ -5,30 +5,45 @@ import (
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
+	"github.com/coyote-te/coyote/internal/graph"
+	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
 // BenchmarkOptimizerStep measures one full gradient iteration of the
 // splitting optimizer — materialize, forward, smooth-max, backward, Adam —
-// on Geant with S dense demand scenarios: the first, a middle and the last
-// round of a default-effort Compute. Run with -benchmem: 0 allocs/op is the
-// arena contract (pinned hard by TestRunStepAllocs); ns/op over S reads off
-// the cost per scenario lane.
+// on Geant and on the 42-node generated topology of the benchmark's
+// scale-ba42 workload, with S dense demand scenarios: the first, a middle
+// and the last round of a default-effort Compute. Each size runs at Workers
+// 1 and 2, which reads off what the per-destination fan-out buys. Run with
+// -benchmem: 0 allocs/op at Workers 1 is the arena contract (pinned hard by
+// TestRunStepAllocs); ns/op over S reads off the cost per scenario lane.
 func BenchmarkOptimizerStep(b *testing.B) {
-	g, err := topo.Load("Geant")
+	geant, err := topo.Load("Geant")
 	if err != nil {
 		b.Fatal(err)
 	}
-	dags := dagx.BuildAll(g, dagx.Augmented)
-	for _, S := range []int{3, 16, 28} {
-		b.Run(fmt.Sprintf("S=%d", S), func(b *testing.B) {
-			o := New(g, dags, Config{Iters: 1, Workers: 1})
-			if !o.prepare(denseScenarios(g, S, 1)) {
-				b.Fatal("scenario set produced no work")
+	ba42, err := scen.Generate("ba", scen.Params{N: 42, M: 2, Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"Geant", geant}, {"ba42", ba42}} {
+		dags := dagx.BuildAll(tc.g, dagx.Augmented)
+		for _, S := range []int{3, 16, 28} {
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/S=%d/Workers=%d", tc.name, S, workers), func(b *testing.B) {
+					o := New(tc.g, dags, Config{Iters: 1, Workers: workers})
+					if !o.prepare(denseScenarios(tc.g, S, 1)) {
+						b.Fatal("scenario set produced no work")
+					}
+					for b.Loop() {
+						o.stepOnce(0.1, nil, nil, nil)
+					}
+				})
 			}
-			for b.Loop() {
-				o.stepOnce(0.1, nil, nil, nil)
-			}
-		})
+		}
 	}
 }

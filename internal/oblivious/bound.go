@@ -27,25 +27,14 @@ var (
 		"Dual-length certificates dropped because their bound at their own matrix disagreed with the solve that produced them; expected 0.")
 )
 
-const (
-	// boundRingSize is how many distance tables an evalCache keeps. The
-	// adversary's corners share most of their binding links, so a handful of
-	// certificates bounds nearly all of them. Measured at wave 2 (DESIGN.md
-	// §2.5; LP solves per cold-geant op / FPTAS solves per scale-ba42 op,
-	// exhaustive 206 / 292): 4 tables leave 54 / 52, 8 leave 40 / 49, 16
-	// leave 37 / 42, 32 leave 36 / 35 — 16 is where the exact engine's
-	// curve flattens, at 16·n² floats per (graph, DAGs).
-	boundRingSize = 16
-	// boundWave is how many candidates PerfTop solves, one after another,
-	// between re-bounding the rest. The solves run on the caller's
-	// goroutine, so the value only fixes which candidates are solved — and
-	// so every basis, cache entry and count downstream. Each doubling costs
-	// about a tenth more solves (1: 34 / 40, 2: 37 / 42, 4: 41 / 45, 8:
-	// 49 / 56) because a wave is bounded by tables older than itself, and a
-	// k = 1 call (Perf, the ECMP guarantee) rarely needs more than two.
-	// A wave of 1 would solve fewer, but would move every gated count.
-	boundWave = 2
-)
+// boundRingSize is how many distance tables an evalCache keeps. The
+// adversary's corners share most of their binding links, so a handful of
+// certificates bounds nearly all of them. Measured best-first (DESIGN.md
+// §2.5; LP solves per cold-geant op / FPTAS solves per scale-ba42 op,
+// exhaustive 206 / 292): 4 tables leave 44 / 45, 8 leave 40 / 46, 16 leave
+// 34 / 40, 32 leave 32 / 34 — 16 is where the exact engine's curve flattens,
+// at 16·n² floats per (graph, DAGs).
+const boundRingSize = 16
 
 // boundRing is the evalCache's store of dual certificates in the form the
 // adversary consumes them: for a length vector ℓ ≥ 0 with Σ ℓ_e·c_e = 1, the

@@ -11,9 +11,10 @@
 // single-pair matrices (Theorem 4) by DAG max-flow; the exact one searches
 // the whole box by cutting planes, in place of Appendix C's slave LP.
 //
-// The adversary runs on its caller's goroutine (DESIGN.md §4): coefficient
-// extraction, the single-pair screen, corner sampling, the candidates' MxLU
-// and their normalizations are plain loops in index order. Corner sampling
+// The adversary runs on its caller's goroutine (DESIGN.md §4): one flat
+// load-coefficient table feeds the single-pair screen and the per-link
+// corners, the candidates' MxLU are a loop in index order, and their
+// normalizations run best-first, one at a time. Corner sampling
 // derives each corner from (Seed, call sequence, sample index) rather than
 // from a shared RNG stream, so a call's result is a function of its inputs
 // and the evaluator's caches. Concurrent callers are safe: the caches sit
@@ -21,7 +22,6 @@
 package oblivious
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -309,9 +309,9 @@ func (ev *Evaluator) PerfTop(r *pdrouting.Routing, k int) []Result {
 
 // PerfTopCtx is PerfTop with tracing: when ctx carries an obs.Tracer the
 // adversary records one oblivious.adversary span covering the whole call,
-// with what became of the candidates — cached, solved, pruned — and the
-// number of waves as attributes, and under it the lp.solve span of each exact
-// normalization. Nothing observed changes the verdict.
+// with what became of the candidates — cached, solved, pruned — as
+// attributes, and under it the lp.solve span of each exact normalization.
+// Nothing observed changes the verdict.
 //
 // The adversary is bound-ordered: it returns exactly the k best of all its
 // candidates but normalizes only those whose dual-length upper bound reaches
@@ -319,11 +319,12 @@ func (ev *Evaluator) PerfTop(r *pdrouting.Routing, k int) []Result {
 func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int) []Result {
 	ctx, span := obs.StartSpan(ctx, "oblivious.adversary")
 	defer span.End()
-	singles, corners := ev.adversaryInputs(r, ev.seq.Add(1))
-
-	// Deduplicate serially in a fixed order.
 	sc := ev.cache.scratch.Get().(*advScratch)
 	defer ev.cache.scratch.Put(sc)
+	sc.coeff = r.LoadCoeffs(sc.coeff)
+	singles, corners := ev.adversaryInputs(sc.coeff, ev.seq.Add(1))
+
+	// Deduplicate serially in a fixed order.
 	cands := sc.cands[:0]
 	seen := make(map[uint64]bool)
 	for _, D := range corners {
@@ -373,48 +374,36 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	cached := len(cands) - len(pending)
 	pos := ev.cache.bounds.position() // the survivors' bounds are current to here
 
-	// Solve in descending bound order, boundWave candidates at a time; after
-	// each wave the fresh certificates tighten the survivors' bounds. Wave
-	// membership depends only on bounds and τ.
+	// Solve best-first: the pending candidate with the highest bound, the
+	// lowest index among equals, until no bound reaches τ. Each certificate
+	// joins the ring as soon as its solve returns and tightens the survivors'
+	// bounds before the next pick.
 	exact := ev.exact()
 	z := sc.lengths(ev.G.NumEdges())
-	waves := 0
 	for len(pending) > 0 {
-		slices.SortFunc(pending, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(cands[b].upper(), cands[a].upper()), cmp.Compare(a, b))
-		})
-		tau := math.Inf(-1)
-		if len(top) == k {
-			tau = top[k-1]
+		b := 0
+		for j, i := range pending {
+			if cands[i].upper() > cands[pending[b]].upper() {
+				b = j
+			}
 		}
-		nw := 0
-		for nw < boundWave && nw < len(pending) && cands[pending[nw]].upper()*(1+1e-9) >= tau {
-			nw++
-		}
-		if nw == 0 {
+		c := &cands[pending[b]]
+		if len(top) == k && c.upper()*(1+1e-9) < top[k-1] {
 			break // nothing left can reach the top k
 		}
-		waves++
-		// The wave is solved in candidate index order, each certificate
-		// joining the ring as soon as its solve returns.
-		slices.Sort(pending[:nw])
-		for _, i := range pending[:nw] {
-			c := &cands[i]
-			var certified bool
-			c.norm, certified = ev.solveOptDAG(ctx, c.D, z)
-			c.known = true
-			ev.cache.store(c.hash, c.norm)
-			if c.valid() {
-				top = pushTop(top, k, c.mxlu/c.norm)
-			}
-			if certified {
-				ev.cache.bounds.add(ev.G, ev.DAGs, z, c.D, c.norm, exact)
-			}
+		pending = slices.Delete(pending, b, b+1)
+		var certified bool
+		c.norm, certified = ev.solveOptDAG(ctx, c.D, z)
+		c.known = true
+		ev.cache.store(c.hash, c.norm)
+		if c.valid() {
+			top = pushTop(top, k, c.mxlu/c.norm)
 		}
-		pending = pending[nw:]
+		if certified {
+			ev.cache.bounds.add(ev.G, ev.DAGs, z, c.D, c.norm, exact)
+		}
 		for _, i := range pending {
-			c := &cands[i]
-			c.lb = math.Max(c.lb, ev.cache.bounds.bound(c.D, pos))
+			cands[i].lb = math.Max(cands[i].lb, ev.cache.bounds.bound(cands[i].D, pos))
 		}
 		pos = ev.cache.bounds.position()
 	}
@@ -426,7 +415,7 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	mCandSolved.Add(uint64(solved))
 	mCandPruned.Add(uint64(pruned))
 	span.Attr("k", k).Attr("candidates", len(cands)).Attr("singles", len(singles)).
-		Attr("cached", cached).Attr("solved", solved).Attr("pruned", pruned).Attr("waves", waves)
+		Attr("cached", cached).Attr("solved", solved).Attr("pruned", pruned)
 
 	all := make([]Result, 0, len(cands)+len(singles))
 	all = append(all, singles...)
@@ -446,18 +435,17 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	return all
 }
 
-// adversaryInputs generates what the seq-th adversary call on r examines: the
-// strongest single-pair results (closed form, oblivious boxes only) and the
-// box corners, duplicates and empty matrices included.
-func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles []Result, corners []*demand.Matrix) {
+// adversaryInputs generates what the seq-th adversary call examines, given
+// the routing's load-coefficient table C (Routing.LoadCoeffs): the strongest
+// single-pair results (closed form, oblivious boxes only) and the box
+// corners, duplicates and empty matrices included.
+func (ev *Evaluator) adversaryInputs(C []float64, seq uint64) (singles []Result, corners []*demand.Matrix) {
 	n := ev.G.NumNodes()
 	nE := ev.G.NumEdges()
 
-	coeff := ev.loadCoeffs(r)
-
 	// Single-pair adversary, exact and closed-form: for demand d on (s,t),
-	// MxLU = d·max_e coeff[t][s][e]/c_e and OPTDAG = d/maxflow(s,t), so the
-	// ratio is maxflow(s,t)·max_e coeff/c — independent of d. Single-pair
+	// MxLU = d·max_e C[e·n²+s·n+t]/c_e and OPTDAG = d/maxflow(s,t), so the
+	// ratio is maxflow(s,t)·max_e C/c — independent of d. Single-pair
 	// matrices belong to the box only when its lower bounds are all zero
 	// (the oblivious sets); skip them otherwise.
 	if ev.Box.Min.Total() == 0 {
@@ -468,7 +456,7 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 				}
 				peak := 0.0
 				for e := 0; e < nE; e++ {
-					u := coeff[t][s][e] / ev.G.Edge(graph.EdgeID(e)).Capacity
+					u := C[e*n*n+s*n+t] / ev.G.Edge(graph.EdgeID(e)).Capacity
 					if u > peak {
 						peak = u
 					}
@@ -500,23 +488,13 @@ func (ev *Evaluator) adversaryInputs(r *pdrouting.Routing, seq uint64) (singles 
 	corners = append(corners, ev.Box.Max.Clone(), ev.Box.Midpoint())
 	for e := 0; e < nE; e++ {
 		corners = append(corners, ev.Box.Corner(func(s, t graph.NodeID) bool {
-			return coeff[t][s][e] > 1e-12
+			return C[e*n*n+int(s)*n+int(t)] > 1e-12
 		}))
 	}
 	for i := 0; i < ev.cfg.Samples; i++ {
 		corners = append(corners, ev.randomCorner(seq, i))
 	}
 	return singles, corners
-}
-
-// loadCoeffs returns coeff[t][s][e], the load one unit of s→t demand puts
-// on edge e: one independent propagation per destination.
-func (ev *Evaluator) loadCoeffs(r *pdrouting.Routing) [][][]float64 {
-	coeff := make([][][]float64, ev.G.NumNodes())
-	for t := range coeff {
-		coeff[t] = r.LoadCoeffs(graph.NodeID(t))
-	}
-	return coeff
 }
 
 // candidate is one deduplicated corner of an adversary call.
@@ -548,9 +526,10 @@ func (c *candidate) upper() float64 {
 // through evalCache.scratch so a steady-state call allocates none of it.
 type advScratch struct {
 	cands   []candidate
-	pending []int32   // indices of candidates not yet solved, best bound first
+	pending []int32   // indices of candidates not yet solved, in index order
 	top     []float64 // the k best exact ratios so far, descending
 	z       []float64 // the dual lengths of the latest solve, one per edge
+	coeff   []float64 // the routing's load coefficients (Routing.LoadCoeffs)
 }
 
 // lengths returns the scratch length vector, sized for m edges.

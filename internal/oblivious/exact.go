@@ -59,12 +59,12 @@ func (ev *Evaluator) PerfExact(ctx context.Context, r *pdrouting.Routing) (Resul
 		a   []float64
 		key float64
 	}
-	coeff := ev.loadCoeffs(r)
+	C := r.LoadCoeffs(nil)
 	var links []link
 	for e := 0; e < g.NumEdges(); e++ {
 		l := link{a: make([]float64, n*n)}
 		for _, i := range m.pairs {
-			l.a[i] = coeff[i%n][i/n][e] / g.Edge(graph.EdgeID(e)).Capacity
+			l.a[i] = C[e*n*n+i] / g.Edge(graph.EdgeID(e)).Capacity
 		}
 		corner := ev.Box.Corner(func(s, t graph.NodeID) bool { return l.a[int(s)*n+int(t)] > 0 })
 		if l.key = tableBound(l.a, corner) / m.bound(corner); l.key > 0 {

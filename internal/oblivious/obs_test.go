@@ -122,16 +122,13 @@ func TestAdversarySpanAccountsForCandidates(t *testing.T) {
 				attr[a.Key] = v
 			}
 		}
-		for _, key := range []string{"candidates", "cached", "solved", "pruned", "waves"} {
+		for _, key := range []string{"candidates", "cached", "solved", "pruned"} {
 			if _, ok := attr[key]; !ok {
 				t.Fatalf("adversary span lacks the %q attribute: %+v", key, rec.Attrs)
 			}
 		}
 		if attr["cached"]+attr["solved"]+attr["pruned"] != attr["candidates"] {
 			t.Fatalf("cached %d + solved %d + pruned %d ≠ candidates %d", attr["cached"], attr["solved"], attr["pruned"], attr["candidates"])
-		}
-		if wantWaves := (attr["solved"] + boundWave - 1) / boundWave; attr["waves"] < wantWaves || attr["waves"] > attr["solved"] {
-			t.Fatalf("%d waves for %d solves at wave size %d", attr["waves"], attr["solved"], boundWave)
 		}
 		if calls == 0 && (attr["solved"] == 0 || attr["pruned"] == 0) {
 			t.Fatalf("first call solved %d and pruned %d candidates; want both positive", attr["solved"], attr["pruned"])

@@ -76,7 +76,7 @@ func (o *exhaustiveOracle) optDAG(ev *Evaluator, D *demand.Matrix) float64 {
 // ranking is every result of the next PerfTop call on ev, best first: what
 // PerfTop(r, k) must return the first k of.
 func (o *exhaustiveOracle) ranking(ev *Evaluator, r *pdrouting.Routing) []Result {
-	singles, corners := ev.adversaryInputs(r, ev.seq.Load()+1)
+	singles, corners := ev.adversaryInputs(r.LoadCoeffs(nil), ev.seq.Load()+1)
 	all := append([]Result(nil), singles...)
 	seen := map[uint64]bool{}
 	for _, D := range corners {

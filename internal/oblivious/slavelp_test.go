@@ -119,7 +119,7 @@ func (ev *Evaluator) buildSlaveLP(actives []bool) *slaveLP {
 // setObjective points the LP at one target link: maximize that link's
 // utilization under the routing's load coefficients. The previous
 // objective is zeroed first (the row set never changes).
-func (sl *slaveLP) setObjective(ev *Evaluator, coeff [][][]float64, targetEdge int) {
+func (sl *slaveLP) setObjective(ev *Evaluator, coeff []float64, targetEdge int) {
 	for _, v := range sl.objSet {
 		sl.model.SetObjective(v, 0)
 	}
@@ -128,8 +128,8 @@ func (sl *slaveLP) setObjective(ev *Evaluator, coeff [][][]float64, targetEdge i
 	ce := ev.G.Edge(graph.EdgeID(targetEdge)).Capacity
 	for s := 0; s < n; s++ {
 		for t := 0; t < n; t++ {
-			if sl.dVar[s][t] >= 0 && coeff[t][s][targetEdge] > 0 {
-				sl.model.SetObjective(sl.dVar[s][t], coeff[t][s][targetEdge]/ce)
+			if a := coeff[targetEdge*n*n+s*n+t]; sl.dVar[s][t] >= 0 && a > 0 {
+				sl.model.SetObjective(sl.dVar[s][t], a/ce)
 				sl.objSet = append(sl.objSet, sl.dVar[s][t])
 			}
 		}
@@ -143,10 +143,9 @@ func (sl *slaveLP) setObjective(ev *Evaluator, coeff [][][]float64, targetEdge i
 func slavePerf(ev *Evaluator, r *pdrouting.Routing) (float64, error) {
 	g := ev.G
 	n := g.NumNodes()
-	coeff := make([][][]float64, n)
+	coeff := r.LoadCoeffs(nil)
 	actives := make([]bool, n) // destinations that can receive demand
 	for t := 0; t < n; t++ {
-		coeff[t] = r.LoadCoeffs(graph.NodeID(t))
 		for s := 0; s < n; s++ {
 			if s != t && ev.Box.Max.At(graph.NodeID(s), graph.NodeID(t)) > 0 {
 				actives[t] = true
@@ -214,10 +213,9 @@ func TestSlaveLPSparseDenseParityCorpus(t *testing.T) {
 			g := ev.G
 			n := g.NumNodes()
 			r := ECMPOnDAGs(g, ev.DAGs)
-			coeff := make([][][]float64, n)
+			coeff := r.LoadCoeffs(nil)
 			actives := make([]bool, n)
 			for tt := 0; tt < n; tt++ {
-				coeff[tt] = r.LoadCoeffs(graph.NodeID(tt))
 				for s := 0; s < n; s++ {
 					if s != tt && ev.Box.Max.At(graph.NodeID(s), graph.NodeID(tt)) > 0 {
 						actives[tt] = true

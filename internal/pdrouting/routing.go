@@ -227,23 +227,31 @@ func (r *Routing) ExpectedHops(s, t graph.NodeID) float64 {
 	return hops
 }
 
-// LoadCoeffs returns, for destination t, the coefficient matrix
-// C[s][e] = f_st(tail(e))·φ_t(e): the load that one unit of s→t demand
-// places on edge e. The worst-case-demand adversary exploits the linearity
-// load_t(e, D) = Σ_s d_st·C[s][e].
-func (r *Routing) LoadCoeffs(t graph.NodeID) [][]float64 {
-	n := r.G.NumNodes()
-	C := make([][]float64, n)
-	col := make([]float64, n)
-	inflow := make([]float64, n)
-	for s := range C {
-		C[s] = make([]float64, r.G.NumEdges())
-		if graph.NodeID(s) == t {
-			continue
-		}
+// LoadCoeffs fills C with the load that one unit of s→t demand places on
+// edge e, C[e·n²+s·n+t] = f_st(tail(e))·φ_t(e), and returns it. C is reused
+// when its length is m·n² and replaced otherwise. Link e's block
+// C[e·n²:(e+1)·n²] is indexed like a demand matrix, so the worst-case-demand
+// adversary reads the linearity load(e, D) = Σ_st D_st·C[e·n²+s·n+t] off one
+// contiguous row.
+func (r *Routing) LoadCoeffs(C []float64) []float64 {
+	n, m := r.G.NumNodes(), r.G.NumEdges()
+	if len(C) != m*n*n {
+		C = make([]float64, m*n*n)
+	}
+	buf := make([]float64, m+2*n)
+	loads, inflow, col := buf[:m:m], buf[m:m+n:m+n], buf[m+n:]
+	for s := 0; s < n; s++ {
 		col[s] = 1
-		clear(inflow)
-		r.DestLoadsInto(t, col, C[s], inflow)
+		for t := 0; t < n; t++ {
+			clear(loads)
+			if s != t {
+				clear(inflow)
+				r.DestLoadsInto(graph.NodeID(t), col, loads, inflow)
+			}
+			for e, l := range loads {
+				C[e*n*n+s*n+t] = l
+			}
+		}
 		col[s] = 0
 	}
 	return C

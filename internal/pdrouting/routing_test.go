@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,13 +159,24 @@ func TestCoyoteFig1cRatios(t *testing.T) {
 func TestUnitDemandConservation(t *testing.T) {
 	g, ids, dags := paperExample(t)
 	r := Uniform(g, dags)
-	C := r.LoadCoeffs(ids["t"])[ids["s1"]]
+	C := unitLoads(g, r.LoadCoeffs(nil), ids["s1"], ids["t"])
 	if f := edgeSum(C, g.Out(ids["s1"])); math.Abs(f-1) > 1e-9 {
 		t.Fatalf("f_st(s) must be 1, got %g", f)
 	}
 	if f := edgeSum(C, g.In(ids["t"])); math.Abs(f-1) > 1e-9 {
 		t.Fatalf("all flow must reach t: f[t] = %g", f)
 	}
+}
+
+// unitLoads reads the per-edge loads of one unit of s→t demand off the
+// link-major coefficient table C.
+func unitLoads(g *graph.Graph, C []float64, s, t graph.NodeID) []float64 {
+	n := g.NumNodes()
+	loads := make([]float64, g.NumEdges())
+	for e := range loads {
+		loads[e] = C[e*n*n+int(s)*n+int(t)]
+	}
+	return loads
 }
 
 // edgeSum sums loads over the listed edges.
@@ -192,15 +204,24 @@ func TestExpectedHops(t *testing.T) {
 func TestLoadCoeffsLinearity(t *testing.T) {
 	g, ids, dags := paperExample(t)
 	r := Uniform(g, dags)
-	C := r.LoadCoeffs(ids["t"])
-	// Route demand 3 from s1: loads must equal 3·C[s1].
+	C := unitLoads(g, r.LoadCoeffs(nil), ids["s1"], ids["t"])
+	// Route demand 3 from s1: loads must equal 3·C.
 	col := make([]float64, g.NumNodes())
 	col[ids["s1"]] = 3
 	loads := r.DestLoads(ids["t"], col)
 	for e := range loads {
-		if math.Abs(loads[e]-3*C[ids["s1"]][e]) > 1e-9 {
-			t.Fatalf("edge %d: load %g != 3·coeff %g", e, loads[e], 3*C[ids["s1"]][e])
+		if math.Abs(loads[e]-3*C[e]) > 1e-9 {
+			t.Fatalf("edge %d: load %g != 3·coeff %g", e, loads[e], 3*C[e])
 		}
+	}
+	// A buffer of the right length is reused and every entry overwritten.
+	full := r.LoadCoeffs(nil)
+	stale := make([]float64, len(full))
+	for i := range stale {
+		stale[i] = math.NaN()
+	}
+	if again := r.LoadCoeffs(stale); &again[0] != &stale[0] || !slices.Equal(again, full) {
+		t.Fatal("LoadCoeffs on a stale buffer of the right length must refill it in place")
 	}
 }
 
