@@ -109,7 +109,9 @@ bench-counts:
 # that it finds the name-keyed reference diff's sets and its replay proof
 # accepts it; for the exact adversary, that PerfExact's cutting planes reach
 # the slave-LP oracle's PERF to 1e-9 under random Abilene splitting ratios
-# and margins).
+# and margins; for the splitting optimizer, that a few gradient steps over
+# 1 to 40 scenario lanes, zero lanes and an underflowed φ included, leave
+# θ and the Adam moments equal to the scalar oracle's bit for bit).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGraphML$$' -fuzztime 15s ./internal/scen
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSNDlib$$' -fuzztime 15s ./internal/scen
@@ -125,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMoveEval$$' -fuzztime 15s ./internal/localsearch
 	$(GO) test -run '^$$' -fuzz '^FuzzDiff$$' -fuzztime 15s ./internal/fibbing
 	$(GO) test -run '^$$' -fuzz '^FuzzPerfExact$$' -fuzztime 15s ./internal/oblivious
+	$(GO) test -run '^$$' -fuzz '^FuzzStepMatchesReference$$' -fuzztime 15s ./internal/gpopt
 
 # smoke-examples builds and runs every examples/* binary (CI does the same
 # so examples cannot silently rot). gravitysweep is the slow one; the

@@ -26,40 +26,6 @@ import (
 	"github.com/coyote-te/coyote/internal/pdrouting"
 )
 
-// softmax writes exp(v_i − max)/Σ into out (allocating if nil) and returns
-// it. It is the log-space primitive behind the geometric program of
-// Appendix C of the paper: the optimizer works in log space, where a
-// posynomial constraint becomes a log-sum-exp of affine functions — "a
-// logarithm of a sum of exponentials of linear functions and so is convex"
-// (§V-C) — and softmax is that log-sum-exp's gradient. It is also the
-// reparameterization that keeps the splitting-ratio constraint Σφ = 1
-// exact: the normalized monomial family produced by the paper's
-// condensation of that constraint.
-func softmax(v []float64, out []float64) []float64 {
-	if out == nil {
-		out = make([]float64, len(v))
-	}
-	if len(v) == 0 {
-		return out
-	}
-	mx := v[0]
-	for _, x := range v[1:] {
-		if x > mx {
-			mx = x
-		}
-	}
-	s := 0.0
-	for i, x := range v {
-		out[i] = math.Exp(x - mx)
-		s += out[i]
-	}
-	inv := 1 / s
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
 // Scenario is one demand matrix of the finite optimization set, together
 // with its normalization constant (the demands-aware optimum within the
 // DAGs, OPTDAG(D)); the optimizer minimizes max over scenarios and links of
@@ -115,7 +81,12 @@ func (c Config) withDefaults() Config {
 // moving all scenarios together, fanned out per destination across a worker
 // pool of Config.Workers goroutines (DESIGN.md §4). All cross-destination
 // floating-point reductions happen serially in a fixed order, so a Run's
-// result is bit-identical for any worker count.
+// result is bit-identical for any worker count. Inside a sweep an edge
+// visit moves its lanes in blocks of four, written out by hand (the
+// compiler does not unroll loops), then a scalar tail of S mod 4 lanes.
+// Every lane's operations and every sum keep the scalar step's order, so
+// the oracle in step_reference_test.go pins θ, m and v bit for bit: a
+// faster step must not move the optimizer's results.
 type Optimizer struct {
 	g    *graph.Graph
 	dags []*dagx.DAG
@@ -169,8 +140,6 @@ func (o *Optimizer) outs(t, i int) []graph.EdgeID {
 type runScratch struct {
 	phi, grad [][]float64 // row views, n × nE, by global edge id
 
-	logits, probs [][]float64 // per-destination softmax scratch, n × maxOutDeg
-
 	lanes []float64 // the arena every row below is carved from
 	S     int       // lanes per row: the current Run's scenario count
 
@@ -178,9 +147,8 @@ type runScratch struct {
 	loads            []float64 // a row per edge slot: the load its destination's sweep put on the edge
 	tot              []float64 // nE rows: an edge's load summed over destinations
 	wNorm            []float64 // nE rows: w/(capacity·Norm), the upstream load gradient
-	capNorm          []float64 // scenario-major from here on (scenario si, edge e at si·nE+e): capacity·Norm
-	scaled           []float64 // utilization/τ, softmax input
-	w                []float64 // smooth-max weights, softmax output
+	capNorm          []float64 // nE rows: capacity·Norm
+	w                []float64 // nE rows: utilization/τ, then the smooth-max weights
 
 	// The par.For leaves are bound once in New and reused every iteration
 	// (a func value passed to For escapes to its worker goroutines, so a
@@ -219,7 +187,6 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 	o.edge = make([]graph.EdgeID, 0, total)
 	o.head = make([]graph.NodeID, 0, total)
 	o.sweeps = make([]sweep, n)
-	maxDeg := 0
 	for t := 0; t < n; t++ {
 		spMember := dags[t].Tree(g).ShortestPathEdges(g)
 		sw := &o.sweeps[t]
@@ -244,7 +211,6 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 			}
 			sw.node = append(sw.node, u)
 			sw.first = append(sw.first, len(o.edge))
-			maxDeg = max(maxDeg, len(o.edge)-start)
 		}
 	}
 
@@ -253,9 +219,6 @@ func New(g *graph.Graph, dags []*dagx.DAG, cfg Config) *Optimizer {
 	gradArena := make([]float64, 2*n*nE)
 	sc.phi = sliceRows(gradArena[0:n*nE], n, nE)
 	sc.grad = sliceRows(gradArena[n*nE:], n, nE)
-	softmaxArena := make([]float64, 2*n*maxDeg)
-	sc.logits = sliceRows(softmaxArena[0:n*maxDeg], n, maxDeg)
-	sc.probs = sliceRows(softmaxArena[n*maxDeg:], n, maxDeg)
 	sc.fnForward = o.forwardDest
 	sc.fnBackward = o.backwardDest
 	return o
@@ -282,8 +245,17 @@ func (o *Optimizer) Routing() *pdrouting.Routing {
 	return r
 }
 
-// materialize writes φ = softmax(θ) for destination t into phiT, using t's
-// private softmax scratch rows (safe under the per-destination fan-out).
+// materialize writes φ = softmax(θ) for destination t into phiT, node by
+// node over its out-edge slots. Softmax is the log-space primitive behind
+// the geometric program of Appendix C of the paper: the optimizer works in
+// log space, where a posynomial constraint becomes a log-sum-exp of affine
+// functions — "a logarithm of a sum of exponentials of linear functions and
+// so is convex" (§V-C) — and softmax is that log-sum-exp's gradient. It is
+// also the reparameterization that keeps the splitting-ratio constraint
+// Σφ = 1 exact: the normalized monomial family produced by the paper's
+// condensation of that constraint. It is computed here on θ and φ in place,
+// with the scalar softmax's operations in its order (max, exp and sum, one
+// multiply by the reciprocal), so φ keeps its bits without a copy in or out.
 func (o *Optimizer) materialize(t int, phiT []float64) {
 	theta := o.theta[t]
 	for i := range o.sweeps[t].node {
@@ -292,14 +264,20 @@ func (o *Optimizer) materialize(t int, phiT []float64) {
 			phiT[out[0]] = 1 // what softmax returns for one logit, exactly
 			continue
 		}
-		logits := o.scratch.logits[t][:len(out)]
-		probs := o.scratch.probs[t][:len(out)]
-		for k, id := range out {
-			logits[k] = theta[id]
+		mx := theta[out[0]]
+		for _, id := range out[1:] {
+			if x := theta[id]; x > mx {
+				mx = x
+			}
 		}
-		softmax(logits, probs)
-		for k, id := range out {
-			phiT[id] = probs[k]
+		s := 0.0
+		for _, id := range out {
+			phiT[id] = math.Exp(theta[id] - mx)
+			s += phiT[id]
+		}
+		inv := 1 / s
+		for _, id := range out {
+			phiT[id] *= inv
 		}
 	}
 }
@@ -373,13 +351,10 @@ func (o *Optimizer) RunCtx(ctx context.Context, scenarios []Scenario) float64 {
 	// The closing objective is one more forward pass on the step's scratch.
 	o.forward()
 	sc := &o.scratch
-	S, nE := sc.S, o.g.NumEdges()
 	worst := 0.0
-	for si := 0; si < S; si++ {
-		for e := 0; e < nE; e++ {
-			if u := sc.tot[e*S+si] / sc.capNorm[si*nE+e]; u > worst {
-				worst = u
-			}
+	for i, x := range sc.tot {
+		if u := x / sc.capNorm[i]; u > worst {
+			worst = u
 		}
 	}
 	return worst
@@ -392,7 +367,7 @@ func (o *Optimizer) RunCtx(ctx context.Context, scenarios []Scenario) float64 {
 func (o *Optimizer) prepare(scenarios []Scenario) bool {
 	sc := &o.scratch
 	n, nE, S := o.g.NumNodes(), o.g.NumEdges(), len(scenarios)
-	if need := S * (3*n*n + len(o.edge) + 5*nE); need > len(sc.lanes) {
+	if need := S * (3*n*n + len(o.edge) + 4*nE); need > len(sc.lanes) {
 		sc.lanes = make([]float64, max(need, 2*len(sc.lanes)))
 	}
 	sc.S = S
@@ -405,7 +380,7 @@ func (o *Optimizer) prepare(scenarios []Scenario) bool {
 	sc.dem, sc.inflow, sc.adj = carve(n*n), carve(n*n), carve(n*n)
 	sc.loads = carve(len(o.edge))
 	sc.tot, sc.wNorm = carve(nE), carve(nE)
-	sc.capNorm, sc.scaled, sc.w = carve(nE), carve(nE), carve(nE)
+	sc.capNorm, sc.w = carve(nE), carve(nE)
 
 	// A scenario without demand toward t is a zero lane of t's rows.
 	work := false
@@ -420,7 +395,7 @@ func (o *Optimizer) prepare(scenarios []Scenario) bool {
 			}
 		}
 		for e := 0; e < nE; e++ {
-			sc.capNorm[si*nE+e] = o.g.Edge(graph.EdgeID(e)).Capacity * s.Norm
+			sc.capNorm[e*S+si] = o.g.Edge(graph.EdgeID(e)).Capacity * s.Norm
 		}
 	}
 	return work
@@ -431,7 +406,7 @@ func (o *Optimizer) prepare(scenarios []Scenario) bool {
 // in steady state (TestRunStepAllocs pins this).
 func (o *Optimizer) stepOnce(tau float64, span *obs.Span, fwdTime, bwdTime *time.Duration) {
 	sc := &o.scratch
-	S, nE := sc.S, o.g.NumEdges()
+	S := sc.S
 
 	var passStart time.Time
 	if span.Active() {
@@ -439,19 +414,32 @@ func (o *Optimizer) stepOnce(tau float64, span *obs.Span, fwdTime, bwdTime *time
 	}
 	o.forward()
 
-	// Smooth-max gradient: w_i = exp(u_i/τ)/Σ over the utilizations in
-	// scenario-major order (the order the softmax sums in), then the
-	// backward pass's upstream load gradient, once per (scenario, edge).
-	for si := 0; si < S; si++ {
-		for e := 0; e < nE; e++ {
-			sc.scaled[si*nE+e] = sc.tot[e*S+si] / sc.capNorm[si*nE+e] / tau
+	// Smooth-max gradient: w = exp(u/τ − max)/Σ over every (edge, scenario)
+	// lane, then the backward pass's upstream load gradient w/(capacity·Norm).
+	// The lanes are edge-major, but Σ adds them in scenario-major order, the
+	// order the scalar step's softmax sums in, and the max starts from the
+	// lane both orders put first, so the weights keep the scalar bits.
+	w := sc.w
+	mx := sc.tot[0] / sc.capNorm[0] / tau
+	for i, x := range sc.tot {
+		u := x / sc.capNorm[i] / tau
+		w[i] = u
+		if u > mx {
+			mx = u
 		}
 	}
-	softmax(sc.scaled, sc.w)
+	for i, u := range w {
+		w[i] = math.Exp(u - mx)
+	}
+	sum := 0.0
 	for si := 0; si < S; si++ {
-		for e := 0; e < nE; e++ {
-			sc.wNorm[e*S+si] = sc.w[si*nE+e] / sc.capNorm[si*nE+e]
+		for i := si; i < len(w); i += S {
+			sum += w[i]
 		}
+	}
+	inv := 1 / sum
+	for i, x := range w {
+		sc.wNorm[i] = x * inv / sc.capNorm[i]
 	}
 
 	if span.Active() {
@@ -472,24 +460,35 @@ func (o *Optimizer) stepOnce(tau float64, span *obs.Span, fwdTime, bwdTime *time
 // forward materializes φ and propagates every scenario's demand down every
 // destination's DAG, then totals the loads per (edge, scenario): member
 // edges only, destinations ascending (slot order), so each total adds its
-// terms in the same order at any worker count.
+// terms in the same order at any worker count. The lanes go four at a
+// time, but each lane is its own sum, so the blocking reorders no term.
 func (o *Optimizer) forward() {
 	sc := &o.scratch
 	par.For(o.cfg.Workers, len(o.sweeps), sc.fnForward)
 	S := sc.S
 	clear(sc.tot)
 	for q, id := range o.edge {
+		load := sc.loads[q*S:][:S]
 		tot := sc.tot[int(id)*S:][:S]
-		for j, f := range sc.loads[q*S:][:S] {
-			tot[j] += f
+		j := 0
+		for ; j <= len(load)-4; j += 4 {
+			tot[j] += load[j]
+			tot[j+1] += load[j+1]
+			tot[j+2] += load[j+2]
+			tot[j+3] += load[j+3]
+		}
+		for ; j < len(load); j++ {
+			tot[j] += load[j]
 		}
 	}
 }
 
 // forwardDest is the forward leaf of destination t: φ = softmax(θ), then one
 // sweep of t's DAG in topological order that splits each node's inflow over
-// its out-edges, all lanes per edge. The inflows stay behind for
-// backwardDest.
+// its out-edges, all lanes per edge, four at a time. A lane's inflow at a
+// node still adds its in-edges in slot order, the order the scalar step
+// adds them in, so inflows and loads keep its bits. The inflows stay
+// behind for backwardDest.
 func (o *Optimizer) forwardDest(t int) {
 	sc := &o.scratch
 	phi := sc.phi[t]
@@ -502,10 +501,18 @@ func (o *Optimizer) forwardDest(t int) {
 		inU := in[int(u)*S:][:S]
 		for q := sw.first[i]; q < sw.first[i+1]; q++ {
 			p := phi[o.edge[q]]
-			load := sc.loads[q*S:][:S]
-			inH := in[int(o.head[q])*S:][:S]
-			for j, x := range inU {
-				f := x * p
+			load, inH := sc.loads[q*S:][:S], in[int(o.head[q])*S:][:S]
+			j := 0
+			for ; j <= len(inU)-4; j += 4 {
+				f0, f1, f2, f3 := inU[j]*p, inU[j+1]*p, inU[j+2]*p, inU[j+3]*p
+				load[j], load[j+1], load[j+2], load[j+3] = f0, f1, f2, f3
+				inH[j] += f0
+				inH[j+1] += f1
+				inH[j+2] += f2
+				inH[j+3] += f3
+			}
+			for ; j < len(inU); j++ {
+				f := inU[j] * p
 				load[j] = f
 				inH[j] += f
 			}
@@ -516,9 +523,12 @@ func (o *Optimizer) forwardDest(t int) {
 // backwardDest is the backward leaf of destination t: one sweep of t's DAG
 // in reverse topological order accumulating dLoss/dφ per edge over the
 // lanes in scenario order, then the φ-gradient → θ-gradient through the
-// softmax Jacobian and the Adam update of t's parameter rows. A lane whose
-// inflow at a node is zero skips the node, adjoint included — which differs
-// from adding zeros exactly when a φ underflowed to 0.
+// softmax Jacobian and the Adam update of t's parameter rows. The lanes go
+// four at a time, but an edge's gradient still adds them in lane order and
+// a node's adjoint its out-edges in slot order, the scalar step's orders,
+// so the gradient keeps its bits. A lane whose inflow at a node is zero
+// skips the node, adjoint included — which differs from adding zeros
+// exactly when a φ underflowed to 0, so the skip is tested lane by lane.
 func (o *Optimizer) backwardDest(t int) {
 	sc := &o.scratch
 	phi, grad := sc.phi[t], sc.grad[t]
@@ -533,16 +543,37 @@ func (o *Optimizer) backwardDest(t int) {
 		for q := sw.first[i]; q < sw.first[i+1]; q++ {
 			id := o.edge[q]
 			p := phi[id]
-			wNorm := sc.wNorm[int(id)*S:][:S]
-			adjH := adj[int(o.head[q])*S:][:S]
+			wNorm, adjH := sc.wNorm[int(id)*S:][:S], adj[int(o.head[q])*S:][:S]
 			g := 0.0
-			for j, x := range inU {
-				if x == 0 {
-					continue
+			j := 0
+			for ; j <= len(inU)-4; j += 4 {
+				if x := inU[j]; x != 0 {
+					up := wNorm[j] + adjH[j]
+					adjU[j] += up * p
+					g += up * x
 				}
-				up := wNorm[j] + adjH[j]
-				adjU[j] += up * p
-				g += up * x
+				if x := inU[j+1]; x != 0 {
+					up := wNorm[j+1] + adjH[j+1]
+					adjU[j+1] += up * p
+					g += up * x
+				}
+				if x := inU[j+2]; x != 0 {
+					up := wNorm[j+2] + adjH[j+2]
+					adjU[j+2] += up * p
+					g += up * x
+				}
+				if x := inU[j+3]; x != 0 {
+					up := wNorm[j+3] + adjH[j+3]
+					adjU[j+3] += up * p
+					g += up * x
+				}
+			}
+			for ; j < len(inU); j++ {
+				if x := inU[j]; x != 0 {
+					up := wNorm[j] + adjH[j]
+					adjU[j] += up * p
+					g += up * x
+				}
 			}
 			grad[id] = g
 		}

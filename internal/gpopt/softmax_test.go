@@ -7,6 +7,35 @@ import (
 	"testing/quick"
 )
 
+// softmax writes exp(v_i − max)/Σ into out (allocating if nil) and returns
+// it. It is the scalar oracle's softmax; the optimizer's materialize and
+// smooth-max pass perform its operations in its order without calling it,
+// and are pinned to it bit for bit through the oracle.
+func softmax(v []float64, out []float64) []float64 {
+	if out == nil {
+		out = make([]float64, len(v))
+	}
+	if len(v) == 0 {
+		return out
+	}
+	mx := v[0]
+	for _, x := range v[1:] {
+		if x > mx {
+			mx = x
+		}
+	}
+	s := 0.0
+	for i, x := range v {
+		out[i] = math.Exp(x - mx)
+		s += out[i]
+	}
+	inv := 1 / s
+	for i := range out {
+		out[i] *= inv
+	}
+	return out
+}
+
 func TestSoftmaxNormalized(t *testing.T) {
 	v := []float64{0.5, -1, 2}
 	p := softmax(v, nil)

@@ -150,18 +150,31 @@ func TestStepEdgeCasesMatchScalarReference(t *testing.T) {
 			D2 := demand.NewMatrix(g.NumNodes())
 			D2.Set(ids["s1"], ids["t"], 1)
 			D2.Set(ids["v"], ids["t"], 1)
-			o := New(g, figDags, Config{Iters: 1, Workers: workers})
-			for _, tail := range []string{"s1", "s2"} {
-				id, _ := g.FindEdge(ids[tail], ids["v"])
-				o.theta[ids["t"]][id] -= 800
-				if phi := o.Routing().Phi[ids["t"]][id]; phi != 0 {
-					t.Fatalf("a θ gap of 800 left φ(%s,v) = %g, want exactly 0", tail, phi)
+			starve := func(cfg Config) *Optimizer {
+				o := New(g, figDags, cfg)
+				for _, tail := range []string{"s1", "s2"} {
+					id, _ := g.FindEdge(ids[tail], ids["v"])
+					o.theta[ids["t"]][id] -= 800
+					if phi := o.Routing().Phi[ids["t"]][id]; phi != 0 {
+						t.Fatalf("a θ gap of 800 left φ(%s,v) = %g, want exactly 0", tail, phi)
+					}
 				}
+				return o
 			}
-			set := []Scenario{NewScenario(g, D1, 1), NewScenario(g, D2, 1)}
+			starved, fed := NewScenario(g, D1, 1), NewScenario(g, D2, 1)
+			o := starve(Config{Iters: 1, Workers: workers})
+			set := []Scenario{starved, fed}
 			checkAgainstScalar(t, "underflow, one step", o, set)
 			o.SetConfig(cfg)
 			checkAgainstScalar(t, "underflow", o, set)
+
+			// The skip is per lane inside a block of four too: one starved
+			// lane at each position of five.
+			for k := 0; k < 5; k++ {
+				set := []Scenario{fed, fed, fed, fed, fed}
+				set[k] = starved
+				checkAgainstScalar(t, fmt.Sprintf("underflow in lane %d of 5, one step", k), starve(Config{Iters: 1, Workers: workers}), set)
+			}
 		})
 
 		// A scenario that sends nothing to some destinations beside one that does.
@@ -187,6 +200,24 @@ func TestStepEdgeCasesMatchScalarReference(t *testing.T) {
 			}
 		})
 
+		// Every length of the lane kernels' scalar tail, S mod 4, over a
+		// full block and without one: S = 1…9 and 32. Every third lane is
+		// a single-source matrix, so zero lanes sit at each position of a
+		// block.
+		t.Run(fmt.Sprintf("lane-counts/workers=%d", workers), func(t *testing.T) {
+			lanes := denseScenarios(geant, 32, 5)
+			for si := 1; si < len(lanes); si += 3 {
+				D := demand.NewMatrix(n)
+				for d := 0; d < n; d++ {
+					D.Set(graph.NodeID((d+1+si%(n-1))%n), graph.NodeID(d), 1+float64(d%4))
+				}
+				lanes[si] = NewScenario(geant, D, 0.5+float64(si%5)/4)
+			}
+			for _, S := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 32} {
+				checkAgainstScalar(t, fmt.Sprintf("S=%d", S), New(geant, dags, Config{Iters: 5, Workers: workers}), lanes[:S])
+			}
+		})
+
 		// Demand columns with a single source each: most of every DAG
 		// carries nothing in that lane.
 		t.Run(fmt.Sprintf("empty-subtrees/workers=%d", workers), func(t *testing.T) {
@@ -198,4 +229,64 @@ func TestStepEdgeCasesMatchScalarReference(t *testing.T) {
 			checkAgainstScalar(t, "empty subtrees", New(geant, dags, cfg), set)
 		})
 	}
+}
+
+// FuzzStepMatchesReference pins the lane kernel against the scalar step on
+// Abilene for any scenario count from 1 to 40 (every block and tail
+// length), random demands with zero entries, zero columns and empty
+// scenarios, and, when underflow is set, a node whose every in-edge with a
+// sibling gets a θ gap of 800: φ underflows to exactly 0 there, which
+// starves the node in the lanes where it sends nothing itself. A few steps
+// on the set, then on its first half; θ, m, v, the last gradient and φ must
+// equal the reference bit for bit at Workers 1 and 2.
+func FuzzStepMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint64(0), false)
+	f.Add(int64(2), uint8(4), uint64(0b1010), true)
+	f.Add(int64(3), uint8(31), uint64(0xf0f0), true)
+	f.Add(int64(4), uint8(38), ^uint64(0), false)
+	g := topo.MustLoad("Abilene")
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	n := g.NumNodes()
+	f.Fuzz(func(t *testing.T, seed int64, lanes uint8, sparse uint64, underflow bool) {
+		rng := rand.New(rand.NewSource(seed))
+		S := 1 + int(lanes)%40
+		set := make([]Scenario, S)
+		for si := range set {
+			D := demand.NewMatrix(n)
+			// A sparse lane keeps a quarter of its pairs, and one in eight
+			// of them keeps none.
+			keep := 1.0
+			if sparse>>(si%64)&1 == 1 {
+				keep = 0.25
+				if rng.Intn(8) == 0 {
+					keep = 0
+				}
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if i != j && rng.Float64() < keep {
+						D.Set(graph.NodeID(i), graph.NodeID(j), 0.1+3*rng.Float64())
+					}
+				}
+			}
+			set[si] = NewScenario(g, D, 0.5+2*rng.Float64())
+		}
+		dest, starved := rng.Intn(n), rng.Intn(n)
+		iters := 1 + rng.Intn(4)
+		for _, workers := range []int{1, 2} {
+			o := New(g, dags, Config{Iters: iters, Workers: workers})
+			if underflow && starved != dest {
+				for i := range o.sweeps[dest].node {
+					out := o.outs(dest, i)
+					for _, id := range out {
+						if len(out) > 1 && int(g.Edge(id).To) == starved {
+							o.theta[dest][id] -= 800
+						}
+					}
+				}
+			}
+			label := fmt.Sprintf("seed %d, S=%d, workers %d", seed, S, workers)
+			checkAgainstScalar(t, label, o, set, set[:(S+1)/2])
+		}
+	})
 }

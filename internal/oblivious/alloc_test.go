@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/coyote-te/coyote/internal/dagx"
@@ -31,4 +32,34 @@ func TestPerfTopAllocs(t *testing.T) {
 		t.Fatalf("warm PerfTop allocates %.0f objects per call, want ≤ 400", allocs)
 	}
 	t.Logf("warm PerfTop: %.0f allocations per call", allocs)
+}
+
+// TestPerfTopObliviousBoxAllocs caps a warm adversary call on an oblivious
+// box (Box.Min all zero), where the single-pair adversary runs: ECMP on
+// Geant's augmented DAGs, k = 4. The pairs are ranked in closed form and
+// only the 8 kept get a matrix, so a call allocates about what a margin-box
+// call does: about 270 objects and 0.6 MB. A matrix for every one of the
+// 462 pairs cost some 1 200 objects and 2.5 MB.
+func TestPerfTopObliviousBoxAllocs(t *testing.T) {
+	g, err := topo.Load("Geant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	ev := NewEvaluator(g, dags, demand.ObliviousBox(g.NumNodes(), 1), EvalConfig{Seed: 1, Workers: 1})
+	r := ECMPOnDAGs(g, dags)
+	for i := 0; i < 3; i++ {
+		ev.PerfTop(r, 4)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() { ev.PerfTop(r, 4) })
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call besides the measured ones.
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) / (1 << 20)
+	t.Logf("warm oblivious-box PerfTop: %.0f allocations, %.2f MB per call", allocs, mb)
+	if allocs > 400 || mb > 1 {
+		t.Fatalf("warm oblivious-box PerfTop allocates %.0f objects and %.2f MB per call, want ≤ 400 and ≤ 1 MB", allocs, mb)
+	}
 }

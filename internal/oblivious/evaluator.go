@@ -447,8 +447,17 @@ func (ev *Evaluator) adversaryInputs(C []float64, seq uint64) (singles []Result,
 	// MxLU = d·max_e C[e·n²+s·n+t]/c_e and OPTDAG = d/maxflow(s,t), so the
 	// ratio is maxflow(s,t)·max_e C/c — independent of d. Single-pair
 	// matrices belong to the box only when its lower bounds are all zero
-	// (the oblivious sets); skip them otherwise.
+	// (the oblivious sets); skip them otherwise. Only the strongest few are
+	// kept, as candidates for the top-k set: the pairs are ranked by ratio
+	// (the earlier pair first among equals) as they come, and only the kept
+	// ones get a matrix.
 	if ev.Box.Min.Total() == 0 {
+		type single struct {
+			Result
+			s, t graph.NodeID
+		}
+		var best [8]single
+		kept := 0
 		for s := 0; s < n; s++ {
 			for t := 0; t < n; t++ {
 				if s == t || ev.Box.Max.At(graph.NodeID(s), graph.NodeID(t)) <= 0 {
@@ -466,18 +475,22 @@ func (ev *Evaluator) adversaryInputs(C []float64, seq uint64) (singles []Result,
 					continue
 				}
 				d := ev.Box.Max.At(graph.NodeID(s), graph.NodeID(t))
-				singles = append(singles, Result{
-					Ratio:   peak * mf,
-					WorstDM: demand.SinglePair(n, graph.NodeID(s), graph.NodeID(t), d),
-					MxLU:    peak * d,
-					Norm:    d / mf,
-				})
+				at := kept
+				for at > 0 && best[at-1].Ratio < peak*mf {
+					at--
+				}
+				if at == len(best) {
+					continue
+				}
+				kept = min(kept+1, len(best))
+				copy(best[at+1:kept], best[at:kept-1])
+				best[at] = single{Result{Ratio: peak * mf, MxLU: peak * d, Norm: d / mf}, graph.NodeID(s), graph.NodeID(t)}
 			}
 		}
-		// Keep the strongest few; they are candidates for the top-k set.
-		sort.SliceStable(singles, func(i, j int) bool { return singles[i].Ratio > singles[j].Ratio })
-		if len(singles) > 8 {
-			singles = singles[:8]
+		singles = make([]Result, kept)
+		for i, b := range best[:kept] {
+			b.WorstDM = demand.SinglePair(n, b.s, b.t, ev.Box.Max.At(b.s, b.t))
+			singles[i] = b.Result
 		}
 	}
 
