@@ -104,7 +104,7 @@ bench-counts:
 # that any sequence of updates, failures, recoveries and lie syntheses
 # replays bit for bit, keeps
 # 1 ≤ PERF ≤ ECMP PERF, rolls rejected operations back and keeps its
-# repaired DAGs equal to a cold build; for the weight search, that every
+# live DAGs equal to a cold build; for the weight search, that every
 # move's in-place evaluation equals a rebuild bit for bit; for the LSA diff,
 # that it finds the name-keyed reference diff's sets and its replay proof
 # accepts it; for the exact adversary, that PerfExact's cutting planes reach

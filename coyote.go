@@ -64,7 +64,9 @@ func NewTopology() *Topology { return &Topology{g: graph.New()} }
 func (t *Topology) AddNode(name string) NodeID { return t.g.AddNode(name) }
 
 // AddLink adds a bidirectional link with the given capacity and OSPF
-// weight (both must be positive) and returns the forward edge ID.
+// weight and returns the forward edge ID. Both must be positive and finite:
+// AddLink panics on a non-positive or NaN value, and Validate (which every
+// computation runs first) rejects an infinite one.
 func (t *Topology) AddLink(a, b NodeID, capacity, weight float64) EdgeID {
 	return t.g.AddLink(a, b, capacity, weight)
 }
@@ -86,8 +88,8 @@ func (t *Topology) Node(name string) (NodeID, bool) { return t.g.NodeByName(name
 // bidirectional link identifies it).
 func (t *Topology) Link(a, b NodeID) (EdgeID, bool) { return t.g.FindEdge(a, b) }
 
-// Validate checks structural invariants (positive capacities and weights,
-// consistent reverse links) and strong connectivity.
+// Validate checks structural invariants (positive finite capacities and
+// weights, consistent reverse links) and strong connectivity.
 func (t *Topology) Validate() error {
 	if err := t.g.Validate(); err != nil {
 		return err

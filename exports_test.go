@@ -39,10 +39,33 @@ var uncalledExports = map[string]string{
 	"coyote.Session.Events":            "public API the README walks through",
 }
 
+// benchOnlyExports are the exported functions and methods whose only
+// non-test callers are in bench/, the benchmark whose files stay as they
+// are: each stays while the benchmark compiles against it, for the reason
+// given.
+var benchOnlyExports = map[string]string{
+	"coyote.NewSession":           "public API; the online-nsf workload drives a session through it",
+	"coyote.Session.UpdateBounds": "public API; an online-nsf round",
+	"coyote.Session.Fail":         "public API; an online-nsf round",
+	"coyote.Session.Recover":      "public API; an online-nsf round",
+	"coyote.Session.FailedLinks":  "public API; online-nsf checks each round ends with none",
+	"coyote.Session.Lies":         "public API; an online-nsf round",
+	"coyote.LieUpdate.Churn":      "public API; online-nsf reads the churn of each lie update",
+	"delta.Session.Graph":         "the traced online-nsf ledger probes the live topology",
+	"lp.GlobalStats":              "the ledger reads pivot counts around its LP probes",
+	"mcf.MinMLUModel.SetDemand":   "the ledger's warm re-solve probe edits one demand",
+	"spf.AllDestinations":         "the ledger times spf.all_dst_s",
+	"spf.NewIncremental":          "the ledger's probe.spf_repair (spf.repair_s)",
+	"spf.Incremental.FailLink":    "the ledger's probe.spf_repair (spf.repair_s)",
+	"spf.Incremental.RecoverLink": "the ledger's probe.spf_repair (spf.repair_s)",
+	"graph.Graph.WithoutLink":     "the workloads pick a link whose failure keeps the topology connected",
+	"demand.Matrix.Pairs":         "the ledger's warm re-solve probe walks a matrix's positive pairs",
+}
+
 // TestEveryExportIsCalled fails on an exported function, or a method with an
 // exported name on any named type of the module, that no non-test Go file
-// calls, unless uncalledExports lists it; it also fails on a stale
-// uncalledExports entry. The non-test files of every package are
+// calls, unless uncalledExports lists it, and on one that only bench/ calls,
+// unless benchOnlyExports lists it; it also fails on a stale entry in either. The non-test files of every package are
 // type-checked, so a call is what the checker resolves, not a name: a field
 // that shares a method's name is not a call of it.
 //
@@ -118,10 +141,12 @@ func TestEveryExportIsCalled(t *testing.T) {
 		exports[fn] = fset.Position(id.Pos())
 	}
 
-	// called holds every function and method a non-test identifier resolves
-	// to outside its own declaration.
+	// called maps every function and method a non-test identifier resolves
+	// to outside its own declaration to whether one such identifier lies
+	// outside bench/.
 	called := map[*types.Func]bool{}
-	for _, pkgFiles := range files {
+	for pkg, pkgFiles := range files {
+		outside := pkg != module+"/bench" && !strings.HasPrefix(pkg, module+"/bench/")
 		for _, f := range pkgFiles {
 			for _, decl := range f.Decls {
 				var self types.Object
@@ -131,7 +156,7 @@ func TestEveryExportIsCalled(t *testing.T) {
 				ast.Inspect(decl, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
 						if fn, ok := info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-							called[fn.Origin()] = true
+							called[fn.Origin()] = called[fn.Origin()] || outside
 						}
 					}
 					return true
@@ -142,12 +167,17 @@ func TestEveryExportIsCalled(t *testing.T) {
 
 	// byName maps a method name to the interfaces through which a call of
 	// that method reaches every implementation: those whose method of that
-	// name a non-test file calls, and the ones the standard library calls.
-	byName := map[string][]*types.Interface{}
-	for fn := range called {
+	// name a non-test file calls, and the ones the standard library calls,
+	// each with whether a caller lies outside bench/.
+	type iface struct {
+		it      *types.Interface
+		outside bool
+	}
+	byName := map[string][]iface{}
+	for fn, outside := range called {
 		if recv := fn.Signature().Recv(); recv != nil {
 			if it, ok := recv.Type().Underlying().(*types.Interface); ok {
-				byName[fn.Name()] = append(byName[fn.Name()], it)
+				byName[fn.Name()] = append(byName[fn.Name()], iface{it, outside})
 			}
 		}
 	}
@@ -166,54 +196,76 @@ func TestEveryExportIsCalled(t *testing.T) {
 		it := typ.Underlying().(*types.Interface)
 		for i := 0; i < it.NumMethods(); i++ {
 			name := it.Method(i).Name()
-			byName[name] = append(byName[name], it)
+			byName[name] = append(byName[name], iface{it, true})
 		}
 	}
-	implemented := func(fn *types.Func) bool {
-		named := receiverNamed(fn.Signature().Recv().Type())
+	// reached reports whether fn is called, directly or through an
+	// interface, and whether one such call lies outside bench/.
+	reached := func(fn *types.Func) (isCalled, outside bool) {
+		outside, isCalled = called[fn]
+		recv := fn.Signature().Recv()
+		if recv == nil {
+			return isCalled, outside
+		}
+		named := receiverNamed(recv.Type())
 		if types.IsInterface(named) || named.TypeParams().Len() > 0 {
-			return false
+			return isCalled, outside
 		}
 		for _, it := range byName[fn.Name()] {
-			if types.Implements(types.NewPointer(named), it) {
-				return true
+			if types.Implements(types.NewPointer(named), it.it) {
+				isCalled, outside = true, outside || it.outside
 			}
 		}
-		return false
+		return isCalled, outside
 	}
 
-	var uncalled []string
-	kept := map[string]bool{}
+	var uncalled, benchOnly []string
+	keptUncalled, keptBench := map[string]bool{}, map[string]bool{}
 	for fn, pos := range exports {
-		if called[fn] {
+		isCalled, outside := reached(fn)
+		if outside {
 			continue
 		}
 		name := fn.Pkg().Name() + "." + fn.Name()
 		if recv := fn.Signature().Recv(); recv != nil {
-			if implemented(fn) {
-				continue
-			}
 			name = fn.Pkg().Name() + "." + receiverNamed(recv.Type()).Obj().Name() + "." + fn.Name()
 		}
-		if _, ok := uncalledExports[name]; ok {
-			kept[name] = true
-			continue
+		switch _, listed := benchOnlyExports[name]; {
+		case isCalled && listed:
+			keptBench[name] = true
+		case isCalled:
+			benchOnly = append(benchOnly, pos.String()+": "+name)
+		default:
+			if _, ok := uncalledExports[name]; ok {
+				keptUncalled[name] = true
+			} else {
+				uncalled = append(uncalled, pos.String()+": "+name)
+			}
 		}
-		uncalled = append(uncalled, pos.String()+": "+name)
 	}
 	sort.Strings(uncalled)
 	for _, u := range uncalled {
 		t.Errorf("%s is exported but no non-test file calls it: delete it, or list it in uncalledExports with the reason it stays", u)
 	}
-	var stale []string
-	for name := range uncalledExports {
-		if !kept[name] {
-			stale = append(stale, name)
-		}
+	sort.Strings(benchOnly)
+	for _, u := range benchOnly {
+		t.Errorf("%s is exported but only bench/ calls it: list it in benchOnlyExports with the reason it stays", u)
 	}
-	sort.Strings(stale)
-	for _, name := range stale {
-		t.Errorf("uncalledExports lists %s, which is not an uncalled exported function or method: drop the entry", name)
+	for _, list := range []struct {
+		name    string
+		entries map[string]string
+		kept    map[string]bool
+	}{{"uncalledExports", uncalledExports, keptUncalled}, {"benchOnlyExports", benchOnlyExports, keptBench}} {
+		var stale []string
+		for name := range list.entries {
+			if !list.kept[name] {
+				stale = append(stale, name)
+			}
+		}
+		sort.Strings(stale)
+		for _, name := range stale {
+			t.Errorf("%s lists %s, which is not such an exported function or method: drop the entry", list.name, name)
+		}
 	}
 }
 

@@ -84,9 +84,8 @@ func ShortestPath(g *graph.Graph, dst graph.NodeID) *DAG {
 }
 
 // ShortestPathFromTree is ShortestPath over an already-computed distance
-// field — the entry point for callers that maintain distances
-// incrementally (spf.Incremental) or already hold a tree for dst. The
-// tree's Dist slice is retained (not copied) as the DAG's Dist.
+// field, for callers that already hold a tree for dst. The tree's Dist
+// slice is retained (not copied) as the DAG's Dist.
 func ShortestPathFromTree(g *graph.Graph, tree *spf.Tree) *DAG {
 	d := &DAG{Dst: tree.Dst, Member: tree.ShortestPathEdges(g), Dist: tree.Dist}
 	d.Order = topoOrder(g, d)
@@ -112,12 +111,10 @@ func Augmented(g *graph.Graph, dst graph.NodeID) *DAG {
 }
 
 // AugmentedFromTree is Augmented over an already-computed distance field
-// for tree.Dst — what the online controller uses to rebuild survivor-epoch
-// DAGs from incrementally repaired distances instead of cold Dijkstra. The
-// distances must be consistent with g's weights (bit-identical to what
-// spf.ToDestination(g, dst) would produce) for the membership tolerance
-// checks to behave identically; spf.Incremental guarantees exactly that.
-// The tree's Dist slice is retained (not copied) as the DAG's Dist.
+// for tree.Dst. The distances must be bit-identical to what
+// spf.ToDestination(g, dst) would produce for the result to equal
+// Augmented(g, dst). The tree's Dist slice is retained (not copied) as the
+// DAG's Dist.
 func AugmentedFromTree(g *graph.Graph, tree *spf.Tree) *DAG {
 	dst := tree.Dst
 	member := tree.ShortestPathEdges(g)

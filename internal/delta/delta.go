@@ -24,6 +24,10 @@
 //     optimizer from its ratios (gpopt.NewFromRouting), and refine with a
 //     short warm run.
 //
+// Any other failure state builds its survivor DAGs with dagx.BuildAll, as
+// a batch solve does: the session holds no shortest-path state of its own,
+// so a rejected link event has only its failed-set entry to restore.
+//
 // Every Session mutation synthesizes nothing by itself; Lies produces the
 // fake-node LSAs for the current configuration and — via fibbing.Diff —
 // the minimal LSA add/remove/update set against the previously emitted
@@ -52,7 +56,6 @@ import (
 	"github.com/coyote-te/coyote/internal/obs"
 	"github.com/coyote-te/coyote/internal/pdrouting"
 	"github.com/coyote-te/coyote/internal/scen"
-	"github.com/coyote-te/coyote/internal/spf"
 	"github.com/coyote-te/coyote/internal/strategy"
 )
 
@@ -71,9 +74,6 @@ var (
 		"LSAs added, removed, or updated across lie-diff emissions.")
 	mDroppedEvents = obs.Default.NewCounter("coyote_session_dropped_events_total",
 		"Events dropped because a subscriber's channel was full.")
-	mSPFAffected = obs.Default.NewHistogram("coyote_spf_affected_nodes",
-		"Nodes touched per dynamic-SPF repair (one observation per destination tree per topology event).",
-		obs.ExpBuckets(1, 2, 12)) // 1 .. 2048 nodes
 )
 
 // sessionLog records every state transition as a structured event —
@@ -212,14 +212,6 @@ type Session struct {
 	base   *graph.Graph          // the intact topology
 	failed map[graph.EdgeID]bool // failed links, by base representative edge ID
 
-	// incs holds one dynamic SPF structure per destination over the base
-	// topology, kept in lockstep with the failed-link set. Fail/Recover
-	// repair only the affected vertices (near-O(affected) instead of n
-	// Dijkstras) and every survivor's augmented DAGs are rebuilt from the
-	// repaired distance fields — bit-identical to the cold construction,
-	// since spf.Incremental maintains the exact Dijkstra fixpoint.
-	incs []*spf.Incremental
-
 	// cur is the live configuration: everything that is replaced as a unit
 	// when the box, the failed-link set, or both change. Its evaluator names
 	// the current topology (base or a survivor), DAGs and uncertainty box.
@@ -259,15 +251,7 @@ func NewSession(g *graph.Graph, box *demand.Box, cfg Config) (*Session, error) {
 	ctx, span := obs.StartSpan(s.traceCtx(), "session.init")
 	defer span.End()
 	start := time.Now()
-	// One cold Dijkstra per destination seeds the dynamic SPF structures,
-	// and the base DAGs are derived from the same distance fields — the
-	// session never pays for a destination's shortest paths twice.
-	s.incs = make([]*spf.Incremental, g.NumNodes())
-	dags := make([]*dagx.DAG, len(s.incs))
-	for t := range s.incs {
-		s.incs[t] = spf.NewIncremental(g, graph.NodeID(t))
-		dags[t] = dagx.AugmentedFromTree(g, s.incs[t].TreeCopy())
-	}
+	dags := dagx.BuildAll(g, dagx.Augmented)
 	next, err := s.solve(ctx, oblivious.NewEvaluator(g, dags, box, cfg.params(false).EvalConfig()), nil)
 	if err != nil {
 		return nil, err
@@ -498,20 +482,6 @@ func (s *Session) failedList() []graph.EdgeID {
 	return out
 }
 
-// repairSPF applies one link event (fail, else restore) to the dynamic SPF
-// structures — an O(affected) repair per destination tree.
-func (s *Session) repairSPF(link graph.EdgeID, fail bool) {
-	for _, inc := range s.incs {
-		touched := 0
-		if fail {
-			touched = inc.FailLink(link)
-		} else {
-			touched = inc.RecoverLink(link)
-		}
-		mSPFAffected.Observe(float64(touched))
-	}
-}
-
 // resolve recomputes after the failed-link set changed. The link argument is
 // the edge that changed state. Only the choice of evaluator — a held
 // configuration's, rebound to the live box, or a fresh one — and of the warm
@@ -529,16 +499,10 @@ func (s *Session) resolve(kind EventKind, link graph.EdgeID) (Event, error) {
 	if len(s.failed) > 0 {
 		survivor = s.base.WithoutLinks(s.failedList())
 		if !survivor.Connected() {
-			// Session state (including the dynamic SPF structures, untouched so
-			// far) is unchanged; the caller rolls back the failed-set entry.
+			// The caller rolls back the failed-set entry.
 			return Event{}, fmt.Errorf("delta: failing %s would partition the network", detail)
 		}
 	}
-	// Keep the dynamic SPF fields in lockstep with the failed set no
-	// matter where this configuration's DAGs come from — each event is an
-	// O(affected) repair, and later multi-failure solves depend on the
-	// fields being current.
-	s.repairSPF(link, kind == EventFail)
 
 	box := s.cur.Ev.Box
 	var ev *oblivious.Evaluator
@@ -562,18 +526,15 @@ func (s *Session) resolve(kind EventKind, link graph.EdgeID) (Event, error) {
 		ev = sc.Solved.Ev.WithBox(box)
 		warm = gpopt.NewFromRouting(ev.G, ev.DAGs, gpopt.Config{}, sc.Solved.Routing)
 	default:
-		// Rebuild the survivor DAGs from the repaired distance fields — no
-		// cold Dijkstra anywhere, and bit-identical to one (parity tests).
-		dags := make([]*dagx.DAG, len(s.incs))
-		for t, inc := range s.incs {
-			dags[t] = dagx.AugmentedFromTree(survivor, inc.TreeCopy())
-		}
+		// Any other failure state — a failure without a plan, a second
+		// failure, a recovery that leaves links failed: the survivor's DAGs
+		// are built as every solve builds them.
+		dags := dagx.BuildAll(survivor, dagx.Augmented)
 		ev = oblivious.NewEvaluator(survivor, dags, box, s.cfg.params(false).EvalConfig())
 	}
 	next, err := s.solve(ctx, ev, warm)
 	if err != nil {
-		s.repairSPF(link, kind != EventFail) // undo; the caller restores the failed set
-		return Event{}, err
+		return Event{}, err // the caller restores the failed set
 	}
 	return s.commit(next, Event{Kind: kind, Detail: detail, Warm: warm != nil}, start), nil
 }

@@ -128,8 +128,8 @@ func TestFailureLeavesIntactOptimizerAlone(t *testing.T) {
 // one link, Lies(2) — and checks, after every operation:
 //   - a rejected operation leaves the event log and the failed set alone;
 //   - every committed recompute has a finite PERF in [1, ECMPPerf];
-//   - the live DAGs equal the cold construction over the live topology, so
-//     the incrementally repaired SPF state never drifts;
+//   - the live DAGs equal the cold construction over the live topology,
+//     whether built, swapped in from the plan or resumed;
 //   - a first failure is warm exactly when the session has a precomputed
 //     failover plan (the planned swap), which the top bit of the first
 //     byte chooses;

@@ -50,8 +50,8 @@ type GroupScenario struct {
 	// precomputing; they depend only on the survivor and its DAGs, never on
 	// the uncertainty box, so a session swapping the scenario in
 	// (delta.Session.Fail) rebinds it to the live box and the failure
-	// reaction re-pays no normalization — that reuse is what makes the warm
-	// reaction latency near-O(affected) end to end (DESIGN.md §12).
+	// reaction re-pays no normalization and rebuilds no DAG — the warm
+	// failover reaction (DESIGN.md §12).
 	Solved *strategy.Solved
 	// ECMPPerf is traditional ECMP's worst-case normalized utilization on
 	// the surviving topology, evaluated once more after the solve. It is

@@ -264,6 +264,9 @@ func (g *Graph) Validate() error {
 		if !(e.Capacity > 0) || math.IsInf(e.Capacity, 1) {
 			return fmt.Errorf("graph: edge %d has capacity %v, want positive and finite", i, e.Capacity)
 		}
+		if !(e.Weight > 0) || math.IsInf(e.Weight, 1) {
+			return fmt.Errorf("graph: edge %d (%s→%s) has weight %v, want positive and finite", i, g.names[e.From], g.names[e.To], e.Weight)
+		}
 		if e.Reverse >= 0 {
 			r := g.edges[e.Reverse]
 			if r.From != e.To || r.To != e.From {

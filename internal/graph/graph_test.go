@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -66,6 +67,14 @@ func TestValidate(t *testing.T) {
 	g := buildDiamond(t)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+	// An infinite weight passes AddLink but not Validate, which names the edge.
+	c, _ := g.NodeByName("c")
+	d, _ := g.NodeByName("d")
+	g.AddLink(d, c, 10, math.Inf(1))
+	err := g.Validate()
+	if err == nil || !strings.Contains(err.Error(), "d→c") {
+		t.Fatalf("Validate with an infinite weight on d→c: err = %v, want one naming d→c", err)
 	}
 }
 

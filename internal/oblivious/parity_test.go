@@ -75,8 +75,8 @@ func TestEvaluatorWorkerParity(t *testing.T) {
 }
 
 // TestEvaluatorConcurrentSmoke hammers one shared evaluator from many
-// goroutines; run under -race it proves the caches, pools, and the
-// per-destination fan-out are data-race free.
+// goroutines; run under -race it proves the caches and pools are data-race
+// free when callers share an evaluator.
 func TestEvaluatorConcurrentSmoke(t *testing.T) {
 	g, err := topo.Load("NSF")
 	if err != nil {
@@ -113,10 +113,10 @@ func TestEvaluatorConcurrentSmoke(t *testing.T) {
 }
 
 // TestPerfTopFPTASWorkerParity drives PerfTop past the exact/FPTAS
-// crossover (ExactNodeLimit 1 on a 42-node graph), where the parallel
-// corner normalizations all solve on the evaluator's one shared mcf.Approx
-// index. Under -race it proves no two par.For candidates share a solve
-// workspace; in any mode the results are bit-identical at Workers 1 and 4.
+// crossover (ExactNodeLimit 1 on a 42-node graph), where the corner
+// normalizations all solve on the evaluator's one shared mcf.Approx index,
+// one candidate at a time on the caller's goroutine. The results are
+// bit-identical at Workers 1 and 4, a value that sizes only gpopt.
 func TestPerfTopFPTASWorkerParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parity sweep in -short mode")

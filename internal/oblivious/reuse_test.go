@@ -47,8 +47,8 @@ func lpWork(before obs.Snapshot) map[string]float64 {
 // model does: same value bits, same LP work. The margin box keeps one
 // formulation shape; the oblivious box (lower bounds 0) changes the active
 // destination set from matrix to matrix, so the free list is matched,
-// missed, refilled and evicted. OptDAG is the serial chain, PerfTop the
-// parallel fan-out.
+// missed, refilled and evicted. OptDAG normalizes one matrix per call,
+// PerfTop a whole candidate set per call.
 func TestExactOptDAGReuseParity(t *testing.T) {
 	g, err := topo.Load("NSF")
 	if err != nil {
@@ -112,7 +112,7 @@ func TestExactOptDAGReuseParity(t *testing.T) {
 				shapes[string(key)] = true
 			}
 
-			// The fan-out: every candidate not normalized before is solved.
+			// The batch: every candidate not normalized before is solved.
 			for round := 0; round < 2; round++ {
 				for _, r := range routings {
 					known := map[uint64]bool{}

@@ -8,8 +8,8 @@ import "github.com/coyote-te/coyote/internal/graph"
 // allocation per edge relaxation) and held duplicate entries per node; this
 // one stores plain int32/float64 arrays sized once per graph and is reused
 // across runs, so a relaxation is a few array writes and sift swaps with no
-// allocation at all. It is shared by the cold Dijkstra (ToDestination), the
-// incremental repair queues (Incremental), and the LSDB SPF of package ospf.
+// allocation at all. It is shared by the package's Dijkstra (ToDestination
+// and Incremental) and the LSDB SPF of package ospf.
 //
 // Keys are node IDs in [0, n); each node appears at most once. DecreaseTo
 // is a no-op unless the new key is strictly smaller, so Push-style usage
@@ -35,15 +35,6 @@ func NewHeap(n int) *Heap {
 
 // Len reports the number of queued nodes.
 func (h *Heap) Len() int { return len(h.nodes) }
-
-// Reset empties the heap. It is O(len) — only queued nodes are touched — so
-// a mostly-idle heap (the incremental repair case) resets in O(affected).
-func (h *Heap) Reset() {
-	for _, v := range h.nodes {
-		h.pos[v] = -1
-	}
-	h.nodes = h.nodes[:0]
-}
 
 // DecreaseTo inserts v with key k, or lowers its key to k if it is already
 // queued with a larger one. It reports whether the heap changed.

@@ -77,7 +77,7 @@ func checkAgainstCold(t *testing.T, g *graph.Graph, down map[graph.EdgeID]bool, 
 	t.Helper()
 	ng, mapping := withoutEdges(g, down)
 	cold := ToDestination(ng, dst)
-	tree := inc.TreeCopy()
+	tree := &Tree{Dst: dst, Dist: inc.dist}
 	for u := range cold.Dist {
 		if got := tree.Dist[u]; got != cold.Dist[u] {
 			t.Fatalf("step %d: dist[%d] = %v, cold Dijkstra %v", step, u, got, cold.Dist[u])
@@ -131,7 +131,7 @@ func propertyTopologies(t *testing.T) map[string]*graph.Graph {
 
 // TestIncrementalMatchesCold is the dynamic-SPF parity property: over
 // randomized sequences of link and directed-edge failures and recoveries,
-// the incrementally repaired field must stay bit-identical — distances and
+// the field kept under those events must stay bit-identical — distances and
 // ShortestPathEdges — to a cold Dijkstra on the equivalent topology.
 func TestIncrementalMatchesCold(t *testing.T) {
 	steps := 90
@@ -203,10 +203,10 @@ func TestIncrementalMatchesCold(t *testing.T) {
 	}
 }
 
-// TestIncrementalAffectedCounts sanity-checks the O(affected) claim: on the
-// running example, failing a leaf-adjacent link must repair only the
-// vertices whose labels actually change (plus their tight dependents),
-// never the whole graph repeatedly for untouched edges.
+// TestIncrementalNoOpRepairs checks that an event which cannot move the
+// field re-derives nothing: failing and recovering an edge on no shortest
+// path returns 0, and a link's fail/recover round trip restores the field
+// bit for bit.
 func TestIncrementalNoOpRepairs(t *testing.T) {
 	g, err := topo.Load("NSF")
 	if err != nil {
@@ -230,7 +230,7 @@ func TestIncrementalNoOpRepairs(t *testing.T) {
 	link := g.Links()[3]
 	inc.FailLink(link)
 	inc.RecoverLink(link)
-	for u, d := range inc.TreeCopy().Dist {
+	for u, d := range inc.dist {
 		if d != cold.Dist[u] {
 			t.Fatalf("fail/recover round-trip changed dist[%d]: %v → %v", u, cold.Dist[u], d)
 		}

@@ -6,14 +6,11 @@
 // that dist[u] is the length of the shortest u→t path; an edge e = (u,v)
 // lies on a shortest path to t iff dist[u] = w(e) + dist[v].
 //
-// Two computation modes share one arithmetic contract. ToDestination is the
-// cold Dijkstra over an indexed value-typed heap (no allocation per
-// relaxation); Incremental maintains the same distance field under edge
-// weight changes, failures, and recoveries, repairing only the affected
-// vertices (Ramalingam–Reps style). Both converge to the unique least
-// fixpoint of dist[u] = min over out-edges (u,v) of fl(w + dist[v]) in
-// float64 arithmetic, so their outputs are bit-identical — the property the
-// online controller's parity suite pins down.
+// dijkstraInto is the package's one Dijkstra: ToDestination runs it over
+// every edge, and Incremental re-runs it over the edges a link event leaves
+// active. Its result is the least fixpoint of dist[u] = min over out-edges
+// (u,v) of fl(w + dist[v]) in float64 arithmetic, so a field kept under
+// failures is bit-identical to a cold one on the survivor.
 package spf
 
 import (
@@ -38,9 +35,8 @@ type Tree struct {
 }
 
 // FromDist wraps an existing distance field (for example a forwarding DAG's
-// cached Dist, or an Incremental's repaired field) as a Tree, sharing the
-// slice. It lets consumers reuse distances that are already known instead of
-// re-running Dijkstra.
+// cached Dist) as a Tree, sharing the slice. It lets consumers reuse
+// distances that are already known instead of re-running Dijkstra.
 func FromDist(dst graph.NodeID, dist []float64) *Tree {
 	return &Tree{Dst: dst, Dist: dist}
 }
@@ -50,7 +46,7 @@ func FromDist(dst graph.NodeID, dist []float64) *Tree {
 func ToDestination(g *graph.Graph, dst graph.NodeID) *Tree {
 	n := g.NumNodes()
 	t := &Tree{Dst: dst, Dist: make([]float64, n)}
-	dijkstraInto(g, dst, t.Dist, NewHeap(n))
+	dijkstraInto(g, dst, t.Dist, NewHeap(n), nil)
 	return t
 }
 
@@ -58,13 +54,14 @@ func ToDestination(g *graph.Graph, dst graph.NodeID) *Tree {
 // (length NumNodes, fully overwritten) and a heap over at least NumNodes
 // nodes (must be empty; left empty). It performs no allocation.
 func ToDestinationInto(g *graph.Graph, dst graph.NodeID, dist []float64, h *Heap) *Tree {
-	dijkstraInto(g, dst, dist, h)
+	dijkstraInto(g, dst, dist, h, nil)
 	return &Tree{Dst: dst, Dist: dist}
 }
 
 // dijkstraInto runs Dijkstra toward dst over the reversed graph, writing
-// into dist using h as the frontier queue.
-func dijkstraInto(g *graph.Graph, dst graph.NodeID, dist []float64, h *Heap) {
+// into dist using h (empty; left empty) as the frontier queue. Only the
+// edges with active[id] set are relaxed; a nil active means every edge.
+func dijkstraInto(g *graph.Graph, dst graph.NodeID, dist []float64, h *Heap, active []bool) {
 	for i := range dist {
 		dist[i] = Inf
 	}
@@ -76,6 +73,9 @@ func dijkstraInto(g *graph.Graph, dst graph.NodeID, dist []float64, h *Heap) {
 		// Relax reversed edges: for edge e=(u,v) entering v, a path u→t via
 		// v costs w(e) + d.
 		for _, id := range g.In(v) {
+			if active != nil && !active[id] {
+				continue
+			}
 			e := g.Edge(id)
 			nd := e.Weight + d
 			if nd < dist[e.From] {

@@ -243,6 +243,13 @@ func TestBuildChecksTheBox(t *testing.T) {
 	infCap := graph.New()
 	x, y := infCap.AddNode("x"), infCap.AddNode("y")
 	infCap.AddLink(x, y, math.Inf(1), 1)
+	// A ring that stays connected without its infinite-weight link.
+	infWeight := graph.New()
+	r0, r1, r2, r3 := infWeight.AddNode("r0"), infWeight.AddNode("r1"), infWeight.AddNode("r2"), infWeight.AddNode("r3")
+	infWeight.AddLink(r0, r1, 10, 1)
+	infWeight.AddLink(r1, r2, 10, 1)
+	infWeight.AddLink(r2, r3, 10, 1)
+	infWeight.AddLink(r3, r0, 10, math.Inf(1))
 	for _, name := range Names() {
 		s, err := New(name, testConfig(1))
 		if err != nil {
@@ -261,6 +268,7 @@ func TestBuildChecksTheBox(t *testing.T) {
 		for what, bad := range map[string]*graph.Graph{
 			"two islands":       islands,
 			"infinite capacity": infCap,
+			"infinite weight":   infWeight,
 		} {
 			if plan, err := Build(s, bad, demand.ObliviousBox(bad.NumNodes(), 1)); err == nil {
 				t.Errorf("%s, %s: Build returned plan %T and no error", name, what, plan)
