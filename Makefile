@@ -97,7 +97,8 @@ bench-counts:
 # reaches the all-logical start's optimum on small random graphs without a
 # solve error; for the FPTAS kernel, that its shortest-path trees match the
 # Bellman–Ford oracle bit for bit and a solve finishes or reports
-# ErrUnroutable; for the Prometheus exposition parser,
+# ErrUnroutable, and that a whole solve returns the reference oracle's MLU
+# and flows bit for bit or its error; for the Prometheus exposition parser,
 # that accepted pages keep coherent histograms; for the controller, that
 # every POST /update body gets a 200 or a 400 that leaves the event log
 # alone; for the session, with or without a precomputed failover plan,
@@ -121,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveParity$$' -fuzztime 15s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzCrashStart$$' -fuzztime 15s ./internal/mcf
 	$(GO) test -run '^$$' -fuzz '^FuzzApproxTree$$' -fuzztime 15s ./internal/mcf
+	$(GO) test -run '^$$' -fuzz '^FuzzApproxMatchesReference$$' -fuzztime 15s ./internal/mcf
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime 15s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzUpdateBody$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionOps$$' -fuzztime 15s ./internal/delta

@@ -42,7 +42,7 @@ func TestEpsOutOfRangeIsAnError(t *testing.T) {
 }
 
 // computeBA42 runs one 42-node Compute and returns it with the
-// coyote_mcf_fptas_* series it moved.
+// coyote_mcf_fptas_* and coyote_oblivious_candidates_* series it moved.
 func computeBA42(t *testing.T, workers int) (*coyote.Config, map[string]float64) {
 	t.Helper()
 	topo, bounds := ba42(t)
@@ -58,18 +58,26 @@ func computeBA42(t *testing.T, workers int) (*coyote.Config, map[string]float64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg, moved(before, "coyote_mcf_fptas_")
+	// Every pair of the box's corners is routed: none scales under the
+	// FPTAS routing floor.
+	if v, ok := obs.Default.Snapshot().Since(before)["coyote_mcf_fptas_floored_pairs_total"]; !ok || v != 0 {
+		t.Fatalf("coyote_mcf_fptas_floored_pairs_total moved by %v (registered: %v), want 0", v, ok)
+	}
+	work := moved(before, "coyote_mcf_fptas_")
+	maps.Copy(work, moved(before, "coyote_oblivious_candidates_"))
+	return cfg, work
 }
 
-// TestFPTASWorkCountsDeterministic: the coyote_mcf_fptas_* counters move by
-// the same amounts for two same-seed Compute calls and for Workers 1 vs 4,
-// and the configuration past the crossover is finite and worker-independent.
-// The amounts are pinned, the FPTAS side of what TestComputeWorkCounts pins
-// for the LP: they move only when the adversary's choice of candidates or
-// the kernel does, and a change that means to move them re-reads them from
-// this test's failure output. (42 solves, 2 916 phases and 124 236 SP trees
-// while the adversary solved its candidates two at a time between
-// re-boundings rather than best-first.) Retries must stay at 0.
+// TestFPTASWorkCountsDeterministic: the coyote_mcf_fptas_* counters and the
+// adversary's candidate outcomes move by the same amounts for two same-seed
+// Compute calls and for Workers 1 vs 4, and the configuration past the
+// crossover is finite and worker-independent. The amounts are pinned, the
+// FPTAS side of what TestComputeWorkCounts pins for the LP: they move only
+// when the adversary's choice of candidates or the kernel does, and a change
+// that means to move them re-reads them from this test's failure output.
+// (42 solves, 2 916 phases and 124 236 SP trees while the adversary solved
+// its candidates two at a time between re-boundings rather than
+// best-first.) Retries must stay at 0.
 func TestFPTASWorkCountsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three 42-node computations in -short mode")
@@ -78,6 +86,10 @@ func TestFPTASWorkCountsDeterministic(t *testing.T) {
 		"coyote_mcf_fptas_solves_total":  39,
 		"coyote_mcf_fptas_phases_total":  2712,
 		"coyote_mcf_fptas_sptrees_total": 115542,
+
+		"coyote_oblivious_candidates_total{cached}": 23,
+		"coyote_oblivious_candidates_total{solved}": 37,
+		"coyote_oblivious_candidates_total{pruned}": 391,
 	}
 	cfg, first := computeBA42(t, 1)
 	if !maps.Equal(first, want) {

@@ -24,6 +24,8 @@ var (
 		"Shortest-path trees computed (scaling pass and phases), summed over solves.")
 	mApproxRetries = obs.Default.NewCounter("coyote_mcf_fptas_retries_total",
 		"Solves restarted with halved demands because no phase completed; expected 0.")
+	mApproxFloored = obs.Default.NewCounter("coyote_mcf_fptas_floored_pairs_total",
+		"Demand pairs left unrouted because their scaled demand is at or under the routing floor, summed over solves.")
 )
 
 // routeFloor is the scaled demand below which the FPTAS routes nothing more:
@@ -60,27 +62,37 @@ func CheckEps(eps float64) error {
 // construction, so the graph must not change afterwards.
 type Approx struct {
 	n, m   int
-	g      *graph.Graph
-	dags   []*dagx.DAG
 	cap    []float64
 	weight []float64 // OSPF weights: the lengths of the demand-scaling pass
-	to     []int32
-	pool   sync.Pool // *workspace
+	// The reverse topological pass of every destination, flattened (DESIGN.md
+	// §12): pass[t·n:(t+1)·n] lists every node in the reverse of t's DAG
+	// order, and node pass[i].node's member out-edges, in g.Out order, are
+	// arcs[pass[i-1].end:pass[i].end] (from 0 for i = 0; none for t).
+	pass []passNode
+	arcs []arc
+	pool sync.Pool // *workspace
 }
+
+// passNode is one step of a destination's reverse topological pass.
+type passNode struct{ node, end int32 }
+
+// arc is a DAG member edge with its head.
+type arc struct{ edge, head int32 }
 
 // workspace is the mutable state of one solve, recycled through
 // Approx.pool so a steady-state solve allocates nothing.
 type workspace struct {
 	dist   []float64
 	parent []int32   // first edge of the shortest path to the tree's root, or -1
+	next   []int32   // the head of parent[u]: u's next hop toward the root
 	bott   []float64 // least capacity on the tree path to the root
 	length []float64 // the multiplicative-weights edge lengths
 	loads  []float64 // single-path edge loads of the scaling pass
 	dests  []int32   // destinations with demand
 	// One row per entry of dests: the demand column toward it (n wide) and
-	// its edge flows from completed phases and from the phase in progress
-	// (m wide). The flow rows stay per destination because the final loads
-	// sum them in destination order.
+	// its edge flows from completed phases (m wide). The done rows stay per
+	// destination because the final loads sum them in destination order;
+	// phase is the one m-wide row of the destination being routed.
 	col, done, phase []float64
 }
 
@@ -90,23 +102,40 @@ func NewApprox(g *graph.Graph, dags []*dagx.DAG) *Approx {
 	n, m := g.NumNodes(), g.NumEdges()
 	a := &Approx{
 		n: n, m: m,
-		g:      g,
-		dags:   dags,
 		cap:    make([]float64, m),
 		weight: make([]float64, m),
-		to:     make([]int32, m),
+		pass:   make([]passNode, 0, n*n),
 	}
+	arcs := 0
+	for _, dag := range dags {
+		arcs += dag.NumEdges()
+	}
+	a.arcs = make([]arc, 0, arcs)
 	for _, e := range g.Edges() {
 		a.cap[e.ID], a.weight[e.ID] = e.Capacity, e.Weight
-		a.to[e.ID] = int32(e.To)
+	}
+	for t, dag := range dags {
+		for i := len(dag.Order) - 1; i >= 0; i-- {
+			u := dag.Order[i]
+			if int(u) != t {
+				for _, id := range dag.OutEdges(g, u) {
+					a.arcs = append(a.arcs, arc{int32(id), int32(g.Edge(id).To)})
+				}
+			}
+			a.pass = append(a.pass, passNode{int32(u), int32(len(a.arcs))})
+		}
 	}
 	a.pool.New = func() any {
+		// The fixed-size rows share two arrays: one allocation per type.
+		f, i := make([]float64, 2*n+3*m), make([]int32, 2*n)
 		return &workspace{
-			dist:   make([]float64, n),
-			parent: make([]int32, n),
-			bott:   make([]float64, n),
-			length: make([]float64, m),
-			loads:  make([]float64, m),
+			dist:   f[:n:n],
+			bott:   f[n : 2*n : 2*n],
+			length: f[2*n : 2*n+m : 2*n+m],
+			loads:  f[2*n+m : 2*n+2*m : 2*n+2*m],
+			phase:  f[2*n+2*m:],
+			parent: i[:n:n],
+			next:   i[n:],
 			dests:  make([]int32, 0, n),
 			col:    make([]float64, 0, n*n),
 		}
@@ -117,8 +146,11 @@ func NewApprox(g *graph.Graph, dags []*dagx.DAG) *Approx {
 // MinMLUApprox approximates min-MLU with a Garg–Könemann/Fleischer
 // multiplicative-weights scheme, aggregating commodities per destination
 // (one shortest-path tree per destination per phase). The returned flow
-// routes D exactly inside the DAGs, so it is acyclic per destination
-// (convertible to splitting ratios); its utilization lies in
+// stays inside the DAGs, so it is acyclic per destination (convertible to
+// splitting ratios), and routes every pair of D except those whose demand,
+// scaled so one shortest-path routing has MLU 1, is at or under a 1e-15
+// floor; such pairs are dropped and counted in
+// coyote_mcf_fptas_floored_pairs_total. Its utilization lies in
 // [OPT, (1+O(eps))·OPT] for OPT the min-MLU within the DAGs.
 //
 // This is the one-shot form of NewApprox(g, dags).Solve(D, eps); callers
@@ -173,7 +205,7 @@ func (a *Approx) solve(D *demand.Matrix, eps float64, wantFlows bool, lengths []
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		scale := 1 / refMLU
-		a.loadColumns(ws, D, scale)
+		floored := a.loadColumns(ws, D, scale)
 		phases, runTrees, err := a.run(ws, eps)
 		trees += runTrees
 		if err != nil {
@@ -222,14 +254,17 @@ func (a *Approx) solve(D *demand.Matrix, eps float64, wantFlows bool, lengths []
 		mApproxPhases.Add(uint64(phases))
 		mApproxTrees.Add(uint64(trees))
 		mApproxRetries.Add(uint64(attempt))
+		mApproxFloored.Add(uint64(floored))
 		return mlu / scale, flows, nil
 	}
 	return 0, nil, errors.New("mcf: approximation failed to complete a phase")
 }
 
 // loadColumns fills the workspace with the demand columns of D times scale,
-// one row per destination that still has a positive entry after scaling.
-func (a *Approx) loadColumns(ws *workspace, D *demand.Matrix, scale float64) {
+// one row per destination that still has a positive entry after scaling. It
+// returns how many pairs with demand scale to at or under routeFloor: the
+// pairs no phase routes.
+func (a *Approx) loadColumns(ws *workspace, D *demand.Matrix, scale float64) (floored int) {
 	n := a.n
 	ws.dests = ws.dests[:0]
 	ws.col = ws.col[:0]
@@ -239,6 +274,9 @@ func (a *Approx) loadColumns(ws *workspace, D *demand.Matrix, scale float64) {
 		for s := 0; s < n; s++ {
 			d := D.D[s*n+t] * scale
 			any = any || d > 0
+			if d <= routeFloor && s != t && D.D[s*n+t] > 0 {
+				floored++
+			}
 			ws.col = append(ws.col, d)
 		}
 		if any {
@@ -247,6 +285,7 @@ func (a *Approx) loadColumns(ws *workspace, D *demand.Matrix, scale float64) {
 			ws.col = ws.col[:base]
 		}
 	}
+	return floored
 }
 
 // singlePathMLU routes every loaded demand along one shortest path (by
@@ -265,10 +304,8 @@ func (a *Approx) singlePathMLU(ws *workspace) (float64, error) {
 			if ws.parent[s] < 0 {
 				return 0, ErrUnroutable
 			}
-			for u := s; u != t; {
-				id := ws.parent[u]
-				ws.loads[id] += col[s]
-				u = a.to[id]
+			for u := s; u != t; u = ws.next[u] {
+				ws.loads[ws.parent[u]] += col[s]
 			}
 		}
 	}
@@ -286,10 +323,9 @@ func (a *Approx) singlePathMLU(ws *workspace) (float64, error) {
 // completed and the shortest-path trees computed.
 func (a *Approx) run(ws *workspace, eps float64) (phases, trees int, err error) {
 	n, m := a.n, a.m
-	rows := len(ws.dests) * m
-	ws.done = zeroed(ws.done, rows)
-	ws.phase = zeroed(ws.phase, rows)
-	length, capacity := ws.length, a.cap
+	ws.done = zeroed(ws.done, len(ws.dests)*m)
+	length, capacity, row := ws.length, a.cap, ws.phase
+	clear(row) // an ErrUnroutable return leaves a destination's flows behind
 
 	delta := (1 + eps) * math.Pow((1+eps)*float64(m), -1/eps)
 	sumLC := 0.0 // Σ l(e)·c(e)
@@ -304,7 +340,6 @@ func (a *Approx) run(ws *workspace, eps float64) (phases, trees int, err error) 
 			a.tree(ws, t, length)
 			trees++
 			col := ws.col[k*n : (k+1)*n]
-			row := ws.phase[k*m : (k+1)*m]
 			for s := int32(0); s < int32(n); s++ {
 				if col[s] <= 0 || s == t {
 					continue
@@ -321,16 +356,26 @@ func (a *Approx) run(ws *workspace, eps float64) (phases, trees int, err error) 
 					if ws.bott[s] < f {
 						f = ws.bott[s]
 					}
-					for u := s; u != t; {
+					for u := s; u != t; u = ws.next[u] {
 						id := ws.parent[u]
 						row[id] += f
 						dl := length[id] * eps * f / capacity[id]
 						length[id] += dl
 						sumLC += dl * capacity[id]
-						u = a.to[id]
 					}
 					rem -= f
 					routed = true
+				}
+			}
+			// Nothing reads t's flows of this phase before the phase ends,
+			// so they join its completed-phase row now. Only tree edges
+			// carry any: every other entry of row is 0, and adding +0
+			// leaves done's bits alone.
+			done := ws.done[k*m : (k+1)*m]
+			for _, id := range ws.parent {
+				if id >= 0 {
+					done[id] += row[id]
+					row[id] = 0
 				}
 			}
 		}
@@ -340,10 +385,6 @@ func (a *Approx) run(ws *workspace, eps float64) (phases, trees int, err error) 
 			return phases, trees, errBelowFloor
 		}
 		phases++
-		for i, f := range ws.phase {
-			ws.done[i] += f
-			ws.phase[i] = 0
-		}
 	}
 	return phases, trees, nil
 }
@@ -363,26 +404,30 @@ func zeroed(s []float64, n int) []float64 {
 // lengths within t's DAG: one reverse pass over the topological order, every
 // DAG successor of a node being final by the time the node is reached (the
 // pass of oblivious.distTable). parent[u] is the first edge in g.Out(u)
-// order that reaches the minimum (-1 if unreachable or t itself) and bott[u]
-// the least capacity on u's tree path.
+// order that reaches the minimum (-1 if unreachable or t itself), next[u]
+// its head and bott[u] the least capacity on u's tree path.
 func (a *Approx) tree(ws *workspace, t int32, length []float64) {
-	dist, parent, bott := ws.dist, ws.parent, ws.bott
-	dag := a.dags[t]
-	for i := len(dag.Order) - 1; i >= 0; i-- {
-		u := dag.Order[i]
-		best, p, b := math.Inf(1), int32(-1), math.Inf(1)
-		if int32(u) == t {
+	dist, parent, next, bott := ws.dist, ws.parent, ws.next, ws.bott
+	lo := int32(0)
+	if t > 0 {
+		lo = a.pass[int(t)*a.n-1].end
+	}
+	for _, pn := range a.pass[int(t)*a.n : int(t+1)*a.n] {
+		best, p, h, b := math.Inf(1), int32(-1), int32(-1), math.Inf(1)
+		if pn.node == t {
 			best = 0
 		} else {
-			for _, id := range dag.OutEdges(a.g, u) {
-				if d := dist[a.to[id]] + length[id]; d < best {
-					best, p = d, int32(id)
+			for _, e := range a.arcs[lo:pn.end] {
+				if d := dist[e.head] + length[e.edge]; d < best {
+					best, p, h = d, e.edge, e.head
 				}
 			}
 			if p >= 0 {
-				b = min(a.cap[p], bott[a.to[p]])
+				b = min(a.cap[p], bott[h])
 			}
 		}
-		dist[u], parent[u], bott[u] = best, p, b
+		lo = pn.end
+		u := pn.node
+		dist[u], parent[u], next[u], bott[u] = best, p, h, b
 	}
 }

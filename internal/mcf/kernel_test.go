@@ -228,6 +228,33 @@ func TestApproxCapacitySpread(t *testing.T) {
 	}
 }
 
+// TestApproxCountsFlooredPairs: a pair whose demand is 1e-20 of its
+// neighbours' scales under the routing floor, so no phase routes it. The
+// solve still succeeds, and coyote_mcf_fptas_floored_pairs_total moves by
+// exactly that one pair (by none for the matrix without it).
+func TestApproxCountsFlooredPairs(t *testing.T) {
+	g, dags := ba42(t)
+	a := NewApprox(g, dags)
+	D := demand.Gravity(g, 1)
+	for _, tc := range []struct {
+		name string
+		tiny bool
+		want float64
+	}{{"gravity", false, 0}, {"one tiny pair", true, 1}} {
+		M := D.Clone()
+		if tc.tiny {
+			M.Set(3, 17, M.At(3, 17)*1e-20)
+		}
+		before := obs.Default.Snapshot()
+		if _, err := a.MLU(M, 0.4, nil); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := obs.Default.Snapshot().Since(before)["coyote_mcf_fptas_floored_pairs_total"]; got != tc.want {
+			t.Fatalf("%s: floored pairs moved by %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestApproxRejectsWrongSize(t *testing.T) {
 	g, _ := paperExample()
 	if _, err := NewApprox(g, dagx.BuildAll(g, dagx.Augmented)).MLU(demand.NewMatrix(g.NumNodes()+1), 0.1, nil); err == nil {
@@ -358,27 +385,9 @@ func FuzzApproxTree(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		n := 2 + int(data[0])%7
-		ring := data[1]%2 == 1
-		data = data[2:]
-		g := graph.New()
-		g.AddNodes(n)
-		// A ring of links when asked for, then a byte pair per edge: its
-		// endpoints, then its capacity (a subnormal and a huge value among
-		// them) and weight.
-		caps := []float64{1, 2, 1e-310, 1e300}
-		if ring {
-			for v := 0; v < n; v++ {
-				g.AddLink(graph.NodeID(v), graph.NodeID((v+1)%n), 1, 1)
-			}
-		}
-		for k := 0; len(data) >= 2 && k < 3*n; k++ {
-			from, to := int(data[0])%n, int(data[0]/8)%n
-			if from != to {
-				g.AddEdge(graph.NodeID(from), graph.NodeID(to), caps[data[1]%4], 1+float64(data[1]/4%3))
-			}
-			data = data[2:]
-		}
+		// Capacities: a subnormal and a huge value among them.
+		g, data := fuzzGraph(data, [4]float64{1, 2, 1e-310, 1e300})
+		n := g.NumNodes()
 		length := make([]float64, g.NumEdges())
 		for e := range length {
 			if e < len(data) {
@@ -422,6 +431,78 @@ func FuzzApproxTree(f *testing.F) {
 			t.Fatalf("solve: %v; want success, ErrUnroutable or the routing-floor error", err)
 		case D.Total() > 0 && !(mlu > 0 && mlu < math.Inf(1)):
 			t.Fatalf("solve: MLU %v with a nil error", mlu)
+		}
+	})
+}
+
+// fuzzGraph builds a graph of 2–8 nodes from data[0], with a ring of
+// unit links when data[1] is odd, then one edge per byte pair: its
+// endpoints, then its capacity (from caps) and weight. It returns the graph
+// and the bytes it did not read.
+func fuzzGraph(data []byte, caps [4]float64) (*graph.Graph, []byte) {
+	n := 2 + int(data[0])%7
+	ring := data[1]%2 == 1
+	data = data[2:]
+	g := graph.New()
+	g.AddNodes(n)
+	if ring {
+		for v := 0; v < n; v++ {
+			g.AddLink(graph.NodeID(v), graph.NodeID((v+1)%n), 1, 1)
+		}
+	}
+	for k := 0; len(data) >= 2 && k < 3*n; k++ {
+		from, to := int(data[0])%n, int(data[0]/8)%n
+		if from != to {
+			g.AddEdge(graph.NodeID(from), graph.NodeID(to), caps[data[1]%4], 1+float64(data[1]/4%3))
+		}
+		data = data[2:]
+	}
+	return g, data
+}
+
+// FuzzApproxMatchesReference: on random graphs of at most 8 nodes with
+// augmented DAGs, a whole solve — the single phase row merged into each
+// destination's completed-phase row over its tree edges, the next-hop
+// walks, the retry loop — returns the reference oracle's MLU and flows bit
+// for bit, or the same error. The demands mix zero entries, entries 1e-19
+// of their neighbours (which scale under the routing floor unless every
+// entry is that small), and ordinary ones; eps spans [0.05, 0.49].
+func FuzzApproxMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 6; i++ {
+		seed := make([]byte, 40+20*i) // enough for the edges and a matrix
+		rng.Read(seed)
+		seed[2] |= byte(1 - i%2) // every other graph gets the ring: all routable
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		eps := 0.05 + 0.44*float64(data[0])/255
+		g, data := fuzzGraph(data[1:], [4]float64{1, 2, 0.5, 10})
+		n := g.NumNodes()
+		D := demand.NewMatrix(n)
+		for i, b := range data {
+			s, dst := (i/n)%n, i%n
+			if s == dst {
+				continue
+			}
+			switch b % 4 {
+			case 1, 2:
+				D.Set(graph.NodeID(s), graph.NodeID(dst), float64(b)/16)
+			case 3:
+				D.Set(graph.NodeID(s), graph.NodeID(dst), float64(b)*1e-19)
+			}
+		}
+		dags := dagx.BuildAll(g, dagx.Augmented)
+		wantMLU, wantFlows, wantErr := refMinMLUApprox(g, dags, D, eps)
+		gotMLU, gotFlows, err := NewApprox(g, dags).Solve(D, eps)
+		if (err == nil) != (wantErr == nil) || err != nil && !errors.Is(err, wantErr) {
+			t.Fatalf("eps %v: error %v, reference %v", eps, err, wantErr)
+		}
+		if err == nil {
+			sameBits(t, fmt.Sprintf("eps %v", eps), wantMLU, wantFlows, gotMLU, gotFlows)
 		}
 	})
 }

@@ -6,6 +6,8 @@ import (
 
 	"github.com/coyote-te/coyote/internal/dagx"
 	"github.com/coyote-te/coyote/internal/demand"
+	"github.com/coyote-te/coyote/internal/obs"
+	"github.com/coyote-te/coyote/internal/scen"
 	"github.com/coyote-te/coyote/internal/topo"
 )
 
@@ -62,4 +64,38 @@ func TestPerfTopObliviousBoxAllocs(t *testing.T) {
 	if allocs > 400 || mb > 1 {
 		t.Fatalf("warm oblivious-box PerfTop allocates %.0f objects and %.2f MB per call, want ≤ 400 and ≤ 1 MB", allocs, mb)
 	}
+}
+
+// BenchmarkPerfTopBA42 is one adversary call at the scale-ba42 shape: ECMP
+// on the 42-node generated topology's augmented DAGs, a margin-2 gravity
+// box, k = 4, FPTAS normalizations at eps 0.4. Each op gets a fresh
+// evaluator whose ring holds the certificates of the box maximum and
+// midpoint, as Optimize's seed normalizations leave it; only the PerfTop
+// call is timed. solves/op and pruned/op are deterministic.
+func BenchmarkPerfTopBA42(b *testing.B) {
+	g, err := scen.Generate("ba", scen.Params{N: 42, M: 2, Seed: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	box := demand.MarginBox(demand.Gravity(g, 1), 2)
+	r := ECMPOnDAGs(g, dags)
+	b.ReportAllocs()
+	var solved, pruned float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ev := NewEvaluator(g, dags, box, EvalConfig{Samples: 8, Seed: 1, Eps: 0.4, Workers: 1})
+		ev.OptDAG(box.Max)
+		ev.OptDAG(box.Midpoint())
+		before := obs.Default.Snapshot()
+		b.StartTimer()
+		ev.PerfTop(r, 4)
+		b.StopTimer()
+		moved := obs.Default.Snapshot().Since(before)
+		solved += movedBy(b, moved, "coyote_oblivious_candidates_total{solved}")
+		pruned += movedBy(b, moved, "coyote_oblivious_candidates_total{pruned}")
+		b.StartTimer()
+	}
+	b.ReportMetric(solved/float64(b.N), "solves/op")
+	b.ReportMetric(pruned/float64(b.N), "pruned/op")
 }

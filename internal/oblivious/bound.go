@@ -71,8 +71,8 @@ func (b *boundRing) add(g *graph.Graph, dags []*dagx.DAG, z []float64, D *demand
 	b.added++
 }
 
-// position is how many tables have ever been added: the since argument that
-// makes a later bound call look only at tables added from now on.
+// position is how many tables have ever been added: a candidate whose bound
+// is current to an earlier position has tables left to see.
 func (b *boundRing) position() uint64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -80,20 +80,31 @@ func (b *boundRing) position() uint64 {
 }
 
 // bound returns the best lower bound on OPTDAG(D) over the live tables added
-// at or after position since (0 for all of them). It is 0 when there is no
-// such table and +Inf when D has demand on a pair with no path in the DAGs.
-func (b *boundRing) bound(D *demand.Matrix, since uint64) (lb float64) {
+// at or after position since (0 for all of them), and the position it is
+// current to: the since argument that makes a later call look only at the
+// tables added in between. The bound is 0 when there is no such table and
+// +Inf when D has demand on a pair with no path in the DAGs. Four tables
+// share each pass over D.
+func (b *boundRing) bound(D *demand.Matrix, since uint64) (lb float64, upTo uint64) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.added > boundRingSize && since < b.added-boundRingSize {
 		since = b.added - boundRingSize
 	}
-	for i := since; i < b.added; i++ {
+	i := since
+	for ; i+4 <= b.added; i += 4 {
+		for _, v := range tableBound4(&b.tables, i, D) {
+			if v > lb {
+				lb = v
+			}
+		}
+	}
+	for ; i < b.added; i++ {
 		if v := tableBound(b.tables[i%boundRingSize], D); v > lb {
 			lb = v
 		}
 	}
-	return lb
+	return lb, b.added
 }
 
 // live returns copies of the live tables, oldest first.
@@ -142,4 +153,25 @@ func tableBound(tbl []float64, D *demand.Matrix) float64 {
 		}
 	}
 	return sum
+}
+
+// tableBound4 is tableBound of the four tables added from position i on,
+// in one pass over D: each sum has its own accumulator and keeps
+// tableBound's order, so each is bit-equal to tableBound's.
+func tableBound4(tables *[boundRingSize][]float64, i uint64, D *demand.Matrix) (sum [4]float64) {
+	n := len(D.D)
+	t0 := tables[i%boundRingSize][:n]
+	t1 := tables[(i+1)%boundRingSize][:n]
+	t2 := tables[(i+2)%boundRingSize][:n]
+	t3 := tables[(i+3)%boundRingSize][:n]
+	var s0, s1, s2, s3 float64
+	for j, d := range D.D {
+		if d > 0 {
+			s0 += d * t0[j]
+			s1 += d * t1[j]
+			s2 += d * t2[j]
+			s3 += d * t3[j]
+		}
+	}
+	return [4]float64{s0, s1, s2, s3}
 }

@@ -358,26 +358,31 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	for _, sr := range singles {
 		top = pushTop(top, k, sr.Ratio)
 	}
+	ring := &ev.cache.bounds
+	pos := ring.position() // a survivor whose bound is current to less has tables to see
 	pending := sc.pending[:0]
 	for i := range cands {
 		c := &cands[i]
-		if c.norm, c.known = ev.cache.lookup(c.hash); c.known {
+		var ok bool
+		if c.norm, ok = ev.cache.lookup(c.hash); ok {
 			if c.valid() {
 				top = pushTop(top, k, c.mxlu/c.norm)
 			}
 			continue
 		}
-		c.lb = ev.cache.bounds.bound(c.D, 0)
+		c.lb, c.seen = ring.bound(c.D, 0)
 		pending = append(pending, int32(i))
 	}
 	sc.pending = pending
 	cached := len(cands) - len(pending)
-	pos := ev.cache.bounds.position() // the survivors' bounds are current to here
 
 	// Solve best-first: the pending candidate with the highest bound, the
 	// lowest index among equals, until no bound reaches τ. Each certificate
-	// joins the ring as soon as its solve returns and tightens the survivors'
-	// bounds before the next pick.
+	// joins the ring as soon as its solve returns. Re-bounding is lazy: a
+	// bound only rises as it sees newer tables, so a stale upper() only
+	// falls. The argmax is refreshed until it is fresh, and then it is the
+	// candidate that re-bounding every survivor after every solve would
+	// pick (DESIGN.md §2.5).
 	exact := ev.exact()
 	z := sc.lengths(ev.G.NumEdges())
 	for len(pending) > 0 {
@@ -388,24 +393,31 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 			}
 		}
 		c := &cands[pending[b]]
+		if c.seen < pos {
+			c.rebound(ring)
+			continue
+		}
 		if len(top) == k && c.upper()*(1+1e-9) < top[k-1] {
 			break // nothing left can reach the top k
 		}
 		pending = slices.Delete(pending, b, b+1)
 		var certified bool
 		c.norm, certified = ev.solveOptDAG(ctx, c.D, z)
-		c.known = true
 		ev.cache.store(c.hash, c.norm)
 		if c.valid() {
 			top = pushTop(top, k, c.mxlu/c.norm)
 		}
 		if certified {
-			ev.cache.bounds.add(ev.G, ev.DAGs, z, c.D, c.norm, exact)
+			// The add overwrites table pos−boundRingSize once the ring is
+			// full: a survivor that has not seen it sees it now.
+			for _, i := range pending {
+				if cands[i].seen+boundRingSize <= pos {
+					cands[i].rebound(ring)
+				}
+			}
+			ring.add(ev.G, ev.DAGs, z, c.D, c.norm, exact)
+			pos = ring.position()
 		}
-		for _, i := range pending {
-			cands[i].lb = math.Max(cands[i].lb, ev.cache.bounds.bound(cands[i].D, pos))
-		}
-		pos = ev.cache.bounds.position()
 	}
 	pruned := len(pending)
 	solved := len(cands) - cached - pruned
@@ -420,7 +432,7 @@ func (ev *Evaluator) PerfTopCtx(ctx context.Context, r *pdrouting.Routing, k int
 	all := make([]Result, 0, len(cands)+len(singles))
 	all = append(all, singles...)
 	for i := range cands {
-		if c := &cands[i]; c.known && c.valid() {
+		if c := &cands[i]; c.valid() {
 			all = append(all, Result{Ratio: c.mxlu / c.norm, WorstDM: c.D, MxLU: c.mxlu, Norm: c.norm})
 		}
 	}
@@ -512,16 +524,25 @@ func (ev *Evaluator) adversaryInputs(C []float64, seq uint64) (singles []Result,
 
 // candidate is one deduplicated corner of an adversary call.
 type candidate struct {
-	D     *demand.Matrix
-	hash  uint64
-	mxlu  float64 // the routing's utilization on D
-	norm  float64 // OPTDAG(D), once known
-	known bool    // norm is in hand, cached or solved; a pruned candidate ends false
-	lb    float64 // best lower bound on OPTDAG(D) so far: 0 = none, +Inf = unroutable
+	D    *demand.Matrix
+	hash uint64
+	mxlu float64 // the routing's utilization on D
+	norm float64 // OPTDAG(D), once cached or solved; a pruned candidate keeps 0
+	lb   float64 // best lower bound on OPTDAG(D) so far: 0 = none, +Inf = unroutable
+	seen uint64  // the ring position lb is current to
 }
 
-// valid reports whether the known normalization yields a ratio: a matrix
-// that cannot be routed within the DAGs (norm +Inf) is dropped.
+// rebound raises lb by the tables added to the ring since the candidate
+// last looked.
+func (c *candidate) rebound(ring *boundRing) {
+	var lb float64
+	lb, c.seen = ring.bound(c.D, c.seen)
+	c.lb = math.Max(c.lb, lb)
+}
+
+// valid reports whether the normalization yields a ratio: a pruned
+// candidate (norm 0) and a matrix that cannot be routed within the DAGs
+// (norm +Inf) are dropped.
 func (c *candidate) valid() bool { return c.norm > 0 && !math.IsInf(c.norm, 1) }
 
 // upper bounds the candidate's ratio from above. Without a positive lower

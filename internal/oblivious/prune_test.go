@@ -261,6 +261,9 @@ func TestPerfTopMatchesExhaustive(t *testing.T) {
 			}
 		}
 	}
+	if !raceDetector {
+		checkEvictingCall(t)
+	}
 	moved := obs.Default.Snapshot().Since(before)
 	if v := movedBy(t, moved, "coyote_oblivious_bound_violations_total"); v != 0 {
 		t.Errorf("%v dual certificates failed their soundness guard, want 0", v)
@@ -269,6 +272,34 @@ func TestPerfTopMatchesExhaustive(t *testing.T) {
 	pruned := movedBy(t, moved, "coyote_oblivious_candidates_total{pruned}")
 	if solved := movedBy(t, moved, "coyote_oblivious_candidates_total{solved}"); pruned < 2*solved {
 		t.Errorf("the adversary pruned %v candidates and solved %v; want at least two pruned per solve", pruned, solved)
+	}
+}
+
+// checkEvictingCall is TestPerfTopMatchesExhaustive's case for a call that
+// evicts certificates while candidates still wait: on a cold 42-node FPTAS
+// evaluator (empty ring), PerfTop(r, 24) must solve at least 24 candidates
+// before the bar exists, more than boundRingSize, so every add past the
+// sixteenth overwrites a table some survivor may not have seen. The result
+// is the exhaustive top 24, and the solved and pruned counts are those of
+// re-bounding every survivor after every solve (read before re-bounding
+// became lazy): a survivor that missed an evicted table would keep a looser
+// bound and move them.
+func checkEvictingCall(t *testing.T) {
+	t.Helper()
+	g, err := scen.Generate("ba", scen.Params{N: 42, M: 2, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dags := dagx.BuildAll(g, dagx.Augmented)
+	box := demand.MarginBox(demand.Gravity(g, 1), 2)
+	ev := NewEvaluator(g, dags, box, EvalConfig{Samples: 3, Seed: 1, Eps: 0.4, ExactNodeLimit: 1})
+	before := obs.Default.Snapshot()
+	newOracle().check(t, "ba-42-fptas/cold k=24", ev, ECMPOnDAGs(g, dags), 24)
+	moved := obs.Default.Snapshot().Since(before)
+	solved := movedBy(t, moved, "coyote_oblivious_candidates_total{solved}")
+	pruned := movedBy(t, moved, "coyote_oblivious_candidates_total{pruned}")
+	if solved != 34 || pruned != 102 {
+		t.Errorf("cold k=24: solved %v and pruned %v candidates, want 34 and 102", solved, pruned)
 	}
 }
 
